@@ -26,16 +26,17 @@
 // truncation point answer 410 Gone (see docs/ARCHITECTURE.md "Memory
 // limits").
 //
-// With -archive-dir, persisted convoys are additionally indexed into an
-// LSM-backed archive (backfilled from the log at startup, populated
-// asynchronously while serving), and the /v1/query endpoints answer
+// With -archive-dir, persisted convoys are additionally indexed — in place:
+// the log stays the one copy of the records — by LSM indexes in that
+// directory (caught up with the log at startup, fed asynchronously while
+// serving), and the /v1/query endpoints answer
 // time-interval, object-membership and size/duration lookups over the full
 // history with cursor pagination. -retention N bounds that history: at
 // every archive flush tick, convoys whose End lags the newest archived
 // End by N ticks or more are expired from the archive (never from the
 // log); POST /v1/admin/retention expires on demand at an absolute tick.
 //
-//	curl -s -X POST localhost:8080/v1/feeds/osaka/snapshots -d '{
+//	curl -s -X POST localhost:8080/v1/feeds/osaka/ingest -d '{
 //	  "snapshots": [{"t": 0, "positions": [{"oid": 1, "x": 0, "y": 0}]}]}'
 //	curl -s 'localhost:8080/v1/feeds/osaka/convoys?cursor=0&wait=5s'
 //	curl -s -X POST localhost:8080/v1/feeds/osaka/flush

@@ -497,7 +497,7 @@ func driveFeed(client *http.Client, base string, cfg config, idx int64, fr *feed
 		ticks = append(ticks, tt)
 	}
 
-	url := base + "/v1/feeds/" + fr.name + "/snapshots?pattern=" + string(fr.pat)
+	url := base + "/v1/feeds/" + fr.name + "/ingest?pattern=" + string(fr.pat)
 	per := time.Duration(0)
 	if cfg.rate > 0 {
 		per = time.Duration(float64(time.Second) / cfg.rate)

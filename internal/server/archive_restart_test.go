@@ -1,0 +1,279 @@
+package server
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/model"
+	"repro/internal/storage"
+)
+
+// The archive holds no copy of the convoys: these tests restart convoyd
+// over its one convoy log — after a kill, after an offline compaction — and
+// require every historical query, paged to exhaustion over HTTP, to equal a
+// brute-force filter over storage.ScanConvoyLog of that log.
+
+// histRecords generates a seeded batch of closed-convoy records the way an
+// old log holds them; with dupEvery > 0 some are exact duplicates (what an
+// eviction followed by a re-ingest leaves behind).
+func histRecords(seed int64, n, dupEvery int) []storage.LoggedConvoy {
+	rng := rand.New(rand.NewSource(seed))
+	recs := make([]storage.LoggedConvoy, 0, n)
+	for i := 0; i < n; i++ {
+		if dupEvery > 0 && i > 0 && i%dupEvery == 0 {
+			recs = append(recs, recs[rng.Intn(len(recs))])
+			continue
+		}
+		ids := make([]int32, 3+rng.Intn(6))
+		for j := range ids {
+			ids[j] = int32(rng.Intn(40))
+		}
+		start := int32(rng.Intn(100))
+		recs = append(recs, storage.LoggedConvoy{
+			Feed:   fmt.Sprintf("hist-%d", rng.Intn(4)),
+			Convoy: model.NewConvoy(model.NewObjSet(ids...), start, start+int32(4+rng.Intn(20))),
+		})
+	}
+	return recs
+}
+
+func writeConvoyLog(t *testing.T, path string, recs []storage.LoggedConvoy) {
+	t.Helper()
+	l, err := storage.CreateConvoyLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := l.AppendRecord(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func canonConvoy(feed string, c model.Convoy) string { return feed + "\x00" + c.Key() }
+
+// pageAll pages a /v1/query URL to exhaustion and returns the sorted
+// canonical forms of everything it served.
+func pageAll(t *testing.T, url string) []string {
+	t.Helper()
+	var out []string
+	cursor := ""
+	for page := 0; ; page++ {
+		var resp queryResponse
+		if code := getJSON(t, url+"&limit=7"+cursor, &resp); code != http.StatusOK {
+			t.Fatalf("GET %s page %d: status %d", url, page, code)
+		}
+		for _, c := range resp.Convoys {
+			out = append(out, canonConvoy(c.Feed, model.Convoy{Objs: c.Objs, Start: c.Start, End: c.End}))
+		}
+		if !resp.More {
+			slices.Sort(out)
+			return out
+		}
+		cursor = "&cursor=" + resp.Cursor
+	}
+}
+
+// assertQueriesMatchLog diffs all three query shapes, over a spread of
+// parameters, against a brute-force filter of the log at logPath.
+func assertQueriesMatchLog(t *testing.T, base, logPath string) {
+	t.Helper()
+	var logged []storage.LoggedConvoy
+	if _, err := storage.ScanConvoyLog(logPath, func(r storage.LoggedConvoy) error {
+		if !storage.IsFlushMarker(r.Convoy) {
+			logged = append(logged, r)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(logged) == 0 {
+		t.Fatal("log holds no convoys; scenario broken")
+	}
+	brute := func(keep func(storage.LoggedConvoy) bool) []string {
+		var out []string
+		for _, r := range logged {
+			if keep(r) {
+				out = append(out, canonConvoy(r.Feed, r.Convoy))
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	check := func(url string, keep func(storage.LoggedConvoy) bool) {
+		t.Helper()
+		if got, want := pageAll(t, base+url), brute(keep); !slices.Equal(got, want) {
+			t.Fatalf("GET %s: served %d convoys, brute force over the log finds %d", url, len(got), len(want))
+		}
+	}
+	for from := int32(-10); from < 130; from += 35 {
+		to := from + 30
+		check(fmt.Sprintf("/v1/query/time?from=%d&to=%d", from, to), func(r storage.LoggedConvoy) bool {
+			return r.Convoy.Start <= to && r.Convoy.End >= from
+		})
+	}
+	for oid := int32(0); oid < 45; oid += 4 {
+		check(fmt.Sprintf("/v1/query/object?oid=%d", oid), func(r storage.LoggedConvoy) bool {
+			return r.Convoy.Objs.Contains(oid)
+		})
+	}
+	for minSize := 0; minSize < 10; minSize += 3 {
+		minDur := 2 * minSize
+		check(fmt.Sprintf("/v1/query/convoys?min_size=%d&min_dur=%d", minSize, minDur), func(r storage.LoggedConvoy) bool {
+			return len(r.Convoy.Objs) >= minSize && r.Convoy.Len() >= minDur
+		})
+	}
+	check("/v1/query/convoys?feed=hist-1", func(r storage.LoggedConvoy) bool { return r.Feed == "hist-1" })
+}
+
+// assertArchiveDirIsDerived checks the archive directory holds the three
+// indexes and META — and no records file: the log is the only copy.
+func assertArchiveDirIsDerived(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"META", "obj", "size", "time"}; !slices.Equal(names, want) {
+		t.Fatalf("archive directory holds %v, want %v", names, want)
+	}
+}
+
+func restartConfig(dir string) Config {
+	return Config{
+		Params:       testParams,
+		Shards:       2,
+		Replicas:     16,
+		PersistPath:  filepath.Join(dir, "closed.k2cl"),
+		PersistEvery: 10 * time.Millisecond,
+		ArchiveDir:   filepath.Join(dir, "archive"),
+		EnqueueWait:  time.Second,
+	}
+}
+
+const (
+	killHelperEnv = "CONVOYD_KILL_HELPER_DIR"
+	killLiveFeeds = 5
+)
+
+// TestArchiveKillHelper is the convoyd that TestArchiveKillRestart
+// re-executes the test binary to run: it serves on top of an existing log,
+// mines a few live feeds until their convoys are logged and queryable, and
+// then dies by SIGKILL — no Close, no final persist, no index flush.
+func TestArchiveKillHelper(t *testing.T) {
+	dir := os.Getenv(killHelperEnv)
+	if dir == "" {
+		t.Skip("helper process of TestArchiveKillRestart")
+	}
+	srv, err := New(restartConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	for i := 0; i < killLiveFeeds; i++ {
+		name := fmt.Sprintf("live-%d", i)
+		code, body := postJSON(t, ts.URL+"/v1/feeds/"+name+"/ingest",
+			ingestRequest{Snapshots: convoySnapshots(5+i, 3+i%3)})
+		if code != http.StatusAccepted {
+			t.Fatalf("ingest %s: %d %s", name, code, body)
+		}
+		flushFeed(t, ts.URL, name)
+	}
+	for i := 0; i < killLiveFeeds; i++ {
+		waitForQuery(t, fmt.Sprintf("%s/v1/query/convoys?limit=1000&feed=live-%d", ts.URL, i), 1)
+	}
+	p, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Kill()
+	select {}
+}
+
+// TestArchiveKillRestart: a convoyd killed without Close restarts over the
+// same log and archive directory. The checkpoint covers the log as of the
+// killed process's start, so exactly the convoys it logged afterwards —
+// whose index entries died in unflushed memtables — are indexed again, in
+// place, and every query equals brute force over the log.
+func TestArchiveKillRestart(t *testing.T) {
+	dir := t.TempDir()
+	cfg := restartConfig(dir)
+	hist := histRecords(5, 300, 0)
+	writeConvoyLog(t, cfg.PersistPath, hist)
+
+	cmd := exec.Command(os.Args[0], "-test.run=^TestArchiveKillHelper$")
+	cmd.Env = append(os.Environ(), killHelperEnv+"="+dir)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != -1 {
+		t.Fatalf("helper convoyd did not die by signal: %v\n%s", err, out)
+	}
+
+	srv, ts := newTestServer(t, cfg)
+	var logged int64
+	if _, err := storage.ScanConvoyLog(cfg.PersistPath, func(r storage.LoggedConvoy) error {
+		if !storage.IsFlushMarker(r.Convoy) {
+			logged++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	backfilled, rebuilt, _ := srv.ArchiveInfo()
+	if live := logged - int64(len(hist)); rebuilt || live < killLiveFeeds || backfilled != live {
+		t.Fatalf("restart indexed %d records (rebuilt=%v), want the %d logged after the killed process's checkpoint",
+			backfilled, rebuilt, live)
+	}
+	assertQueriesMatchLog(t, ts.URL, cfg.PersistPath)
+	assertArchiveDirIsDerived(t, cfg.ArchiveDir)
+}
+
+// TestArchiveCompactRestart: an offline CompactConvoyLog rewrites the log
+// under the indexes. The checkpoint's prefix checksum must notice at the
+// next start, and the rebuilt indexes must serve exactly the compacted log.
+func TestArchiveCompactRestart(t *testing.T) {
+	dir := t.TempDir()
+	cfg := restartConfig(dir)
+	writeConvoyLog(t, cfg.PersistPath, histRecords(6, 300, 5))
+
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if backfilled, rebuilt, _ := srv.ArchiveInfo(); backfilled != 300 || rebuilt {
+		t.Fatalf("first start indexed %d records (rebuilt=%v), want 300", backfilled, rebuilt)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	kept, dropped, err := storage.CompactConvoyLog(cfg.PersistPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped == 0 {
+		t.Fatal("compaction dropped nothing; generator broken")
+	}
+
+	srv, ts := newTestServer(t, cfg)
+	if backfilled, rebuilt, _ := srv.ArchiveInfo(); !rebuilt || backfilled != int64(kept) {
+		t.Fatalf("start on the compacted log indexed %d records (rebuilt=%v), want a rebuild of %d", backfilled, rebuilt, kept)
+	}
+	assertQueriesMatchLog(t, ts.URL, cfg.PersistPath)
+	assertArchiveDirIsDerived(t, cfg.ArchiveDir)
+}

@@ -47,7 +47,7 @@ func ExampleServer_query() {
 	  {"t":1,"positions":[{"oid":1,"x":5,"y":0},{"oid":2,"x":6,"y":0}]},
 	  {"t":2,"positions":[{"oid":1,"x":10,"y":0},{"oid":2,"x":11,"y":0}]},
 	  {"t":3,"positions":[{"oid":1,"x":15,"y":0},{"oid":2,"x":16,"y":0}]}]}`
-	http.Post(ts.URL+"/v1/feeds/harbor/snapshots", "application/json", bytes.NewBufferString(body))
+	http.Post(ts.URL+"/v1/feeds/harbor/ingest", "application/json", bytes.NewBufferString(body))
 	http.Post(ts.URL+"/v1/feeds/harbor/flush", "application/json", nil)
 
 	// The archive is populated asynchronously from the persist path; poll

@@ -84,9 +84,6 @@ type route struct {
 func (s *Server) routes() []route {
 	return []route{
 		{"POST /v1/feeds/{feed}/ingest", s.handleIngest},
-		// Alias: the ingest endpoint's original spelling. Same handler, same
-		// negotiation; kept so existing clients never break.
-		{"POST /v1/feeds/{feed}/snapshots", s.handleIngest},
 		{"POST /v1/feeds/{feed}/ingest/stream", s.handleIngestStream},
 		{"GET /v1/feeds/{feed}/convoys", s.handleConvoys},
 		{"POST /v1/feeds/{feed}/flush", s.handleFlush},
@@ -113,7 +110,6 @@ func (s *Server) Routes() []string {
 // Handler returns the convoyd HTTP API:
 //
 //	POST /v1/feeds/{feed}/ingest          ingest (JSON or K2BI binary, by Content-Type)
-//	POST /v1/feeds/{feed}/snapshots       alias of /ingest (the original spelling)
 //	POST /v1/feeds/{feed}/ingest/stream   sticky binary ingest: many K2BI frames, one connection
 //	GET  /v1/feeds/{feed}/convoys         closed convoys since ?cursor, long-poll via ?wait
 //	POST /v1/feeds/{feed}/flush           end the feed, return the full maximal set

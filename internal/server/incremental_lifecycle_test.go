@@ -81,7 +81,7 @@ func TestRestartRecoveryChurnReplay(t *testing.T) {
 	// Crash happens mid-stream: only the first pass plus a bit of the second
 	// reaches the server.
 	cut := len(churnSnapshots(ds, 0)) + 3
-	if code, body := postJSON(t, ts1.URL+"/v1/feeds/churn/snapshots",
+	if code, body := postJSON(t, ts1.URL+"/v1/feeds/churn/ingest",
 		ingestRequest{Snapshots: full[:cut]}); code != http.StatusAccepted {
 		t.Fatalf("pre-crash ingest: status %d: %s", code, body)
 	}
@@ -104,7 +104,7 @@ func TestRestartRecoveryChurnReplay(t *testing.T) {
 	}
 	// Replay everything from t=0 (the recovered miner accepts any timestamp)
 	// and finish the stream.
-	if code, body := postJSON(t, ts2.URL+"/v1/feeds/churn/snapshots",
+	if code, body := postJSON(t, ts2.URL+"/v1/feeds/churn/ingest",
 		ingestRequest{Snapshots: full}); code != http.StatusAccepted {
 		t.Fatalf("replay ingest: status %d: %s", code, body)
 	}
@@ -161,7 +161,7 @@ func TestConcurrentFeedsChurn(t *testing.T) {
 			for j := 0; j < len(snaps); {
 				n := 1 + rng.Intn(4)
 				end := min(j+n, len(snaps))
-				code, body := postJSON(t, ts.URL+"/v1/feeds/"+feed+"/snapshots",
+				code, body := postJSON(t, ts.URL+"/v1/feeds/"+feed+"/ingest",
 					ingestRequest{Snapshots: snaps[j:end]})
 				if code == http.StatusTooManyRequests {
 					time.Sleep(time.Millisecond) // backpressure: retry

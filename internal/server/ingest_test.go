@@ -87,7 +87,7 @@ func TestIngestNegotiation(t *testing.T) {
 	}
 
 	frame := encodeDataset(t, ds, 1, 1)
-	for _, route := range []string{"/v1/feeds/neg/ingest", "/v1/feeds/neg2/snapshots"} {
+	for _, route := range []string{"/v1/feeds/neg/ingest", "/v1/feeds/neg2/ingest"} {
 		code, body := postBinary(t, ts.URL+route, frame)
 		if code != http.StatusAccepted {
 			t.Fatalf("binary on %s: status %d: %s", route, code, body)

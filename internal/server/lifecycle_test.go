@@ -53,7 +53,7 @@ func TestIdleFeedEviction(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Shards: 2, FeedTTL: 40 * time.Millisecond, EvictEvery: 10 * time.Millisecond})
 	one := ingestRequest{Snapshots: []snapshotJSON{{T: 0, Positions: []positionJSON{{OID: 1}}}}}
 	for _, feed := range []string{"cold", "hot"} {
-		if code, body := postJSON(t, ts.URL+"/v1/feeds/"+feed+"/snapshots", one); code != http.StatusAccepted {
+		if code, body := postJSON(t, ts.URL+"/v1/feeds/"+feed+"/ingest", one); code != http.StatusAccepted {
 			t.Fatalf("ingest %s: status %d: %s", feed, code, body)
 		}
 	}
@@ -73,7 +73,7 @@ func TestIdleFeedEviction(t *testing.T) {
 		t.Fatalf("memory stats after eviction: %+v", st.Memory)
 	}
 	// The name is free again: ingest starts a fresh feed lifecycle.
-	if code, body := postJSON(t, ts.URL+"/v1/feeds/cold/snapshots", one); code != http.StatusAccepted {
+	if code, body := postJSON(t, ts.URL+"/v1/feeds/cold/ingest", one); code != http.StatusAccepted {
 		t.Fatalf("re-ingest to evicted name: status %d: %s", code, body)
 	}
 	if _, ok := srv.Stats().Feeds["cold"]; !ok {
@@ -95,12 +95,12 @@ func TestEvictionWaitsForPersistence(t *testing.T) {
 	})
 	// "unpersisted" closes a convoy that cannot reach the sink; "bare"
 	// publishes nothing, so it has nothing to lose.
-	if code, _ := postJSON(t, ts.URL+"/v1/feeds/unpersisted/snapshots",
+	if code, _ := postJSON(t, ts.URL+"/v1/feeds/unpersisted/ingest",
 		ingestRequest{Snapshots: gapSnapshots(1, 2)}); code != http.StatusAccepted {
 		t.Fatal("ingest failed")
 	}
 	one := ingestRequest{Snapshots: []snapshotJSON{{T: 0, Positions: []positionJSON{{OID: 9}}}}}
-	if code, _ := postJSON(t, ts.URL+"/v1/feeds/bare/snapshots", one); code != http.StatusAccepted {
+	if code, _ := postJSON(t, ts.URL+"/v1/feeds/bare/ingest", one); code != http.StatusAccepted {
 		t.Fatal("ingest failed")
 	}
 	waitFor(t, 5*time.Second, "bare feed eviction", func() bool {
@@ -124,7 +124,7 @@ func TestHistoryTruncation(t *testing.T) {
 		PersistEvery: 10 * time.Millisecond,
 	})
 	// First convoy: ticks [0,4] closed by the jump to 100.
-	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/snapshots",
+	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/ingest",
 		ingestRequest{Snapshots: gapSnapshots(1, 2)[:6]}); code != http.StatusAccepted {
 		t.Fatal("ingest failed")
 	}
@@ -150,7 +150,7 @@ func TestHistoryTruncation(t *testing.T) {
 	}
 	// The cursor from the first response is still live and sees exactly the
 	// new convoy once more data closes it.
-	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/snapshots",
+	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/ingest",
 		ingestRequest{Snapshots: gapSnapshots(1, 2)[6:]}); code != http.StatusAccepted {
 		t.Fatal("second ingest failed")
 	}
@@ -177,7 +177,7 @@ func TestKeepHistory(t *testing.T) {
 		PersistEvery: 10 * time.Millisecond,
 		KeepHistory:  true,
 	})
-	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/snapshots",
+	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/ingest",
 		ingestRequest{Snapshots: gapSnapshots(1, 2)}); code != http.StatusAccepted {
 		t.Fatal("ingest failed")
 	}
@@ -220,7 +220,7 @@ func TestEvictionUnderConcurrentIngest(t *testing.T) {
 			var tt int32
 			for time.Now().Before(stop) {
 				one := ingestRequest{Snapshots: []snapshotJSON{{T: tt, Positions: []positionJSON{{OID: int32(i)}}}}}
-				code, body := postJSON(t, ts.URL+"/v1/feeds/"+feed+"/snapshots", one)
+				code, body := postJSON(t, ts.URL+"/v1/feeds/"+feed+"/ingest", one)
 				switch code {
 				case http.StatusAccepted:
 					tt++
@@ -257,7 +257,7 @@ func TestEvictionUnderConcurrentIngest(t *testing.T) {
 func TestLongPollHoldsEviction(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Shards: 1, FeedTTL: 30 * time.Millisecond, EvictEvery: 10 * time.Millisecond})
 	one := ingestRequest{Snapshots: []snapshotJSON{{T: 0, Positions: []positionJSON{{OID: 1}}}}}
-	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/snapshots", one); code != http.StatusAccepted {
+	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/ingest", one); code != http.StatusAccepted {
 		t.Fatal("ingest failed")
 	}
 	resp, err := http.Get(ts.URL + "/v1/feeds/f/convoys?cursor=0&wait=400ms")
@@ -280,7 +280,7 @@ func TestLongPollHoldsEviction(t *testing.T) {
 func TestLongPollContextCancel(t *testing.T) {
 	_, ts := newTestServer(t, Config{Shards: 1})
 	one := ingestRequest{Snapshots: []snapshotJSON{{T: 0, Positions: []positionJSON{{OID: 1}}}}}
-	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/snapshots", one); code != http.StatusAccepted {
+	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/ingest", one); code != http.StatusAccepted {
 		t.Fatal("ingest failed")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -332,14 +332,14 @@ func TestEnqueueContextCancel(t *testing.T) {
 	one := ingestRequest{Snapshots: []snapshotJSON{{T: 0, Positions: []positionJSON{{OID: 1}}}}}
 	for i := 0; i < 2; i++ {
 		one.Snapshots[0].T = int32(i)
-		if code, _ := postJSON(t, ts.URL+"/v1/feeds/bp/snapshots", one); code != http.StatusAccepted {
+		if code, _ := postJSON(t, ts.URL+"/v1/feeds/bp/ingest", one); code != http.StatusAccepted {
 			t.Fatalf("priming ingest %d failed", i)
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	body := strings.NewReader(`{"snapshots":[{"t":9,"positions":[{"oid":1,"x":0,"y":0}]}]}`)
-	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/feeds/bp/snapshots", body)
+	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/feeds/bp/ingest", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,10 +357,7 @@ func TestEnqueueContextCancel(t *testing.T) {
 // logMultiset reads a convoy log into a (feed, convoy-key) → count map.
 func logMultiset(t *testing.T, path string) map[string]int {
 	t.Helper()
-	recs, err := storage.ReadConvoyLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := readConvoyLog(t, path)
 	out := map[string]int{}
 	for _, r := range recs {
 		if storage.IsFlushMarker(r.Convoy) {
@@ -384,8 +381,8 @@ func TestRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(srv1.Handler())
-	postJSON(t, ts1.URL+"/v1/feeds/a/snapshots", ingestRequest{Snapshots: gapSnapshots(1, 2)})
-	postJSON(t, ts1.URL+"/v1/feeds/b/snapshots", ingestRequest{Snapshots: gapSnapshots(3, 4)[:6]})
+	postJSON(t, ts1.URL+"/v1/feeds/a/ingest", ingestRequest{Snapshots: gapSnapshots(1, 2)})
+	postJSON(t, ts1.URL+"/v1/feeds/b/ingest", ingestRequest{Snapshots: gapSnapshots(3, 4)[:6]})
 	flushFeed(t, ts1.URL, "a")
 	ts1.Close()
 	if err := srv1.Close(); err != nil { // graceful kill: final persist
@@ -432,8 +429,8 @@ func TestRestartRecovery(t *testing.T) {
 	// Re-ingest feed a's exact data (a client replaying after the crash)
 	// and finish feed b's second convoy; only b's new convoy may be
 	// appended.
-	postJSON(t, ts2.URL+"/v1/feeds/a/snapshots", ingestRequest{Snapshots: gapSnapshots(1, 2)})
-	postJSON(t, ts2.URL+"/v1/feeds/b/snapshots", ingestRequest{Snapshots: gapSnapshots(3, 4)[6:]})
+	postJSON(t, ts2.URL+"/v1/feeds/a/ingest", ingestRequest{Snapshots: gapSnapshots(1, 2)})
+	postJSON(t, ts2.URL+"/v1/feeds/b/ingest", ingestRequest{Snapshots: gapSnapshots(3, 4)[6:]})
 	flushFeed(t, ts2.URL, "b")
 	if err := srv2.Close(); err != nil {
 		t.Fatal(err)
@@ -465,7 +462,7 @@ func TestRestartRecoveryFlushedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(srv1.Handler())
-	postJSON(t, ts1.URL+"/v1/feeds/x/snapshots", ingestRequest{Snapshots: gapSnapshots(1, 2)})
+	postJSON(t, ts1.URL+"/v1/feeds/x/ingest", ingestRequest{Snapshots: gapSnapshots(1, 2)})
 	flushFeed(t, ts1.URL, "x")
 	ts1.Close()
 	if err := srv1.Close(); err != nil {
@@ -479,7 +476,7 @@ func TestRestartRecoveryFlushedState(t *testing.T) {
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	defer srv2.Close()
-	if code, _ := postJSON(t, ts2.URL+"/v1/feeds/x/snapshots",
+	if code, _ := postJSON(t, ts2.URL+"/v1/feeds/x/ingest",
 		ingestRequest{Snapshots: []snapshotJSON{{T: 999}}}); code != http.StatusConflict {
 		t.Fatalf("ingest to recovered flushed feed: status %d, want 409", code)
 	}
@@ -517,7 +514,7 @@ func TestEvictRecreateContinuesCursorDomain(t *testing.T) {
 		FeedTTL: 30 * time.Millisecond, EvictEvery: 10 * time.Millisecond,
 	})
 	// First incarnation publishes one convoy (head=1), then goes idle.
-	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/snapshots",
+	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/ingest",
 		ingestRequest{Snapshots: gapSnapshots(1, 2)[:6]}); code != http.StatusAccepted {
 		t.Fatal("ingest failed")
 	}
@@ -531,7 +528,7 @@ func TestEvictRecreateContinuesCursorDomain(t *testing.T) {
 	})
 	// Second incarnation: new data closes one new convoy. The domain must
 	// continue at 1, not restart at 0.
-	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/snapshots",
+	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/ingest",
 		ingestRequest{Snapshots: gapSnapshots(3, 4)[:6]}); code != http.StatusAccepted {
 		t.Fatal("re-ingest failed")
 	}
@@ -557,7 +554,7 @@ func TestEvictRecreateContinuesCursorDomain(t *testing.T) {
 // (evict + recreate resets the domain) answers 410, never a silent rewind.
 func TestCursorBeyondHead(t *testing.T) {
 	_, ts := newTestServer(t, Config{Params: gapParams, Shards: 1})
-	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/snapshots",
+	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/ingest",
 		ingestRequest{Snapshots: gapSnapshots(1, 2)[:6]}); code != http.StatusAccepted {
 		t.Fatal("ingest failed")
 	}
@@ -586,7 +583,7 @@ func TestRecoveryRespectsMaxFeeds(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		c := model.NewConvoy(model.NewObjSet(int32(i), int32(i+100)), 0, 4)
-		if err := l.Append(fmt.Sprintf("old-%d", i), c); err != nil {
+		if err := l.AppendRecord(storage.LoggedConvoy{Feed: fmt.Sprintf("old-%d", i), Convoy: c}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -644,7 +641,7 @@ func TestSoakLifecycle(t *testing.T) {
 	const feeds = 12
 	for i := 0; i < feeds; i++ {
 		name := fmt.Sprintf("soak-%d", i)
-		code, body := postJSON(t, ts.URL+"/v1/feeds/"+name+"/snapshots",
+		code, body := postJSON(t, ts.URL+"/v1/feeds/"+name+"/ingest",
 			ingestRequest{Snapshots: gapSnapshots(int32(2*i+1), int32(2*i+2))})
 		if code != http.StatusAccepted {
 			t.Fatalf("ingest %s: status %d: %s", name, code, body)
@@ -699,7 +696,7 @@ func TestSoakLifecycle(t *testing.T) {
 	if f, r := srv2.RecoveryInfo(); f != feeds || r != 2*feeds {
 		t.Fatalf("recovered %d feeds / %d records, want %d / %d", f, r, feeds, 2*feeds)
 	}
-	postJSON(t, ts2.URL+"/v1/feeds/soak-1/snapshots", ingestRequest{Snapshots: gapSnapshots(3, 4)})
+	postJSON(t, ts2.URL+"/v1/feeds/soak-1/ingest", ingestRequest{Snapshots: gapSnapshots(3, 4)})
 	flushFeed(t, ts2.URL, "soak-1")
 	ts2.Close()
 	if err := srv2.Close(); err != nil {

@@ -176,10 +176,7 @@ func assertPatternStats(t *testing.T, srv *Server, cases []patternFeedCase, perP
 // feed has exactly one flush sentinel carrying the family tag.
 func assertPatternLog(t *testing.T, path string, cases []patternFeedCase, wantSentinels bool) {
 	t.Helper()
-	recs, err := storage.ReadConvoyLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := readConvoyLog(t, path)
 	byName := map[string]patternFeedCase{}
 	for _, fc := range cases {
 		byName[fc.name] = fc
@@ -275,7 +272,7 @@ func TestMultiPatternLifecycleSoak(t *testing.T) {
 	}
 	ts1 := httptest.NewServer(srv1.Handler())
 	for _, fc := range cases {
-		code, body := postJSON(t, ts1.URL+"/v1/feeds/"+fc.name+"/snapshots?pattern="+string(fc.pat),
+		code, body := postJSON(t, ts1.URL+"/v1/feeds/"+fc.name+"/ingest?pattern="+string(fc.pat),
 			ingestRequest{Snapshots: fc.snaps})
 		if code != http.StatusAccepted {
 			t.Fatalf("ingest %s (%s): status %d: %s", fc.name, fc.pat, code, body)
@@ -284,12 +281,12 @@ func TestMultiPatternLifecycleSoak(t *testing.T) {
 	probe := ingestRequest{Snapshots: []snapshotJSON{{T: 999, Positions: []positionJSON{{OID: 1}}}}}
 	for i, fc := range cases {
 		wrong := pats[(i+1)%3]
-		code, body := postJSON(t, ts1.URL+"/v1/feeds/"+fc.name+"/snapshots?pattern="+string(wrong), probe)
+		code, body := postJSON(t, ts1.URL+"/v1/feeds/"+fc.name+"/ingest?pattern="+string(wrong), probe)
 		if code != http.StatusConflict || !strings.Contains(string(body), string(codePatternMismatch)) {
 			t.Fatalf("wrong-pattern ingest %s as %s: status %d: %s", fc.name, wrong, code, body)
 		}
 	}
-	if code, body := postJSON(t, ts1.URL+"/v1/feeds/"+cases[0].name+"/snapshots?pattern=swarm", probe); code != http.StatusBadRequest {
+	if code, body := postJSON(t, ts1.URL+"/v1/feeds/"+cases[0].name+"/ingest?pattern=swarm", probe); code != http.StatusBadRequest {
 		t.Fatalf("unknown pattern: status %d: %s", code, body)
 	}
 	assertPatternStats(t, srv1, cases, feeds/3, "live")
@@ -329,13 +326,13 @@ func TestMultiPatternLifecycleSoak(t *testing.T) {
 	}
 	for i, fc := range cases {
 		wrong := pats[(i+1)%3]
-		code, body := postJSON(t, ts2.URL+"/v1/feeds/"+fc.name+"/snapshots?pattern="+string(wrong), probe)
+		code, body := postJSON(t, ts2.URL+"/v1/feeds/"+fc.name+"/ingest?pattern="+string(wrong), probe)
 		if code != http.StatusConflict {
 			t.Fatalf("wrong-pattern ingest on recovered %s: status %d: %s", fc.name, code, body)
 		}
 	}
 	for i, fc := range cases {
-		url := ts2.URL + "/v1/feeds/" + fc.name + "/snapshots"
+		url := ts2.URL + "/v1/feeds/" + fc.name + "/ingest"
 		if i%2 == 1 {
 			url += "?pattern=" + string(fc.pat)
 		}
@@ -384,7 +381,7 @@ func TestMultiPatternLifecycleSoak(t *testing.T) {
 	defer srv3.Close()
 	assertPatternStats(t, srv3, cases, feeds/3, "restarted")
 	for _, fc := range cases[:3] {
-		code, body := postJSON(t, ts3.URL+"/v1/feeds/"+fc.name+"/snapshots?pattern="+string(fc.pat), probe)
+		code, body := postJSON(t, ts3.URL+"/v1/feeds/"+fc.name+"/ingest?pattern="+string(fc.pat), probe)
 		if code != http.StatusConflict || !strings.Contains(string(body), string(codeFeedFlushed)) {
 			t.Fatalf("ingest to recovered flushed %s feed: status %d: %s", fc.pat, code, body)
 		}

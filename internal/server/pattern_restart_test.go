@@ -28,10 +28,7 @@ import (
 // chains sharing a span).
 func patternLogMultiset(t *testing.T, path, feed string) map[string]int {
 	t.Helper()
-	recs, err := storage.ReadConvoyLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := readConvoyLog(t, path)
 	out := map[string]int{}
 	for _, r := range recs {
 		if r.Feed != feed {
@@ -66,7 +63,7 @@ func patternRestartSeed(t *testing.T, pat convoy.Pattern, seed int64) {
 	}
 	ts1 := httptest.NewServer(srv1.Handler())
 	cut := len(full)/2 + 3
-	if code, body := postJSON(t, ts1.URL+"/v1/feeds/churn/snapshots?pattern="+string(pat),
+	if code, body := postJSON(t, ts1.URL+"/v1/feeds/churn/ingest?pattern="+string(pat),
 		ingestRequest{Snapshots: full[:cut]}); code != http.StatusAccepted {
 		t.Fatalf("seed %d: pre-crash ingest: status %d: %s", seed, code, body)
 	}
@@ -89,7 +86,7 @@ func patternRestartSeed(t *testing.T, pat convoy.Pattern, seed int64) {
 			t.Fatalf("seed %d: recovered feed reports pattern %q, want %q", seed, got, pat)
 		}
 	}
-	if code, body := postJSON(t, ts2.URL+"/v1/feeds/churn/snapshots?pattern="+string(pat),
+	if code, body := postJSON(t, ts2.URL+"/v1/feeds/churn/ingest?pattern="+string(pat),
 		ingestRequest{Snapshots: full}); code != http.StatusAccepted {
 		t.Fatalf("seed %d: replay ingest: status %d: %s", seed, code, body)
 	}

@@ -90,8 +90,8 @@ func (s *Server) queryArchive(w http.ResponseWriter,
 	res, err := run()
 	if err != nil {
 		// Every user-input error is rejected during parameter parsing, so
-		// an error out of the archive itself is internal (a records-file
-		// or index read failure), never the caller's fault.
+		// an error out of the archive itself is internal (a log or index
+		// read failure), never the caller's fault.
 		writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
 		return
 	}
@@ -189,12 +189,11 @@ const maxRetentionBody = 1 << 16
 
 // handleRetention serves POST /v1/admin/retention: expire archived
 // convoys whose End tick precedes the requested one. The expiry runs
-// synchronously under the archive's write lock (AddBatch from the
-// archiver loop simply waits; retention never reorders its appends), and
-// a failure latches the archive broken exactly like a write error —
-// a half-applied expiry must not keep accepting records it might
-// resurrect. The convoy log is never touched: a rebuild from the full
-// log re-drops everything below the durable watermark.
+// synchronously under the archive's write lock (Index from the archiver
+// loop simply waits), and a failure latches the archive broken exactly
+// like a write error — a half-applied expiry must not keep indexing
+// records it might resurrect. The convoy log is never touched: re-indexing
+// any part of it skips everything below the durable watermark.
 func (s *Server) handleRetention(w http.ResponseWriter, r *http.Request) {
 	if s.arch == nil {
 		writeError(w, http.StatusNotImplemented, codeNoArchive,
@@ -225,8 +224,9 @@ func (s *Server) handleRetention(w http.ResponseWriter, r *http.Request) {
 }
 
 // ArchiveInfo reports what the startup backfill did: the number of log
-// records archived and whether a diverged archive was rebuilt. enabled is
-// false when no archive is configured.
+// records indexed and whether the indexes were rebuilt because the log no
+// longer matched their checkpoint. enabled is false when no archive is
+// configured.
 func (s *Server) ArchiveInfo() (backfilled int64, rebuilt, enabled bool) {
 	return s.backfilled, s.archRebuilt, s.arch != nil
 }

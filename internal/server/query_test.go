@@ -74,7 +74,7 @@ func TestQueryEndpoints(t *testing.T) {
 
 	// A 6-tick convoy of objects {1,2,3}; the flush closes it, the persist
 	// tick logs it, the archiver indexes it.
-	code, body := postJSON(t, base+"/v1/feeds/q/snapshots",
+	code, body := postJSON(t, base+"/v1/feeds/q/ingest",
 		ingestRequest{Snapshots: convoySnapshots(6, 3)})
 	if code != http.StatusAccepted {
 		t.Fatalf("ingest: %d %s", code, body)
@@ -153,7 +153,7 @@ func TestQueryPagination(t *testing.T) {
 	const feeds = 5
 	for i := 0; i < feeds; i++ {
 		name := fmt.Sprintf("f%d", i)
-		code, body := postJSON(t, base+"/v1/feeds/"+name+"/snapshots",
+		code, body := postJSON(t, base+"/v1/feeds/"+name+"/ingest",
 			ingestRequest{Snapshots: convoySnapshots(4+i, 3)})
 		if code != http.StatusAccepted {
 			t.Fatalf("ingest %s: %d %s", name, code, body)
@@ -265,7 +265,7 @@ func TestQuerySoakNeverBlocksIngest(t *testing.T) {
 						sn.Positions[i].X += float64(i) * 1e5
 					}
 				}
-				code, _ := postJSON(t, base+"/v1/feeds/"+name+"/snapshots",
+				code, _ := postJSON(t, base+"/v1/feeds/"+name+"/ingest",
 					ingestRequest{Snapshots: []snapshotJSON{sn}})
 				if code == http.StatusTooManyRequests {
 					rejected.Add(1)
@@ -341,11 +341,14 @@ func TestQuerySoakNeverBlocksIngest(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	a, err := archive.Open(archDir, nil)
+	a, added, rebuilt, err := archive.OpenAndBackfill(archDir, logPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
+	if added != 0 || rebuilt {
+		t.Fatalf("clean shutdown left %d records to index (rebuilt=%v)", added, rebuilt)
+	}
 	var got []string
 	q := archive.Query{Limit: 100}
 	for {

@@ -12,7 +12,7 @@ func TestRetentionEndpoint(t *testing.T) {
 
 	// Two convoys a generation apart: "old" lives on ticks [0,5], "fresh"
 	// on [20,29]. Retention at tick 6 must remove exactly the first.
-	code, body := postJSON(t, base+"/v1/feeds/old/snapshots",
+	code, body := postJSON(t, base+"/v1/feeds/old/ingest",
 		ingestRequest{Snapshots: convoySnapshots(6, 3)})
 	if code != http.StatusAccepted {
 		t.Fatalf("ingest old: %d %s", code, body)
@@ -22,7 +22,7 @@ func TestRetentionEndpoint(t *testing.T) {
 	for i := range freshSnaps {
 		freshSnaps[i].T += 20
 	}
-	code, body = postJSON(t, base+"/v1/feeds/fresh/snapshots",
+	code, body = postJSON(t, base+"/v1/feeds/fresh/ingest",
 		ingestRequest{Snapshots: freshSnaps})
 	if code != http.StatusAccepted {
 		t.Fatalf("ingest fresh: %d %s", code, body)

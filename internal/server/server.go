@@ -129,10 +129,9 @@ type Config struct {
 	KeepHistory bool
 	// ArchiveDir, when non-empty, enables the historical query archive
 	// (GET /v1/query/*): every convoy persisted to the sink is also
-	// indexed in an LSM-backed archive under this directory, populated
-	// asynchronously from the persist path and backfilled from the
-	// existing log at startup. Requires PersistPath — the log is the
-	// archive's source of truth.
+	// indexed — in place, the log stays the one copy — by LSM indexes
+	// under this directory, fed asynchronously from the persist path and
+	// caught up with the existing log at startup. Requires PersistPath.
 	ArchiveDir string
 	// ArchiveCache is the combined in-memory write-buffer budget of the
 	// archive's three secondary indexes, in bytes (default 12 MiB).
@@ -230,15 +229,16 @@ type Server struct {
 	persistStop chan struct{}
 	persistDone chan struct{}
 
-	// The historical query archive (nil unless Config.ArchiveDir is set).
-	// It is fed asynchronously: persistAll hands each synced batch to
-	// archCh and the archiveLoop goroutine indexes it, so a slow archive
-	// disk can never stall the ingest path (at worst it delays the persist
-	// tick once archCh fills). The first archive write error flips
-	// archBroken: the loop keeps draining but stops writing, and the next
-	// startup's backfill repairs the gap from the log.
+	// The historical query archive (nil unless Config.ArchiveDir is set):
+	// LSM indexes over the sink's log. It is fed asynchronously: persistAll
+	// hands each synced batch, with the log offsets it landed at, to archCh
+	// and the archiveLoop goroutine indexes it, so a slow archive disk can
+	// never stall the ingest path (at worst it delays the persist tick once
+	// archCh fills). The first archive write error flips archBroken: the
+	// loop keeps draining but stops writing, and the next startup's
+	// backfill repairs the gap from the log.
 	arch        *archive.Archive
-	archCh      chan []storage.LoggedConvoy
+	archCh      chan archBatch
 	archDone    chan struct{}
 	archBroken  atomic.Bool
 	backfilled  int64 // records backfilled from the log at startup
@@ -262,6 +262,13 @@ type Server struct {
 
 	// testHook is copied from Config.testHook before the actors start.
 	testHook func(shardID int)
+}
+
+// archBatch is one persist round's convoy records, in log order, each with
+// the log offset it was appended at; end is the log's synced size.
+type archBatch struct {
+	recs []archive.Located
+	end  int64
 }
 
 // patternParams bundles the configured parameters of every pattern family.
@@ -304,7 +311,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.ArchiveDir != "" {
 		// Backfill before the shard actors start: the persist loop cannot
-		// append to the log while the archive catches up with it.
+		// append to the log while the indexes catch up with it.
 		arch, added, rebuilt, err := archive.OpenAndBackfill(cfg.ArchiveDir, cfg.PersistPath,
 			&archive.Options{CacheBytes: cfg.ArchiveCache})
 		if err != nil {
@@ -312,7 +319,9 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: archive: %w", err)
 		}
 		s.arch, s.backfilled, s.archRebuilt = arch, added, rebuilt
-		s.archCh = make(chan []storage.LoggedConvoy, 256)
+		// 256 persist rounds of slack before a stalled archive disk delays
+		// the persist tick.
+		s.archCh = make(chan archBatch, 256)
 		s.archDone = make(chan struct{})
 		go s.archiveLoop()
 	}
@@ -358,7 +367,7 @@ func (s *Server) recover() error {
 	}
 	rec := map[string]*recovered{}
 	idx := 0
-	sink, err := storage.OpenConvoyLog(s.cfg.PersistPath, func(lc storage.LoggedConvoy) error {
+	sink, err := storage.OpenConvoyLogFrom(s.cfg.PersistPath, 0, func(_ int64, lc storage.LoggedConvoy) error {
 		r := rec[lc.Feed]
 		if r == nil {
 			r = &recovered{keys: map[string]bool{}, pattern: convoy.DefaultPattern}
@@ -486,16 +495,17 @@ func (s *Server) Close() error {
 	return err
 }
 
-// archiveLoop indexes persisted batches into the historical archive. It is
-// the only goroutine that writes the archive while the server runs, so
-// archive writes are ordered exactly as the log's appends. A write error
-// permanently disables archiving for this process (the archive can no
-// longer be trusted to mirror the log); the loop keeps draining so the
-// persist tick never blocks, and the next startup rebuilds from the log.
+// archiveLoop indexes persisted batches. It is the only goroutine that
+// writes the archive while the server runs, so index entries are written in
+// the order of the log's appends — and it writes index entries only: the
+// records are already in the log, fsynced. A write error permanently
+// disables archiving for this process (the indexes can no longer be trusted
+// to cover the log); the loop keeps draining so the persist tick never
+// blocks, and the next startup indexes the gap from the log.
 func (s *Server) archiveLoop() {
 	defer close(s.archDone)
-	// Periodically make the index watermark durable so a crash replays
-	// only a bounded tail of the records file at the next startup.
+	// Periodically make the index watermark durable so a crash re-indexes
+	// only a bounded tail of the log at the next startup.
 	ticker := time.NewTicker(archiveFlushEvery)
 	defer ticker.Stop()
 	for {
@@ -507,7 +517,7 @@ func (s *Server) archiveLoop() {
 			if s.archBroken.Load() {
 				continue
 			}
-			if err := s.arch.AddBatch(batch); err != nil {
+			if err := s.arch.Index(batch.recs, batch.end); err != nil {
 				s.archBroken.Store(true)
 			}
 		case <-ticker.C:
@@ -547,7 +557,7 @@ func retentionFloor(a *archive.Archive, keep int32) (int32, bool) {
 
 // archiveFlushEvery is the cadence at which the archive's index watermark
 // is made durable. It bounds startup re-indexing work, not durability —
-// records reach the archive's fsynced records file with every batch.
+// the records are in the fsynced log before the archive hears of them.
 const archiveFlushEvery = 30 * time.Second
 
 // logPattern maps a feed's pattern family to its convoy-log tag.
@@ -874,7 +884,7 @@ func (s *Server) persistAll() {
 		synced int // durable watermark once this round's Sync succeeds
 	}
 	var wrote []written
-	var archBatch []storage.LoggedConvoy // mirror of this round's appends, in log order
+	var archRecs []archive.Located       // this round's appends, in log order
 	truncUpTo := make([]int, len(feeds)) // durable as of the round's start
 	for i, f := range feeds {
 		f.mu.Lock()
@@ -894,12 +904,12 @@ func (s *Server) persistAll() {
 		tag := logPattern(f.pattern)
 		for _, c := range batch {
 			rec := storage.LoggedConvoy{Feed: f.name, Convoy: c.Convoy, Pattern: tag, Clusters: c.Clusters}
+			if s.arch != nil {
+				archRecs = append(archRecs, archive.Located{Off: s.sink.Offset(), Rec: rec})
+			}
 			if err := s.sink.AppendRecord(rec); err != nil {
 				s.sinkBroken.Store(true)
 				return
-			}
-			if s.arch != nil {
-				archBatch = append(archBatch, rec)
 			}
 		}
 		wrote = append(wrote, written{f: f, synced: newPersisted})
@@ -917,12 +927,11 @@ func (s *Server) persistAll() {
 			w.f.mu.Unlock()
 		}
 		if s.arch != nil {
-			// Hand the synced batch to the archiver only after the log fsync:
-			// the archive must never hold a record the log could lose, or the
-			// two would diverge at the next backfill. The send can block once
-			// the channel is full — that stalls this background tick, never
-			// the ingest path.
-			s.archCh <- archBatch
+			// Hand the batch to the archiver only after the log fsync: an
+			// index entry must never point at bytes a crash could take
+			// away. The send can block once the channel is full — that
+			// stalls this background tick, never the ingest path.
+			s.archCh <- archBatch{recs: archRecs, end: s.sink.Offset()}
 		}
 	}
 	// Second pass: once a flushed feed's whole history is durable, append

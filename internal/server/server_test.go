@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -77,6 +78,26 @@ func getJSON(t *testing.T, url string, out any) int {
 	return resp.StatusCode
 }
 
+// readConvoyLog reads every record of a convoy log. It is strict where
+// ScanConvoyLog is lenient: a log ending inside a record fails the test.
+func readConvoyLog(t *testing.T, path string) []storage.LoggedConvoy {
+	t.Helper()
+	var recs []storage.LoggedConvoy
+	end, err := storage.ScanConvoyLog(path, func(r storage.LoggedConvoy) error {
+		recs = append(recs, r)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if st.Size() != end {
+		t.Fatalf("convoy log %s: complete records end at byte %d of %d", path, end, st.Size())
+	}
+	return recs
+}
+
 // snapshotsOf converts dataset ticks [ts, te] into wire snapshots.
 func snapshotsOf(ds *model.Dataset, ts, te int32) []snapshotJSON {
 	var out []snapshotJSON
@@ -97,7 +118,7 @@ func ingestDataset(t *testing.T, base, feed string, ds *model.Dataset, batchTick
 	snaps := snapshotsOf(ds, ts, te)
 	for i := 0; i < len(snaps); i += batchTicks {
 		end := min(i+batchTicks, len(snaps))
-		code, body := postJSON(t, base+"/v1/feeds/"+feed+"/snapshots",
+		code, body := postJSON(t, base+"/v1/feeds/"+feed+"/ingest",
 			ingestRequest{Snapshots: snaps[i:end]})
 		if code != http.StatusAccepted {
 			t.Fatalf("ingest %s: status %d: %s", feed, code, body)
@@ -166,7 +187,7 @@ func TestConcurrentFeeds(t *testing.T) {
 			for j := 0; j < len(snaps); {
 				n := 1 + rng.Intn(4)
 				end := min(j+n, len(snaps))
-				code, body := postJSON(t, ts.URL+"/v1/feeds/"+feed+"/snapshots",
+				code, body := postJSON(t, ts.URL+"/v1/feeds/"+feed+"/ingest",
 					ingestRequest{Snapshots: snaps[j:end]})
 				if code == http.StatusTooManyRequests {
 					time.Sleep(time.Millisecond) // backpressure: retry
@@ -210,7 +231,7 @@ func TestReorderWindow(t *testing.T) {
 		rng.Shuffle(len(block), func(a, b int) { block[a], block[b] = block[b], block[a] })
 	}
 	for _, sn := range snaps {
-		code, body := postJSON(t, ts.URL+"/v1/feeds/shuffled/snapshots",
+		code, body := postJSON(t, ts.URL+"/v1/feeds/shuffled/ingest",
 			ingestRequest{Snapshots: []snapshotJSON{sn}})
 		if code != http.StatusAccepted {
 			t.Fatalf("ingest: status %d: %s", code, body)
@@ -228,9 +249,9 @@ func TestReorderWindow(t *testing.T) {
 func TestLateSnapshotsDropped(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Shards: 1})
 	for _, tt := range []int32{0, 1, 2} {
-		postJSON(t, ts.URL+"/v1/feeds/f/snapshots", ingestRequest{Snapshots: []snapshotJSON{{T: tt}}})
+		postJSON(t, ts.URL+"/v1/feeds/f/ingest", ingestRequest{Snapshots: []snapshotJSON{{T: tt}}})
 	}
-	postJSON(t, ts.URL+"/v1/feeds/f/snapshots", ingestRequest{Snapshots: []snapshotJSON{{T: 1}}}) // late
+	postJSON(t, ts.URL+"/v1/feeds/f/ingest", ingestRequest{Snapshots: []snapshotJSON{{T: 1}}}) // late
 	flushFeed(t, ts.URL, "f")
 	st := srv.Stats()
 	fs := st.Feeds["f"]
@@ -253,7 +274,7 @@ func TestGapClosesConvoysLongPoll(t *testing.T) {
 		snaps = append(snaps, snapshotJSON{T: tt, Positions: pair})
 	}
 	snaps = append(snaps, snapshotJSON{T: 100, Positions: pair}) // gap closes [0,4]
-	code, body := postJSON(t, ts.URL+"/v1/feeds/gappy/snapshots", ingestRequest{Snapshots: snaps})
+	code, body := postJSON(t, ts.URL+"/v1/feeds/gappy/ingest", ingestRequest{Snapshots: snaps})
 	if code != http.StatusAccepted {
 		t.Fatalf("ingest: status %d: %s", code, body)
 	}
@@ -300,7 +321,7 @@ func TestBackpressure(t *testing.T) {
 	saw429 := false
 	for i := 0; i < 10; i++ {
 		one.Snapshots[0].T = int32(i)
-		code, _ := postJSON(t, ts.URL+"/v1/feeds/bp/snapshots", one)
+		code, _ := postJSON(t, ts.URL+"/v1/feeds/bp/ingest", one)
 		if code == http.StatusTooManyRequests {
 			saw429 = true
 			break
@@ -340,7 +361,7 @@ func TestPersistSink(t *testing.T) {
 	for _, tt := range []int32{0, 1, 2, 3, 4} {
 		snaps = append(snaps, snapshotJSON{T: tt, Positions: pair})
 	}
-	postJSON(t, ts.URL+"/v1/feeds/persisted/snapshots", ingestRequest{Snapshots: snaps})
+	postJSON(t, ts.URL+"/v1/feeds/persisted/ingest", ingestRequest{Snapshots: snaps})
 	want := flushFeed(t, ts.URL, "persisted")
 	if len(want) == 0 {
 		t.Fatal("expected at least one convoy")
@@ -348,10 +369,7 @@ func TestPersistSink(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := storage.ReadConvoyLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := readConvoyLog(t, path)
 	got := make([]model.Convoy, 0, len(recs))
 	for _, r := range recs {
 		if r.Feed != "persisted" {
@@ -377,7 +395,7 @@ func TestFlushSemantics(t *testing.T) {
 	if !model.ConvoysEqual(first, second) {
 		t.Fatalf("flush not idempotent: %v then %v", first, second)
 	}
-	code, _ := postJSON(t, ts.URL+"/v1/feeds/done/snapshots",
+	code, _ := postJSON(t, ts.URL+"/v1/feeds/done/ingest",
 		ingestRequest{Snapshots: []snapshotJSON{{T: 999}}})
 	if code != http.StatusConflict {
 		t.Fatalf("ingest after flush: status %d, want 409", code)
@@ -392,10 +410,10 @@ func TestUnknownFeedAndBadInput(t *testing.T) {
 	if code, _ := postJSON(t, ts.URL+"/v1/feeds/nope/flush", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown feed flush: status %d, want 404", code)
 	}
-	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/snapshots", ingestRequest{}); code != http.StatusBadRequest {
+	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/ingest", ingestRequest{}); code != http.StatusBadRequest {
 		t.Fatalf("empty batch: status %d, want 400", code)
 	}
-	resp, err := http.Post(ts.URL+"/v1/feeds/f/snapshots", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/feeds/f/ingest", "application/json",
 		bytes.NewBufferString(`{"snapshots":[{"t":0,"positions":[{"oid":1,"x":1e999}]}]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -415,15 +433,15 @@ func TestFeedLimit(t *testing.T) {
 	_, ts := newTestServer(t, Config{Shards: 1, MaxFeeds: 2})
 	one := ingestRequest{Snapshots: []snapshotJSON{{T: 0, Positions: []positionJSON{{OID: 1}}}}}
 	for _, feed := range []string{"a", "b"} {
-		if code, body := postJSON(t, ts.URL+"/v1/feeds/"+feed+"/snapshots", one); code != http.StatusAccepted {
+		if code, body := postJSON(t, ts.URL+"/v1/feeds/"+feed+"/ingest", one); code != http.StatusAccepted {
 			t.Fatalf("feed %s: status %d: %s", feed, code, body)
 		}
 	}
-	if code, _ := postJSON(t, ts.URL+"/v1/feeds/c/snapshots", one); code != http.StatusTooManyRequests {
+	if code, _ := postJSON(t, ts.URL+"/v1/feeds/c/ingest", one); code != http.StatusTooManyRequests {
 		t.Fatalf("feed beyond cap: status %d, want 429", code)
 	}
 	one.Snapshots[0].T = 1
-	if code, _ := postJSON(t, ts.URL+"/v1/feeds/a/snapshots", one); code != http.StatusAccepted {
+	if code, _ := postJSON(t, ts.URL+"/v1/feeds/a/ingest", one); code != http.StatusAccepted {
 		t.Fatal("existing feed rejected after cap hit")
 	}
 }

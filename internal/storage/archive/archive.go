@@ -1,24 +1,25 @@
 // Package archive implements the historical convoy store behind convoyd's
-// /v1/query endpoints: every closed convoy that reaches the convoy log is
-// also appended here, and three LSM-backed secondary indexes make the
-// questions a scan-only log cannot answer — "which convoys crossed this
-// hour?", "which convoys contained object 42?", "which convoys had at
+// /v1/query endpoints: three LSM-backed secondary indexes over a convoy log
+// make the questions a scan-only log cannot answer — "which convoys crossed
+// this hour?", "which convoys contained object 42?", "which convoys had at
 // least m objects for at least k ticks?" — into bounded index range reads.
 //
 // # Layout
 //
-// An archive directory holds a records file plus three index databases:
+// The archive holds no copy of the convoys. It indexes one K2CL file in
+// place and keeps only derived state in its directory:
 //
-//	records.k2cl   append-only (feed, convoy) records, the convoy-log codec
 //	time/ obj/ size/   lsm.DB secondary indexes (see key schemas below)
-//	META           durable re-index watermark (JSON, atomically replaced)
+//	META               durable index watermark (JSON, atomically replaced)
 //
-// The records file is the archive's primary copy; index entries are 8-byte
-// LSM keys mapping to a 16-byte locator (records-file offset, object
-// count, duration), so a query materialises each hit with one positioned
-// read. Key schemas, all through storage.EncodeKey's order-preserving
-// (int32, int32) packing with the record's archive sequence number as
-// tie-breaker:
+// The indexed file is convoyd's own convoy log when the archive is opened
+// with OpenAndBackfill, and dir/records.k2cl — appended to by AddBatch —
+// when it is opened standalone with Open. Index entries are 8-byte LSM keys
+// mapping to a 16-byte locator (file offset, object count, duration), so a
+// query materialises each hit with one positioned read of the log. A
+// record's sequence number is its ordinal among the log's convoy records
+// (flush markers are not counted); it is the tie-breaker of every key, all
+// through storage.EncodeKey's order-preserving (int32, int32) packing:
 //
 //	time/  (convoy End,   seq) → locator   interval queries: scan keys with
 //	                                       End ≥ from, filter Start ≤ to —
@@ -30,38 +31,27 @@
 //
 // # Crash safety
 //
-// AddBatch appends and fsyncs the records file before writing a single
-// index entry, so an index entry can never reference bytes a crash took
-// away. Index entries themselves need no WAL fsync: META records the count
-// of records whose index entries are durably flushed to SSTables, and Open
-// replays every record past that watermark through the indexes again —
-// index puts are idempotent (same key, same locator). A torn tail on the
-// records file is truncated away exactly as the convoy log does it.
+// A record is fsynced in the log before its first index entry is written,
+// so an index entry can never reference bytes a crash took away, and the
+// log is append-only, so an offset never moves. Index entries themselves
+// need no WAL fsync: META records how far into the log the flushed SSTables
+// reach, and opening the archive indexes every record past that watermark
+// again — index puts are idempotent (same key, same locator).
 //
-// # Relationship to the convoy log
-//
-// The archive mirrors the convoy log record-for-record (flush markers are
-// skipped; duplicate records, possible after a feed eviction, are kept so
-// the two stay byte-equivalent — differential tests rely on it). Backfill
-// makes the mirror catch up after a restart: it skips the already-archived
-// prefix, verifying it against a running checksum of the log's bytes, and
-// archives the rest. A log that was compacted or replaced no longer
-// matches the checksum and fails with ErrDiverged; OpenAndBackfill then
-// deletes the archive and rebuilds it from the log, which is always the
-// source of truth.
+// META also carries a checksum of the log bytes below the watermark. A log
+// that was compacted or replaced no longer matches it; the indexes are then
+// discarded and rebuilt from the log, which is always the source of truth.
 //
 // # Retention
 //
-// Expire(before) removes every archived convoy whose End tick precedes
-// before, coherently across the records file and all three indexes (see
-// retention.go for the crash protocol). The expiry watermark is durable in
-// META: once a convoy is expired, AddBatch and Backfill silently skip any
-// record below the watermark, so a backfill from the full log does not
-// resurrect expired history and does not count as divergence. Sequence
-// numbers are never reused and survivors keep theirs, so query cursors
-// stay valid across an expiry. The one degraded case: if META is deleted
-// along with the indexes, the watermark is lost and a rebuild from the log
-// resurrects expired records — the next retention cycle re-expires them.
+// Expire(before) removes every convoy whose End tick precedes before from
+// all three indexes (see retention.go for the crash protocol); the log is
+// not touched. The expiry watermark is durable in META: records below it
+// are never indexed again, so re-indexing a log tail does not resurrect
+// expired history. Sequence numbers are positions in the log and never
+// change, so query cursors stay valid across an expiry. The one degraded
+// case: a rebuild starts from an empty META, so the watermark is lost and
+// expired records reappear — the next retention cycle re-expires them.
 package archive
 
 import (
@@ -70,6 +60,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -77,14 +68,9 @@ import (
 	"sync/atomic"
 
 	"repro/internal/storage"
+	"repro/internal/storage/durable"
 	"repro/internal/storage/lsm"
 )
-
-// ErrDiverged is returned by Backfill when the convoy log is not an
-// extension of what the archive already holds — after an offline
-// compaction, or when the log was replaced wholesale. The archive must be
-// rebuilt from scratch (OpenAndBackfill does it automatically).
-var ErrDiverged = errors.New("archive: convoy log diverged from archived prefix")
 
 // Options tunes an archive.
 type Options struct {
@@ -103,73 +89,68 @@ const (
 	maxSeq = math.MaxInt32
 )
 
-// meta is the durable checkpoint: index entries for the first Records
-// records of the records file are flushed to SSTables, Offset is the file
-// offset just past record Records−1, and CRC is the running record
-// checksum up to that point. Open trusts the checkpoint (it is written
-// only after the records it covers are fsynced) and replays just the
-// records past it, so startup cost is proportional to the un-flushed
-// tail, not the archive's lifetime history.
-//
-// NextSeq, ExpiredBefore and MaxEnd arrived with retention; metaDefaults
-// seeds their sentinels so a META written before them keeps the legacy
-// semantics (NextSeq == Records, nothing expired). Records past Offset
-// were assigned sequence numbers starting at NextSeq — after an expiry
-// record position and sequence number diverge, so replay cannot derive
-// the tail's sequences from Records alone.
+// meta is the durable checkpoint: the log's first Offset bytes hold Records
+// convoy records, all of them reflected in flushed SSTables, Live of them
+// not expired, and CRC is the IEEE checksum of those bytes past the header.
+// Open trusts the checkpoint once the checksum matches and indexes only the
+// log's tail past Offset, so startup cost is proportional to the un-flushed
+// tail, not the log's lifetime.
 type meta struct {
 	Records int64  `json:"records"`
+	Live    int64  `json:"live"`
 	Offset  int64  `json:"offset"`
 	CRC     uint32 `json:"crc"`
-	NextSeq int64  `json:"next_seq"`
 	// ExpiredBefore is the retention watermark: every record with
 	// End < ExpiredBefore has been (or is being) expired. MinInt32 means
 	// nothing was ever expired.
 	ExpiredBefore int32 `json:"expired_before"`
-	// MaxEnd is the largest End tick ever archived, kept durable so
+	// MaxEnd is the largest End tick ever indexed, kept durable so
 	// relative retention ("keep the last N ticks") survives an expiry of
 	// the very records that defined it.
 	MaxEnd int32 `json:"max_end"`
 }
 
-// metaDefaults is the zero checkpoint with the sentinel values a legacy
-// META (predating retention) must decode to.
-func metaDefaults() meta {
-	return meta{NextSeq: -1, ExpiredBefore: math.MinInt32, MaxEnd: math.MinInt32}
+// Located is a convoy-log record together with the byte offset it was
+// appended at.
+type Located struct {
+	Off int64
+	Rec storage.LoggedConvoy
 }
 
-// Archive is an LSM-indexed store of closed convoys. Writes (AddBatch,
-// Backfill, Flush) are serialised; queries run concurrently under a read
-// lock.
+// Archive is a set of LSM indexes over a convoy log. Writes (AddBatch,
+// Index, Flush, Expire) are serialised; queries capture a view under a
+// brief read lock and then run without it.
 type Archive struct {
 	dir  string
+	path string // the indexed K2CL file
 	opts Options
 
-	mu       sync.RWMutex
-	recs     *storage.ConvoyLog
-	recsRead *readFile // refcounted pread handle for query materialisation
-	live     int64     // records currently in the records file
-	nextSeq  int64     // next sequence number to assign; never reused
-	synced   int64     // durable byte size of the records file
-	crc      uint32    // IEEE CRC over the file's records' encoded bytes, in order
-	flushed  int64     // records covered by META (durably indexed)
-	timeIdx  *lsm.DB
-	objIdx   *lsm.DB
-	sizeIdx  *lsm.DB
-	closed   bool
-
-	// rewriteGen counts records-file swaps (retention rewrites). A query
-	// that captured its view before a swap uses it to tell "this offset is
-	// stale because retention moved the record" apart from real corruption.
-	rewriteGen atomic.Int64
+	mu sync.RWMutex
+	// own is the append handle of dir/records.k2cl; nil when the archive
+	// indexes a log somebody else appends to.
+	own     *storage.ConvoyLog
+	next    int64  // sequence number of the log's next convoy record
+	live    int64  // indexed records not expired
+	end     int64  // log offset up to which records are indexed
+	crc     uint32 // checksum of log bytes [header, crcEnd), as in META
+	crcEnd  int64
+	flushed int64 // live as of the last META write
+	timeIdx *lsm.DB
+	objIdx  *lsm.DB
+	sizeIdx *lsm.DB
+	closed  bool
 
 	// Retention state (see retention.go). expiredBefore is the durable
-	// watermark: records with End below it are expired and new arrivals
-	// below it are silently dropped. maxEnd is the largest End ever
-	// archived; expiredTotal counts records expired by this process.
+	// watermark: records with End below it are expired and later arrivals
+	// below it are not indexed. maxEnd is the largest End ever indexed;
+	// expiredTotal counts records expired by this process.
 	expiredBefore int32
 	maxEnd        int32
 	expiredTotal  int64
+
+	// readers counts query pages in flight; Expire drains it so a page sees
+	// the index either before or after an expiry, never part of one.
+	readers sync.WaitGroup
 
 	// Query-side counters, exposed via Stats. liveReaders gauges query
 	// pages currently holding a read view (see beginRead).
@@ -179,37 +160,27 @@ type Archive struct {
 	liveReaders    atomic.Int64
 }
 
-// readFile is the refcounted pread handle over the records file. Queries
-// pin it for the duration of a page so a retention rewrite — which renames
-// a survivors-only file over records.k2cl and opens fresh handles — cannot
-// close the old inode out from under an in-flight read: the pinned handle
-// keeps serving the pre-rewrite bytes, which is exactly the file the
-// reader's captured index offsets describe.
-type readFile struct {
-	f    *os.File
-	refs atomic.Int32
-}
-
-func newReadFile(f *os.File) *readFile {
-	r := &readFile{f: f}
-	r.refs.Store(1) // the archive's own reference
-	return r
-}
-
-func (r *readFile) ref() { r.refs.Add(1) }
-
-func (r *readFile) unref() {
-	if r.refs.Add(-1) == 0 {
-		r.f.Close()
-	}
-}
-
-// Open opens (or creates) the archive in dir, replaying through the
-// indexes any records file tail past the META watermark. Derived state
-// that cannot be reconciled (META claiming more records than the file
-// holds) falls back to a full re-index of the records file.
+// Open opens (or creates) the standalone archive in dir: the indexed file
+// is dir/records.k2cl and AddBatch appends to it. A directory must be
+// reopened the way it was created: indexes built over another log do not
+// describe records.k2cl and are discarded like any other mismatch.
 func Open(dir string, opts *Options) (*Archive, error) {
-	a := &Archive{dir: dir}
+	a, _, _, err := open(dir, filepath.Join(dir, recordsName), true, opts)
+	return a, err
+}
+
+// OpenAndBackfill opens the archive in dir over the convoy log at logPath,
+// which the caller keeps appending to (see Index): nothing is copied, the
+// log's records past the META watermark are indexed in place. When the log
+// no longer matches the checkpoint (offline compaction, replaced log) the
+// indexes are discarded and rebuilt from it. Returns the opened archive,
+// the number of records indexed, and whether a rebuild happened.
+func OpenAndBackfill(dir, logPath string, opts *Options) (*Archive, int64, bool, error) {
+	return open(dir, logPath, false, opts)
+}
+
+func open(dir, path string, own bool, opts *Options) (_ *Archive, added int64, rebuilt bool, err error) {
+	a := &Archive{dir: dir, path: path}
 	if opts != nil {
 		a.opts = *opts
 	}
@@ -217,74 +188,112 @@ func Open(dir string, opts *Options) (*Archive, error) {
 		a.opts.CacheBytes = 12 << 20
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("archive: mkdir: %w", err)
+		return nil, 0, false, fmt.Errorf("archive: mkdir: %w", err)
 	}
-	m := metaDefaults()
-	if data, err := os.ReadFile(filepath.Join(dir, metaName)); err == nil {
-		if err := json.Unmarshal(data, &m); err != nil {
-			m = metaDefaults() // unreadable watermark: re-index everything
+	fresh := meta{Offset: storage.ConvoyLogHeaderSize, ExpiredBefore: math.MinInt32, MaxEnd: math.MinInt32}
+	m := fresh
+	data, rerr := os.ReadFile(filepath.Join(dir, metaName))
+	switch {
+	case errors.Is(rerr, os.ErrNotExist):
+		// A new archive, or indexes that lost their checkpoint.
+	case rerr != nil:
+		return nil, 0, false, fmt.Errorf("archive: read META: %w", rerr)
+	case json.Unmarshal(data, &m) != nil || !m.describes(path):
+		rebuilt = true
+	}
+	if rerr != nil || rebuilt {
+		// Without a trusted checkpoint every index entry is suspect. Only
+		// the entries the archive owns are deleted; the directory itself —
+		// and anything else an operator keeps in it — is left alone.
+		for _, name := range []string{metaName, "time", "obj", "size"} {
+			if err := os.RemoveAll(filepath.Join(dir, name)); err != nil {
+				return nil, 0, false, fmt.Errorf("archive: reset indexes: %w", err)
+			}
 		}
+		m = fresh
 	}
-	if m.NextSeq < m.Records {
-		m.NextSeq = m.Records // legacy META: sequence numbers were positions
-	}
-	a.expiredBefore, a.maxEnd, a.nextSeq = m.ExpiredBefore, m.MaxEnd, m.NextSeq
+	a.next, a.live, a.flushed = m.Records, m.Live, m.Live
+	a.end, a.crc, a.crcEnd = m.Offset, m.CRC, m.Offset
+	a.expiredBefore, a.maxEnd = m.ExpiredBefore, m.MaxEnd
 	if err := a.openIndexes(); err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
-	recsPath := filepath.Join(dir, recordsName)
-	tail := int64(0) // known-good boundary to resume the append-open from
-	// A records file too short to hold its 8-byte header is what a crash
-	// right after archive creation leaves behind (the header sits in the
-	// writer's buffer until the first sync) — treat it like a missing
-	// file, which OpenConvoyLogFrom below recreates, instead of failing
-	// every subsequent startup.
-	if st, err := os.Stat(recsPath); err == nil && st.Size() >= 8 {
-		if tail, err = a.replayRecords(recsPath, m); err != nil {
-			a.closeIndexes()
-			return nil, err
+	defer func() {
+		if err != nil {
+			a.abandon()
 		}
-	} else if m.Records > 0 {
-		// Indexes without records: derived state nothing can anchor.
-		a.closeIndexes()
-		return nil, fmt.Errorf("archive: META claims %d records but %s is missing or empty", m.Records, recordsName)
+	}()
+	// A missing log, or one too short to hold its header — what a crash (or
+	// a clean start) leaves before the first sync, the header still in the
+	// writer's buffer — holds no records.
+	st, serr := os.Stat(path)
+	switch {
+	case serr == nil && st.Size() >= storage.ConvoyLogHeaderSize:
+		if a.end, err = storage.ScanConvoyLogFrom(path, m.Offset, a.indexRecord); err != nil {
+			return nil, 0, false, err
+		}
+	case serr != nil && !errors.Is(serr, os.ErrNotExist):
+		return nil, 0, false, fmt.Errorf("archive: %w", serr)
 	}
-	// Resume the append-open at the boundary the replay already found —
-	// truncating any torn tail without rescanning the whole file.
-	recs, err := storage.OpenConvoyLogFrom(recsPath, tail, nil)
-	if err != nil {
-		a.closeIndexes()
-		return nil, err
-	}
-	a.recs = recs
-	a.synced = recs.Offset()
-	rf, err := os.Open(recsPath)
-	if err != nil {
-		recs.Close()
-		a.closeIndexes()
-		return nil, fmt.Errorf("archive: open read handle: %w", err)
-	}
-	a.recsRead = newReadFile(rf)
-	a.flushed = min(m.Records, a.live)
-	// A watermark higher than the oldest live record means a crash
-	// interrupted an Expire before its records-file rewrite committed (a
-	// crash after the rewrite lands in reindexAll above, with the expired
-	// records already gone). Finish the job now; applyExpireLocked is a
-	// cheap no-op when nothing is pending.
-	if a.expiredBefore > math.MinInt32 {
-		if _, err := a.applyExpireLocked(); err != nil {
-			a.closed = true
-			a.closeIndexes()
-			if a.recs != nil {
-				a.recs.Close()
-			}
-			if a.recsRead != nil {
-				a.recsRead.unref()
-			}
-			return nil, fmt.Errorf("archive: complete interrupted expiry: %w", err)
+	if own {
+		// Resume appending at the boundary the scan found, truncating any
+		// torn tail (and creating the file when it is missing).
+		if a.own, err = storage.OpenConvoyLogFrom(path, a.end, nil); err != nil {
+			return nil, 0, false, err
 		}
 	}
-	return a, nil
+	// A watermark above the oldest index entry means a crash interrupted an
+	// Expire after it committed the watermark. Finish the job now;
+	// applyExpireLocked is a cheap no-op when nothing is pending.
+	if err := a.applyExpireLocked(); err != nil {
+		return nil, 0, false, fmt.Errorf("archive: complete interrupted expiry: %w", err)
+	}
+	if added = a.live - m.Live; added > 0 || rebuilt {
+		if err := a.flushLocked(); err != nil {
+			return nil, 0, false, err
+		}
+	}
+	return a, added, rebuilt, nil
+}
+
+// describes reports whether the log at path still starts with the bytes the
+// checkpoint was taken over. A compacted, replaced or truncated log does
+// not.
+func (m meta) describes(path string) bool {
+	if m.Offset < storage.ConvoyLogHeaderSize {
+		return false
+	}
+	crc, err := logCRC(path, storage.ConvoyLogHeaderSize, m.Offset, 0)
+	return err == nil && crc == m.CRC
+}
+
+// logCRC extends crc over the log's bytes [from, to). A log shorter than to
+// is an error.
+func logCRC(path string, from, to int64, crc uint32) (uint32, error) {
+	if to <= from {
+		return crc, nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	h := crcWriter{crc}
+	if n, err := io.Copy(&h, io.NewSectionReader(f, from, to-from)); err != nil {
+		return 0, err
+	} else if n != to-from {
+		return 0, io.ErrUnexpectedEOF
+	}
+	return h.crc, nil
+}
+
+// crcWriter is a running IEEE CRC that can resume from a stored value,
+// which hash/crc32's Hash32 cannot.
+type crcWriter struct{ crc uint32 }
+
+func (w *crcWriter) Write(p []byte) (int, error) {
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
+	return len(p), nil
 }
 
 func (a *Archive) openIndexes() error {
@@ -311,319 +320,99 @@ func (a *Archive) indexOpts() *lsm.Options {
 	}
 }
 
-func (a *Archive) closeIndexes() {
-	for _, db := range []*lsm.DB{a.timeIdx, a.objIdx, a.sizeIdx} {
-		if db != nil {
-			db.Close()
-		}
-	}
-}
-
-// replayRecords restores the in-memory counters (count, crc) and brings
-// the indexes up to date with the records file, returning the byte offset
-// of the last complete record's end. The META checkpoint is trusted (its
-// records were fsynced before it was written): counters seed from it and
-// only the tail past meta.Offset is scanned and indexed, so a restart
-// costs the un-flushed tail, not the archive's lifetime. A checkpoint the
-// file contradicts — shorter than the claimed offset, the usual sign of
-// outside interference — degrades to a full re-index rather than an
-// error: the records file is the primary copy and index entries are
-// always recomputable from it.
-func (a *Archive) replayRecords(path string, m meta) (int64, error) {
-	st, err := os.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	if m.Records < 0 || m.Offset < 0 || st.Size() < m.Offset {
-		// Also the landing spot for a crash after an Expire's records-file
-		// rewrite committed: the rewritten file is strictly shorter than
-		// the old META.Offset, so the half-updated indexes are rebuilt
-		// from the survivors (the watermark itself came from META and is
-		// preserved).
-		return a.reindexAll(path)
-	}
-	a.live, a.crc = m.Records, m.CRC
-	maxEnd := a.maxEnd
-	end, err := a.scanAndIndex(path, m.Offset, m.NextSeq)
-	if err != nil {
-		// The checkpoint did not land on a record boundary: start over
-		// (dropping whatever a partial, possibly garbage tail scan did to
-		// the End high-water mark).
-		a.maxEnd = maxEnd
-		return a.reindexAll(path)
-	}
-	return end, nil
-}
-
-// reindexAll rebuilds the three indexes from a clean slate by scanning
-// the whole records file. Sequence numbers restart from 0 (query cursors
-// issued before the rebuild may skip or repeat, as after any rebuild),
-// but nextSeq never moves backwards, so no stale flushed index entry can
-// alias a live sequence number.
-func (a *Archive) reindexAll(path string) (int64, error) {
-	a.closeIndexes()
-	for _, sub := range []string{"time", "obj", "size"} {
-		if err := os.RemoveAll(filepath.Join(a.dir, sub)); err != nil {
-			return 0, fmt.Errorf("archive: reset index: %w", err)
-		}
-	}
-	if err := a.openIndexes(); err != nil {
-		return 0, err
-	}
-	a.live, a.crc = 0, 0
-	return a.scanAndIndex(path, 0, 0)
-}
-
-// scanAndIndex scans records from the given boundary (sequence number seq
-// at byte offset from), indexing and checksumming each, and advances
-// live/crc/maxEnd over everything scanned. Returns the end boundary.
-func (a *Archive) scanAndIndex(path string, from, seq int64) (int64, error) {
-	end, err := storage.ScanConvoyLogFrom(path, from, func(off int64, rec storage.LoggedConvoy) error {
-		enc, err := storage.EncodeLoggedRecord(rec)
-		if err != nil {
-			return err
-		}
-		a.crc = crc32.Update(a.crc, crc32.IEEETable, enc)
-		if err := a.indexRecord(seq, off, rec); err != nil {
-			return err
-		}
-		if rec.Convoy.End > a.maxEnd {
-			a.maxEnd = rec.Convoy.End
-		}
-		seq++
-		a.live++
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	if seq > a.nextSeq {
-		a.nextSeq = seq
-	}
-	return end, nil
-}
-
-// indexRecord writes the three index entries (one per secondary key, plus
-// one per member object) for the record with the given archive sequence
-// number at the given records-file offset.
-func (a *Archive) indexRecord(seq, off int64, rec storage.LoggedConvoy) error {
-	if seq > maxSeq {
-		return fmt.Errorf("archive: sequence %d exceeds index capacity", seq)
-	}
+// indexRecord writes the index entries (one per secondary key, plus one per
+// member object) of the log record at offset off, which must be the log's
+// next record: its sequence number is its ordinal. Flush markers are feed
+// lifecycle state, not convoys — they take no sequence number. A record
+// below the retention watermark takes its number and nothing else, exactly
+// as if an Expire had already removed it.
+func (a *Archive) indexRecord(off int64, rec storage.LoggedConvoy) error {
 	c := rec.Convoy
+	if storage.IsFlushMarker(c) {
+		return nil
+	}
+	if a.next > maxSeq {
+		return fmt.Errorf("archive: full (%d records)", a.next)
+	}
+	seq := int32(a.next)
+	a.next++
+	if c.End < a.expiredBefore {
+		return nil
+	}
 	loc := encodeLocator(off, int32(len(c.Objs)), c.End-c.Start+1)
-	s := int32(seq)
-	if err := a.timeIdx.PutKV(storage.EncodeKey(c.End, s), loc); err != nil {
+	if err := a.timeIdx.PutKV(storage.EncodeKey(c.End, seq), loc); err != nil {
 		return err
 	}
-	if err := a.sizeIdx.PutKV(storage.EncodeKey(int32(len(c.Objs)), s), loc); err != nil {
+	if err := a.sizeIdx.PutKV(storage.EncodeKey(int32(len(c.Objs)), seq), loc); err != nil {
 		return err
 	}
 	for _, oid := range c.Objs {
-		if err := a.objIdx.PutKV(storage.EncodeKey(oid, s), loc); err != nil {
+		if err := a.objIdx.PutKV(storage.EncodeKey(oid, seq), loc); err != nil {
 			return err
 		}
 	}
+	a.live++
+	a.maxEnd = max(a.maxEnd, c.End)
 	return nil
 }
 
-// Add archives one record. Convenience wrapper over AddBatch.
-func (a *Archive) Add(rec storage.LoggedConvoy) error {
-	return a.AddBatch([]storage.LoggedConvoy{rec})
-}
-
-// AddBatch archives a batch of convoy-log records in order. Flush markers
-// are skipped (they are feed lifecycle state, not convoys). The batch's
-// records are durable in the records file before the first index entry for
-// them is written — the invariant Open's recovery depends on. Any error
-// leaves the archive unusable for further writes; the caller should close
-// it and rebuild from the convoy log.
-func (a *Archive) AddBatch(recs []storage.LoggedConvoy) error {
+// Index adds the index entries of records the caller appended to the log
+// and fsynced — the ordering Open's recovery depends on. Every convoy
+// record of the log must be handed over exactly once, in log order; end is
+// the log offset just past the last one. Any error leaves the archive
+// unusable for further writes; the next open repairs it from the log.
+func (a *Archive) Index(recs []Located, end int64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.addBatchLocked(recs)
+	return a.indexLocked(recs, end)
 }
 
-func (a *Archive) addBatchLocked(recs []storage.LoggedConvoy) error {
+func (a *Archive) indexLocked(recs []Located, end int64) error {
 	if a.closed {
 		return errors.New("archive: closed")
 	}
-	type staged struct {
-		off int64
-		rec storage.LoggedConvoy
+	for _, r := range recs {
+		if err := a.indexRecord(r.Off, r.Rec); err != nil {
+			return err
+		}
 	}
-	var batch []staged
+	a.end = end
+	return nil
+}
+
+// AddBatch appends a batch of records to a standalone archive's own log,
+// fsyncs it, and indexes them. Flush markers are skipped.
+func (a *Archive) AddBatch(recs []storage.LoggedConvoy) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.closed {
+		return errors.New("archive: closed")
+	}
+	if a.own == nil {
+		return errors.New("archive: AddBatch on an archive that indexes an external log")
+	}
+	batch := make([]Located, 0, len(recs))
 	for _, rec := range recs {
 		if storage.IsFlushMarker(rec.Convoy) {
 			continue
 		}
-		if rec.Convoy.End < a.expiredBefore {
-			// Already past the retention watermark: dropped exactly as an
-			// Expire would have, so a replay of old log records cannot
-			// resurrect expired history.
-			continue
-		}
-		if a.nextSeq+int64(len(batch)) > maxSeq {
-			return fmt.Errorf("archive: full (%d records)", a.nextSeq)
-		}
-		enc, err := storage.EncodeLoggedRecord(rec)
-		if err != nil {
+		batch = append(batch, Located{Off: a.own.Offset(), Rec: rec})
+		if err := a.own.AppendRecord(rec); err != nil {
 			return err
-		}
-		batch = append(batch, staged{off: a.recs.Offset(), rec: rec})
-		if err := a.recs.AppendEncoded(enc); err != nil {
-			return err
-		}
-		a.crc = crc32.Update(a.crc, crc32.IEEETable, enc)
-		if rec.Convoy.End > a.maxEnd {
-			a.maxEnd = rec.Convoy.End
 		}
 	}
 	if len(batch) == 0 {
 		return nil
 	}
-	if err := a.recs.Sync(); err != nil {
+	if err := a.own.Sync(); err != nil {
 		return err
 	}
-	a.synced = a.recs.Offset()
-	for i, s := range batch {
-		if err := a.indexRecord(a.nextSeq+int64(i), s.off, s.rec); err != nil {
-			return err
-		}
-	}
-	a.nextSeq += int64(len(batch))
-	a.live += int64(len(batch))
-	return nil
-}
-
-// Backfill brings the archive up to date with the convoy log at logPath:
-// the already-archived prefix is skipped (and checksummed against the
-// archive's own running CRC — any mismatch, e.g. after an offline
-// compaction, fails with ErrDiverged), the remaining records are archived,
-// and the index watermark is made durable. A missing log leaves an empty
-// archive. Torn log tails are tolerated exactly as ScanConvoyLog does.
-// Returns the number of records archived.
-func (a *Archive) Backfill(logPath string) (int64, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	// A missing log — or one so short its 8-byte header never reached the
-	// disk (a freshly created, not-yet-synced sink) — holds no records.
-	if st, err := os.Stat(logPath); errors.Is(err, os.ErrNotExist) || (err == nil && st.Size() < 8) {
-		if a.live > 0 {
-			return 0, fmt.Errorf("%w: log empty, archive holds %d records", ErrDiverged, a.live)
-		}
-		return 0, nil
-	}
-	var (
-		pre     = a.live // records archived before this backfill
-		preCRC  = a.crc
-		skipped int64
-		prefix  uint32
-		added   int64
-		batch   []storage.LoggedConvoy
-	)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := a.addBatchLocked(batch); err != nil {
-			return err
-		}
-		added += int64(len(batch))
-		batch = batch[:0]
-		return nil
-	}
-	_, err := storage.ScanConvoyLogFrom(logPath, 0, func(off int64, rec storage.LoggedConvoy) error {
-		if storage.IsFlushMarker(rec.Convoy) {
-			return nil
-		}
-		if rec.Convoy.End < a.expiredBefore {
-			// Expired history: the archive dropped (or never accepted)
-			// this record, so it is part of neither the archived prefix
-			// nor the records to add. The log legitimately still holds it
-			// — retention filters the archive, never the log.
-			return nil
-		}
-		if skipped < pre {
-			enc, err := storage.EncodeLoggedRecord(rec)
-			if err != nil {
-				return err
-			}
-			prefix = crc32.Update(prefix, crc32.IEEETable, enc)
-			if skipped++; skipped == pre && prefix != preCRC {
-				// Checked the moment the prefix is complete, before a single
-				// append — a diverged archive is abandoned, never extended.
-				return fmt.Errorf("%w: prefix checksum mismatch", ErrDiverged)
-			}
-			return nil
-		}
-		batch = append(batch, rec)
-		if len(batch) >= 512 {
-			return flush()
-		}
-		return nil
-	})
-	if err != nil {
-		return added, err
-	}
-	if skipped < pre {
-		return added, fmt.Errorf("%w: log holds %d records, archive %d", ErrDiverged, skipped, pre)
-	}
-	if err := flush(); err != nil {
-		return added, err
-	}
-	return added, a.flushLocked()
-}
-
-// OpenAndBackfill opens the archive at dir and backfills it from the
-// convoy log at logPath. When the log has diverged from the archived
-// prefix (offline compaction, replaced log), the archive's files are
-// deleted and rebuilt from the log — the log is the source of truth and
-// the archive is derived state. Returns the opened archive, the number of
-// records backfilled, and whether a rebuild happened.
-func OpenAndBackfill(dir, logPath string, opts *Options) (*Archive, int64, bool, error) {
-	a, err := Open(dir, opts)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	added, err := a.Backfill(logPath)
-	if err == nil {
-		return a, added, false, nil
-	}
-	if !errors.Is(err, ErrDiverged) {
-		a.Close()
-		return nil, 0, false, err
-	}
-	a.Close()
-	if err := removeArchiveFiles(dir); err != nil {
-		return nil, 0, false, fmt.Errorf("archive: rebuild: %w", err)
-	}
-	if a, err = Open(dir, opts); err != nil {
-		return nil, 0, false, err
-	}
-	if added, err = a.Backfill(logPath); err != nil {
-		a.Close()
-		return nil, 0, false, err
-	}
-	return a, added, true, nil
-}
-
-// removeArchiveFiles deletes only the entries the archive owns. The
-// directory itself — and anything else an operator keeps in it — is left
-// alone; a rebuild must never be the thing that destroys unrelated files
-// under a user-supplied path.
-func removeArchiveFiles(dir string) error {
-	for _, name := range []string{recordsName, recordsName + ".tmp", metaName, metaName + ".tmp", "time", "obj", "size"} {
-		if err := os.RemoveAll(filepath.Join(dir, name)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return a.indexLocked(batch, a.own.Offset())
 }
 
 // Flush makes the indexes durable (memtables → SSTables) and advances the
-// META watermark, so the next Open replays only records archived after
-// this call.
+// META watermark, so the next open indexes only records added after this
+// call.
 func (a *Archive) Flush() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -634,49 +423,26 @@ func (a *Archive) flushLocked() error {
 	if a.closed {
 		return errors.New("archive: closed")
 	}
-	if err := a.recs.Sync(); err != nil {
-		return err
-	}
-	a.synced = a.recs.Offset()
 	for _, db := range []*lsm.DB{a.timeIdx, a.objIdx, a.sizeIdx} {
 		if err := db.Flush(); err != nil {
 			return err
 		}
 	}
+	crc, err := logCRC(a.path, a.crcEnd, a.end, a.crc)
+	if err != nil {
+		return fmt.Errorf("archive: checksum log: %w", err)
+	}
 	data, err := json.Marshal(meta{
-		Records: a.live, Offset: a.synced, CRC: a.crc,
-		NextSeq: a.nextSeq, ExpiredBefore: a.expiredBefore, MaxEnd: a.maxEnd,
+		Records: a.next, Live: a.live, Offset: a.end, CRC: crc,
+		ExpiredBefore: a.expiredBefore, MaxEnd: a.maxEnd,
 	})
 	if err != nil {
 		return err
 	}
-	// fsync the temp file before the rename and the directory after it:
-	// without both, a power loss can leave the renamed META empty (or the
-	// rename itself unrecorded), and the checkpoint — including the
-	// retention watermark Expire just committed — silently vanishes.
-	tmp := filepath.Join(a.dir, metaName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := durable.WriteFile(filepath.Join(a.dir, metaName), data); err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(a.dir, metaName)); err != nil {
-		return err
-	}
-	if err := syncDir(a.dir); err != nil {
-		return err
-	}
-	a.flushed = a.live
+	a.crc, a.crcEnd, a.flushed = crc, a.end, a.live
 	return nil
 }
 
@@ -694,13 +460,27 @@ func (a *Archive) Close() error {
 			firstErr = err
 		}
 	}
-	if err := a.recs.Close(); err != nil && firstErr == nil {
-		firstErr = err
+	if a.own != nil {
+		if err := a.own.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
-	// Drop the archive's reference; the handle closes once the last
-	// in-flight query page releases its pin.
-	a.recsRead.unref()
 	return firstErr
+}
+
+// abandon closes every handle without flushing buffered index state: the
+// error path of open, and the simulated process kill of the crash tests.
+// The archive must not be used afterwards.
+func (a *Archive) abandon() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.closed = true
+	for _, db := range []*lsm.DB{a.timeIdx, a.objIdx, a.sizeIdx} {
+		db.Abandon()
+	}
+	if a.own != nil {
+		a.own.Close()
+	}
 }
 
 // Count returns the number of archived convoys currently live (expired
@@ -723,7 +503,8 @@ func (a *Archive) MaxEnd() (int32, bool) {
 // Stats is a point-in-time snapshot of the archive's size and query
 // counters, shaped for convoyd's /v1/stats.
 type Stats struct {
-	Records        int64 `json:"records"`
+	Records int64 `json:"records"`
+	// RecordsBytes is the size of the indexed prefix of the log.
 	RecordsBytes   int64 `json:"records_bytes"`
 	IndexedDurable int64 `json:"indexed_durable"`
 	QueriesTotal   int64 `json:"queries_total"`
@@ -756,7 +537,7 @@ func (a *Archive) Stats() Stats {
 	defer a.mu.RUnlock()
 	st := Stats{
 		Records:        a.live,
-		RecordsBytes:   a.synced,
+		RecordsBytes:   a.end,
 		IndexedDurable: a.flushed,
 		QueriesTotal:   a.queries.Load(),
 		EntriesScanned: a.entriesScanned.Load(),
@@ -781,8 +562,8 @@ func (a *Archive) Stats() Stats {
 
 // --- locator codec ------------------------------------------------------
 
-// encodeLocator packs an index value: records-file offset, object count,
-// and duration in ticks. Size and duration ride along so min-size and
+// encodeLocator packs an index value: log offset, object count, and
+// duration in ticks. Size and duration ride along so min-size and
 // min-duration predicates (and the Start = End−dur+1 derivation time
 // queries need) are answered from the index entry alone.
 func encodeLocator(off int64, size, dur int32) [storage.ValueSize]byte {

@@ -41,8 +41,7 @@ func genRecords(seed int64, n, dupEvery int) []storage.LoggedConvoy {
 }
 
 // writeLog writes records (plus interleaved flush markers) to a fresh
-// convoy log and returns the non-marker records, which are what the
-// archive must end up holding.
+// convoy log; the non-marker records are what the archive must serve.
 func writeLog(t testing.TB, path string, recs []storage.LoggedConvoy) {
 	t.Helper()
 	l, err := storage.CreateConvoyLog(path)
@@ -50,11 +49,11 @@ func writeLog(t testing.TB, path string, recs []storage.LoggedConvoy) {
 		t.Fatal(err)
 	}
 	for i, r := range recs {
-		if err := l.Append(r.Feed, r.Convoy); err != nil {
+		if err := l.AppendRecord(r); err != nil {
 			t.Fatal(err)
 		}
 		if i%7 == 3 { // flush markers ride along in real logs; archive skips them
-			if err := l.Append(r.Feed, storage.FlushMarker()); err != nil {
+			if err := l.AppendRecord(storage.LoggedConvoy{Feed: r.Feed, Convoy: storage.FlushMarker()}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -162,7 +161,7 @@ func TestArchiveAddAndQuery(t *testing.T) {
 	}
 
 	// Flush markers handed to AddBatch are skipped, not archived.
-	if err := a.Add(storage.LoggedConvoy{Feed: "tokyo", Convoy: storage.FlushMarker()}); err != nil {
+	if err := a.AddBatch([]storage.LoggedConvoy{{Feed: "tokyo", Convoy: storage.FlushMarker()}}); err != nil {
 		t.Fatal(err)
 	}
 	if a.Count() != int64(len(recs)) {
@@ -255,8 +254,8 @@ func TestArchiveReopen(t *testing.T) {
 
 // TestArchiveReopenStaleMeta simulates the crash window where index
 // memtables died before reaching SSTables: the META watermark is erased
-// (worse than any real crash leaves it), so Open must re-index the whole
-// records file and answer queries correctly.
+// (worse than any real crash leaves it), so Open must discard the indexes,
+// re-index the whole log and answer queries correctly.
 func TestArchiveReopenStaleMeta(t *testing.T) {
 	dir := t.TempDir()
 	recs := genRecords(4, 200, 0)
@@ -282,9 +281,9 @@ func TestArchiveReopenStaleMeta(t *testing.T) {
 	sameSet(t, "stale meta", got, brute(recs, Query{}, nil, &oid))
 }
 
-// TestArchiveReopenTornRecords cuts the records file mid-record (a crash
-// during an append before the fsync) and checks Open truncates the tail
-// and serves the surviving records.
+// TestArchiveReopenTornRecords cuts the standalone archive's log mid-record
+// (a crash during an append before the fsync) and checks Open truncates the
+// tail and serves the surviving records.
 func TestArchiveReopenTornRecords(t *testing.T) {
 	dir := t.TempDir()
 	recs := genRecords(5, 50, 0)
@@ -335,9 +334,9 @@ func TestParseCursor(t *testing.T) {
 }
 
 // TestArchiveOpenEmptyRecordsFile: a crash right after archive creation
-// leaves a 0-byte (or header-short) records file — the header sits in the
-// write buffer until the first sync. Open must recover exactly like
-// OpenConvoyLog does (recreate), not fail every subsequent startup.
+// leaves a 0-byte (or header-short) log — the header sits in the write
+// buffer until the first sync. Open must recover exactly like
+// OpenConvoyLogFrom does (recreate), not fail every subsequent startup.
 func TestArchiveOpenEmptyRecordsFile(t *testing.T) {
 	for name, content := range map[string][]byte{"empty": {}, "short": []byte("K2C")} {
 		t.Run(name, func(t *testing.T) {
@@ -391,4 +390,86 @@ func TestArchiveUnsatisfiablePredicates(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestArchiveReopenReadBack writes through one handle and reads every
+// record back through a fresh one, for both ways of opening an archive: the
+// reopened archive indexes nothing again (the checkpoint covers the whole
+// log), was not rebuilt, and all three query shapes equal brute force. The
+// archive directory of a log-backed archive holds indexes and META only —
+// the log is the one copy of the records.
+func TestArchiveReopenReadBack(t *testing.T) {
+	recs := genRecords(8, 300, 11)
+	readBack := func(t *testing.T, a *Archive) {
+		t.Helper()
+		if a.Count() != int64(len(recs)) {
+			t.Fatalf("count %d, want %d", a.Count(), len(recs))
+		}
+		iv := model.Interval{Start: -100, End: 300}
+		sameSet(t, "time", collect(t, func(q Query) (Result, error) { return a.QueryTime(iv.Start, iv.End, q) }, Query{Limit: 41}), recs)
+		sameSet(t, "convoys", collect(t, a.QueryConvoys, Query{Limit: 41}), recs)
+		for oid := int32(-8); oid < 56; oid += 9 {
+			oid := oid
+			sameSet(t, fmt.Sprintf("object %d", oid),
+				collect(t, func(q Query) (Result, error) { return a.QueryObject(oid, q) }, Query{Limit: 41}),
+				brute(recs, Query{}, nil, &oid))
+		}
+	}
+	t.Run("standalone", func(t *testing.T) {
+		dir := t.TempDir()
+		w, err := Open(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AddBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, added, rebuilt, err := open(dir, filepath.Join(dir, recordsName), true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if added != 0 || rebuilt {
+			t.Fatalf("reopen indexed %d records (rebuilt=%v), want nothing to do", added, rebuilt)
+		}
+		readBack(t, r)
+	})
+	t.Run("log", func(t *testing.T) {
+		dir := t.TempDir()
+		logPath := filepath.Join(t.TempDir(), "closed.k2cl")
+		writeLog(t, logPath, recs)
+		w, added, _, err := OpenAndBackfill(dir, logPath, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if added != int64(len(recs)) {
+			t.Fatalf("backfill indexed %d records, want %d", added, len(recs))
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, added, rebuilt, err := OpenAndBackfill(dir, logPath, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if added != 0 || rebuilt {
+			t.Fatalf("reopen indexed %d records (rebuilt=%v), want nothing to do", added, rebuilt)
+		}
+		readBack(t, r)
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if got := fmt.Sprint(names); got != "[META obj size time]" {
+			t.Fatalf("archive directory holds %s, want only META and the three indexes", got)
+		}
+	})
 }

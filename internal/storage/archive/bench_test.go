@@ -29,7 +29,7 @@ func benchArchive(b *testing.B) *Archive {
 }
 
 // BenchmarkArchiveAddBatch measures the persist-path cost: 64 records per
-// batch through records append + fsync + index puts.
+// batch through log append + fsync + index puts.
 func BenchmarkArchiveAddBatch(b *testing.B) {
 	a, err := Open(b.TempDir(), nil)
 	if err != nil {
@@ -89,7 +89,7 @@ func BenchmarkArchiveBackfill(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, r := range genRecords(13, 5000, 0) {
-		if err := l.Append(r.Feed, r.Convoy); err != nil {
+		if err := l.AppendRecord(r); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,12 +1,13 @@
 package archive
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/storage"
 )
 
 // Concurrent-reader soak: N readers page all three query shapes while a
@@ -88,143 +89,79 @@ func TestArchiveConcurrentReadersSoak(t *testing.T) {
 	}
 }
 
-// A read view captured before an Expire must keep reading the pre-rewrite
-// records file: the rename swaps the path to a survivors-only file, but the
-// view's pinned handle holds the old inode — captured offsets stay valid
-// and decode to the original bytes. This is the reader-vs-retention
-// interleaving proof (no file yanked while a view references it).
-func TestArchiveReadViewSurvivesExpire(t *testing.T) {
-	dir := t.TempDir()
-	a, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	// Two generations: End=10 (will expire) and End=100 (survives).
-	old := storage.LoggedConvoy{Feed: "tokyo", Convoy: model.NewConvoy(model.NewObjSet(1, 2, 3), 5, 10)}
-	young := storage.LoggedConvoy{Feed: "osaka", Convoy: model.NewConvoy(model.NewObjSet(4, 5, 6), 95, 100)}
-	if err := a.AddBatch([]storage.LoggedConvoy{old, young}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Capture a view and the expiring record's offset through it.
-	view, err := a.beginRead(a.timeIdx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var oldOff int64 = -1
-	err = view.snap.Scan(minIndexKey(), func(k, v []byte) bool {
-		hi, _ := storage.DecodeKey(k)
-		if hi == 10 {
-			oldOff, _, _ = decodeLocator(v)
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldOff < 0 {
-		t.Fatal("expiring record not found in captured index view")
-	}
-
-	// Expire it while the view is held.
-	removed, err := a.Expire(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 1 {
-		t.Fatalf("Expire removed %d records, want 1", removed)
-	}
-
-	// The pinned handle still serves the pre-rewrite bytes at the captured
-	// offset, even though the path now names the survivors-only file.
-	rec, err := storage.ReadConvoyAt(view.recs.f, oldOff)
-	if err != nil {
-		t.Fatalf("pinned read after expire: %v", err)
-	}
-	if rec.Feed != "tokyo" || rec.Convoy.End != 10 {
-		t.Fatalf("pinned read returned %q end=%d, want the expired record", rec.Feed, rec.Convoy.End)
-	}
-
-	// Fresh queries see only the survivor; the view's release drops the
-	// last reference to the old inode.
-	res, err := a.QueryTime(-100, 200, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != 1 || res.Records[0].Convoy.End != 100 {
-		t.Fatalf("post-expire query returned %d records, want the one survivor", len(res.Records))
-	}
-	view.close()
-	if got := view.recs.refs.Load(); got != 0 {
-		t.Fatalf("old read handle refs = %d after view close, want 0", got)
-	}
-	if st := a.Stats(); st.LiveReaders != 0 || st.LiveSnapshots != 0 {
-		t.Fatalf("gauges not drained: live_readers=%d live_snapshots=%d", st.LiveReaders, st.LiveSnapshots)
-	}
-}
-
-// Queries racing Expire must never error: a page that straddles the
-// rewrite either reads its captured pre-rewrite view coherently or drops
-// records the rewrite relocated (rewriteGen guard) — it must not fail, and
-// every record it does return must be one that was archived.
+// TestArchiveQueriesRaceExpire: a page racing an Expire must never error,
+// and must see the archive either before or after that expiry — the exact
+// brute-force set for one of the watermarks the test ratchets through,
+// never a mix of expired and surviving victims. One page covers the whole
+// archive, on the index that finds the victims (time) and on one that does
+// not order by End at all (size).
 func TestArchiveQueriesRaceExpire(t *testing.T) {
-	dir := t.TempDir()
-	a, err := Open(dir, nil)
+	a, err := Open(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	valid := make(map[string]bool)
-	recs := genRecords(7, 1500, 0)
+	recs := genRecords(7, MaxLimit, 0)
 	for i, r := range recs {
 		// Spread End ticks so successive Expire calls always have victims.
 		r.Convoy = model.NewConvoy(r.Convoy.Objs, int32(i/10), int32(i/10)+int32(r.Convoy.Len())-1)
 		recs[i] = r
-		valid[r.Feed+"\x00"+r.Convoy.Key()] = true
 	}
 	if err := a.AddBatch(recs); err != nil {
 		t.Fatal(err)
 	}
+	var watermarks []int32
+	for w := int32(10); w <= 100; w += 10 {
+		watermarks = append(watermarks, w)
+	}
+	// states maps a record count to the canonical set at the watermark that
+	// leaves that many survivors (counts strictly fall as the watermark
+	// rises, so the count identifies the state).
+	states := map[int][]string{len(recs): canon(recs)}
+	for _, w := range watermarks {
+		kept := keepAfter(recs, w)
+		if _, dup := states[len(kept)]; dup {
+			t.Fatalf("watermark %d expires nothing; generator broken", w)
+		}
+		states[len(kept)] = canon(kept)
+	}
 
 	var (
-		stop     atomic.Bool
-		failures atomic.Int64
-		wg       sync.WaitGroup
+		stop atomic.Bool
+		wg   sync.WaitGroup
 	)
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
-		go func(seed int32) {
+		go func(r int) {
 			defer wg.Done()
-			for i := int32(0); !stop.Load(); i++ {
-				res, err := a.QueryTime(-100, 1<<30, Query{Limit: 50, Budget: 2000})
+			for i := r; !stop.Load(); i++ {
+				var res Result
+				var err error
+				if i%2 == 0 {
+					res, err = a.QueryTime(math.MinInt32, math.MaxInt32, Query{Limit: MaxLimit})
+				} else {
+					res, err = a.QueryConvoys(Query{Limit: MaxLimit})
+				}
 				if err != nil {
 					t.Errorf("query during expire race: %v", err)
-					failures.Add(1)
 					return
 				}
-				for _, rec := range res.Records {
-					if !valid[rec.Feed+"\x00"+rec.Convoy.Key()] {
-						t.Errorf("query returned a record that was never archived: %q", rec.Convoy.Key())
-						failures.Add(1)
-						return
-					}
+				got := canon(res.Records)
+				if want, ok := states[len(got)]; !ok || !slices.Equal(got, want) {
+					t.Errorf("page of %d records is neither the pre- nor the post-expiry set of any watermark", len(got))
+					return
 				}
 			}
-		}(int32(r))
+		}(r)
 	}
-	// Ratchet the watermark up through the key space, forcing repeated
-	// records-file rewrites under the readers.
-	for w := int32(10); w <= 150; w += 10 {
+	for _, w := range watermarks {
 		if _, err := a.Expire(w); err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			break
 		}
 	}
 	stop.Store(true)
 	wg.Wait()
-	if failures.Load() != 0 {
-		t.Fatal("reader failures during expire race")
-	}
 	if st := a.Stats(); st.LiveReaders != 0 || st.LiveSnapshots != 0 {
 		t.Fatalf("gauges not drained: live_readers=%d live_snapshots=%d", st.LiveReaders, st.LiveSnapshots)
 	}

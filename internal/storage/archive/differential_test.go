@@ -132,9 +132,9 @@ func TestArchiveBackfillTornLog(t *testing.T) {
 }
 
 // TestArchiveBackfillCompactedLog: after an offline CompactConvoyLog the
-// log is no longer an extension of the archived prefix. Backfill must
-// refuse to extend (ErrDiverged), and OpenAndBackfill must rebuild the
-// archive to match the compacted log exactly.
+// log no longer starts with the bytes META's checksum covers.
+// OpenAndBackfill must notice, discard the indexes and rebuild them to
+// match the compacted log exactly.
 func TestArchiveBackfillCompactedLog(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "closed.k2cl")
@@ -172,18 +172,9 @@ func TestArchiveBackfillCompactedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A plain Backfill on the stale archive must report divergence…
-	if a, err = Open(archDir, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Backfill(logPath); err == nil {
-		t.Fatal("backfill extended a diverged archive")
-	}
-	a.Close()
-
-	// …and OpenAndBackfill must rebuild to match the compacted log —
-	// deleting only archive-owned files, never an operator's unrelated
-	// ones in the same directory.
+	// OpenAndBackfill must rebuild to match the compacted log — deleting
+	// only archive-owned files, never an operator's unrelated ones in the
+	// same directory.
 	bystander := filepath.Join(archDir, "operator-notes.txt")
 	if err := os.WriteFile(bystander, []byte("keep me"), 0o644); err != nil {
 		t.Fatal(err)
@@ -207,7 +198,7 @@ func TestArchiveBackfillCompactedLog(t *testing.T) {
 }
 
 // TestArchiveIncrementalBackfill: a second backfill after the log grew
-// archives only the new suffix, without rebuilding.
+// indexes only the new suffix, without rebuilding.
 func TestArchiveIncrementalBackfill(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "closed.k2cl")
@@ -224,13 +215,13 @@ func TestArchiveIncrementalBackfill(t *testing.T) {
 	}
 	a.Close()
 
-	// Grow the log (OpenConvoyLog appends past the existing records).
-	l, err := storage.OpenConvoyLog(logPath, nil)
+	// Grow the log (OpenConvoyLogFrom appends past the existing records).
+	l, err := storage.OpenConvoyLogFrom(logPath, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range recs[60:] {
-		if err := l.Append(r.Feed, r.Convoy); err != nil {
+		if err := l.AppendRecord(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -274,7 +265,7 @@ func TestArchiveCursorStabilityUnderAppends(t *testing.T) {
 	}
 	const initial, extra = 300, 300
 	for i := 0; i < initial; i++ {
-		if err := a.Add(mk(i)); err != nil {
+		if err := a.AddBatch([]storage.LoggedConvoy{mk(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -290,7 +281,7 @@ func TestArchiveCursorStabilityUnderAppends(t *testing.T) {
 				return
 			default:
 			}
-			if err := a.Add(mk(i)); err != nil {
+			if err := a.AddBatch([]storage.LoggedConvoy{mk(i)}); err != nil {
 				t.Error(err)
 				return
 			}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 
 	"repro/internal/pool"
 	"repro/internal/storage"
@@ -170,31 +171,15 @@ type locator struct {
 	dur  int32
 }
 
-// readView is the atomically captured state one query page reads: an LSM
-// snapshot of the index, a pinned handle on the records file, and the
-// stale-entry guards (nextSeq, synced) that match them. Everything is
-// captured under one brief a.mu read-lock acquisition; the page itself then
+// beginRead pins the index view one query page reads: an LSM snapshot,
+// captured under a brief a.mu read-lock acquisition. The page itself then
 // runs with NO archive lock held, so a slow (cold-cache, big-budget) page
-// cannot stall the archiver's writes, retention, or other queries.
-//
-// Coherence: the index snapshot pins the index exactly as of capture
-// (entries put later are filtered by the seq/synced guards), and the pinned
-// read handle keeps the records file AS OF CAPTURE readable even if a
-// racing retention rewrite renames a survivors-only file over the path —
-// the captured offsets describe the pinned inode, not the new one. Records
-// archived after capture may or may not appear, exactly the cursor
-// contract's wording for concurrent appends.
-type readView struct {
-	a       *Archive
-	snap    *lsm.Snapshot
-	recs    *readFile
-	nextSeq int64
-	synced  int64
-	gen     int64
-}
-
-// beginRead captures a read view against idx. The caller must close it.
-func (a *Archive) beginRead(idx *lsm.DB) (*readView, error) {
+// cannot stall the archiver's writes or other queries; only Expire waits
+// for it. The log needs no pin: it is append-only, so every offset the
+// snapshot holds stays valid. Records indexed after capture may or may not
+// appear, exactly the cursor contract's wording for concurrent appends. The
+// caller must endRead.
+func (a *Archive) beginRead(idx *lsm.DB) (*lsm.Snapshot, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	if a.closed {
@@ -204,20 +189,15 @@ func (a *Archive) beginRead(idx *lsm.DB) (*readView, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.recsRead.ref()
+	a.readers.Add(1)
 	a.liveReaders.Add(1)
-	return &readView{
-		a: a, snap: snap, recs: a.recsRead,
-		nextSeq: a.nextSeq, synced: a.synced, gen: a.rewriteGen.Load(),
-	}, nil
+	return snap, nil
 }
 
-// close releases the view's pins. Idempotence is not needed — each page
-// closes its view exactly once, via defer.
-func (v *readView) close() {
-	v.snap.Release()
-	v.recs.unref()
-	v.a.liveReaders.Add(-1)
+func (a *Archive) endRead(snap *lsm.Snapshot) {
+	snap.Release()
+	a.liveReaders.Add(-1)
+	a.readers.Done()
 }
 
 // scan is the shared paging engine: walk idx from the later of start and
@@ -227,9 +207,9 @@ func (v *readView) close() {
 // next oid). extra (optional) is an additional index-only predicate beyond
 // the locator-derived MinSize/MinDur checks. verify cross-checks a
 // materialised record against its index entry; with the write path's
-// records-before-indexes ordering it never fires, but it keeps a manually
-// corrupted archive (records file truncated with META gone, leaving stale
-// index entries) from returning records under the wrong key.
+// records-before-indexes ordering and the prefix checksum it never fires,
+// but it keeps index entries that outside interference left describing
+// other bytes from returning records under the wrong key.
 func (a *Archive) scan(idx *lsm.DB, start [storage.KeySize]byte,
 	keep func(hi int32) bool, q Query, extra func(hi int32, loc locator) bool,
 	verify func(hi int32, rec storage.LoggedConvoy) bool) (Result, error) {
@@ -241,11 +221,11 @@ func (a *Archive) scan(idx *lsm.DB, start [storage.KeySize]byte,
 	if q.MinSize > maxConvoySize || q.MinDur > math.MaxInt32 {
 		return Result{}, nil
 	}
-	view, err := a.beginRead(idx)
+	snap, err := a.beginRead(idx)
 	if err != nil {
 		return Result{}, err
 	}
-	defer view.close()
+	defer a.endRead(snap)
 	if q.Cursor.set && bytes.Compare(q.Cursor.key[:], start[:]) > 0 {
 		start = q.Cursor.key
 	}
@@ -257,15 +237,15 @@ func (a *Archive) scan(idx *lsm.DB, start [storage.KeySize]byte,
 	// Two phases: the index walk collects up to limit candidate locators
 	// (index-only predicates, no I/O beyond the index's own block reads),
 	// then records are materialised in a parallel fan-out. A record-level
-	// reject (the feed filter, a stale entry) can leave a page shorter
-	// than limit; More/cursor still make paging complete.
+	// reject (the feed filter) can leave a page shorter than limit;
+	// More/cursor still make paging complete.
 	type cand struct {
 		hi  int32
 		loc locator
 	}
 	var cands []cand
-	err = view.snap.Scan(start, func(k, v []byte) bool {
-		hi, seq := storage.DecodeKey(k)
+	err = snap.Scan(start, func(k, v []byte) bool {
+		hi, _ := storage.DecodeKey(k)
 		if keep != nil && !keep(hi) {
 			return false // past the key range: query exhausted
 		}
@@ -277,23 +257,7 @@ func (a *Archive) scan(idx *lsm.DB, start [storage.KeySize]byte,
 			return false
 		}
 		res.Scanned++
-		if int64(seq) >= view.nextSeq {
-			// An entry this view must not see: archived after capture (the
-			// snapshot's live memtable can surface those), or stale from
-			// before a records-file truncation. Nothing to materialise. It
-			// still consumed budget above — a corrupted archive must not
-			// turn a bounded page into an unbounded index walk.
-			return true
-		}
 		off, size, dur := decodeLocator(v)
-		if off >= view.synced {
-			// An offset past the captured end of the records file: a stale
-			// entry whose record a retention rewrite (or a truncation)
-			// removed. Skipped here so a query racing nothing worse than
-			// a corrupted index never reads past the file, let alone
-			// returns a half-deleted convoy.
-			return true
-		}
 		loc := locator{off: off, size: size, dur: dur}
 		if int(size) < q.MinSize || int(dur) < q.MinDur {
 			return true
@@ -312,34 +276,25 @@ func (a *Archive) scan(idx *lsm.DB, start [storage.KeySize]byte,
 	// Slot i holds candidate i's record, and the filter pass below walks
 	// the slots in candidate order, so the assembled page is byte-identical
 	// to a sequential materialisation — same records, same order, same
-	// cursor — regardless of read completion order. The pinned view.recs
-	// handle makes every captured offset valid even mid-retention.
+	// cursor — regardless of read completion order.
+	if len(cands) == 0 {
+		return res, nil
+	}
+	f, err := os.Open(a.path)
+	if err != nil {
+		return Result{}, fmt.Errorf("archive: open log: %w", err)
+	}
+	defer f.Close()
 	recs := make([]storage.LoggedConvoy, len(cands))
-	read := make([]bool, len(cands))
-	err = pool.ForEach(pool.Size(0), len(cands), func(i int) error {
-		rec, err := storage.ReadConvoyAt(view.recs.f, cands[i].loc.off)
-		if err != nil {
-			if view.a.rewriteGen.Load() != view.gen {
-				// A retention rewrite landed mid-page and re-pointed this
-				// entry at its post-rewrite offset, which means nothing in
-				// the pinned pre-rewrite file. Drop the record — the page
-				// raced its deletion/relocation — rather than failing.
-				return nil
-			}
-			return err
-		}
-		recs[i] = rec
-		read[i] = true
-		return nil
+	err = pool.ForEach(pool.Size(0), len(cands), func(i int) (err error) {
+		recs[i], err = storage.ReadConvoyAt(f, cands[i].loc.off)
+		return err
 	})
 	a.recordsRead.Add(int64(len(cands)))
 	if err != nil {
 		return Result{}, err
 	}
 	for i, c := range cands {
-		if !read[i] {
-			continue
-		}
 		rec := recs[i]
 		if !verify(c.hi, rec) ||
 			int32(len(rec.Convoy.Objs)) != c.loc.size ||

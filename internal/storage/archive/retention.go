@@ -1,65 +1,43 @@
 package archive
 
-// Time-based retention: Expire(before) removes every archived convoy
-// whose End tick precedes before, coherently across the records file and
-// all three secondary indexes, without ever letting a crash (or a query
-// racing the rewrite — impossible anyway, Expire holds the write lock)
-// observe a half-deleted convoy.
+// Time-based retention: Expire(before) removes every indexed convoy whose
+// End tick precedes before from all three secondary indexes. The log is
+// append-only and is not touched — offsets never move and sequence numbers
+// never change, so an expiry is invisible to everything except the records
+// it removes, and what it reclaims is index space (once the tombstones
+// reach the bottom LSM level).
 //
-// The protocol has exactly one data commit point, the records-file
-// rename:
+// The protocol:
 //
-//  1. Commit the watermark. expiredBefore is raised and flushLocked
-//     writes it to META (fsynced) while the file and indexes still
-//     describe the old state. From here on AddBatch/Backfill drop
-//     expired arrivals, and a crash leaves an "expiry pending" marker:
-//     the oldest live index entry's End sits below the watermark, which
-//     Open detects and repairs by re-running the apply step.
-//  2. Rewrite the records file. Survivors are streamed to
-//     records.k2cl.tmp (fsynced), then renamed over the original and the
-//     directory is fsynced. Nothing before the rename touched the old
-//     file or the indexes, so a crash up to here changes nothing; a
-//     crash after it leaves META.Offset pointing past the now-shorter
-//     file, which Open already treats as "rebuild the indexes from the
-//     records file" — the survivors, with the watermark preserved.
-//  3. Update the indexes. Expired entries get LSM tombstones; surviving
-//     entries are re-put under their unchanged keys with their new file
-//     offsets. Sequence numbers are never reused and survivors keep
-//     theirs, so query cursors remain valid across the expiry.
-//  4. flushLocked commits the new Records/Offset/CRC checkpoint.
-//
-// Because survivors keep their sequence numbers and the records file
-// keeps its order, an expiry is invisible to everything except the
-// records it removes.
+//  1. Commit the watermark. The victims — the time index's entries below
+//     before — are counted, expiredBefore is raised, and flushLocked writes
+//     the watermark and the reduced live count to META (fsynced) while the
+//     indexes still hold every victim. From here on records below the
+//     watermark are not indexed, and a crash leaves an "expiry pending"
+//     marker: the time index's oldest entry sits below the watermark, which
+//     open detects and repairs by re-running step 2.
+//  2. Tombstone the victims, found by walking the time index below the
+//     watermark. The index databases do not sync their WALs, so after a
+//     crash each holds an arbitrary prefix of its tombstones; the time
+//     index is what finds the victims again, so its tombstones are written
+//     only after the other two indexes' are flushed to SSTables. Whatever
+//     prefix of the time index's tombstones survives, the victims it no
+//     longer lists are gone from the other two indexes as well.
+//  3. flushLocked makes the tombstones durable.
 
 import (
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
-	"path/filepath"
 
 	"repro/internal/storage"
+	"repro/internal/storage/durable"
 )
-
-// crashPoint, when non-nil (crash tests only), is called at each named
-// point of the expiry protocol; it simulates a power loss by panicking
-// with errSimulatedCrash. Production never sets it.
-var crashPoint func(name string)
-
-var errSimulatedCrash = errors.New("archive: simulated crash")
-
-func crash(name string) {
-	if crashPoint != nil {
-		crashPoint(name)
-	}
-}
 
 // Expire removes every archived convoy whose End tick precedes before.
 // The watermark is durable and monotonic: a before at or below a previous
 // call's is a no-op, and records arriving later with End below the
-// watermark are silently dropped (see AddBatch). Returns the number of
+// watermark are not indexed (see indexRecord). Returns the number of
 // convoys removed.
 func (a *Archive) Expire(before int32) (int64, error) {
 	a.mu.Lock()
@@ -70,238 +48,92 @@ func (a *Archive) Expire(before int32) (int64, error) {
 	if before <= a.expiredBefore {
 		return 0, nil
 	}
+	// New pages wait on a.mu; let the ones in flight finish on the
+	// pre-expiry index (a snapshot shares the live memtable, so it would
+	// see the tombstones land one by one).
+	a.readers.Wait()
+	victims, err := a.expired(before)
+	if err != nil {
+		return 0, err
+	}
 	a.expiredBefore = before
-	// Watermark first, data second: once META holds the watermark, every
-	// crash state is repairable (Open either re-applies the expiry or
-	// rebuilds the indexes from the already-rewritten file).
+	a.live -= int64(len(victims))
+	// Watermark first, tombstones second: once META holds the watermark,
+	// every crash state is repaired by re-applying it.
 	if err := a.flushLocked(); err != nil {
 		return 0, err
 	}
-	crash("expire.watermark-committed")
-	return a.applyExpireLocked()
+	durable.Crash("expire.watermark-committed")
+	if err := a.applyExpireLocked(); err != nil {
+		return 0, err
+	}
+	a.expiredTotal += int64(len(victims))
+	return int64(len(victims)), nil
 }
 
-// applyExpireLocked makes the archive's data match the committed
-// watermark: every record with End < expiredBefore leaves the records
-// file and all three indexes. It is idempotent — Open calls it to finish
-// an expiry a crash interrupted — and a no-op when nothing is below the
-// watermark.
-func (a *Archive) applyExpireLocked() (int64, error) {
-	if end, ok, err := a.minLiveEnd(); err != nil {
-		return 0, err
-	} else if !ok || end >= a.expiredBefore {
-		return 0, nil // nothing below the watermark
-	}
+// victim is one time-index entry below the watermark.
+type victim struct {
+	end, seq int32
+	off      int64
+}
 
-	// The records file stores no sequence numbers, and after a previous
-	// expiry position no longer implies sequence — recover each record's
-	// sequence from its time-index entry (exactly one per record, and the
-	// tail replay at Open guarantees every file record has one).
-	offSeq := make(map[int64]int32)
-	err := a.timeIdx.Scan(minIndexKey(), func(k, v []byte) bool {
-		_, seq := storage.DecodeKey(k)
-		off, _, _ := decodeLocator(v)
-		if int64(seq) >= a.nextSeq || off >= a.synced {
-			return true // stale entry (possible only after META loss)
+// expired lists the time index's entries with End < before. The index is
+// keyed by (End, seq), so they are its head.
+func (a *Archive) expired(before int32) ([]victim, error) {
+	var out []victim
+	err := a.timeIdx.Scan(storage.EncodeKey(math.MinInt32, math.MinInt32), func(k, v []byte) bool {
+		end, seq := storage.DecodeKey(k)
+		if end >= before {
+			return false
 		}
-		offSeq[off] = seq
+		off, _, _ := decodeLocator(v)
+		out = append(out, victim{end: end, seq: seq, off: off})
 		return true
 	})
-	if err != nil {
-		return 0, err
-	}
+	return out, err
+}
 
-	// Stream survivors into a temp file; classify the rest for step 3.
-	type entry struct {
-		seq int32
-		off int64 // survivor's offset in the rewritten file
-		rec storage.LoggedConvoy
+// applyExpireLocked makes the indexes match the committed watermark: every
+// record with End < expiredBefore leaves all three. It is idempotent — open
+// calls it to finish an expiry a crash interrupted — and a no-op when no
+// entry is below the watermark.
+func (a *Archive) applyExpireLocked() error {
+	victims, err := a.expired(a.expiredBefore)
+	if err != nil || len(victims) == 0 {
+		return err
 	}
-	var surv, dead []entry
-	recsPath := filepath.Join(a.dir, recordsName)
-	tmpPath := recsPath + ".tmp"
-	os.Remove(tmpPath)
-	tmp, err := storage.OpenConvoyLogFrom(tmpPath, 0, nil)
+	f, err := os.Open(a.path)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	var newCRC uint32
-	_, err = storage.ScanConvoyLogFrom(recsPath, 0, func(off int64, rec storage.LoggedConvoy) error {
-		seq, ok := offSeq[off]
-		if !ok {
-			return fmt.Errorf("archive: record at offset %d has no index entry", off)
-		}
-		if rec.Convoy.End < a.expiredBefore {
-			dead = append(dead, entry{seq: seq, rec: rec})
-			return nil
-		}
-		enc, err := storage.EncodeLoggedRecord(rec)
+	defer f.Close()
+	for _, v := range victims {
+		// The member list lives in the record, not in the time index.
+		rec, err := storage.ReadConvoyAt(f, v.off)
 		if err != nil {
 			return err
 		}
-		surv = append(surv, entry{seq: seq, off: tmp.Offset(), rec: rec})
-		if err := tmp.AppendEncoded(enc); err != nil {
+		objs := rec.Convoy.Objs
+		if err := a.sizeIdx.DeleteKV(storage.EncodeKey(int32(len(objs)), v.seq)); err != nil {
 			return err
 		}
-		newCRC = crc32.Update(newCRC, crc32.IEEETable, enc)
-		return nil
-	})
-	if err == nil && len(dead) > 0 {
-		err = tmp.Sync()
-	}
-	if err != nil || len(dead) == 0 {
-		// len(dead) == 0: the index suggested pending work but the file
-		// disagrees (a stale entry after META loss) — nothing to rewrite.
-		tmp.Close()
-		os.Remove(tmpPath)
-		return 0, err
-	}
-	newSize := tmp.Offset()
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return 0, err
-	}
-	crash("expire.survivors-written")
-
-	// The data commit. The append handle was synced by the watermark
-	// flush and no append can race us (a.mu is held), so closing it loses
-	// nothing. The read handle is only unref'd: query pages that captured
-	// their view before this point still hold the pre-rewrite inode pinned
-	// and keep reading it coherently; the fd closes when the last drains.
-	// Any failure from here on leaves the archive unusable for this
-	// process — Open repairs from the on-disk state.
-	if err := a.recs.Close(); err != nil {
-		a.closed = true
-		return 0, err
-	}
-	a.recsRead.unref()
-	a.recs, a.recsRead = nil, nil
-	if err := os.Rename(tmpPath, recsPath); err != nil {
-		a.closed = true
-		return 0, err
-	}
-	if err := syncDir(a.dir); err != nil {
-		a.closed = true
-		return 0, err
-	}
-	crash("expire.renamed")
-	if a.recs, err = storage.OpenConvoyLogFrom(recsPath, newSize, nil); err != nil {
-		a.closed = true
-		return 0, err
-	}
-	rf, err := os.Open(recsPath)
-	if err != nil {
-		a.closed = true
-		return 0, err
-	}
-	a.recsRead = newReadFile(rf)
-	a.rewriteGen.Add(1)
-	a.live = int64(len(surv))
-	a.synced = newSize
-	a.crc = newCRC
-
-	// Step 3: tombstone the dead, relocate the survivors. Keys are
-	// recomputed from the records themselves; survivor keys are unchanged
-	// (same End/size/objects, same seq), only their locators move.
-	for _, e := range dead {
-		if err := a.deleteIndexEntries(e.seq, e.rec); err != nil {
-			a.closed = true
-			return 0, err
+		for _, oid := range objs {
+			if err := a.objIdx.DeleteKV(storage.EncodeKey(oid, v.seq)); err != nil {
+				return err
+			}
 		}
 	}
-	for _, e := range surv {
-		if err := a.indexRecord(int64(e.seq), e.off, e.rec); err != nil {
-			a.closed = true
-			return 0, err
-		}
-	}
-	crash("expire.indexes-updated")
-	if err := a.flushLocked(); err != nil {
-		a.closed = true
-		return 0, err
-	}
-	a.expiredTotal += int64(len(dead))
-	return int64(len(dead)), nil
-}
-
-// deleteIndexEntries writes the LSM tombstones that remove one record
-// from all three indexes (the inverse of indexRecord).
-func (a *Archive) deleteIndexEntries(seq int32, rec storage.LoggedConvoy) error {
-	c := rec.Convoy
-	if err := a.timeIdx.DeleteKV(storage.EncodeKey(c.End, seq)); err != nil {
+	if err := a.sizeIdx.Flush(); err != nil {
 		return err
 	}
-	if err := a.sizeIdx.DeleteKV(storage.EncodeKey(int32(len(c.Objs)), seq)); err != nil {
+	if err := a.objIdx.Flush(); err != nil {
 		return err
 	}
-	for _, oid := range c.Objs {
-		if err := a.objIdx.DeleteKV(storage.EncodeKey(oid, seq)); err != nil {
+	for _, v := range victims {
+		if err := a.timeIdx.DeleteKV(storage.EncodeKey(v.end, v.seq)); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// minLiveEnd returns the smallest End tick among live index entries
-// (ok=false when the archive holds none). The time index is keyed by
-// (End, seq), so its first non-stale entry is the minimum.
-func (a *Archive) minLiveEnd() (int32, bool, error) {
-	var (
-		end   int32
-		found bool
-	)
-	err := a.timeIdx.Scan(minIndexKey(), func(k, v []byte) bool {
-		hi, seq := storage.DecodeKey(k)
-		off, _, _ := decodeLocator(v)
-		if int64(seq) >= a.nextSeq || off >= a.synced {
-			return true
-		}
-		end, found = hi, true
-		return false
-	})
-	return end, found, err
-}
-
-// minIndexKey is the smallest possible index key (scan-from-start).
-func minIndexKey() [storage.KeySize]byte {
-	return storage.EncodeKey(math.MinInt32, math.MinInt32)
-}
-
-// syncDir fsyncs a directory so a just-renamed file inside it survives
-// power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	return d.Close()
-}
-
-// abandon simulates a process kill for crash tests: every handle is
-// closed without flushing buffered index state (the records file itself
-// is always synced before it matters — AddBatch's records-before-indexes
-// invariant). The archive must not be used afterwards.
-func (a *Archive) abandon() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.closed = true
-	if a.timeIdx != nil {
-		a.timeIdx.Abandon()
-	}
-	if a.objIdx != nil {
-		a.objIdx.Abandon()
-	}
-	if a.sizeIdx != nil {
-		a.sizeIdx.Abandon()
-	}
-	if a.recs != nil {
-		a.recs.Close()
-	}
-	if a.recsRead != nil {
-		a.recsRead.f.Close() // simulated kill: yank the fd, ignore refs
-	}
+	durable.Crash("expire.indexes-updated")
+	return a.flushLocked()
 }

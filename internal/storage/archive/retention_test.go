@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/storage"
+	"repro/internal/storage/durable"
 )
 
 // keepAfter filters the brute-force reference by the retention watermark:
@@ -33,17 +34,31 @@ func collectAll(t testing.TB, a *Archive, limit int) []storage.LoggedConvoy {
 	}, Query{Limit: limit})
 }
 
+// appendLog appends records to an existing convoy log.
+func appendLog(t testing.TB, path string, recs ...storage.LoggedConvoy) {
+	t.Helper()
+	l, err := storage.OpenConvoyLogFrom(path, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := l.AppendRecord(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestArchiveExpire(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(t.TempDir(), "log.k2cl")
 	recs := genRecords(11, 400, 9)
 	writeLog(t, logPath, recs)
 
-	a, err := Open(dir, nil)
+	a, _, _, err := OpenAndBackfill(dir, logPath, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Backfill(logPath); err != nil {
 		t.Fatal(err)
 	}
 	const before = int32(60)
@@ -72,29 +87,38 @@ func TestArchiveExpire(t *testing.T) {
 		collect(t, a.QueryConvoys, Query{MinSize: 4}),
 		brute(want, Query{MinSize: 4}, nil, nil))
 
-	// The watermark survives a reopen, and a backfill from the full log
-	// neither diverges nor resurrects expired history.
+	// The watermark survives a reopen over the full log — which still
+	// holds every expired record — without a rebuild and without
+	// resurrecting expired history.
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if a, err = Open(dir, nil); err != nil {
+	a, added, rebuilt, err := OpenAndBackfill(dir, logPath, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
+	if added != 0 || rebuilt {
+		t.Fatalf("reopen after expiry: indexed %d, rebuilt=%v (want 0, false)", added, rebuilt)
+	}
 	if st := a.Stats(); st.ExpiredBefore == nil || *st.ExpiredBefore != before {
 		t.Fatalf("watermark did not survive reopen: %+v", st.ExpiredBefore)
 	}
 	sameSet(t, "after reopen", collectAll(t, a, 100), want)
-	if added, err := a.Backfill(logPath); err != nil || added != 0 {
-		t.Fatalf("Backfill after expiry: added %d, err %v (want 0, nil)", added, err)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
 	}
-	sameSet(t, "after backfill", collectAll(t, a, 100), want)
 
-	// Expired-on-arrival records are silently dropped; fresh ones land.
+	// Records reaching the log below the watermark are not indexed; fresh
+	// ones are.
 	late := storage.LoggedConvoy{Feed: "late", Convoy: model.NewConvoy(model.NewObjSet(1, 2, 3), 10, before-1)}
 	fresh := storage.LoggedConvoy{Feed: "fresh", Convoy: model.NewConvoy(model.NewObjSet(4, 5, 6), 10, before)}
-	if err := a.AddBatch([]storage.LoggedConvoy{late, fresh}); err != nil {
+	appendLog(t, logPath, late, fresh)
+	if a, added, _, err = OpenAndBackfill(dir, logPath, nil); err != nil {
 		t.Fatal(err)
+	}
+	defer a.Close()
+	if added != 1 {
+		t.Fatalf("indexed %d of the two late arrivals, want only the one at the watermark", added)
 	}
 	want = append(want, fresh)
 	sameSet(t, "after late add", collectAll(t, a, 100), want)
@@ -128,8 +152,8 @@ func TestExpireWatermarkMonotonic(t *testing.T) {
 
 // TestExpireCursorStability pages a query, expires records between pages,
 // and checks the second page resumes exactly where the first stopped:
-// survivors keep their sequence numbers, so a pre-expiry cursor neither
-// skips nor repeats a surviving record.
+// sequence numbers are log positions, so a pre-expiry cursor neither skips
+// nor repeats a surviving record.
 func TestExpireCursorStability(t *testing.T) {
 	dir := t.TempDir()
 	a, err := Open(dir, nil)
@@ -167,8 +191,6 @@ func TestExpireCursorStability(t *testing.T) {
 // expireCrashPoints are the protocol's crash windows, in order.
 var expireCrashPoints = []string{
 	"expire.watermark-committed",
-	"expire.survivors-written",
-	"expire.renamed",
 	"expire.indexes-updated",
 }
 
@@ -177,16 +199,16 @@ var expireCrashPoints = []string{
 func armCrash(t *testing.T, name string, nth int) func() bool {
 	t.Helper()
 	seen, fired := 0, false
-	crashPoint = func(p string) {
+	durable.CrashPoint = func(p string) {
 		if p != name {
 			return
 		}
 		if seen++; seen > nth {
 			fired = true
-			panic(errSimulatedCrash)
+			panic(durable.ErrSimulatedCrash)
 		}
 	}
-	t.Cleanup(func() { crashPoint = nil })
+	t.Cleanup(func() { durable.CrashPoint = nil })
 	return func() bool { return fired }
 }
 
@@ -194,7 +216,7 @@ func armCrash(t *testing.T, name string, nth int) func() bool {
 func expectCrash(t *testing.T, fn func()) {
 	t.Helper()
 	defer func() {
-		if r := recover(); r != nil && r != errSimulatedCrash {
+		if r := recover(); r != nil && r != durable.ErrSimulatedCrash {
 			panic(r)
 		}
 	}()
@@ -204,16 +226,13 @@ func expectCrash(t *testing.T, fn func()) {
 func TestExpireCrashPoints(t *testing.T) {
 	const before = int32(60)
 	recs := genRecords(23, 250, 7)
-	logPath := filepath.Join(t.TempDir(), "log.k2cl")
-	writeLog(t, logPath, recs)
 	for _, point := range expireCrashPoints {
 		t.Run(point, func(t *testing.T) {
 			dir := t.TempDir()
-			a, err := Open(dir, nil)
+			logPath := filepath.Join(t.TempDir(), "log.k2cl")
+			writeLog(t, logPath, recs)
+			a, _, _, err := OpenAndBackfill(dir, logPath, nil)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := a.Backfill(logPath); err != nil {
 				t.Fatal(err)
 			}
 			fired := armCrash(t, point, 0)
@@ -225,35 +244,43 @@ func TestExpireCrashPoints(t *testing.T) {
 			if !fired() {
 				t.Fatalf("crash point %s never fired", point)
 			}
-			crashPoint = nil
+			durable.CrashPoint = nil
 			a.abandon()
 
 			// Reopen: recovery must complete the expiry (the watermark was
 			// the first thing committed) and serve exactly the survivors.
-			a, err = Open(dir, nil)
+			a, added, rebuilt, err := OpenAndBackfill(dir, logPath, nil)
 			if err != nil {
 				t.Fatalf("reopen after crash at %s: %v", point, err)
 			}
-			defer a.Close()
+			if added != 0 || rebuilt {
+				t.Fatalf("reopen after crash at %s: indexed %d, rebuilt=%v", point, added, rebuilt)
+			}
 			if st := a.Stats(); st.ExpiredBefore == nil || *st.ExpiredBefore != before {
 				t.Fatalf("watermark lost across crash at %s: %+v", point, st.ExpiredBefore)
 			}
 			want := keepAfter(recs, before)
+			if got := a.Count(); got != int64(len(want)) {
+				t.Fatalf("Count() = %d after crash at %s, want %d", got, point, len(want))
+			}
 			sameSet(t, "after crash+reopen", collectAll(t, a, 61), want)
+			sameSet(t, "size query after crash", collect(t, a.QueryConvoys, Query{}), want)
 			oid := int32(3)
 			sameSet(t, "object query after crash",
 				collect(t, func(q Query) (Result, error) { return a.QueryObject(oid, q) }, Query{}),
 				brute(want, Query{}, nil, &oid))
 
-			// The archive must remain fully usable: backfill coherence and
-			// fresh writes both survive the repaired state.
-			if added, err := a.Backfill(logPath); err != nil || added != 0 {
-				t.Fatalf("Backfill after crash at %s: added %d, err %v", point, added, err)
-			}
-			fresh := storage.LoggedConvoy{Feed: "post", Convoy: model.NewConvoy(model.NewObjSet(9, 10, 11), 70, 90)}
-			if err := a.AddBatch([]storage.LoggedConvoy{fresh}); err != nil {
+			// The repaired archive must remain fully usable: records the log
+			// gains afterwards are indexed on top of it.
+			if err := a.Close(); err != nil {
 				t.Fatal(err)
 			}
+			fresh := storage.LoggedConvoy{Feed: "post", Convoy: model.NewConvoy(model.NewObjSet(9, 10, 11), 70, 90)}
+			appendLog(t, logPath, fresh)
+			if a, _, _, err = OpenAndBackfill(dir, logPath, nil); err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
 			sameSet(t, "write after crash", collectAll(t, a, 100), append(want, fresh))
 		})
 	}
@@ -280,13 +307,14 @@ func TestOpenCrashDuringExpiryRecovery(t *testing.T) {
 	}
 	a.abandon()
 
-	// Second crash: mid-recovery, right after the records-file rename.
-	fired = armCrash(t, "expire.renamed", 0)
+	// Second crash: mid-recovery, with the tombstones written but not yet
+	// flushed.
+	fired = armCrash(t, "expire.indexes-updated", 0)
 	crashed := false
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				if r != errSimulatedCrash {
+				if r != durable.ErrSimulatedCrash {
 					panic(r)
 				}
 				crashed = true
@@ -299,7 +327,7 @@ func TestOpenCrashDuringExpiryRecovery(t *testing.T) {
 	if !crashed || !fired() {
 		t.Fatal("recovery crash never fired")
 	}
-	crashPoint = nil
+	durable.CrashPoint = nil
 
 	a, err = Open(dir, nil)
 	if err != nil {
@@ -333,20 +361,20 @@ func FuzzArchiveCrash(f *testing.F) {
 		}
 		var submitted []storage.LoggedConvoy
 		seen := 0
-		crashPoint = func(p string) {
+		durable.CrashPoint = func(p string) {
 			if p == point {
 				if seen++; seen > nth {
-					panic(errSimulatedCrash)
+					panic(durable.ErrSimulatedCrash)
 				}
 			}
 		}
-		defer func() { crashPoint = nil }()
+		defer func() { durable.CrashPoint = nil }()
 
 		crashed := false
 		step := func(op func() error) {
 			defer func() {
 				if r := recover(); r != nil {
-					if r != errSimulatedCrash {
+					if r != durable.ErrSimulatedCrash {
 						panic(r)
 					}
 					crashed = true
@@ -373,7 +401,7 @@ func FuzzArchiveCrash(f *testing.F) {
 				step(func() error { return a.AddBatch([]storage.LoggedConvoy{rec}) })
 			}
 		}
-		crashPoint = nil
+		durable.CrashPoint = nil
 		a.abandon()
 
 		a, err = Open(dir, &Options{CacheBytes: 3 * 4096})
@@ -400,9 +428,11 @@ func FuzzArchiveCrash(f *testing.F) {
 }
 
 // TestRetentionDiskPlateau churns records through a retention window and
-// asserts the archive's disk footprint plateaus instead of growing with
-// history: the records file stays bounded by the window, and the indexes
-// give the space back once their tombstones reach the bottom level.
+// asserts what retention still promises: the index directories plateau
+// instead of growing with history, giving the space back once their
+// tombstones reach the bottom level. The log is not measured — it is the
+// one copy of the records, retention never shrinks it (offline compaction
+// does).
 func TestRetentionDiskPlateau(t *testing.T) {
 	dir := t.TempDir()
 	a, err := Open(dir, &Options{CacheBytes: 3 * 4096})
@@ -437,13 +467,15 @@ func TestRetentionDiskPlateau(t *testing.T) {
 	}
 	measure := func() int64 {
 		var total int64
-		if err := filepath.Walk(dir, func(_ string, info os.FileInfo, err error) error {
-			if err == nil && !info.IsDir() {
-				total += info.Size()
+		for _, idx := range []string{"time", "obj", "size"} {
+			if err := filepath.Walk(filepath.Join(dir, idx), func(_ string, info os.FileInfo, err error) error {
+				if err == nil && !info.IsDir() {
+					total += info.Size()
+				}
+				return err
+			}); err != nil {
+				t.Fatal(err)
 			}
-			return err
-		}); err != nil {
-			t.Fatal(err)
 		}
 		return total
 	}
@@ -469,7 +501,7 @@ func TestRetentionDiskPlateau(t *testing.T) {
 	// without retention reclaiming space the footprint would multiply.
 	// Generous slack absorbs LSM shape variance.
 	if final > base*2 {
-		t.Fatalf("disk footprint grew under churn with retention on: base %d bytes, final %d bytes", base, final)
+		t.Fatalf("index footprint grew under churn with retention on: base %d bytes, final %d bytes", base, final)
 	}
 	if got, want := a.Count(), int64(0); got <= want {
 		t.Fatalf("Count() = %d, want records retained in the live window", got)

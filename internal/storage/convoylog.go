@@ -43,9 +43,10 @@ type ConvoyLog struct {
 }
 
 const (
-	convoyLogMagic      = "K2CL"
-	convoyLogVersion    = 1
-	convoyLogHeaderSize = 8
+	convoyLogMagic   = "K2CL"
+	convoyLogVersion = 1
+	// ConvoyLogHeaderSize is the byte offset of a log's first record.
+	ConvoyLogHeaderSize = 8
 	// maxLoggedConvoySize caps the object count a reader will allocate for,
 	// so a corrupt length prefix cannot demand gigabytes. It is also the
 	// modulus of the tagged count field (bits 0–23).
@@ -99,7 +100,7 @@ func CreateConvoyLog(path string) (*ConvoyLog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("convoylog: create: %w", err)
 	}
-	l := &ConvoyLog{f: f, w: bufio.NewWriterSize(f, 1<<16), off: convoyLogHeaderSize}
+	l := &ConvoyLog{f: f, w: bufio.NewWriterSize(f, 1<<16), off: ConvoyLogHeaderSize}
 	var hdr [8]byte
 	copy(hdr[0:4], convoyLogMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], convoyLogVersion)
@@ -108,12 +109,6 @@ func CreateConvoyLog(path string) (*ConvoyLog, error) {
 		return nil, fmt.Errorf("convoylog: write header: %w", err)
 	}
 	return l, nil
-}
-
-// EncodeConvoyRecord serialises one plain (feed, convoy) record in the
-// log's wire format. Pattern-tagged records go through EncodeLoggedRecord.
-func EncodeConvoyRecord(feed string, c model.Convoy) ([]byte, error) {
-	return EncodeLoggedRecord(LoggedConvoy{Feed: feed, Convoy: c})
 }
 
 // EncodeLoggedRecord serialises one record in the log's wire format. It is
@@ -167,17 +162,12 @@ func EncodeLoggedRecord(rec LoggedConvoy) ([]byte, error) {
 	return out, nil
 }
 
-// Append writes one closed convoy of the given feed to the log. The record
-// is serialised first and handed to the writer in a single call, so a
-// failing write cannot leave a half-built record in the buffer (bytes
+// AppendRecord writes one record, pattern tag and cluster block included.
+// The record is serialised first and handed to the writer in a single call,
+// so a failing write cannot leave a half-built record in the buffer (bytes
 // already flushed to a failing disk may still be partial — after any error
 // the bufio writer is stuck in its error state and the log should be
 // considered ended at the last Sync).
-func (l *ConvoyLog) Append(feed string, c model.Convoy) error {
-	return l.AppendRecord(LoggedConvoy{Feed: feed, Convoy: c})
-}
-
-// AppendRecord writes one record, pattern tag and cluster block included.
 func (l *ConvoyLog) AppendRecord(rec LoggedConvoy) error {
 	enc, err := EncodeLoggedRecord(rec)
 	if err != nil {
@@ -186,10 +176,8 @@ func (l *ConvoyLog) AppendRecord(rec LoggedConvoy) error {
 	return l.AppendEncoded(enc)
 }
 
-// AppendEncoded writes one record already serialised by EncodeConvoyRecord.
-// Callers that need the wire bytes anyway (the archive checksums them)
-// avoid encoding twice, and what they checksummed is exactly what was
-// appended.
+// AppendEncoded writes one record already serialised by EncodeLoggedRecord,
+// for callers that need the wire bytes anyway (compaction dedups on them).
 func (l *ConvoyLog) AppendEncoded(rec []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -200,23 +188,13 @@ func (l *ConvoyLog) AppendEncoded(rec []byte) error {
 	return nil
 }
 
-// Offset returns the byte offset at which the next Append will land. After
-// a Sync it is also the durable size of the log file; the archive uses it
-// to address records it has just written.
+// Offset returns the byte offset at which the next append will land. After
+// a Sync it is also the durable size of the log file; the archive's index
+// entries address records by it.
 func (l *ConvoyLog) Offset() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.off
-}
-
-// AppendAll writes every convoy of one feed.
-func (l *ConvoyLog) AppendAll(feed string, cs []model.Convoy) error {
-	for _, c := range cs {
-		if err := l.Append(feed, c); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Sync flushes buffered records and forces them to stable storage.
@@ -344,53 +322,23 @@ func truncated(err error) error {
 	return err
 }
 
-// ReadConvoyLog reads every record of a convoy log, in append order. It is
-// strict: a log ending inside a record is an error. Crash recovery wants
-// the lenient ScanConvoyLog instead.
-func ReadConvoyLog(path string) ([]LoggedConvoy, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("convoylog: open: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	if err := readLogHeader(r); err != nil {
-		return nil, err
-	}
-	var out []LoggedConvoy
-	for {
-		rec, _, err := readLogRecord(r)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("convoylog: read record %d: %w", len(out), err)
-		}
-		out = append(out, rec)
-	}
-}
-
 // ScanConvoyLog iterates the records of a convoy log in append order,
 // calling fn for each complete record, and returns the byte offset just
 // past the last complete record. A truncated final record — the torn tail a
 // crash mid-append leaves — is not an error: the scan stops at the last
 // record boundary and the returned offset excludes the partial bytes, so
-// OpenConvoyLog can truncate them away. Genuine corruption (bad magic,
+// OpenConvoyLogFrom can truncate them away. Genuine corruption (bad magic,
 // implausible lengths) and fn errors still fail.
 func ScanConvoyLog(path string, fn func(LoggedConvoy) error) (int64, error) {
-	var wrapped func(int64, LoggedConvoy) error
-	if fn != nil {
-		wrapped = func(_ int64, rec LoggedConvoy) error { return fn(rec) }
-	}
-	return ScanConvoyLogFrom(path, 0, wrapped)
+	return ScanConvoyLogFrom(path, 0, func(_ int64, rec LoggedConvoy) error { return fn(rec) })
 }
 
 // ScanConvoyLogFrom is ScanConvoyLog with positions: fn receives each
 // record's starting byte offset, and the scan may resume mid-log at a
 // record boundary `from` previously returned by a scan (0 means the first
 // record, right after the header — the header is validated in either
-// case). The archive uses it to re-index only the records past its durable
-// watermark.
+// case; a nil fn only finds the end). The archive uses it to index only the
+// records past its durable watermark.
 func ScanConvoyLogFrom(path string, from int64, fn func(off int64, rec LoggedConvoy) error) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -401,7 +349,7 @@ func ScanConvoyLogFrom(path string, from int64, fn func(off int64, rec LoggedCon
 	if err := readLogHeader(r); err != nil {
 		return 0, err
 	}
-	off := int64(convoyLogHeaderSize)
+	off := int64(ConvoyLogHeaderSize)
 	if from > off {
 		if _, err := f.Seek(from, io.SeekStart); err != nil {
 			return 0, fmt.Errorf("convoylog: seek: %w", err)
@@ -444,26 +392,17 @@ func ReadConvoyAt(r io.ReaderAt, off int64) (LoggedConvoy, error) {
 	return rec, nil
 }
 
-// OpenConvoyLog opens the log at path for appending, creating it when
+// OpenConvoyLogFrom opens the log at path for appending, creating it when
 // absent. An existing log is replayed through fn (which may be nil) first,
 // and a partial tail record left by a crash is truncated away so the next
 // append lands on a record boundary. A file too short to hold even the
-// header (a crash before the first sync) is recreated from scratch.
-func OpenConvoyLog(path string, fn func(LoggedConvoy) error) (*ConvoyLog, error) {
-	var wrapped func(int64, LoggedConvoy) error
-	if fn != nil {
-		wrapped = func(_ int64, rec LoggedConvoy) error { return fn(rec) }
-	}
-	return OpenConvoyLogFrom(path, 0, wrapped)
-}
-
-// OpenConvoyLogFrom is OpenConvoyLog resuming the replay at a known record
-// boundary (a durable watermark a caller already trusts), so opening a
-// large log does not pay a full-prefix rescan. from = 0 replays
-// everything.
+// header (a crash before the first sync) is recreated from scratch. The
+// replay starts at from, a record boundary the caller already trusts (0
+// replays everything), so reopening a large log does not pay a full-prefix
+// rescan.
 func OpenConvoyLogFrom(path string, from int64, fn func(off int64, rec LoggedConvoy) error) (*ConvoyLog, error) {
 	st, err := os.Stat(path)
-	if os.IsNotExist(err) || (err == nil && st.Size() < 8) {
+	if os.IsNotExist(err) || (err == nil && st.Size() < ConvoyLogHeaderSize) {
 		return CreateConvoyLog(path)
 	}
 	if err != nil {

@@ -1,12 +1,41 @@
 package storage
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/model"
 )
+
+// ReadConvoyLog reads every record of a convoy log, in append order. It is
+// the tests' strict reference reader: unlike the lenient ScanConvoyLog, a
+// log ending inside a record is an error.
+func ReadConvoyLog(path string) ([]LoggedConvoy, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("convoylog: open: %w", err)
+	}
+	defer f.Close()
+	r := bufio.NewReaderSize(f, 1<<16)
+	if err := readLogHeader(r); err != nil {
+		return nil, err
+	}
+	var out []LoggedConvoy
+	for {
+		rec, _, err := readLogRecord(r)
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("convoylog: read record %d: %w", len(out), err)
+		}
+		out = append(out, rec)
+	}
+}
 
 func TestConvoyLogRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "closed.k2cl")
@@ -21,7 +50,7 @@ func TestConvoyLogRoundTrip(t *testing.T) {
 		{Feed: "", Convoy: model.NewConvoy(model.NewObjSet(-1, 0, 1<<30), 100, 200)},
 	}
 	for _, r := range want {
-		if err := l.Append(r.Feed, r.Convoy); err != nil {
+		if err := l.AppendRecord(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,7 +100,7 @@ func writeTestLog(t *testing.T, path string, recs []LoggedConvoy) []byte {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if err := l.Append(r.Feed, r.Convoy); err != nil {
+		if err := l.AppendRecord(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,7 +127,7 @@ func TestScanConvoyLogPartialTail(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.k2cl")
 	data := writeTestLog(t, full, tailTestRecords)
-	twoOff, err := ScanConvoyLog(full, nil)
+	twoOff, err := ScanConvoyLogFrom(full, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +173,7 @@ func TestOpenConvoyLogRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var replayed []LoggedConvoy
-	l, err := OpenConvoyLog(path, func(r LoggedConvoy) error { replayed = append(replayed, r); return nil })
+	l, err := OpenConvoyLogFrom(path, 0, func(_ int64, r LoggedConvoy) error { replayed = append(replayed, r); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +181,7 @@ func TestOpenConvoyLogRecovery(t *testing.T) {
 		t.Fatalf("replayed %d records, want 2", len(replayed))
 	}
 	extra := LoggedConvoy{Feed: "nara", Convoy: model.NewConvoy(model.NewObjSet(42), 0, 5)}
-	if err := l.Append(extra.Feed, extra.Convoy); err != nil {
+	if err := l.AppendRecord(extra); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -182,11 +211,11 @@ func TestOpenConvoyLogShortFile(t *testing.T) {
 		if err := os.WriteFile(path, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, err := OpenConvoyLog(path, nil)
+		l, err := OpenConvoyLogFrom(path, 0, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := l.Append("f", model.NewConvoy(model.NewObjSet(1), 0, 3)); err != nil {
+		if err := l.AppendRecord(LoggedConvoy{Feed: "f", Convoy: model.NewConvoy(model.NewObjSet(1), 0, 3)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Close(); err != nil {
@@ -247,7 +276,7 @@ func BenchmarkConvoyLogAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := l.Append("bench-feed", c); err != nil {
+		if err := l.AppendRecord(LoggedConvoy{Feed: "bench-feed", Convoy: c}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -263,7 +292,7 @@ func BenchmarkConvoyLogScan(b *testing.B) {
 	}
 	c := model.NewConvoy(model.NewObjSet(1, 2, 3, 4, 5, 6, 7, 8), 0, 99)
 	for i := 0; i < 10000; i++ {
-		if err := l.Append("bench-feed", c); err != nil {
+		if err := l.AppendRecord(LoggedConvoy{Feed: "bench-feed", Convoy: c}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -297,7 +326,7 @@ func TestConvoyLogRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append("feed", model.NewConvoy(model.NewObjSet(1, 2, 3), 0, 4))
+	l.AppendRecord(LoggedConvoy{Feed: "feed", Convoy: model.NewConvoy(model.NewObjSet(1, 2, 3), 0, 4)})
 	l.Close()
 	data, err := os.ReadFile(truncated)
 	if err != nil {
@@ -326,7 +355,7 @@ func TestScanConvoyLogFromAndReadAt(t *testing.T) {
 	var appendOffs []int64
 	for _, r := range tailTestRecords {
 		appendOffs = append(appendOffs, l.Offset())
-		if err := l.Append(r.Feed, r.Convoy); err != nil {
+		if err := l.AppendRecord(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -400,14 +429,14 @@ func TestScanConvoyLogFromAndReadAt(t *testing.T) {
 	}
 }
 
-// TestEncodeConvoyRecordCanonical: re-encoding a decoded record reproduces
+// TestEncodeLoggedRecordCanonical: re-encoding a decoded record reproduces
 // the on-disk bytes — the property the archive's divergence checksum needs.
-func TestEncodeConvoyRecordCanonical(t *testing.T) {
+func TestEncodeLoggedRecordCanonical(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "canon.k2cl")
 	data := writeTestLog(t, path, tailTestRecords)
 	var rebuilt []byte
 	if _, err := ScanConvoyLog(path, func(rec LoggedConvoy) error {
-		enc, err := EncodeConvoyRecord(rec.Feed, rec.Convoy)
+		enc, err := EncodeLoggedRecord(rec)
 		if err != nil {
 			return err
 		}
@@ -416,7 +445,7 @@ func TestEncodeConvoyRecordCanonical(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if string(rebuilt) != string(data[convoyLogHeaderSize:]) {
+	if string(rebuilt) != string(data[ConvoyLogHeaderSize:]) {
 		t.Fatal("re-encoded records differ from the on-disk bytes")
 	}
 }
@@ -489,7 +518,7 @@ func TestConvoyLogPatternRecords(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if string(rebuilt) != string(data[convoyLogHeaderSize:]) {
+	if string(rebuilt) != string(data[ConvoyLogHeaderSize:]) {
 		t.Fatal("re-encoded pattern records differ from the on-disk bytes")
 	}
 }
@@ -536,7 +565,7 @@ func TestConvoyLogPatternRecordTornCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(convoyLogHeaderSize + len(wholeEnc)); off != want {
+	if want := int64(ConvoyLogHeaderSize + len(wholeEnc)); off != want {
 		t.Fatalf("scan offset %d, want the last whole record boundary %d", off, want)
 	}
 }

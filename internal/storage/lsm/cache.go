@@ -29,7 +29,7 @@ const (
 	cacheShards = 8
 	// blockBytes is the nominal size of a full data block, used to convert
 	// the configured byte budget into an entry count.
-	blockBytes = blockRecs * recSizeV2
+	blockBytes = blockRecs * recSize
 )
 
 type cacheKey struct {

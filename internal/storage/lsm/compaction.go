@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"repro/internal/storage/durable"
 )
 
 // Background compaction. Flushes only append runs; when the run count
@@ -66,7 +68,7 @@ func (db *DB) compactLoop() {
 func (db *DB) runCompactions() (crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			if r == errSimulatedCrash {
+			if r == durable.ErrSimulatedCrash {
 				crashed = true
 				return
 			}
@@ -114,7 +116,7 @@ func (db *DB) compactOnce(full bool) (bool, error) {
 		release()
 		return false, err
 	}
-	crash("compact.output-written")
+	durable.Crash("compact.output-written")
 	nt, err := openSSTable(path)
 	if err != nil {
 		os.Remove(path)
@@ -214,7 +216,7 @@ func (db *DB) swapCompacted(inputs []*sstable, nt *sstable) error {
 		db.tables = old
 		return err
 	}
-	crash("compact.manifest-committed")
+	durable.Crash("compact.manifest-committed")
 	if nt.count == 0 {
 		nt.close()
 		os.Remove(nt.path)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/storage"
+	"repro/internal/storage/durable"
 )
 
 // armCrash installs a hook that simulates a process kill the first time the
@@ -15,13 +16,13 @@ import (
 func armCrash(t *testing.T, name string) (fired func() bool) {
 	t.Helper()
 	hit := false
-	crashPoint = func(p string) {
+	durable.CrashPoint = func(p string) {
 		if p == name && !hit {
 			hit = true
-			panic(errSimulatedCrash)
+			panic(durable.ErrSimulatedCrash)
 		}
 	}
-	t.Cleanup(func() { crashPoint = nil })
+	t.Cleanup(func() { durable.CrashPoint = nil })
 	return func() bool { return hit }
 }
 
@@ -29,7 +30,7 @@ func armCrash(t *testing.T, name string) (fired func() bool) {
 func expectCrash(t *testing.T, fn func()) {
 	t.Helper()
 	defer func() {
-		if r := recover(); r != nil && r != errSimulatedCrash {
+		if r := recover(); r != nil && r != durable.ErrSimulatedCrash {
 			panic(r)
 		}
 	}()
@@ -128,7 +129,7 @@ func TestFlushCrashPoints(t *testing.T) {
 			if !fired() {
 				t.Fatal("crash point never fired")
 			}
-			crashPoint = nil
+			durable.CrashPoint = nil
 			db.abandon()
 			verifyModel(t, dir, want)
 		})
@@ -167,7 +168,7 @@ func TestCompactionCrashPoints(t *testing.T) {
 			if !fired() {
 				t.Fatal("crash point never fired")
 			}
-			crashPoint = nil
+			durable.CrashPoint = nil
 			db.abandon()
 			verifyModel(t, dir, want)
 		})
@@ -195,7 +196,7 @@ func TestOpenRecoveryCrash(t *testing.T) {
 	if !fired() {
 		t.Fatal("crash point never fired")
 	}
-	crashPoint = nil
+	durable.CrashPoint = nil
 	verifyModel(t, dir, want)
 }
 
@@ -217,7 +218,7 @@ func TestFlushCrashWindowStagedDir(t *testing.T) {
 	if !fired() {
 		t.Fatal("crash point never fired")
 	}
-	crashPoint = nil
+	durable.CrashPoint = nil
 	db.abandon()
 
 	// The staged state: manifest references the new run AND the new WAL,
@@ -311,18 +312,18 @@ func FuzzLSMCrash(f *testing.F) {
 		var pendingVal float64
 		pendingDel, pendingPut := false, false
 		hits := 0
-		crashPoint = func(p string) {
+		durable.CrashPoint = func(p string) {
 			if p == point {
 				hits++
 				if hits > skip {
-					panic(errSimulatedCrash)
+					panic(durable.ErrSimulatedCrash)
 				}
 			}
 		}
-		defer func() { crashPoint = nil }()
+		defer func() { durable.CrashPoint = nil }()
 		func() {
 			defer func() {
-				if r := recover(); r != nil && r != errSimulatedCrash {
+				if r := recover(); r != nil && r != durable.ErrSimulatedCrash {
 					panic(r)
 				}
 			}()
@@ -352,7 +353,7 @@ func FuzzLSMCrash(f *testing.F) {
 				}
 			}
 		}()
-		crashPoint = nil
+		durable.CrashPoint = nil
 		db.abandon()
 		db2, err := Open(dir, &Options{MaxTables: 3})
 		if err != nil {

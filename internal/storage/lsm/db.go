@@ -40,6 +40,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/storage"
+	"repro/internal/storage/durable"
 )
 
 // Options tunes the engine.
@@ -110,20 +111,6 @@ type DB struct {
 	compact   compactState
 }
 
-// crashPoint, when non-nil, is called at named points between the durable
-// steps of flush, compaction and open; crash tests install a hook that
-// panics with errSimulatedCrash to model a process kill at that exact
-// point. Always nil in production.
-var crashPoint func(name string)
-
-var errSimulatedCrash = errors.New("lsm: simulated crash")
-
-func crash(name string) {
-	if crashPoint != nil {
-		crashPoint(name)
-	}
-}
-
 // Open opens (or creates) an LSM database in dir.
 func Open(dir string, opts *Options) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -136,19 +123,18 @@ func Open(dir string, opts *Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	if oldWAL == "" {
-		oldWAL = legacyWALName
-	}
 	// Replay the manifest's WAL into the fresh memtable. Only live puts
 	// count toward the point total and the time bounds.
-	if err := replayWAL(filepath.Join(dir, oldWAL), func(k, v []byte, tomb bool) {
-		db.mem.put(k, v, tomb)
-		if !tomb {
-			db.noteKey(k)
-			db.count++
+	if oldWAL != "" {
+		if err := replayWAL(filepath.Join(dir, oldWAL), func(k, v []byte, tomb bool) {
+			db.mem.put(k, v, tomb)
+			if !tomb {
+				db.noteKey(k)
+				db.count++
+			}
+		}); err != nil {
+			return nil, err
 		}
-	}); err != nil {
-		return nil, err
 	}
 	// Recompute bounds/counts from the manifest's tables (before any
 	// recovery flush appends to the list).
@@ -162,7 +148,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 			if err != nil {
 				return nil, err
 			}
-			lastRec := lb[(int(t.index[len(t.index)-1].count)-1)*t.recSize:]
+			lastRec := lb[(int(t.index[len(t.index)-1].count)-1)*recSize:]
 			lt, _ := storage.DecodeKey(lastRec[:storage.KeySize])
 			db.noteT(lt)
 		}
@@ -204,7 +190,7 @@ func (db *DB) recoverLocked(oldWAL string) error {
 		}
 		db.mem = newMemtable(int64(db.seq))
 	}
-	crash("open.recovered")
+	durable.Crash("open.recovered")
 	db.walName = fmt.Sprintf("wal-%06d.log", db.seq)
 	db.seq++
 	w, err := createWAL(filepath.Join(db.dir, db.walName))
@@ -216,7 +202,7 @@ func (db *DB) recoverLocked(oldWAL string) error {
 		w.close()
 		return err
 	}
-	if oldWAL != db.walName {
+	if oldWAL != "" && oldWAL != db.walName {
 		os.Remove(filepath.Join(db.dir, oldWAL))
 	}
 	return nil
@@ -333,7 +319,7 @@ func (db *DB) flushLocked() error {
 	if err != nil {
 		return err
 	}
-	crash("flush.wal-created")
+	durable.Crash("flush.wal-created")
 	name := fmt.Sprintf("sst-%06d.sst", db.seq)
 	db.seq++
 	path := filepath.Join(db.dir, name)
@@ -350,7 +336,7 @@ func (db *DB) flushLocked() error {
 		os.Remove(path)
 		return fail(err)
 	}
-	crash("flush.sstable-written")
+	durable.Crash("flush.sstable-written")
 	if t.count == 0 {
 		// Every record was a tombstone dropped at the bottom level; rotate
 		// the WAL without adding an empty run.
@@ -370,7 +356,7 @@ func (db *DB) flushLocked() error {
 		}
 		return fail(err)
 	}
-	crash("flush.manifest-committed")
+	durable.Crash("flush.manifest-committed")
 	db.wal.close()
 	os.Remove(filepath.Join(db.dir, oldWAL))
 	db.wal = w

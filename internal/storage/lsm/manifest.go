@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/storage/durable"
 )
 
 // The MANIFEST is the database's single commit point: it lists the live
@@ -16,16 +18,10 @@ import (
 //	sst-000003.sst
 //	sst-000007.sst
 //	wal wal-000008.log
-//
-// Manifests written before WAL rotation existed carry no "wal" line; they
-// imply the legacy fixed name "wal.log".
-const (
-	manifestName  = "MANIFEST"
-	legacyWALName = "wal.log"
-)
+const manifestName = "MANIFEST"
 
 // loadManifest opens every table listed in the manifest and returns the
-// active WAL name ("" when the manifest is missing or predates WAL naming).
+// active WAL name ("" when the manifest is missing: a fresh database).
 func (db *DB) loadManifest() (walName string, err error) {
 	data, err := os.ReadFile(filepath.Join(db.dir, manifestName))
 	if errors.Is(err, os.ErrNotExist) {
@@ -57,9 +53,7 @@ func (db *DB) loadManifest() (walName string, err error) {
 }
 
 // writeManifest atomically and durably records the current table list and
-// active WAL: the tmp file is fsynced before the rename and the directory
-// after it, so power loss can surface either the old or the new manifest
-// but never an empty or torn one.
+// active WAL.
 func (db *DB) writeManifest() error {
 	var b strings.Builder
 	for _, t := range db.tables {
@@ -68,39 +62,7 @@ func (db *DB) writeManifest() error {
 	if db.walName != "" {
 		fmt.Fprintf(&b, "wal %s\n", db.walName)
 	}
-	tmp := filepath.Join(db.dir, manifestName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteString(b.String()); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(db.dir, manifestName)); err != nil {
-		return err
-	}
-	return syncDir(db.dir)
-}
-
-// syncDir fsyncs a directory so renames and unlinks inside it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return durable.WriteFile(filepath.Join(db.dir, manifestName), []byte(b.String()))
 }
 
 // sweepOrphans removes lsm-owned files in dir that the committed manifest
@@ -123,7 +85,7 @@ func (db *DB) sweepOrphans() {
 			if !live[name] {
 				os.Remove(filepath.Join(db.dir, name))
 			}
-		case name == legacyWALName || (strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log")):
+		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
 			if name != db.walName {
 				os.Remove(filepath.Join(db.dir, name))
 			}

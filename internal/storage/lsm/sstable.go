@@ -25,18 +25,13 @@ import (
 //	              u64 recordCount | u64 tombCount | magic "K2S2"
 //
 // Records within and across blocks are sorted ascending by key and unique.
-// Tables written by earlier versions (magic "K2SS", 24-byte records without
-// the meta byte, 36-byte footer without tombCount) are still readable; they
-// cannot contain tombstones.
 const (
-	blockRecs    = 170 // ≈4KB data blocks
-	footerSize   = 8 + 4 + 8 + 4 + 8 + 8 + 4
-	sstMagic     = "K2S2"
-	footerSizeV1 = 8 + 4 + 8 + 4 + 8 + 4
-	sstMagicV1   = "K2SS"
+	blockRecs  = 170 // ≈4KB data blocks
+	footerSize = 8 + 4 + 8 + 4 + 8 + 8 + 4
+	sstMagic   = "K2S2"
 
-	recSizeV2 = storage.RecordSize + 1
-	tombFlag  = 1 // meta bit 0
+	recSize  = storage.RecordSize + 1 // key | value | meta byte
+	tombFlag = 1                      // meta bit 0
 )
 
 type blockMeta struct {
@@ -60,9 +55,6 @@ type sstable struct {
 	filter *bloom
 	count  uint64 // all records, tombstones included
 	tombs  uint64 // tombstone records
-	// recSize is the on-disk record width: 25 for current tables (meta
-	// byte), 24 for legacy tables without tombstone support.
-	recSize int
 	// id is unique across every table opened by this process; it keys the
 	// shared block cache so a retired table's blocks can never alias a
 	// successor's.
@@ -85,7 +77,7 @@ type sstable struct {
 var nextTableID atomic.Uint64
 
 // writeSSTable streams sorted (key, val, tomb) records from it into a new
-// table file at path, always in the current (tombstone-capable) format.
+// table file at path.
 // When dropTombs is set, tombstone records are filtered out instead of
 // written — only valid when the merge window includes the oldest run, i.e.
 // there is no older version left for the tombstone to shadow.
@@ -151,7 +143,7 @@ func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
 		if _, err := w.Write(metaByte[:]); err != nil {
 			return err
 		}
-		off += recSizeV2
+		off += recSize
 		inBlock++
 		total++
 		keys = append(keys, append([]byte(nil), k...))
@@ -203,8 +195,7 @@ func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
 }
 
 // openSSTable maps an existing table: footer, index and bloom are loaded
-// eagerly (they are small); data blocks are read on demand. Both the
-// current "K2S2" and the legacy "K2SS" formats are accepted.
+// eagerly (they are small); data blocks are read on demand.
 func openSSTable(path string) (*sstable, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -215,42 +206,27 @@ func openSSTable(path string) (*sstable, error) {
 		f.Close()
 		return nil, err
 	}
-	if st.Size() < footerSizeV1 {
+	if st.Size() < footerSize {
 		f.Close()
 		return nil, errors.New("lsm: sstable too small")
 	}
-	t := &sstable{f: f, path: path, recSize: recSizeV2, id: nextTableID.Add(1)}
-	t.refs.Store(1)
 	var footer [footerSize]byte
-	var indexOff, bloomOff uint64
-	var numBlocks, bloomLen int
-	switch {
-	case st.Size() >= footerSize && readMagic(f, st.Size()-4) == sstMagic:
-		if _, err := f.ReadAt(footer[:], st.Size()-footerSize); err != nil {
-			f.Close()
-			return nil, err
-		}
-		indexOff = binary.LittleEndian.Uint64(footer[0:8])
-		numBlocks = int(binary.LittleEndian.Uint32(footer[8:12]))
-		bloomOff = binary.LittleEndian.Uint64(footer[12:20])
-		bloomLen = int(binary.LittleEndian.Uint32(footer[20:24]))
-		t.count = binary.LittleEndian.Uint64(footer[24:32])
-		t.tombs = binary.LittleEndian.Uint64(footer[32:40])
-	case readMagic(f, st.Size()-4) == sstMagicV1:
-		if _, err := f.ReadAt(footer[:footerSizeV1], st.Size()-footerSizeV1); err != nil {
-			f.Close()
-			return nil, err
-		}
-		indexOff = binary.LittleEndian.Uint64(footer[0:8])
-		numBlocks = int(binary.LittleEndian.Uint32(footer[8:12]))
-		bloomOff = binary.LittleEndian.Uint64(footer[12:20])
-		bloomLen = int(binary.LittleEndian.Uint32(footer[20:24]))
-		t.count = binary.LittleEndian.Uint64(footer[24:32])
-		t.recSize = storage.RecordSize
-	default:
+	if _, err := f.ReadAt(footer[:], st.Size()-footerSize); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if string(footer[40:44]) != sstMagic {
 		f.Close()
 		return nil, errors.New("lsm: bad sstable magic")
 	}
+	t := &sstable{f: f, path: path, id: nextTableID.Add(1)}
+	t.refs.Store(1)
+	indexOff := binary.LittleEndian.Uint64(footer[0:8])
+	numBlocks := int(binary.LittleEndian.Uint32(footer[8:12]))
+	bloomOff := binary.LittleEndian.Uint64(footer[12:20])
+	bloomLen := int(binary.LittleEndian.Uint32(footer[20:24]))
+	t.count = binary.LittleEndian.Uint64(footer[24:32])
+	t.tombs = binary.LittleEndian.Uint64(footer[32:40])
 
 	idxBuf := make([]byte, numBlocks*(storage.KeySize+12))
 	if _, err := f.ReadAt(idxBuf, int64(indexOff)); err != nil {
@@ -271,15 +247,6 @@ func openSSTable(path string) (*sstable, error) {
 	}
 	t.filter = bloomFromBytes(bits)
 	return t, nil
-}
-
-// readMagic returns the 4 bytes at off, or "" on error.
-func readMagic(f *os.File, off int64) string {
-	var m [4]byte
-	if _, err := f.ReadAt(m[:], off); err != nil {
-		return ""
-	}
-	return string(m[:])
 }
 
 func (t *sstable) close() error { return t.f.Close() }
@@ -311,9 +278,6 @@ func (t *sstable) retire(remove bool) {
 	t.unref()
 }
 
-// hasMeta reports whether records carry the trailing meta byte.
-func (t *sstable) hasMeta() bool { return t.recSize == recSizeV2 }
-
 // blockFor returns the index of the block that could contain key, or -1.
 func (t *sstable) blockFor(key []byte) int {
 	i := sort.Search(len(t.index), func(i int) bool {
@@ -325,7 +289,7 @@ func (t *sstable) blockFor(key []byte) int {
 // readBlock loads block bi into buf.
 func (t *sstable) readBlock(bi int, buf []byte) ([]byte, error) {
 	bm := t.index[bi]
-	need := int(bm.count) * t.recSize
+	need := int(bm.count) * recSize
 	if cap(buf) < need {
 		buf = make([]byte, need)
 	}
@@ -383,21 +347,20 @@ func (t *sstable) get(key []byte, env *readEnv) (val []byte, tomb bool, err erro
 		env.io.AddSeeks(1)
 		env.io.AddBytes(len(block))
 	}
-	rs := t.recSize
 	n := int(t.index[bi].count)
 	lo, hi := 0, n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(block[mid*rs:mid*rs+storage.KeySize], key) < 0 {
+		if bytes.Compare(block[mid*recSize:mid*recSize+storage.KeySize], key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	if lo < n {
-		rec := block[lo*rs:]
+		rec := block[lo*recSize:]
 		if bytes.Equal(rec[:storage.KeySize], key) {
-			if t.hasMeta() && rec[storage.RecordSize]&tombFlag != 0 {
+			if rec[storage.RecordSize]&tombFlag != 0 {
 				return nil, true, nil
 			}
 			return append([]byte(nil), rec[storage.KeySize:storage.RecordSize]...), false, nil
@@ -423,12 +386,11 @@ func (t *sstable) iterator(start []byte, env *readEnv) *sstIter {
 		return it
 	}
 	// Position within the block.
-	rs := t.recSize
 	n := int(t.index[bi].count)
 	lo, hi := 0, n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(it.block[mid*rs:mid*rs+storage.KeySize], start) < 0 {
+		if bytes.Compare(it.block[mid*recSize:mid*recSize+storage.KeySize], start) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -500,18 +462,15 @@ func (it *sstIter) skipExhausted() {
 
 func (it *sstIter) valid() bool { return it.err == nil && it.block != nil }
 func (it *sstIter) key() []byte {
-	off := it.i * it.t.recSize
+	off := it.i * recSize
 	return it.block[off : off+storage.KeySize]
 }
 func (it *sstIter) value() []byte {
-	off := it.i*it.t.recSize + storage.KeySize
+	off := it.i*recSize + storage.KeySize
 	return it.block[off : off+storage.ValueSize]
 }
 func (it *sstIter) tomb() bool {
-	if !it.t.hasMeta() {
-		return false
-	}
-	return it.block[it.i*it.t.recSize+storage.RecordSize]&tombFlag != 0
+	return it.block[it.i*recSize+storage.RecordSize]&tombFlag != 0
 }
 func (it *sstIter) next() {
 	it.i++
