@@ -113,7 +113,7 @@ func BenchmarkK2HopParallel(b *testing.B) {
 // O(universe/64), intersecting into a reused buffer). The dense/and+decode
 // variant adds the ObjSet materialization that production pays only for
 // intersections meeting the m threshold. Encoding costs are amortized: the
-// miners encode each set once per tick/window and intersect it against many
+// miners encode each set once per hop-window and intersect it against many
 // partners.
 func BenchmarkIntersect(b *testing.B) {
 	cases := []struct{ universe, size int }{

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/datagen/brinkhoff"
 	"repro/internal/dbscan"
+	"repro/internal/flock"
 	"repro/internal/minetest"
 	"repro/internal/model"
 )
@@ -56,10 +57,10 @@ func TestDifferentialStreamVsBatch(t *testing.T) {
 // TestDifferentialAllAlgorithms runs every algorithm over clique-cluster
 // datasets — where fully and partially connected convoy semantics coincide
 // — and requires all seven result sets (plus the streaming miner's) to be
-// identical. Since the dense-set refactor, the k/2-hop, PCCD, DCM and
-// streaming paths run entirely on interned bitsets while VCoDA, VCoDA*,
-// CuTS and SPARE kept their original representations, so this suite doubles
-// as a 120-seed cross-representation equivalence check.
+// identical. The k/2-hop hop-window and extension phases run on interned
+// bitsets, the PCCD, DCM and streaming sweeps on posting lists over sorted
+// ObjSets, and SPARE on its own time bitmaps, so this suite doubles as a
+// 120-seed cross-representation equivalence check.
 func TestDifferentialAllAlgorithms(t *testing.T) {
 	algos := []Algorithm{K2Hop, VCoDA, VCoDAStar, PCCD, CuTS, DCM, SPARE}
 	p := Params{M: 3, K: 4, Eps: minetest.Eps}
@@ -101,15 +102,21 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 	}
 }
 
-// TestDifferentialDenseVsSortedReference pins the word-parallel set engine
-// to the representation it replaced: minetest.ReferencePCCD is a frozen
-// sorted-slice transliteration of the PCCD sweep (ObjSet.Intersect /
-// ObjSet.SubsetOf, no interning), and over 120 seeded random datasets both
-// the batch miner and the streaming miner — which run every intersection,
-// size test and domination prune on interned dense bitsets — must produce
-// byte-identical canonical output. Convoy values, not just set membership:
-// Canonical renders ids, starts and ends.
-func TestDifferentialDenseVsSortedReference(t *testing.T) {
+// TestDifferentialSweepVsSortedReference pins the posting-list sweep to the
+// algorithm's definition: minetest.ReferenceSweep is a frozen sorted-slice
+// transliteration of the CMC/PCCD sweep (ObjSet.Intersect against every
+// group, all-pairs ObjSet.SubsetOf pruning, one global maximal result set),
+// and over 120 seeded random datasets the batch miner and the streaming
+// miner — which find intersections through object → cluster postings, prune
+// through object → candidate postings and filter results within one End
+// group only — must produce byte-identical canonical output. Convoy values,
+// not just set membership: Canonical renders ids, starts and ends.
+//
+// Every seed runs three inputs: the plain stream, the stream with ticks
+// removed (a gap closes every open candidate), and — through the flock
+// feed mode — the disk cover of the same positions, whose groups overlap,
+// again with the gaps.
+func TestDifferentialSweepVsSortedReference(t *testing.T) {
 	const trials = 120
 	for seed := int64(0); seed < trials; seed++ {
 		nObj := 8 + int(seed%5)
@@ -118,31 +125,73 @@ func TestDifferentialDenseVsSortedReference(t *testing.T) {
 		p := Params{M: 3, K: 4, Eps: minetest.Eps}
 
 		want := minetest.ReferencePCCD(ds, p.M, p.K, p.Eps)
-
 		batch, err := MineDataset(ds, p, &Options{Algorithm: PCCD})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := minetest.DiffConvoys("dense-batch", batch.Convoys, "sorted-reference", want); d != "" {
+		if d := minetest.DiffConvoys("batch", batch.Convoys, "sorted-reference", want); d != "" {
 			t.Fatalf("seed %d (%d objs × %d ticks): %s", seed, nObj, nTicks, d)
 		}
 
-		sm, err := NewStreamMiner(p)
-		if err != nil {
-			t.Fatal(err)
-		}
 		ts, te := ds.TimeRange()
+		var all, gappy []int32
 		for tt := ts; tt <= te; tt++ {
-			if err := sm.Observe(tt, ds.Snapshot(tt)); err != nil {
-				t.Fatal(err)
+			all = append(all, tt)
+			if (int64(tt)+seed)%5 != 3 {
+				gappy = append(gappy, tt)
 			}
 		}
-		got := sm.Flush()
-		if d := minetest.DiffConvoys("dense-stream", got, "sorted-reference", want); d != "" {
-			t.Fatalf("seed %d: %s", seed, d)
+		clusters := func(snap []ObjPos) []ObjSet { return dbscan.Cluster(snap, p.Eps, p.M) }
+		disks := func(snap []ObjPos) []ObjSet { return flock.DiskGroups(snap, p.Eps, p.M) }
+		inputs := []struct {
+			name   string
+			pat    Pattern
+			ticks  []int32
+			groups func(snap []ObjPos) []ObjSet
+		}{
+			{"stream", PatternConvoy, all, clusters},
+			{"stream+gaps", PatternConvoy, gappy, clusters},
+			{"disks", PatternFlock, all, disks},
+			{"disks+gaps", PatternFlock, gappy, disks},
 		}
-		if sg, sw := minetest.Canonical(got), minetest.Canonical(want); sg != sw {
-			t.Fatalf("seed %d: canonical renderings differ:\ndense:\n%s\nreference:\n%s", seed, sg, sw)
+		for _, in := range inputs {
+			var ref []minetest.SweepTick
+			pm, err := NewPatternMiner(in.pat, PatternParams{Params: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var drained []Convoy
+			for _, tt := range in.ticks {
+				ref = append(ref, minetest.SweepTick{T: tt, Groups: in.groups(ds.Snapshot(tt))})
+				if err := pm.Observe(tt, ds.Snapshot(tt)); err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range pm.Closed() {
+					drained = append(drained, r.Convoy)
+				}
+			}
+			want := minetest.ReferenceSweep(ref, p.M, p.K)
+			var got []Convoy
+			for _, r := range pm.Flush() {
+				got = append(got, r.Convoy)
+			}
+			if sg, sw := minetest.Canonical(got), minetest.Canonical(want); sg != sw {
+				t.Fatalf("seed %d %s: canonical renderings differ:\nsweep:\n%s\nreference:\n%s", seed, in.name, sg, sw)
+			}
+			// What closed before the flush was reported once each, and is
+			// part of the final maximal set: nothing drained is ever
+			// superseded.
+			final := model.NewConvoySet(want...)
+			seen := map[string]bool{}
+			for _, c := range drained {
+				if seen[c.Key()] {
+					t.Fatalf("seed %d %s: %v drained twice", seed, in.name, c)
+				}
+				seen[c.Key()] = true
+				if !final.Contains(c) {
+					t.Fatalf("seed %d %s: drained %v is not in the final result", seed, in.name, c)
+				}
+			}
 		}
 	}
 }

@@ -7,12 +7,14 @@
 //     longest-consecutive-run pruning (a group of objects can only form a
 //     convoy of length ≥ k if the AND of its pairwise co-clustering
 //     sequences has a run of ≥ k set bits).
-//   - The mining hot path (k/2-hop candidate intersection, the extension
-//     walks, the CMC/PCCD sweep) uses bits over interned object indices
-//     (model.Interner): intersect-into reusable buffers, popcount sizes
-//     with early exit at the m threshold, and word-parallel subset tests
-//     replace the sorted-slice ObjSet merges that used to dominate the
-//     profile.
+//   - The k/2-hop pipeline (candidate intersection between benchmark
+//     points, hop-window deduplication, the extension walks) uses bits over
+//     interned object indices (model.Interner): intersect-into reusable
+//     buffers, popcount sizes and word-parallel subset tests replace the
+//     sorted-slice ObjSet merges that used to dominate the profile. The
+//     per-tick CMC/PCCD sweep is not a consumer: its sets of ~6 objects in
+//     a universe of ~1 600 are cheaper to walk through posting lists than
+//     to AND 27 words at a time (see cmc.Miner).
 //
 // All binary operations require both operands to share a capacity; buffers
 // are reused across calls via Resize/ClearAll rather than reallocated.
@@ -238,25 +240,6 @@ func (b *Bits) AndCount(o *Bits) int {
 		n += bits.OnesCount64(b.words[i] & o.words[i])
 	}
 	return n
-}
-
-// AndCountAtLeast reports whether |b ∩ o| ≥ m, returning as soon as the
-// running popcount reaches m. The early exit makes it the cheap quick-reject
-// before materializing an intersection that must meet a size threshold.
-func (b *Bits) AndCountAtLeast(o *Bits, m int) bool {
-	if m <= 0 {
-		return true
-	}
-	n := 0
-	for i := range b.words {
-		if w := b.words[i] & o.words[i]; w != 0 {
-			n += bits.OnesCount64(w)
-			if n >= m {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // CountAtLeast reports whether at least m bits are set, with early exit.

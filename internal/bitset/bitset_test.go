@@ -234,9 +234,6 @@ func TestWordParallelOpsMatchNaiveQuick(t *testing.T) {
 		if a.AndCount(b) != interCount {
 			return false
 		}
-		if a.AndCountAtLeast(b, m) != (interCount >= m) {
-			return false
-		}
 		if a.CountAtLeast(m) != (a.Count() >= m) {
 			return false
 		}

@@ -47,8 +47,9 @@ func Sweep(store storage.Store, cfg Config) ([]Flock, error) {
 
 // Miner is the incremental flock miner fed one snapshot at a time: each
 // Step covers the snapshot with maximal candidate disks (DiskGroups) and
-// feeds them to the shared dense-set sweep engine (cmc.Miner), which does
-// the cross-tick intersection, domination pruning and emission. It mirrors
+// feeds them to the shared sweep engine (cmc.Miner), which does the
+// cross-tick intersection, domination pruning and emission; its postings
+// handle the overlapping groups a disk cover produces. It mirrors
 // cmc.Miner's streaming surface; gaps in the timestamp sequence close every
 // open candidate, exactly as the sweep engine defines. Not safe for
 // concurrent use.
@@ -69,8 +70,8 @@ func (m *Miner) Step(t int32, snap []model.ObjPos) {
 }
 
 // Drain returns the flocks accepted into the result set since the last
-// Drain, in emission order. Like cmc.Miner.Drain, a drained flock may later
-// be superseded by a longer/larger one; Drain never retracts.
+// Drain, in emission order. Like cmc.Miner.Drain, every flock is drained
+// exactly once and none is superseded later.
 func (m *Miner) Drain() []Flock { return m.mn.Drain() }
 
 // Finish flushes candidates still alive at the final timestamp and returns

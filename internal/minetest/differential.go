@@ -21,28 +21,46 @@ import (
 //     its own, making every partially connected convoy fully connected —
 //     use RandomClique, whose construction guarantees clique clusters.
 
-// ReferencePCCD is a deliberately naive PCCD sweep over sorted-slice
-// ObjSets: cluster every snapshot, intersect every alive candidate with
-// every cluster via ObjSet.Intersect, prune dominated candidates with
-// ObjSet.SubsetOf, keep maximal results in a ConvoySet. It is a frozen
-// transliteration of the algorithm's definition, kept free of the interned
-// dense-set engine on purpose so the differential suite can assert that
-// the word-parallel production path (cmc.Miner and everything stacked on
-// it) is byte-identical to the representation it replaced.
-func ReferencePCCD(ds *model.Dataset, m, k int, eps float64) []model.Convoy {
+// SweepTick is one step of ReferenceSweep: the groups of timestamp T.
+type SweepTick struct {
+	T      int32
+	Groups []model.ObjSet
+}
+
+// ReferenceSweep is a deliberately naive CMC/PCCD sweep over sorted-slice
+// ObjSets: intersect every alive candidate with every group of the tick via
+// ObjSet.Intersect, prune dominated candidates with all-pairs
+// ObjSet.SubsetOf, keep maximal results in one global ConvoySet. It is a
+// frozen transliteration of the algorithm's definition, kept free of every
+// production shortcut on purpose — no postings, no per-End result groups —
+// so the differential suite can assert that cmc.Miner and everything
+// stacked on it is byte-identical to the definition. Groups may overlap
+// (disk covers do), and timestamps may skip: a gap closes every candidate
+// at the last tick before it.
+func ReferenceSweep(ticks []SweepTick, m, k int) []model.Convoy {
 	type cand struct {
 		objs  model.ObjSet
 		start int32
 	}
 	results := model.NewConvoySet()
 	var alive []cand
-	ts, te := ds.TimeRange()
-	for t := ts; t <= te; t++ {
-		clusters := dbscan.Cluster(ds.Snapshot(t), eps, m)
+	closeAt := func(v cand, end int32) {
+		if int(end-v.start)+1 >= k {
+			results.Update(model.Convoy{Objs: v.objs, Start: v.start, End: end})
+		}
+	}
+	var last int32
+	for i, tk := range ticks {
+		if i > 0 && tk.T != last+1 {
+			for _, v := range alive {
+				closeAt(v, last)
+			}
+			alive = nil
+		}
 		var next []cand
 		for _, v := range alive {
 			survived := false
-			for _, c := range clusters {
+			for _, c := range tk.Groups {
 				inter := v.objs.Intersect(c)
 				if len(inter) < m {
 					continue
@@ -52,15 +70,15 @@ func ReferencePCCD(ds *model.Dataset, m, k int, eps float64) []model.Convoy {
 				}
 				next = append(next, cand{objs: inter, start: v.start})
 			}
-			if !survived && int(t-1-v.start)+1 >= k {
-				results.Update(model.Convoy{Objs: v.objs, Start: v.start, End: t - 1})
+			if !survived {
+				closeAt(v, last)
 			}
 		}
-		for _, c := range clusters {
-			next = append(next, cand{objs: c, start: t})
+		for _, c := range tk.Groups {
+			next = append(next, cand{objs: c, start: tk.T})
 		}
-		// Domination pruning, in insertion order (same tie-breaking as the
-		// production miner).
+		// Domination pruning over all pairs; of equal candidates the first
+		// stays.
 		var pruned []cand
 		for _, c := range next {
 			dominated := false
@@ -81,14 +99,23 @@ func ReferencePCCD(ds *model.Dataset, m, k int, eps float64) []model.Convoy {
 				pruned = append(pruned, c)
 			}
 		}
-		alive = pruned
+		alive, last = pruned, tk.T
 	}
 	for _, v := range alive {
-		if int(te-v.start)+1 >= k {
-			results.Update(model.Convoy{Objs: v.objs, Start: v.start, End: te})
-		}
+		closeAt(v, last)
 	}
 	return results.Sorted()
+}
+
+// ReferencePCCD is ReferenceSweep over the density clusters of every
+// snapshot of ds: the oracle for the convoy miners.
+func ReferencePCCD(ds *model.Dataset, m, k int, eps float64) []model.Convoy {
+	var ticks []SweepTick
+	ts, te := ds.TimeRange()
+	for t := ts; t <= te; t++ {
+		ticks = append(ticks, SweepTick{T: t, Groups: dbscan.Cluster(ds.Snapshot(t), eps, m)})
+	}
+	return ReferenceSweep(ticks, m, k)
 }
 
 // RandomClique produces a dataset like Random — wandering groups, defecting

@@ -8,7 +8,7 @@ import (
 )
 
 // Interner maps the object identifiers live in some scope — a partition, a
-// hop-window, one tick of a stream — to dense local indices [0, Len()), so
+// hop-window, one extension walk — to dense local indices [0, Len()), so
 // set algebra on those objects can run word-parallel on bitset.Bits instead
 // of merging sorted ObjSet slices.
 //
@@ -31,8 +31,7 @@ func Intern(universe ObjSet) Interner { return Interner{ids: universe} }
 
 // Universe collects the union of all ids occurring in the given cluster
 // sets into dst (reset to length 0 first), sorts and deduplicates it, and
-// returns it. Passing the previous tick's buffer amortizes the allocation
-// across a stream.
+// returns it. Passing a previous call's buffer amortizes the allocation.
 func Universe(dst ObjSet, sets ...[]ObjSet) ObjSet {
 	dst = dst[:0]
 	for _, ss := range sets {
@@ -71,7 +70,7 @@ func (in Interner) Index(id int32) (int, bool) {
 
 // Encode sets dst to the dense representation of s ∩ universe and returns
 // it (ids outside the universe are dropped, which is exactly the projection
-// the per-tick miners need). dst is resized to the universe; pass nil to
+// the hop-window and extension phases need). dst is resized to the universe; pass nil to
 // allocate. Both s and the universe are sorted, so this is a single merge
 // walk, not per-id lookups.
 func (in Interner) Encode(s ObjSet, dst *bitset.Bits) *bitset.Bits {

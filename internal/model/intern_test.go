@@ -36,7 +36,7 @@ func TestInternerRoundTrip(t *testing.T) {
 	}
 }
 
-// Encoding drops ids outside the universe — the projection the per-tick
+// Encoding drops ids outside the universe — the projection the hop-window
 // miners rely on (a candidate's members that left the window simply vanish
 // from the dense view).
 func TestInternerEncodeProjects(t *testing.T) {

@@ -31,8 +31,8 @@ type feed struct {
 	// --- owned by the shard actor goroutine, unguarded -------------------
 	miner   convoy.PatternMiner
 	buf     *reorder
-	pubSeen map[string]bool // pattern keys already published (or recovered from the log)
-	done    bool            // feed was flushed; further ingest is dropped
+	pubSeen map[convoy.PatternDigest]struct{} // patterns already published (or recovered from the log)
+	done    bool                              // feed was flushed; further ingest is dropped
 
 	// --- lifecycle coordination (see lifecycle.go) -----------------------
 	// pending counts shard messages enqueued but not yet fully processed;
@@ -98,7 +98,7 @@ func newFeed(name string, shard int, pat convoy.Pattern, pp convoy.PatternParams
 		pattern: pat,
 		miner:   m,
 		buf:     newReorder(window),
-		pubSeen: map[string]bool{},
+		pubSeen: map[convoy.PatternDigest]struct{}{},
 		notify:  make(chan struct{}),
 	}
 	f.stats.Pattern = string(pat)
@@ -116,8 +116,9 @@ func (f *feed) touch(nowNanos int64) { f.lastActive.Store(nowNanos) }
 func (f *feed) publish(cs []convoy.PatternResult) {
 	fresh := cs[:0:0]
 	for _, c := range cs {
-		if !f.pubSeen[c.PatternKey()] {
-			f.pubSeen[c.PatternKey()] = true
+		d := c.Digest()
+		if _, dup := f.pubSeen[d]; !dup {
+			f.pubSeen[d] = struct{}{}
 			fresh = append(fresh, c)
 		}
 	}

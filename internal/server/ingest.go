@@ -9,6 +9,7 @@ import (
 	"mime"
 	"net/http"
 	"strings"
+	"sync"
 
 	"repro/internal/model"
 	"repro/internal/storage"
@@ -90,12 +91,23 @@ func parseJSONBatch(body io.Reader) ([]tick, *apiError) {
 	return batch, nil
 }
 
+// frameReaders recycles K2BI decoders across unary ingest requests: each
+// holds a 64 KiB read buffer and a frame buffer sized to a city tick, which
+// were the second-largest source of garbage on the ingest path after the
+// decoded positions themselves.
+var frameReaders = sync.Pool{New: func() any { return storage.NewBatchFrameReader(nil) }}
+
 // parseBinaryBatch decodes a body of concatenated K2BI frames into shard
 // ticks, one tick per frame. The whole body must parse: a structurally bad
 // or truncated frame rejects the request (the shard never sees a partial
 // batch), mirroring how an unparseable JSON body rejects wholesale.
 func parseBinaryBatch(body io.Reader) ([]tick, *apiError) {
-	dec := storage.NewBatchFrameReader(body)
+	dec := frameReaders.Get().(*storage.BatchFrameReader)
+	dec.Reset(body)
+	defer func() {
+		dec.Reset(nil) // do not pin the request body
+		frameReaders.Put(dec)
+	}()
 	var batch []tick
 	for {
 		t, pos, err := dec.Next(nil)

@@ -49,11 +49,21 @@ func newReorder(window int32) *reorder {
 // add ingests one (possibly partial, possibly out-of-order) snapshot and
 // returns the ticks it seals, in increasing timestamp order. late reports
 // that t was at or below the watermark and the snapshot was dropped.
+//
+// add takes ownership of pos: the first part of a tick is kept as is (and
+// later sorted in place), not copied — a city snapshot is the largest
+// object on the ingest path, and the shard message that carried it is
+// dropped right after this call. Only a further part of the same tick is
+// copied, onto the first.
 func (b *reorder) add(t int32, pos []model.ObjPos) (ready []tick, late bool) {
 	if b.started && int64(t) <= b.watermark {
 		return nil, true
 	}
-	b.pending[t] = append(b.pending[t], pos...)
+	if have, ok := b.pending[t]; ok {
+		b.pending[t] = append(have, pos...)
+	} else {
+		b.pending[t] = pos
+	}
 	if !b.started || t > b.maxSeen {
 		b.maxSeen = t
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -109,6 +110,27 @@ func TestReorderPartialSnapshotMergeDedup(t *testing.T) {
 	got := out[0].pos
 	if len(got) != 2 || got[0].OID != 3 || got[1].OID != 7 || got[1].X != 9 {
 		t.Fatalf("canonical snapshot = %v, want sorted dedup with OID 7 → X=9", got)
+	}
+}
+
+// TestReorderTakesOwnership: the first part of a tick is kept, not copied —
+// the sealed snapshot is the very slice the decoder filled — and a second
+// part is merged onto it without disturbing either part's positions.
+func TestReorderTakesOwnership(t *testing.T) {
+	b := newReorder(0)
+	first := []model.ObjPos{{OID: 9, X: 1}, {OID: 2, X: 2}, {OID: 5, X: 3}}
+	out, _ := b.add(0, first) // window 0 seals the tick at once
+	if len(out) != 1 || len(out[0].pos) != 3 || &out[0].pos[0] != &first[0] {
+		t.Fatalf("sealed snapshot %v does not reuse the slice that was added", out)
+	}
+
+	b = newReorder(2)
+	b.add(4, []model.ObjPos{{OID: 9, X: 1}, {OID: 2, X: 2}})
+	b.add(4, []model.ObjPos{{OID: 5, X: 3}})
+	got := b.drain()[0].pos
+	want := []model.ObjPos{{OID: 2, X: 2}, {OID: 5, X: 3}, {OID: 9, X: 1}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("merged snapshot = %v, want %v", got, want)
 	}
 }
 

@@ -359,7 +359,7 @@ func New(cfg Config) (*Server, error) {
 // re-appended.
 func (s *Server) recover() error {
 	type recovered struct {
-		keys    map[string]bool
+		keys    map[convoy.PatternDigest]struct{}
 		pattern convoy.Pattern
 		count   int
 		lastIdx int // index of the feed's newest log record (recency proxy)
@@ -370,7 +370,7 @@ func (s *Server) recover() error {
 	sink, err := storage.OpenConvoyLogFrom(s.cfg.PersistPath, 0, func(_ int64, lc storage.LoggedConvoy) error {
 		r := rec[lc.Feed]
 		if r == nil {
-			r = &recovered{keys: map[string]bool{}, pattern: convoy.DefaultPattern}
+			r = &recovered{keys: map[convoy.PatternDigest]struct{}{}, pattern: convoy.DefaultPattern}
 			rec[lc.Feed] = r
 		}
 		// Every record carries the feed's pattern tag (including the flush
@@ -382,7 +382,7 @@ func (s *Server) recover() error {
 			r.flushed = true
 			return nil
 		}
-		r.keys[loggedResult(lc).PatternKey()] = true
+		r.keys[loggedResult(lc).Digest()] = struct{}{}
 		r.count++
 		r.lastIdx = idx
 		idx++

@@ -334,6 +334,9 @@ func TestBackpressure(t *testing.T) {
 		t.Fatal("never saw 429 with a stalled shard and QueueLen=2")
 	}
 	close(block) // drain
+	// The flush needs a queue slot like any ingest; without the wait it
+	// races the actor's first dequeue and is itself answered 429.
+	waitFor(t, time.Second, "a free queue slot", func() bool { return srv.Stats().Shards[0].QueueLen < 2 })
 	flushFeed(t, ts.URL, "bp")
 	if st := srv.Stats(); st.Shards[0].QueueLen != 0 {
 		t.Fatalf("queue not drained: %+v", st.Shards[0])

@@ -78,6 +78,9 @@ type Options struct {
 	// indexes: each gets a quarter as its write buffer (larger values mean
 	// fewer, bigger SSTable flushes) and a twelfth as its block cache for
 	// the read path (3×1/4 + 3×1/12 = the whole budget). Default 12 MiB.
+	// The write buffers are sized in accounted bytes (lsm memtable.bytes);
+	// an index entry occupies about 1.8× its accounted 56 B, so three full
+	// write buffers hold up to ≈ 16 MiB of heap under the default.
 	CacheBytes int
 }
 

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -153,7 +154,12 @@ func (d *BatchFrameReader) Next(pos []model.ObjPos) (t int32, out []model.ObjPos
 	// and cost one heap allocation per frame.
 	need := len(hdr) + int(payloadLen)
 	if cap(d.buf) < need+4 {
-		d.buf = append(make([]byte, 0, need+4), hdr...)
+		// A quarter of headroom over the last buffer: the frames of one body
+		// differ by a few positions, and an exact-size buffer was replaced
+		// for every frame that outgrew the last by one. make, not
+		// slices.Grow: the length is not yet backed by received bytes, and
+		// make leaves the pages of a large buffer untouched until they are.
+		d.buf = append(make([]byte, 0, need+4+cap(d.buf)/4), hdr...)
 	} else {
 		d.buf = d.buf[:len(hdr)]
 	}
@@ -181,6 +187,7 @@ func (d *BatchFrameReader) Next(pos []model.ObjPos) (t int32, out []model.ObjPos
 		return 0, pos, fmt.Errorf("%w: CRC mismatch (computed %08x, stored %08x)", ErrBadFrame, got, want)
 	}
 	recs := payload[4+vn:]
+	pos = slices.Grow(pos, int(n)) // the count is validated: grow once, not by doubling
 	for i := 0; i < int(n); i++ {
 		rec := recs[batchPosSize*i:]
 		pos = append(pos, model.ObjPos{

@@ -141,6 +141,42 @@ func TestBatchFrameBufferReuse(t *testing.T) {
 	}
 }
 
+// TestBatchFrameDecodeFromNilGrowsOnce is the server's decode path: every
+// tick is decoded into a fresh slice that the shard queue then holds. The
+// frame states its count, so the slice is allocated once at that size —
+// growing by doubling allocated 3.6× the bytes and left every queued tick
+// pinning up to twice what it holds.
+func TestBatchFrameDecodeFromNilGrowsOnce(t *testing.T) {
+	const n = 1600
+	pos := make([]model.ObjPos, n)
+	for i := range pos {
+		pos[i] = model.ObjPos{OID: int32(i), X: float64(i), Y: 1}
+	}
+	data, err := AppendBatchFrame(nil, 7, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := NewBatchFrameReader(bytes.NewReader(data))
+	if _, _, err := dec.Next(nil); err != nil { // warm the frame buffer
+		t.Fatal(err)
+	}
+	var got []model.ObjPos
+	allocs := testing.AllocsPerRun(10, func() {
+		dec.Reset(bytes.NewReader(data))
+		if _, got, err = dec.Next(nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The position slice and bytes.NewReader, plus one more under the race
+	// detector; growing by doubling took 14.
+	if allocs > 3 {
+		t.Fatalf("decoding one frame into nil allocates %.0f times, want the slice once", allocs)
+	}
+	if len(got) != n || cap(got) > n+n/8 {
+		t.Fatalf("decoded %d positions into capacity %d, want about %d", len(got), cap(got), n)
+	}
+}
+
 // TestBatchFrameTruncation cuts a valid two-frame stream at every byte
 // offset: every cut must decode the frames wholly before it and then fail
 // with io.ErrUnexpectedEOF (mid-frame) or io.EOF (at a boundary) — never a

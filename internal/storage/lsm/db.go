@@ -45,7 +45,9 @@ import (
 
 // Options tunes the engine.
 type Options struct {
-	// MemtableBytes is the flush threshold (default 4 MiB).
+	// MemtableBytes is the flush threshold (default 4 MiB), compared with
+	// the memtable's accounted size; its heap footprint is about 1.8× that
+	// for small entries (see memtable.bytes).
 	MemtableBytes int
 	// MaxTables is the run count above which the background compactor
 	// merges runs (default 6). The floor is 1: "always compact back to a

@@ -1,8 +1,9 @@
 package convoy
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"repro/internal/flock"
 	"repro/internal/movingcluster"
@@ -95,21 +96,34 @@ type PatternResult struct {
 	Clusters []ObjSet
 }
 
-// PatternKey returns the canonical identity string publish/persist dedup
-// runs on. For cluster-free results it is Convoy.Key(); for moving clusters
-// the per-tick clusters are folded in, because two distinct chains can share
-// a footprint and lifespan.
-func (r PatternResult) PatternKey() string {
-	if len(r.Clusters) == 0 {
-		return r.Convoy.Key()
-	}
-	var sb strings.Builder
-	sb.WriteString(r.Convoy.Key())
+// PatternDigest is the fixed-size identity of a closed pattern that
+// publish/persist dedup runs on.
+type PatternDigest [16]byte
+
+// Digest returns the first 128 bits of SHA-256 over the pattern's canonical
+// bytes: Start, End and the length-prefixed member ids as little-endian
+// int32s, followed — for moving clusters — by every per-tick cluster in the
+// same form, because two distinct chains can share a footprint and
+// lifespan. Dedup sets hold one digest per pattern the feed ever closed, so
+// they retain 16 bytes each rather than a formatted string.
+func (r PatternResult) Digest() PatternDigest {
+	var stack [256]byte // enough for a 60-member convoy without touching the heap
+	buf := binary.LittleEndian.AppendUint32(stack[:0], uint32(r.Start))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.End))
+	buf = appendObjSet(buf, r.Objs)
 	for _, cl := range r.Clusters {
-		sb.WriteByte('|')
-		sb.WriteString(cl.Key())
+		buf = appendObjSet(buf, cl)
 	}
-	return sb.String()
+	sum := sha256.Sum256(buf)
+	return PatternDigest(sum[:16])
+}
+
+func appendObjSet(buf []byte, s ObjSet) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
+	for _, id := range s {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+	}
+	return buf
 }
 
 // PatternMiner is the streaming surface every feed mode implements —
@@ -129,8 +143,7 @@ type PatternMiner interface {
 
 // NewPatternMiner creates the streaming miner for one pattern family.
 // PatternConvoy wraps StreamMiner (the PCCD sweep over incremental DBSCAN);
-// PatternFlock runs per-tick disk groups over the shared dense-set sweep
-// engine; PatternMC chains per-tick DBSCAN clusters by Jaccard overlap.
+// PatternFlock runs per-tick disk groups over the same sweep engine; PatternMC chains per-tick DBSCAN clusters by Jaccard overlap.
 func NewPatternMiner(pat Pattern, pp PatternParams) (PatternMiner, error) {
 	pp = pp.withDefaults()
 	if err := pp.validate(); err != nil {
@@ -146,7 +159,6 @@ func NewPatternMiner(pat Pattern, pp PatternParams) (PatternMiner, error) {
 	case PatternFlock:
 		return &flockStream{
 			mn:     flock.NewMiner(flock.Config{M: pp.M, K: pp.K, R: pp.R}),
-			seen:   map[string]bool{},
 			dupChk: map[int32]struct{}{},
 		}, nil
 	case PatternMC:
@@ -181,12 +193,10 @@ func wrapConvoys(cs []Convoy) []PatternResult {
 	return out
 }
 
-// flockStream adapts flock.Miner. Like StreamMiner.Closed, the underlying
-// engine may re-emit a flock superseded by a longer/larger one, so Closed
-// deduplicates by identity.
+// flockStream adapts flock.Miner. Like StreamMiner.Closed, Drain reports
+// every flock exactly once.
 type flockStream struct {
 	mn     *flock.Miner
-	seen   map[string]bool
 	dupChk map[int32]struct{}
 }
 
@@ -200,23 +210,9 @@ func (s *flockStream) Observe(t int32, positions []ObjPos) error {
 
 func (s *flockStream) Last() (int32, bool) { return s.mn.Last() }
 
-func (s *flockStream) Closed() []PatternResult {
-	var out []PatternResult
-	for _, c := range s.mn.Drain() {
-		if !s.seen[c.Key()] {
-			s.seen[c.Key()] = true
-			out = append(out, PatternResult{Convoy: c})
-		}
-	}
-	return out
-}
-
-func (s *flockStream) Flush() []PatternResult { return wrapConvoys(s.mn.Finish()) }
-
-func (s *flockStream) Reset() {
-	s.mn.Reset()
-	s.seen = map[string]bool{}
-}
+func (s *flockStream) Closed() []PatternResult { return wrapConvoys(s.mn.Drain()) }
+func (s *flockStream) Flush() []PatternResult  { return wrapConvoys(s.mn.Finish()) }
+func (s *flockStream) Reset()                  { s.mn.Reset() }
 
 // mcStream adapts movingcluster.Miner. A moving cluster is emitted exactly
 // once and never superseded, so no dedup map is needed.

@@ -25,19 +25,19 @@ import (
 // A StreamMiner is not safe for concurrent use; the convoyd server gives
 // each feed a single owning shard actor for exactly this reason. That
 // single-owner rule is also what lets the miner keep stateful hot-path
-// engines: the sweep engine's per-miner dense-set buffers (cmc.Miner
-// interns each tick's objects and runs its intersections word-parallel)
-// and the incremental clustering engine (dbscan.Incremental carries the
-// grid index and every object's eps-neighbourhood across ticks, so a tick
-// re-clusters only the neighbourhoods its deltas touched; see
-// docs/ARCHITECTURE.md "Incremental clustering"). A long-lived feed
-// reaches a steady state where ingesting a tick costs work proportional
-// to how much actually changed.
+// engines: the sweep engine's per-miner posting buffers (cmc.Miner indexes
+// each tick's clusters by object and visits only the candidates and
+// clusters that share a member) and the incremental clustering engine
+// (dbscan.Incremental carries the grid index and every object's
+// eps-neighbourhood across ticks, so a tick re-clusters only the
+// neighbourhoods its deltas touched; see docs/ARCHITECTURE.md
+// "Incremental clustering"). A long-lived feed reaches a steady state
+// where ingesting a tick costs work proportional to how much actually
+// changed — in particular not to the number of convoys closed so far.
 type StreamMiner struct {
 	params Params
 	miner  *cmc.Miner
 	inc    *dbscan.Incremental
-	seen   map[string]bool
 	dupChk map[int32]struct{} // reused per Observe for duplicate-OID detection
 }
 
@@ -54,7 +54,6 @@ func NewStreamMiner(p Params) (*StreamMiner, error) {
 		params: p,
 		miner:  cmc.NewMiner(p.M, p.K),
 		inc:    inc,
-		seen:   map[string]bool{},
 		dupChk: map[int32]struct{}{},
 	}, nil
 }
@@ -127,23 +126,13 @@ type ObjPos = model.ObjPos
 // order they closed. A convoy is closed when its group can no longer be
 // extended at the most recent observed timestamp.
 //
-// The miner keeps its result set maximal across the whole stream, so a
-// convoy may be reported once and later superseded by a longer/larger one;
-// Closed deduplicates by identity but does not retract — downstream
-// consumers that need global maximality should apply
-// model.MaximalConvoys at the end of the stream. Cost is proportional to
-// the newly closed convoys, not the accumulated result set, so polling
-// after every batch stays cheap on long-lived streams.
-func (s *StreamMiner) Closed() []Convoy {
-	var out []Convoy
-	for _, c := range s.miner.Drain() {
-		if !s.seen[c.Key()] {
-			s.seen[c.Key()] = true
-			out = append(out, c)
-		}
-	}
-	return out
-}
+// Every convoy is reported exactly once: the sweep accepts a closing convoy
+// into its maximal result set at most once, and only accepted convoys are
+// drained. Convoys that close at the same tick are reported in the sweep's
+// candidate order (see cmc.Miner). Cost is proportional to the newly closed
+// convoys, not the accumulated result set, so polling after every batch
+// stays cheap on long-lived streams.
+func (s *StreamMiner) Closed() []Convoy { return s.miner.Drain() }
 
 // Flush ends the stream: every still-open convoy of sufficient length is
 // closed at the last observed timestamp, and the full maximal result set is
@@ -160,5 +149,4 @@ func (s *StreamMiner) Flush() []Convoy {
 func (s *StreamMiner) Reset() {
 	s.miner.Reset()
 	s.inc.Reset()
-	s.seen = map[string]bool{}
 }
