@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/dbscan"
 	"repro/internal/model"
+	"repro/internal/postings"
 	"repro/internal/storage"
 )
 
@@ -71,8 +72,8 @@ type Miner struct {
 	slot    map[int32]int32 // object id → dense slot among the tick's cluster members
 	clSlots []int32         // member slots of the tick's clusters, flattened in cluster order
 	slots   []int32         // member slots of next's candidates, flattened in next's order
-	byObj   postings        // slot → clusters containing the object
-	byCand  postings        // slot → candidates of next containing the object
+	byObj   postings.Lists  // slot → clusters containing the object
+	byCand  postings.Lists  // slot → candidates of next containing the object
 	hits    []int32         // per cluster: members of the candidate being extended
 	touched []int32         // clusters with hits > 0, for the candidate being extended
 	vSlots  []int32         // slots of the candidate being extended (-1: in no cluster)
@@ -90,40 +91,6 @@ type candidate struct {
 	// inside the Step that created the candidate; the next Step looks the
 	// members up again under its own tick's slots.
 	at int32
-}
-
-// postings is a reusable CSR adjacency: the entries of key k are
-// post[off[k]:off[k+1]], ascending.
-type postings struct {
-	off, post []int32
-}
-
-func (p *postings) of(k int32) []int32 { return p.post[p.off[k]:p.off[k+1]] }
-
-// build fills the postings over keys [0, n) from a flat listing of keys:
-// entry i covers the next size(i) keys of flat. Entries are added in order,
-// so every key's postings ascend.
-func (p *postings) build(n int, flat []int32, entries int, size func(i int) int) {
-	p.off = append(p.off[:0], make([]int32, n+1)...)
-	for _, k := range flat {
-		p.off[k+1]++
-	}
-	for k := 0; k < n; k++ {
-		p.off[k+1] += p.off[k]
-	}
-	p.post = slices.Grow(p.post[:0], len(flat))[:len(flat)]
-	// Fill with off[k] as key k's write cursor, then shift the offsets back.
-	at := 0
-	for i := 0; i < entries; i++ {
-		n := size(i)
-		for _, k := range flat[at : at+n] {
-			p.post[p.off[k]] = int32(i)
-			p.off[k]++
-		}
-		at += n
-	}
-	copy(p.off[1:], p.off[:n])
-	p.off[0] = 0
 }
 
 // NewMiner creates a miner for (m,eps)-convoys of length ≥ k. Clustering
@@ -193,7 +160,7 @@ func (mn *Miner) indexClusters(clusters []model.ObjSet) {
 			mn.clSlots = append(mn.clSlots, s)
 		}
 	}
-	mn.byObj.build(len(mn.slot), mn.clSlots, len(clusters), func(j int) int { return len(clusters[j]) })
+	mn.byObj.Build(len(mn.slot), mn.clSlots, len(clusters), func(j int) int { return len(clusters[j]) })
 	mn.hits = append(mn.hits[:0], make([]int32, len(clusters))...)
 }
 
@@ -209,13 +176,13 @@ func (mn *Miner) extend(v candidate) (survived bool) {
 		if !ok {
 			s = -1
 		} else {
-			for _, j := range mn.byObj.of(s) {
+			for _, j := range mn.byObj.Of(s) {
 				if mn.hits[j] == 0 {
 					touched = append(touched, j)
 				}
 				mn.hits[j]++
 			}
-			mn.work += len(mn.byObj.of(s))
+			mn.work += len(mn.byObj.Of(s))
 		}
 		vs = append(vs, s)
 	}
@@ -236,7 +203,7 @@ func (mn *Miner) extend(v candidate) (survived bool) {
 		}
 		objs := make(model.ObjSet, 0, n)
 		for i, s := range vs {
-			if s >= 0 && slices.Contains(mn.byObj.of(s), j) {
+			if s >= 0 && slices.Contains(mn.byObj.Of(s), j) {
 				objs = append(objs, v.objs[i])
 				mn.slots = append(mn.slots, s)
 			}
@@ -252,7 +219,7 @@ func (mn *Miner) extend(v candidate) (survived bool) {
 // the candidates listed under c's rarest member: only those are compared.
 func (mn *Miner) prune() {
 	next := mn.next
-	mn.byCand.build(len(mn.slot), mn.slots, len(next), func(i int) int { return len(next[i].objs) })
+	mn.byCand.Build(len(mn.slot), mn.slots, len(next), func(i int) int { return len(next[i].objs) })
 	old := mn.alive
 	out := old[:0]
 	for i, c := range next {
@@ -269,9 +236,9 @@ func (mn *Miner) prune() {
 
 // dominated reports whether some other candidate of next dominates next[i].
 func (mn *Miner) dominated(i int, c candidate) bool {
-	rarest := mn.byCand.of(mn.slots[c.at])
+	rarest := mn.byCand.Of(mn.slots[c.at])
 	for _, s := range mn.slots[c.at+1 : int(c.at)+len(c.objs)] {
-		if l := mn.byCand.of(s); len(l) < len(rarest) {
+		if l := mn.byCand.Of(s); len(l) < len(rarest) {
 			rarest = l
 		}
 	}

@@ -21,17 +21,28 @@ import (
 //   - the object→slot identity map used to diff snapshots by OID.
 //
 // Each Step diffs the new snapshot against the previous one, classifying
-// every object as unchanged, moved, appeared or disappeared. Only the
-// neighbourhoods those deltas touch are dirty — a point's eps-neighbourhood
-// can change only if the point itself is a delta or lies within eps of a
-// delta's old or new position — so only those are re-queried against the
-// grid. Clustering is then *replayed* over the cached neighbourhoods with
+// every object as unchanged, moved, appeared or disappeared, and patches
+// the cache symmetrically (applyDeltas): a moved or appeared object runs
+// one grid query, at its new position, and the answer is its new
+// neighbourhood; t neighbours s exactly when s neighbours t, so the
+// difference to its old neighbourhood names the unchanged objects whose
+// lists lose or gain it, and those are edited in place. A disappeared
+// object runs no query — its cached list names the lists to strike it
+// from. A tick thus costs one query per object that changed, never more
+// than the one per object that scratch runs.
+//
+// Clustering is then *replayed* over the cached neighbourhoods with
 // exactly the control flow of Cluster (same seed scan in input order, same
 // BFS expansion, same border-point first-reach assignment, same sub-minPts
 // discard guard), which makes the output byte-identical to a from-scratch
 // Cluster call on the same snapshot: neighbourhood *contents* fully
 // determine Cluster's output, and the cache holds exactly the sets the
-// scratch grid would compute.
+// scratch grid would compute. The order inside a list — which the in-place
+// edits scramble — cannot show: a cluster is everything density-reachable
+// from its seed, whichever way the frontier is walked, and is sorted before
+// it is returned; clusters come out in the input order of their seeds; and
+// a border point within reach of several clusters goes to the one whose
+// seed comes first in input order, not to whichever list names it first.
 //
 // When a snapshot falls outside the regime the delta reasoning is proven
 // for, Step degrades to scratch Cluster (still byte-identical, trivially)
@@ -39,8 +50,8 @@ import (
 //
 //   - duplicate OIDs within one snapshot (identity diffing is ill-defined);
 //   - coordinates whose cell index would overflow int32 (grid geometry, and
-//     with it the dirty-neighbourhood argument, breaks down), including
-//     NaN/Inf positions;
+//     with it the symmetry of the query, breaks down), including NaN/Inf
+//     positions;
 //   - degenerate eps (≤ 0, NaN or Inf), where Cluster's own grid is already
 //     clamped to a point-sized cell;
 //   - cached neighbourhoods exceeding the memory cap (pathologically dense
@@ -80,20 +91,21 @@ type Incremental struct {
 	totalEdges int
 
 	// --- per-tick scratch, reused across ticks ---------------------------
-	epoch    int64
-	seenTick []int64 // slot → epoch when matched in the input pass
-	affTick  []int64 // slot → epoch when marked dirty
-	rmTick   []int64 // slot → epoch when its grid entry is scheduled out
-	labels   []int32 // slot → replay label (unvisited/noise/cluster id)
-	inOrder  []int32 // input index → slot
-	moved    []movedRec
-	gone     []goneRec
-	appeared []int32
-	affected []int32
-	adds     []incEntry
-	mergeBuf []incEntry
-	qbuf     []int32
-	frontier []int32
+	epoch     int64
+	seenTick  []int64 // slot → epoch when matched in the input pass
+	deltaTick []int64 // slot → epoch when it moved, appeared or disappeared
+	rmTick    []int64 // slot → epoch when its grid entry is scheduled out
+	stamp     int64   // one value per moved slot, for the old-vs-new list diff
+	mark      []int64 // slot → stamp while it is in the old list only
+	labels    []int32 // slot → replay label (unvisited/noise/cluster id)
+	inOrder   []int32 // input index → slot
+	moved     []movedRec
+	gone      []int32
+	appeared  []int32
+	adds      []incEntry
+	mergeBuf  []incEntry
+	qbuf      []int32
+	frontier  []int32
 
 	stats IncrementalStats
 }
@@ -109,21 +121,17 @@ type movedRec struct {
 	oldX, oldY float64
 }
 
-type goneRec struct {
-	slot int32
-	x, y float64
-}
-
 // IncrementalStats counts what the engine did since construction (they
 // survive Reset). Tests assert the delta machinery through these: a
-// no-delta tick must run zero grid queries, a localized delta must
-// recompute only nearby neighbourhoods, a fallback must be visible.
+// no-delta tick or a removal must run zero grid queries, a move exactly
+// one, a fallback must be visible.
 type IncrementalStats struct {
 	Ticks       int64 // Step calls
 	Rebuilds    int64 // full state rebuilds (first tick, post-Reset, post-fallback)
 	Fallbacks   int64 // ticks answered by scratch Cluster
-	GridQueries int64 // eps-neighbourhood queries against the incremental grid
-	Recomputed  int64 // cached neighbourhoods recomputed by delta ticks
+	GridQueries int64 // queryAt calls: one per object in a rebuild, one per moved or appeared object in a delta tick
+	Recomputed  int64 // cached lists replaced by a query's answer in delta ticks (moved + appeared objects)
+	Patched     int64 // entries added to or struck from unchanged objects' cached lists in place
 }
 
 const (
@@ -243,7 +251,8 @@ func (inc *Incremental) clearState() {
 	inc.entries = inc.entries[:0]
 	inc.adds = inc.adds[:0]
 	inc.seenTick = inc.seenTick[:0]
-	inc.affTick = inc.affTick[:0]
+	inc.deltaTick = inc.deltaTick[:0]
+	inc.mark = inc.mark[:0]
 	inc.rmTick = inc.rmTick[:0]
 	inc.labels = inc.labels[:0]
 	inc.totalEdges = 0
@@ -266,7 +275,8 @@ func (inc *Incremental) allocSlot(oid int32, x, y float64) int32 {
 		inc.posY = append(inc.posY, y)
 		inc.nbr = append(inc.nbr, nil)
 		inc.seenTick = append(inc.seenTick, 0)
-		inc.affTick = append(inc.affTick, 0)
+		inc.deltaTick = append(inc.deltaTick, 0)
+		inc.mark = append(inc.mark, 0)
 		inc.rmTick = append(inc.rmTick, 0)
 		inc.labels = append(inc.labels, 0)
 	}
@@ -358,7 +368,7 @@ func (inc *Incremental) rebuild(objs []model.ObjPos) []model.ObjSet {
 	return inc.replay()
 }
 
-// advance is the incremental tick: diff, patch the grid, re-query dirty
+// advance is the incremental tick: diff, patch the grid and the cached
 // neighbourhoods, replay.
 func (inc *Incremental) advance(objs []model.ObjPos) []model.ObjSet {
 	inc.epoch++
@@ -414,7 +424,7 @@ func (inc *Incremental) advance(objs []model.ObjPos) []model.ObjSet {
 			inc.alive[w] = s
 			w++
 		} else {
-			gone = append(gone, goneRec{slot: s, x: inc.posX[s], y: inc.posY[s]})
+			gone = append(gone, s)
 			delete(inc.oidSlot, inc.oids[s])
 		}
 	}
@@ -428,11 +438,11 @@ func (inc *Incremental) advance(objs []model.ObjPos) []model.ObjSet {
 	out := inc.replay()
 
 	// Free disappeared slots only now: nothing in this tick may recycle
-	// them, and every stale reference to them was recomputed away above.
+	// them, and every list that named them was edited or replaced above.
 	for _, g := range gone {
-		inc.totalEdges -= len(inc.nbr[g.slot])
-		inc.nbr[g.slot] = inc.nbr[g.slot][:0]
-		inc.freeSlots = append(inc.freeSlots, g.slot)
+		inc.totalEdges -= len(inc.nbr[g])
+		inc.nbr[g] = inc.nbr[g][:0]
+		inc.freeSlots = append(inc.freeSlots, g)
 	}
 	if inc.totalEdges > edgeCap(len(objs)) {
 		// This tick's answer is already consistent; stop carrying the cache
@@ -443,10 +453,21 @@ func (inc *Incremental) advance(objs []model.ObjPos) []model.ObjSet {
 	return out
 }
 
-// applyDeltas patches the sorted grid and recomputes exactly the dirty
-// neighbourhoods: those of points within eps of some delta's old or new
-// position (which includes every moved/appeared point itself, at distance
-// zero from its own new position).
+// applyDeltas patches the sorted grid, then the cache. Eps-neighbourhoods
+// are symmetric — t is in s's list exactly when s is in t's — so the lists
+// of unchanged objects never need a query of their own:
+//
+//   - a gone object is struck from the lists its own cached list names;
+//   - a moved or appeared object s runs the tick's one query for it, at its
+//     new position on the patched grid, and that answer is its new list. An
+//     unchanged t found only in the old list loses s, one found only in the
+//     new list gains s.
+//
+// Neighbours that are deltas themselves are left alone: a moved or appeared
+// one gets its list from its own query, which sees every delta's final
+// position, and a gone one's list is dropped at the end of the tick.
+// Edits are swap-remove and append, so list order drifts from grid order;
+// replay reads lists as sets (see Incremental).
 func (inc *Incremental) applyDeltas(ep int64) {
 	// Patch the grid: schedule entry removals for disappeared slots and for
 	// moved slots that changed cell, collect additions, then filter+merge —
@@ -454,9 +475,10 @@ func (inc *Incremental) applyDeltas(ep int64) {
 	adds := inc.adds[:0]
 	removed := len(inc.gone)
 	for _, g := range inc.gone {
-		inc.rmTick[g.slot] = ep
+		inc.rmTick[g], inc.deltaTick[g] = ep, ep
 	}
 	for _, m := range inc.moved {
+		inc.deltaTick[m.slot] = ep
 		oldKey := inc.keyOf(m.oldX, m.oldY)
 		newKey := inc.keyOf(inc.posX[m.slot], inc.posY[m.slot])
 		if oldKey != newKey {
@@ -466,6 +488,7 @@ func (inc *Incremental) applyDeltas(ep int64) {
 		}
 	}
 	for _, s := range inc.appeared {
+		inc.deltaTick[s] = ep
 		adds = append(adds, incEntry{key: inc.keyOf(inc.posX[s], inc.posY[s]), slot: s})
 	}
 	if removed > 0 || len(adds) > 0 {
@@ -488,38 +511,69 @@ func (inc *Incremental) applyDeltas(ep int64) {
 	}
 	inc.adds = adds[:0]
 
-	// Mark dirty neighbourhoods by querying the *patched* grid around every
-	// delta's old and new position.
-	affected := inc.affected[:0]
-	q := inc.qbuf
-	mark := func(x, y float64) {
-		q = inc.queryAt(x, y, q[:0])
-		for _, s := range q {
-			if inc.affTick[s] != ep {
-				inc.affTick[s] = ep
-				affected = append(affected, s)
+	for _, g := range inc.gone {
+		for _, t := range inc.nbr[g] {
+			if inc.deltaTick[t] != ep {
+				inc.unlink(t, g)
 			}
 		}
 	}
+	spare := inc.qbuf
 	for _, m := range inc.moved {
-		mark(m.oldX, m.oldY)
-		mark(inc.posX[m.slot], inc.posY[m.slot])
+		s := m.slot
+		old := inc.nbr[s]
+		cur := inc.queryAt(inc.posX[s], inc.posY[s], spare[:0])
+		inc.stamp++
+		for _, t := range old {
+			inc.mark[t] = inc.stamp
+		}
+		for _, t := range cur {
+			if inc.mark[t] == inc.stamp {
+				inc.mark[t] = 0 // in both lists: nothing to edit
+			} else if inc.deltaTick[t] != ep {
+				inc.link(t, s)
+			}
+		}
+		for _, t := range old {
+			if inc.mark[t] == inc.stamp && inc.deltaTick[t] != ep {
+				inc.unlink(t, s)
+			}
+		}
+		inc.totalEdges += len(cur) - len(old)
+		inc.nbr[s], spare = cur, old // the old list's array serves the next query
 	}
-	for _, g := range inc.gone {
-		mark(g.x, g.y)
-	}
+	inc.qbuf = spare[:0]
 	for _, s := range inc.appeared {
-		mark(inc.posX[s], inc.posY[s])
-	}
-	inc.qbuf = q[:0]
-
-	for _, s := range affected {
-		inc.totalEdges -= len(inc.nbr[s])
 		inc.nbr[s] = inc.queryAt(inc.posX[s], inc.posY[s], inc.nbr[s][:0])
 		inc.totalEdges += len(inc.nbr[s])
+		for _, t := range inc.nbr[s] {
+			if inc.deltaTick[t] != ep {
+				inc.link(t, s)
+			}
+		}
 	}
-	inc.stats.Recomputed += int64(len(affected))
-	inc.affected = affected[:0]
+	inc.stats.Recomputed += int64(len(inc.moved) + len(inc.appeared))
+}
+
+// link adds s to unchanged slot t's cached list.
+func (inc *Incremental) link(t, s int32) {
+	inc.nbr[t] = append(inc.nbr[t], s)
+	inc.totalEdges++
+	inc.stats.Patched++
+}
+
+// unlink strikes s from unchanged slot t's cached list.
+func (inc *Incremental) unlink(t, s int32) {
+	l := inc.nbr[t]
+	for i, v := range l {
+		if v == s {
+			l[i] = l[len(l)-1]
+			inc.nbr[t] = l[:len(l)-1]
+			inc.totalEdges--
+			inc.stats.Patched++
+			return
+		}
+	}
 }
 
 // replay runs Cluster's exact control flow over the cached neighbourhoods:

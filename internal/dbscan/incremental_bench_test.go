@@ -1,20 +1,30 @@
-package dbscan
+package dbscan_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/dbscan"
+	"repro/internal/minetest"
 	"repro/internal/model"
 )
 
-// The churn benchmarks model a convoyd feed at steady state: 4000 objects
-// in 125 well-separated groups of 32, where each tick a churn-fraction of
-// the groups jiggles (sub-eps moves, the common GPS-fix case) and the rest
-// hold position. churn=100 moves every group every tick — the worst case
-// for delta reasoning, where the incremental engine degenerates to
-// re-querying everything; churn=1 is the "mostly parked" regime the
-// ROADMAP's feeds-per-node target cares about.
+// The step benchmarks run one clustering tick per op over two kinds of
+// feed, through the incremental engine and through scratch Cluster.
+//
+// The churn sweep models a convoyd feed at steady state: 4000 objects in
+// 125 well-separated groups of 32, where each tick a churn-fraction of the
+// groups jiggles (sub-eps moves, the common GPS-fix case) and the rest hold
+// position. churn=100 moves every group every tick — the worst case for
+// delta reasoning, one grid query per object just as scratch pays, plus the
+// diff; churn=1 is the "mostly parked" regime the ROADMAP's feeds-per-node
+// target cares about.
+//
+// moving and parked are the convoy feed classes of the repository's
+// serve-ingest workload (minetest.City, ≈ 1 600 objects per tick; parked
+// re-reports 90 % of the positions), played forwards then backwards so the
+// stream never jumps.
 
 const (
 	benchGroups   = 125
@@ -22,6 +32,47 @@ const (
 	benchEps      = 1.5
 	benchMinPts   = 4
 )
+
+// stepFeed is one benchmark input: next returns the snapshot of op i and
+// runs outside the timer.
+type stepFeed struct {
+	name   string
+	eps    float64
+	minPts int
+	next   func(i int) []model.ObjPos
+}
+
+func stepFeeds() []stepFeed {
+	var feeds []stepFeed
+	for _, churn := range []int{1, 10, 50, 100} {
+		objs := benchWorld()
+		rng := rand.New(rand.NewSource(7))
+		count, at := max(benchGroups*churn/100, 1), 0
+		feeds = append(feeds, stepFeed{
+			name: fmt.Sprintf("churn=%d", churn), eps: benchEps, minPts: benchMinPts,
+			next: func(int) []model.ObjPos {
+				at = jiggleGroups(objs, rng, at, count)
+				return objs
+			},
+		})
+	}
+	for _, class := range []string{"moving", "parked"} {
+		var ticks [][]model.ObjPos // generated on first use: a run of one sub-benchmark pays for one feed
+		feeds = append(feeds, stepFeed{
+			name: class, eps: minetest.CityEps, minPts: minetest.CityM,
+			next: func(i int) []model.ObjPos {
+				if ticks == nil {
+					ticks = minetest.City(1, 650, 14)
+					if class == "parked" {
+						ticks = minetest.Park(ticks)
+					}
+				}
+				return ticks[minetest.PingPong(i, len(ticks))]
+			},
+		})
+	}
+	return feeds
+}
 
 func benchWorld() []model.ObjPos {
 	objs := make([]model.ObjPos, 0, benchGroups*benchPerGroup)
@@ -54,34 +105,22 @@ func jiggleGroups(objs []model.ObjPos, rng *rand.Rand, next, count int) int {
 	return next
 }
 
-func churnCounts(churnPct int) int {
-	n := benchGroups * churnPct / 100
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// BenchmarkIncrementalStep measures one delta-fed clustering tick at each
-// churn fraction. The mutation between ticks happens outside the timer, so
-// ns/op is purely Step: diff, grid patch, dirty re-queries, replay.
+// BenchmarkIncrementalStep measures one delta-fed clustering tick. The
+// snapshot is prepared outside the timer, so ns/op is purely Step: diff,
+// grid patch, one query per changed object, list patching, replay.
 func BenchmarkIncrementalStep(b *testing.B) {
-	for _, churn := range []int{1, 10, 50, 100} {
-		b.Run(fmt.Sprintf("churn=%d", churn), func(b *testing.B) {
-			objs := benchWorld()
-			rng := rand.New(rand.NewSource(7))
-			count := churnCounts(churn)
-			inc, err := NewIncremental(benchEps, benchMinPts)
+	for _, feed := range stepFeeds() {
+		b.Run(feed.name, func(b *testing.B) {
+			inc, err := dbscan.NewIncremental(feed.eps, feed.minPts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			inc.Step(objs) // pay the initial rebuild outside the loop
-			next := 0
+			inc.Step(feed.next(0)) // pay the initial rebuild outside the loop
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for i := 1; i <= b.N; i++ {
 				b.StopTimer()
-				next = jiggleGroups(objs, rng, next, count)
+				objs := feed.next(i)
 				b.StartTimer()
 				inc.Step(objs)
 			}
@@ -92,23 +131,19 @@ func BenchmarkIncrementalStep(b *testing.B) {
 	}
 }
 
-// BenchmarkScratchStep is the before picture: the same worlds clustered
-// from scratch each tick, exactly what StreamMiner.Observe did before the
-// incremental engine.
+// BenchmarkScratchStep clusters the same snapshots from scratch each tick:
+// what the batch miners do, and what the incremental engine has to beat.
 func BenchmarkScratchStep(b *testing.B) {
-	for _, churn := range []int{1, 10, 50, 100} {
-		b.Run(fmt.Sprintf("churn=%d", churn), func(b *testing.B) {
-			objs := benchWorld()
-			rng := rand.New(rand.NewSource(7))
-			count := churnCounts(churn)
-			next := 0
+	for _, feed := range stepFeeds() {
+		b.Run(feed.name, func(b *testing.B) {
+			feed.next(0)
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for i := 1; i <= b.N; i++ {
 				b.StopTimer()
-				next = jiggleGroups(objs, rng, next, count)
+				objs := feed.next(i)
 				b.StartTimer()
-				Cluster(objs, benchEps, benchMinPts)
+				dbscan.Cluster(objs, feed.eps, feed.minPts)
 			}
 		})
 	}

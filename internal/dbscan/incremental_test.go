@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -12,13 +13,17 @@ import (
 // stepEqualsScratch asserts the one invariant everything else builds on:
 // Step's output is byte-identical (reflect.DeepEqual, so same clusters, same
 // member order, same cluster order, nil-vs-empty included) to a scratch
-// Cluster call on the same snapshot.
+// Cluster call on the same snapshot — and that the state Step leaves behind
+// is the state a rebuild would have produced (CheckInvariants).
 func stepEqualsScratch(t *testing.T, inc *Incremental, objs []model.ObjPos, eps float64, minPts int, tick int) {
 	t.Helper()
 	got := inc.Step(objs)
 	want := Cluster(objs, eps, minPts)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tick %d: incremental %v != scratch %v", tick, got, want)
+	}
+	if err := inc.CheckInvariants(); err != nil {
+		t.Fatalf("tick %d: %v", tick, err)
 	}
 }
 
@@ -88,8 +93,8 @@ func TestIncrementalMatchesScratchParamSweep(t *testing.T) {
 	}
 }
 
-// A tick with zero deltas must not touch the grid at all: same positions,
-// even in a different input order, answer purely from cache.
+// A tick with zero deltas must not touch the grid or the cache at all: same
+// positions, even in a different input order, answer purely from cache.
 func TestIncrementalNoDeltaTickSkipsQueries(t *testing.T) {
 	inc, err := NewIncremental(1.0, 2)
 	if err != nil {
@@ -97,36 +102,166 @@ func TestIncrementalNoDeltaTickSkipsQueries(t *testing.T) {
 	}
 	objs := []model.ObjPos{pos(1, 0, 0), pos(2, 0.5, 0), pos(3, 5, 5), pos(4, 5.5, 5)}
 	stepEqualsScratch(t, inc, objs, 1.0, 2, 0)
-	q0 := inc.Stats().GridQueries
+	before := inc.Stats()
 	stepEqualsScratch(t, inc, objs, 1.0, 2, 1)
 	perm := []model.ObjPos{objs[2], objs[0], objs[3], objs[1]}
 	stepEqualsScratch(t, inc, perm, 1.0, 2, 2)
-	if q := inc.Stats().GridQueries; q != q0 {
-		t.Fatalf("no-delta ticks ran %d grid queries", q-q0)
-	}
-	if inc.Stats().Recomputed != 0 {
-		t.Fatalf("no-delta ticks recomputed neighbourhoods: %+v", inc.Stats())
+	before.Ticks += 2
+	if st := inc.Stats(); st != before {
+		t.Fatalf("no-delta ticks did work: %+v, want %+v", st, before)
 	}
 }
 
-// A localized delta must dirty only nearby neighbourhoods, not the world.
-func TestIncrementalLocalizedDeltaStaysLocal(t *testing.T) {
+// triads lays out n well-separated groups of three mutually adjacent
+// points, 100 apart; group g holds OIDs 3g, 3g+1, 3g+2.
+func triads(n int) []model.ObjPos {
+	var objs []model.ObjPos
+	for g := 0; g < n; g++ {
+		bx := float64(g) * 100
+		objs = append(objs, pos(int32(3*g), bx, 0), pos(int32(3*g+1), bx+0.4, 0), pos(int32(3*g+2), bx, 0.4))
+	}
+	return objs
+}
+
+// listsByOID snapshots every live object's cached list as sorted OIDs.
+func listsByOID(inc *Incremental) map[int32][]int32 {
+	out := make(map[int32][]int32, len(inc.alive))
+	for _, s := range inc.alive {
+		l := make([]int32, 0, len(inc.nbr[s]))
+		for _, t := range inc.nbr[s] {
+			l = append(l, inc.oids[t])
+		}
+		slices.Sort(l)
+		out[inc.oids[s]] = l
+	}
+	return out
+}
+
+// One move costs exactly one grid query, whatever surrounds it, and edits
+// only lists of points within eps of the mover's old or new position.
+func TestIncrementalMoveIsOneQuery(t *testing.T) {
 	inc, err := NewIncremental(1.0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 30 well-separated triads; then jiggle one point of one triad.
-	var objs []model.ObjPos
-	for g := 0; g < 30; g++ {
-		bx := float64(g) * 100
-		objs = append(objs, pos(int32(3*g), bx, 0), pos(int32(3*g+1), bx+0.4, 0), pos(int32(3*g+2), bx, 0.4))
-	}
+	objs := triads(30)
 	stepEqualsScratch(t, inc, objs, 1.0, 3, 0)
-	objs2 := append([]model.ObjPos(nil), objs...)
-	objs2[0].Y += 0.1
-	stepEqualsScratch(t, inc, objs2, 1.0, 3, 1)
-	if rc := inc.Stats().Recomputed; rc != 3 {
-		t.Fatalf("one in-triad move should recompute exactly its triad, recomputed %d", rc)
+	before, lists := inc.Stats(), listsByOID(inc)
+
+	// Object 0 leaves its triad's range and lands inside the next triad's.
+	moved := slices.Clone(objs)
+	oldPos := moved[0]
+	moved[0].X, moved[0].Y = 100.2, 0.2
+	stepEqualsScratch(t, inc, moved, 1.0, 3, 1)
+
+	st := inc.Stats()
+	if q := st.GridQueries - before.GridQueries; q != 1 {
+		t.Fatalf("one move ran %d grid queries, want 1", q)
+	}
+	if r := st.Recomputed - before.Recomputed; r != 1 {
+		t.Fatalf("one move rebuilt %d lists from a query, want 1", r)
+	}
+	// Two old neighbours lose it, three new ones gain it.
+	if p := st.Patched - before.Patched; p != 5 {
+		t.Fatalf("one move made %d in-place edits, want 5", p)
+	}
+	for oid, after := range listsByOID(inc) {
+		if slices.Equal(after, lists[oid]) {
+			continue
+		}
+		var p model.ObjPos
+		for _, q := range moved {
+			if q.OID == oid {
+				p = q
+			}
+		}
+		if model.DistSq(p, oldPos) > 1 && model.DistSq(p, moved[0]) > 1 {
+			t.Fatalf("list of oid %d changed (%v → %v) though it is near neither end of the move", oid, lists[oid], after)
+		}
+	}
+}
+
+// A removal needs no grid query: the leaver's cached list names the
+// neighbours to edit.
+func TestIncrementalRemovalIsZeroQueries(t *testing.T) {
+	inc, err := NewIncremental(1.0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := triads(30)
+	stepEqualsScratch(t, inc, objs, 1.0, 3, 0)
+	before := inc.Stats()
+	stepEqualsScratch(t, inc, objs[1:], 1.0, 3, 1)
+	st := inc.Stats()
+	if st.GridQueries != before.GridQueries || st.Recomputed != before.Recomputed {
+		t.Fatalf("a removal queried the grid: %+v after %+v", st, before)
+	}
+	if p := st.Patched - before.Patched; p != 2 {
+		t.Fatalf("a removal from a triad made %d in-place edits, want 2", p)
+	}
+}
+
+// The cases symmetric patching can get wrong, each as a short tick
+// sequence checked against scratch and the invariants after every tick:
+// neighbours that are both deltas must not be edited twice or not at all,
+// a slot freed last tick must carry nothing into its next life, and a move
+// inside one grid cell must still be diffed by distance.
+func TestIncrementalPatchingCases(t *testing.T) {
+	// The bystanders 8 and 9 never move: they are the unchanged neighbours
+	// whose lists get patched.
+	at := func(x1, y1, x2, y2 float64) []model.ObjPos {
+		return []model.ObjPos{pos(1, x1, y1), pos(2, x2, y2), pos(8, 0.5, 0.6), pos(9, 3, 0.6)}
+	}
+	cases := []struct {
+		name  string
+		ticks [][]model.ObjPos
+		slots int // if > 0, the slots the engine must have allocated in all
+	}{
+		{"two neighbours move towards each other", [][]model.ObjPos{
+			at(0, 0, 3, 0), at(1, 0, 2, 0), at(1.4, 0, 1.6, 0),
+		}, 0},
+		{"two neighbours move apart", [][]model.ObjPos{
+			at(1.4, 0, 1.6, 0), at(1, 0, 2.2, 0), at(0, 0, 3, 0),
+		}, 0},
+		{"two neighbours swap positions", [][]model.ObjPos{
+			at(0.2, 0, 0.9, 0), at(0.9, 0, 0.2, 0), at(0.2, 0, 0.9, 0),
+		}, 0},
+		{"one leaves, another appears at its coordinates", [][]model.ObjPos{
+			{pos(1, 0, 0), pos(2, 0.5, 0), pos(3, 1.0, 0)},
+			{pos(1, 0, 0), pos(4, 0.5, 0), pos(3, 1.0, 0)},
+			{pos(5, 0, 0), pos(4, 0.5, 0), pos(6, 1.0, 0)},
+		}, 0},
+		{"a recycled slot re-enters an old neighbour's range", [][]model.ObjPos{
+			{pos(1, 0, 0), pos(2, 0.5, 0), pos(3, 9, 9)},
+			{pos(1, 0, 0), pos(3, 9, 9)},                 // 2 leaves: its slot is freed
+			{pos(1, 0, 0), pos(3, 9, 9), pos(7, 9, 9.5)}, // 7 takes the slot, far from 1
+			{pos(1, 0, 0), pos(3, 9, 9), pos(7, 0.5, 0)}, // and walks to where 2 was
+			{pos(1, 0, 0), pos(3, 9, 9), pos(7, 5, 5)},
+		}, 3},
+		{"a move keeps the cell but crosses the eps boundary", [][]model.ObjPos{
+			{pos(1, 0.05, 0.5), pos(2, 1.0, 0.5), pos(3, 1.9, 0.5)},
+			{pos(1, 0.05, 0.5), pos(2, 1.1, 0.5), pos(3, 1.9, 0.5)}, // 2 stays in cell (1,0), leaves 1's range
+			{pos(1, 0.05, 0.5), pos(2, 1.0, 0.5), pos(3, 1.9, 0.5)},
+		}, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, minPts := range []int{1, 2, 3} {
+				inc, err := NewIncremental(1.0, minPts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, objs := range c.ticks {
+					stepEqualsScratch(t, inc, objs, 1.0, minPts, i)
+				}
+				if st := inc.Stats(); st.Fallbacks != 0 || st.Rebuilds != 1 {
+					t.Fatalf("left the incremental path: %+v", st)
+				}
+				if c.slots > 0 && len(inc.oids) != c.slots {
+					t.Fatalf("%d slots allocated, want %d: the case did not recycle", len(inc.oids), c.slots)
+				}
+			}
+		})
 	}
 }
 

@@ -16,11 +16,14 @@
 package movingcluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/dbscan"
 	"repro/internal/model"
+	"repro/internal/postings"
 	"repro/internal/storage"
 )
 
@@ -29,7 +32,8 @@ type Config struct {
 	// M and Eps parameterise the per-snapshot DBSCAN.
 	M   int
 	Eps float64
-	// Theta is the minimum Jaccard overlap between consecutive clusters.
+	// Theta is the minimum Jaccard overlap between consecutive clusters, in
+	// (0, 1]. Clusters that share no object never chain, whatever Theta is.
 	Theta float64
 	// K is the minimum lifetime in timestamps.
 	K int
@@ -75,8 +79,13 @@ func (mc MovingCluster) Key() string {
 
 // Jaccard returns |a ∩ b| / |a ∪ b| (zero when both sets are empty).
 func Jaccard(a, b model.ObjSet) float64 {
-	inter := a.IntersectSize(b)
-	union := len(a) + len(b) - inter
+	return overlap(a.IntersectSize(b), len(a), len(b))
+}
+
+// overlap is the Jaccard overlap of sets of na and nb members that share
+// inter of them.
+func overlap(inter, na, nb int) float64 {
+	union := na + nb - inter
 	if union == 0 {
 		return 0
 	}
@@ -114,12 +123,27 @@ type chain struct {
 	clusters []model.ObjSet
 }
 
+func (c *chain) last() model.ObjSet { return c.clusters[len(c.clusters)-1] }
+
+// match is one (open chain, cluster of the tick) pair whose overlap reaches θ.
+type match struct {
+	chain, cluster int32
+	overlap        float64
+}
+
 // Miner is the incremental moving-cluster miner fed one snapshot at a time,
 // mirroring cmc.Miner's streaming surface (Step/Drain/Finish/Last/Reset).
 // It carries the open chains across ticks; each Step clusters the snapshot
 // and runs the same greedy best-overlap matching as Mine. Patterns are
 // emitted the moment their chain fails to extend, so streaming consumers
 // can poll with Drain in O(new).
+//
+// Matching is postings-driven: a pair with an empty intersection has overlap
+// 0 < θ, so only pairs that share an object are ever scored. Each Step
+// builds object → chain postings over the open chains' last clusters and
+// walks every cluster's members through them, counting hits per chain —
+// the hit count is the intersection size. The cost follows the members
+// walked, not chains × clusters.
 //
 // Gaps in the timestamp sequence terminate every open chain: a chain cannot
 // overlap a tick that has no clusters, which is exactly what the batch sweep
@@ -132,11 +156,19 @@ type Miner struct {
 	fresh   int             // out[fresh:] not yet drained
 	lastT   int32
 	started bool
+
+	// Per-tick matching state, reused across Steps.
+	slot    map[int32]int32 // object id → dense slot among the last clusters' members
+	slots   []int32         // member slots of the chains' last clusters, flattened in chain order
+	byObj   postings.Lists  // slot → chains whose last cluster holds the object
+	hits    []int32         // per chain: members shared with the cluster being matched
+	touched []int32         // chains with hits > 0, for the cluster being matched
+	matches []match
 }
 
 // NewMiner creates a streaming miner for the given parameters.
 func NewMiner(cfg Config) *Miner {
-	return &Miner{cfg: cfg}
+	return &Miner{cfg: cfg, slot: map[int32]int32{}}
 }
 
 // Step clusters the snapshot of timestamp t and chains the clusters.
@@ -161,27 +193,12 @@ func (mn *Miner) StepClusters(t int32, clusters []model.ObjSet) {
 	}
 	mn.started = true
 	mn.lastT = t
-	// Greedy best-overlap matching between active chains and clusters.
-	type match struct {
-		chain   int
-		cluster int
-		overlap float64
-	}
-	var matches []match
-	for ci, ch := range mn.active {
-		last := ch.clusters[len(ch.clusters)-1]
-		for cj, cl := range clusters {
-			if ov := Jaccard(last, cl); ov >= mn.cfg.Theta {
-				matches = append(matches, match{chain: ci, cluster: cj, overlap: ov})
-			}
-		}
-	}
-	// Sort by overlap descending (stable on insertion order).
-	for i := 1; i < len(matches); i++ {
-		for j := i; j > 0 && matches[j].overlap > matches[j-1].overlap; j-- {
-			matches[j], matches[j-1] = matches[j-1], matches[j]
-		}
-	}
+	// Greedy best-overlap matching between active chains and clusters: best
+	// overlap first, ties towards the earlier chain, then the earlier cluster.
+	matches := mn.overlapping(clusters)
+	slices.SortFunc(matches, func(a, b match) int {
+		return cmp.Or(cmp.Compare(b.overlap, a.overlap), cmp.Compare(a.chain, b.chain), cmp.Compare(a.cluster, b.cluster))
+	})
 	chainTaken := make([]bool, len(mn.active))
 	clusterTaken := make([]bool, len(clusters))
 	var next []*chain
@@ -207,6 +224,50 @@ func (mn *Miner) StepClusters(t int32, clusters []model.ObjSet) {
 		}
 	}
 	mn.active = next
+}
+
+// overlapping returns every (chain, cluster) pair that shares an object and
+// whose Jaccard overlap reaches θ, in no particular order. The slice is
+// reused by the next call.
+func (mn *Miner) overlapping(clusters []model.ObjSet) []match {
+	clear(mn.slot)
+	mn.slots = mn.slots[:0]
+	for _, ch := range mn.active {
+		for _, o := range ch.last() {
+			s, ok := mn.slot[o]
+			if !ok {
+				s = int32(len(mn.slot))
+				mn.slot[o] = s
+			}
+			mn.slots = append(mn.slots, s)
+		}
+	}
+	mn.byObj.Build(len(mn.slot), mn.slots, len(mn.active), func(ci int) int { return len(mn.active[ci].last()) })
+	mn.hits = append(mn.hits[:0], make([]int32, len(mn.active))...)
+
+	matches, touched := mn.matches[:0], mn.touched
+	for cj, cl := range clusters {
+		touched = touched[:0]
+		for _, o := range cl {
+			if s, ok := mn.slot[o]; ok {
+				for _, ci := range mn.byObj.Of(s) {
+					if mn.hits[ci] == 0 {
+						touched = append(touched, ci)
+					}
+					mn.hits[ci]++
+				}
+			}
+		}
+		for _, ci := range touched {
+			ov := overlap(int(mn.hits[ci]), len(mn.active[ci].last()), len(cl))
+			mn.hits[ci] = 0
+			if ov >= mn.cfg.Theta {
+				matches = append(matches, match{chain: ci, cluster: int32(cj), overlap: ov})
+			}
+		}
+	}
+	mn.matches, mn.touched = matches, touched
+	return matches
 }
 
 func (mn *Miner) emit(c *chain) {

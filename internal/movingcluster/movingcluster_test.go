@@ -77,16 +77,20 @@ func TestThetaBreaksChains(t *testing.T) {
 		}
 	}
 	ds := minetest.Build(groups)
-	out, err := Mine(storage.NewMemStore(ds), Config{M: 3, Eps: minetest.Eps, Theta: 0.5, K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("want 2 chains, got %v", out)
-	}
-	for _, mc := range out {
-		if mc.Len() != 5 {
-			t.Fatalf("chain length = %d, want 5", mc.Len())
+	// Theta 0 is outside (0, 1]; even so, clusters sharing no object do not
+	// chain: matching only ever scores pairs that intersect.
+	for _, theta := range []float64{0.5, 0} {
+		out, err := Mine(storage.NewMemStore(ds), Config{M: 3, Eps: minetest.Eps, Theta: theta, K: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 2 {
+			t.Fatalf("theta %g: want 2 chains, got %v", theta, out)
+		}
+		for _, mc := range out {
+			if mc.Len() != 5 {
+				t.Fatalf("theta %g: chain length = %d, want 5", theta, mc.Len())
+			}
 		}
 	}
 }

@@ -884,7 +884,19 @@ func (s *Server) persistAll() {
 		synced int // durable watermark once this round's Sync succeeds
 	}
 	var wrote []written
-	var archRecs []archive.Located       // this round's appends, in log order
+	// archRecs collects this round's appends, in log order. It is sized once
+	// from what the feeds hold right now; a feed that closes more before the
+	// loop reaches it just makes the slice grow.
+	var archRecs []archive.Located
+	if s.arch != nil {
+		fresh := 0
+		for _, f := range feeds {
+			f.mu.Lock()
+			fresh += f.head() - f.persisted
+			f.mu.Unlock()
+		}
+		archRecs = make([]archive.Located, 0, fresh)
+	}
 	truncUpTo := make([]int, len(feeds)) // durable as of the round's start
 	for i, f := range feeds {
 		f.mu.Lock()

@@ -95,7 +95,7 @@ func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
 	w := bufio.NewWriterSize(f, 1<<20)
 	var (
 		idx      []blockMeta
-		keys     [][]byte
+		keys     []byte // every written key, KeySize bytes each, for the bloom filter
 		inBlock  uint32
 		off      uint64
 		cur      blockMeta
@@ -146,7 +146,7 @@ func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
 		off += recSize
 		inBlock++
 		total++
-		keys = append(keys, append([]byte(nil), k...))
+		keys = append(keys, k...)
 		if inBlock == blockRecs {
 			flushBlock()
 		}
@@ -165,9 +165,9 @@ func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
 		}
 		off += storage.KeySize + 12
 	}
-	filter := newBloom(len(keys))
-	for _, k := range keys {
-		filter.add(k)
+	filter := newBloom(len(keys) / storage.KeySize)
+	for at := 0; at < len(keys); at += storage.KeySize {
+		filter.add(keys[at : at+storage.KeySize])
 	}
 	bloomOff := off
 	if _, err := w.Write(filter.bits); err != nil {
