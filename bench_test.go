@@ -10,13 +10,10 @@ package convoy_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	convoy "repro"
-	"repro/internal/bitset"
 	"repro/internal/experiments"
-	"repro/internal/model"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -99,88 +96,6 @@ func BenchmarkK2HopParallel(b *testing.B) {
 				if _, err := convoy.MineDataset(ds, p, &convoy.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// --- Set-representation micro-benchmarks ----------------------------------
-
-// BenchmarkIntersect measures one candidate×cluster intersection — the
-// operation the mining hot path performs millions of times — in the two
-// representations the engine supports: the sorted-slice ObjSet merge
-// (allocating, O(|a|+|b|)) and the interned dense bitset AND (word-parallel,
-// O(universe/64), intersecting into a reused buffer). The dense/and+decode
-// variant adds the ObjSet materialization that production pays only for
-// intersections meeting the m threshold. Encoding costs are amortized: the
-// miners encode each set once per hop-window and intersect it against many
-// partners.
-func BenchmarkIntersect(b *testing.B) {
-	cases := []struct{ universe, size int }{
-		{universe: 64, size: 16},
-		{universe: 512, size: 64},
-		{universe: 512, size: 256},
-		{universe: 4096, size: 512},
-	}
-	for _, tc := range cases {
-		rng := rand.New(rand.NewSource(int64(tc.universe*31 + tc.size)))
-		pick := func() model.ObjSet {
-			// Draw until tc.size DISTINCT ids so the benchmark name's s=
-			// matches the actual set size.
-			seen := make(map[int32]bool, tc.size)
-			ids := make([]int32, 0, tc.size)
-			for len(ids) < tc.size {
-				id := int32(rng.Intn(tc.universe)) * 3 // sparse ids
-				if !seen[id] {
-					seen[id] = true
-					ids = append(ids, id)
-				}
-			}
-			return model.NewObjSet(ids...)
-		}
-		sa, sb := pick(), pick()
-		in := model.Intern(model.Universe(nil, []model.ObjSet{sa, sb}))
-		da, db := in.Encode(sa, nil), in.Encode(sb, nil)
-		scratch := bitset.New(in.Len())
-		name := fmt.Sprintf("u=%d,s=%d", tc.universe, tc.size)
-
-		b.Run("objset/"+name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if len(sa.Intersect(sb)) < 0 {
-					b.Fatal("impossible")
-				}
-			}
-		})
-		b.Run("dense/and/"+name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if scratch.AndOf(da, db) < 0 {
-					b.Fatal("impossible")
-				}
-			}
-		})
-		b.Run("dense/and+decode/"+name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				scratch.AndOf(da, db)
-				if len(in.Decode(scratch)) < 0 {
-					b.Fatal("impossible")
-				}
-			}
-		})
-		b.Run("objset/subset/"+name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sink := sa.SubsetOf(sb)
-				_ = sink
-			}
-		})
-		b.Run("dense/subset/"+name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sink := da.SubsetOf(db)
-				_ = sink
 			}
 		})
 	}

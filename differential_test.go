@@ -57,10 +57,10 @@ func TestDifferentialStreamVsBatch(t *testing.T) {
 // TestDifferentialAllAlgorithms runs every algorithm over clique-cluster
 // datasets — where fully and partially connected convoy semantics coincide
 // — and requires all seven result sets (plus the streaming miner's) to be
-// identical. The k/2-hop hop-window and extension phases run on interned
-// bitsets, the PCCD, DCM and streaming sweeps on posting lists over sorted
-// ObjSets, and SPARE on its own time bitmaps, so this suite doubles as a
-// 120-seed cross-representation equivalence check.
+// identical. Every miner but one runs on sorted ObjSets (k/2-hop's candidate
+// phase and the PCCD, DCM and streaming sweeps find what intersects through
+// posting lists); SPARE enumerates over per-pair tick bitmaps, so this suite
+// doubles as a 120-seed check of that second route to the same convoys.
 func TestDifferentialAllAlgorithms(t *testing.T) {
 	algos := []Algorithm{K2Hop, VCoDA, VCoDAStar, PCCD, CuTS, DCM, SPARE}
 	p := Params{M: 3, K: 4, Eps: minetest.Eps}

@@ -48,10 +48,21 @@ func (n naive) runs(minLen int) [][2]int {
 	return out
 }
 
+// count returns the number of set bits, read one by one.
+func count(b *Bits) int {
+	n := 0
+	for i := 0; i < b.n; i++ {
+		if b.Get(i) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestBasicSetGetClear(t *testing.T) {
 	b := New(130)
-	if b.Len() != 130 {
-		t.Fatalf("Len = %d", b.Len())
+	if b.n != 130 || count(b) != 0 {
+		t.Fatalf("New(130): capacity %d with %d bits set, want 130 all clear", b.n, count(b))
 	}
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
 		b.Set(i)
@@ -59,43 +70,14 @@ func TestBasicSetGetClear(t *testing.T) {
 			t.Fatalf("Get(%d) after Set = false", i)
 		}
 	}
-	if b.Count() != 8 {
-		t.Fatalf("Count = %d, want 8", b.Count())
-	}
-	b.Clear(64)
-	if b.Get(64) {
-		t.Fatalf("Get(64) after Clear = true")
+	if count(b) != 8 {
+		t.Fatalf("count = %d, want 8", count(b))
 	}
 	// Out-of-range is ignored, not panicking.
 	b.Set(-1)
 	b.Set(130)
-	b.Clear(-1)
-	if b.Get(-1) || b.Get(130) {
-		t.Fatalf("out-of-range Get should be false")
-	}
-}
-
-func TestAndEqualClone(t *testing.T) {
-	a, b := New(100), New(100)
-	a.SetRange(10, 50)
-	b.SetRange(40, 90)
-	c := a.AndNew(b)
-	for i := 0; i < 100; i++ {
-		want := i >= 40 && i <= 50
-		if c.Get(i) != want {
-			t.Fatalf("AndNew bit %d = %v, want %v", i, c.Get(i), want)
-		}
-	}
-	if !c.Equal(c.Clone()) {
-		t.Fatalf("clone should be equal")
-	}
-	if c.Equal(New(101)) {
-		t.Fatalf("different capacity should not be equal")
-	}
-	// And mutates in place.
-	a.And(b)
-	if !a.Equal(c) {
-		t.Fatalf("And in place disagrees with AndNew")
+	if b.Get(-1) || b.Get(130) || count(b) != 8 {
+		t.Fatalf("out-of-range Set should be ignored and Get false")
 	}
 }
 
@@ -154,7 +136,7 @@ func TestRunsMatchesNaiveQuick(t *testing.T) {
 				cnt++
 			}
 		}
-		return cnt == b.Count()
+		return cnt == count(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -178,14 +160,14 @@ func TestRunsMinLen(t *testing.T) {
 func TestSetRangeClamps(t *testing.T) {
 	b := New(10)
 	b.SetRange(-5, 100)
-	if b.Count() != 10 {
-		t.Fatalf("SetRange should clamp, Count = %d", b.Count())
+	if count(b) != 10 {
+		t.Fatalf("SetRange should clamp, count = %d", count(b))
 	}
 }
 
 func TestNewNegative(t *testing.T) {
 	b := New(-3)
-	if b.Len() != 0 || b.Count() != 0 {
+	if b.n != 0 || len(b.words) != 0 || b.MaxRun() != 0 {
 		t.Fatalf("New(-3) should be empty")
 	}
 }
@@ -204,72 +186,26 @@ func randomBits(rng *rand.Rand, n int, p float64) (*Bits, naive) {
 }
 
 func TestWordParallelOpsMatchNaiveQuick(t *testing.T) {
-	f := func(seed int64, nRaw uint8, mRaw uint8) bool {
+	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw)%200 + 1
-		m := int(mRaw) % 12
 		rng := rand.New(rand.NewSource(seed))
 		a, ma := randomBits(rng, n, 0.4)
 		b, mb := randomBits(rng, n, 0.4)
 
-		interCount, unionCount, subset := 0, 0, true
-		for i := 0; i < n; i++ {
-			if ma[i] && mb[i] {
-				interCount++
-			}
-			if ma[i] || mb[i] {
-				unionCount++
-			}
-			if ma[i] && !mb[i] {
-				subset = false
-			}
-		}
-
+		// AndOf must leave exactly the common bits and report their count.
 		scratch := New(n)
-		if got := scratch.AndOf(a, b); got != interCount {
-			return false
-		}
-		if scratch.Count() != interCount {
-			return false
-		}
-		if a.AndCount(b) != interCount {
-			return false
-		}
-		if a.CountAtLeast(m) != (a.Count() >= m) {
-			return false
-		}
-		if scratch.OrOf(a, b); scratch.Count() != unionCount {
-			return false
-		}
-		if a.Clone().Or(b).Count() != unionCount {
-			return false
-		}
-		if a.SubsetOf(b) != subset {
-			return false
-		}
-		if !scratch.ClearAll().SubsetOf(a) || scratch.Any() {
-			return false
-		}
-
-		// Iteration must visit exactly the set bits, ascending.
-		var got []int32
-		got = a.AppendIndices(got)
-		var want []int32
-		for i, v := range ma {
-			if v {
-				want = append(want, int32(i))
-			}
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
+		scratch.SetRange(0, n-1) // stale contents must be overwritten
+		got := scratch.AndOf(a, b)
+		inter := 0
+		for i := 0; i < n; i++ {
+			if scratch.Get(i) != (ma[i] && mb[i]) {
 				return false
 			}
+			if ma[i] && mb[i] {
+				inter++
+			}
 		}
-		sum := 0
-		a.ForEach(func(i int) { sum++ })
-		return sum == len(want)
+		return got == inter
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -287,72 +223,5 @@ func TestAndOfAliasing(t *testing.T) {
 		if a.Get(i) != (i >= 50 && i <= 100) {
 			t.Fatalf("aliased AndOf bit %d wrong", i)
 		}
-	}
-}
-
-func TestResizeReuses(t *testing.T) {
-	b := New(300)
-	b.SetRange(0, 299)
-	b.Resize(70)
-	if b.Len() != 70 || b.Count() != 0 {
-		t.Fatalf("Resize(70): len=%d count=%d", b.Len(), b.Count())
-	}
-	b.Set(69)
-	b.Resize(200) // regrow within capacity: must come back all-clear
-	if b.Len() != 200 || b.Count() != 0 {
-		t.Fatalf("Resize(200): len=%d count=%d", b.Len(), b.Count())
-	}
-	b.Resize(-1)
-	if b.Len() != 0 || b.Any() {
-		t.Fatalf("Resize(-1) should empty the set")
-	}
-}
-
-func TestAppendKey(t *testing.T) {
-	a, b := New(100), New(100)
-	a.SetRange(3, 40)
-	b.SetRange(3, 40)
-	if string(a.AppendKey(nil)) != string(b.AppendKey(nil)) {
-		t.Fatalf("equal sets, different keys")
-	}
-	b.Set(99)
-	if string(a.AppendKey(nil)) == string(b.AppendKey(nil)) {
-		t.Fatalf("different sets, equal keys")
-	}
-	if got := len(a.AppendKey(nil)); got != 16 {
-		t.Fatalf("key length = %d, want 16 (2 words)", got)
-	}
-}
-
-func TestPoolRecycles(t *testing.T) {
-	var p Pool
-	a := p.Get(70)
-	a.SetRange(0, 69)
-	b := p.Get(10)
-	if b == a {
-		t.Fatalf("Get must not hand out a live buffer")
-	}
-	p.Reset()
-	c := p.Get(128)
-	if c != a && c != b {
-		t.Fatalf("Reset should recycle buffers")
-	}
-	if c.Any() || c.Len() != 128 {
-		t.Fatalf("recycled buffer not cleared: count=%d len=%d", c.Count(), c.Len())
-	}
-}
-
-func TestSubsetOfEdges(t *testing.T) {
-	a, b := New(64), New(64)
-	if !a.SubsetOf(b) {
-		t.Fatalf("∅ ⊆ ∅")
-	}
-	b.Set(63)
-	if !a.SubsetOf(b) || b.SubsetOf(a) {
-		t.Fatalf("∅ ⊆ {63} and not vice versa")
-	}
-	a.Set(63)
-	if !a.SubsetOf(b) || !b.SubsetOf(a) {
-		t.Fatalf("{63} ⊆ {63} both ways")
 	}
 }

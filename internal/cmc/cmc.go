@@ -40,9 +40,9 @@ import (
 // candidates of ~6 objects in a tick universe of ~1 600, a posting walk
 // touches a few dozen integers where the interned-bitset sweep this
 // replaced ANDed 27 words per (candidate, cluster) pair — 10.3 ms → 0.20 ms
-// per Step on a 1 600-object city feed (BenchmarkMinerStep/moving). Dense
-// bitsets keep their place where both operands are large: the hop-window
-// and extension algebra in package core.
+// per Step on a 1 600-object city feed (BenchmarkMinerStep/moving). Package
+// core's candidate-cluster phase runs the same sweep between two benchmark
+// clusterings.
 //
 // Order is deterministic. alive holds the candidates that survived the
 // previous Step in their previous relative order (a candidate split over
@@ -329,10 +329,6 @@ func (mn *Miner) Finish() []model.Convoy {
 	mn.flushAll(mn.lastT)
 	return mn.closed.sorted()
 }
-
-// Results returns the convoys closed so far without flushing alive
-// candidates — the streaming API's peek.
-func (mn *Miner) Results() []model.Convoy { return mn.closed.sorted() }
 
 // Drain returns the convoys accepted into the result set since the last
 // Drain, in emission order, and clears the queue. A drained convoy is final:

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/model"
 	"repro/internal/pool"
 )
@@ -16,7 +16,7 @@ import (
 // to the right (and vice versa) — see DESIGN.md §3.
 func (mi *miner) extendAll(merged []model.Convoy, rep *Report) ([]model.Convoy, error) {
 	cur := merged
-	var prevKeys string
+	var prev []model.Convoy // the previous pass's result
 	for iter := 0; ; iter++ {
 		start := time.Now()
 		right, err := mi.extend(cur, +1, &rep.ExtendRightCPU)
@@ -26,21 +26,19 @@ func (mi *miner) extendAll(merged []model.Convoy, rep *Report) ([]model.Convoy, 
 		rep.ExtendRight += time.Since(start)
 
 		start = time.Now()
-		both, err := mi.extend(right, -1, &rep.ExtendLeftCPU)
+		cur, err = mi.extend(right, -1, &rep.ExtendLeftCPU)
 		if err != nil {
 			return nil, err
 		}
 		rep.ExtendLeft += time.Since(start)
-		cur = both
 
-		if !mi.cfg.ReExtend || iter+1 >= mi.cfg.MaxReExtend {
+		// extend returns canonical order, so a pass that changed nothing
+		// compares equal element by element.
+		if !mi.cfg.ReExtend || iter+1 >= mi.cfg.MaxReExtend ||
+			slices.EqualFunc(cur, prev, model.Convoy.Equal) {
 			return cur, nil
 		}
-		keys := convoyKeys(cur)
-		if keys == prevKeys {
-			return cur, nil
-		}
-		prevKeys = keys
+		prev = cur
 	}
 }
 
@@ -75,72 +73,50 @@ func (mi *miner) extend(convoys []model.Convoy, dir int32, cpu *time.Duration) (
 	return out.Sorted(), nil
 }
 
-// extCand is one in-flight extension candidate: the convoy plus its dense
-// encoding under the walk's interner. The bits exist so the per-step
-// domination pruning can subset-test word-parallel; they are only valid
-// within the step that created them (the backing buffers are recycled from
-// a bitset.Pool each step).
-type extCand struct {
-	v    model.Convoy
-	bits *bitset.Bits
-}
-
 // extendOne walks one convoy one timestamp at a time in the given
 // direction, re-clustering the convoy's objects at each next timestamp. A
 // convoy that cannot continue intact is emitted as closed in that
 // direction; clusters that survive (possibly smaller) continue. The closed
 // convoys are returned in discovery order.
-//
-// Every object set the walk ever touches is a subset of the starting
-// convoy's objects (re-clustering only shrinks), so the walk interns that
-// object set once and runs its set algebra dense: each re-clustered group
-// is encoded into a pooled bitset, and the domination filter compares
-// candidates by word-parallel subset tests instead of sorted-slice merges.
 func (mi *miner) extendOne(vsp model.Convoy, dir int32) ([]model.Convoy, error) {
-	in := model.Intern(vsp.Objs)
-	var bufs bitset.Pool
 	var out []model.Convoy
-	prev := []extCand{{v: vsp, bits: in.Encode(vsp.Objs, nil)}}
+	prev := []model.Convoy{vsp}
 	t := edge(vsp, dir) + dir
 	for len(prev) > 0 && t >= mi.ts && t <= mi.te {
-		var next []extCand
-		bufs.Reset() // prev's bits are dead: dominate only compares within one step
-		for _, vc := range prev {
-			clusters, err := mi.recluster(t, vc.v.Objs)
+		var next []model.Convoy
+		for _, v := range prev {
+			clusters, err := mi.recluster(t, v.Objs)
 			if err != nil {
 				return nil, err
 			}
 			if len(clusters) == 0 {
-				out = append(out, vc.v) // closed in this direction
+				out = append(out, v) // closed in this direction
 				continue
 			}
 			survived := false
 			for _, c := range clusters {
-				w := vc.v
+				w := v
 				w.Objs = c
 				if dir > 0 {
 					w.End = t
 				} else {
 					w.Start = t
 				}
-				next = append(next, extCand{v: w, bits: in.Encode(c, bufs.Get(in.Len()))})
-				if len(c) == len(vc.v.Objs) {
+				next = append(next, w)
+				if len(c) == len(v.Objs) {
 					survived = true
 				}
 			}
 			if !survived {
 				// v split or shrank: in its current shape it is closed.
-				out = append(out, vc.v)
+				out = append(out, v)
 			}
 		}
 		prev = extendDominate(next, dir)
 		t += dir
 	}
 	// Hit the dataset boundary: whatever is still alive is closed.
-	for _, vc := range prev {
-		out = append(out, vc.v)
-	}
-	return out, nil
+	return append(out, prev...), nil
 }
 
 func edge(v model.Convoy, dir int32) int32 {
@@ -152,23 +128,22 @@ func edge(v model.Convoy, dir int32) int32 {
 
 // extendDominate prunes, among in-flight extension candidates that share
 // the moving edge, those whose object set is a subset of another candidate
-// with an equal-or-wider fixed edge. All candidates carry dense encodings
-// under the same walk interner, so the subset tests are word-parallel.
-func extendDominate(cands []extCand, dir int32) []extCand {
-	fixedLE := func(a, b extCand) bool { // fixed edge of a at least as wide as b's
+// with an equal-or-wider fixed edge.
+func extendDominate(cands []model.Convoy, dir int32) []model.Convoy {
+	fixedLE := func(a, b model.Convoy) bool { // fixed edge of a at least as wide as b's
 		if dir > 0 {
-			return a.v.Start <= b.v.Start
+			return a.Start <= b.Start
 		}
-		return a.v.End >= b.v.End
+		return a.End >= b.End
 	}
-	var out []extCand
+	var out []model.Convoy
 	for _, c := range cands {
 		dominated := false
 		for j := 0; j < len(out); j++ {
 			switch {
-			case fixedLE(out[j], c) && c.bits.SubsetOf(out[j].bits):
+			case fixedLE(out[j], c) && c.Objs.SubsetOf(out[j].Objs):
 				dominated = true
-			case fixedLE(c, out[j]) && out[j].bits.SubsetOf(c.bits):
+			case fixedLE(c, out[j]) && out[j].Objs.SubsetOf(c.Objs):
 				out[j] = out[len(out)-1]
 				out = out[:len(out)-1]
 				j--
@@ -182,17 +157,4 @@ func extendDominate(cands []extCand, dir int32) []extCand {
 		}
 	}
 	return out
-}
-
-// convoyKeys builds a canonical fingerprint of a convoy slice for fixpoint
-// detection.
-func convoyKeys(cs []model.Convoy) string {
-	sorted := make([]model.Convoy, len(cs))
-	copy(sorted, cs)
-	model.SortConvoys(sorted)
-	key := ""
-	for _, c := range sorted {
-		key += c.Key() + ";"
-	}
-	return key
 }

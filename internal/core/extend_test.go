@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -99,36 +102,22 @@ func TestExtendStopsAtDatasetBoundary(t *testing.T) {
 }
 
 func TestExtendDominatePrunesInFlight(t *testing.T) {
-	// encode builds the dense candidates the way extendOne does: one shared
-	// interner per walk, every candidate encoded under it.
-	encode := func(cs ...model.Convoy) []extCand {
-		var all []model.ObjSet
-		for _, c := range cs {
-			all = append(all, c.Objs)
-		}
-		in := model.Intern(model.Universe(nil, all))
-		out := make([]extCand, len(cs))
-		for i, c := range cs {
-			out[i] = extCand{v: c, bits: in.Encode(c.Objs, nil)}
-		}
-		return out
-	}
 	a := model.NewConvoy(model.NewObjSet(1, 2, 3), 0, 10)
 	sub := model.NewConvoy(model.NewObjSet(1, 2), 2, 10) // same moving edge (right)
-	out := extendDominate(encode(sub, a), +1)
-	if len(out) != 1 || !out[0].v.Equal(a) {
+	out := extendDominate([]model.Convoy{sub, a}, +1)
+	if len(out) != 1 || !out[0].Equal(a) {
 		t.Fatalf("dominate = %v", out)
 	}
 	// Left direction: fixed edge is End.
 	b := model.NewConvoy(model.NewObjSet(1, 2, 3), 5, 12)
 	subL := model.NewConvoy(model.NewObjSet(2, 3), 5, 10)
-	out = extendDominate(encode(b, subL), -1)
-	if len(out) != 1 || !out[0].v.Equal(b) {
+	out = extendDominate([]model.Convoy{b, subL}, -1)
+	if len(out) != 1 || !out[0].Equal(b) {
 		t.Fatalf("dominate left = %v", out)
 	}
 	// Non-dominated pair survives.
 	c := model.NewConvoy(model.NewObjSet(4, 5), 0, 10)
-	out = extendDominate(encode(a, c), +1)
+	out = extendDominate([]model.Convoy{a, c}, +1)
 	if len(out) != 2 {
 		t.Fatalf("unrelated pruned: %v", out)
 	}
@@ -156,5 +145,95 @@ func TestIntersectClusterSets(t *testing.T) {
 	// {4} and {5} stay dropped (the paper's example discards them).
 	if got := intersectClusterSets(a, b, 2); len(got) != 3 {
 		t.Fatalf("CC(m=2) = %v", got)
+	}
+}
+
+// allPairsCandidates is the definition of phase 2 written out: every (left,
+// right) pair in order, intersections of at least m objects, each distinct
+// set once at its first position.
+func allPairsCandidates(a, b []model.ObjSet, m int) []model.ObjSet {
+	var out []model.ObjSet
+	for _, x := range a {
+		for _, y := range b {
+			cc := x.Intersect(y)
+			if len(cc) < m || slices.ContainsFunc(out, cc.Equal) {
+				continue
+			}
+			out = append(out, cc)
+		}
+	}
+	return out
+}
+
+// TestCandidateClusters pins the postings-driven sweep to the all-pairs
+// definition as an exact sequence: same sets, same order, duplicates dropped
+// at the same positions.
+func TestCandidateClusters(t *testing.T) {
+	set := model.NewObjSet
+	cases := []struct {
+		name string
+		a, b []model.ObjSet
+		m    int
+	}{
+		{"empty left", nil, []model.ObjSet{set(1, 2, 3)}, 1},
+		{"empty right", []model.ObjSet{set(1, 2, 3)}, nil, 1},
+		{"disjoint", []model.ObjSet{set(1, 2, 3)}, []model.ObjSet{set(4, 5, 6)}, 1},
+		{"m boundary met", []model.ObjSet{set(1, 2, 3, 4)}, []model.ObjSet{set(2, 3, 4, 9)}, 3},
+		{"m boundary missed", []model.ObjSet{set(1, 2, 3, 4)}, []model.ObjSet{set(2, 3, 4, 9)}, 4},
+		{"right order, not hit order",
+			// Object 1 sits in the later right cluster: the walk touches
+			// cluster 1 before cluster 0 and must still emit 0 first.
+			[]model.ObjSet{set(1, 2, 3, 4)},
+			[]model.ObjSet{set(3, 4, 7), set(1, 2, 8)}, 2},
+		{"same intersection from two pairs",
+			// {2,3} arises from (a0,b0), again from (a0,b1) and from
+			// (a1,b0): it is emitted once, before {5,6}.
+			[]model.ObjSet{set(1, 2, 3, 5, 6), set(2, 3, 4)},
+			[]model.ObjSet{set(2, 3, 7), set(2, 3, 8), set(5, 6, 9)}, 2},
+		{"overlapping right-hand groups",
+			// A disk cover shares objects between groups (flock.DiskGroups);
+			// so may the left side.
+			[]model.ObjSet{set(1, 2, 3, 4), set(3, 4, 5, 6)},
+			[]model.ObjSet{set(1, 2, 3), set(2, 3, 4), set(3, 4, 5), set(4, 5, 6)}, 2},
+	}
+	check := func(name string, a, b []model.ObjSet, m int) {
+		t.Helper()
+		got, want := intersectClusterSets(a, b, m), allPairsCandidates(a, b, m)
+		if !slices.EqualFunc(got, want, model.ObjSet.Equal) {
+			t.Fatalf("%s (m=%d):\n a = %v\n b = %v\n got  %v\n want %v", name, m, a, b, got, want)
+		}
+	}
+	for _, tc := range cases {
+		check(tc.name, tc.a, tc.b, tc.m)
+	}
+
+	// Seeded random clusterings: partitions (DBSCAN's shape) and overlapping
+	// covers (disk groups' shape) of sparse ids, on either side.
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		universe := 5 + rng.Intn(60)
+		clustering := func() []model.ObjSet {
+			n := rng.Intn(8)
+			overlap := rng.Intn(2) == 0
+			ids := make([][]int32, n)
+			for o := 0; o < universe && n > 0; o++ {
+				if rng.Intn(4) == 0 {
+					continue // in no cluster at this benchmark point
+				}
+				id := int32(o*7 - 50)
+				i := rng.Intn(n)
+				ids[i] = append(ids[i], id)
+				if overlap && rng.Intn(3) == 0 {
+					j := rng.Intn(n)
+					ids[j] = append(ids[j], id)
+				}
+			}
+			out := make([]model.ObjSet, n)
+			for i := range ids {
+				out[i] = set(ids[i]...)
+			}
+			return out
+		}
+		check(fmt.Sprintf("seed %d", seed), clustering(), clustering(), 1+rng.Intn(4))
 	}
 }

@@ -19,9 +19,9 @@ import (
 //     objects group together in a superset snapshot, they still group
 //     together (possibly inside a smaller group) in the restriction;
 //   - Restricted must be deterministic — the same rows always produce the
-//     same groups. The dense-set pipeline prunes duplicate candidate sets
-//     before re-clustering (HWMT levels and the phase-2 intersection), which
-//     is only sound when a pruned duplicate would have produced exactly the
+//     same groups. The pipeline prunes duplicate candidate sets before
+//     re-clustering (HWMT levels and the phase-2 intersection), which is
+//     only sound when a pruned duplicate would have produced exactly the
 //     groups its surviving twin produces. Both bundled groupers (DBSCAN
 //     here, disk covering in internal/flock) are deterministic.
 type Grouper struct {

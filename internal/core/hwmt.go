@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/bitset"
-	"repro/internal/model"
-)
+import "repro/internal/model"
 
 // hwmt runs the Hop-Window Mining Tree (paper §4.3, Algorithm 2) over the
 // interior timestamps [lo, hi] of a hop-window, starting from the window's
@@ -14,15 +11,13 @@ import (
 // separate at the window's middle, so whole windows are pruned after one or
 // two re-clusterings.
 //
-// Candidate sets within a window all live inside the window's universe
-// (∪cc), so each re-clustering level dedups its output word-parallel: the
-// clusters are encoded into one reusable dense scratch set (model.Interner
-// over the window universe) and keyed by their packed words. Different
-// candidates routinely shrink to the same surviving group; re-clustering
-// such a duplicate would re-fetch and re-cluster identical rows at every
-// remaining level for an identical outcome, so duplicates are dropped at
-// birth. This only removes repeated work — the set of distinct survivors,
-// and therefore the mined convoys, is unchanged.
+// Each re-clustering level dedups its output, keyed on the clusters' raw ids
+// (ObjSet.AppendKey). Different candidates routinely shrink to the same
+// surviving group; re-clustering such a duplicate would re-fetch and
+// re-cluster identical rows at every remaining level for an identical
+// outcome, so duplicates are dropped at birth. This only removes repeated
+// work — the set of distinct survivors, and therefore the mined convoys, is
+// unchanged.
 //
 // The survivors are object sets that form a cluster at every interior
 // timestamp of the window — the 1st-order spanning convoys, whose lifespan
@@ -39,8 +34,6 @@ func (mi *miner) hwmt(lo, hi int32, cc []model.ObjSet) ([]model.ObjSet, error) {
 	if len(order) == 0 {
 		return cc, nil
 	}
-	in := model.Intern(model.Universe(nil, cc))
-	scratch := bitset.New(in.Len())
 	var keyBuf []byte
 	seen := map[string]bool{}
 	cands := cc
@@ -53,7 +46,7 @@ func (mi *miner) hwmt(lo, hi int32, cc []model.ObjSet) ([]model.ObjSet, error) {
 				return nil, err
 			}
 			for _, c := range clusters {
-				keyBuf = in.Encode(c, scratch).AppendKey(keyBuf[:0])
+				keyBuf = c.AppendKey(keyBuf[:0])
 				if seen[string(keyBuf)] {
 					continue
 				}

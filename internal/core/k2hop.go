@@ -19,13 +19,14 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/dcm"
 	"repro/internal/model"
 	"repro/internal/pool"
+	"repro/internal/postings"
 	"repro/internal/storage"
 	"repro/internal/vcoda"
 )
@@ -272,51 +273,73 @@ func (mi *miner) recluster(t int32, objs model.ObjSet) ([]model.ObjSet, error) {
 }
 
 // intersectClusterSets computes the candidate clusters CC = {c ∩ c' : |c ∩
-// c'| ≥ m} of two benchmark cluster sets.
+// c'| ≥ m} of two benchmark cluster sets, in (left cluster, right cluster)
+// order.
 //
-// The pairwise intersections run word-parallel: the window's objects are
-// interned (the universe is ∪a — an id absent from the left benchmark
-// cannot appear in any intersection), each cluster is encoded once, and
-// every pair costs one fused AND+popcount over the packed words instead of
-// a sorted-slice merge. Only pairs meeting the m threshold materialize an
-// ObjSet.
+// The sweep is output-sensitive — it pays for what intersects, not for
+// |a|×|b| pairs: the right-hand clusters are indexed by object (they may
+// overlap — flock.DiskGroups produces such covers), each left cluster walks
+// its members' postings counting hits per right cluster, and only the pairs
+// that reach m hits are materialized, by one sorted merge.
 //
 // Distinct benchmark pairs frequently produce the same intersection; such
-// duplicates are emitted once. Downstream cost (HWMT re-clustering) is
-// per-set, and identical sets behave identically through every later
-// phase, so duplicate candidates only multiply work without ever changing
-// the mined convoys.
+// duplicates are emitted once, at their first position. Downstream cost
+// (HWMT re-clustering) is per-set, and identical sets behave identically
+// through every later phase, so duplicate candidates only multiply work
+// without ever changing the mined convoys.
 func intersectClusterSets(a, b []model.ObjSet, m int) []model.ObjSet {
 	if len(a) == 0 || len(b) == 0 {
 		return nil
 	}
-	in := model.Intern(model.Universe(nil, a))
-	da := make([]*bitset.Bits, len(a))
-	for i, s := range a {
-		da[i] = in.Encode(s, nil)
+	// Dense slots for the right-hand members, then slot → clusters of b.
+	slot := map[int32]int32{}
+	var flat []int32
+	for _, c := range b {
+		for _, o := range c {
+			s, ok := slot[o]
+			if !ok {
+				s = int32(len(slot))
+				slot[o] = s
+			}
+			flat = append(flat, s)
+		}
 	}
-	db := make([]*bitset.Bits, len(b))
-	for j, s := range b {
-		db[j] = in.Encode(s, nil)
-	}
-	scratch := bitset.New(in.Len())
+	var byObj postings.Lists
+	byObj.Build(len(slot), flat, len(b), func(j int) int { return len(b[j]) })
+
+	hits := make([]int32, len(b)) // per right cluster: members of the left cluster at hand
+	var touched []int32           // right clusters with hits > 0
 	var out []model.ObjSet
-	var seen map[string]bool
+	seen := map[string]bool{}
 	var keyBuf []byte
-	for i := range da {
-		for j := range db {
-			if scratch.AndOf(da[i], db[j]) < m {
+	for _, c := range a {
+		touched = touched[:0]
+		for _, o := range c {
+			s, ok := slot[o]
+			if !ok {
 				continue
 			}
-			if seen == nil {
-				seen = make(map[string]bool)
+			for _, j := range byObj.Of(s) {
+				if hits[j] == 0 {
+					touched = append(touched, j)
+				}
+				hits[j]++
 			}
-			keyBuf = scratch.AppendKey(keyBuf[:0])
+		}
+		slices.Sort(touched) // right-cluster order, whichever member was hit first
+		for _, j := range touched {
+			n := int(hits[j])
+			hits[j] = 0
+			if n < m {
+				continue
+			}
+			cc := c.Intersect(b[j])
+			keyBuf = cc.AppendKey(keyBuf[:0])
 			if seen[string(keyBuf)] {
 				continue
 			}
 			seen[string(keyBuf)] = true
-			out = append(out, in.Decode(scratch))
+			out = append(out, cc)
 		}
 	}
 	return out

@@ -128,16 +128,17 @@ func DiskGroups(rows []model.ObjPos, r float64, minSize int) []model.ObjSet {
 	}
 	g := newDiskGrid(rows, r)
 	seen := map[string]bool{}
+	var keyBuf []byte
 	var groups []model.ObjSet
 	add := func(set model.ObjSet) {
 		if len(set) < minSize {
 			return
 		}
-		k := set.Key()
-		if seen[k] {
+		keyBuf = set.AppendKey(keyBuf[:0])
+		if seen[string(keyBuf)] {
 			return
 		}
-		seen[k] = true
+		seen[string(keyBuf)] = true
 		groups = append(groups, set)
 	}
 	// Singleton-centred disks (cover co-located points and tiny groups).

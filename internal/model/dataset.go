@@ -41,21 +41,44 @@ func NewDataset(points []Point) *Dataset {
 		d.snaps[i] = append(d.snaps[i], ObjPos{OID: p.OID, X: p.X, Y: p.Y})
 	}
 	for i, snap := range d.snaps {
-		// Stable sort so that "last occurrence" below really means last in
-		// input order among equal OIDs (and no reflect swapper allocation).
-		slices.SortStableFunc(snap, func(a, b ObjPos) int { return cmp.Compare(a.OID, b.OID) })
-		// Deduplicate by OID, keeping the last occurrence.
-		out := snap[:0]
-		for j := 0; j < len(snap); j++ {
-			if j+1 < len(snap) && snap[j+1].OID == snap[j].OID {
-				continue
-			}
-			out = append(out, snap[j])
-		}
-		d.snaps[i] = out
-		d.n += len(out)
+		d.snaps[i] = CanonSnapshot(snap)
+		d.n += len(d.snaps[i])
 	}
 	return d
+}
+
+// IsCanonSnapshot reports whether pos is already in canonical snapshot form:
+// OIDs strictly increasing, hence sorted and duplicate-free.
+func IsCanonSnapshot(pos []ObjPos) bool {
+	for i := 1; i < len(pos); i++ {
+		if pos[i-1].OID >= pos[i].OID {
+			return false
+		}
+	}
+	return true
+}
+
+// CanonSnapshot puts one tick's positions into canonical snapshot form, in
+// place: sorted by OID with one position per OID, the last occurrence in
+// input order winning. This is the one duplicate-OID rule batch datasets,
+// the streaming miners and the server's reorder buffer share, which is what
+// makes streaming a feed byte-identical to batch-mining its records. An
+// already canonical snapshot costs one linear pass.
+func CanonSnapshot(pos []ObjPos) []ObjPos {
+	if IsCanonSnapshot(pos) {
+		return pos
+	}
+	// Stable, so that "last occurrence" below really means last in input
+	// order among equal OIDs.
+	slices.SortStableFunc(pos, func(a, b ObjPos) int { return cmp.Compare(a.OID, b.OID) })
+	out := pos[:0]
+	for j := range pos {
+		if j+1 < len(pos) && pos[j+1].OID == pos[j].OID {
+			continue
+		}
+		out = append(out, pos[j])
+	}
+	return out
 }
 
 // TimeRange returns the inclusive timestamp range [Ts, Te] of the dataset.

@@ -227,6 +227,18 @@ func (s ObjSet) Key() string {
 
 func (s ObjSet) String() string { return "{" + s.Key() + "}" }
 
+// AppendKey appends the set's ids as raw little-endian bytes to dst and
+// returns the extended slice. Two sets have equal keys iff they are equal,
+// so string(AppendKey(buf[:0])) is the map key of the mining loops' set
+// deduplication: four appended bytes per id into a reused buffer, where Key
+// formats every id through fmt into a fresh string.
+func (s ObjSet) AppendKey(dst []byte) []byte {
+	for _, id := range s {
+		dst = append(dst, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+	}
+	return dst
+}
+
 // Interval is an inclusive timestamp interval [Start, End].
 type Interval struct {
 	Start int32

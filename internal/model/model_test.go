@@ -127,6 +127,23 @@ func TestObjSetOpsQuick(t *testing.T) {
 	}
 }
 
+// Keys are equal exactly when the sets are, whichever byte of an id differs,
+// and appending reuses the buffer it is given.
+func TestObjSetAppendKey(t *testing.T) {
+	sets := []ObjSet{nil, {1}, {2}, {1, 2}, {256}, {1 << 16}, {1 << 24}, {-1}, {-1, 1}, {1, 256}}
+	for i, a := range sets {
+		for j, b := range sets {
+			if got := string(a.AppendKey(nil)) == string(b.AppendKey(nil)); got != (i == j) {
+				t.Errorf("keys of %v and %v equal = %v", a, b, got)
+			}
+		}
+	}
+	buf := make([]byte, 0, 64)
+	if key := (ObjSet{7, 9}).AppendKey(buf); len(key) != 8 || &key[0] != &buf[:1][0] {
+		t.Errorf("AppendKey should append 4 bytes per id into the given buffer, got %d bytes", len(key))
+	}
+}
+
 func TestIntervalOps(t *testing.T) {
 	iv := Interval{Start: 3, End: 7}
 	if iv.Len() != 5 {
@@ -306,6 +323,26 @@ func TestDatasetDedup(t *testing.T) {
 	}
 	if snap[0].X != 9 {
 		t.Fatalf("dedup should keep last occurrence, got %v", snap[0])
+	}
+}
+
+func TestCanonSnapshot(t *testing.T) {
+	// Already canonical: recognised, and returned as given.
+	canon := []ObjPos{{OID: -4}, {OID: 0}, {OID: 3}}
+	if !IsCanonSnapshot(canon) || !IsCanonSnapshot(nil) {
+		t.Fatalf("ascending OIDs (and the empty snapshot) are canonical")
+	}
+	if got := CanonSnapshot(canon); len(got) != 3 || &got[0] != &canon[0] {
+		t.Fatalf("canonical input should come back untouched, got %v", got)
+	}
+	// Unsorted with duplicates: sorted in place, last occurrence wins.
+	pos := []ObjPos{{OID: 7, X: 1}, {OID: 2, X: 1}, {OID: 7, X: 2}, {OID: 2, X: 2}, {OID: 7, X: 3}, {OID: 5}}
+	if IsCanonSnapshot(pos) || IsCanonSnapshot([]ObjPos{{OID: 1}, {OID: 1}}) {
+		t.Fatalf("unsorted or duplicate OIDs are not canonical")
+	}
+	want := []ObjPos{{OID: 2, X: 2}, {OID: 5}, {OID: 7, X: 3}}
+	if got := CanonSnapshot(pos); !reflect.DeepEqual(got, want) || &got[0] != &pos[0] {
+		t.Fatalf("CanonSnapshot = %v, want %v in place", got, want)
 	}
 }
 

@@ -134,50 +134,28 @@ func (s *Server) Handler() http.Handler {
 // application/x-k2bi takes a sequence of K2BI binary frames. Anything else
 // is 415.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("feed")
-	if name == "" {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "empty feed name")
-		return
-	}
-	var batch []tick
-	var frames int
-	var aerr *apiError
 	binary, ok := negotiateIngest(w, r)
 	if !ok {
 		return
 	}
+	// The body parses before the feed resolves: a rejected body creates no
+	// feed.
 	body := http.MaxBytesReader(w, r.Body, maxIngestBody)
+	var batch []tick
+	var frames int
+	var err error
 	if binary {
-		batch, aerr = parseBinaryBatch(body)
+		batch, err = parseBinaryBatch(body)
 		frames = len(batch)
 	} else {
-		batch, aerr = parseJSONBatch(body)
+		batch, err = parseJSONBatch(body)
 	}
-	if aerr != nil {
-		aerr.write(w)
-		return
+	var admit func([]tick) error
+	if err == nil {
+		admit, err = s.ingestInto(r)
 	}
-	pat, aerr := patternParam(r)
-	if aerr != nil {
-		aerr.write(w)
-		return
-	}
-	f, err := s.feedFor(name, true, pat)
-	if err != nil {
-		writeServerError(w, err)
-		return
-	}
-	if _, flushed := f.snapshotStats(); flushed {
-		writeError(w, http.StatusConflict, codeFeedFlushed, "feed already flushed")
-		return
-	}
-	err = s.admitIngest(r.Context(), f, batch)
-	if errors.Is(err, ErrFeedEvicted) {
-		// The feed was TTL-evicted between lookup and enqueue; start a
-		// fresh feed lifecycle under the same name and retry once.
-		if f, err = s.feedFor(name, true, pat); err == nil {
-			err = s.admitIngest(r.Context(), f, batch)
-		}
+	if err == nil {
+		err = admit(batch)
 	}
 	if err != nil {
 		writeServerError(w, err)
@@ -385,13 +363,16 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeServerError maps sentinel errors to HTTP statuses. A canceled or
-// timed-out request context writes nothing: the client is gone, and the
-// point of threading the context into enqueue is to release the handler
-// goroutine promptly, not to craft a response nobody reads. Every 429
-// carries Retry-After — the explicit backpressure contract.
+// writeServerError writes an apiError as it is and maps sentinel errors to
+// HTTP statuses. A canceled or timed-out request context writes nothing: the
+// client is gone, and the point of threading the context into enqueue is to
+// release the handler goroutine promptly, not to craft a response nobody
+// reads. Every 429 carries Retry-After — the explicit backpressure contract.
 func writeServerError(w http.ResponseWriter, err error) {
+	var ae *apiError
 	switch {
+	case errors.As(err, &ae):
+		ae.write(w)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 	case errors.Is(err, ErrBackpressure):
 		writeRetryError(w, codeQueueFull, err.Error(), retryAfter(err, time.Second))

@@ -69,7 +69,7 @@ func checkFinite(t int32, pos []model.ObjPos) *apiError {
 }
 
 // parseJSONBatch decodes the original JSON ingest body into shard ticks.
-func parseJSONBatch(body io.Reader) ([]tick, *apiError) {
+func parseJSONBatch(body io.Reader) ([]tick, error) {
 	var req ingestRequest
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		return nil, &apiError{status: http.StatusBadRequest, code: codeBadRequest, msg: "bad ingest body: " + err.Error()}
@@ -101,7 +101,7 @@ var frameReaders = sync.Pool{New: func() any { return storage.NewBatchFrameReade
 // ticks, one tick per frame. The whole body must parse: a structurally bad
 // or truncated frame rejects the request (the shard never sees a partial
 // batch), mirroring how an unparseable JSON body rejects wholesale.
-func parseBinaryBatch(body io.Reader) ([]tick, *apiError) {
+func parseBinaryBatch(body io.Reader) ([]tick, error) {
 	dec := frameReaders.Get().(*storage.BatchFrameReader)
 	dec.Reset(body)
 	defer func() {
@@ -109,23 +109,40 @@ func parseBinaryBatch(body io.Reader) ([]tick, *apiError) {
 		frameReaders.Put(dec)
 	}()
 	var batch []tick
-	for {
-		t, pos, err := dec.Next(nil)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, frameError(err, len(batch))
-		}
-		if aerr := checkFinite(t, pos); aerr != nil {
-			return nil, aerr
-		}
-		batch = append(batch, tick{t: t, pos: pos})
+	if _, err := readFrames(dec, func(tk tick) error {
+		batch = append(batch, tk)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	if len(batch) == 0 {
 		return nil, &apiError{status: http.StatusBadRequest, code: codeBadRequest, msg: "no frames in batch"}
 	}
 	return batch, nil
+}
+
+// readFrames is the K2BI decode loop of both binary ingest endpoints: it
+// hands every frame of dec to emit as one tick and returns how many it
+// handed over. It stops at the first failure — a frame that does not decode
+// (reported under the number of frames before it), a non-finite coordinate,
+// or emit's own error.
+func readFrames(dec *storage.BatchFrameReader, emit func(tick) error) (frames int, err error) {
+	for {
+		t, pos, err := dec.Next(nil)
+		if err == io.EOF {
+			return frames, nil
+		}
+		if err != nil {
+			return frames, frameError(err, frames)
+		}
+		if aerr := checkFinite(t, pos); aerr != nil {
+			return frames, aerr
+		}
+		frames++
+		if err := emit(tick{t: t, pos: pos}); err != nil {
+			return frames, err
+		}
+	}
 }
 
 // frameError maps a K2BI decode failure to the API error envelope.
@@ -158,6 +175,42 @@ type streamResponse struct {
 	Frames   int `json:"frames"`
 }
 
+// ingestInto resolves the feed an ingest request writes to — created on
+// first use, under the family ?pattern= names — and returns the function
+// that admits a batch of ticks into it. The unary endpoint admits its one
+// batch, the stream endpoint every chunk. An empty name or unknown pattern
+// is 400; a family mismatch or an already flushed feed, 409.
+//
+// admit recovers once from the feed being TTL-evicted between lookup and
+// enqueue (or mid-stream, under a slow client): it starts a fresh feed
+// lifecycle under the same name and retries.
+func (s *Server) ingestInto(r *http.Request) (admit func(batch []tick) error, err error) {
+	name := r.PathValue("feed")
+	if name == "" {
+		return nil, &apiError{status: http.StatusBadRequest, code: codeBadRequest, msg: "empty feed name"}
+	}
+	pat, aerr := patternParam(r)
+	if aerr != nil {
+		return nil, aerr
+	}
+	f, err := s.feedFor(name, true, pat)
+	if err != nil {
+		return nil, err
+	}
+	if _, flushed := f.snapshotStats(); flushed {
+		return nil, &apiError{status: http.StatusConflict, code: codeFeedFlushed, msg: "feed already flushed"}
+	}
+	return func(batch []tick) error {
+		err := s.admitIngest(r.Context(), f, batch)
+		if errors.Is(err, ErrFeedEvicted) {
+			if f, err = s.feedFor(name, true, pat); err == nil {
+				err = s.admitIngest(r.Context(), f, batch)
+			}
+		}
+		return err
+	}, nil
+}
+
 // handleIngestStream serves the sticky binary ingest endpoint: the client
 // holds one connection open and writes K2BI frames back to back; the server
 // resolves the feed and shard once and enqueues decoded ticks in chunks.
@@ -167,11 +220,6 @@ type streamResponse struct {
 // and the client resumes by reconnecting and sending from the first
 // unaccepted frame.
 func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("feed")
-	if name == "" {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "empty feed name")
-		return
-	}
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		if mt, _, err := mime.ParseMediaType(ct); err != nil || mt != contentTypeK2BI {
 			writeError(w, http.StatusUnsupportedMediaType, codeUnsupportedMedia,
@@ -179,38 +227,18 @@ func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	pat, aerr := patternParam(r)
-	if aerr != nil {
-		aerr.write(w)
-		return
-	}
-	f, err := s.feedFor(name, true, pat)
+	admit, err := s.ingestInto(r)
 	if err != nil {
 		writeServerError(w, err)
 		return
 	}
-	if _, flushed := f.snapshotStats(); flushed {
-		writeError(w, http.StatusConflict, codeFeedFlushed, "feed already flushed")
-		return
-	}
-
-	dec := storage.NewBatchFrameReader(r.Body)
-	var accepted, frames int
+	accepted := 0
 	chunk := make([]tick, 0, streamChunkTicks)
 	flush := func() error {
 		if len(chunk) == 0 {
 			return nil
 		}
-		err := s.admitIngest(r.Context(), f, chunk)
-		if errors.Is(err, ErrFeedEvicted) {
-			// Same one-shot recovery as the unary path: the feed idled out
-			// mid-stream (possible under a slow client); restart its
-			// lifecycle and retry once.
-			if f, err = s.feedFor(name, true, pat); err == nil {
-				err = s.admitIngest(r.Context(), f, chunk)
-			}
-		}
-		if err != nil {
+		if err := admit(chunk); err != nil {
 			return err
 		}
 		accepted += len(chunk)
@@ -219,29 +247,17 @@ func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
 		chunk = make([]tick, 0, streamChunkTicks)
 		return nil
 	}
-	for {
-		t, pos, err := dec.Next(nil)
-		if err == io.EOF {
-			break
+	frames, err := readFrames(storage.NewBatchFrameReader(r.Body), func(tk tick) error {
+		chunk = append(chunk, tk)
+		if len(chunk) < streamChunkTicks {
+			return nil
 		}
-		if err != nil {
-			frameError(err, frames).write(w)
-			return
-		}
-		if aerr := checkFinite(t, pos); aerr != nil {
-			aerr.write(w)
-			return
-		}
-		frames++
-		chunk = append(chunk, tick{t: t, pos: pos})
-		if len(chunk) >= streamChunkTicks {
-			if err := flush(); err != nil {
-				writeServerError(w, err)
-				return
-			}
-		}
+		return flush()
+	})
+	if err == nil {
+		err = flush()
 	}
-	if err := flush(); err != nil {
+	if err != nil {
 		writeServerError(w, err)
 		return
 	}

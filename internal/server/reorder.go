@@ -1,7 +1,7 @@
 package server
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -20,8 +20,9 @@ import (
 // policy needed.
 //
 // Partial snapshots merge: two batches for the same pending tick append
-// their positions, and the merged snapshot is deduplicated by OID (last
-// write wins, matching model.NewDataset) and sorted by OID when sealed.
+// their positions, and the merged snapshot is put into canonical form when
+// sealed (model.CanonSnapshot: sorted by OID, last write wins — the rule
+// model.NewDataset applies).
 type reorder struct {
 	window  int32
 	pending map[int32][]model.ObjPos
@@ -97,31 +98,14 @@ func (b *reorder) release(upTo int64) []tick {
 	if len(ts) == 0 {
 		return nil
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	slices.Sort(ts)
 	out := make([]tick, 0, len(ts))
 	for _, t := range ts {
-		out = append(out, tick{t: t, pos: canonSnapshot(b.pending[t])})
+		out = append(out, tick{t: t, pos: model.CanonSnapshot(b.pending[t])})
 		delete(b.pending, t)
 	}
 	if last := int64(ts[len(ts)-1]); last > b.watermark {
 		b.watermark = last
-	}
-	return out
-}
-
-// canonSnapshot sorts positions by OID and deduplicates (last write wins),
-// the canonical snapshot form the rest of the system assumes.
-func canonSnapshot(pos []model.ObjPos) []model.ObjPos {
-	if len(pos) == 0 {
-		return nil
-	}
-	sort.SliceStable(pos, func(i, j int) bool { return pos[i].OID < pos[j].OID })
-	out := pos[:0]
-	for i := 0; i < len(pos); i++ {
-		if i+1 < len(pos) && pos[i+1].OID == pos[i].OID {
-			continue // keep the last occurrence
-		}
-		out = append(out, pos[i])
 	}
 	return out
 }

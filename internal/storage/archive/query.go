@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 
-	"repro/internal/pool"
 	"repro/internal/storage"
 	"repro/internal/storage/lsm"
 )
@@ -236,7 +235,7 @@ func (a *Archive) scan(idx *lsm.DB, start [storage.KeySize]byte,
 	)
 	// Two phases: the index walk collects up to limit candidate locators
 	// (index-only predicates, no I/O beyond the index's own block reads),
-	// then records are materialised in a parallel fan-out. A record-level
+	// then their records are materialised from the log. A record-level
 	// reject (the feed filter) can leave a page shorter than limit;
 	// More/cursor still make paging complete.
 	type cand struct {
@@ -272,11 +271,8 @@ func (a *Archive) scan(idx *lsm.DB, start [storage.KeySize]byte,
 	if err != nil {
 		return Result{}, err
 	}
-	// Materialisation phase: fan the record preads across a worker group.
-	// Slot i holds candidate i's record, and the filter pass below walks
-	// the slots in candidate order, so the assembled page is byte-identical
-	// to a sequential materialisation — same records, same order, same
-	// cursor — regardless of read completion order.
+	// Materialisation phase: one positioned read per candidate, in candidate
+	// order, through one reused buffer.
 	if len(cands) == 0 {
 		return res, nil
 	}
@@ -285,17 +281,13 @@ func (a *Archive) scan(idx *lsm.DB, start [storage.KeySize]byte,
 		return Result{}, fmt.Errorf("archive: open log: %w", err)
 	}
 	defer f.Close()
-	recs := make([]storage.LoggedConvoy, len(cands))
-	err = pool.ForEach(pool.Size(0), len(cands), func(i int) (err error) {
-		recs[i], err = storage.ReadConvoyAt(f, cands[i].loc.off)
-		return err
-	})
 	a.recordsRead.Add(int64(len(cands)))
-	if err != nil {
-		return Result{}, err
-	}
-	for i, c := range cands {
-		rec := recs[i]
+	log := storage.NewConvoyReader(f)
+	for _, c := range cands {
+		rec, err := log.ReadAt(c.loc.off)
+		if err != nil {
+			return Result{}, err
+		}
 		if !verify(c.hi, rec) ||
 			int32(len(rec.Convoy.Objs)) != c.loc.size ||
 			rec.Convoy.End-rec.Convoy.Start+1 != c.loc.dur {

@@ -381,11 +381,28 @@ func ScanConvoyLogFrom(path string, from int64, fn func(off int64, rec LoggedCon
 // ScanConvoyLogFrom or ConvoyLog.Offset; arbitrary offsets fail with a
 // decode error (or worse, decode garbage), they are not validated.
 func ReadConvoyAt(r io.ReaderAt, off int64) (LoggedConvoy, error) {
+	return NewConvoyReader(r).ReadAt(off)
+}
+
+// ConvoyReader is ReadConvoyAt for many records of one log: every ReadAt
+// goes through the same read buffer. Not safe for concurrent use.
+type ConvoyReader struct {
+	r  io.ReaderAt
+	br *bufio.Reader
+}
+
+// NewConvoyReader returns a reader of the records of r.
+func NewConvoyReader(r io.ReaderAt) *ConvoyReader {
 	// Records are small (tens of bytes to a few KiB); a 4 KiB first read
 	// covers almost all of them in one pread, and the SectionReader serves
 	// the rare oversized object list with follow-up reads.
-	br := bufio.NewReaderSize(io.NewSectionReader(r, off, 1<<31), 4096)
-	rec, _, err := readLogRecord(br)
+	return &ConvoyReader{r: r, br: bufio.NewReaderSize(nil, 4096)}
+}
+
+// ReadAt decodes the record starting at byte offset off.
+func (cr *ConvoyReader) ReadAt(off int64) (LoggedConvoy, error) {
+	cr.br.Reset(io.NewSectionReader(cr.r, off, 1<<31))
+	rec, _, err := readLogRecord(cr.br)
 	if err != nil {
 		return LoggedConvoy{}, fmt.Errorf("convoylog: read at %d: %w", off, truncated(err))
 	}

@@ -5,8 +5,8 @@
 // baseline:
 //
 //	go test -run '^$' -bench=. -benchmem -count=3 ./... | tee bench.txt
-//	benchjson -o BENCH_3.json bench.txt                    # text → JSON
-//	benchjson -md -baseline BENCH_3.json bench.txt         # markdown table
+//	benchjson -o BENCH_7.json bench.txt                    # text → JSON
+//	benchjson -md -baseline BENCH_6.json bench.txt         # markdown table
 //
 // With no input file the bench text is read from stdin. Multiple samples
 // per benchmark (from -count) are all recorded; comparisons use the best

@@ -1,7 +1,6 @@
 package convoy
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -85,34 +84,25 @@ func (s *StreamMiner) resolveDuplicates(positions []ObjPos) []ObjPos {
 
 // canonPositions applies the duplicate-OID rule every streaming pattern
 // miner shares (see StreamMiner.Observe): duplicate OIDs are canonicalized
-// exactly as model.NewDataset canonicalizes a tick — stable-sorted by OID,
-// keeping the last occurrence — so streaming a feed with duplicate fixes
-// yields byte-identical results to batch-mining the same records. dupChk is
-// a caller-owned scratch map, cleared here; the common duplicate-free case
-// is one map pass and no allocation, and the input is never modified.
+// by model.CanonSnapshot, exactly as model.NewDataset canonicalizes a tick,
+// so streaming a feed with duplicate fixes yields byte-identical results to
+// batch-mining the same records. A snapshot whose OIDs already ascend — every
+// tick convoyd's reorder buffer releases — is recognised in one linear pass;
+// any other duplicate-free snapshot costs one pass over dupChk, a
+// caller-owned scratch map cleared here. Neither allocates, and the input is
+// never modified.
 func canonPositions(dupChk map[int32]struct{}, positions []ObjPos) []ObjPos {
+	if model.IsCanonSnapshot(positions) {
+		return positions
+	}
 	clear(dupChk)
-	dup := false
 	for _, p := range positions {
 		if _, ok := dupChk[p.OID]; ok {
-			dup = true
-			break
+			return model.CanonSnapshot(slices.Clone(positions))
 		}
 		dupChk[p.OID] = struct{}{}
 	}
-	if !dup {
-		return positions
-	}
-	canon := slices.Clone(positions)
-	slices.SortStableFunc(canon, func(a, b ObjPos) int { return cmp.Compare(a.OID, b.OID) })
-	out := canon[:0]
-	for j := 0; j < len(canon); j++ {
-		if j+1 < len(canon) && canon[j+1].OID == canon[j].OID {
-			continue
-		}
-		out = append(out, canon[j])
-	}
-	return out
+	return positions
 }
 
 // Last returns the most recently observed timestamp; ok is false before the
