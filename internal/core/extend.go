@@ -9,6 +9,9 @@ import (
 	"repro/internal/pool"
 )
 
+// maxReExtend bounds the ReExtend fixpoint's iterations (safety valve).
+const maxReExtend = 4
+
 // extendAll grows the maximal spanning convoys to their true starts and
 // ends (paper §4.5, Algorithm 3): first to the right, then to the left.
 // When cfg.ReExtend is set, the two passes repeat until a fixpoint, because
@@ -34,7 +37,7 @@ func (mi *miner) extendAll(merged []model.Convoy, rep *Report) ([]model.Convoy, 
 
 		// extend returns canonical order, so a pass that changed nothing
 		// compares equal element by element.
-		if !mi.cfg.ReExtend || iter+1 >= mi.cfg.MaxReExtend ||
+		if !mi.cfg.ReExtend || iter+1 >= maxReExtend ||
 			slices.EqualFunc(cur, prev, model.Convoy.Equal) {
 			return cur, nil
 		}

@@ -44,8 +44,6 @@ type Config struct {
 	// in each direction, which can miss such convoys. Enabled by default via
 	// DefaultConfig (see DESIGN.md §3).
 	ReExtend bool
-	// MaxReExtend bounds the fixpoint iterations (safety valve; 0 = 4).
-	MaxReExtend int
 	// LinearHWMT processes hop-window timestamps left-to-right instead of
 	// in bisection order. Results are identical; the bisection order prunes
 	// coincidentally-together candidates after fewer re-clusterings (paper
@@ -146,9 +144,6 @@ func MineCandidates(store storage.Store, cfg Config, grouper Grouper) ([]model.C
 	}
 	if cfg.M < 1 {
 		return nil, nil, errors.New("core: M must be ≥ 1")
-	}
-	if cfg.MaxReExtend <= 0 {
-		cfg.MaxReExtend = 4
 	}
 	workers := pool.Size(cfg.Workers)
 	rep := &Report{Workers: workers}

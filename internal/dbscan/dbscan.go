@@ -39,32 +39,56 @@ func Cluster(objs []model.ObjPos, eps float64, minPts int) []model.ObjSet {
 	if n == 0 || minPts <= 0 || n < minPts {
 		return nil
 	}
-	idx := newGrid(objs, eps)
-	labels := make([]int32, n) // int32 halves the per-call zeroing cost
-	for i := range labels {
+	ix := NewIndex(objs, eps)
+	epsSq := eps * eps
+	buf := make([]int32, 2*n) // int32 halves the per-call zeroing cost
+	order, labels := buf[:n], buf[n:]
+	for i := range order {
+		order[i] = int32(i)
+	}
+	var nbuf []int32 // neighbour buffer, reused across queries
+	return expand(order, labels, objs, minPts, func(id int32) []int32 {
+		nbuf = ix.Within(objs[id], epsSq, 1, nbuf[:0])
+		return nbuf
+	})
+}
+
+// expand is DBSCAN's control flow, the one copy scratch Cluster and
+// Incremental share: a seed scan over the point ids in order (input
+// order), BFS expansion through core points, first-reach border
+// assignment, and the sub-minPts discard guard. pos and labels are
+// id-addressed; labels is scratch space. neighbors(id) returns the ids
+// within eps of id, itself included, and is asked at most once per point;
+// its answer is read before the next call, so the callee may reuse one
+// buffer.
+//
+// The output is a function of the order and of the neighbourhoods as sets:
+// a cluster is everything density-reachable from its seed, whichever way
+// the frontier is walked, and is sorted before it is returned; clusters
+// come out in the order of their seeds; and a border point within reach of
+// several clusters goes to the one whose seed comes first, not to whichever
+// list names it first.
+func expand(order, labels []int32, pos []model.ObjPos, minPts int, neighbors func(id int32) []int32) []model.ObjSet {
+	for _, i := range order {
 		labels[i] = unvisited
 	}
-	epsSq := eps * eps
-
 	var clusters []model.ObjSet
-	var frontier []int // BFS queue, reused across seeds
-	var nbuf []int     // neighbour buffer, reused across queries
-
-	for i := 0; i < n; i++ {
+	frontier := make([]int32, 0, 256) // BFS queue, reused across seeds; starts on the stack
+	for _, i := range order {
 		if labels[i] != unvisited {
 			continue
 		}
-		nbuf = idx.neighbors(i, epsSq, nbuf[:0])
-		if len(nbuf) < minPts {
+		nb := neighbors(i)
+		if len(nb) < minPts {
 			labels[i] = noise
 			continue
 		}
 		// i is a core point: start a new cluster and expand it BFS-style.
 		cid := int32(len(clusters))
 		labels[i] = cid
-		cluster := model.ObjSet{objs[i].OID}
+		cluster := model.ObjSet{pos[i].OID}
 		frontier = frontier[:0]
-		for _, j := range nbuf {
+		for _, j := range nb {
 			if j != i {
 				frontier = append(frontier, j)
 			}
@@ -75,11 +99,10 @@ func Cluster(objs []model.ObjPos, eps float64, minPts int) []model.ObjSet {
 			switch labels[j] {
 			case unvisited:
 				labels[j] = cid
-				cluster = append(cluster, objs[j].OID)
-				nbuf = idx.neighbors(j, epsSq, nbuf[:0])
-				if len(nbuf) >= minPts {
+				cluster = append(cluster, pos[j].OID)
+				if nb := neighbors(j); len(nb) >= minPts {
 					// j is core: its whole neighbourhood joins the frontier.
-					for _, q := range nbuf {
+					for _, q := range nb {
 						if labels[q] == unvisited || labels[q] == noise {
 							frontier = append(frontier, q)
 						}
@@ -88,12 +111,12 @@ func Cluster(objs []model.ObjPos, eps float64, minPts int) []model.ObjSet {
 			case noise:
 				// Border point previously dismissed as noise.
 				labels[j] = cid
-				cluster = append(cluster, objs[j].OID)
+				cluster = append(cluster, pos[j].OID)
 			}
 		}
 		if len(cluster) >= minPts {
-			// Each point index joins a cluster exactly once (the labels
-			// array guards), so after an in-place sort only duplicate OIDs —
+			// Each point id joins a cluster exactly once (the labels array
+			// guards), so after an in-place sort only duplicate OIDs —
 			// distinct points sharing an id, which the snapshot contract
 			// discourages but Cluster's API does not forbid — can break the
 			// ObjSet invariant. The common case is a branch-predicted scan;
@@ -107,9 +130,10 @@ func Cluster(objs []model.ObjPos, eps float64, minPts int) []model.ObjSet {
 			}
 			clusters = append(clusters, cluster)
 		} else {
-			// Cannot happen with standard DBSCAN (a core point has ≥ minPts
-			// neighbours, all of which join its cluster), but guard anyway.
-			for k := range labels {
+			// An earlier cluster took border points this seed needed to
+			// reach minPts: not an (m,eps)-cluster. Its points go back to
+			// noise, where a later cluster may still reach them.
+			for _, k := range order {
 				if labels[k] == cid {
 					labels[k] = noise
 				}
@@ -117,26 +141,4 @@ func Cluster(objs []model.ObjPos, eps float64, minPts int) []model.ObjSet {
 		}
 	}
 	return clusters
-}
-
-// ClusterContaining returns the members of each cluster as index slices into
-// objs instead of OIDs. Used by tests that verify density-connectivity
-// directly on positions.
-func ClusterContaining(objs []model.ObjPos, eps float64, minPts int) [][]int {
-	n := len(objs)
-	if n == 0 || minPts <= 0 || n < minPts {
-		return nil
-	}
-	clusters := Cluster(objs, eps, minPts)
-	byOID := make(map[int32]int, n)
-	for i, p := range objs {
-		byOID[p.OID] = i
-	}
-	out := make([][]int, len(clusters))
-	for ci, c := range clusters {
-		for _, oid := range c {
-			out[ci] = append(out[ci], byOID[oid])
-		}
-	}
-	return out
 }

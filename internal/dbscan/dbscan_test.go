@@ -2,6 +2,8 @@ package dbscan
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -297,16 +299,6 @@ func TestGridHandlesExtremeCoords(t *testing.T) {
 	}
 }
 
-func TestClusterContaining(t *testing.T) {
-	objs := []model.ObjPos{
-		pos(10, 0, 0), pos(20, 0.1, 0), pos(30, 0.2, 0),
-	}
-	idxs := ClusterContaining(objs, 0.5, 3)
-	if len(idxs) != 1 || len(idxs[0]) != 3 {
-		t.Fatalf("ClusterContaining = %v", idxs)
-	}
-}
-
 func BenchmarkCluster1000(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	objs := make([]model.ObjPos, 1000)
@@ -317,5 +309,197 @@ func BenchmarkCluster1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Cluster(objs, 2.0, 3)
+	}
+}
+
+// bruteCluster is DBSCAN stated without a traversal, over O(n²)
+// neighbourhoods: cores are grouped into connected components, components
+// are taken in the input order of their first core, and each claims its
+// cores plus the non-core points next to them that no earlier surviving
+// component claimed. A component left with fewer than minPts points — an
+// earlier one took its border points — is dropped and claims nothing.
+func bruteCluster(objs []model.ObjPos, eps float64, minPts int) []model.ObjSet {
+	n := len(objs)
+	near := func(i, j int) bool { return model.DistSq(objs[i], objs[j]) <= eps*eps }
+	core := make([]bool, n)
+	for i := range objs {
+		count := 0
+		for j := range objs {
+			if near(i, j) {
+				count++
+			}
+		}
+		core[i] = count >= minPts
+	}
+	comp := make([]int, n) // core → its component's first core
+	for i := range comp {
+		comp[i] = i
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := range objs {
+			for j := range objs {
+				if core[i] && core[j] && near(i, j) && comp[j] < comp[i] {
+					comp[i], changed = comp[j], true
+				}
+			}
+		}
+	}
+	claimed := make([]bool, n)
+	var out []model.ObjSet
+	for first := range objs {
+		if !core[first] || comp[first] != first {
+			continue
+		}
+		var members []int
+		for i := range objs {
+			switch {
+			case core[i] && comp[i] == first:
+				members = append(members, i)
+			case !core[i] && !claimed[i]:
+				for j := range objs {
+					if core[j] && comp[j] == first && near(i, j) {
+						members = append(members, i)
+						break
+					}
+				}
+			}
+		}
+		if len(members) < minPts {
+			continue
+		}
+		var oids []int32
+		for _, i := range members {
+			claimed[i] = true
+			oids = append(oids, objs[i].OID)
+		}
+		out = append(out, model.NewObjSet(oids...))
+	}
+	return out
+}
+
+// permutations calls f with every ordering of 0..n-1 (Heap's algorithm).
+func permutations(n int, f func([]int)) {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	var rec func(k int)
+	rec = func(k int) {
+		if k == 1 {
+			f(p)
+			return
+		}
+		for i := 0; i < k; i++ {
+			rec(k - 1)
+			if k%2 == 0 {
+				p[i], p[k-1] = p[k-1], p[i]
+			} else {
+				p[0], p[k-1] = p[k-1], p[0]
+			}
+		}
+	}
+	rec(n)
+}
+
+// The decisions of the expansion that Cluster and Incremental share, which
+// the set-level tests above leave open: the order clusters come out in,
+// which cluster a contested border point joins, what happens to a point
+// first dismissed as noise, to a cluster whose border points were taken,
+// and to duplicate OIDs.
+func TestClusterOrderAndBorderRule(t *testing.T) {
+	sets := func(s ...model.ObjSet) []model.ObjSet { return s }
+	left := []model.ObjPos{pos(1, 0, 0), pos(2, 0.5, 0), pos(3, 1, 0)}
+	right := []model.ObjPos{pos(7, 100, 0), pos(8, 100.5, 0), pos(9, 101, 0)}
+	// Two cores 1.2 apart, each with a private neighbour, and two points
+	// between them within eps = 1 of both cores but not of each other.
+	contested := func(oidA, oidB int32) []model.ObjPos {
+		return []model.ObjPos{
+			pos(oidA, 0, 0), pos(oidA+1, -0.9, 0),
+			pos(oidB, 1.2, 0), pos(oidB+1, 2.1, 0),
+			pos(50, 0.6, 0.6), pos(51, 0.6, -0.6),
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		objs   []model.ObjPos
+		eps    float64
+		minPts int
+		want   []model.ObjSet
+	}{
+		{"clusters follow their seeds: left first", slices.Concat(left, right), 0.6, 3,
+			sets(model.NewObjSet(1, 2, 3), model.NewObjSet(7, 8, 9))},
+		{"clusters follow their seeds: right first", slices.Concat(right, left), 0.6, 3,
+			sets(model.NewObjSet(7, 8, 9), model.NewObjSet(1, 2, 3))},
+		{"seed order, not OID order, interleaved", []model.ObjPos{right[1], left[0], right[0], left[2], left[1], right[2]}, 0.6, 3,
+			sets(model.NewObjSet(7, 8, 9), model.NewObjSet(1, 2, 3))},
+		// 3 is no core (two neighbours of three needed) and is scanned
+		// first, so it is noise until the cluster seeded at 2 reaches it.
+		{"noise later reached is a border member", []model.ObjPos{pos(3, 1, 0), pos(1, 0, 0), pos(2, 0.5, 0), pos(4, 0.2, 0.2)}, 0.6, 4,
+			sets(model.NewObjSet(1, 2, 3, 4))},
+		// Both cores need the contested pair to reach minPts = 4. The first
+		// seed takes both; the second is left with two points and dropped.
+		{"contested borders go to the first seed, the loser is dropped", contested(10, 20), 1, 4,
+			sets(model.NewObjSet(10, 11, 50, 51))},
+		{"contested borders: second core listed first", slices.Concat(contested(10, 20)[2:4], contested(10, 20)[:2], contested(10, 20)[4:]), 1, 4,
+			sets(model.NewObjSet(20, 21, 50, 51))},
+		// The dropped cluster hands back what it did hold: 22, next to its
+		// core 20 and to the later core 30, which needs it to reach minPts.
+		{"a dropped cluster releases its border points", slices.Concat(contested(10, 20)[:3], []model.ObjPos{
+			pos(22, 2.1, 0), pos(30, 3, 0), pos(31, 3.6, 0.6), pos(32, 3.6, -0.6)}, contested(10, 20)[4:]), 1, 4,
+			sets(model.NewObjSet(10, 11, 50, 51), model.NewObjSet(22, 30, 31, 32))},
+		// Size is judged on points, the set is compacted afterwards.
+		{"duplicate OIDs compact", []model.ObjPos{pos(5, 0, 0), pos(5, 0.1, 0), pos(2, 0, 0.1), pos(9, 50, 50), pos(9, 50, 50.1), pos(9, 50.1, 50)}, 1, 3,
+			sets(model.NewObjSet(2, 5), model.NewObjSet(9))},
+	} {
+		if got := Cluster(c.objs, c.eps, c.minPts); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: Cluster = %v, want %v", c.name, got, c.want)
+		}
+		if got := bruteCluster(c.objs, c.eps, c.minPts); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: the reference itself = %v, want %v", c.name, got, c.want)
+		}
+	}
+
+	// The contested fixture under every input order: whichever core is
+	// listed first seeds the surviving cluster, wherever the border points,
+	// the private neighbours and the other core sit around it.
+	fixture := contested(10, 20)
+	permutations(len(fixture), func(p []int) {
+		objs := make([]model.ObjPos, len(p))
+		a, b := 0, 0
+		for at, i := range p {
+			objs[at] = fixture[i]
+			switch fixture[i].OID {
+			case 10:
+				a = at
+			case 20:
+				b = at
+			}
+		}
+		want := sets(model.NewObjSet(10, 11, 50, 51))
+		if b < a {
+			want = sets(model.NewObjSet(20, 21, 50, 51))
+		}
+		if got := Cluster(objs, 1, 4); !reflect.DeepEqual(got, want) {
+			t.Fatalf("order %v: Cluster = %v, want %v", p, got, want)
+		}
+	})
+
+	// Random snapshots on a half-unit lattice (distances of exactly eps,
+	// co-located points, the odd duplicate OID), compared exactly — same
+	// sets, same sequence — against the reference.
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 400; trial++ {
+		objs := make([]model.ObjPos, rng.Intn(70))
+		side := 4 + rng.Intn(12)
+		for i := range objs {
+			objs[i] = pos(int32(rng.Intn(3*len(objs))), float64(rng.Intn(2*side))/2-3, float64(rng.Intn(2*side))/2-3)
+		}
+		eps := []float64{0.5, 1, 1.5}[rng.Intn(3)]
+		minPts := 1 + rng.Intn(5)
+		got, want := Cluster(objs, eps, minPts), bruteCluster(objs, eps, minPts)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (eps %v, minPts %d): Cluster = %v, reference %v\nobjs %v", trial, eps, minPts, got, want, objs)
+		}
 	}
 }

@@ -15,8 +15,9 @@ import (
 // re-running every eps-neighbourhood query per tick (what Cluster does), an
 // Incremental carries three things across ticks:
 //
-//   - the flat sorted (packed cell key, point slot) grid, patched by a
-//     filter+merge pass instead of a full rebuild+sort;
+//   - the Index — the same flat sorted grid Cluster builds, over a slot
+//     table instead of the input slice — patched by a filter+merge pass
+//     instead of a full rebuild+sort;
 //   - each live object's cached eps-neighbourhood (as point slots);
 //   - the object→slot identity map used to diff snapshots by OID.
 //
@@ -31,18 +32,13 @@ import (
 // from. A tick thus costs one query per object that changed, never more
 // than the one per object that scratch runs.
 //
-// Clustering is then *replayed* over the cached neighbourhoods with
-// exactly the control flow of Cluster (same seed scan in input order, same
-// BFS expansion, same border-point first-reach assignment, same sub-minPts
-// discard guard), which makes the output byte-identical to a from-scratch
-// Cluster call on the same snapshot: neighbourhood *contents* fully
-// determine Cluster's output, and the cache holds exactly the sets the
-// scratch grid would compute. The order inside a list — which the in-place
-// edits scramble — cannot show: a cluster is everything density-reachable
-// from its seed, whichever way the frontier is walked, and is sorted before
-// it is returned; clusters come out in the input order of their seeds; and
-// a border point within reach of several clusters goes to the one whose
-// seed comes first in input order, not to whichever list names it first.
+// Clustering is then *replayed*: the same expand that Cluster runs over
+// fresh grid queries runs over the cached neighbourhoods instead. The
+// output is byte-identical to a from-scratch Cluster call on the same
+// snapshot because the cache holds, as sets, exactly what the scratch grid
+// would answer, and expand's output depends on nothing else — in
+// particular not on the order inside a list, which the in-place edits
+// scramble (see expand).
 //
 // When a snapshot falls outside the regime the delta reasoning is proven
 // for, Step degrades to scratch Cluster (still byte-identical, trivially)
@@ -64,9 +60,8 @@ import (
 // previous tick to diff against, and the scratch path doubles as the frozen
 // oracle the differential and fuzz suites compare this engine to.
 type Incremental struct {
-	rawEps float64 // as given; used for scratch fallback calls
-	eps    float64 // clamped like newGrid; used for cell math
-	epsSq  float64 // rawEps², matching Cluster's distance threshold
+	eps    float64
+	epsSq  float64
 	minPts int
 
 	// degenerate pins the engine to scratch Cluster forever: with eps ≤ 0
@@ -80,14 +75,11 @@ type Incremental struct {
 	scratchTicks int
 
 	// --- carried state (valid == true) -----------------------------------
+	idx        Index           // pos: slot → object; entries: the live slots, in key order only once patched
 	oidSlot    map[int32]int32 // OID → slot
-	oids       []int32         // slot → OID
-	posX       []float64       // slot → position
-	posY       []float64
-	nbr        [][]int32  // slot → cached eps-neighbourhood (slots, incl. self)
-	alive      []int32    // live slots, arbitrary order
-	freeSlots  []int32    // recyclable slots; freed at end of tick, so a slot
-	entries    []incEntry // never moves between objects within one tick
+	nbr        [][]int32       // slot → cached eps-neighbourhood (slots, incl. self)
+	alive      []int32         // live slots, arbitrary order
+	freeSlots  []int32         // recyclable slots; freed at end of tick, so a slot never moves between objects within one tick
 	totalEdges int
 
 	// --- per-tick scratch, reused across ticks ---------------------------
@@ -97,28 +89,21 @@ type Incremental struct {
 	rmTick    []int64 // slot → epoch when its grid entry is scheduled out
 	stamp     int64   // one value per moved slot, for the old-vs-new list diff
 	mark      []int64 // slot → stamp while it is in the old list only
-	labels    []int32 // slot → replay label (unvisited/noise/cluster id)
+	labels    []int32 // slot → expand's label
 	inOrder   []int32 // input index → slot
 	moved     []movedRec
 	gone      []int32
 	appeared  []int32
-	adds      []incEntry
-	mergeBuf  []incEntry
+	adds      []entry
+	mergeBuf  []entry
 	qbuf      []int32
-	frontier  []int32
 
 	stats IncrementalStats
 }
 
-// incEntry locates one live slot in cell-key order (see gridEntry).
-type incEntry struct {
-	key  uint64
-	slot int32
-}
-
 type movedRec struct {
-	slot       int32
-	oldX, oldY float64
+	slot   int32
+	oldKey uint64 // cell key of the position it left
 }
 
 // IncrementalStats counts what the engine did since construction (they
@@ -129,7 +114,7 @@ type IncrementalStats struct {
 	Ticks       int64 // Step calls
 	Rebuilds    int64 // full state rebuilds (first tick, post-Reset, post-fallback)
 	Fallbacks   int64 // ticks answered by scratch Cluster
-	GridQueries int64 // queryAt calls: one per object in a rebuild, one per moved or appeared object in a delta tick
+	GridQueries int64 // index queries: one per object in a rebuild, one per moved or appeared object in a delta tick
 	Recomputed  int64 // cached lists replaced by a query's answer in delta ticks (moved + appeared objects)
 	Patched     int64 // entries added to or struck from unchanged objects' cached lists in place
 }
@@ -156,18 +141,14 @@ func NewIncremental(eps float64, minPts int) (*Incremental, error) {
 	if minPts < 1 {
 		return nil, fmt.Errorf("dbscan: minPts must be ≥ 1, got %d", minPts)
 	}
-	inc := &Incremental{
-		rawEps:  eps,
-		eps:     eps,
-		epsSq:   eps * eps,
-		minPts:  minPts,
-		oidSlot: make(map[int32]int32),
-	}
-	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
-		inc.degenerate = true
-		inc.eps = math.SmallestNonzeroFloat64
-	}
-	return inc, nil
+	return &Incremental{
+		eps:        eps,
+		epsSq:      eps * eps,
+		minPts:     minPts,
+		degenerate: eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0),
+		idx:        Index{cell: eps},
+		oidSlot:    make(map[int32]int32),
+	}, nil
 }
 
 // Stats returns the cumulative counters.
@@ -179,11 +160,11 @@ func (inc *Incremental) Stats() IncrementalStats { return inc.stats }
 // here.
 func (inc *Incremental) Reset() {
 	*inc = Incremental{
-		rawEps:     inc.rawEps,
 		eps:        inc.eps,
 		epsSq:      inc.epsSq,
 		minPts:     inc.minPts,
 		degenerate: inc.degenerate,
+		idx:        Index{cell: inc.eps},
 		oidSlot:    make(map[int32]int32),
 		epoch:      inc.epoch,
 		stats:      inc.stats,
@@ -216,21 +197,7 @@ func (inc *Incremental) Step(objs []model.ObjPos) []model.ObjSet {
 // inconsistency mid-update must clearState first.
 func (inc *Incremental) fallback(objs []model.ObjPos) []model.ObjSet {
 	inc.stats.Fallbacks++
-	return Cluster(objs, inc.rawEps, inc.minPts)
-}
-
-// cellable reports whether v lands in a cell whose coordinate fits int32.
-// Beyond that the float→int32 conversion in cellOf is implementation-
-// defined and the "neighbours live in the 3×3 block" invariant breaks, so
-// such snapshots (astronomic coordinates, NaN, Inf) go to scratch. NaN
-// fails both comparisons.
-func (inc *Incremental) cellable(v float64) bool {
-	c := math.Floor(v / inc.eps)
-	return c >= math.MinInt32 && c <= math.MaxInt32
-}
-
-func (inc *Incremental) keyOf(x, y float64) uint64 {
-	return packKey(int32(math.Floor(x/inc.eps)), int32(math.Floor(y/inc.eps)))
+	return Cluster(objs, inc.eps, inc.minPts)
 }
 
 // clearState drops all carried state (releasing neighbourhood memory) but
@@ -243,12 +210,10 @@ func (inc *Incremental) clearState() {
 		inc.nbr[i] = nil
 	}
 	inc.nbr = inc.nbr[:0]
-	inc.oids = inc.oids[:0]
-	inc.posX = inc.posX[:0]
-	inc.posY = inc.posY[:0]
+	inc.idx.pos = inc.idx.pos[:0]
+	inc.idx.entries = inc.idx.entries[:0]
 	inc.alive = inc.alive[:0]
 	inc.freeSlots = inc.freeSlots[:0]
-	inc.entries = inc.entries[:0]
 	inc.adds = inc.adds[:0]
 	inc.seenTick = inc.seenTick[:0]
 	inc.deltaTick = inc.deltaTick[:0]
@@ -261,18 +226,16 @@ func (inc *Incremental) clearState() {
 // allocSlot assigns a slot to a newly appeared object. Freed slots are only
 // recycled on later ticks (freeSlots grows at end-of-tick), so within one
 // tick a slot identifies one object in every cached structure.
-func (inc *Incremental) allocSlot(oid int32, x, y float64) int32 {
+func (inc *Incremental) allocSlot(p model.ObjPos) int32 {
 	var s int32
 	if k := len(inc.freeSlots); k > 0 {
 		s = inc.freeSlots[k-1]
 		inc.freeSlots = inc.freeSlots[:k-1]
-		inc.oids[s], inc.posX[s], inc.posY[s] = oid, x, y
+		inc.idx.pos[s] = p
 		inc.nbr[s] = inc.nbr[s][:0]
 	} else {
-		s = int32(len(inc.oids))
-		inc.oids = append(inc.oids, oid)
-		inc.posX = append(inc.posX, x)
-		inc.posY = append(inc.posY, y)
+		s = int32(len(inc.idx.pos))
+		inc.idx.pos = append(inc.idx.pos, p)
 		inc.nbr = append(inc.nbr, nil)
 		inc.seenTick = append(inc.seenTick, 0)
 		inc.deltaTick = append(inc.deltaTick, 0)
@@ -280,51 +243,16 @@ func (inc *Incremental) allocSlot(oid int32, x, y float64) int32 {
 		inc.rmTick = append(inc.rmTick, 0)
 		inc.labels = append(inc.labels, 0)
 	}
-	inc.oidSlot[oid] = s
+	inc.oidSlot[p.OID] = s
 	inc.alive = append(inc.alive, s)
 	return s
 }
 
-// queryAt returns the slots of all live points within eps of (x, y),
-// mirroring grid.neighbors: 3 binary searches plus 3 linear scans over the
-// sorted entries, with the same int32-extreme clamping and the same
-// model.DistSq comparison so float behaviour is bit-identical to scratch.
-func (inc *Incremental) queryAt(x, y float64, dst []int32) []int32 {
+// query answers slot s's eps-neighbourhood from the index: the same call,
+// and so bit for bit the same float comparisons, as scratch Cluster's.
+func (inc *Incremental) query(s int32, dst []int32) []int32 {
 	inc.stats.GridQueries++
-	p := model.ObjPos{X: x, Y: y}
-	cx := int32(math.Floor(x / inc.eps))
-	cy := int32(math.Floor(y / inc.eps))
-	cyLo, cyHi := cy-1, cy+1
-	if cy == math.MinInt32 {
-		cyLo = cy
-	}
-	if cy == math.MaxInt32 {
-		cyHi = cy
-	}
-	e := inc.entries
-	for dx := int32(-1); dx <= 1; dx++ {
-		if (dx < 0 && cx == math.MinInt32) || (dx > 0 && cx == math.MaxInt32) {
-			continue
-		}
-		lo := packKey(cx+dx, cyLo)
-		hi := packKey(cx+dx, cyHi)
-		a, b := 0, len(e)
-		for a < b {
-			mid := int(uint(a+b) >> 1)
-			if e[mid].key < lo {
-				a = mid + 1
-			} else {
-				b = mid
-			}
-		}
-		for ; a < len(e) && e[a].key <= hi; a++ {
-			s := e[a].slot
-			if model.DistSq(p, model.ObjPos{X: inc.posX[s], Y: inc.posY[s]}) <= inc.epsSq {
-				dst = append(dst, s)
-			}
-		}
-	}
-	return dst
+	return inc.idx.Within(inc.idx.pos[s], inc.epsSq, 1, dst)
 }
 
 // rebuild constructs the full state from one snapshot: every slot, the
@@ -334,29 +262,21 @@ func (inc *Incremental) rebuild(objs []model.ObjPos) []model.ObjSet {
 	inc.stats.Rebuilds++
 	inc.clearState()
 	inc.epoch++
-	ep := inc.epoch
 	inOrder := inc.inOrder[:0]
 	for _, p := range objs {
-		if _, dup := inc.oidSlot[p.OID]; dup || !inc.cellable(p.X) || !inc.cellable(p.Y) {
-			inc.inOrder = inOrder[:0]
+		if _, dup := inc.oidSlot[p.OID]; dup || !inc.idx.cellable(p) {
 			inc.clearState()
 			return inc.fallback(objs)
 		}
-		s := inc.allocSlot(p.OID, p.X, p.Y)
-		inc.seenTick[s] = ep
-		inc.labels[s] = unvisited
+		s := inc.allocSlot(p)
+		inc.seenTick[s] = inc.epoch
 		inOrder = append(inOrder, s)
 	}
 	inc.inOrder = inOrder
-	es := inc.entries[:0]
-	for _, s := range inOrder {
-		es = append(es, incEntry{key: inc.keyOf(inc.posX[s], inc.posY[s]), slot: s})
-	}
-	slices.SortFunc(es, func(a, b incEntry) int { return cmp.Compare(a.key, b.key) })
-	inc.entries = es
+	inc.idx.build() // no slot is free yet, so the slot table is the snapshot
 	cap := edgeCap(len(objs))
 	for _, s := range inOrder {
-		inc.nbr[s] = inc.queryAt(inc.posX[s], inc.posY[s], inc.nbr[s][:0])
+		inc.nbr[s] = inc.query(s, inc.nbr[s][:0])
 		inc.totalEdges += len(inc.nbr[s])
 		if inc.totalEdges > cap {
 			inc.clearState()
@@ -380,38 +300,23 @@ func (inc *Incremental) advance(objs []model.ObjPos) []model.ObjSet {
 	appeared := inc.appeared[:0]
 	for _, p := range objs {
 		s, ok := inc.oidSlot[p.OID]
-		if ok && inc.seenTick[s] == ep {
-			// Duplicate OID in one snapshot: identity diffing is ill-defined
-			// and earlier iterations already mutated positions, so drop the
-			// state wholesale and answer from scratch.
-			inc.inOrder = inOrder[:0]
-			inc.moved, inc.appeared = moved[:0], appeared[:0]
+		changed := !ok || p.X != inc.idx.pos[s].X || p.Y != inc.idx.pos[s].Y
+		if (ok && inc.seenTick[s] == ep) || (changed && !inc.idx.cellable(p)) {
+			// Duplicate OID in one snapshot (identity diffing is ill-defined)
+			// or a position the grid cannot hold. Earlier iterations already
+			// mutated positions, so drop the state wholesale and answer from
+			// scratch.
 			inc.clearState()
 			return inc.fallback(objs)
 		}
-		if ok {
-			if p.X != inc.posX[s] || p.Y != inc.posY[s] {
-				if !inc.cellable(p.X) || !inc.cellable(p.Y) {
-					inc.inOrder = inOrder[:0]
-					inc.moved, inc.appeared = moved[:0], appeared[:0]
-					inc.clearState()
-					return inc.fallback(objs)
-				}
-				moved = append(moved, movedRec{slot: s, oldX: inc.posX[s], oldY: inc.posY[s]})
-				inc.posX[s], inc.posY[s] = p.X, p.Y
-			}
-		} else {
-			if !inc.cellable(p.X) || !inc.cellable(p.Y) {
-				inc.inOrder = inOrder[:0]
-				inc.moved, inc.appeared = moved[:0], appeared[:0]
-				inc.clearState()
-				return inc.fallback(objs)
-			}
-			s = inc.allocSlot(p.OID, p.X, p.Y)
+		if !ok {
+			s = inc.allocSlot(p)
 			appeared = append(appeared, s)
+		} else if changed {
+			moved = append(moved, movedRec{slot: s, oldKey: inc.idx.keyOf(inc.idx.pos[s])})
+			inc.idx.pos[s] = p
 		}
 		inc.seenTick[s] = ep
-		inc.labels[s] = unvisited
 		inOrder = append(inOrder, s)
 	}
 	inc.inOrder, inc.moved, inc.appeared = inOrder, moved, appeared
@@ -425,7 +330,7 @@ func (inc *Incremental) advance(objs []model.ObjPos) []model.ObjSet {
 			w++
 		} else {
 			gone = append(gone, s)
-			delete(inc.oidSlot, inc.oids[s])
+			delete(inc.oidSlot, inc.idx.pos[s].OID)
 		}
 	}
 	inc.alive = inc.alive[:w]
@@ -466,8 +371,9 @@ func (inc *Incremental) advance(objs []model.ObjPos) []model.ObjSet {
 // Neighbours that are deltas themselves are left alone: a moved or appeared
 // one gets its list from its own query, which sees every delta's final
 // position, and a gone one's list is dropped at the end of the tick.
-// Edits are swap-remove and append, so list order drifts from grid order;
-// replay reads lists as sets (see Incremental).
+// Edits are swap-remove and append, so list order drifts from grid order,
+// and merged-in entries follow the ones their cell already held, so order
+// inside a cell drifts from slot order; expand reads lists as sets.
 func (inc *Incremental) applyDeltas(ep int64) {
 	// Patch the grid: schedule entry removals for disappeared slots and for
 	// moved slots that changed cell, collect additions, then filter+merge —
@@ -479,24 +385,22 @@ func (inc *Incremental) applyDeltas(ep int64) {
 	}
 	for _, m := range inc.moved {
 		inc.deltaTick[m.slot] = ep
-		oldKey := inc.keyOf(m.oldX, m.oldY)
-		newKey := inc.keyOf(inc.posX[m.slot], inc.posY[m.slot])
-		if oldKey != newKey {
+		if newKey := inc.idx.keyOf(inc.idx.pos[m.slot]); newKey != m.oldKey {
 			inc.rmTick[m.slot] = ep
-			adds = append(adds, incEntry{key: newKey, slot: m.slot})
+			adds = append(adds, entry{key: newKey, id: m.slot})
 			removed++
 		}
 	}
 	for _, s := range inc.appeared {
 		inc.deltaTick[s] = ep
-		adds = append(adds, incEntry{key: inc.keyOf(inc.posX[s], inc.posY[s]), slot: s})
+		adds = append(adds, entry{key: inc.idx.keyOf(inc.idx.pos[s]), id: s})
 	}
 	if removed > 0 || len(adds) > 0 {
-		slices.SortFunc(adds, func(a, b incEntry) int { return cmp.Compare(a.key, b.key) })
+		slices.SortFunc(adds, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
 		out := inc.mergeBuf[:0]
 		ai := 0
-		for _, e := range inc.entries {
-			if inc.rmTick[e.slot] == ep {
+		for _, e := range inc.idx.entries {
+			if inc.rmTick[e.id] == ep {
 				continue
 			}
 			for ai < len(adds) && adds[ai].key < e.key {
@@ -506,8 +410,8 @@ func (inc *Incremental) applyDeltas(ep int64) {
 			out = append(out, e)
 		}
 		out = append(out, adds[ai:]...)
-		inc.mergeBuf = inc.entries
-		inc.entries = out
+		inc.mergeBuf = inc.idx.entries
+		inc.idx.entries = out
 	}
 	inc.adds = adds[:0]
 
@@ -522,7 +426,7 @@ func (inc *Incremental) applyDeltas(ep int64) {
 	for _, m := range inc.moved {
 		s := m.slot
 		old := inc.nbr[s]
-		cur := inc.queryAt(inc.posX[s], inc.posY[s], spare[:0])
+		cur := inc.query(s, spare[:0])
 		inc.stamp++
 		for _, t := range old {
 			inc.mark[t] = inc.stamp
@@ -544,7 +448,7 @@ func (inc *Incremental) applyDeltas(ep int64) {
 	}
 	inc.qbuf = spare[:0]
 	for _, s := range inc.appeared {
-		inc.nbr[s] = inc.queryAt(inc.posX[s], inc.posY[s], inc.nbr[s][:0])
+		inc.nbr[s] = inc.query(s, inc.nbr[s][:0])
 		inc.totalEdges += len(inc.nbr[s])
 		for _, t := range inc.nbr[s] {
 			if inc.deltaTick[t] != ep {
@@ -576,71 +480,10 @@ func (inc *Incremental) unlink(t, s int32) {
 	}
 }
 
-// replay runs Cluster's exact control flow over the cached neighbourhoods:
-// seed scan in input order, BFS expansion through core points, first-reach
-// border assignment, sub-minPts discard. Because the cached sets equal what
-// a fresh grid would answer, the result is byte-identical to scratch — and
-// it costs integer work only, no distance computations.
+// replay clusters the tick from the cached neighbourhoods. Because the
+// cached sets equal what a fresh grid would answer, the result is
+// byte-identical to scratch — and it costs integer work only, no distance
+// computations.
 func (inc *Incremental) replay() []model.ObjSet {
-	n := len(inc.inOrder)
-	if n == 0 || n < inc.minPts {
-		return nil
-	}
-	var clusters []model.ObjSet
-	frontier := inc.frontier[:0]
-	for _, s := range inc.inOrder {
-		if inc.labels[s] != unvisited {
-			continue
-		}
-		if len(inc.nbr[s]) < inc.minPts {
-			inc.labels[s] = noise
-			continue
-		}
-		cid := int32(len(clusters))
-		inc.labels[s] = cid
-		cluster := model.ObjSet{inc.oids[s]}
-		frontier = frontier[:0]
-		for _, j := range inc.nbr[s] {
-			if j != s {
-				frontier = append(frontier, j)
-			}
-		}
-		for len(frontier) > 0 {
-			j := frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-			switch inc.labels[j] {
-			case unvisited:
-				inc.labels[j] = cid
-				cluster = append(cluster, inc.oids[j])
-				if nb := inc.nbr[j]; len(nb) >= inc.minPts {
-					for _, q := range nb {
-						if inc.labels[q] == unvisited || inc.labels[q] == noise {
-							frontier = append(frontier, q)
-						}
-					}
-				}
-			case noise:
-				inc.labels[j] = cid
-				cluster = append(cluster, inc.oids[j])
-			}
-		}
-		if len(cluster) >= inc.minPts {
-			slices.Sort(cluster)
-			for k := 1; k < len(cluster); k++ {
-				if cluster[k] == cluster[k-1] {
-					cluster = slices.Compact(cluster)
-					break
-				}
-			}
-			clusters = append(clusters, cluster)
-		} else {
-			for _, s2 := range inc.inOrder {
-				if inc.labels[s2] == cid {
-					inc.labels[s2] = noise
-				}
-			}
-		}
-	}
-	inc.frontier = frontier[:0]
-	return clusters
+	return expand(inc.inOrder, inc.labels, inc.idx.pos, inc.minPts, func(s int32) []int32 { return inc.nbr[s] })
 }

@@ -129,10 +129,10 @@ func listsByOID(inc *Incremental) map[int32][]int32 {
 	for _, s := range inc.alive {
 		l := make([]int32, 0, len(inc.nbr[s]))
 		for _, t := range inc.nbr[s] {
-			l = append(l, inc.oids[t])
+			l = append(l, inc.idx.pos[t].OID)
 		}
 		slices.Sort(l)
-		out[inc.oids[s]] = l
+		out[inc.idx.pos[s].OID] = l
 	}
 	return out
 }
@@ -257,8 +257,8 @@ func TestIncrementalPatchingCases(t *testing.T) {
 				if st := inc.Stats(); st.Fallbacks != 0 || st.Rebuilds != 1 {
 					t.Fatalf("left the incremental path: %+v", st)
 				}
-				if c.slots > 0 && len(inc.oids) != c.slots {
-					t.Fatalf("%d slots allocated, want %d: the case did not recycle", len(inc.oids), c.slots)
+				if c.slots > 0 && len(inc.idx.pos) != c.slots {
+					t.Fatalf("%d slots allocated, want %d: the case did not recycle", len(inc.idx.pos), c.slots)
 				}
 			}
 		})
@@ -401,7 +401,7 @@ func TestIncrementalEmptyTicksMidStream(t *testing.T) {
 func TestIncrementalReset(t *testing.T) {
 	inc := randomEvolution(t, 5, 1.0, 3, 40, 10)
 	inc.Reset()
-	if len(inc.oidSlot) != 0 || len(inc.entries) != 0 || len(inc.nbr) != 0 || inc.valid {
+	if len(inc.oidSlot) != 0 || len(inc.idx.entries) != 0 || len(inc.nbr) != 0 || inc.valid {
 		t.Fatalf("Reset left state behind")
 	}
 	before := inc.Stats().Rebuilds

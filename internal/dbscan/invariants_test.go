@@ -15,7 +15,7 @@ import (
 // not show in Stats.
 func (inc *Incremental) CheckInvariants() error {
 	if !inc.valid {
-		if len(inc.oidSlot)+len(inc.alive)+len(inc.entries)+len(inc.nbr)+inc.totalEdges != 0 {
+		if len(inc.oidSlot)+len(inc.alive)+len(inc.idx.entries)+len(inc.nbr)+inc.totalEdges != 0 {
 			return fmt.Errorf("invalid engine still carries state")
 		}
 		return nil
@@ -29,8 +29,8 @@ func (inc *Incremental) CheckInvariants() error {
 			return fmt.Errorf("slot %d is alive twice", s)
 		}
 		live[s] = true
-		if got, ok := inc.oidSlot[inc.oids[s]]; !ok || got != s {
-			return fmt.Errorf("slot %d (oid %d): oidSlot says %d, %v", s, inc.oids[s], got, ok)
+		if got, ok := inc.oidSlot[inc.idx.pos[s].OID]; !ok || got != s {
+			return fmt.Errorf("slot %d (oid %d): oidSlot says %d, %v", s, inc.idx.pos[s].OID, got, ok)
 		}
 	}
 	if len(inc.oidSlot) != len(inc.alive) {
@@ -44,37 +44,37 @@ func (inc *Incremental) CheckInvariants() error {
 			return fmt.Errorf("free slot %d keeps a list %v", s, inc.nbr[s])
 		}
 	}
-	if len(inc.alive)+len(inc.freeSlots) != len(inc.oids) {
-		return fmt.Errorf("%d alive + %d free slots of %d", len(inc.alive), len(inc.freeSlots), len(inc.oids))
+	if len(inc.alive)+len(inc.freeSlots) != len(inc.idx.pos) {
+		return fmt.Errorf("%d alive + %d free slots of %d", len(inc.alive), len(inc.freeSlots), len(inc.idx.pos))
 	}
 
-	if len(inc.entries) != len(inc.alive) {
-		return fmt.Errorf("grid holds %d entries for %d live slots", len(inc.entries), len(inc.alive))
+	if len(inc.idx.entries) != len(inc.alive) {
+		return fmt.Errorf("grid holds %d entries for %d live slots", len(inc.idx.entries), len(inc.alive))
 	}
-	inGrid := make(map[int32]bool, len(inc.entries))
-	for i, e := range inc.entries {
+	inGrid := make(map[int32]bool, len(inc.idx.entries))
+	for i, e := range inc.idx.entries {
 		switch {
-		case !live[e.slot]:
-			return fmt.Errorf("grid entry %d names dead slot %d", i, e.slot)
-		case inGrid[e.slot]:
-			return fmt.Errorf("slot %d is in the grid twice", e.slot)
-		case e.key != inc.keyOf(inc.posX[e.slot], inc.posY[e.slot]):
-			return fmt.Errorf("slot %d sits under the wrong cell key", e.slot)
-		case i > 0 && inc.entries[i-1].key > e.key:
+		case !live[e.id]:
+			return fmt.Errorf("grid entry %d names dead slot %d", i, e.id)
+		case inGrid[e.id]:
+			return fmt.Errorf("slot %d is in the grid twice", e.id)
+		case e.key != inc.idx.keyOf(inc.idx.pos[e.id]):
+			return fmt.Errorf("slot %d sits under the wrong cell key", e.id)
+		case i > 0 && inc.idx.entries[i-1].key > e.key:
 			return fmt.Errorf("grid entries out of key order at %d", i)
 		}
-		inGrid[e.slot] = true
+		inGrid[e.id] = true
 	}
 
 	edges := 0
 	for _, s := range inc.alive {
 		cached := slices.Clone(inc.nbr[s])
 		edges += len(cached)
-		fresh := inc.queryAt(inc.posX[s], inc.posY[s], nil)
+		fresh := inc.query(s, nil)
 		slices.Sort(cached)
 		slices.Sort(fresh)
 		if !slices.Equal(cached, fresh) {
-			return fmt.Errorf("slot %d (oid %d): cached list %v, fresh query %v", s, inc.oids[s], cached, fresh)
+			return fmt.Errorf("slot %d (oid %d): cached list %v, fresh query %v", s, inc.idx.pos[s].OID, cached, fresh)
 		}
 		for _, t := range cached {
 			if !live[t] {

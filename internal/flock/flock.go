@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cmc"
 	"repro/internal/core"
+	"repro/internal/dbscan"
 	"repro/internal/model"
 	"repro/internal/storage"
 )
@@ -126,7 +127,19 @@ func DiskGroups(rows []model.ObjPos, r float64, minSize int) []model.ObjSet {
 	if n < minSize || minSize < 1 {
 		return nil
 	}
-	g := newDiskGrid(rows, r)
+	// Cells of side r. The reach of each query is one cell more than its
+	// radius spans, and membership allows for the rounding of a computed
+	// centre: a point on a candidate disk's boundary is inside it.
+	ix := dbscan.NewIndex(rows, r)
+	memberSq, pairSq := r*r*(1+1e-12)+1e-12, (2*r)*(2*r)
+	var ids []int32
+	members := func(c model.ObjPos) model.ObjSet {
+		ids = ix.Within(c, memberSq, 2, ids[:0])
+		for k, i := range ids {
+			ids[k] = rows[i].OID
+		}
+		return model.NewObjSet(ids...)
+	}
 	seen := map[string]bool{}
 	var keyBuf []byte
 	var groups []model.ObjSet
@@ -142,17 +155,20 @@ func DiskGroups(rows []model.ObjPos, r float64, minSize int) []model.ObjSet {
 		groups = append(groups, set)
 	}
 	// Singleton-centred disks (cover co-located points and tiny groups).
-	for i := range rows {
-		add(g.members(rows[i].X, rows[i].Y, r))
+	for _, p := range rows {
+		add(members(p))
 	}
-	// Pair-boundary disks.
-	for i := 0; i < n; i++ {
-		for _, j := range g.near(i, 2*r) {
-			if j <= i {
+	// Pair-boundary disks, each pair once. The index answers cell-major and
+	// in input order inside a cell, which fixes the order groups come out in.
+	var near []int32
+	for i, p := range rows {
+		near = ix.Within(p, pairSq, 3, near[:0])
+		for _, j := range near {
+			if int(j) <= i {
 				continue
 			}
-			for _, c := range diskCentersThrough(rows[i], rows[j], r) {
-				add(g.members(c.X, c.Y, r))
+			for _, c := range diskCentersThrough(p, rows[j], r) {
+				add(members(c))
 			}
 		}
 	}
@@ -178,7 +194,7 @@ func DiskGroups(rows []model.ObjPos, r float64, minSize int) []model.ObjSet {
 
 // diskCentersThrough returns the centres of the radius-r circles passing
 // through both a and b (none when they are further than 2r apart).
-func diskCentersThrough(a, b model.ObjPos, r float64) []struct{ X, Y float64 } {
+func diskCentersThrough(a, b model.ObjPos, r float64) []model.ObjPos {
 	dx, dy := b.X-a.X, b.Y-a.Y
 	d2 := dx*dx + dy*dy
 	if d2 > 4*r*r || d2 == 0 {
@@ -189,74 +205,8 @@ func diskCentersThrough(a, b model.ObjPos, r float64) []struct{ X, Y float64 } {
 	d := math.Sqrt(d2)
 	// Unit normal to ab.
 	nx, ny := -dy/d, dx/d
-	return []struct{ X, Y float64 }{
+	return []model.ObjPos{
 		{X: mx + nx*h, Y: my + ny*h},
 		{X: mx - nx*h, Y: my - ny*h},
 	}
-}
-
-// diskGrid is a uniform grid over the rows with cell side r, answering
-// "members within r of (x,y)" and "indices within d of row i".
-type diskGrid struct {
-	rows []model.ObjPos
-	r    float64
-	cell map[[2]int32][]int
-}
-
-func newDiskGrid(rows []model.ObjPos, r float64) *diskGrid {
-	if r <= 0 {
-		r = math.SmallestNonzeroFloat64
-	}
-	g := &diskGrid{rows: rows, r: r, cell: make(map[[2]int32][]int, len(rows))}
-	for i, p := range rows {
-		k := g.key(p.X, p.Y)
-		g.cell[k] = append(g.cell[k], i)
-	}
-	return g
-}
-
-func (g *diskGrid) key(x, y float64) [2]int32 {
-	return [2]int32{int32(math.Floor(x / g.r)), int32(math.Floor(y / g.r))}
-}
-
-// members returns the OIDs of all rows within dist of (x, y), sorted.
-func (g *diskGrid) members(x, y, dist float64) model.ObjSet {
-	span := int32(math.Ceil(dist/g.r)) + 1
-	center := g.key(x, y)
-	var ids []int32
-	d2 := dist * dist
-	for cx := center[0] - span; cx <= center[0]+span; cx++ {
-		for cy := center[1] - span; cy <= center[1]+span; cy++ {
-			for _, i := range g.cell[[2]int32{cx, cy}] {
-				dx, dy := g.rows[i].X-x, g.rows[i].Y-y
-				if dx*dx+dy*dy <= d2*(1+1e-12)+1e-12 {
-					ids = append(ids, g.rows[i].OID)
-				}
-			}
-		}
-	}
-	return model.NewObjSet(ids...)
-}
-
-// near returns the indices of rows within dist of row i (excluding i).
-func (g *diskGrid) near(i int, dist float64) []int {
-	p := g.rows[i]
-	span := int32(math.Ceil(dist/g.r)) + 1
-	center := g.key(p.X, p.Y)
-	var out []int
-	d2 := dist * dist
-	for cx := center[0] - span; cx <= center[0]+span; cx++ {
-		for cy := center[1] - span; cy <= center[1]+span; cy++ {
-			for _, j := range g.cell[[2]int32{cx, cy}] {
-				if j == i {
-					continue
-				}
-				dx, dy := g.rows[j].X-p.X, g.rows[j].Y-p.Y
-				if dx*dx+dy*dy <= d2 {
-					out = append(out, j)
-				}
-			}
-		}
-	}
-	return out
 }

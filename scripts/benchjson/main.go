@@ -1,12 +1,12 @@
 // Command benchjson converts `go test -bench` text output into a stable
 // JSON document, and renders a markdown before/after table against a
-// baseline JSON file. CI uses it to record the repo's perf trajectory
-// (BENCH_N.json artifacts) and to summarise each run against the committed
-// baseline:
+// baseline JSON file of an earlier run. No baseline is committed and CI
+// gates on none — bench/'s -compare is the repository's before/after; this
+// is the by-hand tool for `go test -bench` output:
 //
 //	go test -run '^$' -bench=. -benchmem -count=3 ./... | tee bench.txt
-//	benchjson -o BENCH_7.json bench.txt                    # text → JSON
-//	benchjson -md -baseline BENCH_6.json bench.txt         # markdown table
+//	benchjson -o after.json bench.txt                      # text → JSON
+//	benchjson -md -baseline before.json bench.txt          # markdown table
 //
 // With no input file the bench text is read from stdin. Multiple samples
 // per benchmark (from -count) are all recorded; comparisons use the best
@@ -16,11 +16,11 @@
 // through unchanged, and a cmd/loadgen artifact (detected by its "loadgen"
 // key) is converted into pseudo-benchmarks — the ingest, close-lag and
 // query latency quantiles as loadgen.Ingest/pNN, loadgen.CloseLag/pNN and
-// loadgen.Query/pNN — so LOAD_N.json artifacts ride the same
-// markdown/baseline machinery as BENCH_N.json:
+// loadgen.Query/pNN — which is how CI's loadgen job renders LOAD_7.json
+// into its run summary:
 //
-//	go run ./cmd/loadgen -o LOAD_6.json
-//	benchjson -md -baseline LOAD_5.json LOAD_6.json
+//	go run ./cmd/loadgen -o LOAD_7.json
+//	benchjson -md LOAD_7.json
 package main
 
 import (

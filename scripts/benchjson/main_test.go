@@ -109,8 +109,8 @@ func TestLoadBaselineMissing(t *testing.T) {
 	if base != nil || note != "" || err != nil {
 		t.Fatalf("empty path: %v %q %v", base, note, err)
 	}
-	// Missing file: degraded mode with a note, not an error — first-run
-	// bench jobs have no committed baseline yet.
+	// Missing file: degraded mode with a note, not an error — a first run
+	// has no earlier one to compare with.
 	base, note, err = loadBaseline(filepath.Join(t.TempDir(), "absent.json"))
 	if err != nil {
 		t.Fatalf("missing baseline errored: %v", err)
