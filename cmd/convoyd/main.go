@@ -69,7 +69,7 @@ func main() {
 		eps          = flag.Float64("eps", 1.5, "clustering radius")
 		flockR       = flag.Float64("flock-r", 0, "disk radius for flock-pattern feeds (0 = eps)")
 		mcTheta      = flag.Float64("mc-theta", 0, "minimum consecutive Jaccard overlap for moving-cluster feeds (0 = 0.5)")
-		shards       = flag.Int("shards", 8, "shard actor count")
+		shards       = flag.Int("shards", 8, "shard actor count (a new feed goes to the shard holding the fewest feeds)")
 		queue        = flag.Int("queue", 128, "per-shard ingest queue capacity (batches)")
 		window       = flag.Int("window", 0, "reordering window in ticks (0 = strict in-order)")
 		wait         = flag.Duration("enqueue-wait", 250*time.Millisecond, "how long ingest waits for queue space before 429")

@@ -14,7 +14,7 @@ import (
 //
 //   - a per-feed token bucket (Config.IngestRate/IngestBurst) bounds how
 //     many snapshots per second one feed may push, so a single hot feed
-//     cannot starve the other feeds hashed to its shard;
+//     cannot starve the other feeds placed on its shard;
 //   - a per-shard circuit breaker (Config.BreakerThreshold/BreakerCooldown)
 //     watches for consecutive queue-full rejections and, once tripped,
 //     rejects the shard's ingest outright for a cooldown — the herd stops

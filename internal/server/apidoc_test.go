@@ -32,7 +32,7 @@ func TestRoutesMatchAPIReference(t *testing.T) {
 		documented[m[1]] = true
 	}
 
-	srv, err := New(Config{Params: testParams, Shards: 1, Replicas: 4})
+	srv, err := New(Config{Params: testParams, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,6 @@ func restartConfig(dir string) Config {
 	return Config{
 		Params:       testParams,
 		Shards:       2,
-		Replicas:     16,
 		PersistPath:  filepath.Join(dir, "closed.k2cl"),
 		PersistEvery: 10 * time.Millisecond,
 		ArchiveDir:   filepath.Join(dir, "archive"),

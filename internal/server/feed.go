@@ -10,7 +10,7 @@ import (
 // feed is one trajectory feed (a dataset/region key). Its mining state —
 // the StreamMiner, the reordering buffer, and the published-convoy
 // bookkeeping used to detect novelty — is owned exclusively by the shard
-// actor the feed hashes to; no lock protects it and none is needed.
+// actor the feed was placed on; no lock protects it and none is needed.
 //
 // The published state below mu is the read side: HTTP handlers serve
 // long-polls and stats from it, and the persistence tick drains it.
@@ -22,7 +22,7 @@ import (
 // memory. Queries with a cursor below start answer 410 Gone.
 type feed struct {
 	name  string
-	shard int
+	shard int // set once by Server.place, before the feed is reachable
 	// pattern is the movement-pattern family this feed mines (negotiated at
 	// creation, immutable for the feed's lifetime — recovery restores it
 	// from the convoy log and mismatching ingests are rejected).
@@ -87,14 +87,13 @@ type FeedStats struct {
 	PendingTicks    int    `json:"pending_ticks"`    // buffered, not yet sealed
 }
 
-func newFeed(name string, shard int, pat convoy.Pattern, pp convoy.PatternParams, window int32) (*feed, error) {
+func newFeed(name string, pat convoy.Pattern, pp convoy.PatternParams, window int32) (*feed, error) {
 	m, err := convoy.NewPatternMiner(pat, pp)
 	if err != nil {
 		return nil, err
 	}
 	f := &feed{
 		name:    name,
-		shard:   shard,
 		pattern: pat,
 		miner:   m,
 		buf:     newReorder(window),

@@ -104,6 +104,7 @@ func (s *Server) evict(f *feed, cutoff int64) {
 	}
 	f.evicted.Store(true)
 	delete(s.feeds, f.name)
+	s.resident[f.shard]--
 	f.mu.Lock()
 	head := f.head()
 	f.mu.Unlock()

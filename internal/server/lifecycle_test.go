@@ -79,6 +79,7 @@ func TestIdleFeedEviction(t *testing.T) {
 	if _, ok := srv.Stats().Feeds["cold"]; !ok {
 		t.Fatal("re-ingest did not recreate the feed")
 	}
+	checkResidentCounts(t, srv)
 }
 
 // TestEvictionWaitsForPersistence: with a sink configured, a feed whose
@@ -249,6 +250,7 @@ func TestEvictionUnderConcurrentIngest(t *testing.T) {
 	if st := srv.Stats(); st.Memory.EvictedTotal == 0 {
 		t.Fatal("no feed was ever evicted under a 20ms TTL with intermittent feeds")
 	}
+	checkResidentCounts(t, srv)
 }
 
 // TestLongPollHoldsEviction: a blocked long-poll counts as activity — the
@@ -698,6 +700,7 @@ func TestSoakLifecycle(t *testing.T) {
 	}
 	postJSON(t, ts2.URL+"/v1/feeds/soak-1/ingest", ingestRequest{Snapshots: gapSnapshots(3, 4)})
 	flushFeed(t, ts2.URL, "soak-1")
+	checkResidentCounts(t, srv2)
 	ts2.Close()
 	if err := srv2.Close(); err != nil {
 		t.Fatal(err)

@@ -364,6 +364,7 @@ func TestMultiPatternLifecycleSoak(t *testing.T) {
 			t.Fatalf("flush %s (%s) differs from the batch oracle after kill/restart:\n%s", fc.name, fc.pat, d)
 		}
 	}
+	checkResidentCounts(t, srv2)
 	ts2.Close()
 	if err := srv2.Close(); err != nil {
 		t.Fatal(err)

@@ -108,6 +108,7 @@ func patternRestartSeed(t *testing.T, pat convoy.Pattern, seed int64) {
 	if d := multisetDiff(want, got); d != "" {
 		t.Fatalf("seed %d (%s): flush after kill/restart differs from the batch oracle:\n%s", seed, pat, d)
 	}
+	checkResidentCounts(t, srv2)
 	ts2.Close()
 	if err := srv2.Close(); err != nil {
 		t.Fatal(err)

@@ -37,7 +37,6 @@ func archiveTestServer(t *testing.T, mutate func(*Config)) (*Server, string, str
 	dir := t.TempDir()
 	cfg := Config{
 		Shards:       2,
-		Replicas:     16,
 		PersistPath:  filepath.Join(dir, "closed.k2cl"),
 		PersistEvery: 25 * time.Millisecond,
 		ArchiveDir:   filepath.Join(dir, "archive"),
@@ -202,7 +201,7 @@ func TestQueryPagination(t *testing.T) {
 // TestQueryWithoutArchive: the query routes are always registered; without
 // an archive they answer 501, pointing at the flag.
 func TestQueryWithoutArchive(t *testing.T) {
-	_, ts := newTestServer(t, Config{Shards: 2, Replicas: 16})
+	_, ts := newTestServer(t, Config{Shards: 2})
 	for _, p := range []string{"/v1/query/time", "/v1/query/object?oid=1", "/v1/query/convoys"} {
 		if code := getJSON(t, ts.URL+p, nil); code != http.StatusNotImplemented {
 			t.Fatalf("GET %s without archive: status %d, want 501", p, code)
@@ -229,7 +228,6 @@ func TestQuerySoakNeverBlocksIngest(t *testing.T) {
 	archDir := filepath.Join(dir, "archive")
 	cfg := Config{
 		Shards:       4,
-		Replicas:     16,
 		QueueLen:     64,
 		EnqueueWait:  2 * time.Second,
 		PersistPath:  logPath,

@@ -78,7 +78,7 @@ func TestRetentionEndpoint(t *testing.T) {
 }
 
 func TestRetentionWithoutArchive(t *testing.T) {
-	_, ts := newTestServer(t, Config{Shards: 2, Replicas: 16})
+	_, ts := newTestServer(t, Config{Shards: 2})
 	code, _ := postJSON(t, ts.URL+"/v1/admin/retention", retentionRequest{Before: ptr(int32(1))})
 	if code != http.StatusNotImplemented {
 		t.Fatalf("retention without archive: %d, want 501", code)

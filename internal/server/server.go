@@ -1,9 +1,10 @@
 // Package server implements convoyd, the sharded streaming convoy-mining
 // service: many concurrent trajectory feeds arrive over HTTP (JSON ingest),
-// each feed key is routed by consistent hashing to one of a configurable
-// number of shard actors, and each actor owns the StreamMiners of its
-// feeds. Closed convoys are queryable per feed (long-poll or flush) and are
-// periodically persisted to the closed-convoy sink in internal/storage.
+// each feed is placed, when it is created, on whichever of a configurable
+// number of shard actors holds the fewest feeds, and each actor owns the
+// StreamMiners of its feeds. Closed convoys are queryable per feed
+// (long-poll or flush) and are periodically persisted to the closed-convoy
+// sink in internal/storage.
 //
 // The concurrency design is actor-per-shard:
 //
@@ -29,8 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime/metrics"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,9 +101,6 @@ type Config struct {
 	// would let one misbehaving client exhaust memory. TTL eviction frees
 	// slots under the cap.
 	MaxFeeds int
-	// Replicas is the virtual-node count per shard on the consistent-hash
-	// ring (default 512, see ring.go); tests lower it.
-	Replicas int
 	// FeedTTL, when positive, evicts feeds with no ingest, query, or flush
 	// activity for this long; a blocked long-poll counts as activity for
 	// as long as it waits. When a sink is configured a feed is only
@@ -204,14 +201,15 @@ func (c Config) withDefaults() Config {
 // Server is a convoyd instance. Create with New, serve via Handler, stop
 // with Close.
 type Server struct {
-	cfg  Config
-	ring *ring
+	cfg Config
 
 	shards  []*shard
 	workers *pool.Group
 
-	mu    sync.RWMutex // guards feeds, tombs and closed
+	mu    sync.RWMutex // guards feeds, resident, tombs and closed
 	feeds map[string]*feed
+	// resident[i] counts the feeds in the map placed on shard i (see place).
+	resident []int
 	// tombs remembers the cursor head of evicted feeds so a feed recreated
 	// under the same name continues its cursor domain instead of
 	// restarting at 0 — without it, a returning client whose stale cursor
@@ -299,7 +297,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		ring:     newRing(cfg.Shards, cfg.Replicas),
+		resident: make([]int, cfg.Shards),
 		feeds:    map[string]*feed{},
 		tombs:    map[string]int{},
 		testHook: cfg.testHook,
@@ -347,113 +345,6 @@ func New(cfg Config) (*Server, error) {
 		go s.evictLoop()
 	}
 	return s, nil
-}
-
-// recover opens (or creates) the convoy log, replaying any existing
-// records: each feed found in the log is recreated with its cursor at the
-// end of its logged history and the logged convoy keys preloaded for
-// dedup. The feeds map is populated before the shard actors start, so no
-// locking is needed. Recovered feeds restart with a fresh miner — in-flight
-// (unclosed) mining state is not logged, so clients re-send from their last
-// snapshot and already-persisted convoys are deduplicated rather than
-// re-appended.
-func (s *Server) recover() error {
-	type recovered struct {
-		keys    map[convoy.PatternDigest]struct{}
-		pattern convoy.Pattern
-		count   int
-		lastIdx int // index of the feed's newest log record (recency proxy)
-		flushed bool
-	}
-	rec := map[string]*recovered{}
-	idx := 0
-	sink, err := storage.OpenConvoyLogFrom(s.cfg.PersistPath, 0, func(_ int64, lc storage.LoggedConvoy) error {
-		r := rec[lc.Feed]
-		if r == nil {
-			r = &recovered{keys: map[convoy.PatternDigest]struct{}{}, pattern: convoy.DefaultPattern}
-			rec[lc.Feed] = r
-		}
-		// Every record carries the feed's pattern tag (including the flush
-		// sentinel), so recovery restores the negotiated pattern mode.
-		r.pattern = patternFromLog(lc.Pattern)
-		if storage.IsFlushMarker(lc.Convoy) {
-			// Terminal-state sentinel, not a convoy: restores the flushed
-			// bit without entering the cursor domain or the dedup keys.
-			r.flushed = true
-			return nil
-		}
-		r.keys[loggedResult(lc).Digest()] = struct{}{}
-		r.count++
-		r.lastIdx = idx
-		idx++
-		s.recoveredRecs++
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// The log accumulates every feed ever served (eviction removes feeds
-	// from memory, never records from the log), so an old log can name far
-	// more feeds than the server should hold resident. Cap resurrection at
-	// MaxFeeds, keeping the most recently appended-to feeds; the rest lose
-	// their dedup state exactly as if they had been TTL-evicted (their
-	// records stay in the log, and compaction removes any duplicates a
-	// later replay appends).
-	if len(rec) > s.cfg.MaxFeeds {
-		names := make([]string, 0, len(rec))
-		for name := range rec {
-			names = append(names, name)
-		}
-		sort.Slice(names, func(a, b int) bool { return rec[names[a]].lastIdx > rec[names[b]].lastIdx })
-		for i, name := range names[s.cfg.MaxFeeds:] {
-			// Tombstone the dropped feed's cursor head, exactly as TTL
-			// eviction does: a later incarnation under this name must
-			// continue the domain, not restart it under a returning
-			// client's stale cursor. The same 4×MaxFeeds bound applies —
-			// beyond it (recency order), dropped names simply restart
-			// their domain, keeping startup memory configured-bounded
-			// rather than log-age-bounded.
-			if i < 4*s.cfg.MaxFeeds {
-				s.tombs[name] = rec[name].count
-			}
-			delete(rec, name)
-		}
-	}
-	now := time.Now().UnixNano()
-	for name, r := range rec {
-		f, err := newFeed(name, s.ring.lookup(name), r.pattern, s.cfg.patternParams(), s.cfg.Window)
-		if err != nil {
-			sink.Close()
-			return fmt.Errorf("server: recover feed %q: %w", name, err)
-		}
-		f.bucket = s.newBucket(now)
-		f.pubSeen = r.keys
-		f.start, f.persisted, f.durable = r.count, r.count, r.count
-		f.stats.ClosedTotal = int64(r.count)
-		f.stats.TruncatedBefore = r.count
-		if r.flushed {
-			// The flush sentinel restores the terminal state: ingest stays
-			// 409 and polls short-circuit with Flushed:true across the
-			// restart. The final maximal set itself lives in the log, not
-			// in memory (f.final stays empty — /flush replies with the
-			// cursor position, and the history is replayable from the
-			// log).
-			f.flushed = true
-			f.flushLogged = true
-			f.done = true
-		}
-		f.touch(now)
-		s.feeds[name] = f
-	}
-	s.recoveredFeeds = len(rec)
-	s.sink = sink
-	return nil
-}
-
-// RecoveryInfo reports what New replayed from an existing convoy log:
-// the number of feeds restored and log records read.
-func (s *Server) RecoveryInfo() (feeds, records int) {
-	return s.recoveredFeeds, s.recoveredRecs
 }
 
 // Close drains the shard actors and, when persistence is configured, writes
@@ -560,38 +451,6 @@ func retentionFloor(a *archive.Archive, keep int32) (int32, bool) {
 // the records are in the fsynced log before the archive hears of them.
 const archiveFlushEvery = 30 * time.Second
 
-// logPattern maps a feed's pattern family to its convoy-log tag.
-func logPattern(p convoy.Pattern) uint8 {
-	switch p {
-	case convoy.PatternFlock:
-		return storage.LogPatternFlock
-	case convoy.PatternMC:
-		return storage.LogPatternMC
-	default:
-		return storage.LogPatternConvoy
-	}
-}
-
-// patternFromLog is the inverse of logPattern. Untagged (v1) records map to
-// the convoy pattern, so logs written before pattern modes existed recover
-// exactly as before.
-func patternFromLog(tag uint8) convoy.Pattern {
-	switch tag {
-	case storage.LogPatternFlock:
-		return convoy.PatternFlock
-	case storage.LogPatternMC:
-		return convoy.PatternMC
-	default:
-		return convoy.PatternConvoy
-	}
-}
-
-// loggedResult reconstructs the published PatternResult a log record
-// persisted, so recovery rebuilds the same dedup keys publish used.
-func loggedResult(lc storage.LoggedConvoy) convoy.PatternResult {
-	return convoy.PatternResult{Convoy: lc.Convoy, Clusters: lc.Clusters}
-}
-
 // feedFor returns the feed for name, creating it on first use when create
 // is set. pat constrains the feed's pattern family: an existing feed of a
 // different family fails with ErrPatternMismatch, and a created feed mines
@@ -629,7 +488,7 @@ func (s *Server) feedFor(name string, create bool, pat convoy.Pattern) (*feed, e
 	if pat == "" {
 		pat = convoy.DefaultPattern
 	}
-	f, err := newFeed(name, s.ring.lookup(name), pat, s.cfg.patternParams(), s.cfg.Window)
+	f, err := newFeed(name, pat, s.cfg.patternParams(), s.cfg.Window)
 	if err != nil {
 		return nil, fmt.Errorf("server: feed %q: %w", name, err)
 	}
@@ -645,8 +504,20 @@ func (s *Server) feedFor(name string, create bool, pat convoy.Pattern) (*feed, e
 		delete(s.tombs, name)
 	}
 	f.touch(time.Now().UnixNano())
-	s.feeds[name] = f
+	s.place(f)
 	return f, nil
+}
+
+// place makes f resident on the shard holding the fewest feeds, lowest index
+// on a tie — the one decision of a feed's shard, taken once per incarnation
+// and only after nothing about its creation can fail. Nothing outside the
+// process names a shard, so a recovered or recreated feed may land anywhere.
+// Caller holds mu for writing (or runs before the actors start); evict is
+// the inverse.
+func (s *Server) place(f *feed) {
+	f.shard = slices.Index(s.resident, slices.Min(s.resident))
+	s.resident[f.shard]++
+	s.feeds[f.name] = f
 }
 
 // enqueue routes msg to its feed's shard, applying backpressure. It holds
@@ -713,126 +584,6 @@ func (s *Server) touchFeed(f *feed) bool {
 	}
 	f.touch(time.Now().UnixNano())
 	return true
-}
-
-// Stats is the /v1/stats payload.
-type Stats struct {
-	Shards []ShardStats         `json:"shards"`
-	Feeds  map[string]FeedStats `json:"feeds"`
-	// Patterns breaks the live feeds down per pattern family: how many
-	// resident feeds mine each family and how many patterns they have
-	// closed in total (including recovered history).
-	Patterns map[string]PatternStats `json:"patterns"`
-	Memory   MemoryStats             `json:"memory"`
-	// Archive reports the historical query archive (absent when no
-	// ArchiveDir is configured).
-	Archive *ArchiveStats `json:"archive,omitempty"`
-	// SinkBroken reports that persistence was disabled by a write error.
-	SinkBroken bool `json:"sink_broken,omitempty"`
-	// Admission reports how often each ingest-shedding mechanism fired
-	// (see admission.go).
-	Admission AdmissionStats `json:"admission"`
-}
-
-// ArchiveStats is the archive section of /v1/stats: the archive's own
-// size/query counters plus the server-side feed machinery around it.
-type ArchiveStats struct {
-	archive.Stats
-	// QueueLen is the number of persisted batches waiting to be indexed.
-	QueueLen int `json:"queue_len"`
-	// Backfilled is the number of records replayed from the convoy log at
-	// startup; Rebuilt reports that the log had diverged (e.g. offline
-	// compaction) and the archive was rebuilt from scratch.
-	Backfilled int64 `json:"backfilled_records"`
-	Rebuilt    bool  `json:"rebuilt_on_start,omitempty"`
-	// Broken reports that an archive write error disabled archiving for
-	// this process; queries keep serving the archived prefix, and the
-	// next startup repairs the gap from the log.
-	Broken bool `json:"broken,omitempty"`
-}
-
-// PatternStats aggregates one pattern family across the live feeds.
-type PatternStats struct {
-	LiveFeeds   int   `json:"live_feeds"`
-	ClosedTotal int64 `json:"closed_total"`
-}
-
-// ShardStats is one shard's queue occupancy.
-type ShardStats struct {
-	QueueLen int `json:"queue_len"`
-	QueueCap int `json:"queue_cap"`
-	Feeds    int `json:"feeds"`
-	// BreakerState is the shard circuit breaker's state (closed / open /
-	// half_open); absent when breakers are disabled.
-	BreakerState string `json:"breaker_state,omitempty"`
-}
-
-// MemoryStats summarises what bounds the server's resident footprint: how
-// many feeds are live, how much published history is resident versus
-// truncated to the log, and the lifetime eviction/recovery counters.
-type MemoryStats struct {
-	LiveFeeds        int    `json:"live_feeds"`
-	EvictedTotal     int64  `json:"evicted_feeds_total"`
-	ClosedInMemory   int    `json:"closed_convoys_in_memory"`
-	TruncatedTotal   int64  `json:"truncated_convoys_total"`
-	RecoveredFeeds   int    `json:"recovered_feeds,omitempty"`
-	RecoveredConvoys int    `json:"recovered_convoys,omitempty"`
-	HeapAllocBytes   uint64 `json:"heap_alloc_bytes"`
-}
-
-// Stats returns a point-in-time snapshot of server counters.
-func (s *Server) Stats() Stats {
-	st := Stats{
-		Feeds:      map[string]FeedStats{},
-		Patterns:   map[string]PatternStats{},
-		SinkBroken: s.sinkBroken.Load(),
-	}
-	st.Shards = make([]ShardStats, len(s.shards))
-	now := time.Now()
-	for i, sh := range s.shards {
-		st.Shards[i] = ShardStats{QueueLen: len(sh.in), QueueCap: cap(sh.in)}
-		if s.breakers != nil {
-			st.Shards[i].BreakerState = s.breakers[i].stateName(now)
-			st.Admission.BreakerTripsTotal += s.breakers[i].trips.Load()
-		}
-	}
-	st.Admission.RateLimitedTotal = s.rateLimited.Load()
-	st.Admission.BreakerRejectedTotal = s.breakerRejected.Load()
-	st.Admission.QueueFullTotal = s.queueFull.Load()
-	s.mu.RLock()
-	for name, f := range s.feeds {
-		fs, _ := f.snapshotStats()
-		st.Feeds[name] = fs
-		st.Shards[f.shard].Feeds++
-		st.Memory.ClosedInMemory += fs.ClosedInMemory
-		ps := st.Patterns[fs.Pattern]
-		ps.LiveFeeds++
-		ps.ClosedTotal += fs.ClosedTotal
-		st.Patterns[fs.Pattern] = ps
-	}
-	st.Memory.LiveFeeds = len(s.feeds)
-	s.mu.RUnlock()
-	st.Memory.EvictedTotal = s.evictedTotal.Load()
-	st.Memory.TruncatedTotal = s.truncatedTotal.Load()
-	st.Memory.RecoveredFeeds = s.recoveredFeeds
-	st.Memory.RecoveredConvoys = s.recoveredRecs
-	if s.arch != nil {
-		st.Archive = &ArchiveStats{
-			Stats:      s.arch.Stats(),
-			QueueLen:   len(s.archCh),
-			Backfilled: s.backfilled,
-			Rebuilt:    s.archRebuilt,
-			Broken:     s.archBroken.Load(),
-		}
-	}
-	// runtime/metrics, not runtime.ReadMemStats: stats endpoints get polled
-	// every few seconds by monitoring, and ReadMemStats stops the world.
-	heap := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-	metrics.Read(heap)
-	if heap[0].Value.Kind() == metrics.KindUint64 {
-		st.Memory.HeapAllocBytes = heap[0].Value.Uint64()
-	}
-	return st
 }
 
 // persistLoop appends newly closed convoys to the sink every PersistEvery.

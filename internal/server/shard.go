@@ -16,7 +16,7 @@ type shardMsg struct {
 }
 
 // shard is one actor: a bounded ingest queue plus the goroutine that owns
-// every feed hashed to it. All mining for those feeds happens on this one
+// every feed placed on it. All mining for those feeds happens on this one
 // goroutine, so per-feed state needs no locks and per-feed processing order
 // equals queue order.
 type shard struct {

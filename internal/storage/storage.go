@@ -30,8 +30,9 @@ import (
 // Implementations must tolerate concurrent Snapshot/Fetch/TimeRange/Stats
 // calls: the parallel mining engine fans reads out over a worker pool
 // (one worker per core by default), so a store written for sequential
-// access must serialise internally (as the bundled B+tree and LSM engines
-// do) or use positioned reads (as the flat file does).
+// access must serialise internally (as the bundled B+tree engine does),
+// read from an immutable snapshot (as the LSM engine does, lock-free) or
+// use positioned reads (as the flat file does).
 type Store interface {
 	// TimeRange returns the inclusive [Ts, Te] tick range of the dataset.
 	TimeRange() (ts, te int32)
