@@ -1,9 +1,7 @@
 // Command loadgen drives convoyd over the K2BI binary ingest path with
-// Brinkhoff-generated city traffic and emits an SLO artifact (LOAD_N.json)
-// in the shape scripts/benchjson renders and compares:
+// Brinkhoff-generated city traffic and emits an SLO artifact (LOAD_N.json):
 //
 //	loadgen -feeds 4 -objects 60 -ticks 80 -o LOAD_6.json
-//	go run ./scripts/benchjson -md LOAD_6.json
 //
 // By default an in-process convoyd serves the run (so one command measures
 // the whole path with zero setup); -addr points at an already-running
@@ -208,8 +206,8 @@ type report struct {
 	Patterns          map[string]patternCount `json:"patterns"`
 }
 
-// artifact is the document benchjson understands: the same env header as a
-// BENCH_N.json plus the load report under "loadgen".
+// artifact is the document -o writes: the platform it ran on plus the load
+// report under "loadgen".
 type artifact struct {
 	GOOS    string `json:"goos,omitempty"`
 	GOARCH  string `json:"goarch,omitempty"`

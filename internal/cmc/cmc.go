@@ -27,7 +27,8 @@ import (
 
 // Miner is an incremental PCCD miner fed one clustered snapshot at a time.
 // It is the building block shared by the sequential baseline, the DCM
-// partition workers, the validation re-miners, the flock sweep and the
+// partition workers, full-connectivity validation (vcoda.Validate, which
+// Resets one miner between candidates), the flock sweep and the
 // streaming front-ends (StreamMiner, and through it every convoyd shard).
 //
 // The per-tick sweep is output-sensitive: it costs what intersects, not
@@ -371,21 +372,4 @@ func Mine(store storage.Store, m, k int, eps float64) ([]model.Convoy, error) {
 		mn.Step(t, dbscan.Cluster(snap, eps, m))
 	}
 	return mn.Finish(), nil
-}
-
-// MineDataset runs PCCD over an in-memory dataset restricted to an interval.
-// Used by validation, which re-mines restricted datasets.
-func MineDataset(ds *model.Dataset, iv model.Interval, m, k int, eps float64) []model.Convoy {
-	ts, te := ds.TimeRange()
-	if iv.Start > ts {
-		ts = iv.Start
-	}
-	if iv.End < te {
-		te = iv.End
-	}
-	mn := NewMiner(m, k)
-	for t := ts; t <= te; t++ {
-		mn.Step(t, dbscan.Cluster(ds.Snapshot(t), eps, m))
-	}
-	return mn.Finish()
 }

@@ -206,14 +206,3 @@ func TestEmptyDataset(t *testing.T) {
 		t.Fatalf("empty dataset should yield nothing, got %v", got)
 	}
 }
-
-func TestMineDatasetRestrictedInterval(t *testing.T) {
-	ds := minetest.BuildRanges([]minetest.Range{
-		{Start: 0, End: 9, Groups: [][]int32{{1, 2, 3}}},
-	})
-	got := MineDataset(ds, model.Interval{Start: 2, End: 6}, 3, 3, minetest.Eps)
-	want := []model.Convoy{model.NewConvoy(model.NewObjSet(1, 2, 3), 2, 6)}
-	if !model.ConvoysEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/minetest"
+	"repro/internal/model"
 	"repro/internal/storage"
 	"repro/internal/storage/storetest"
 )
@@ -47,5 +48,38 @@ func TestFaultDuringValidationPhase(t *testing.T) {
 	fs := storetest.NewFaultStore(storage.NewMemStore(ds), clean.Ops()-1)
 	if _, _, err := Mine(fs, DefaultConfig(3, 8, minetest.Eps)); !errors.Is(err, storetest.ErrInjected) {
 		t.Fatalf("error = %v, want injected fault", err)
+	}
+}
+
+// The candidate of minetest.LeavingBridge fails validation, so what it
+// shrinks to is validated in turn, from the store. Failing every read after
+// phases 1–5 in turn covers each of those second-level reads, and the count
+// shows there are some.
+func TestFaultDuringSecondLevelValidation(t *testing.T) {
+	ds, want := minetest.LeavingBridge()
+	cfg := DefaultConfig(2, 4, minetest.Eps)
+	pre := storetest.NewFaultStore(storage.NewMemStore(ds), 1<<40)
+	cands, _, err := MineCandidates(pre, cfg, ConvoyGrouper(cfg.M, cfg.Eps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstLevel := int64(0) // one Fetch per tick of each candidate
+	for _, v := range cands {
+		firstLevel += int64(v.Len())
+	}
+	clean := storetest.NewFaultStore(storage.NewMemStore(ds), 1<<40)
+	got, _, err := Mine(clean, cfg)
+	if err != nil || !model.ConvoysEqual(got, want) {
+		t.Fatalf("Mine = %v, %v, want %v", got, err, want)
+	}
+	if clean.Ops() <= pre.Ops()+firstLevel {
+		t.Fatalf("%d reads, %d before validation, candidates %v: no sub-candidate was re-validated from the store",
+			clean.Ops(), pre.Ops(), cands)
+	}
+	for budget := pre.Ops(); budget < clean.Ops(); budget++ {
+		fs := storetest.NewFaultStore(storage.NewMemStore(ds), budget)
+		if _, _, err := Mine(fs, cfg); !errors.Is(err, storetest.ErrInjected) {
+			t.Fatalf("budget %d: error = %v, want injected fault", budget, err)
+		}
 	}
 }

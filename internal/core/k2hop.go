@@ -110,24 +110,15 @@ func Mine(store storage.Store, cfg Config) ([]model.Convoy, *Report, error) {
 	rep.PreValidation = len(candidates)
 
 	// Phase 6: full-connectivity validation (convoy-specific; the generic
-	// pipeline only guarantees partially connected candidates).
+	// pipeline only guarantees partially connected candidates). The same
+	// step as phases 3–5 — fetch a candidate's rows at a tick, cluster them.
 	readsBefore := store.Stats().Snapshot().PointsRead - rep.PointsProcessed
 	start := time.Now()
-	out := model.NewConvoySet()
-	for _, v := range candidates {
-		if out.Covers(v) {
-			continue
-		}
-		sub, err := vcoda.RestrictFromStore(store, v.Objs, v.Interval())
-		if err != nil {
-			return nil, rep, err
-		}
-		for _, fc := range vcoda.Validate(sub, []model.Convoy{v}, cfg.M, cfg.K, cfg.Eps) {
-			out.Update(fc)
-		}
+	res, err := vcoda.Validate(store, candidates, cfg.M, cfg.K, cfg.Eps)
+	if err != nil {
+		return nil, rep, err
 	}
 	rep.ValidateTime = time.Since(start)
-	res := out.Sorted()
 	rep.Convoys = len(res)
 	rep.PointsProcessed = store.Stats().Snapshot().PointsRead - readsBefore
 	return res, rep, nil

@@ -62,6 +62,27 @@ func BuildRanges(specs []Range) *model.Dataset {
 	return Build(groups)
 }
 
+// LeavingBridge is a scenario whose candidate fails validation under every
+// miner, k/2-hop included. Objects 1, 2, 3 travel together over [0,19], but
+// up to tick 8 object 3 hangs on only through object 4 (the chain is
+// 1-2-4-3), which leaves at tick 9. ({1,2,3},[0,19]) is a partially
+// connected convoy, and for m=2, k=4 it survives k/2-hop's phases 1–5: tick
+// 8 is a benchmark point, where the full snapshot is clustered, and hop-window
+// mining re-clusters {1,2,3} among themselves only at the interior tick 9,
+// by which time they are adjacent. It is not fully connected; the maximal FC
+// convoys for m=2, k=4 are the second result.
+func LeavingBridge() (*model.Dataset, []model.Convoy) {
+	ds := BuildRanges([]Range{
+		{Start: 0, End: 8, Groups: [][]int32{{1, 2, 4, 3}}},
+		{Start: 9, End: 19, Groups: [][]int32{{1, 2, 3}, {4}}},
+	})
+	return ds, []model.Convoy{
+		model.NewConvoy(model.NewObjSet(1, 2, 3, 4), 0, 8),
+		model.NewConvoy(model.NewObjSet(1, 2), 0, 19),
+		model.NewConvoy(model.NewObjSet(1, 2, 3), 9, 19),
+	}
+}
+
 // Random produces a dataset where a few groups wander together and objects
 // occasionally defect, generating convoys of assorted lengths plus noise.
 // Deterministic in seed.

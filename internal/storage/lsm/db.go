@@ -53,8 +53,6 @@ type Options struct {
 	// merges runs (default 6). The floor is 1: "always compact back to a
 	// single run". Zero (or negative) selects the default.
 	MaxTables int
-	// SyncWAL forces an fsync per batch when true.
-	SyncWAL bool
 	// BlockCacheBytes bounds the shared data-block cache (default 4 MiB).
 	BlockCacheBytes int
 }
@@ -71,7 +69,6 @@ func (o *Options) withDefaults() Options {
 		if o.BlockCacheBytes > 0 {
 			out.BlockCacheBytes = o.BlockCacheBytes
 		}
-		out.SyncWAL = o.SyncWAL
 	}
 	return out
 }
@@ -246,11 +243,6 @@ func (db *DB) PutKV(key [storage.KeySize]byte, val [storage.ValueSize]byte) erro
 	if err := db.wal.append(key[:], val[:]); err != nil {
 		return err
 	}
-	if db.opts.SyncWAL {
-		if err := db.wal.sync(); err != nil {
-			return err
-		}
-	}
 	db.mem.put(key[:], val[:], false)
 	db.noteKey(key[:])
 	db.count++
@@ -272,11 +264,6 @@ func (db *DB) DeleteKV(key [storage.KeySize]byte) error {
 	}
 	if err := db.wal.append(key[:], nil); err != nil {
 		return err
-	}
-	if db.opts.SyncWAL {
-		if err := db.wal.sync(); err != nil {
-			return err
-		}
 	}
 	db.mem.put(key[:], nil, true)
 	if db.mem.bytes() >= db.opts.MemtableBytes {

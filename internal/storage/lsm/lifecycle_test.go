@@ -24,7 +24,7 @@ func TestOptionsWithDefaults(t *testing.T) {
 		// run"); it used to be silently replaced by the default 6.
 		{"max-tables-one", &Options{MaxTables: 1}, Options{MemtableBytes: 4 << 20, MaxTables: 1, BlockCacheBytes: 4 << 20}},
 		{"max-tables-two", &Options{MaxTables: 2}, Options{MemtableBytes: 4 << 20, MaxTables: 2, BlockCacheBytes: 4 << 20}},
-		{"explicit", &Options{MemtableBytes: 512, MaxTables: 9, SyncWAL: true, BlockCacheBytes: 1 << 20}, Options{MemtableBytes: 512, MaxTables: 9, SyncWAL: true, BlockCacheBytes: 1 << 20}},
+		{"explicit", &Options{MemtableBytes: 512, MaxTables: 9, BlockCacheBytes: 1 << 20}, Options{MemtableBytes: 512, MaxTables: 9, BlockCacheBytes: 1 << 20}},
 	}
 	for _, tc := range cases {
 		if got := tc.in.withDefaults(); got != tc.want {

@@ -5,18 +5,20 @@
 //
 // Validation follows the paper's §4.6 observation: (O, T) is an FC convoy
 // exactly when (O, T) is a convoy of the dataset restricted to objects O
-// and timespan T. Each candidate is therefore re-mined on its restriction;
-// a candidate that survives intact is FC, anything smaller is re-validated
-// recursively. Coverage of all maximal FC convoys follows from DBSCAN
-// monotonicity: adding objects never splits a cluster, so an FC convoy
-// remains a convoy in every restriction of a superset of its objects.
+// and timespan T. Validate therefore fetches a candidate's rows tick by
+// tick and sweeps them with PCCD; a candidate the sweep returns intact is
+// FC, anything smaller is re-validated the same way. Coverage of all
+// maximal FC convoys follows from DBSCAN monotonicity: adding objects never
+// splits a cluster, so an FC convoy remains a convoy in every restriction
+// of a superset of its objects.
 //
-// Two variants mirror the paper's measurements:
+// Two variants mirror the paper's measurements; they differ only in the
+// store Validate reads:
 //
-//   - VCoDA  — validation re-reads each candidate's restriction from the
-//     store (point queries), paying I/O per validation round;
-//   - VCoDA* — validation runs on the in-memory copy of the data collected
-//     during the mining sweep (the paper's faster variant).
+//   - VCoDA  — the store that was mined, paying point queries per
+//     validation round;
+//   - VCoDA* — an in-memory copy of the snapshots the mining sweep read (the
+//     paper's faster variant).
 package vcoda
 
 import (
@@ -37,9 +39,21 @@ type Report struct {
 	Convoys       int
 }
 
-// MineStar runs VCoDA*: PCCD with snapshots kept in memory, then in-memory
-// validation.
+// MineStar runs VCoDA*: the PCCD sweep keeps the snapshots it reads, and
+// validation reads that in-memory copy.
 func MineStar(store storage.Store, m, k int, eps float64) ([]model.Convoy, Report, error) {
+	return mine(store, m, k, eps, true)
+}
+
+// Mine runs plain VCoDA: the PCCD sweep does not retain the data, so every
+// validation round fetches its rows from the store.
+func Mine(store storage.Store, m, k int, eps float64) ([]model.Convoy, Report, error) {
+	return mine(store, m, k, eps, false)
+}
+
+// mine is the PCCD sweep over every snapshot followed by Validate, on the
+// store itself or, with retain, on a MemStore of the snapshots the sweep read.
+func mine(store storage.Store, m, k int, eps float64, retain bool) ([]model.Convoy, Report, error) {
 	var rep Report
 	ts, te := store.TimeRange()
 	mn := cmc.NewMiner(m, k)
@@ -50,8 +64,10 @@ func MineStar(store storage.Store, m, k int, eps float64) ([]model.Convoy, Repor
 		if err != nil {
 			return nil, rep, fmt.Errorf("vcoda: snapshot %d: %w", t, err)
 		}
-		for _, p := range snap {
-			pts = append(pts, model.Point{OID: p.OID, T: t, X: p.X, Y: p.Y})
+		if retain {
+			for _, p := range snap {
+				pts = append(pts, model.Point{OID: p.OID, T: t, X: p.X, Y: p.Y})
+			}
 		}
 		mn.Step(t, dbscan.Cluster(snap, eps, m))
 	}
@@ -60,107 +76,73 @@ func MineStar(store storage.Store, m, k int, eps float64) ([]model.Convoy, Repor
 	rep.PreValidation = len(cands)
 
 	start = time.Now()
-	ds := model.NewDataset(pts)
-	out := Validate(ds, cands, m, k, eps)
+	if retain {
+		store = storage.NewMemStore(model.NewDataset(pts))
+	}
+	out, err := Validate(store, cands, m, k, eps)
+	if err != nil {
+		return nil, rep, err
+	}
 	rep.ValidateTime = time.Since(start)
 	rep.Convoys = len(out)
 	return out, rep, nil
 }
 
-// Mine runs plain VCoDA: the PCCD sweep does not retain the data, so every
-// validation round fetches each candidate's restriction from the store.
-func Mine(store storage.Store, m, k int, eps float64) ([]model.Convoy, Report, error) {
-	var rep Report
-	ts, te := store.TimeRange()
-	mn := cmc.NewMiner(m, k)
-	start := time.Now()
-	for t := ts; t <= te; t++ {
-		snap, err := store.Snapshot(t)
-		if err != nil {
-			return nil, rep, fmt.Errorf("vcoda: snapshot %d: %w", t, err)
-		}
-		mn.Step(t, dbscan.Cluster(snap, eps, m))
-	}
-	cands := mn.Finish()
-	rep.MineTime = time.Since(start)
-	rep.PreValidation = len(cands)
-
-	start = time.Now()
-	out := model.NewConvoySet()
-	for _, v := range cands {
-		sub, err := RestrictFromStore(store, v.Objs, v.Interval())
-		if err != nil {
-			return nil, rep, err
-		}
-		for _, fc := range Validate(sub, []model.Convoy{v}, m, k, eps) {
-			out.Update(fc)
-		}
-	}
-	rep.ValidateTime = time.Since(start)
-	res := out.Sorted()
-	rep.Convoys = len(res)
-	return res, rep, nil
-}
-
-// RestrictFromStore materialises DB[T]|O via point queries against a store.
-func RestrictFromStore(store storage.Store, objs model.ObjSet, iv model.Interval) (*model.Dataset, error) {
-	var pts []model.Point
-	for t := iv.Start; t <= iv.End; t++ {
-		rows, err := store.Fetch(t, objs)
-		if err != nil {
-			return nil, fmt.Errorf("vcoda: fetch %d: %w", t, err)
-		}
-		for _, p := range rows {
-			pts = append(pts, model.Point{OID: p.OID, T: t, X: p.X, Y: p.Y})
-		}
-	}
-	if len(pts) == 0 {
-		return model.NewDataset(nil), nil
-	}
-	return model.NewDataset(pts), nil
-}
-
 // Validate reduces candidate convoys to the maximal FC convoys they cover.
-// ds must contain (at least) the restriction of every candidate.
-func Validate(ds *model.Dataset, cands []model.Convoy, m, k int, eps float64) []model.Convoy {
+// Candidates are taken in the order given; each is swept over the rows the
+// store holds for its objects and timespan, and what the sweep returns
+// instead of the candidate goes back on the candidate's stack.
+func Validate(store storage.Store, cands []model.Convoy, m, k int, eps float64) ([]model.Convoy, error) {
 	out := model.NewConvoySet()
 	seen := make(map[string]bool)
-	queue := append([]model.Convoy(nil), cands...)
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if v.Size() < m || v.Len() < k {
-			continue
-		}
-		key := v.Key()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if out.Covers(v) {
-			// Already implied by a confirmed FC convoy (a sub-convoy of an
-			// FC convoy restricted-mines to itself only if it is FC, but if
-			// it is covered it cannot be maximal, so skip the work).
-			continue
-		}
-		sub := ds.Restrict(v.Objs, v.Interval())
-		res := cmc.MineDataset(sub, v.Interval(), m, k, eps)
-		for _, w := range res {
-			if w.Equal(v) {
-				out.Update(v)
-			} else {
-				queue = append(queue, w)
+	mn := cmc.NewMiner(m, k)
+	var stack []model.Convoy
+	for _, c := range cands {
+		stack = append(stack[:0], c)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if v.Size() < m || v.Len() < k {
+				continue
+			}
+			key := v.Key()
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			if out.Covers(v) {
+				// Already implied by a confirmed FC convoy (a sub-convoy of an
+				// FC convoy restricted-mines to itself only if it is FC, but if
+				// it is covered it cannot be maximal, so skip the work).
+				continue
+			}
+			mn.Reset()
+			for t := v.Start; t <= v.End; t++ {
+				rows, err := store.Fetch(t, v.Objs)
+				if err != nil {
+					return nil, fmt.Errorf("vcoda: fetch %d: %w", t, err)
+				}
+				mn.Step(t, dbscan.Cluster(rows, eps, m))
+			}
+			for _, w := range mn.Finish() {
+				if w.Equal(v) {
+					out.Update(v)
+				} else {
+					stack = append(stack, w)
+				}
 			}
 		}
 	}
-	return out.Sorted()
+	return out.Sorted(), nil
 }
 
 // Reference mines maximal FC convoys of an in-memory dataset from first
 // principles (PCCD + exhaustive validation). It is the oracle the test
 // suites compare every other miner against.
 func Reference(ds *model.Dataset, m, k int, eps float64) []model.Convoy {
-	iv := func() model.Interval { s, e := ds.TimeRange(); return model.Interval{Start: s, End: e} }()
-	cands := cmc.MineDataset(ds, iv, m, k, eps)
-	return Validate(ds, cands, m, k, eps)
+	out, _, err := Mine(storage.NewMemStore(ds), m, k, eps)
+	if err != nil {
+		panic(err) // a MemStore read cannot fail
+	}
+	return out
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/minetest"
 	"repro/internal/model"
 	"repro/internal/storage"
+	"repro/internal/storage/storetest"
 )
 
 // Figure-2-style scenario: x,y,z travel together but at one timestamp they
@@ -119,9 +120,9 @@ func TestValidateConfirmsTrueFC(t *testing.T) {
 		{Start: 0, End: 9, Groups: [][]int32{{1, 2, 3}}},
 	})
 	v := model.NewConvoy(model.NewObjSet(1, 2, 3), 0, 9)
-	out := Validate(ds, []model.Convoy{v}, 3, 3, minetest.Eps)
-	if len(out) != 1 || !out[0].Equal(v) {
-		t.Fatalf("Validate = %v", out)
+	out, err := Validate(storage.NewMemStore(ds), []model.Convoy{v}, 3, 3, minetest.Eps)
+	if err != nil || len(out) != 1 || !out[0].Equal(v) {
+		t.Fatalf("Validate = %v, %v", out, err)
 	}
 }
 
@@ -129,28 +130,123 @@ func TestValidateDropsTooSmall(t *testing.T) {
 	ds := minetest.BuildRanges([]minetest.Range{
 		{Start: 0, End: 9, Groups: [][]int32{{1, 2}}},
 	})
-	out := Validate(ds, []model.Convoy{
+	out, err := Validate(storage.NewMemStore(ds), []model.Convoy{
 		model.NewConvoy(model.NewObjSet(1, 2), 0, 9),
 	}, 3, 3, minetest.Eps)
-	if len(out) != 0 {
-		t.Fatalf("undersized candidate should vanish, got %v", out)
+	if err != nil || len(out) != 0 {
+		t.Fatalf("undersized candidate should vanish, got %v, %v", out, err)
 	}
 }
 
-func TestRestrictFromStore(t *testing.T) {
+// Validate reads DB[T]|O and nothing else: 1 and 3 are connected only through
+// 2, which the candidate does not name, so they must not be found together.
+func TestValidateReadsOnlyTheCandidatesRows(t *testing.T) {
 	ds := minetest.BuildRanges([]minetest.Range{
 		{Start: 0, End: 5, Groups: [][]int32{{1, 2, 3}}},
 	})
 	ms := storage.NewMemStore(ds)
-	sub, err := RestrictFromStore(ms, model.NewObjSet(1, 3), model.Interval{Start: 1, End: 3})
-	if err != nil {
-		t.Fatal(err)
+	out, err := Validate(ms, []model.Convoy{model.NewConvoy(model.NewObjSet(1, 3), 1, 3)}, 2, 2, minetest.Eps)
+	if err != nil || len(out) != 0 {
+		t.Fatalf("Validate = %v, %v", out, err)
 	}
-	if sub.NumPoints() != 6 {
-		t.Fatalf("restricted points = %d, want 6", sub.NumPoints())
+	if st := ms.Stats().Snapshot(); st.SnapshotScans != 0 || st.PointQueries != 6 || st.PointsRead != 6 {
+		t.Fatalf("store reads = %+v, want 2 objects × 3 ticks by point query", st)
 	}
-	if !sub.Objects().Equal(model.NewObjSet(1, 3)) {
-		t.Fatalf("restricted objects = %v", sub.Objects())
+}
+
+// Candidates that fail: the sweep over a candidate's rows returns something
+// smaller, which is validated in turn, from the store. swept lists every
+// (sub-)candidate that must be fetched and swept, one Fetch per tick of its
+// span; anything else the recursion meets is a repeat or already covered.
+func TestValidateFailingCandidates(t *testing.T) {
+	conv := func(start, end int32, ids ...int32) model.Convoy {
+		return model.NewConvoy(model.NewObjSet(ids...), start, end)
+	}
+	cases := []struct {
+		name  string
+		ds    *model.Dataset
+		m, k  int
+		cands []model.Convoy
+		want  []model.Convoy
+		swept []model.Convoy
+	}{{
+		name:  "bridge object",
+		ds:    bridgeScenario(),
+		m:     3,
+		k:     3,
+		cands: []model.Convoy{conv(0, 9, 1, 2, 3)},
+		want:  []model.Convoy{conv(0, 4, 1, 2, 3), conv(6, 9, 1, 2, 3)},
+		swept: []model.Convoy{conv(0, 9, 1, 2, 3), conv(0, 4, 1, 2, 3), conv(6, 9, 1, 2, 3)},
+	}, {
+		// 1-2-9-3-4 throughout: the candidate is two FC pairs joined by 9.
+		name: "partially connected chain",
+		ds: minetest.BuildRanges([]minetest.Range{
+			{Start: 0, End: 5, Groups: [][]int32{{1, 2, 9, 3, 4}}},
+		}),
+		m:     2,
+		k:     3,
+		cands: []model.Convoy{conv(0, 5, 1, 2, 3, 4)},
+		want:  []model.Convoy{conv(0, 5, 1, 2), conv(0, 5, 3, 4)},
+		swept: []model.Convoy{conv(0, 5, 1, 2, 3, 4), conv(0, 5, 1, 2), conv(0, 5, 3, 4)},
+	}, {
+		name: "splits mid-span",
+		ds: minetest.BuildRanges([]minetest.Range{
+			{Start: 0, End: 3, Groups: [][]int32{{1, 2, 3, 4}}},
+			{Start: 4, End: 7, Groups: [][]int32{{1, 2, 9, 3, 4}}},
+		}),
+		m:     2,
+		k:     3,
+		cands: []model.Convoy{conv(0, 7, 1, 2, 3, 4)},
+		want:  []model.Convoy{conv(0, 3, 1, 2, 3, 4), conv(0, 7, 1, 2), conv(0, 7, 3, 4)},
+		swept: []model.Convoy{conv(0, 7, 1, 2, 3, 4), conv(0, 3, 1, 2, 3, 4), conv(0, 7, 1, 2), conv(0, 7, 3, 4)},
+	}, {
+		name: "shrinks then re-grows",
+		ds: minetest.BuildRanges([]minetest.Range{
+			{Start: 0, End: 2, Groups: [][]int32{{1, 2, 3}}},
+			{Start: 3, End: 5, Groups: [][]int32{{1, 2, 9, 3}}},
+			{Start: 6, End: 8, Groups: [][]int32{{1, 2, 3}}},
+		}),
+		m:     2,
+		k:     3,
+		cands: []model.Convoy{conv(0, 8, 1, 2, 3)},
+		want:  []model.Convoy{conv(0, 2, 1, 2, 3), conv(0, 8, 1, 2), conv(6, 8, 1, 2, 3)},
+		swept: []model.Convoy{conv(0, 8, 1, 2, 3), conv(0, 2, 1, 2, 3), conv(0, 8, 1, 2), conv(6, 8, 1, 2, 3)},
+	}, {
+		// Three levels: restricted to the candidate, 4 drops out of [5,9];
+		// restricted to what is left, 3 drops out of [0,4], where it held on
+		// through 4.
+		name: "fails twice",
+		ds: minetest.BuildRanges([]minetest.Range{
+			{Start: 0, End: 4, Groups: [][]int32{{1, 2, 4, 3}}},
+			{Start: 5, End: 9, Groups: [][]int32{{1, 2, 3, 9, 4}}},
+		}),
+		m:     2,
+		k:     3,
+		cands: []model.Convoy{conv(0, 9, 1, 2, 3, 4)},
+		want:  []model.Convoy{conv(0, 4, 1, 2, 3, 4), conv(0, 9, 1, 2), conv(5, 9, 1, 2, 3)},
+		swept: []model.Convoy{conv(0, 9, 1, 2, 3, 4), conv(0, 9, 1, 2, 3), conv(5, 9, 1, 2, 3), conv(0, 9, 1, 2), conv(0, 4, 1, 2, 3, 4)},
+	}}
+	for _, tc := range cases {
+		fs := storetest.NewFaultStore(storage.NewMemStore(tc.ds), 1<<40)
+		got, err := Validate(fs, tc.cands, tc.m, tc.k, minetest.Eps)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !model.ConvoysEqual(got, tc.want) {
+			t.Errorf("%s: Validate = %v, want %v", tc.name, got, tc.want)
+		}
+		fetches := int64(0)
+		for _, v := range tc.swept {
+			fetches += int64(v.Len())
+		}
+		if fs.Ops() != fetches {
+			t.Errorf("%s: %d fetches, want %d (one per tick of %v)", tc.name, fs.Ops(), fetches, tc.swept)
+		}
+		for _, c := range got {
+			if !minetest.IsFCConvoy(tc.ds, c, tc.m, minetest.Eps) {
+				t.Errorf("%s: output %v is not FC", tc.name, c)
+			}
+		}
 	}
 }
 
