@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -138,9 +139,8 @@ func assertQueriesMatchLog(t *testing.T, base, logPath string) {
 	check("/v1/query/convoys?feed=hist-1", func(r storage.LoggedConvoy) bool { return r.Feed == "hist-1" })
 }
 
-// assertArchiveDirIsDerived checks the archive directory holds the three
-// indexes and META — and no records file: the log is the only copy.
-func assertArchiveDirIsDerived(t *testing.T, dir string) {
+// dirNames lists dir, sorted.
+func dirNames(t *testing.T, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -150,8 +150,24 @@ func assertArchiveDirIsDerived(t *testing.T, dir string) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
+	return names
+}
+
+// assertArchiveDirIsDerived checks the archive directory holds the three
+// indexes and META — and no records file: the log is the only copy — and
+// that each index is its manifest and the runs, with no log of its own.
+func assertArchiveDirIsDerived(t *testing.T, dir string) {
+	t.Helper()
+	names := dirNames(t, dir)
 	if want := []string{"META", "obj", "size", "time"}; !slices.Equal(names, want) {
 		t.Fatalf("archive directory holds %v, want %v", names, want)
+	}
+	for _, idx := range names[1:] {
+		for _, name := range dirNames(t, filepath.Join(dir, idx)) {
+			if sst, _ := filepath.Match("sst-*.sst", name); !sst && name != "MANIFEST" {
+				t.Fatalf("index %s holds %s, want only MANIFEST and sst-*.sst", idx, name)
+			}
+		}
 	}
 }
 
@@ -274,5 +290,80 @@ func TestArchiveCompactRestart(t *testing.T) {
 		t.Fatalf("start on the compacted log indexed %d records (rebuilt=%v), want a rebuild of %d", backfilled, rebuilt, kept)
 	}
 	assertQueriesMatchLog(t, ts.URL, cfg.PersistPath)
+	assertArchiveDirIsDerived(t, cfg.ArchiveDir)
+}
+
+// TestCleanRestartIndexesNothing: a clean Close leaves META at the log's
+// end and every index entry in a flushed run, so the next start indexes no
+// record, rebuilds nothing, answers every query as before — and writes no
+// file in any index directory.
+func TestCleanRestartIndexesNothing(t *testing.T) {
+	cfg := restartConfig(t.TempDir())
+	cfg.Params = patternSoakParams
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	for i, pat := range []string{"convoy", "flock", "mc"} {
+		snaps, _ := patternSoakSnapshots(int32(10*i + 1))
+		code, body := postJSON(t, ts.URL+"/v1/feeds/"+pat+"/ingest?pattern="+pat, ingestRequest{Snapshots: snaps})
+		if code != http.StatusAccepted {
+			t.Fatalf("ingest %s: %d %s", pat, code, body)
+		}
+		if code, body := postJSON(t, ts.URL+"/v1/feeds/"+pat+"/flush", nil); code != http.StatusOK {
+			t.Fatalf("flush %s: %d %s", pat, code, body)
+		}
+		waitForQuery(t, ts.URL+"/v1/query/convoys?limit=1000&feed="+pat, 1)
+	}
+	queries := []string{"/v1/query/time?from=0&to=1000", "/v1/query/object?oid=12", "/v1/query/convoys?min_size=2"}
+	answers := func(base string) [][]string {
+		var out [][]string
+		for _, q := range queries {
+			out = append(out, pageAll(t, base+q))
+		}
+		return out
+	}
+	// indexState lists every index directory and stats its MANIFEST: a
+	// manifest commit renames a new file over the old one.
+	indexState := func() (files [][]string, manifests []os.FileInfo) {
+		for _, idx := range []string{"time", "obj", "size"} {
+			dir := filepath.Join(cfg.ArchiveDir, idx)
+			st, err := os.Stat(filepath.Join(dir, "MANIFEST"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files, manifests = append(files, dirNames(t, dir)), append(manifests, st)
+		}
+		return files, manifests
+	}
+	want := answers(ts.URL)
+	for i, a := range want {
+		if len(a) == 0 {
+			t.Fatalf("GET %s answers nothing; scenario broken", queries[i])
+		}
+	}
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, manifests := indexState()
+
+	srv, ts = newTestServer(t, cfg)
+	if backfilled, rebuilt, _ := srv.ArchiveInfo(); backfilled != 0 || rebuilt {
+		t.Fatalf("clean restart indexed %d records (rebuilt=%v), want none", backfilled, rebuilt)
+	}
+	if got := answers(ts.URL); !reflect.DeepEqual(got, want) {
+		t.Fatalf("queries after the restart answer %v, before it %v", got, want)
+	}
+	gotFiles, gotManifests := indexState()
+	if !reflect.DeepEqual(gotFiles, files) {
+		t.Fatalf("clean open changed the index directories: %v, were %v", gotFiles, files)
+	}
+	for i, st := range gotManifests {
+		if !os.SameFile(st, manifests[i]) {
+			t.Fatalf("clean open rewrote the MANIFEST of index %d", i)
+		}
+	}
 	assertArchiveDirIsDerived(t, cfg.ArchiveDir)
 }

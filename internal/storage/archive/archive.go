@@ -33,10 +33,12 @@
 //
 // A record is fsynced in the log before its first index entry is written,
 // so an index entry can never reference bytes a crash took away, and the
-// log is append-only, so an offset never moves. Index entries themselves
-// need no WAL fsync: META records how far into the log the flushed SSTables
-// reach, and opening the archive indexes every record past that watermark
-// again — index puts are idempotent (same key, same locator).
+// log is append-only, so an offset never moves. The indexes have no
+// write-ahead log of their own: META records how far into the log the
+// flushed SSTables reach (flushLocked flushes all three before it writes
+// META — the one ordering needed), and whatever is not in a flushed run is
+// indexed again from META's offset when the archive is opened — index puts
+// are idempotent (same key, same locator).
 //
 // META also carries a checksum of the log bytes below the watermark. A log
 // that was compacted or replaced no longer matches it; the indexes are then

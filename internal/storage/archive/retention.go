@@ -17,12 +17,14 @@ package archive
 //     marker: the time index's oldest entry sits below the watermark, which
 //     open detects and repairs by re-running step 2.
 //  2. Tombstone the victims, found by walking the time index below the
-//     watermark. The index databases do not sync their WALs, so after a
-//     crash each holds an arbitrary prefix of its tombstones; the time
-//     index is what finds the victims again, so its tombstones are written
-//     only after the other two indexes' are flushed to SSTables. Whatever
-//     prefix of the time index's tombstones survives, the victims it no
-//     longer lists are gone from the other two indexes as well.
+//     watermark. The index databases keep no log, so after a crash each
+//     holds exactly what its last flush wrote — a prefix of its
+//     tombstones, since a full memtable flushes itself. The ordering
+//     argument is otherwise what it always was: the time index is what
+//     finds the victims again, so its tombstones are written only after
+//     the other two indexes' are flushed to SSTables. Whatever prefix of
+//     the time index's tombstones survives, the victims it no longer lists
+//     are gone from the other two indexes as well.
 //  3. flushLocked makes the tombstones durable.
 
 import (

@@ -1,9 +1,10 @@
 package lsm
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -72,44 +73,39 @@ func verifyModel(t *testing.T, dir string, want map[[2]int32]float64) {
 	}
 }
 
-// seedDB writes two durable generations: one flushed run and one batch
-// living only in the (synced) WAL. Returns the model of everything written.
+// putRange puts one point per i in [lo, hi) — every key unique — and
+// records each in want.
+func putRange(t *testing.T, db *DB, want map[[2]int32]float64, lo, hi int) {
+	t.Helper()
+	for i := lo; i < hi; i++ {
+		k := [2]int32{int32(i % 10), int32(i)}
+		want[k] = float64(i)
+		if err := db.Put(model.Point{T: k[0], OID: k[1], X: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// seedDB writes two generations: one flushed run and one batch living only
+// in the memtable, durable at the caller's next Flush. Returns the model of
+// everything written.
 func seedDB(t *testing.T, db *DB) map[[2]int32]float64 {
 	t.Helper()
 	want := map[[2]int32]float64{}
-	var pts []model.Point
-	for i := 0; i < 200; i++ {
-		k := [2]int32{int32(i % 10), int32(i)}
-		want[k] = float64(i)
-		pts = append(pts, model.Point{T: k[0], OID: k[1], X: float64(i)})
-	}
-	if err := db.PutBatch(pts); err != nil {
-		t.Fatal(err)
-	}
+	putRange(t, db, want, 0, 200)
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	pts = pts[:0]
-	for i := 200; i < 300; i++ {
-		k := [2]int32{int32(i % 10), int32(i)}
-		want[k] = float64(i)
-		pts = append(pts, model.Point{T: k[0], OID: k[1], X: float64(i)})
-	}
-	if err := db.PutBatch(pts); err != nil { // PutBatch syncs the WAL
-		t.Fatal(err)
-	}
+	putRange(t, db, want, 200, 300)
 	return want
 }
 
-// TestFlushCrashPoints kills a flush at each point between its durable
-// steps and asserts the reopened DB is byte-identical to the model — in
-// particular that records flushed to an sstable are never ALSO replayed
-// from a stale WAL (the old ordering committed the manifest before
-// resetting the WAL, so a crash in between double-counted every flushed
-// record and wrote a duplicate run on the next flush).
+// TestFlushCrashPoints kills a flush on either side of its one commit
+// point and asserts the reopened DB is exactly what the manifest on disk
+// names: before the commit the new sstable is an orphan and only the first
+// generation is there; after it both are.
 func TestFlushCrashPoints(t *testing.T) {
 	for _, point := range []string{
-		"flush.wal-created",
 		"flush.sstable-written",
 		"flush.manifest-committed",
 	} {
@@ -119,7 +115,19 @@ func TestFlushCrashPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := seedDB(t, db)
+			want := map[[2]int32]float64{}
+			putRange(t, db, want, 0, 200)
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			// The second generation is in the memtable when the flush is
+			// killed: it is there after reopen only if the manifest naming
+			// its run was committed.
+			second := map[[2]int32]float64{}
+			if point == "flush.manifest-committed" {
+				second = want
+			}
+			putRange(t, db, second, 200, 300)
 			fired := armCrash(t, point)
 			expectCrash(t, func() {
 				if err := db.Flush(); err != nil {
@@ -175,84 +183,16 @@ func TestCompactionCrashPoints(t *testing.T) {
 	}
 }
 
-// TestOpenRecoveryCrash kills Open itself between the recovery flush and
-// the manifest commit; the next Open must replay the same WAL again
-// without loss or duplication.
-func TestOpenRecoveryCrash(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, &Options{MaxTables: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := seedDB(t, db)
-	db.abandon() // crash with 100 records only in the synced WAL
-
-	fired := armCrash(t, "open.recovered")
-	expectCrash(t, func() {
-		if _, err := Open(dir, &Options{MaxTables: 100}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if !fired() {
-		t.Fatal("crash point never fired")
-	}
-	durable.CrashPoint = nil
-	verifyModel(t, dir, want)
-}
-
-// TestFlushCrashWindowStagedDir is the regression for the historical
-// flushLocked ordering bug, staged explicitly: a directory whose manifest
-// already references the flushed run while the pre-rotation WAL still
-// holds the same records. Open must not replay that WAL (it is not the
-// manifest's active WAL) — with the old layout it did, double-counting
-// every flushed record.
-func TestFlushCrashWindowStagedDir(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, &Options{MaxTables: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := seedDB(t, db)
-	fired := armCrash(t, "flush.manifest-committed")
-	expectCrash(t, func() { db.Flush() })
-	if !fired() {
-		t.Fatal("crash point never fired")
-	}
-	durable.CrashPoint = nil
-	db.abandon()
-
-	// The staged state: manifest references the new run AND the new WAL,
-	// while the superseded WAL (holding the just-flushed records) is still
-	// on disk.
-	manifest, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(manifest), "wal ") {
-		t.Fatalf("manifest does not name a WAL:\n%s", manifest)
-	}
-	wals, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if len(wals) < 2 {
-		t.Fatalf("staged dir should hold old + new WAL, found %v", wals)
-	}
-	verifyModel(t, dir, want)
-	// After recovery the stale WAL must have been swept.
-	wals, _ = filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if len(wals) != 1 {
-		t.Fatalf("stale WALs not swept: %v", wals)
-	}
-}
-
 // TestOrphanSweep: files no committed manifest references — sstables from
-// uncommitted flushes/compactions, superseded WALs, MANIFEST.tmp — are
-// removed on Open; foreign files are left alone.
+// uncommitted flushes/compactions, MANIFEST.tmp, a write-ahead log left by
+// an earlier build — are removed on Open; foreign files are left alone.
 func TestOrphanSweep(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedDB(t, db)
+	want := seedDB(t, db)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -265,12 +205,33 @@ func TestOrphanSweep(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "keep.txt"), []byte("user file"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A directory as the parent format left it: the manifest ends in a
+	// "wal" line naming a log that holds one intact record (crc, key
+	// length 8, value length 16, key (0, 7), zero value). The line is
+	// tolerated, the file swept, and the record is not replayed.
+	manifest, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest = append(manifest, "wal wal-000042.log\n"...)
+	if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	key := storage.EncodeKey(0, 7)
+	rec := binary.LittleEndian.AppendUint16(nil, storage.KeySize)
+	rec = binary.LittleEndian.AppendUint16(rec, storage.ValueSize)
+	rec = append(rec, key[:]...)
+	rec = append(rec, make([]byte, storage.ValueSize)...)
+	rec = append(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(rec)), rec...)
+	if err := os.WriteFile(filepath.Join(dir, "wal-000042.log"), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	db, err = Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	for _, name := range []string{"sst-009999.sst", "wal-009999.log", manifestName + ".tmp"} {
+	for _, name := range []string{"sst-009999.sst", "wal-009999.log", "wal-000042.log", manifestName + ".tmp"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 			t.Errorf("orphan %s not swept (err=%v)", name, err)
 		}
@@ -278,15 +239,22 @@ func TestOrphanSweep(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "keep.txt")); err != nil {
 		t.Errorf("non-lsm file touched by sweep: %v", err)
 	}
+	if rows, err := db.Fetch(0, model.NewObjSet(7)); err != nil || len(rows) != 0 {
+		t.Errorf("legacy log record replayed: %v, %v", rows, err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	verifyModel(t, dir, want)
 }
 
 // FuzzLSMCrash drives a put/delete/flush workload with a crash injected at
 // a fuzzer-chosen occurrence of a fuzzer-chosen crash point, then checks
-// the reopened DB against an exact map model. The WAL is synced after every
-// operation that returns, so the reopened state must equal the model of all
-// completed operations — except the single in-flight operation at the
-// crash, which a flush may have carried to disk and so may additionally be
-// present.
+// the reopened DB against an exact map model. Flush — the durability
+// barrier — runs after every operation, so the reopened state must equal
+// the model of all completed operations — except the single in-flight
+// operation at the crash, which a flush may have carried to disk and so may
+// additionally be present.
 func FuzzLSMCrash(f *testing.F) {
 	f.Add([]byte{1, 0, 3, 7, 50, 10, 6, 4, 44, 10})
 	f.Add([]byte{2, 1, 0, 0, 200, 10, 9, 10, 10, 10})
@@ -296,7 +264,7 @@ func FuzzLSMCrash(f *testing.F) {
 			return
 		}
 		points := []string{
-			"flush.wal-created", "flush.sstable-written", "flush.manifest-committed",
+			"flush.sstable-written", "flush.manifest-committed",
 			"compact.output-written", "compact.manifest-committed",
 		}
 		point := points[int(data[0])%len(points)]
@@ -306,8 +274,8 @@ func FuzzLSMCrash(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		syncWAL := func() {
-			if err := db.PutBatch(nil); err != nil { // no points: just the batch's WAL sync
+		barrier := func() {
+			if err := db.Flush(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -342,14 +310,14 @@ func FuzzLSMCrash(f *testing.F) {
 					if err := db.DeleteKV(storage.EncodeKey(k[0], k[1])); err != nil {
 						t.Fatal(err)
 					}
-					syncWAL()
+					barrier()
 					delete(want, k)
 				} else {
 					pendingPut = true
 					if err := db.Put(model.Point{T: k[0], OID: k[1], X: float64(i)}); err != nil {
 						t.Fatal(err)
 					}
-					syncWAL()
+					barrier()
 					want[k] = float64(i)
 				}
 				pendingDel, pendingPut = false, false
@@ -360,8 +328,10 @@ func FuzzLSMCrash(f *testing.F) {
 				}
 			}
 		}()
-		durable.CrashPoint = nil
+		// Stop the compactor before disarming: with a flush after every
+		// operation it is rarely idle, and it reads the hook.
 		db.abandon()
+		durable.CrashPoint = nil
 		db2, err := Open(dir, &Options{MaxTables: 3})
 		if err != nil {
 			t.Fatalf("reopen after crash at %s: %v", point, err)

@@ -2,21 +2,25 @@
 // log-structured merge-tree (O'Neil et al.) keyed by the composite
 // (timestamp, oid) with the point coordinates as value (§5.2).
 //
-// Writes go to a WAL and a skiplist memtable; when the memtable exceeds its
-// budget it is flushed to an immutable SSTable (sorted blocks + block index
-// + bloom filter). A background size-tiered compactor folds tables together
+// Writes go to a skiplist memtable; when the memtable exceeds its budget it
+// is flushed to an immutable SSTable (sorted blocks + block index + bloom
+// filter). A background size-tiered compactor folds tables together
 // when too many runs accumulate, off the write path. Deletions are
 // tombstone records that shadow older runs until compaction reaches the
 // bottom level and garbage-collects them. Benchmark-point reads are range
 // scans (all keys of one timestamp are co-located, one positioning per
 // run); HWMT reads are bloom-guarded point gets.
 //
-// Crash model: the MANIFEST (which names the live tables and the active
-// WAL) is the sole commit point, written via fsynced tmp file + rename +
-// directory fsync. Flush creates the next WAL before committing, so a crash
-// on either side of the commit replays exactly one of {old WAL, new WAL} —
-// flushed records are never replayed twice. Files the manifest does not
-// reference are swept on Open.
+// Crash model: what the MANIFEST names is the database. It lists the live
+// tables and is the sole commit point, written via fsynced tmp file + rename
+// + directory fsync after the fsynced sstable it adds. There is no
+// write-ahead log: Flush is the one durability barrier. A write is durable
+// once a Flush that covers it — an explicit one, the memtable-full flush
+// inside PutKV/DeleteKV, or Close's — has returned; a kill loses exactly
+// the memtable. Both consumers below can afford that: the miners' stores
+// are bulk-loaded and flushed once, and the archive re-derives every index
+// entry past its last flush from the fsynced convoy log. Files the manifest
+// does not reference are swept on Open.
 //
 // The engine serves two consumers. As a storage.Store (Put/Snapshot/Fetch)
 // it holds trajectory points for the miners, exactly the paper's role. As a
@@ -31,7 +35,6 @@ package lsm
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -84,18 +87,16 @@ func (o *Options) withDefaults() Options {
 // replacing db.tables/db.mem, never mutating the slices a snapshot may
 // hold.
 type DB struct {
-	mu      sync.RWMutex
-	dir     string
-	opts    Options
-	wal     *wal
-	walName string
-	mem     *memtable
-	tables  []*sstable // oldest first; later tables shadow earlier ones; COW
-	seq     int
-	ts, te  int32
-	count   uint64
-	stats   storage.IOStats
-	closed  bool
+	mu     sync.RWMutex
+	dir    string
+	opts   Options
+	mem    *memtable
+	tables []*sstable // oldest first; later tables shadow earlier ones; COW
+	seq    int
+	ts, te int32
+	count  uint64
+	stats  storage.IOStats
+	closed bool
 
 	// Shared lock-free read-path state: the sharded block cache, its
 	// counter sinks, and the live-snapshot gauge.
@@ -110,7 +111,9 @@ type DB struct {
 	compact   compactState
 }
 
-// Open opens (or creates) an LSM database in dir.
+// Open opens (or creates) an LSM database in dir: the tables the manifest
+// names, and nothing else. Opening a cleanly closed directory writes
+// nothing.
 func Open(dir string, opts *Options) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lsm: mkdir: %w", err)
@@ -118,44 +121,10 @@ func Open(dir string, opts *Options) (*DB, error) {
 	db := &DB{dir: dir, opts: opts.withDefaults(), mem: newMemtable(1), ts: 0, te: -1}
 	db.cache = newBlockCache(db.opts.BlockCacheBytes)
 	db.env = readEnv{cache: db.cache, io: &db.stats, rs: &db.rstats}
-	oldWAL, err := db.loadManifest()
-	if err != nil {
-		return nil, err
-	}
-	// Replay the manifest's WAL into the fresh memtable. Only live puts
-	// count toward the point total and the time bounds.
-	if oldWAL != "" {
-		if err := replayWAL(filepath.Join(dir, oldWAL), func(k, v []byte, tomb bool) {
-			db.mem.put(k, v, tomb)
-			if !tomb {
-				db.noteKey(k)
-				db.count++
-			}
-		}); err != nil {
-			return nil, err
+	if err := db.load(); err != nil {
+		for _, t := range db.tables {
+			t.close()
 		}
-	}
-	// Recompute bounds/counts from the manifest's tables (before any
-	// recovery flush appends to the list).
-	for _, t := range db.tables {
-		db.count += t.count - t.tombs
-		if len(t.index) > 0 {
-			ft, _ := storage.DecodeKey(t.index[0].firstKey[:])
-			db.noteT(ft)
-			// Last key requires reading the last block; cheap and done once.
-			lb, err := t.readBlock(len(t.index)-1, nil)
-			if err != nil {
-				return nil, err
-			}
-			lastRec := lb[(int(t.index[len(t.index)-1].count)-1)*recSize:]
-			lt, _ := storage.DecodeKey(lastRec[:storage.KeySize])
-			db.noteT(lt)
-		}
-	}
-	// Rotate to a fresh WAL. If replay recovered records, they are flushed
-	// to a run first so the manifest commit below cannot strand them: the
-	// old WAL is only removed once the new state is durable.
-	if err := db.recoverLocked(oldWAL); err != nil {
 		return nil, err
 	}
 	db.sweepOrphans()
@@ -166,43 +135,27 @@ func Open(dir string, opts *Options) (*DB, error) {
 	return db, nil
 }
 
-// recoverLocked finishes Open: persist any replayed records as a run,
-// commit a manifest naming a fresh WAL, then retire the old WAL. Called
-// before the DB is shared, so no locking.
-func (db *DB) recoverLocked(oldWAL string) error {
-	if db.mem.len() > 0 {
-		name := fmt.Sprintf("sst-%06d.sst", db.seq)
-		db.seq++
-		path := filepath.Join(db.dir, name)
-		if err := writeSSTable(path, db.mem.iterator(nil), len(db.tables) == 0); err != nil {
-			return err
-		}
-		t, err := openSSTable(path)
-		if err != nil {
-			return err
-		}
-		if t.count == 0 { // every record was a dropped tombstone
-			t.close()
-			os.Remove(path)
-		} else {
-			db.tables = append(db.tables, t)
-		}
-		db.mem = newMemtable(int64(db.seq))
-	}
-	durable.Crash("open.recovered")
-	db.walName = fmt.Sprintf("wal-%06d.log", db.seq)
-	db.seq++
-	w, err := createWAL(filepath.Join(db.dir, db.walName))
-	if err != nil {
+// load opens the manifest's tables and recomputes the point count and the
+// time bounds from them. On error the tables opened so far are left in
+// db.tables for Open to close.
+func (db *DB) load() error {
+	if err := db.loadManifest(); err != nil {
 		return err
 	}
-	db.wal = w
-	if err := db.writeManifest(); err != nil {
-		w.close()
-		return err
-	}
-	if oldWAL != "" && oldWAL != db.walName {
-		os.Remove(filepath.Join(db.dir, oldWAL))
+	for _, t := range db.tables {
+		db.count += t.count - t.tombs
+		if len(t.index) > 0 {
+			ft, _ := storage.DecodeKey(t.index[0].firstKey[:])
+			db.noteT(ft)
+			// Last key requires reading the last block; cheap and done once.
+			lb, err := t.readBlock(len(t.index)-1, nil)
+			if err != nil {
+				return err
+			}
+			lastRec := lb[(int(t.index[len(t.index)-1].count)-1)*recSize:]
+			lt, _ := storage.DecodeKey(lastRec[:storage.KeySize])
+			db.noteT(lt)
+		}
 	}
 	return nil
 }
@@ -238,10 +191,7 @@ func (db *DB) PutKV(key [storage.KeySize]byte, val [storage.ValueSize]byte) erro
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
-		return errors.New("lsm: db closed")
-	}
-	if err := db.wal.append(key[:], val[:]); err != nil {
-		return err
+		return errClosed
 	}
 	db.mem.put(key[:], val[:], false)
 	db.noteKey(key[:])
@@ -260,10 +210,7 @@ func (db *DB) DeleteKV(key [storage.KeySize]byte) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
-		return errors.New("lsm: db closed")
-	}
-	if err := db.wal.append(key[:], nil); err != nil {
-		return err
+		return errClosed
 	}
 	db.mem.put(key[:], nil, true)
 	if db.mem.bytes() >= db.opts.MemtableBytes {
@@ -272,83 +219,53 @@ func (db *DB) DeleteKV(key [storage.KeySize]byte) error {
 	return nil
 }
 
-// PutBatch inserts points with one WAL flush at the end.
-func (db *DB) PutBatch(pts []model.Point) error {
-	for _, p := range pts {
-		if err := db.Put(p); err != nil {
-			return err
-		}
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.wal.sync()
-}
-
-// Flush forces the memtable to disk.
+// Flush writes the memtable out as a run. It is the durability barrier:
+// every write that returned before Flush was called survives a kill once
+// Flush has returned.
 func (db *DB) Flush() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.flushLocked()
 }
 
-// flushLocked turns the memtable into a run. Ordering is the crash-safety
-// contract: (1) create the NEXT WAL, (2) write the sstable, (3) commit the
-// manifest referencing both, (4) only then retire the old WAL. A crash
-// before (3) leaves the old manifest: the orphaned sstable/WAL are swept
-// and the old WAL replays — nothing lost. A crash after (3) leaves the new
-// manifest: the old WAL is stale and swept — nothing replays twice. The
-// old ordering (manifest before WAL reset) double-replayed flushed records.
+// flushLocked turns the memtable into a run: write the (fsynced) sstable,
+// commit the manifest that names it, swap in a fresh memtable. A crash
+// before the commit leaves the old manifest and an orphan sstable that the
+// next Open sweeps; a crash after it leaves the new run live.
 func (db *DB) flushLocked() error {
+	if db.closed {
+		return errClosed
+	}
 	if db.mem.len() == 0 {
 		return nil
 	}
-	nextWAL := fmt.Sprintf("wal-%06d.log", db.seq)
-	db.seq++
-	w, err := createWAL(filepath.Join(db.dir, nextWAL))
-	if err != nil {
-		return err
-	}
-	durable.Crash("flush.wal-created")
 	name := fmt.Sprintf("sst-%06d.sst", db.seq)
 	db.seq++
 	path := filepath.Join(db.dir, name)
-	fail := func(err error) error {
-		w.close()
-		os.Remove(filepath.Join(db.dir, nextWAL))
-		return err
-	}
 	if err := writeSSTable(path, db.mem.iterator(nil), len(db.tables) == 0); err != nil {
-		return fail(err)
+		return err
 	}
 	t, err := openSSTable(path)
 	if err != nil {
 		os.Remove(path)
-		return fail(err)
+		return err
 	}
 	durable.Crash("flush.sstable-written")
 	if t.count == 0 {
-		// Every record was a tombstone dropped at the bottom level; rotate
-		// the WAL without adding an empty run.
+		// Every record was a tombstone dropped at the bottom level: the
+		// table list, and so the manifest, does not change.
 		t.close()
 		os.Remove(path)
 	} else {
 		db.tables = append(db.tables, t)
-	}
-	oldWAL := db.walName
-	db.walName = nextWAL
-	if err := db.writeManifest(); err != nil {
-		db.walName = oldWAL
-		if t.count > 0 {
+		if err := db.writeManifest(); err != nil {
 			db.tables = db.tables[:len(db.tables)-1]
 			t.close()
 			os.Remove(path)
+			return err
 		}
-		return fail(err)
+		durable.Crash("flush.manifest-committed")
 	}
-	durable.Crash("flush.manifest-committed")
-	db.wal.close()
-	os.Remove(filepath.Join(db.dir, oldWAL))
-	db.wal = w
 	db.mem = newMemtable(int64(db.seq))
 	if len(db.tables) > db.opts.MaxTables {
 		db.kickCompact()
@@ -359,6 +276,12 @@ func (db *DB) flushLocked() error {
 // Compact synchronously merges all runs into one, garbage-collecting every
 // tombstone (the bulk-load path; the serving path compacts in background).
 func (db *DB) Compact() error {
+	db.mu.RLock()
+	closed := db.closed
+	db.mu.RUnlock()
+	if closed {
+		return errClosed
+	}
 	_, err := db.compactOnce(true)
 	return err
 }
@@ -472,13 +395,16 @@ func (db *DB) Fetch(t int32, oids model.ObjSet) ([]model.ObjPos, error) {
 	return out, nil
 }
 
-// Close flushes buffers, stops the compactor and closes the database.
+// Close flushes the memtable, stops the compactor and closes the database.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
 		return nil
 	}
+	// The final flush runs before the DB is marked closed: from then on
+	// every entry point of flushLocked refuses.
+	err := db.flushLocked()
 	db.closed = true
 	db.mu.Unlock()
 	// Stop the compactor before touching the tables: an in-flight merge
@@ -489,13 +415,6 @@ func (db *DB) Close() error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	var firstErr error
-	if err := db.wal.sync(); err != nil {
-		firstErr = err
-	}
-	if err := db.wal.close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
 	// Drop the table-list references. Files close when the last snapshot
 	// drains (immediately, when none are live) and stay on disk — the
 	// manifest still names them for the next Open.
@@ -503,18 +422,19 @@ func (db *DB) Close() error {
 		t.retire(false)
 	}
 	db.tables = nil
-	return firstErr
+	return err
 }
 
 // Abandon simulates a process kill for crash tests of packages built on
 // top of lsm (the archive's crash fuzz uses it): every file handle is
-// closed without flushing buffered WAL bytes, exactly like abandon. The
+// closed and the memtable is dropped unflushed, exactly like abandon. The
 // DB must not be used afterwards.
 func (db *DB) Abandon() { db.abandon() }
 
-// abandon simulates a process kill for crash tests: every file handle is
-// closed without flushing buffered WAL bytes (they are lost, as in a real
-// crash) and the compactor is stopped. The DB must not be used afterwards.
+// abandon simulates a process kill for crash tests: the compactor is
+// stopped and every file handle is closed without the flush Close would
+// run, so whatever is only in the memtable is lost, as in a real crash.
+// The DB must not be used afterwards.
 func (db *DB) abandon() {
 	if db.compact.quit != nil {
 		select {
@@ -527,9 +447,6 @@ func (db *DB) abandon() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.closed = true
-	if db.wal != nil {
-		db.wal.f.Close()
-	}
 	for _, t := range db.tables {
 		t.f.Close()
 	}
@@ -548,9 +465,11 @@ func WriteDataset(dir string, ds *model.Dataset, opts *Options) error {
 	if err != nil {
 		return err
 	}
-	if err := db.PutBatch(ds.Points()); err != nil {
-		db.Close()
-		return err
+	for _, p := range ds.Points() {
+		if err := db.Put(p); err != nil {
+			db.Close()
+			return err
+		}
 	}
 	if err := db.Flush(); err != nil {
 		db.Close()

@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -38,8 +39,10 @@ func TestConformanceManySmallTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.PutBatch(ds.Points()); err != nil {
-		t.Fatal(err)
+	for _, p := range ds.Points() {
+		if err := db.Put(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if db.NumTables() < 3 {
 		t.Fatalf("expected several sstables, got %d", db.NumTables())
@@ -109,63 +112,51 @@ func TestOverwriteAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestWALRecovery(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestCloseFlushes: there is no log beside the runs, so Close is a
+// durability barrier — it flushes the memtable — and a kill before any
+// barrier loses exactly the memtable.
+func TestCloseFlushes(t *testing.T) {
 	pts := []model.Point{
 		{OID: 1, T: 0, X: 1, Y: 1},
 		{OID: 2, T: 0, X: 2, Y: 2},
 		{OID: 1, T: 1, X: 3, Y: 3},
 	}
-	if err := db.PutBatch(pts); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash: no Flush, no Close; the WAL holds everything.
-	db.wal.sync()
-
-	db2, err := Open(dir, nil)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer db2.Close()
-	rows, err := db2.Fetch(1, model.NewObjSet(1))
-	if err != nil || len(rows) != 1 || rows[0].X != 3 {
-		t.Fatalf("recovered Fetch = %v, %v", rows, err)
-	}
-	if got := db2.Count(); got != 3 {
-		t.Fatalf("recovered Count = %d", got)
-	}
-}
-
-func TestWALTornTailIgnored(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.PutBatch([]model.Point{{OID: 1, T: 0, X: 1, Y: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	db.wal.sync()
-	// Append garbage to the WAL to simulate a torn write.
-	f, err := os.OpenFile(filepath.Join(dir, db.walName), os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{1, 2, 3})
-	f.Close()
-
-	db2, err := Open(dir, nil)
-	if err != nil {
-		t.Fatalf("reopen with torn wal: %v", err)
-	}
-	defer db2.Close()
-	rows, err := db2.Fetch(0, model.NewObjSet(1))
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("intact prefix should replay: %v, %v", rows, err)
+	for _, tc := range []struct {
+		name  string
+		stop  func(*DB) error
+		count uint64
+		rows  int // of (t=1, oid=1)
+	}{
+		{"close", (*DB).Close, 3, 1},
+		{"abandon", func(db *DB) error { db.abandon(); return nil }, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Open(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pts {
+				if err := db.Put(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tc.stop(db); err != nil {
+				t.Fatal(err)
+			}
+			db2, err := Open(dir, nil)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer db2.Close()
+			if got := db2.Count(); got != tc.count {
+				t.Fatalf("reopened Count = %d, want %d", got, tc.count)
+			}
+			rows, err := db2.Fetch(1, model.NewObjSet(1))
+			if err != nil || len(rows) != tc.rows || (tc.rows == 1 && rows[0].X != 3) {
+				t.Fatalf("reopened Fetch = %v, %v; want %d rows", rows, err, tc.rows)
+			}
+		})
 	}
 }
 
@@ -213,6 +204,92 @@ func TestPutAfterCloseFails(t *testing.T) {
 	}
 	if err := db.Close(); err != nil {
 		t.Fatalf("double Close should be nil, got %v", err)
+	}
+}
+
+// TestFlushAfterCloseIsRejected: Close flushes the memtable itself and
+// leaves the DB refusing every later flush — a Flush after Close used to
+// commit a manifest naming only the leftover memtable, orphaning every
+// earlier run.
+func TestFlushAfterCloseIsRejected(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, &Options{MaxTables: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := db.Put(model.Point{T: 1, OID: int32(i), X: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put(model.Point{T: 2, OID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); !errors.Is(err, errClosed) {
+		t.Fatalf("Flush after Close = %v, want errClosed", err)
+	}
+	if err := db.Compact(); !errors.Is(err, errClosed) {
+		t.Fatalf("Compact after Close = %v, want errClosed", err)
+	}
+	db, err = Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := db.Count(); got != 101 {
+		t.Fatalf("reopened Count = %d, want 101", got)
+	}
+	if rows, err := db.Snapshot(1); err != nil || len(rows) != 100 {
+		t.Fatalf("reopened Snapshot(1) = %d rows, %v; want 100", len(rows), err)
+	}
+}
+
+// TestFailedOpenClosesTables: an Open that fails on its second run closes
+// the first — a caller that retries (the archive does, on every start) must
+// not leak a descriptor per attempt.
+func TestFailedOpenClosesTables(t *testing.T) {
+	openFDs := func() (int, error) {
+		fds, err := os.ReadDir("/proc/self/fd")
+		return len(fds), err
+	}
+	if _, err := openFDs(); err != nil {
+		t.Skip("needs /proc/self/fd")
+	}
+	dir := t.TempDir()
+	db, err := Open(dir, &Options{MaxTables: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gen := int32(0); gen < 2; gen++ {
+		if err := db.Put(model.Point{T: gen, OID: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second := db.tables[1].path
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(second, 10); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := openFDs()
+	for i := 0; i < 200; i++ {
+		if db, err := Open(dir, nil); err == nil {
+			db.Close()
+			t.Fatal("Open of a directory with a truncated run succeeded")
+		}
+	}
+	if after, _ := openFDs(); after > before {
+		t.Fatalf("200 failed opens grew the descriptor count from %d to %d", before, after)
 	}
 }
 
@@ -589,7 +666,8 @@ func TestPutKVScan(t *testing.T) {
 	}
 }
 
-// TestPutKVReopen: raw records survive WAL replay and manifest reload.
+// TestPutKVReopen: raw records survive Close (runs flushed while writing
+// plus the final memtable flush) and manifest reload.
 func TestPutKVReopen(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, &Options{MemtableBytes: 1 << 12})

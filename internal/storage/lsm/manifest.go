@@ -11,35 +11,35 @@ import (
 )
 
 // The MANIFEST is the database's single commit point: it lists the live
-// sstables (oldest first) and names the active WAL. Flush and compaction
-// stage their output files first and only then rewrite the manifest, so any
-// file not referenced by it is garbage by construction and swept on Open.
+// sstables, oldest first. Flush and compaction stage their output files
+// first and only then rewrite the manifest, so any file not referenced by
+// it is garbage by construction and swept on Open.
 //
 //	sst-000003.sst
 //	sst-000007.sst
-//	wal wal-000008.log
 const manifestName = "MANIFEST"
 
-// loadManifest opens every table listed in the manifest and returns the
-// active WAL name ("" when the manifest is missing: a fresh database).
-func (db *DB) loadManifest() (walName string, err error) {
+// loadManifest opens every table listed in the manifest (none when it is
+// missing: a fresh database).
+func (db *DB) loadManifest() error {
 	data, err := os.ReadFile(filepath.Join(db.dir, manifestName))
 	if errors.Is(err, os.ErrNotExist) {
-		return "", nil
+		return nil
 	}
 	if err != nil {
-		return "", fmt.Errorf("lsm: read manifest: %w", err)
+		return fmt.Errorf("lsm: read manifest: %w", err)
 	}
 	for _, line := range strings.Split(string(data), "\n") {
 		fields := strings.Fields(line)
 		if len(fields) == 2 && fields[0] == "wal" {
-			walName = fields[1]
+			// Legacy: earlier builds named a write-ahead log here. Nothing
+			// reads it back; sweepOrphans removes the file.
 			continue
 		}
 		for _, name := range fields {
 			t, err := openSSTable(filepath.Join(db.dir, name))
 			if err != nil {
-				return "", err
+				return err
 			}
 			db.tables = append(db.tables, t)
 			var n int
@@ -49,28 +49,25 @@ func (db *DB) loadManifest() (walName string, err error) {
 			}
 		}
 	}
-	return walName, nil
+	return nil
 }
 
-// writeManifest atomically and durably records the current table list and
-// active WAL.
+// writeManifest atomically and durably records the current table list.
 func (db *DB) writeManifest() error {
 	var b strings.Builder
 	for _, t := range db.tables {
 		fmt.Fprintln(&b, filepath.Base(t.path))
-	}
-	if db.walName != "" {
-		fmt.Fprintf(&b, "wal %s\n", db.walName)
 	}
 	return durable.WriteFile(filepath.Join(db.dir, manifestName), []byte(b.String()))
 }
 
 // sweepOrphans removes lsm-owned files in dir that the committed manifest
 // does not reference: sstables from flushes or compactions that never
-// committed, WALs superseded by rotation, and a leftover MANIFEST.tmp.
-// Only names matching the engine's own patterns are touched.
+// committed, a leftover MANIFEST.tmp, and the wal-*.log an earlier build
+// kept (there is no log now). Only names matching the engine's own
+// patterns are touched.
 func (db *DB) sweepOrphans() {
-	live := make(map[string]bool, len(db.tables)+1)
+	live := make(map[string]bool, len(db.tables))
 	for _, t := range db.tables {
 		live[filepath.Base(t.path)] = true
 	}
@@ -85,11 +82,8 @@ func (db *DB) sweepOrphans() {
 			if !live[name] {
 				os.Remove(filepath.Join(db.dir, name))
 			}
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
-			if name != db.walName {
-				os.Remove(filepath.Join(db.dir, name))
-			}
-		case name == manifestName+".tmp":
+		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"),
+			name == manifestName+".tmp":
 			os.Remove(filepath.Join(db.dir, name))
 		}
 	}

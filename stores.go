@@ -49,5 +49,6 @@ func WriteLSM(dir string, ds *Dataset) error {
 
 // OpenLSM opens an LSM-tree database as a Store. The returned store also
 // accepts live inserts through the underlying type (see package
-// repro/internal/storage/lsm for the full API).
+// repro/internal/storage/lsm for the full API); they are durable once its
+// Flush or Close has returned — the engine keeps no write-ahead log.
 func OpenLSM(dir string) (Store, error) { return lsm.Open(dir, nil) }
