@@ -31,83 +31,6 @@ const (
 	headerSize = 4 + 4 + 8 + 4 + 4
 )
 
-// Writer writes a flat file. Points must be appended in (t, oid) order.
-type Writer struct {
-	f       *os.File
-	w       *bufio.Writer
-	count   uint64
-	ts, te  int32
-	lastKey [storage.KeySize]byte
-	started bool
-}
-
-// Create opens path for writing and reserves the header.
-func Create(path string) (*Writer, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("flatfile: create: %w", err)
-	}
-	w := &Writer{f: f, w: bufio.NewWriterSize(f, 1<<20)}
-	if _, err := w.w.Write(make([]byte, headerSize)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("flatfile: reserve header: %w", err)
-	}
-	return w, nil
-}
-
-// Append adds one point. Points must arrive in strictly increasing (t, oid)
-// order.
-func (w *Writer) Append(p model.Point) error {
-	key := storage.EncodeKey(p.T, p.OID)
-	if w.started && bytesCompare(key[:], w.lastKey[:]) <= 0 {
-		return fmt.Errorf("flatfile: out-of-order append at t=%d oid=%d", p.T, p.OID)
-	}
-	if !w.started {
-		w.ts = p.T
-		w.started = true
-	}
-	w.te = p.T
-	w.lastKey = key
-	val := storage.EncodeValue(p.X, p.Y)
-	if _, err := w.w.Write(key[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(val[:]); err != nil {
-		return err
-	}
-	w.count++
-	return nil
-}
-
-// AppendDataset writes every point of ds in (t, oid) order.
-func (w *Writer) AppendDataset(ds *model.Dataset) error {
-	for _, p := range ds.Points() {
-		if err := w.Append(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close flushes data, rewrites the header and closes the file.
-func (w *Writer) Close() error {
-	if err := w.w.Flush(); err != nil {
-		w.f.Close()
-		return err
-	}
-	var hdr [headerSize]byte
-	copy(hdr[0:4], magic)
-	binary.LittleEndian.PutUint32(hdr[4:8], version)
-	binary.LittleEndian.PutUint64(hdr[8:16], w.count)
-	binary.LittleEndian.PutUint32(hdr[16:20], uint32(w.ts))
-	binary.LittleEndian.PutUint32(hdr[20:24], uint32(w.te))
-	if _, err := w.f.WriteAt(hdr[:], 0); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
-}
-
 // Store reads a flat file and implements storage.Store.
 type Store struct {
 	f      *os.File
@@ -144,17 +67,58 @@ func Open(path string) (*Store, error) {
 	return s, nil
 }
 
-// WriteDataset is a convenience that serialises ds into a new flat file.
+// WriteDataset writes ds into a new flat file at path, truncating any
+// existing file.
 func WriteDataset(path string, ds *model.Dataset) error {
-	w, err := Create(path)
+	return writePoints(path, ds.Points())
+}
+
+// writePoints writes pts, which must be strictly ascending by (t, oid),
+// behind a reserved header that is filled in once the records are down.
+func writePoints(path string, pts []model.Point) (err error) {
+	f, err := os.Create(path)
 	if err != nil {
+		return fmt.Errorf("flatfile: create: %w", err)
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	w := bufio.NewWriterSize(f, 1<<20)
+	var hdr [headerSize]byte
+	if _, err := w.Write(hdr[:]); err != nil {
+		return fmt.Errorf("flatfile: reserve header: %w", err)
+	}
+	var prev [storage.KeySize]byte
+	for i, p := range pts {
+		key := storage.EncodeKey(p.T, p.OID)
+		if i > 0 && bytesCompare(key[:], prev[:]) <= 0 {
+			return fmt.Errorf("flatfile: out-of-order append at t=%d oid=%d", p.T, p.OID)
+		}
+		prev = key
+		val := storage.EncodeValue(p.X, p.Y)
+		if _, err := w.Write(key[:]); err != nil {
+			return err
+		}
+		if _, err := w.Write(val[:]); err != nil {
+			return err
+		}
+	}
+	if err := w.Flush(); err != nil {
 		return err
 	}
-	if err := w.AppendDataset(ds); err != nil {
-		w.f.Close()
-		return err
+	var ts, te int32
+	if len(pts) > 0 {
+		ts, te = pts[0].T, pts[len(pts)-1].T
 	}
-	return w.Close()
+	copy(hdr[0:4], magic)
+	binary.LittleEndian.PutUint32(hdr[4:8], version)
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(pts)))
+	binary.LittleEndian.PutUint32(hdr[16:20], uint32(ts))
+	binary.LittleEndian.PutUint32(hdr[20:24], uint32(te))
+	_, err = f.WriteAt(hdr[:], 0)
+	return err
 }
 
 // TimeRange implements storage.Store.

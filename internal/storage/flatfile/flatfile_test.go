@@ -66,20 +66,15 @@ func TestLoadRoundTrip(t *testing.T) {
 
 func TestOutOfOrderAppendRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.k2f")
-	w, err := Create(path)
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	if err := w.Append(model.Point{OID: 5, T: 3}); err != nil {
-		t.Fatalf("first append: %v", err)
-	}
-	if err := w.Append(model.Point{OID: 4, T: 3}); err == nil {
+	if err := writePoints(path, []model.Point{{OID: 5, T: 3}, {OID: 4, T: 3}}); err == nil {
 		t.Fatalf("out-of-order append should fail")
 	}
-	if err := w.Append(model.Point{OID: 5, T: 3}); err == nil {
+	if err := writePoints(path, []model.Point{{OID: 5, T: 3}, {OID: 5, T: 3}}); err == nil {
 		t.Fatalf("duplicate append should fail")
 	}
-	w.Close()
+	if err := writePoints(path, []model.Point{{OID: 5, T: 3}, {OID: 1, T: 4}}); err != nil {
+		t.Fatalf("ordered append: %v", err)
+	}
 }
 
 func TestOpenRejectsGarbage(t *testing.T) {
@@ -98,11 +93,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 
 func TestEmptyFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.k2f")
-	w, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
+	if err := WriteDataset(path, model.NewDataset(nil)); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(path)

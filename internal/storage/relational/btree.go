@@ -86,16 +86,6 @@ func initInner(p []byte, child0 uint32) {
 
 func pageType(p []byte) int { return int(getU16(p, 0)) }
 
-// newBtree creates an empty tree whose root is a fresh leaf.
-func newBtree(pg *pager) *btree {
-	id, page := pg.alloc()
-	initLeaf(page)
-	return &btree{pg: pg, root: id}
-}
-
-// openBtree attaches to an existing tree rooted at root.
-func openBtree(pg *pager, root uint32) *btree { return &btree{pg: pg, root: root} }
-
 // get returns the value stored under key, or nil if absent.
 func (t *btree) get(key []byte) ([]byte, error) {
 	id := t.root
@@ -149,132 +139,6 @@ func leafSearch(p []byte, n int, key []byte) int {
 		}
 	}
 	return lo
-}
-
-// insert adds key → val. Duplicate keys overwrite the old value.
-func (t *btree) insert(key, val []byte) error {
-	promoted, newChild, err := t.insertRec(t.root, key, val)
-	if err != nil {
-		return err
-	}
-	if newChild != 0 {
-		// Root split: grow the tree by one level.
-		id, page := t.pg.alloc()
-		initInner(page, t.root)
-		putU16(page, 2, 1)
-		copy(page[innerHdr:], promoted)
-		putU32(page, innerHdr+storage.KeySize, newChild)
-		t.root = id
-	}
-	return nil
-}
-
-// insertRec inserts into the subtree rooted at id. On a split it returns
-// the promoted separator key and the id of the new right sibling.
-func (t *btree) insertRec(id uint32, key, val []byte) (promoted []byte, newChild uint32, err error) {
-	p, err := t.pg.read(id)
-	if err != nil {
-		return nil, 0, err
-	}
-	switch pageType(p) {
-	case typeLeaf:
-		return t.insertLeaf(id, p, key, val)
-	case typeInternal:
-		ci := t.childIndex(p, key)
-		promo, child, err := t.insertRec(innerChild(p, ci), key, val)
-		if err != nil || child == 0 {
-			return nil, 0, err
-		}
-		return t.insertInner(id, p, ci, promo, child)
-	default:
-		return nil, 0, fmt.Errorf("relational: corrupt page %d", id)
-	}
-}
-
-func (t *btree) insertLeaf(id uint32, p []byte, key, val []byte) ([]byte, uint32, error) {
-	page := make([]byte, PageSize)
-	copy(page, p)
-	n := leafN(page)
-	i := leafSearch(page, n, key)
-	if i < n && bytes.Equal(leafKey(page, i), key) {
-		copy(page[leafHdr+i*leafEntry+storage.KeySize:], val)
-		return nil, 0, t.pg.write(id, page)
-	}
-	if n < leafCap {
-		off := leafHdr + i*leafEntry
-		copy(page[off+leafEntry:leafHdr+(n+1)*leafEntry], page[off:leafHdr+n*leafEntry])
-		copy(page[off:], key)
-		copy(page[off+storage.KeySize:], val)
-		putU16(page, 2, uint16(n+1))
-		return nil, 0, t.pg.write(id, page)
-	}
-	// Split: left keeps half, right takes the rest; insert into the proper
-	// half afterwards (re-run the simple path — both halves have room).
-	rightID, right := t.pg.alloc()
-	initLeaf(right)
-	half := n / 2
-	copy(right[leafHdr:], page[leafHdr+half*leafEntry:leafHdr+n*leafEntry])
-	putU16(right, 2, uint16(n-half))
-	putU32(right, 4, leafNext(page))
-	putU16(page, 2, uint16(half))
-	putU32(page, 4, rightID)
-	if err := t.pg.write(id, page); err != nil {
-		return nil, 0, err
-	}
-	if err := t.pg.write(rightID, right); err != nil {
-		return nil, 0, err
-	}
-	sep := make([]byte, storage.KeySize)
-	copy(sep, leafKey(right, 0))
-	// Route the pending insert into the correct half.
-	target := id
-	if bytes.Compare(key, sep) >= 0 {
-		target = rightID
-	}
-	if _, _, err := t.insertRec(target, key, val); err != nil {
-		return nil, 0, err
-	}
-	return sep, rightID, nil
-}
-
-func (t *btree) insertInner(id uint32, p []byte, ci int, promo []byte, child uint32) ([]byte, uint32, error) {
-	page := make([]byte, PageSize)
-	copy(page, p)
-	n := innerN(page)
-	if n < innerCap {
-		off := innerHdr + ci*innerEntry
-		copy(page[off+innerEntry:innerHdr+(n+1)*innerEntry], page[off:innerHdr+n*innerEntry])
-		copy(page[off:], promo)
-		putU32(page, off+storage.KeySize, child)
-		putU16(page, 2, uint16(n+1))
-		return nil, 0, t.pg.write(id, page)
-	}
-	// Split internal node: middle key is promoted (not kept).
-	mid := n / 2
-	sep := make([]byte, storage.KeySize)
-	copy(sep, innerKey(page, mid))
-	rightID, right := t.pg.alloc()
-	initInner(right, innerChild(page, mid+1))
-	rn := n - mid - 1
-	copy(right[innerHdr:], page[innerHdr+(mid+1)*innerEntry:innerHdr+n*innerEntry])
-	putU16(right, 2, uint16(rn))
-	putU16(page, 2, uint16(mid))
-	if err := t.pg.write(id, page); err != nil {
-		return nil, 0, err
-	}
-	if err := t.pg.write(rightID, right); err != nil {
-		return nil, 0, err
-	}
-	// Insert the pending (promo, child) into the proper half.
-	target, tp := id, page
-	if bytes.Compare(promo, sep) >= 0 {
-		target, tp = rightID, right
-	}
-	tci := t.childIndex(tp, promo)
-	if _, _, err := t.insertInner(target, tp, tci, promo, child); err != nil {
-		return nil, 0, err
-	}
-	return sep, rightID, nil
 }
 
 // cursor iterates leaf entries in key order starting at the first key ≥

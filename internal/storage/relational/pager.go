@@ -1,18 +1,20 @@
 // Package relational implements the paper's k2-RDBMS storage variant: a
-// page-based storage engine with a clustered B+tree on the composite key
+// page-based table with a clustered B+tree on the composite key
 // (timestamp, oid), the same physical design as a relational table with a
 // multi-column clustering index (§5.1).
 //
-// The engine supports the two access paths convoy mining needs: a range
-// scan over one timestamp (benchmark points) and point lookups by
-// (timestamp, oid) (HWMT and the extension phases). Pages move through a
-// small LRU buffer pool so the I/O counters reflect actual page reads.
+// A table is built once and only read. WriteDataset is the one builder: it
+// streams the sorted leaves, then each inner level, straight to the file
+// and writes the meta page last. Open opens the file read-only behind a
+// pager, a small LRU buffer pool of page reads, so the I/O counters reflect
+// actual page reads. The engine serves the two access paths convoy mining
+// needs: a range scan over one timestamp (benchmark points) and point
+// lookups by (timestamp, oid) (HWMT and the extension phases).
 package relational
 
 import (
 	"container/list"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -21,10 +23,9 @@ import (
 // PageSize is the fixed page size of the engine.
 const PageSize = 4096
 
-var errPageOutOfRange = errors.New("relational: page id out of range")
-
-// pager provides page-granular access to the underlying file with an LRU
-// buffer pool.
+// pager reads pages of a read-only file through an LRU buffer pool. Pages
+// are never modified, so a returned slice stays valid after eviction and
+// readers may share it.
 type pager struct {
 	mu        sync.Mutex
 	f         *os.File
@@ -33,7 +34,6 @@ type pager struct {
 	lru       *list.List // front = most recently used
 	cacheCap  int
 	pageReads int64 // physical page reads (cache misses)
-	dirty     map[uint32][]byte
 }
 
 type cacheEntry struct {
@@ -55,32 +55,16 @@ func newPager(f *os.File, cachePages int) (*pager, error) {
 		cache:    make(map[uint32]*list.Element),
 		lru:      list.New(),
 		cacheCap: cachePages,
-		dirty:    make(map[uint32][]byte),
 	}, nil
 }
 
-// alloc appends a fresh zeroed page and returns its id.
-func (p *pager) alloc() (uint32, []byte) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	id := p.numPages
-	p.numPages++
-	data := make([]byte, PageSize)
-	p.dirty[id] = data
-	p.insertCache(id, data)
-	return id, data
-}
-
-// read returns the contents of page id. The returned slice is shared with
-// the buffer pool; callers must copy before mutating (or use write).
+// read returns the contents of page id. The slice is shared with the
+// buffer pool and must not be modified.
 func (p *pager) read(id uint32) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if id >= p.numPages {
-		return nil, fmt.Errorf("%w: %d >= %d", errPageOutOfRange, id, p.numPages)
-	}
-	if d, ok := p.dirty[id]; ok {
-		return d, nil
+		return nil, fmt.Errorf("relational: page id %d out of range (%d pages)", id, p.numPages)
 	}
 	if el, ok := p.cache[id]; ok {
 		p.lru.MoveToFront(el)
@@ -91,58 +75,13 @@ func (p *pager) read(id uint32) ([]byte, error) {
 		return nil, fmt.Errorf("relational: read page %d: %w", id, err)
 	}
 	p.pageReads++
-	p.insertCache(id, data)
-	return data, nil
-}
-
-// write marks page id dirty with the given contents (must be PageSize).
-func (p *pager) write(id uint32, data []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if id >= p.numPages {
-		return errPageOutOfRange
-	}
-	if len(data) != PageSize {
-		return errors.New("relational: short page write")
-	}
-	p.dirty[id] = data
-	p.insertCache(id, data)
-	return nil
-}
-
-func (p *pager) insertCache(id uint32, data []byte) {
-	if el, ok := p.cache[id]; ok {
-		el.Value.(*cacheEntry).data = data
-		p.lru.MoveToFront(el)
-		return
-	}
-	el := p.lru.PushFront(&cacheEntry{id: id, data: data})
-	p.cache[id] = el
-	for p.lru.Len() > p.cacheCap {
+	p.cache[id] = p.lru.PushFront(&cacheEntry{id: id, data: data})
+	if p.lru.Len() > p.cacheCap {
 		tail := p.lru.Back()
-		ent := tail.Value.(*cacheEntry)
-		if _, isDirty := p.dirty[ent.id]; isDirty {
-			// Never evict dirty pages; move to front instead. The dirty set
-			// is bounded by flush() calls during bulk load.
-			p.lru.MoveToFront(tail)
-			break
-		}
 		p.lru.Remove(tail)
-		delete(p.cache, ent.id)
+		delete(p.cache, tail.Value.(*cacheEntry).id)
 	}
-}
-
-// flush persists all dirty pages.
-func (p *pager) flush() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for id, data := range p.dirty {
-		if _, err := p.f.WriteAt(data, int64(id)*PageSize); err != nil {
-			return fmt.Errorf("relational: flush page %d: %w", id, err)
-		}
-	}
-	p.dirty = make(map[uint32][]byte)
-	return nil
+	return data, nil
 }
 
 // reads returns the number of physical page reads so far.

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/storage"
@@ -29,64 +30,30 @@ func TestConformanceBulkLoad(t *testing.T) {
 	storetest.Run(t, s, ds)
 }
 
-func TestConformanceInserts(t *testing.T) {
-	ds := storetest.RandomDataset(11, 25, 20, 0.6)
-	path := filepath.Join(t.TempDir(), "table.k2r")
-	s, err := Create(path, &Options{CachePages: 16})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	// Insert in random order to exercise splits at all positions.
-	pts := ds.Points()
-	rng := rand.New(rand.NewSource(5))
-	rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
-	for _, p := range pts {
-		if err := s.Insert(p); err != nil {
-			t.Fatalf("Insert: %v", err)
-		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	storetest.Run(t, s, ds)
-	if s.Count() != uint64(ds.NumPoints()) {
-		t.Fatalf("Count = %d, want %d", s.Count(), ds.NumPoints())
-	}
-	s.Close()
-
-	// Reopen from disk and verify persistence.
-	s2, err := Open(path, nil)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer s2.Close()
-	storetest.Run(t, s2, ds)
-}
-
-// Property test: the B+tree behaves like a sorted map under random inserts
-// (with overwrites) followed by gets and an ordered full scan.
+// Property test: a table built from random points (with duplicate keys,
+// last value wins) behaves like a sorted map under gets of present and
+// absent keys and an ordered full scan.
 func TestBtreeMatchesMapModel(t *testing.T) {
 	for _, n := range []int{1, 10, 200, 5000} {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			modelMap := map[[storage.KeySize]byte][storage.ValueSize]byte{}
+			pts := make([]model.Point, 0, n)
+			for i := 0; i < n; i++ {
+				p := model.Point{T: int32(rng.Intn(50)), OID: int32(rng.Intn(50)), X: rng.Float64(), Y: rng.Float64()}
+				modelMap[storage.EncodeKey(p.T, p.OID)] = storage.EncodeValue(p.X, p.Y)
+				pts = append(pts, p)
+			}
 			path := filepath.Join(t.TempDir(), "t.k2r")
-			s, err := Create(path, &Options{CachePages: 8})
+			if err := WriteDataset(path, model.NewDataset(pts), nil); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(path, &Options{CachePages: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			rng := rand.New(rand.NewSource(int64(n)))
-			modelMap := map[[storage.KeySize]byte][storage.ValueSize]byte{}
-			for i := 0; i < n; i++ {
-				tt := int32(rng.Intn(50))
-				oid := int32(rng.Intn(50))
-				x, y := rng.Float64(), rng.Float64()
-				key := storage.EncodeKey(tt, oid)
-				modelMap[key] = storage.EncodeValue(x, y)
-				if err := s.tree.insert(key[:], func() []byte { v := storage.EncodeValue(x, y); return v[:] }()); err != nil {
-					t.Fatalf("insert: %v", err)
-				}
-			}
 			// Point gets.
 			for key, val := range modelMap {
 				got, err := s.tree.get(key[:])
@@ -103,9 +70,7 @@ func TestBtreeMatchesMapModel(t *testing.T) {
 				t.Fatalf("absent get = %v, %v", got, err)
 			}
 			// Ordered scan visits every key exactly once, ascending.
-			var zero [storage.KeySize]byte
 			start := storage.EncodeKey(-1<<31, -1<<31)
-			_ = zero
 			c := s.tree.seek(start[:])
 			var prev []byte
 			count := 0
@@ -138,31 +103,16 @@ func TestBtreeMatchesMapModel(t *testing.T) {
 
 func TestBulkLoadRejectsDisorder(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.k2r")
-	s, err := Create(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	err = s.BulkLoad([]model.Point{
+	err := writeTable(path, []model.Point{
 		{OID: 2, T: 1}, {OID: 1, T: 1},
 	})
 	if err == nil {
-		t.Fatalf("BulkLoad of unsorted points should fail")
+		t.Fatalf("bulk load of unsorted points should fail")
 	}
-}
-
-func TestBulkLoadNonEmptyRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.k2r")
-	s, err := Create(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Insert(model.Point{OID: 1, T: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.BulkLoad([]model.Point{{OID: 2, T: 2}}); err == nil {
-		t.Fatalf("BulkLoad into non-empty table should fail")
+	// The meta page is written last, so the aborted build is not a table.
+	if s, err := Open(path, nil); err == nil {
+		s.Close()
+		t.Fatalf("Open of an aborted build should fail")
 	}
 }
 
@@ -175,14 +125,14 @@ func TestLargeBulkLoadMultiLevel(t *testing.T) {
 		pts = append(pts, model.Point{OID: int32(i % 100), T: int32(i / 100), X: float64(i), Y: 1})
 	}
 	path := filepath.Join(t.TempDir(), "big.k2r")
-	s, err := Create(path, &Options{CachePages: 32})
+	if err := writeTable(path, pts); err != nil {
+		t.Fatalf("writeTable: %v", err)
+	}
+	s, err := Open(path, &Options{CachePages: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.BulkLoad(pts); err != nil {
-		t.Fatalf("BulkLoad: %v", err)
-	}
 	// Spot-check snapshots and fetches.
 	snap, err := s.Snapshot(100)
 	if err != nil || len(snap) != 100 {
@@ -241,4 +191,175 @@ func writeGarbage(path string) error {
 	data := make([]byte, PageSize*2)
 	copy(data, "NOPE")
 	return os.WriteFile(path, data, 0o644)
+}
+
+// The builder writes exactly the pages of one tree: every page but the
+// meta page is reached from the root once, the leaf chain visits the keys
+// in order and ends in 0, and the file holds nothing else.
+func TestTablePagesAllReachable(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		n, depth int
+	}{
+		{"empty", 0, 1},
+		{"one", 1, 1},
+		{"leafCap", leafCap, 2},
+		{"leafCap+1", leafCap + 1, 2},
+		{"three-levels", perLeaf*perInner + 1, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pts := make([]model.Point, 0, tc.n)
+			for i := 0; i < tc.n; i++ {
+				pts = append(pts, model.Point{T: int32(i / 100), OID: int32(i % 100), X: float64(i)})
+			}
+			path := filepath.Join(t.TempDir(), "t.k2r")
+			if err := writeTable(path, pts); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+
+			visits := map[uint32]int{}
+			var leaves []uint32 // in key order
+			depth := 0
+			var walk func(id uint32, d int)
+			walk = func(id uint32, d int) {
+				visits[id]++
+				p, err := s.pg.read(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch pageType(p) {
+				case typeLeaf:
+					if depth != 0 && depth != d {
+						t.Fatalf("leaf %d at depth %d, others at %d", id, d, depth)
+					}
+					depth = d
+					leaves = append(leaves, id)
+				case typeInternal:
+					for i := 0; i <= innerN(p); i++ {
+						walk(innerChild(p, i), d+1)
+					}
+				default:
+					t.Fatalf("page %d has type %d", id, pageType(p))
+				}
+			}
+			walk(s.tree.root, 1)
+			if depth < tc.depth {
+				t.Fatalf("depth %d, want ≥ %d", depth, tc.depth)
+			}
+			for id := uint32(1); id < s.pg.numPages; id++ {
+				if visits[id] != 1 {
+					t.Fatalf("page %d reached %d times", id, visits[id])
+				}
+			}
+			if visits[0] != 0 || len(visits) != int(s.pg.numPages)-1 {
+				t.Fatalf("reached %d pages (meta %d times), file has %d", len(visits), visits[0], s.pg.numPages)
+			}
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Size() != int64(1+len(visits))*PageSize {
+				t.Fatalf("file is %d bytes, want %d", st.Size(), (1+len(visits))*PageSize)
+			}
+
+			var chain []uint32
+			var prev []byte
+			keys := 0
+			for id := leaves[0]; id != 0; {
+				chain = append(chain, id)
+				p, err := s.pg.read(id)
+				if err != nil || pageType(p) != typeLeaf {
+					t.Fatalf("chain page %d: type %d, %v", id, pageType(p), err)
+				}
+				for i := 0; i < leafN(p); i++ {
+					if prev != nil && bytes.Compare(prev, leafKey(p, i)) >= 0 {
+						t.Fatalf("leaf chain out of order at page %d entry %d", id, i)
+					}
+					prev = leafKey(p, i)
+					keys++
+				}
+				id = leafNext(p)
+			}
+			if fmt.Sprint(chain) != fmt.Sprint(leaves) || keys != tc.n {
+				t.Fatalf("leaf chain %v with %d keys, tree leaves %v with %d", chain, keys, leaves, tc.n)
+			}
+			storetest.Run(t, s, model.NewDataset(pts))
+		})
+	}
+}
+
+// Mining a table reads it and nothing else: neither its bytes nor its
+// modification time change, and a read-only file opens.
+func TestReadingDoesNotModifyTable(t *testing.T) {
+	ds := storetest.RandomDataset(13, 30, 40, 0.7)
+	path := filepath.Join(t.TempDir(), "t.k2r")
+	if err := WriteDataset(path, ds, nil); err != nil {
+		t.Fatal(err)
+	}
+	past := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := os.Chtimes(path, past, past); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(path, &Options{CachePages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, te := s.TimeRange()
+	for tt := ts; tt <= te; tt++ {
+		if _, err := s.Snapshot(tt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 100; i++ {
+		oids := model.NewObjSet(int32(rng.Intn(40)), int32(rng.Intn(40)), int32(rng.Intn(40)))
+		if _, err := s.Fetch(ts+int32(rng.Intn(int(te-ts)+1)), oids); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("reading changed the table's bytes")
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.ModTime().Equal(past) {
+		t.Fatalf("reading changed ModTime %v → %v", past, st.ModTime())
+	}
+
+	t.Run("mode-0444", func(t *testing.T) {
+		if os.Geteuid() == 0 {
+			t.Skip("permission bits do not bind root")
+		}
+		if err := os.Chmod(path, 0o444); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(path, nil)
+		if err != nil {
+			t.Fatalf("Open of a 0444 table: %v", err)
+		}
+		defer s.Close()
+		if _, err := s.Snapshot(ts); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package relational
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -48,34 +47,10 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// Create builds a new table at path (truncating any existing file).
-func Create(path string, opts *Options) (*Store, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("relational: create: %w", err)
-	}
-	o := opts.withDefaults()
-	pg, err := newPager(f, o.CachePages)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	metaID, _ := pg.alloc()
-	if metaID != 0 {
-		f.Close()
-		return nil, errors.New("relational: meta page must be page 0")
-	}
-	s := &Store{f: f, pg: pg, tree: newBtree(pg), ts: 0, te: -1}
-	if err := s.writeMeta(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// Open opens an existing table read-write.
+// Open opens a table written by WriteDataset. The file is opened
+// read-only: mining a table never modifies it.
 func Open(path string, opts *Options) (*Store, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("relational: open: %w", err)
 	}
@@ -101,7 +76,7 @@ func Open(path string, opts *Options) (*Store, error) {
 	s := &Store{
 		f:     f,
 		pg:    pg,
-		tree:  openBtree(pg, getU32(meta, 8)),
+		tree:  &btree{pg: pg, root: getU32(meta, 8)},
 		count: getU64(meta, 12),
 		ts:    int32(getU32(meta, 20)),
 		te:    int32(getU32(meta, 24)),
@@ -109,156 +84,8 @@ func Open(path string, opts *Options) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) writeMeta() error {
-	meta := make([]byte, PageSize)
-	copy(meta[0:4], metaMagic)
-	putU32(meta, 4, metaVersion)
-	putU32(meta, 8, s.tree.root)
-	putU64(meta, 12, s.count)
-	putU32(meta, 20, uint32(s.ts))
-	putU32(meta, 24, uint32(s.te))
-	return s.pg.write(0, meta)
-}
-
-// Insert adds one point (overwriting any existing point for the same
-// (t, oid)).
-func (s *Store) Insert(p model.Point) error {
-	key := storage.EncodeKey(p.T, p.OID)
-	val := storage.EncodeValue(p.X, p.Y)
-	if err := s.tree.insert(key[:], val[:]); err != nil {
-		return err
-	}
-	if s.count == 0 || p.T < s.ts {
-		s.ts = p.T
-	}
-	if s.count == 0 || p.T > s.te {
-		s.te = p.T
-	}
-	s.count++
-	return nil
-}
-
-// BulkLoad builds the table from points sorted ascending by (t, oid),
-// packing leaves to fillFactor (0 < ff ≤ 1, default 0.9) and constructing
-// the internal levels bottom-up. The table must be empty.
-func (s *Store) BulkLoad(pts []model.Point) error {
-	if s.count != 0 {
-		return errors.New("relational: bulk load into non-empty table")
-	}
-	if len(pts) == 0 {
-		return s.Flush()
-	}
-	perLeaf := int(float64(leafCap) * 0.9)
-	if perLeaf < 1 {
-		perLeaf = 1
-	}
-	type sep struct {
-		key [storage.KeySize]byte
-		id  uint32
-	}
-	var seps []sep
-	var prev [storage.KeySize]byte
-	var prevLeafID uint32
-	var prevLeaf []byte
-	for i := 0; i < len(pts); {
-		n := perLeaf
-		if i+n > len(pts) {
-			n = len(pts) - i
-		}
-		id, page := s.pg.alloc()
-		initLeaf(page)
-		for j := 0; j < n; j++ {
-			p := pts[i+j]
-			key := storage.EncodeKey(p.T, p.OID)
-			if (i+j) > 0 && bytes.Compare(key[:], prev[:]) <= 0 {
-				return fmt.Errorf("relational: bulk load out of order at %d", i+j)
-			}
-			prev = key
-			off := leafHdr + j*leafEntry
-			copy(page[off:], key[:])
-			val := storage.EncodeValue(p.X, p.Y)
-			copy(page[off+storage.KeySize:], val[:])
-		}
-		putU16(page, 2, uint16(n))
-		if prevLeaf != nil {
-			putU32(prevLeaf, 4, id)
-			if err := s.pg.write(prevLeafID, prevLeaf); err != nil {
-				return err
-			}
-		}
-		prevLeafID, prevLeaf = id, page
-		first := storage.EncodeKey(pts[i].T, pts[i].OID)
-		seps = append(seps, sep{key: first, id: id})
-		i += n
-	}
-	// Build internal levels until a single root remains.
-	level := seps
-	for len(level) > 1 {
-		var next []sep
-		perInner := int(float64(innerCap) * 0.9)
-		if perInner < 2 {
-			perInner = 2
-		}
-		for i := 0; i < len(level); {
-			n := perInner + 1 // children per node
-			if i+n > len(level) {
-				n = len(level) - i
-			}
-			if n == 1 && len(next) > 0 {
-				// Avoid a degenerate single-child node: borrow by widening
-				// the previous node is complex; instead make a 1-child node
-				// only when it's the lone node. Merge into previous instead.
-				n = 1
-			}
-			id, page := s.pg.alloc()
-			initInner(page, level[i].id)
-			for j := 1; j < n; j++ {
-				off := innerHdr + (j-1)*innerEntry
-				copy(page[off:], level[i+j].key[:])
-				putU32(page, off+storage.KeySize, level[i+j].id)
-			}
-			putU16(page, 2, uint16(n-1))
-			next = append(next, sep{key: level[i].key, id: id})
-			i += n
-		}
-		level = next
-	}
-	s.tree.root = level[0].id
-	s.count = uint64(len(pts))
-	s.ts = pts[0].T
-	s.te = pts[len(pts)-1].T
-	return s.Flush()
-}
-
-// WriteDataset creates a table at path containing ds.
-func WriteDataset(path string, ds *model.Dataset, opts *Options) error {
-	s, err := Create(path, opts)
-	if err != nil {
-		return err
-	}
-	if err := s.BulkLoad(ds.Points()); err != nil {
-		s.f.Close()
-		return err
-	}
-	return s.Close()
-}
-
-// Flush persists meta and all dirty pages.
-func (s *Store) Flush() error {
-	if err := s.writeMeta(); err != nil {
-		return err
-	}
-	return s.pg.flush()
-}
-
-// Close flushes and closes the table.
-func (s *Store) Close() error {
-	if err := s.Flush(); err != nil {
-		s.f.Close()
-		return err
-	}
-	return s.f.Close()
-}
+// Close closes the table file.
+func (s *Store) Close() error { return s.f.Close() }
 
 // Count returns the number of stored points.
 func (s *Store) Count() uint64 { return s.count }

@@ -9,89 +9,22 @@ import (
 	"repro/internal/storage"
 )
 
-// Sequential ascending inserts are the worst case for naive split logic
-// (every split lands on the rightmost leaf); the tree must stay correct.
-func TestSequentialInsertsRightmostSplits(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "seq.k2r")
-	s, err := Create(path, &Options{CachePages: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	const n = 20000
-	for i := 0; i < n; i++ {
-		if err := s.Insert(model.Point{OID: int32(i % 64), T: int32(i / 64), X: float64(i), Y: 2}); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-	}
-	// Every key must be retrievable.
-	for i := 0; i < n; i += 997 {
-		key := storage.EncodeKey(int32(i/64), int32(i%64))
-		v, err := s.tree.get(key[:])
-		if err != nil || v == nil {
-			t.Fatalf("get %d: %v %v", i, v, err)
-		}
-		x, _ := storage.DecodeValue(v)
-		if x != float64(i) {
-			t.Fatalf("get %d = %f", i, x)
-		}
-	}
-	// Full scan visits n keys in order.
-	start := storage.EncodeKey(-1<<31, -1<<31)
-	c := s.tree.seek(start[:])
-	count := 0
-	for ; c.valid(); c.next() {
-		count++
-	}
-	if c.err != nil || count != n {
-		t.Fatalf("scan count = %d (err %v), want %d", count, c.err, n)
-	}
-}
-
-// Descending inserts exercise leftmost-position insertion paths.
-func TestDescendingInserts(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "desc.k2r")
-	s, err := Create(path, &Options{CachePages: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	const n = 5000
-	for i := n - 1; i >= 0; i-- {
-		if err := s.Insert(model.Point{OID: 0, T: int32(i), X: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, i := range []int{0, 1, n / 2, n - 1} {
-		rows, err := s.Fetch(int32(i), model.NewObjSet(0))
-		if err != nil || len(rows) != 1 || rows[0].X != float64(i) {
-			t.Fatalf("fetch %d = %v, %v", i, rows, err)
-		}
-	}
-}
-
 // A tiny buffer pool forces constant eviction; correctness must not depend
-// on cache capacity, and dirty pages must never be lost.
+// on cache capacity.
 func TestTinyBufferPool(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tiny.k2r")
-	s, err := Create(path, &Options{CachePages: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(3))
 	want := map[[2]int32]float64{}
+	var pts []model.Point
 	for i := 0; i < 4000; i++ {
 		k := [2]int32{int32(rng.Intn(100)), int32(rng.Intn(100))}
 		x := rng.Float64()
 		want[k] = x
-		if err := s.Insert(model.Point{T: k[0], OID: k[1], X: x}); err != nil {
-			t.Fatal(err)
-		}
+		pts = append(pts, model.Point{T: k[0], OID: k[1], X: x})
 	}
-	if err := s.Flush(); err != nil {
+	path := filepath.Join(t.TempDir(), "tiny.k2r")
+	if err := WriteDataset(path, model.NewDataset(pts), nil); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
 	s2, err := Open(path, &Options{CachePages: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -109,20 +42,20 @@ func TestTinyBufferPool(t *testing.T) {
 // boundary falls mid-page and at the last page.
 func TestSnapshotBoundaries(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bound.k2r")
-	s, err := Create(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	var pts []model.Point
 	for tt := int32(0); tt < 5; tt++ {
 		for oid := int32(0); oid < 77; oid++ { // 77 not aligned to leaf size
 			pts = append(pts, model.Point{T: tt, OID: oid, X: float64(tt*1000 + oid)})
 		}
 	}
-	if err := s.BulkLoad(pts); err != nil {
+	if err := writeTable(path, pts); err != nil {
 		t.Fatal(err)
 	}
+	s, err := Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	for tt := int32(0); tt < 5; tt++ {
 		snap, err := s.Snapshot(tt)
 		if err != nil || len(snap) != 77 {
@@ -136,38 +69,13 @@ func TestSnapshotBoundaries(t *testing.T) {
 	}
 }
 
-func TestOverwriteUpdatesValue(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ow.k2r")
-	s, err := Create(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 3; i++ {
-		if err := s.Insert(model.Point{T: 1, OID: 1, X: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rows, err := s.Fetch(1, model.NewObjSet(1))
-	if err != nil || len(rows) != 1 || rows[0].X != 2 {
-		t.Fatalf("overwrite = %v, %v", rows, err)
-	}
-}
-
 func BenchmarkBtreePointGet(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench.k2r")
-	s, err := Create(path, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
 	var pts []model.Point
 	for i := 0; i < 100000; i++ {
 		pts = append(pts, model.Point{T: int32(i / 100), OID: int32(i % 100), X: float64(i)})
 	}
-	if err := s.BulkLoad(pts); err != nil {
-		b.Fatal(err)
-	}
+	s := openBench(b, path, pts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -180,18 +88,11 @@ func BenchmarkBtreePointGet(b *testing.B) {
 
 func BenchmarkBtreeSnapshotScan(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench2.k2r")
-	s, err := Create(path, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
 	var pts []model.Point
 	for i := 0; i < 100000; i++ {
 		pts = append(pts, model.Point{T: int32(i / 1000), OID: int32(i % 1000), X: float64(i)})
 	}
-	if err := s.BulkLoad(pts); err != nil {
-		b.Fatal(err)
-	}
+	s := openBench(b, path, pts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -199,4 +100,17 @@ func BenchmarkBtreeSnapshotScan(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+func openBench(b *testing.B, path string, pts []model.Point) *Store {
+	b.Helper()
+	if err := writeTable(path, pts); err != nil {
+		b.Fatal(err)
+	}
+	s, err := Open(path, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	return s
 }

@@ -9,8 +9,8 @@
 //
 //   - storage/flatfile: a sorted binary file, scans only (point queries
 //     degrade to partial scans) — fast when the data fits in memory;
-//   - storage/relational: slotted heap pages with a clustered B+tree on
-//     (t, oid);
+//   - storage/relational: a clustered B+tree on (t, oid) whose leaves hold
+//     the records, built bottom-up once and opened read-only;
 //   - storage/lsm: a log-structured merge-tree keyed by (t, oid).
 //
 // The in-memory Store in this package backs unit tests and the sequential

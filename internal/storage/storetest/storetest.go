@@ -1,11 +1,14 @@
 // Package storetest provides a reusable conformance suite that every
 // storage.Store implementation must pass: snapshots, fetches and time
 // ranges must agree with the in-memory dataset the store was loaded from,
-// across deterministic random workloads.
+// across deterministic random workloads, read one call at a time and by
+// concurrent readers.
 package storetest
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/model"
@@ -88,6 +91,56 @@ func Run(t *testing.T, store storage.Store, ds *model.Dataset) {
 	if store.Stats() == nil {
 		t.Fatalf("Stats must not be nil")
 	}
+
+	runConcurrent(t, store, ds)
+}
+
+// runConcurrent checks core.Config.Workers' contract that a store tolerates
+// concurrent reads: 2×GOMAXPROCS goroutines each run every Snapshot and
+// their own seeded random Fetch calls, and every answer must match ds.
+// Under -race it also checks the store's locking.
+func runConcurrent(t *testing.T, store storage.Store, ds *model.Dataset) {
+	t.Helper()
+	ts, te := ds.TimeRange()
+	allObjs := ds.Objects()
+	var wg sync.WaitGroup
+	for g := 0; g < 2*runtime.GOMAXPROCS(0); g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			// Each reader starts at a different tick so the readers overlap
+			// on different pages.
+			n := int(te-ts) + 1
+			for i := 0; i < n; i++ {
+				tt := ts + int32((i+g)%n)
+				got, err := store.Snapshot(tt)
+				if err != nil {
+					t.Errorf("reader %d: Snapshot(%d): %v", g, tt, err)
+					return
+				}
+				if want := ds.Snapshot(tt); !objPosEqual(got, want) {
+					t.Errorf("reader %d: Snapshot(%d) = %d rows, want %d", g, tt, len(got), len(want))
+					return
+				}
+				ids := []int32{int32(rng.Intn(1000) + 5000)} // one absent
+				for len(allObjs) > 0 && len(ids) < 4 {
+					ids = append(ids, allObjs[rng.Intn(len(allObjs))])
+				}
+				oids := model.NewObjSet(ids...)
+				rows, err := store.Fetch(tt, oids)
+				if err != nil {
+					t.Errorf("reader %d: Fetch(%d, %v): %v", g, tt, oids, err)
+					return
+				}
+				if want := ds.Fetch(tt, oids); !objPosEqual(rows, want) {
+					t.Errorf("reader %d: Fetch(%d, %v) = %v, want %v", g, tt, oids, rows, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func objPosEqual(a, b []model.ObjPos) bool {

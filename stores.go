@@ -33,12 +33,14 @@ func LoadFlatFile(path string) (*Dataset, error) {
 }
 
 // WriteTable materialises ds as a B+tree table (the paper's k2-RDBMS
-// layout: a clustered index on (t, oid)).
+// layout: a clustered index on (t, oid) whose leaves hold the records). The
+// tree is built bottom-up in one pass; a table is never modified after.
 func WriteTable(path string, ds *Dataset) error {
 	return relational.WriteDataset(path, ds, nil)
 }
 
-// OpenTable opens a B+tree table as a Store.
+// OpenTable opens a B+tree table read-only as a Store. Reading never
+// modifies the file, and concurrent readers share one page cache.
 func OpenTable(path string) (Store, error) { return relational.Open(path, nil) }
 
 // WriteLSM materialises ds as an LSM-tree database in dir (the paper's
