@@ -17,8 +17,9 @@ import (
 // Eviction is CLOCK (second chance) per shard: a hit sets the entry's used
 // bit; the insert hand clears used bits until it finds a cold entry to
 // replace. The global byte budget is split evenly across shards; each shard
-// is an independent mutex + map + ring, so concurrent readers on different
-// shards never contend.
+// is an independent mutex + map + slot ring, so concurrent readers on
+// different shards never contend. The map points a key at its slot, so a
+// hit is one map lookup and one store, not a scan of the ring.
 type blockCache struct {
 	shards [cacheShards]cacheShard
 	hits   atomic.Int64
@@ -37,13 +38,22 @@ type cacheKey struct {
 	block int
 }
 
+// cacheSlot is one position of a shard's CLOCK ring. A slot whose entry
+// dropTable removed is dead (live false) and is the first thing the hand
+// takes.
+type cacheSlot struct {
+	key   cacheKey
+	block []byte
+	used  bool
+	live  bool
+}
+
 type cacheShard struct {
-	mu   sync.Mutex
-	cap  int
-	m    map[cacheKey][]byte
-	ring []cacheKey
-	used []bool
-	hand int
+	mu    sync.Mutex
+	cap   int
+	m     map[cacheKey]int // key → index into slots
+	slots []cacheSlot
+	hand  int
 }
 
 // newBlockCache sizes a cache for roughly byteBudget bytes of blocks.
@@ -56,7 +66,7 @@ func newBlockCache(byteBudget int) *blockCache {
 	c := &blockCache{}
 	for i := range c.shards {
 		c.shards[i].cap = per
-		c.shards[i].m = make(map[cacheKey][]byte, per)
+		c.shards[i].m = make(map[cacheKey]int, per)
 	}
 	return c
 }
@@ -73,14 +83,11 @@ func (c *blockCache) shard(k cacheKey) *cacheShard {
 func (c *blockCache) get(k cacheKey) ([]byte, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
-	b, ok := s.m[k]
+	var b []byte
+	i, ok := s.m[k]
 	if ok {
-		for i, rk := range s.ring {
-			if rk == k {
-				s.used[i] = true
-				break
-			}
-		}
+		s.slots[i].used = true
+		b = s.slots[i].block
 	}
 	s.mu.Unlock()
 	if ok {
@@ -97,46 +104,46 @@ func (c *blockCache) put(k cacheKey, b []byte) {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.m[k]; ok {
-		s.m[k] = b
+	if i, ok := s.m[k]; ok {
+		s.slots[i].block = b
 		return
 	}
-	if len(s.ring) < s.cap {
-		s.m[k] = b
-		s.ring = append(s.ring, k)
-		s.used = append(s.used, false)
+	if len(s.slots) < s.cap {
+		s.m[k] = len(s.slots)
+		s.slots = append(s.slots, cacheSlot{key: k, block: b, live: true})
 		return
 	}
 	for {
-		old := s.ring[s.hand]
-		_, live := s.m[old]
-		if live && s.used[s.hand] {
-			s.used[s.hand] = false
-			s.hand = (s.hand + 1) % len(s.ring)
+		sl := &s.slots[s.hand]
+		if sl.live && sl.used {
+			sl.used = false
+			s.hand = (s.hand + 1) % len(s.slots)
 			continue
 		}
-		// Cold (or already invalidated by dropTable): take the slot.
-		delete(s.m, old)
-		s.ring[s.hand] = k
-		s.used[s.hand] = false
-		s.m[k] = b
-		s.hand = (s.hand + 1) % len(s.ring)
+		// Cold, or dead since dropTable: take the slot.
+		if sl.live {
+			delete(s.m, sl.key)
+		}
+		*sl = cacheSlot{key: k, block: b, live: true}
+		s.m[k] = s.hand
+		s.hand = (s.hand + 1) % len(s.slots)
 		return
 	}
 }
 
-// dropTable eagerly removes every cached block of a retired table. Ring
-// slots keep the stale key and are reclaimed lazily by put's clock sweep.
-// Racing readers that still hold a snapshot of the table may briefly
+// dropTable eagerly removes every cached block of a retired table: its
+// slots go dead, release their blocks, and are reclaimed by put's clock
+// sweep. Racing readers that still hold a snapshot of the table may briefly
 // re-insert its blocks; the unique table id keeps those entries harmless
 // and the clock evicts them once cold.
 func (c *blockCache) dropTable(table uint64) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for k := range s.m {
-			if k.table == table {
-				delete(s.m, k)
+		for j := range s.slots {
+			if sl := &s.slots[j]; sl.live && sl.key.table == table {
+				delete(s.m, sl.key)
+				*sl = cacheSlot{}
 			}
 		}
 		s.mu.Unlock()

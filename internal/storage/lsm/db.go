@@ -9,7 +9,9 @@
 // tombstone records that shadow older runs until compaction reaches the
 // bottom level and garbage-collects them. Benchmark-point reads are range
 // scans (all keys of one timestamp are co-located, one positioning per
-// run); HWMT reads are bloom-guarded point gets.
+// run); HWMT reads are one Fetch per (tick, sorted object set), a forward
+// walk that loads each block once and probes a bloom only for a block it
+// does not hold.
 //
 // Crash model: what the MANIFEST names is the database. It lists the live
 // tables and is the sole commit point, written via fsynced tmp file + rename
@@ -367,8 +369,14 @@ func (db *DB) Scan(start [storage.KeySize]byte, fn func(key, val []byte) bool) e
 	return s.Scan(start, fn)
 }
 
-// Fetch implements storage.Store: bloom-guarded point gets, all against one
-// snapshot.
+// Fetch implements storage.Store: one forward walk over the requested keys,
+// all against one snapshot. oids is sorted and a tick's keys are
+// contiguous, so each run keeps a walkCursor on the block it last loaded
+// and answers the next key from it; it probes its bloom filter and loads a
+// block only when the walk leaves the held one. Per key the memtable is
+// asked first, then the runs newest → oldest, and the first that holds any
+// version — value or tombstone — decides, exactly GetKV's shadowing rule.
+// Coordinates are decoded straight from the shared block, not copied.
 func (db *DB) Fetch(t int32, oids model.ObjSet) ([]model.ObjPos, error) {
 	if len(oids) == 0 {
 		return nil, nil
@@ -378,16 +386,28 @@ func (db *DB) Fetch(t int32, oids model.ObjSet) ([]model.ObjPos, error) {
 		return nil, err
 	}
 	defer s.Release()
+	var buf [8]walkCursor
+	curs := buf[:0]
+	for i := len(s.tables) - 1; i >= 0; i-- {
+		curs = append(curs, walkCursor{t: s.tables[i]})
+	}
 	out := make([]model.ObjPos, 0, len(oids))
 	for _, oid := range oids {
-		v, err := s.GetKV(storage.EncodeKey(t, oid))
-		if err != nil {
-			return nil, err
+		key := storage.EncodeKey(t, oid)
+		val, tomb, ok := s.mem.get(key[:])
+		for i := 0; !ok && i < len(curs); i++ {
+			rec, err := curs[i].find(key[:], &db.env)
+			if err != nil {
+				return nil, err
+			}
+			if rec != nil {
+				val, tomb, ok = rec[storage.KeySize:storage.RecordSize], rec[storage.RecordSize]&tombFlag != 0, true
+			}
 		}
-		if v == nil {
+		if !ok || tomb {
 			continue
 		}
-		x, y := storage.DecodeValue(v)
+		x, y := storage.DecodeValue(val)
 		out = append(out, model.ObjPos{OID: oid, X: x, Y: y})
 	}
 	db.stats.AddPointQueries(len(oids), len(out))

@@ -326,47 +326,84 @@ func (t *sstable) cachedBlock(bi int, env *readEnv) (block []byte, phys bool, er
 // caller must stop searching older runs). Safe for concurrent use: all I/O
 // is pread, the cache shards its own locking, and counters are atomic.
 func (t *sstable) get(key []byte, env *readEnv) (val []byte, tomb bool, err error) {
-	if !t.filter.mayContain(key) {
-		if env != nil && env.rs != nil {
-			env.rs.bloomHits.Add(1)
-		}
-		return nil, false, nil
-	}
-	if env != nil && env.rs != nil {
-		env.rs.bloomMisses.Add(1)
-	}
-	bi := t.blockFor(key)
-	if bi < 0 {
-		return nil, false, nil
-	}
-	block, phys, err := t.cachedBlock(bi, env)
-	if err != nil {
+	c := walkCursor{t: t}
+	rec, err := c.find(key, env)
+	if rec == nil || err != nil {
 		return nil, false, err
 	}
-	if env != nil && env.io != nil && phys {
-		env.io.AddSeeks(1)
-		env.io.AddBytes(len(block))
+	if rec[storage.RecordSize]&tombFlag != 0 {
+		return nil, true, nil
 	}
-	n := int(t.index[bi].count)
-	lo, hi := 0, n
+	return append([]byte(nil), rec[storage.KeySize:storage.RecordSize]...), false, nil
+}
+
+// walkCursor is one table's position in a forward walk of point reads
+// with ascending keys (DB.Fetch): the block it holds, the first key of the
+// block after it, and where the next in-block search starts. A key below
+// end is answered from the held block, with no bloom probe, index search
+// or cache lookup; only a key past it probes the bloom and loads a block.
+type walkCursor struct {
+	t     *sstable
+	block []byte // nil until the first load
+	end   []byte // firstKey of the next block; nil when block is the last
+	pos   int
+}
+
+// find returns key's record (key | value | meta) in the table, or nil when
+// the table holds no version of it. The record aliases the block: the
+// caller reads it and must not keep or modify it. Keys passed to
+// successive calls must not descend.
+func (c *walkCursor) find(key []byte, env *readEnv) ([]byte, error) {
+	k := binary.BigEndian.Uint64(key)
+	if c.block == nil || (c.end != nil && k >= binary.BigEndian.Uint64(c.end)) {
+		if !c.t.filter.mayContain(key) {
+			if env != nil && env.rs != nil {
+				env.rs.bloomHits.Add(1)
+			}
+			return nil, nil
+		}
+		if env != nil && env.rs != nil {
+			env.rs.bloomMisses.Add(1)
+		}
+		bi := c.t.blockFor(key)
+		if bi < 0 {
+			return nil, nil
+		}
+		block, phys, err := c.t.cachedBlock(bi, env)
+		if err != nil {
+			return nil, err
+		}
+		if env != nil && env.io != nil && phys {
+			env.io.AddSeeks(1)
+			env.io.AddBytes(len(block))
+		}
+		c.block, c.end, c.pos = block, nil, 0
+		if bi+1 < len(c.t.index) {
+			c.end = c.t.index[bi+1].firstKey[:]
+		}
+	}
+	c.pos = blockSearch(c.block, c.pos, key)
+	if off := c.pos * recSize; off < len(c.block) && binary.BigEndian.Uint64(c.block[off:]) == k {
+		return c.block[off : off+recSize], nil
+	}
+	return nil, nil
+}
+
+// blockSearch returns the index of the first record at or after lo in a
+// data block whose key is ≥ key. Keys are 8 bytes, so byte order is the
+// order of their big-endian uint64 values.
+func blockSearch(block []byte, lo int, key []byte) int {
+	k := binary.BigEndian.Uint64(key)
+	hi := len(block) / recSize
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(block[mid*recSize:mid*recSize+storage.KeySize], key) < 0 {
+		if binary.BigEndian.Uint64(block[mid*recSize:]) < k {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < n {
-		rec := block[lo*recSize:]
-		if bytes.Equal(rec[:storage.KeySize], key) {
-			if rec[storage.RecordSize]&tombFlag != 0 {
-				return nil, true, nil
-			}
-			return append([]byte(nil), rec[storage.KeySize:storage.RecordSize]...), false, nil
-		}
-	}
-	return nil, false, nil
+	return lo
 }
 
 // iterator returns an sstIter positioned at the first key ≥ start. With an
@@ -385,18 +422,9 @@ func (t *sstable) iterator(start []byte, env *readEnv) *sstIter {
 		it.err = err
 		return it
 	}
-	// Position within the block.
-	n := int(t.index[bi].count)
-	lo, hi := 0, n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(it.block[mid*recSize:mid*recSize+storage.KeySize], start) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	if start != nil { // a merge starts at the table's first record
+		it.i = blockSearch(it.block, 0, start)
 	}
-	it.i = lo
 	it.skipExhausted()
 	return it
 }

@@ -86,30 +86,13 @@ func initInner(p []byte, child0 uint32) {
 
 func pageType(p []byte) int { return int(getU16(p, 0)) }
 
-// get returns the value stored under key, or nil if absent.
+// get returns a copy of the value stored under key, or nil if absent.
 func (t *btree) get(key []byte) ([]byte, error) {
-	id := t.root
-	for {
-		p, err := t.pg.read(id)
-		if err != nil {
-			return nil, err
-		}
-		switch pageType(p) {
-		case typeInternal:
-			id = innerChild(p, t.childIndex(p, key))
-		case typeLeaf:
-			n := leafN(p)
-			i := leafSearch(p, n, key)
-			if i < n && bytes.Equal(leafKey(p, i), key) {
-				v := make([]byte, storage.ValueSize)
-				copy(v, leafVal(p, i))
-				return v, nil
-			}
-			return nil, nil
-		default:
-			return nil, fmt.Errorf("relational: corrupt page %d type %d", id, pageType(p))
-		}
+	c := t.seek(key)
+	if !c.valid() || !bytes.Equal(c.key(), key) {
+		return nil, c.err
 	}
+	return append([]byte(nil), c.value()...), nil
 }
 
 // childIndex returns which child of internal page p covers key.
@@ -127,9 +110,9 @@ func (t *btree) childIndex(p []byte, key []byte) int {
 	return lo
 }
 
-// leafSearch returns the first index i with leafKey(i) ≥ key.
-func leafSearch(p []byte, n int, key []byte) int {
-	lo, hi := 0, n
+// leafSearch returns the first index i ≥ lo with leafKey(i) ≥ key.
+func leafSearch(p []byte, lo int, key []byte) int {
+	hi := leafN(p)
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if bytes.Compare(leafKey(p, mid), key) < 0 {
@@ -159,14 +142,33 @@ func (t *btree) seek(start []byte) *cursor {
 		if err != nil {
 			return &cursor{err: err}
 		}
-		if pageType(p) == typeInternal {
+		switch pageType(p) {
+		case typeInternal:
 			id = innerChild(p, t.childIndex(p, start))
-			continue
+		case typeLeaf:
+			c := &cursor{t: t, page: p, id: id, i: leafSearch(p, 0, start)}
+			c.skipToValid()
+			return c
+		default:
+			return &cursor{err: fmt.Errorf("relational: corrupt page %d type %d", id, pageType(p))}
 		}
-		c := &cursor{t: t, page: p, id: id, i: leafSearch(p, leafN(p), start)}
-		c.skipToValid()
-		return c
 	}
+}
+
+// seekForward moves the cursor to the first entry with key ≥ key, which
+// must not be below the cursor's current key. While key ≤ the current
+// leaf's last key the search stays on that leaf, resuming at the cursor;
+// only a key past it descends from the root again. A cursor past the last
+// entry stays there: no larger key exists either.
+func (c *cursor) seekForward(key []byte) {
+	if !c.valid() {
+		return
+	}
+	if bytes.Compare(key, leafKey(c.page, leafN(c.page)-1)) <= 0 {
+		c.i = leafSearch(c.page, c.i, key)
+		return
+	}
+	*c = *c.t.seek(key)
 }
 
 func (c *cursor) skipToValid() {

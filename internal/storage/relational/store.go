@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -124,24 +125,30 @@ func (s *Store) Snapshot(t int32) ([]model.ObjPos, error) {
 	return out, nil
 }
 
-// Fetch implements storage.Store: one index point-lookup per object.
+// Fetch implements storage.Store: one descent to (t, oids[0]), then a
+// forward walk. oids is sorted and a tick's keys are contiguous, so the
+// walk stays on the current leaf while the next key is ≤ its last key and
+// descends from the root again only when it is not. Seeks still counts one
+// positioned lookup per requested object.
 func (s *Store) Fetch(t int32, oids model.ObjSet) ([]model.ObjPos, error) {
 	if s.te < s.ts || t < s.ts || t > s.te || len(oids) == 0 {
 		return nil, nil
 	}
 	before := s.pg.reads()
 	out := make([]model.ObjPos, 0, len(oids))
+	first := storage.EncodeKey(t, oids[0])
+	c := s.tree.seek(first[:])
 	for _, oid := range oids {
 		key := storage.EncodeKey(t, oid)
-		v, err := s.tree.get(key[:])
-		if err != nil {
-			return nil, err
+		c.seekForward(key[:])
+		if c.err != nil {
+			return nil, c.err
 		}
 		s.stats.AddSeeks(1)
-		if v == nil {
+		if !c.valid() || !bytes.Equal(c.key(), key[:]) {
 			continue
 		}
-		x, y := storage.DecodeValue(v)
+		x, y := storage.DecodeValue(c.value())
 		out = append(out, model.ObjPos{OID: oid, X: x, Y: y})
 		s.stats.AddScanned(1)
 	}
