@@ -142,10 +142,5 @@ func loadFile(path string) (*model.Dataset, error) {
 		}
 		return model.NewDataset(pts), nil
 	}
-	fs, err := flatfile.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fs.Close()
-	return fs.Load()
+	return flatfile.Load(path)
 }

@@ -39,20 +39,16 @@ func main() {
 	if err := flatfile.WriteDataset(flatPath, ds); err != nil {
 		log.Fatal(err)
 	}
-	fs, err := flatfile.Open(flatPath)
+	mem, err := flatfile.Load(flatPath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	mem, err := fs.Load()
+	ms := storage.NewMemStore(mem)
+	res, err := convoy.Mine(ms, params, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := convoy.MineDataset(mem, params, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	report("k2-File (load + mine in memory)", res, fs.Stats())
-	fs.Close()
+	report("k2-File (load + mine in memory)", res, ms.Stats())
 
 	// --- k2-RDBMS: clustered B+tree on (t, oid). -------------------------
 	rdbmsPath := filepath.Join(dir, "data.k2r")

@@ -153,8 +153,9 @@ const (
 )
 
 // OpenStore materialises ds under the given engine in dir and opens it.
-// The returned cleanup closes (and for disk engines leaves files in dir,
-// which the caller owns — use a temp dir).
+// The returned cleanup closes the store and removes what it wrote in dir,
+// which the caller owns — use a temp dir. A flat file is read the one way
+// it can be, loaded whole into an in-memory store.
 func OpenStore(kind StoreKind, ds *model.Dataset, dir string) (storage.Store, func(), error) {
 	switch kind {
 	case StoreMem:
@@ -165,11 +166,11 @@ func OpenStore(kind StoreKind, ds *model.Dataset, dir string) (storage.Store, fu
 		if err := flatfile.WriteDataset(path, ds); err != nil {
 			return nil, nil, err
 		}
-		fs, err := flatfile.Open(path)
+		mem, err := flatfile.Load(path)
 		if err != nil {
 			return nil, nil, err
 		}
-		return fs, func() { fs.Close(); os.Remove(path) }, nil
+		return storage.NewMemStore(mem), func() { os.Remove(path) }, nil
 	case StoreRDBMS:
 		path := filepath.Join(dir, "data.k2r")
 		if err := relational.WriteDataset(path, ds, nil); err != nil {

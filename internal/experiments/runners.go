@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"os"
+	"path/filepath"
 	"time"
 
 	convoy "repro"
@@ -46,8 +47,8 @@ func seqOpts(opts *convoy.Options) *convoy.Options {
 //
 // StoreFile reproduces the paper's k2-File semantics: the flat file is
 // loaded into memory first (that cost is part of the measured time) and the
-// miner runs in memory — flat files have no index, so that is their best
-// strategy.
+// miner runs in memory — a flat file has no index, so that is the one way
+// it is read.
 func MineOn(kind StoreKind, ds *model.Dataset, params convoy.Params, opts *convoy.Options) (*MineResult, error) {
 	opts = seqOpts(opts)
 	dir, err := os.MkdirTemp("", "k2exp")
@@ -57,17 +58,12 @@ func MineOn(kind StoreKind, ds *model.Dataset, params convoy.Params, opts *convo
 	defer os.RemoveAll(dir)
 
 	if kind == StoreFile {
-		path := dir + "/data.k2f"
+		path := filepath.Join(dir, "data.k2f")
 		if err := flatfile.WriteDataset(path, ds); err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		fs, err := flatfile.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer fs.Close()
-		mem, err := fs.Load()
+		mem, err := flatfile.Load(path)
 		if err != nil {
 			return nil, err
 		}

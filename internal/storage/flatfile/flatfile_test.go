@@ -19,34 +19,29 @@ func writeTemp(t *testing.T, ds *model.Dataset) string {
 	return path
 }
 
-func TestConformance(t *testing.T) {
-	ds := storetest.RandomDataset(1, 40, 30, 0.8)
-	s, err := Open(writeTemp(t, ds))
+// runConformance writes ds to a flat file, loads it back, and runs the
+// store conformance suite on the loaded dataset: a flat file serves the
+// miners' two access paths through the in-memory store.
+func runConformance(t *testing.T, ds *model.Dataset) {
+	t.Helper()
+	got, err := Load(writeTemp(t, ds))
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
-	defer s.Close()
-	storetest.Run(t, s, ds)
+	storetest.Run(t, storage.NewMemStore(got), ds)
+}
+
+func TestConformance(t *testing.T) {
+	runConformance(t, storetest.RandomDataset(1, 40, 30, 0.8))
 }
 
 func TestConformanceSparse(t *testing.T) {
-	ds := storetest.RandomDataset(2, 10, 50, 0.2)
-	s, err := Open(writeTemp(t, ds))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer s.Close()
-	storetest.Run(t, s, ds)
+	runConformance(t, storetest.RandomDataset(2, 10, 50, 0.2))
 }
 
 func TestLoadRoundTrip(t *testing.T) {
 	ds := storetest.RandomDataset(3, 20, 20, 0.9)
-	s, err := Open(writeTemp(t, ds))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer s.Close()
-	got, err := s.Load()
+	got, err := Load(writeTemp(t, ds))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -58,9 +53,6 @@ func TestLoadRoundTrip(t *testing.T) {
 		if gp[i] != wp[i] {
 			t.Fatalf("point %d = %v, want %v", i, gp[i], wp[i])
 		}
-	}
-	if s.Count() != int64(ds.NumPoints()) {
-		t.Fatalf("Count = %d", s.Count())
 	}
 }
 
@@ -77,17 +69,37 @@ func TestOutOfOrderAppendRejected(t *testing.T) {
 	}
 }
 
-func TestOpenRejectsGarbage(t *testing.T) {
+func TestLoadRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "garbage")
-	if err := writeFile(path, []byte("this is not a flat file at all......")); err != nil {
+	if err := os.WriteFile(path, []byte("this is not a flat file at all......"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); err == nil {
-		t.Fatalf("Open of garbage should fail")
+	if _, err := Load(path); err == nil {
+		t.Fatalf("Load of garbage should fail")
 	}
-	if _, err := Open(filepath.Join(dir, "missing")); err == nil {
-		t.Fatalf("Open of missing file should fail")
+	if _, err := Load(filepath.Join(dir, "missing")); err == nil {
+		t.Fatalf("Load of missing file should fail")
+	}
+
+	// A valid file cut short, or carrying bytes past its last record, no
+	// longer matches its header's count.
+	data, err := os.ReadFile(writeTemp(t, storetest.RandomDataset(5, 10, 10, 1.0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string][]byte{
+		"header only":    data[:headerSize],
+		"torn record":    data[:len(data)-7],
+		"trailing bytes": append(append([]byte(nil), data...), 1, 2, 3),
+	} {
+		p := filepath.Join(dir, "cut")
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(p); err == nil {
+			t.Fatalf("%s: Load should fail", name)
+		}
 	}
 }
 
@@ -96,44 +108,11 @@ func TestEmptyFile(t *testing.T) {
 	if err := WriteDataset(path, model.NewDataset(nil)); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(path)
+	got, err := Load(path)
 	if err != nil {
-		t.Fatalf("Open empty: %v", err)
+		t.Fatalf("Load empty: %v", err)
 	}
-	defer s.Close()
-	// Header of an empty file has ts=0, te=0 with count=0; Snapshot must not
-	// explode.
-	if snap, err := s.Snapshot(0); err != nil || len(snap) != 0 {
-		t.Fatalf("Snapshot on empty = %v, %v", snap, err)
+	if got.NumPoints() != 0 {
+		t.Fatalf("empty file loaded %d points", got.NumPoints())
 	}
-}
-
-func TestStatsAccounting(t *testing.T) {
-	ds := storetest.RandomDataset(4, 30, 10, 1.0)
-	s, err := Open(writeTemp(t, ds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Snapshot(5); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats().Snapshot()
-	if st.SnapshotScans != 1 || st.PointsRead != 30 || st.BytesRead == 0 {
-		t.Fatalf("scan stats wrong: %+v", st)
-	}
-	s.Stats().Reset()
-	if _, err := s.Fetch(5, model.NewObjSet(0, 1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	st = s.Stats().Snapshot()
-	if st.PointQueries != 3 || st.PointsRead != 3 || st.Seeks == 0 {
-		t.Fatalf("fetch stats wrong: %+v", st)
-	}
-}
-
-var _ storage.Store = (*Store)(nil)
-
-func writeFile(path string, data []byte) error {
-	return os.WriteFile(path, data, 0o644)
 }

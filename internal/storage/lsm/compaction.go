@@ -174,9 +174,9 @@ func (db *DB) pickCompaction(full bool) (inputs []*sstable, dropTombs bool, path
 	for _, t := range inputs {
 		t.ref()
 	}
-	name := fmt.Sprintf("sst-%06d.sst", db.seq)
+	path = filepath.Join(db.dir, tableName(db.seq))
 	db.seq++
-	return inputs, dropTombs, filepath.Join(db.dir, name), true
+	return inputs, dropTombs, path, true
 }
 
 // swapCompacted replaces the input window with the merged table and commits

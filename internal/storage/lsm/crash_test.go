@@ -62,7 +62,7 @@ func verifyModel(t *testing.T, dir string, want map[[2]int32]float64) {
 		}
 	}
 	// The reopened DB must keep working: one more full cycle.
-	if err := db.Put(model.Point{T: 999, OID: 1, X: 1}); err != nil {
+	if err := put(db, model.Point{T: 999, OID: 1, X: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
@@ -80,7 +80,7 @@ func putRange(t *testing.T, db *DB, want map[[2]int32]float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		k := [2]int32{int32(i % 10), int32(i)}
 		want[k] = float64(i)
-		if err := db.Put(model.Point{T: k[0], OID: k[1], X: float64(i)}); err != nil {
+		if err := put(db, model.Point{T: k[0], OID: k[1], X: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,7 +314,7 @@ func FuzzLSMCrash(f *testing.F) {
 					delete(want, k)
 				} else {
 					pendingPut = true
-					if err := db.Put(model.Point{T: k[0], OID: k[1], X: float64(i)}); err != nil {
+					if err := put(db, model.Point{T: k[0], OID: k[1], X: float64(i)}); err != nil {
 						t.Fatal(err)
 					}
 					barrier()

@@ -2,9 +2,10 @@
 // log-structured merge-tree (O'Neil et al.) keyed by the composite
 // (timestamp, oid) with the point coordinates as value (§5.2).
 //
-// Writes go to a skiplist memtable; when the memtable exceeds its budget it
-// is flushed to an immutable SSTable (sorted blocks + block index + bloom
-// filter). A background size-tiered compactor folds tables together
+// A dataset is written once, by WriteDataset, as one immutable SSTable
+// (sorted blocks + block index + bloom filter). Live writes (PutKV) go to
+// a skiplist memtable; when the memtable exceeds its budget it is flushed
+// to an SSTable. A background size-tiered compactor folds tables together
 // when too many runs accumulate, off the write path. Deletions are
 // tombstone records that shadow older runs until compaction reaches the
 // bottom level and garbage-collects them. Benchmark-point reads are range
@@ -20,14 +21,16 @@
 // once a Flush that covers it — an explicit one, the memtable-full flush
 // inside PutKV/DeleteKV, or Close's — has returned; a kill loses exactly
 // the memtable. Both consumers below can afford that: the miners' stores
-// are bulk-loaded and flushed once, and the archive re-derives every index
-// entry past its last flush from the fsynced convoy log. Files the manifest
-// does not reference are swept on Open.
+// never touch the memtable — WriteDataset (build.go) writes a dataset as
+// one bottom-level run committed by one manifest write — and the archive
+// re-derives every index entry past its last flush from the fsynced convoy
+// log. Files the manifest does not reference are swept on Open.
 //
-// The engine serves two consumers. As a storage.Store (Put/Snapshot/Fetch)
-// it holds trajectory points for the miners, exactly the paper's role. As a
-// raw ordered key/value store (PutKV/DeleteKV/Scan) it backs the secondary
-// indexes of the historical convoy archive (internal/storage/archive): any
+// The engine serves two consumers. As a storage.Store (WriteDataset, then
+// Snapshot/Fetch) it holds trajectory points for the miners, exactly the
+// paper's role. As a raw ordered key/value store (PutKV/DeleteKV/Scan) it
+// backs the secondary indexes of the historical convoy archive
+// (internal/storage/archive): any
 // fixed-width 8-byte key whose lexicographic order matches the caller's
 // logical order — the archive packs (time, seq), (oid, seq) and
 // (size, seq) pairs through storage.EncodeKey — maps to a 16-byte value,
@@ -129,7 +132,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 		}
 		return nil, err
 	}
-	db.sweepOrphans()
+	sweepOrphans(db.dir, db.tableNames())
 	db.startCompactor()
 	if len(db.tables) > db.opts.MaxTables {
 		db.kickCompact()
@@ -180,15 +183,10 @@ func (db *DB) noteT(t int32) {
 	}
 }
 
-// Put inserts one point.
-func (db *DB) Put(p model.Point) error {
-	return db.PutKV(storage.EncodeKey(p.T, p.OID), storage.EncodeValue(p.X, p.Y))
-}
-
 // PutKV inserts one raw record: an 8-byte order-preserving key mapping to a
-// 16-byte value. It is the write path of the archive's secondary indexes,
-// which store record locators rather than coordinates; Put is a thin
-// wrapper over it. Writing the same key again overwrites the value.
+// 16-byte value. It is the live write path, the one the archive's secondary
+// indexes use to store record locators; a miner's dataset is written by
+// WriteDataset instead. Writing the same key again overwrites the value.
 func (db *DB) PutKV(key [storage.KeySize]byte, val [storage.ValueSize]byte) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -241,9 +239,8 @@ func (db *DB) flushLocked() error {
 	if db.mem.len() == 0 {
 		return nil
 	}
-	name := fmt.Sprintf("sst-%06d.sst", db.seq)
+	path := filepath.Join(db.dir, tableName(db.seq))
 	db.seq++
-	path := filepath.Join(db.dir, name)
 	if err := writeSSTable(path, db.mem.iterator(nil), len(db.tables) == 0); err != nil {
 		return err
 	}
@@ -276,7 +273,7 @@ func (db *DB) flushLocked() error {
 }
 
 // Compact synchronously merges all runs into one, garbage-collecting every
-// tombstone (the bulk-load path; the serving path compacts in background).
+// tombstone (the serving path compacts in background).
 func (db *DB) Compact() error {
 	db.mu.RLock()
 	closed := db.closed
@@ -286,12 +283,6 @@ func (db *DB) Compact() error {
 	}
 	_, err := db.compactOnce(true)
 	return err
-}
-
-// Get returns the value bytes for (t, oid) or nil if absent.
-func (db *DB) Get(t, oid int32) ([]byte, error) {
-	key := storage.EncodeKey(t, oid)
-	return db.GetKV(key)
 }
 
 // GetKV returns the value bytes for key, or nil if absent or deleted. The
@@ -477,29 +468,6 @@ func (db *DB) NumTables() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return len(db.tables)
-}
-
-// WriteDataset bulk-loads ds into a fresh database at dir.
-func WriteDataset(dir string, ds *model.Dataset, opts *Options) error {
-	db, err := Open(dir, opts)
-	if err != nil {
-		return err
-	}
-	for _, p := range ds.Points() {
-		if err := db.Put(p); err != nil {
-			db.Close()
-			return err
-		}
-	}
-	if err := db.Flush(); err != nil {
-		db.Close()
-		return err
-	}
-	if err := db.Compact(); err != nil {
-		db.Close()
-		return err
-	}
-	return db.Close()
 }
 
 // mergeIter merges several sorted iterators; on duplicate keys the source

@@ -26,7 +26,7 @@ func buildFetchDB(t *testing.T, seed int64) *DB {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	put := func(tick, oid int32) {
-		if err := db.Put(model.Point{T: tick, OID: oid, X: rng.Float64(), Y: rng.Float64()}); err != nil {
+		if err := put(db, model.Point{T: tick, OID: oid, X: rng.Float64(), Y: rng.Float64()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func BenchmarkFetch(b *testing.B) {
 	for run := 0; run < 2; run++ {
 		for tick := int32(0); tick < ticks; tick++ {
 			for oid := int32(run); oid < objects; oid += 2 {
-				if err := db.Put(model.Point{T: tick, OID: oid, X: float64(oid), Y: float64(tick)}); err != nil {
+				if err := put(db, model.Point{T: tick, OID: oid, X: float64(oid), Y: float64(tick)}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -40,7 +40,7 @@ func TestMaxTablesOneAlwaysCompacts(t *testing.T) {
 	}
 	defer db.Close()
 	for i := 0; i < 1000; i++ {
-		if err := db.Put(model.Point{T: int32(i / 50), OID: int32(i % 50), X: float64(i)}); err != nil {
+		if err := put(db, model.Point{T: int32(i / 50), OID: int32(i % 50), X: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +149,7 @@ func TestMergeIterSSTableErrorSurfaces(t *testing.T) {
 	}
 	defer db.Close()
 	for i := 0; i < 1000; i++ {
-		if err := db.Put(model.Point{T: int32(i), OID: 1, X: float64(i)}); err != nil {
+		if err := put(db, model.Point{T: int32(i), OID: 1, X: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,7 +237,7 @@ func TestTombstoneShadowsAcrossRuns(t *testing.T) {
 	}
 	defer db.Close()
 	for oid := int32(0); oid < 10; oid++ {
-		if err := db.Put(model.Point{T: 1, OID: oid, X: float64(oid)}); err != nil {
+		if err := put(db, model.Point{T: 1, OID: oid, X: float64(oid)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,7 +321,7 @@ func TestTombstoneKeptAboveBottomLevel(t *testing.T) {
 	defer db.Close()
 	// Oldest run: expensive (many records) so the policy avoids it.
 	for i := 0; i < 2000; i++ {
-		if err := db.Put(model.Point{T: 1, OID: int32(i), X: 1}); err != nil {
+		if err := put(db, model.Point{T: 1, OID: int32(i), X: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -336,7 +336,7 @@ func TestTombstoneKeptAboveBottomLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Newest run: one unrelated record.
-	if err := db.Put(model.Point{T: 2, OID: 1, X: 2}); err != nil {
+	if err := put(db, model.Point{T: 2, OID: 1, X: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
@@ -391,12 +391,12 @@ func TestBackgroundCompactionConcurrentReads(t *testing.T) {
 				return
 			default:
 			}
-			db.Get(int32(i%40), int32(i%40))
+			get(db, int32(i%40), int32(i%40))
 			db.Snapshot(int32(i % 40))
 		}
 	}()
 	for i := 0; i < 4000; i++ {
-		if err := db.Put(model.Point{T: int32(i % 40), OID: int32(i % 40), X: float64(i)}); err != nil {
+		if err := put(db, model.Point{T: int32(i % 40), OID: int32(i % 40), X: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -454,7 +454,7 @@ func BenchmarkCompactMerge(b *testing.B) {
 		}
 		for r := 0; r < 6; r++ {
 			for j := 0; j < 5000; j++ {
-				db.Put(model.Point{T: int32(j / 100), OID: int32(j % 100), X: float64(r)})
+				put(db, model.Point{T: int32(j / 100), OID: int32(j % 100), X: float64(r)})
 			}
 			if err := db.Flush(); err != nil {
 				b.Fatal(err)

@@ -16,6 +16,16 @@ import (
 
 var _ storage.Store = (*DB)(nil)
 
+// put writes one point through the live path: memtable, flush, compaction.
+func put(db *DB, p model.Point) error {
+	return db.PutKV(storage.EncodeKey(p.T, p.OID), storage.EncodeValue(p.X, p.Y))
+}
+
+// get returns the value bytes stored for (t, oid), or nil if absent.
+func get(db *DB, t, oid int32) ([]byte, error) {
+	return db.GetKV(storage.EncodeKey(t, oid))
+}
+
 func TestConformance(t *testing.T) {
 	ds := storetest.RandomDataset(20, 40, 30, 0.8)
 	dir := t.TempDir()
@@ -40,7 +50,7 @@ func TestConformanceManySmallTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range ds.Points() {
-		if err := db.Put(p); err != nil {
+		if err := put(db, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,7 +68,7 @@ func TestMemtableVisibleBeforeFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if err := db.Put(model.Point{OID: 7, T: 3, X: 1.5, Y: 2.5}); err != nil {
+	if err := put(db, model.Point{OID: 7, T: 3, X: 1.5, Y: 2.5}); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := db.Fetch(3, model.NewObjSet(7))
@@ -78,13 +88,13 @@ func TestOverwriteAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if err := db.Put(model.Point{OID: 1, T: 1, X: 1, Y: 1}); err != nil {
+	if err := put(db, model.Point{OID: 1, T: 1, X: 1, Y: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put(model.Point{OID: 1, T: 1, X: 2, Y: 2}); err != nil {
+	if err := put(db, model.Point{OID: 1, T: 1, X: 2, Y: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
@@ -137,7 +147,7 @@ func TestCloseFlushes(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, p := range pts {
-				if err := db.Put(p); err != nil {
+				if err := put(db, p); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -182,7 +192,7 @@ func TestAutoCompactionTriggers(t *testing.T) {
 	}
 	defer db.Close()
 	for i := 0; i < 2000; i++ {
-		if err := db.Put(model.Point{OID: int32(i % 50), T: int32(i / 50), X: float64(i), Y: 0}); err != nil {
+		if err := put(db, model.Point{OID: int32(i % 50), T: int32(i / 50), X: float64(i), Y: 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +209,7 @@ func TestPutAfterCloseFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Close()
-	if err := db.Put(model.Point{}); err == nil {
+	if err := put(db, model.Point{}); err == nil {
 		t.Fatalf("Put after Close should fail")
 	}
 	if err := db.Close(); err != nil {
@@ -218,14 +228,14 @@ func TestFlushAfterCloseIsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := db.Put(model.Point{T: 1, OID: int32(i), X: float64(i)}); err != nil {
+		if err := put(db, model.Point{T: 1, OID: int32(i), X: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put(model.Point{T: 2, OID: 1}); err != nil {
+	if err := put(db, model.Point{T: 2, OID: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -267,7 +277,7 @@ func TestFailedOpenClosesTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	for gen := int32(0); gen < 2; gen++ {
-		if err := db.Put(model.Point{T: gen, OID: 1}); err != nil {
+		if err := put(db, model.Point{T: gen, OID: 1}); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.Flush(); err != nil {
@@ -309,7 +319,7 @@ func TestDBMatchesMapModel(t *testing.T) {
 		k := key{t: int32(rng.Intn(40)), oid: int32(rng.Intn(40))}
 		v := [2]float64{rng.Float64(), rng.Float64()}
 		modelMap[k] = v
-		if err := db.Put(model.Point{OID: k.oid, T: k.t, X: v[0], Y: v[1]}); err != nil {
+		if err := put(db, model.Point{OID: k.oid, T: k.t, X: v[0], Y: v[1]}); err != nil {
 			t.Fatal(err)
 		}
 		if i%701 == 700 {
@@ -483,7 +493,7 @@ func TestSSTableSparseKeySpace(t *testing.T) {
 	}
 	defer db.Close()
 	for i := 0; i < 1000; i++ {
-		if err := db.Put(model.Point{OID: int32(i * 1000), T: int32(i * 100), X: float64(i)}); err != nil {
+		if err := put(db, model.Point{OID: int32(i * 1000), T: int32(i * 100), X: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -551,21 +561,11 @@ func TestManifestSurvivesTmpFile(t *testing.T) {
 }
 
 func BenchmarkPointGet(b *testing.B) {
-	dir := b.TempDir()
-	db, err := Open(dir, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	for i := 0; i < 100000; i++ {
-		db.Put(model.Point{OID: int32(i % 1000), T: int32(i / 1000), X: float64(i)})
-	}
-	db.Flush()
-	db.Compact()
+	db := openBenchDB(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db.Get(int32(i%100), int32(i%1000))
+		get(db, int32(i%100), int32(i%1000))
 	}
 }
 

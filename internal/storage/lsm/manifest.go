@@ -11,9 +11,9 @@ import (
 )
 
 // The MANIFEST is the database's single commit point: it lists the live
-// sstables, oldest first. Flush and compaction stage their output files
-// first and only then rewrite the manifest, so any file not referenced by
-// it is garbage by construction and swept on Open.
+// sstables, oldest first. Flush, compaction and WriteDataset stage their
+// output files first and only then rewrite the manifest, so any file not
+// referenced by it is garbage by construction and swept on Open.
 //
 //	sst-000003.sst
 //	sst-000007.sst
@@ -54,24 +54,41 @@ func (db *DB) loadManifest() error {
 
 // writeManifest atomically and durably records the current table list.
 func (db *DB) writeManifest() error {
-	var b strings.Builder
-	for _, t := range db.tables {
-		fmt.Fprintln(&b, filepath.Base(t.path))
-	}
-	return durable.WriteFile(filepath.Join(db.dir, manifestName), []byte(b.String()))
+	return durable.WriteFile(filepath.Join(db.dir, manifestName), manifestData(db.tableNames()))
 }
 
-// sweepOrphans removes lsm-owned files in dir that the committed manifest
-// does not reference: sstables from flushes or compactions that never
-// committed, a leftover MANIFEST.tmp, and the wal-*.log an earlier build
-// kept (there is no log now). Only names matching the engine's own
-// patterns are touched.
-func (db *DB) sweepOrphans() {
-	live := make(map[string]bool, len(db.tables))
-	for _, t := range db.tables {
-		live[filepath.Base(t.path)] = true
+// tableNames lists the live tables' file names, oldest first.
+func (db *DB) tableNames() []string {
+	names := make([]string, len(db.tables))
+	for i, t := range db.tables {
+		names[i] = filepath.Base(t.path)
 	}
-	entries, err := os.ReadDir(db.dir)
+	return names
+}
+
+// manifestData renders a table list, oldest first, as a manifest.
+func manifestData(names []string) []byte {
+	var b strings.Builder
+	for _, name := range names {
+		fmt.Fprintln(&b, name)
+	}
+	return []byte(b.String())
+}
+
+// tableName is the file name of the sstable numbered seq.
+func tableName(seq int) string { return fmt.Sprintf("sst-%06d.sst", seq) }
+
+// sweepOrphans removes lsm-owned files in dir that the committed manifest,
+// which names the live tables, does not reference: sstables from flushes,
+// compactions or bulk writes that never committed or were replaced, a
+// leftover MANIFEST.tmp, and the wal-*.log an earlier build kept (there is
+// no log now). Only names matching the engine's own patterns are touched.
+func sweepOrphans(dir string, live []string) {
+	keep := make(map[string]bool, len(live))
+	for _, name := range live {
+		keep[name] = true
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
@@ -79,12 +96,12 @@ func (db *DB) sweepOrphans() {
 		name := e.Name()
 		switch {
 		case strings.HasPrefix(name, "sst-") && strings.HasSuffix(name, ".sst"):
-			if !live[name] {
-				os.Remove(filepath.Join(db.dir, name))
+			if !keep[name] {
+				os.Remove(filepath.Join(dir, name))
 			}
 		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"),
 			name == manifestName+".tmp":
-			os.Remove(filepath.Join(db.dir, name))
+			os.Remove(filepath.Join(dir, name))
 		}
 	}
 }

@@ -24,7 +24,7 @@ func TestSnapshotPinsTablesAcrossCompaction(t *testing.T) {
 	// Four runs, 100 keys each, values identify the run that wrote them.
 	for run := 0; run < 4; run++ {
 		for oid := int32(0); oid < 100; oid++ {
-			if err := db.Put(model.Point{T: int32(run), OID: oid, X: float64(run)}); err != nil {
+			if err := put(db, model.Point{T: int32(run), OID: oid, X: float64(run)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -90,7 +90,7 @@ func TestSnapshotReleaseIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if err := db.Put(model.Point{T: 1, OID: 1, X: 1}); err != nil {
+	if err := put(db, model.Point{T: 1, OID: 1, X: 1}); err != nil {
 		t.Fatal(err)
 	}
 	s1, _ := db.AcquireSnapshot()
@@ -106,7 +106,7 @@ func TestSnapshotReleaseIdempotent(t *testing.T) {
 	if got := db.ReadStats().LiveSnapshots; got != 0 {
 		t.Fatalf("LiveSnapshots = %d after releases, want 0", got)
 	}
-	if v, err := db.Get(1, 1); err != nil || v == nil {
+	if v, err := get(db, 1, 1); err != nil || v == nil {
 		t.Fatalf("db unreadable after snapshot churn: v=%v err=%v", v, err)
 	}
 }
@@ -130,7 +130,7 @@ func TestConcurrentReadersDuringCompaction(t *testing.T) {
 	)
 	// Seed every key so readers always find something.
 	for oid := int32(0); oid < keys; oid++ {
-		if err := db.Put(model.Point{T: 0, OID: oid, X: 1}); err != nil {
+		if err := put(db, model.Point{T: 0, OID: oid, X: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestConcurrentReadersDuringCompaction(t *testing.T) {
 			defer wg.Done()
 			for i := int32(0); !stop.Load(); i++ {
 				oid := (seed*7919 + i) % keys
-				v, err := db.Get(0, oid)
+				v, err := get(db, 0, oid)
 				if err != nil || v == nil {
 					readErrs.Add(1)
 					return
@@ -172,7 +172,7 @@ func TestConcurrentReadersDuringCompaction(t *testing.T) {
 	// flushes and compactions under the readers.
 	for round := 1; round <= rounds; round++ {
 		for oid := int32(0); oid < keys; oid++ {
-			if err := db.Put(model.Point{T: 0, OID: oid, X: float64(round + 1)}); err != nil {
+			if err := put(db, model.Point{T: 0, OID: oid, X: float64(round + 1)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -192,7 +192,7 @@ func TestConcurrentReadersDuringCompaction(t *testing.T) {
 // parked mid-callback holds NO database lock, so writes, flushes (which
 // take the write lock) and other reads all complete while it is parked.
 // Under the old design — db.mu held for the whole scan — this test
-// deadlocks at db.Put.
+// deadlocks at the first write.
 func TestScanDoesNotBlockWrites(t *testing.T) {
 	db, err := Open(t.TempDir(), nil)
 	if err != nil {
@@ -200,7 +200,7 @@ func TestScanDoesNotBlockWrites(t *testing.T) {
 	}
 	defer db.Close()
 	for oid := int32(0); oid < 100; oid++ {
-		if err := db.Put(model.Point{T: 1, OID: oid, X: 1}); err != nil {
+		if err := put(db, model.Point{T: 1, OID: oid, X: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,13 +220,13 @@ func TestScanDoesNotBlockWrites(t *testing.T) {
 	}()
 	<-started
 	// All of these would block forever if the scan held db.mu.
-	if err := db.Put(model.Point{T: 2, OID: 0, X: 2}); err != nil {
+	if err := put(db, model.Point{T: 2, OID: 0, X: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := db.Get(2, 0); err != nil || v == nil {
+	if v, err := get(db, 2, 0); err != nil || v == nil {
 		t.Fatalf("concurrent read failed: v=%v err=%v", v, err)
 	}
 	close(release)
@@ -244,7 +244,7 @@ func TestReadStatsCounters(t *testing.T) {
 	}
 	defer db.Close()
 	for oid := int32(0); oid < 1000; oid++ {
-		if err := db.Put(model.Point{T: 1, OID: oid * 2, X: float64(oid)}); err != nil {
+		if err := put(db, model.Point{T: 1, OID: oid * 2, X: float64(oid)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,7 +254,7 @@ func TestReadStatsCounters(t *testing.T) {
 	// Present keys, twice: the second pass must be all cache hits.
 	for pass := 0; pass < 2; pass++ {
 		for oid := int32(0); oid < 1000; oid++ {
-			if _, err := db.Get(1, oid*2); err != nil {
+			if _, err := get(db, 1, oid*2); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -269,7 +269,7 @@ func TestReadStatsCounters(t *testing.T) {
 	// Absent keys (odd oids): overwhelmingly bloom-filtered.
 	before := rs.BloomHits
 	for oid := int32(0); oid < 1000; oid++ {
-		if v, err := db.Get(1, oid*2+1); err != nil || v != nil {
+		if v, err := get(db, 1, oid*2+1); err != nil || v != nil {
 			t.Fatalf("absent key returned v=%v err=%v", v, err)
 		}
 	}
@@ -291,7 +291,7 @@ func BenchmarkGetKVParallel(b *testing.B) {
 	defer db.Close()
 	const keys = 1 << 16
 	for i := 0; i < keys; i++ {
-		if err := db.Put(model.Point{T: int32(i >> 8), OID: int32(i & 0xff), X: float64(i)}); err != nil {
+		if err := put(db, model.Point{T: int32(i >> 8), OID: int32(i & 0xff), X: float64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -317,7 +317,7 @@ func BenchmarkGetKVParallel(b *testing.B) {
 					for i := 0; i < per; i++ {
 						x = x*1664525 + 1013904223
 						k := x % keys
-						v, err := db.Get(int32(k>>8), int32(k&0xff))
+						v, err := get(db, int32(k>>8), int32(k&0xff))
 						if err != nil || v == nil {
 							b.Error("miss on present key")
 							return
@@ -343,7 +343,7 @@ func BenchmarkScanUnderWrites(b *testing.B) {
 			defer db.Close()
 			const keys = 1 << 15
 			for i := 0; i < keys; i++ {
-				if err := db.Put(model.Point{T: int32(i >> 7), OID: int32(i & 0x7f), X: float64(i)}); err != nil {
+				if err := put(db, model.Point{T: int32(i >> 7), OID: int32(i & 0x7f), X: float64(i)}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -361,7 +361,7 @@ func BenchmarkScanUnderWrites(b *testing.B) {
 						return
 					default:
 					}
-					_ = db.Put(model.Point{T: int32(i % 512), OID: int32(i & 0x7f), X: float64(i)})
+					_ = put(db, model.Point{T: int32(i % 512), OID: int32(i & 0x7f), X: float64(i)})
 				}
 			}()
 			var wg sync.WaitGroup

@@ -116,7 +116,7 @@ func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
 	for ; it.valid(); it.next() {
 		k := it.key()
 		if prev != nil && bytes.Compare(k, prev) <= 0 {
-			return fmt.Errorf("lsm: sstable writer got out-of-order key")
+			return fmt.Errorf("lsm: sstable writer got key %x after %x: out of order", k, prev)
 		}
 		prev = append(prev[:0], k...)
 		tomb := it.tomb()

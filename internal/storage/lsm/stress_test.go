@@ -24,7 +24,7 @@ func TestCompactionPreservesNewestAndOrder(t *testing.T) {
 		k := [2]int32{int32(rng.Intn(20)), int32(rng.Intn(20))}
 		x := rng.Float64()
 		want[k] = x
-		if err := db.Put(model.Point{T: k[0], OID: k[1], X: x}); err != nil {
+		if err := put(db, model.Point{T: k[0], OID: k[1], X: x}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,7 +73,7 @@ func TestBlockCacheCoherent(t *testing.T) {
 	defer db.Close()
 	const n = 200000 // ≫ the default BlockCacheBytes worth of records
 	for i := 0; i < n; i++ {
-		if err := db.Put(model.Point{T: int32(i / 256), OID: int32(i % 256), X: float64(i)}); err != nil {
+		if err := put(db, model.Point{T: int32(i / 256), OID: int32(i % 256), X: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,7 +86,7 @@ func TestBlockCacheCoherent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 3000; trial++ {
 		i := rng.Intn(n)
-		v, err := db.Get(int32(i/256), int32(i%256))
+		v, err := get(db, int32(i/256), int32(i%256))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,17 +107,17 @@ func TestSnapshotAcrossMemtableAndRuns(t *testing.T) {
 	defer db.Close()
 	// Run 1: oids 0..9 at t=5 with X=1.
 	for oid := int32(0); oid < 10; oid++ {
-		db.Put(model.Point{T: 5, OID: oid, X: 1})
+		put(db, model.Point{T: 5, OID: oid, X: 1})
 	}
 	db.Flush()
 	// Run 2: overwrite evens with X=2.
 	for oid := int32(0); oid < 10; oid += 2 {
-		db.Put(model.Point{T: 5, OID: oid, X: 2})
+		put(db, model.Point{T: 5, OID: oid, X: 2})
 	}
 	db.Flush()
 	// Memtable: add oid 10 and overwrite oid 1 with X=3.
-	db.Put(model.Point{T: 5, OID: 10, X: 3})
-	db.Put(model.Point{T: 5, OID: 1, X: 3})
+	put(db, model.Point{T: 5, OID: 10, X: 3})
+	put(db, model.Point{T: 5, OID: 1, X: 3})
 
 	snap, err := db.Snapshot(5)
 	if err != nil {
@@ -153,7 +153,7 @@ func TestReopenAfterManyCycles(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			oid := int32(cycle*300 + i)
 			want[oid] = float64(cycle)
-			if err := db.Put(model.Point{T: 1, OID: oid, X: float64(cycle)}); err != nil {
+			if err := put(db, model.Point{T: 1, OID: oid, X: float64(cycle)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -181,17 +181,7 @@ func TestReopenAfterManyCycles(t *testing.T) {
 }
 
 func BenchmarkSnapshotScan(b *testing.B) {
-	dir := b.TempDir()
-	db, err := Open(dir, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	for i := 0; i < 100000; i++ {
-		db.Put(model.Point{T: int32(i / 1000), OID: int32(i % 1000), X: float64(i)})
-	}
-	db.Flush()
-	db.Compact()
+	db := openBenchDB(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -4,14 +4,16 @@
 //  1. full snapshot scans at benchmark points (range scan by timestamp), and
 //  2. point queries by (timestamp, oid) inside hop-windows.
 //
-// Three engines implement the interface, mirroring the paper's k2-File,
-// k2-RDBMS and k2-LSMT variants:
+// Three engines mirror the paper's k2-File, k2-RDBMS and k2-LSMT variants.
+// Each is written once, in one pass over the dataset's sorted points:
 //
-//   - storage/flatfile: a sorted binary file, scans only (point queries
-//     degrade to partial scans) — fast when the data fits in memory;
+//   - storage/flatfile: a sorted binary file with no index. It is read one
+//     way, loaded whole into a Dataset that MemStore serves — the paper's
+//     k2-File setup — so it does not implement the interface itself;
 //   - storage/relational: a clustered B+tree on (t, oid) whose leaves hold
 //     the records, built bottom-up once and opened read-only;
-//   - storage/lsm: a log-structured merge-tree keyed by (t, oid).
+//   - storage/lsm: a log-structured merge-tree keyed by (t, oid); a dataset
+//     is written as one bottom-level run committed by one manifest write.
 //
 // Both indexed engines answer Fetch(t, oids) as one forward walk rather
 // than one probe per object: oids is sorted and a tick's keys are
@@ -42,7 +44,7 @@ import (
 // (one worker per core by default), so a store written for sequential
 // access must serialise internally (as the bundled B+tree engine does),
 // read from an immutable snapshot (as the LSM engine does, lock-free) or
-// use positioned reads (as the flat file does).
+// never change after construction (as MemStore does).
 type Store interface {
 	// TimeRange returns the inclusive [Ts, Te] tick range of the dataset.
 	TimeRange() (ts, te int32)

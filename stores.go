@@ -12,25 +12,15 @@ import (
 // physical layout must not depend on m, k or eps).
 
 // WriteFlatFile materialises ds as a sorted binary flat file (the paper's
-// k2-File layout). Best mined by loading fully: see LoadFlatFile.
+// k2-File layout). A flat file has no index, so it is not opened as a
+// Store: LoadFlatFile reads it back whole, and the dataset is mined in
+// memory, the paper's k2-File setup.
 func WriteFlatFile(path string, ds *Dataset) error {
 	return flatfile.WriteDataset(path, ds)
 }
 
-// OpenFlatFile opens a flat file as a Store. Snapshot scans are cheap;
-// point queries cost O(log n) seeks each — the paper's k2-File variant
-// therefore loads the file into memory first (LoadFlatFile).
-func OpenFlatFile(path string) (Store, error) { return flatfile.Open(path) }
-
 // LoadFlatFile reads an entire flat file into an in-memory dataset.
-func LoadFlatFile(path string) (*Dataset, error) {
-	fs, err := flatfile.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fs.Close()
-	return fs.Load()
-}
+func LoadFlatFile(path string) (*Dataset, error) { return flatfile.Load(path) }
 
 // WriteTable materialises ds as a B+tree table (the paper's k2-RDBMS
 // layout: a clustered index on (t, oid) whose leaves hold the records). The
@@ -44,13 +34,13 @@ func WriteTable(path string, ds *Dataset) error {
 func OpenTable(path string) (Store, error) { return relational.Open(path, nil) }
 
 // WriteLSM materialises ds as an LSM-tree database in dir (the paper's
-// k2-LSMT layout), flushing and compacting to a single sorted run.
+// k2-LSMT layout): one sorted run, committed by one manifest write, which
+// replaces any database dir held.
 func WriteLSM(dir string, ds *Dataset) error {
 	return lsm.WriteDataset(dir, ds, nil)
 }
 
-// OpenLSM opens an LSM-tree database as a Store. The returned store also
-// accepts live inserts through the underlying type (see package
-// repro/internal/storage/lsm for the full API); they are durable once its
-// Flush or Close has returned — the engine keeps no write-ahead log.
+// OpenLSM opens an LSM-tree database written by WriteLSM as a Store.
+// Reads run against pinned snapshots of its runs, with no lock held
+// across I/O, so concurrent miners share one store.
 func OpenLSM(dir string) (Store, error) { return lsm.Open(dir, nil) }
