@@ -66,7 +66,7 @@ func run(data, scale, format, out string) error {
 			return err
 		}
 	case "lsmt":
-		if err := lsm.WriteDataset(out, ds, nil); err != nil {
+		if err := lsm.WriteDataset(out, ds); err != nil {
 			return err
 		}
 	case "csv":

@@ -68,7 +68,7 @@ func main() {
 
 	// --- k2-LSMT: log-structured merge-tree. -----------------------------
 	lsmDir := filepath.Join(dir, "lsmdb")
-	if err := lsm.WriteDataset(lsmDir, ds, nil); err != nil {
+	if err := lsm.WriteDataset(lsmDir, ds); err != nil {
 		log.Fatal(err)
 	}
 	db, err := lsm.Open(lsmDir, nil)

@@ -183,7 +183,7 @@ func OpenStore(kind StoreKind, ds *model.Dataset, dir string) (storage.Store, fu
 		return rs, func() { rs.Close(); os.Remove(path) }, nil
 	case StoreLSMT:
 		ldir := filepath.Join(dir, "lsm")
-		if err := lsm.WriteDataset(ldir, ds, nil); err != nil {
+		if err := lsm.WriteDataset(ldir, ds); err != nil {
 			return nil, nil, err
 		}
 		db, err := lsm.Open(ldir, nil)

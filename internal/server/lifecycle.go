@@ -12,8 +12,9 @@ import "time"
 // configured, a feed is only evicted once its entire published history is
 // durably in the log (fsynced, not merely handed to the sink's buffer), so
 // eviction never loses a closed convoy that could still reach the log.
-// (The periodic persist tick catches the feed up; a later sweep then
-// collects it.)
+// (The sweep runs every Config.EvictEvery on the server's one background
+// loop, beside the persist tick that catches the feed up; a later sweep
+// then collects it.)
 //
 // Eviction is coordinated with ingest through two invariants:
 //
@@ -33,21 +34,6 @@ import "time"
 // convoys already persisted by the evicted incarnation can then be appended
 // again if the same data is re-sent (the dedup keys died with the feed) —
 // storage.CompactConvoyLog removes such duplicates offline.
-
-// evictLoop runs the TTL sweep every Config.EvictEvery until Close.
-func (s *Server) evictLoop() {
-	defer close(s.evictDone)
-	ticker := time.NewTicker(s.cfg.EvictEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			s.sweep(time.Now())
-		case <-s.evictStop:
-			return
-		}
-	}
-}
 
 // sweep collects the idle candidates under the read lock, then evicts each
 // one under the write lock (re-validating per feed, since activity may have

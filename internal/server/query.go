@@ -11,9 +11,9 @@ import (
 )
 
 // The historical query endpoints. They read the LSM-indexed archive, never
-// the live feeds: results cover everything persisted to the convoy log
-// (minus the latest batches still in the archiver's queue), and the
-// handlers share no locks with the ingest path.
+// the live feeds: results cover everything the persist tick has made
+// durable in the convoy log (it indexes each round right after the log
+// fsync), and the handlers share no locks with the ingest path.
 
 // archivedConvoyJSON is one archived convoy with the feed it was mined
 // from — the /v1/query result element.
@@ -189,8 +189,8 @@ const maxRetentionBody = 1 << 16
 
 // handleRetention serves POST /v1/admin/retention: expire archived
 // convoys whose End tick precedes the requested one. The expiry runs
-// synchronously under the archive's write lock (Index from the archiver
-// loop simply waits), and a failure latches the archive broken exactly
+// synchronously under the archive's write lock (Index from the persist
+// tick simply waits), and a failure latches the archive broken exactly
 // like a write error — a half-applied expiry must not keep indexing
 // records it might resurrect. The convoy log is never touched: re-indexing
 // any part of it skips everything below the durable watermark.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -142,6 +143,47 @@ func TestQueryEndpoints(t *testing.T) {
 	}
 	if _, _, enabled := srv.ArchiveInfo(); !enabled {
 		t.Fatal("ArchiveInfo reports archive disabled")
+	}
+}
+
+// TestPersistRoundIndexesArchive pins the archive's freshness: the persist
+// round that makes convoys durable in the log also indexes them, so when
+// persistAll returns every convoy record of the log is queryable — no
+// polling, no queue between the log and the indexes. The persist tick is
+// an hour, so each round here is the test's own; every round closes one
+// more feed's convoy by a gap.
+func TestPersistRoundIndexesArchive(t *testing.T) {
+	srv, base, logPath := archiveTestServer(t, func(c *Config) { c.PersistEvery = time.Hour })
+	for round := range 20 {
+		feed := fmt.Sprintf("f%d", round)
+		snaps := convoySnapshots(6, 3+round%4)
+		gap := snaps[len(snaps)-1]
+		gap.T = 100 // the gap closes the clump's convoy
+		code, body := postJSON(t, base+"/v1/feeds/"+feed+"/ingest",
+			ingestRequest{Snapshots: append(snaps, gap)})
+		if code != http.StatusAccepted {
+			t.Fatalf("ingest %s: %d %s", feed, code, body)
+		}
+		var closed convoysResponse
+		if code := getJSON(t, base+"/v1/feeds/"+feed+"/convoys?cursor=0&wait=5s", &closed); code != http.StatusOK || len(closed.Convoys) == 0 {
+			t.Fatalf("%s: status %d, %d closed convoys", feed, code, len(closed.Convoys))
+		}
+		srv.persistAll()
+
+		var want []string
+		for _, rec := range readConvoyLog(t, logPath) {
+			if !storage.IsFlushMarker(rec.Convoy) {
+				want = append(want, canonConvoy(rec.Feed, rec.Convoy))
+			}
+		}
+		if n := srv.arch.Count(); n != int64(len(want)) {
+			t.Fatalf("round %d: archive holds %d convoys after the persist round, the log %d", round, n, len(want))
+		}
+		slices.Sort(want)
+		got := pageAll(t, base+"/v1/query/convoys?min_size=1")
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: query after the persist round served\n%q\nwant\n%q", round, got, want)
+		}
 	}
 }
 

@@ -127,8 +127,9 @@ type Config struct {
 	// ArchiveDir, when non-empty, enables the historical query archive
 	// (GET /v1/query/*): every convoy persisted to the sink is also
 	// indexed — in place, the log stays the one copy — by LSM indexes
-	// under this directory, fed asynchronously from the persist path and
-	// caught up with the existing log at startup. Requires PersistPath.
+	// under this directory, written by the persist tick right after the
+	// log fsync that makes each round durable, and caught up with the
+	// existing log at startup. Requires PersistPath.
 	ArchiveDir string
 	// ArchiveCache is the combined in-memory write-buffer budget of the
 	// archive's three secondary indexes, in bytes (default 12 MiB).
@@ -222,28 +223,27 @@ type Server struct {
 	// holds mu.RLock while sending, so no send can race the close.
 	closed bool
 
-	sink        *storage.ConvoyLog
-	sinkBroken  atomic.Bool // first sink write error disables persistence
-	persistStop chan struct{}
-	persistDone chan struct{}
+	sink       *storage.ConvoyLog
+	sinkBroken atomic.Bool // first sink write error disables persistence
 
 	// The historical query archive (nil unless Config.ArchiveDir is set):
-	// LSM indexes over the sink's log. It is fed asynchronously: persistAll
-	// hands each synced batch, with the log offsets it landed at, to archCh
-	// and the archiveLoop goroutine indexes it, so a slow archive disk can
-	// never stall the ingest path (at worst it delays the persist tick once
-	// archCh fills). The first archive write error flips archBroken: the
-	// loop keeps draining but stops writing, and the next startup's
-	// backfill repairs the gap from the log.
+	// LSM indexes over the sink's log. persistAll indexes each round's
+	// records, with the log offsets they landed at, right after the Sync
+	// that makes them durable, so whatever a round made durable is
+	// queryable when it returns. That runs on the background loop, which
+	// no shard actor or HTTP handler waits on, so a slow archive disk can
+	// never stall the ingest path. The first archive write error flips
+	// archBroken: indexing stops, and the next startup's backfill repairs
+	// the gap from the log.
 	arch        *archive.Archive
-	archCh      chan archBatch
-	archDone    chan struct{}
 	archBroken  atomic.Bool
 	backfilled  int64 // records backfilled from the log at startup
 	archRebuilt bool  // startup backfill rebuilt a diverged archive
 
-	evictStop chan struct{}
-	evictDone chan struct{}
+	// bgStop and bgDone bracket the background loop (see loop); both nil
+	// when New started none.
+	bgStop chan struct{}
+	bgDone chan struct{}
 
 	// Admission control (see admission.go): one breaker per shard (nil
 	// when Config.BreakerThreshold is 0) and the lifetime shed counters
@@ -260,13 +260,6 @@ type Server struct {
 
 	// testHook is copied from Config.testHook before the actors start.
 	testHook func(shardID int)
-}
-
-// archBatch is one persist round's convoy records, in log order, each with
-// the log offset it was appended at; end is the log's synced size.
-type archBatch struct {
-	recs []archive.Located
-	end  int64
 }
 
 // patternParams bundles the configured parameters of every pattern family.
@@ -308,8 +301,8 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if cfg.ArchiveDir != "" {
-		// Backfill before the shard actors start: the persist loop cannot
-		// append to the log while the indexes catch up with it.
+		// Backfill before the shard actors start: the background loop
+		// cannot append to the log while the indexes catch up with it.
 		arch, added, rebuilt, err := archive.OpenAndBackfill(cfg.ArchiveDir, cfg.PersistPath,
 			&archive.Options{CacheBytes: cfg.ArchiveCache})
 		if err != nil {
@@ -317,11 +310,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: archive: %w", err)
 		}
 		s.arch, s.backfilled, s.archRebuilt = arch, added, rebuilt
-		// 256 persist rounds of slack before a stalled archive disk delays
-		// the persist tick.
-		s.archCh = make(chan archBatch, 256)
-		s.archDone = make(chan struct{})
-		go s.archiveLoop()
 	}
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
@@ -334,21 +322,17 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.workers = pool.Go(cfg.Shards, func(i int) { s.shards[i].run() })
-	if s.sink != nil {
-		s.persistStop = make(chan struct{})
-		s.persistDone = make(chan struct{})
-		go s.persistLoop()
-	}
-	if cfg.FeedTTL > 0 {
-		s.evictStop = make(chan struct{})
-		s.evictDone = make(chan struct{})
-		go s.evictLoop()
+	if s.sink != nil || cfg.FeedTTL > 0 {
+		s.bgStop = make(chan struct{})
+		s.bgDone = make(chan struct{})
+		go s.loop()
 	}
 	return s, nil
 }
 
-// Close drains the shard actors and, when persistence is configured, writes
-// every remaining closed convoy to the sink. In-flight enqueues finish
+// Close drains the shard actors, stops the background loop and, when
+// persistence is configured, writes every remaining closed convoy to the
+// sink and indexes it in the archive. In-flight enqueues finish
 // first; new requests fail with ErrClosed.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -361,24 +345,17 @@ func (s *Server) Close() error {
 		close(sh.in)
 	}
 	s.mu.Unlock()
-	if s.evictStop != nil {
-		close(s.evictStop)
-		<-s.evictDone
-	}
 	s.workers.Wait()
+	if s.bgStop != nil {
+		close(s.bgStop)
+		<-s.bgDone
+	}
 	var err error
 	if s.sink != nil {
-		close(s.persistStop)
-		<-s.persistDone
 		s.persistAll()
 		err = s.sink.Close()
 	}
 	if s.arch != nil {
-		// The persist loop is stopped and the final persistAll above has
-		// already queued its batches, so closing the channel is safe; the
-		// loop drains it before exiting.
-		close(s.archCh)
-		<-s.archDone
 		if aerr := s.arch.Close(); aerr != nil && err == nil {
 			err = aerr
 		}
@@ -386,45 +363,63 @@ func (s *Server) Close() error {
 	return err
 }
 
-// archiveLoop indexes persisted batches. It is the only goroutine that
-// writes the archive while the server runs, so index entries are written in
-// the order of the log's appends — and it writes index entries only: the
-// records are already in the log, fsynced. A write error permanently
-// disables archiving for this process (the indexes can no longer be trusted
-// to cover the log); the loop keeps draining so the persist tick never
-// blocks, and the next startup indexes the gap from the log.
-func (s *Server) archiveLoop() {
-	defer close(s.archDone)
-	// Periodically make the index watermark durable so a crash re-indexes
-	// only a bounded tail of the log at the next startup.
-	ticker := time.NewTicker(archiveFlushEvery)
-	defer ticker.Stop()
+// loop is the server's one background goroutine, its whole durable side:
+// the persist tick (log append, fsync, durable watermark, index entries —
+// see persistAll), the archive flush tick and the TTL eviction sweep. A
+// tick whose mechanism is not configured has a nil channel and never
+// fires. Nothing on the ingest or query path waits on this goroutine, and
+// it is the only writer of the log and, apart from an on-demand
+// POST /v1/admin/retention, of the archive — so index entries are written
+// in the order of the log's appends.
+func (s *Server) loop() {
+	defer close(s.bgDone)
+	persist, stopPersist := every(s.sink != nil, s.cfg.PersistEvery)
+	defer stopPersist()
+	archFlush, stopArchFlush := every(s.arch != nil, archiveFlushEvery)
+	defer stopArchFlush()
+	evict, stopEvict := every(s.cfg.FeedTTL > 0, s.cfg.EvictEvery)
+	defer stopEvict()
 	for {
 		select {
-		case batch, ok := <-s.archCh:
-			if !ok {
-				return
-			}
-			if s.archBroken.Load() {
-				continue
-			}
-			if err := s.arch.Index(batch.recs, batch.end); err != nil {
+		case <-persist:
+			s.persistAll()
+		case <-archFlush:
+			s.flushArchive()
+		case <-evict:
+			s.sweep(time.Now())
+		case <-s.bgStop:
+			return
+		}
+	}
+}
+
+// every returns the channel of a ticker firing every d and the func that
+// stops it, or a nil channel (a select case that never fires) when off.
+func every(on bool, d time.Duration) (<-chan time.Time, func()) {
+	if !on {
+		return nil, func() {}
+	}
+	t := time.NewTicker(d)
+	return t.C, t.Stop
+}
+
+// flushArchive makes the archive's index watermark durable, so a crash
+// re-indexes only a bounded tail of the log at the next startup, then
+// applies relative retention. A write error permanently disables archiving
+// for this process (the indexes can no longer be trusted to cover the
+// log); the next startup indexes the gap from the log.
+func (s *Server) flushArchive() {
+	if s.archBroken.Load() {
+		return
+	}
+	if err := s.arch.Flush(); err != nil {
+		s.archBroken.Store(true)
+		return
+	}
+	if s.cfg.Retention > 0 {
+		if before, ok := retentionFloor(s.arch, s.cfg.Retention); ok {
+			if _, err := s.arch.Expire(before); err != nil {
 				s.archBroken.Store(true)
-			}
-		case <-ticker.C:
-			if s.archBroken.Load() {
-				continue
-			}
-			if err := s.arch.Flush(); err != nil {
-				s.archBroken.Store(true)
-				continue
-			}
-			if s.cfg.Retention > 0 {
-				if before, ok := retentionFloor(s.arch, s.cfg.Retention); ok {
-					if _, err := s.arch.Expire(before); err != nil {
-						s.archBroken.Store(true)
-					}
-				}
 			}
 		}
 	}
@@ -586,33 +581,18 @@ func (s *Server) touchFeed(f *feed) bool {
 	return true
 }
 
-// persistLoop appends newly closed convoys to the sink every PersistEvery.
-func (s *Server) persistLoop() {
-	defer close(s.persistDone)
-	ticker := time.NewTicker(s.cfg.PersistEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			s.persistAll()
-		case <-s.persistStop:
-			return
-		}
-	}
-}
-
 // persistAll writes every feed's not-yet-persisted closed convoys to the
-// sink, in discovery order, then syncs. Persistence is at-most-once: the
-// persisted marker advances before the write, and the first write error
-// disables the sink for the rest of the server's life. Retrying into an
-// append-only buffered log would duplicate the records already in its
-// buffer (and possibly follow a partially flushed record), corrupting the
-// log — a broken disk ends the log at its last good Sync instead. Each
-// feed's durable watermark advances only after the Sync that covers its
-// records succeeds, and it is durable — not persisted — that licenses
-// discarding in-memory state (truncation here, whole feeds in
-// lifecycle.go), so a sync failure can never lose convoys from both
-// memory and the log at once.
+// sink, in discovery order, syncs, then indexes them in the archive.
+// Persistence is at-most-once: the persisted marker advances before the
+// write, and the first write error disables the sink for the rest of the
+// server's life. Retrying into an append-only buffered log would
+// duplicate the records already in its buffer (and possibly follow a
+// partially flushed record), corrupting the log — a broken disk ends the
+// log at its last good Sync instead. Each feed's durable watermark
+// advances only after the Sync that covers its records succeeds, and it
+// is durable — not persisted — that licenses discarding in-memory state
+// (truncation here, whole feeds in lifecycle.go), so a sync failure can
+// never lose convoys from both memory and the log at once.
 //
 // Truncation (unless Config.KeepHistory) deliberately lags durability by
 // one round: this round truncates up to the durable watermark as of the
@@ -635,19 +615,7 @@ func (s *Server) persistAll() {
 		synced int // durable watermark once this round's Sync succeeds
 	}
 	var wrote []written
-	// archRecs collects this round's appends, in log order. It is sized once
-	// from what the feeds hold right now; a feed that closes more before the
-	// loop reaches it just makes the slice grow.
-	var archRecs []archive.Located
-	if s.arch != nil {
-		fresh := 0
-		for _, f := range feeds {
-			f.mu.Lock()
-			fresh += f.head() - f.persisted
-			f.mu.Unlock()
-		}
-		archRecs = make([]archive.Located, 0, fresh)
-	}
+	var archRecs []archive.Located       // this round's appends, in log order
 	truncUpTo := make([]int, len(feeds)) // durable as of the round's start
 	for i, f := range feeds {
 		f.mu.Lock()
@@ -689,12 +657,12 @@ func (s *Server) persistAll() {
 			}
 			w.f.mu.Unlock()
 		}
-		if s.arch != nil {
-			// Hand the batch to the archiver only after the log fsync: an
-			// index entry must never point at bytes a crash could take
-			// away. The send can block once the channel is full — that
-			// stalls this background tick, never the ingest path.
-			s.archCh <- archBatch{recs: archRecs, end: s.sink.Offset()}
+		if s.arch != nil && !s.archBroken.Load() {
+			// Index only after the log fsync: an index entry must never
+			// point at bytes a crash could take away.
+			if err := s.arch.Index(archRecs, s.sink.Offset()); err != nil {
+				s.archBroken.Store(true)
+			}
 		}
 	}
 	// Second pass: once a flushed feed's whole history is durable, append

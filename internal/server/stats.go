@@ -30,8 +30,6 @@ type Stats struct {
 // size/query counters plus the server-side feed machinery around it.
 type ArchiveStats struct {
 	archive.Stats
-	// QueueLen is the number of persisted batches waiting to be indexed.
-	QueueLen int `json:"queue_len"`
 	// Backfilled is the number of records replayed from the convoy log at
 	// startup; Rebuilt reports that the log had diverged (e.g. offline
 	// compaction) and the archive was rebuilt from scratch.
@@ -114,7 +112,6 @@ func (s *Server) Stats() Stats {
 	if s.arch != nil {
 		st.Archive = &ArchiveStats{
 			Stats:      s.arch.Stats(),
-			QueueLen:   len(s.archCh),
 			Backfilled: s.backfilled,
 			Rebuilt:    s.archRebuilt,
 			Broken:     s.archBroken.Load(),

@@ -417,10 +417,14 @@ func (a *Archive) AddBatch(recs []storage.LoggedConvoy) error {
 
 // Flush makes the indexes durable (memtables → SSTables) and advances the
 // META watermark, so the next open indexes only records added after this
-// call.
+// call. When nothing was indexed or expired since the last META write it
+// does nothing: an idle archive is not rewritten on every flush tick.
 func (a *Archive) Flush() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if !a.closed && a.end == a.crcEnd && a.live == a.flushed {
+		return nil
+	}
 	return a.flushLocked()
 }
 

@@ -281,6 +281,52 @@ func TestArchiveReopenStaleMeta(t *testing.T) {
 	sameSet(t, "stale meta", got, brute(recs, Query{}, nil, &oid))
 }
 
+// TestArchiveIdleFlushKeepsMeta pins that Flush writes META only when
+// something was indexed or expired since the last write: a server flushes
+// its archive on a fixed tick, and an idle one must not pay a tmp write,
+// two fsyncs and a rename each time. The replacement is atomic (a rename),
+// so a rewrite shows as a new inode.
+func TestArchiveIdleFlushKeepsMeta(t *testing.T) {
+	dir := t.TempDir()
+	recs := genRecords(6, 60, 0)
+	a, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	metaPath := filepath.Join(dir, metaName)
+	stat := func() os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(metaPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	if err := a.AddBatch(recs[:30]); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before := stat()
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, stat()) {
+		t.Fatal("an idle Flush rewrote META")
+	}
+	if err := a.AddBatch(recs[30:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(before, stat()) {
+		t.Fatal("Flush after AddBatch left META as it was")
+	}
+}
+
 // TestArchiveReopenTornRecords cuts the standalone archive's log mid-record
 // (a crash during an append before the fsync) and checks Open truncates the
 // tail and serves the surviving records.

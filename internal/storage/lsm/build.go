@@ -19,10 +19,8 @@ import (
 // Whatever database dir held is replaced, and the MANIFEST write is the one
 // commit point: a crash before it leaves the old database whole and the new
 // sstable an orphan; a crash after it leaves the new database and the old
-// sstables orphans. Either way the next Open sweeps the orphans. opts is
-// not consulted; it is accepted so a database is written and opened with
-// the same options.
-func WriteDataset(dir string, ds *model.Dataset, _ *Options) error {
+// sstables orphans. Either way the next Open sweeps the orphans.
+func WriteDataset(dir string, ds *model.Dataset) error {
 	return writeRun(dir, ds.Points())
 }
 

@@ -55,7 +55,7 @@ func checkHolds(t *testing.T, dir string, ds *model.Dataset) {
 func TestWriteDatasetIsOneRun(t *testing.T) {
 	ds := storetest.RandomDataset(30, 40, 30, 0.8)
 	dir := filepath.Join(t.TempDir(), "db")
-	if err := WriteDataset(dir, ds, nil); err != nil {
+	if err := WriteDataset(dir, ds); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := dirFiles(t, dir), []string{manifestName, tableName(0)}; !slices.Equal(got, want) {
@@ -70,7 +70,7 @@ func TestWriteDatasetIsOneRun(t *testing.T) {
 func TestWriteDatasetMatchesLivePath(t *testing.T) {
 	ds := storetest.RandomDataset(31, 60, 40, 0.7)
 	bulk, live := t.TempDir(), t.TempDir()
-	if err := WriteDataset(bulk, ds, nil); err != nil {
+	if err := WriteDataset(bulk, ds); err != nil {
 		t.Fatal(err)
 	}
 	db, err := Open(live, &Options{MemtableBytes: 4096, MaxTables: 1000})
@@ -137,7 +137,7 @@ func TestWriteDatasetReplaces(t *testing.T) {
 		model.NewDataset(nil),
 		storetest.RandomDataset(35, 15, 15, 1.0),
 	} {
-		if err := WriteDataset(dir, ds, nil); err != nil {
+		if err := WriteDataset(dir, ds); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 		if n := len(dirFiles(t, dir)); n != 1+min(1, ds.NumPoints()) {
@@ -153,7 +153,7 @@ func TestWriteDatasetReplaces(t *testing.T) {
 func TestWriteDatasetRejectsUnsorted(t *testing.T) {
 	dir := t.TempDir()
 	ds := storetest.RandomDataset(36, 20, 20, 1.0)
-	if err := WriteDataset(dir, ds, nil); err != nil {
+	if err := WriteDataset(dir, ds); err != nil {
 		t.Fatal(err)
 	}
 	before := dirFiles(t, dir)
@@ -186,12 +186,12 @@ func TestWriteDatasetCrashPoints(t *testing.T) {
 	} {
 		t.Run(point, func(t *testing.T) {
 			dir := t.TempDir()
-			if err := WriteDataset(dir, old, nil); err != nil {
+			if err := WriteDataset(dir, old); err != nil {
 				t.Fatal(err)
 			}
 			fired := armCrash(t, point)
 			expectCrash(t, func() {
-				if err := WriteDataset(dir, next, nil); err != nil {
+				if err := WriteDataset(dir, next); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -219,7 +219,7 @@ func openBenchDB(b *testing.B) *DB {
 		pts = append(pts, model.Point{T: int32(i / 1000), OID: int32(i % 1000), X: float64(i)})
 	}
 	dir := b.TempDir()
-	if err := WriteDataset(dir, model.NewDataset(pts), nil); err != nil {
+	if err := WriteDataset(dir, model.NewDataset(pts)); err != nil {
 		b.Fatal(err)
 	}
 	db, err := Open(dir, nil)
@@ -238,7 +238,7 @@ func BenchmarkWriteDataset(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteDataset(dir, ds, nil); err != nil {
+		if err := WriteDataset(dir, ds); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -265,7 +265,7 @@ func TestWriteDatasetScale(t *testing.T) {
 		}
 	}
 	dir := t.TempDir()
-	if err := WriteDataset(dir, model.NewDataset(pts), nil); err != nil {
+	if err := WriteDataset(dir, model.NewDataset(pts)); err != nil {
 		t.Fatal(err)
 	}
 	db, err := Open(dir, nil)

@@ -29,7 +29,7 @@ func get(db *DB, t, oid int32) ([]byte, error) {
 func TestConformance(t *testing.T) {
 	ds := storetest.RandomDataset(20, 40, 30, 0.8)
 	dir := t.TempDir()
-	if err := WriteDataset(dir, ds, nil); err != nil {
+	if err := WriteDataset(dir, ds); err != nil {
 		t.Fatalf("WriteDataset: %v", err)
 	}
 	db, err := Open(dir, nil)
@@ -173,7 +173,7 @@ func TestCloseFlushes(t *testing.T) {
 func TestPersistenceAcrossReopen(t *testing.T) {
 	ds := storetest.RandomDataset(22, 30, 20, 0.9)
 	dir := t.TempDir()
-	if err := WriteDataset(dir, ds, &Options{MemtableBytes: 4096}); err != nil {
+	if err := WriteDataset(dir, ds); err != nil {
 		t.Fatal(err)
 	}
 	db, err := Open(dir, nil)
@@ -518,7 +518,7 @@ func TestSSTableSparseKeySpace(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	ds := storetest.RandomDataset(23, 20, 10, 1.0)
 	dir := t.TempDir()
-	if err := WriteDataset(dir, ds, nil); err != nil {
+	if err := WriteDataset(dir, ds); err != nil {
 		t.Fatal(err)
 	}
 	db, err := Open(dir, nil)
@@ -547,7 +547,7 @@ func TestManifestSurvivesTmpFile(t *testing.T) {
 	// A leftover MANIFEST.tmp must not break opening.
 	ds := storetest.RandomDataset(24, 5, 5, 1.0)
 	dir := t.TempDir()
-	if err := WriteDataset(dir, ds, nil); err != nil {
+	if err := WriteDataset(dir, ds); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, manifestName+".tmp"), []byte("junk\n"), 0o644); err != nil {

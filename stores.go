@@ -37,7 +37,7 @@ func OpenTable(path string) (Store, error) { return relational.Open(path, nil) }
 // k2-LSMT layout): one sorted run, committed by one manifest write, which
 // replaces any database dir held.
 func WriteLSM(dir string, ds *Dataset) error {
-	return lsm.WriteDataset(dir, ds, nil)
+	return lsm.WriteDataset(dir, ds)
 }
 
 // OpenLSM opens an LSM-tree database written by WriteLSM as a Store.
