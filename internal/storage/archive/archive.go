@@ -81,8 +81,8 @@ type Options struct {
 	// fewer, bigger SSTable flushes) and a twelfth as its block cache for
 	// the read path (3×1/4 + 3×1/12 = the whole budget). Default 12 MiB.
 	// The write buffers are sized in accounted bytes (lsm memtable.bytes);
-	// an index entry occupies about 1.8× its accounted 56 B, so three full
-	// write buffers hold up to ≈ 16 MiB of heap under the default.
+	// an index entry occupies about 1.3× its accounted 56 B (74 B), so
+	// three full write buffers hold up to ≈ 12 MiB of heap under the default.
 	CacheBytes int
 }
 

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"repro/internal/model"
+	"repro/internal/storage/durable"
 )
 
 // ConvoyLog is the closed-convoy sink of the convoyd server: an append-only
@@ -446,11 +448,11 @@ func OpenConvoyLogFrom(path string, from int64, fn func(off int64, rec LoggedCon
 
 // CompactConvoyLog rewrites the log at path keeping only the first
 // occurrence of each (feed, convoy) record, dropping exact duplicates and
-// any partial tail, then atomically replaces the original. Duplicates enter
-// a log when a feed is evicted and the same data is re-ingested later (the
-// in-memory dedup state dies with the feed); compaction restores the
-// exactly-once property offline. Returns the kept and dropped record
-// counts.
+// any partial tail, then atomically and durably replaces the original.
+// Duplicates enter a log when a feed is evicted and the same data is
+// re-ingested later (the in-memory dedup state dies with the feed);
+// compaction restores the exactly-once property offline. Returns the kept
+// and dropped record counts.
 func CompactConvoyLog(path string) (kept, dropped int, err error) {
 	tmp := path + ".compact"
 	out, err := CreateConvoyLog(tmp)
@@ -487,6 +489,11 @@ func CompactConvoyLog(path string) (kept, dropped int, err error) {
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return 0, 0, fmt.Errorf("convoylog: compact rename: %w", err)
+	}
+	// The rename is durable only once the directory entry is: without this
+	// a power loss can bring the uncompacted log back.
+	if err := durable.SyncDir(filepath.Dir(path)); err != nil {
+		return 0, 0, fmt.Errorf("convoylog: compact sync dir: %w", err)
 	}
 	return kept, dropped, nil
 }

@@ -1,6 +1,6 @@
 package lsm
 
-import "encoding/binary"
+import "math/bits"
 
 // bloom is a split-block-free, double-hashed Bloom filter sized at build
 // time for ~1% false positives (10 bits/key, 7 probes). SSTables persist
@@ -38,8 +38,8 @@ func bloomFromBytes(b []byte) *bloom {
 	return &bloom{bits: b, nbits: uint64(len(b)) * 8, k: bloomProbes}
 }
 
-// add inserts a key.
-func (f *bloom) add(key []byte) {
+// add inserts a key word.
+func (f *bloom) add(key uint64) {
 	h1, h2 := bloomHash(key)
 	for i := 0; i < f.k; i++ {
 		bit := (h1 + uint64(i)*h2) % f.nbits
@@ -48,7 +48,7 @@ func (f *bloom) add(key []byte) {
 }
 
 // mayContain reports whether the key might be present (no false negatives).
-func (f *bloom) mayContain(key []byte) bool {
+func (f *bloom) mayContain(key uint64) bool {
 	if f.nbits == 0 {
 		return true
 	}
@@ -62,23 +62,23 @@ func (f *bloom) mayContain(key []byte) bool {
 	return true
 }
 
-// bloomHash derives two 64-bit hashes from a key using FNV-1a and a mixed
-// variant, the classic Kirsch–Mitzenmacher double-hashing scheme.
-func bloomHash(key []byte) (uint64, uint64) {
+// bloomHash derives two 64-bit hashes from a key word using FNV-1a and a
+// mixed variant, the classic Kirsch–Mitzenmacher double-hashing scheme. It
+// hashes the word's eight big-endian bytes — the key as the file stores it
+// — so filters persisted by any writer of this format keep answering.
+func bloomHash(key uint64) (uint64, uint64) {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	var h1 uint64 = offset64
-	for _, b := range key {
-		h1 ^= uint64(b)
+	for shift := 56; shift >= 0; shift -= 8 {
+		h1 ^= key >> shift & 0xff
 		h1 *= prime64
 	}
-	// Second hash: fmix64 of h1 xored with the key length and first bytes.
-	h2 := h1
-	var pad [8]byte
-	copy(pad[:], key)
-	h2 ^= binary.LittleEndian.Uint64(pad[:])
+	// Second hash: fmix64 of h1 xored with the key bytes read
+	// little-endian.
+	h2 := h1 ^ bits.ReverseBytes64(key)
 	h2 ^= h2 >> 33
 	h2 *= 0xff51afd7ed558ccd
 	h2 ^= h2 >> 33

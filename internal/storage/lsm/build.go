@@ -75,15 +75,11 @@ func unusedTableName(dir string) (string, error) {
 // pointIter presents sorted points as the record stream of a new run.
 type pointIter struct {
 	pts []model.Point
-	k   [storage.KeySize]byte
 	v   [storage.ValueSize]byte
 }
 
 func (it *pointIter) valid() bool { return len(it.pts) > 0 }
-func (it *pointIter) key() []byte {
-	it.k = storage.EncodeKey(it.pts[0].T, it.pts[0].OID)
-	return it.k[:]
-}
+func (it *pointIter) key() uint64 { return keyWord(it.pts[0].T, it.pts[0].OID) }
 func (it *pointIter) value() []byte {
 	it.v = storage.EncodeValue(it.pts[0].X, it.pts[0].Y)
 	return it.v[:]

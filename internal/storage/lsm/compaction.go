@@ -110,7 +110,7 @@ func (db *DB) compactOnce(full bool) (bool, error) {
 	its := make([]kvIterator, len(inputs))
 	mergeEnv := &readEnv{io: &db.stats} // cache-less: one-shot merge reads
 	for i, t := range inputs {
-		its[i] = t.iterator(nil, mergeEnv)
+		its[i] = t.iterator(0, mergeEnv)
 	}
 	if err := writeSSTable(path, newMergeIter(its), dropTombs); err != nil {
 		release()

@@ -26,6 +26,12 @@
 // re-derives every index entry past its last flush from the fsynced convoy
 // log. Files the manifest does not reference are swept on Open.
 //
+// A record has one shape from memtable to disk: an 8-byte key, a 16-byte
+// value and a tombstone flag. The key travels as its big-endian uint64
+// reading (keyWord), which every layer — skiplist, merge, writer, block
+// index, block search, bloom filter — compares and hashes; bytes appear only
+// in the sstable encoding and the exported PutKV/DeleteKV/GetKV/Scan.
+//
 // The engine serves two consumers. As a storage.Store (WriteDataset, then
 // Snapshot/Fetch) it holds trajectory points for the miners, exactly the
 // paper's role. As a raw ordered key/value store (PutKV/DeleteKV/Scan) it
@@ -39,8 +45,9 @@
 package lsm
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -54,8 +61,8 @@ import (
 // Options tunes the engine.
 type Options struct {
 	// MemtableBytes is the flush threshold (default 4 MiB), compared with
-	// the memtable's accounted size; its heap footprint is about 1.8× that
-	// for small entries (see memtable.bytes).
+	// the memtable's accounted size; its heap footprint is about 1.3× that
+	// (see memtable.bytes).
 	MemtableBytes int
 	// MaxTables is the run count above which the background compactor
 	// merges runs (default 6). The floor is 1: "always compact back to a
@@ -150,8 +157,7 @@ func (db *DB) load() error {
 	for _, t := range db.tables {
 		db.count += t.count - t.tombs
 		if len(t.index) > 0 {
-			ft, _ := storage.DecodeKey(t.index[0].firstKey[:])
-			db.noteT(ft)
+			db.noteT(wordTime(t.index[0].firstKey))
 			// Last key requires reading the last block; cheap and done once.
 			lb, err := t.readBlock(len(t.index)-1, nil)
 			if err != nil {
@@ -163,11 +169,6 @@ func (db *DB) load() error {
 		}
 	}
 	return nil
-}
-
-func (db *DB) noteKey(k []byte) {
-	t, _ := storage.DecodeKey(k)
-	db.noteT(t)
 }
 
 func (db *DB) noteT(t int32) {
@@ -193,8 +194,9 @@ func (db *DB) PutKV(key [storage.KeySize]byte, val [storage.ValueSize]byte) erro
 	if db.closed {
 		return errClosed
 	}
-	db.mem.put(key[:], val[:], false)
-	db.noteKey(key[:])
+	k := binary.BigEndian.Uint64(key[:])
+	db.mem.put(k, val, false)
+	db.noteT(wordTime(k))
 	db.count++
 	if db.mem.bytes() >= db.opts.MemtableBytes {
 		return db.flushLocked()
@@ -212,7 +214,7 @@ func (db *DB) DeleteKV(key [storage.KeySize]byte) error {
 	if db.closed {
 		return errClosed
 	}
-	db.mem.put(key[:], nil, true)
+	db.mem.put(binary.BigEndian.Uint64(key[:]), [storage.ValueSize]byte{}, true)
 	if db.mem.bytes() >= db.opts.MemtableBytes {
 		return db.flushLocked()
 	}
@@ -241,7 +243,7 @@ func (db *DB) flushLocked() error {
 	}
 	path := filepath.Join(db.dir, tableName(db.seq))
 	db.seq++
-	if err := writeSSTable(path, db.mem.iterator(nil), len(db.tables) == 0); err != nil {
+	if err := writeSSTable(path, db.mem.iterator(0), len(db.tables) == 0); err != nil {
 		return err
 	}
 	t, err := openSSTable(path)
@@ -325,15 +327,13 @@ func (db *DB) Snapshot(t int32) ([]model.ObjPos, error) {
 	if s.te < s.ts || t < s.ts || t > s.te {
 		return nil, nil
 	}
-	start := storage.EncodeKey(t, -1<<31)
 	var out []model.ObjPos
-	err = s.Scan(start, func(k, v []byte) bool {
-		kt, oid := storage.DecodeKey(k)
-		if kt != t {
+	err = s.scan(keyWord(t, math.MinInt32), func(k uint64, v []byte) bool {
+		if wordTime(k) != t {
 			return false
 		}
 		x, y := storage.DecodeValue(v)
-		out = append(out, model.ObjPos{OID: oid, X: x, Y: y})
+		out = append(out, model.ObjPos{OID: wordOID(k), X: x, Y: y})
 		return true
 	})
 	if err != nil {
@@ -384,18 +384,18 @@ func (db *DB) Fetch(t int32, oids model.ObjSet) ([]model.ObjPos, error) {
 	}
 	out := make([]model.ObjPos, 0, len(oids))
 	for _, oid := range oids {
-		key := storage.EncodeKey(t, oid)
-		val, tomb, ok := s.mem.get(key[:])
-		for i := 0; !ok && i < len(curs); i++ {
-			rec, err := curs[i].find(key[:], &db.env)
+		key := keyWord(t, oid)
+		val, tomb := s.mem.get(key)
+		for i := 0; val == nil && i < len(curs); i++ {
+			rec, err := curs[i].find(key, &db.env)
 			if err != nil {
 				return nil, err
 			}
 			if rec != nil {
-				val, tomb, ok = rec[storage.KeySize:storage.RecordSize], rec[storage.RecordSize]&tombFlag != 0, true
+				val, tomb = rec[storage.KeySize:storage.RecordSize], rec[storage.RecordSize]&tombFlag != 0
 			}
 		}
-		if !ok || tomb {
+		if val == nil || tomb {
 			continue
 		}
 		x, y := storage.DecodeValue(val)
@@ -489,13 +489,13 @@ func newMergeIter(srcs []kvIterator) *mergeIter {
 // first skipping, in all older sources, keys equal to the previous winner.
 func (m *mergeIter) advance() {
 	m.cur = -1
-	var best []byte
+	var best uint64
 	for i, it := range m.srcs {
 		if it == nil || !it.valid() {
 			continue
 		}
-		k := it.key()
-		if best == nil || bytes.Compare(k, best) < 0 || (bytes.Equal(k, best) && i > m.cur) {
+		// Sources are visited oldest first, so a tie goes to the later one.
+		if k := it.key(); m.cur < 0 || k <= best {
 			best = k
 			m.cur = i
 		}
@@ -509,14 +509,14 @@ func (m *mergeIter) advance() {
 		if i == m.cur || it == nil {
 			continue
 		}
-		for it.valid() && bytes.Equal(it.key(), best) {
+		for it.valid() && it.key() == best {
 			it.next()
 		}
 	}
 }
 
 func (m *mergeIter) valid() bool   { return m.cur >= 0 }
-func (m *mergeIter) key() []byte   { return m.srcs[m.cur].key() }
+func (m *mergeIter) key() uint64   { return m.srcs[m.cur].key() }
 func (m *mergeIter) value() []byte { return m.srcs[m.cur].value() }
 func (m *mergeIter) tomb() bool    { return m.srcs[m.cur].tomb() }
 func (m *mergeIter) next() {

@@ -58,7 +58,7 @@ func TestMaxTablesOneAlwaysCompacts(t *testing.T) {
 // faultyIter yields a fixed record list but fails sticky after failAt
 // records, modelling an sstable whose scan dies mid-stream.
 type faultyIter struct {
-	keys   [][]byte
+	keys   []uint64
 	i      int
 	failAt int
 	e      error
@@ -67,7 +67,7 @@ type faultyIter struct {
 var errInjectedScan = errors.New("injected scan failure")
 
 func (it *faultyIter) valid() bool   { return it.e == nil && it.i < len(it.keys) }
-func (it *faultyIter) key() []byte   { return it.keys[it.i] }
+func (it *faultyIter) key() uint64   { return it.keys[it.i] }
 func (it *faultyIter) value() []byte { return make([]byte, storage.ValueSize) }
 func (it *faultyIter) tomb() bool    { return false }
 func (it *faultyIter) next() {
@@ -81,9 +81,7 @@ func (it *faultyIter) srcErr() error { return it.e }
 func memWith(seed int64, vals map[int32]float64) *memtable {
 	m := newMemtable(seed)
 	for oid, x := range vals {
-		k := storage.EncodeKey(1, oid)
-		v := storage.EncodeValue(x, 0)
-		m.put(k[:], v[:], false)
+		m.put(keyWord(1, oid), storage.EncodeValue(x, 0), false)
 	}
 	return m
 }
@@ -93,12 +91,12 @@ func TestMergeIterDuplicateKeyAcrossManySources(t *testing.T) {
 	// index must win, and the key must be yielded exactly once.
 	srcs := make([]kvIterator, 4)
 	for i := range srcs {
-		srcs[i] = memWith(int64(i+1), map[int32]float64{7: float64(i), int32(10 + i): 1}).iterator(nil)
+		srcs[i] = memWith(int64(i+1), map[int32]float64{7: float64(i), int32(10 + i): 1}).iterator(0)
 	}
 	m := newMergeIter(srcs)
 	seen := map[int32]float64{}
 	for ; m.valid(); m.next() {
-		_, oid := storage.DecodeKey(m.key())
+		oid := wordOID(m.key())
 		if _, dup := seen[oid]; dup {
 			t.Fatalf("key oid=%d yielded twice", oid)
 		}
@@ -117,13 +115,12 @@ func TestMergeIterDuplicateKeyAcrossManySources(t *testing.T) {
 }
 
 func TestMergeIterSourceErrorSurfaces(t *testing.T) {
-	var keys [][]byte
+	var keys []uint64
 	for oid := int32(0); oid < 6; oid++ {
-		k := storage.EncodeKey(1, oid)
-		keys = append(keys, append([]byte(nil), k[:]...))
+		keys = append(keys, keyWord(1, oid))
 	}
 	faulty := &faultyIter{keys: keys, failAt: 3}
-	healthy := memWith(1, map[int32]float64{100: 1, 101: 2}).iterator(nil)
+	healthy := memWith(1, map[int32]float64{100: 1, 101: 2}).iterator(0)
 	m := newMergeIter([]kvIterator{faulty, healthy})
 	n := 0
 	for ; m.valid(); m.next() {
@@ -157,7 +154,7 @@ func TestMergeIterSSTableErrorSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := db.tables[0]
-	it := tab.iterator(nil, nil)
+	it := tab.iterator(0, nil)
 	m := newMergeIter([]kvIterator{it})
 	n := 0
 	for ; m.valid(); m.next() {
@@ -180,8 +177,8 @@ func TestMergeIterAllEmptySources(t *testing.T) {
 	for _, srcs := range [][]kvIterator{
 		nil,
 		{},
-		{newMemtable(1).iterator(nil)},
-		{newMemtable(1).iterator(nil), newMemtable(2).iterator(nil), nil},
+		{newMemtable(1).iterator(0)},
+		{newMemtable(1).iterator(0), newMemtable(2).iterator(0), nil},
 	} {
 		m := newMergeIter(srcs)
 		if m.valid() {

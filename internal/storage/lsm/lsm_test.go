@@ -367,10 +367,9 @@ func TestDBMatchesMapModel(t *testing.T) {
 
 func TestBloomFilter(t *testing.T) {
 	f := newBloom(1000)
-	keys := make([][]byte, 1000)
+	keys := make([]uint64, 1000)
 	for i := range keys {
-		k := storage.EncodeKey(int32(i), int32(i*7))
-		keys[i] = append([]byte(nil), k[:]...)
+		keys[i] = keyWord(int32(i), int32(i*7))
 		f.add(keys[i])
 	}
 	for _, k := range keys {
@@ -382,8 +381,7 @@ func TestBloomFilter(t *testing.T) {
 	fp := 0
 	const probes = 10000
 	for i := 0; i < probes; i++ {
-		k := storage.EncodeKey(int32(i+100000), int32(i))
-		if f.mayContain(k[:]) {
+		if f.mayContain(keyWord(int32(i+100000), int32(i))) {
 			fp++
 		}
 	}
@@ -394,7 +392,7 @@ func TestBloomFilter(t *testing.T) {
 
 func TestBloomRoundTripBytes(t *testing.T) {
 	f := newBloom(10)
-	k := []byte("12345678")
+	k := binary.BigEndian.Uint64([]byte("12345678"))
 	f.add(k)
 	g := bloomFromBytes(f.bits)
 	if !g.mayContain(k) {
@@ -407,17 +405,16 @@ func TestMemtableOrderedIteration(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 500
 	for i := 0; i < n; i++ {
-		k := storage.EncodeKey(int32(rng.Intn(100)), int32(rng.Intn(100)))
-		v := storage.EncodeValue(float64(i), 0)
-		m.put(k[:], v[:], false)
+		k := keyWord(int32(rng.Intn(100)), int32(rng.Intn(100)))
+		m.put(k, storage.EncodeValue(float64(i), 0), false)
 	}
-	var prev []byte
+	var prev uint64
 	count := 0
-	for it := m.iterator(nil); it.valid(); it.next() {
-		if prev != nil && bytes.Compare(prev, it.key()) >= 0 {
+	for it := m.iterator(0); it.valid(); it.next() {
+		if count > 0 && prev >= it.key() {
 			t.Fatalf("memtable iteration out of order")
 		}
-		prev = append(prev[:0], it.key()...)
+		prev = it.key()
 		count++
 	}
 	if count != m.len() {
@@ -428,16 +425,13 @@ func TestMemtableOrderedIteration(t *testing.T) {
 func TestMemtableSeek(t *testing.T) {
 	m := newMemtable(2)
 	for _, tt := range []int32{10, 20, 30} {
-		k := storage.EncodeKey(tt, 0)
-		v := storage.EncodeValue(0, 0)
-		m.put(k[:], v[:], false)
+		m.put(keyWord(tt, 0), storage.EncodeValue(0, 0), false)
 	}
-	start := storage.EncodeKey(15, 0)
-	it := m.iterator(start[:])
+	it := m.iterator(keyWord(15, 0))
 	if !it.valid() {
 		t.Fatalf("seek should find 20")
 	}
-	kt, _ := storage.DecodeKey(it.key())
+	kt := wordTime(it.key())
 	if kt != 20 {
 		t.Fatalf("seek landed on %d, want 20", kt)
 	}
@@ -464,16 +458,12 @@ func TestSSTableGarbageRejected(t *testing.T) {
 func TestMergeIterNewestWins(t *testing.T) {
 	old := newMemtable(1)
 	newer := newMemtable(2)
-	k := storage.EncodeKey(1, 1)
-	vo := storage.EncodeValue(1, 0)
-	vn := storage.EncodeValue(2, 0)
-	old.put(k[:], vo[:], false)
-	newer.put(k[:], vn[:], false)
-	k2 := storage.EncodeKey(0, 5)
-	v2 := storage.EncodeValue(9, 0)
-	old.put(k2[:], v2[:], false)
+	k := keyWord(1, 1)
+	old.put(k, storage.EncodeValue(1, 0), false)
+	newer.put(k, storage.EncodeValue(2, 0), false)
+	old.put(keyWord(0, 5), storage.EncodeValue(9, 0), false)
 
-	m := newMergeIter([]kvIterator{old.iterator(nil), newer.iterator(nil)})
+	m := newMergeIter([]kvIterator{old.iterator(0), newer.iterator(0)})
 	var got []float64
 	for ; m.valid(); m.next() {
 		x, _ := storage.DecodeValue(m.value())

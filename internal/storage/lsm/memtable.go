@@ -1,21 +1,23 @@
 package lsm
 
 import (
-	"bytes"
 	"math/rand"
 	"sync/atomic"
+
+	"repro/internal/storage"
 )
 
-// memtable is an in-memory ordered map from keys to values implemented as a
-// skiplist, the standard LSM write buffer. Concurrency contract: exactly one
-// writer at a time (the owning DB's write lock serialises put), while any
-// number of readers traverse concurrently WITHOUT the lock — snapshot reads
-// (snapshot.go) walk the live memtable while PutKV keeps inserting. All
-// cross-goroutine state (forward pointers, the per-node entry, the list
-// level) is therefore atomic: a reader observes each pointer either before
-// or after a store, and both states are valid lists. An entry may be a
-// tombstone — a deletion marker that shadows any older on-disk version of
-// the key until compaction garbage-collects both.
+// memtable is an in-memory ordered map from key words to values
+// implemented as a skiplist, the standard LSM write buffer. Concurrency
+// contract: exactly one writer at a time (the owning DB's write lock
+// serialises put), while any number of readers traverse concurrently
+// WITHOUT the lock — snapshot reads (snapshot.go) walk the live memtable
+// while PutKV keeps inserting. All cross-goroutine state (forward pointers,
+// the per-node entry, the list level) is therefore atomic: a reader
+// observes each pointer either before or after a store, and both states are
+// valid lists. An entry may be a tombstone — a deletion marker that shadows
+// any older on-disk version of the key until compaction garbage-collects
+// both.
 //
 // Once the DB rotates the memtable out (flush), nothing writes it again;
 // snapshots that captured it keep reading the now-frozen list.
@@ -31,49 +33,48 @@ type memtable struct {
 
 const maxLevel = 16
 
-// memEntry is a value that replaced a node's first one. Overwrites swap the
-// whole entry atomically, so a reader never sees a value from one write
+// memEntry is one write: a value, or a tombstone with a zero value. It is
+// immutable once published, so a reader never sees a value from one write
 // paired with a tombstone flag from another.
 type memEntry struct {
-	val  []byte
+	val  [storage.ValueSize]byte
 	tomb bool
 }
 
-// skipNode is laid out for the common case, a key written once: the key and
-// its first value share one allocation (kv), the first tombstone flag sits
-// in the node, and both are immutable once the node is linked; over is nil
-// until the key is overwritten. The tower is sized to the node's own level
-// (mean 1.33), not to maxLevel — a fixed [maxLevel] array cost every node
-// 128 bytes of mostly nil pointers. next is set before the node is linked
-// and never reassigned, so readers may index it without synchronisation; a
-// node is only ever reached through a pointer at a level below its height.
-type skipNode struct {
-	kv   []byte // key, then the first value
-	klen uint32
-	tomb bool // the first write was a deletion
-	over atomic.Pointer[memEntry]
-	next []atomic.Pointer[skipNode]
-}
-
-func newSkipNode(key, val []byte, tomb bool, level int) *skipNode {
-	kv := make([]byte, 0, len(key)+len(val))
-	kv = append(append(kv, key...), val...)
-	return &skipNode{kv: kv, klen: uint32(len(key)), tomb: tomb, next: make([]atomic.Pointer[skipNode], level)}
-}
-
-func (n *skipNode) key() []byte { return n.kv[:n.klen] }
-
-// load returns the node's current value and tombstone flag, as one write
-// left them.
-func (n *skipNode) load() (val []byte, tomb bool) {
-	if e := n.over.Load(); e != nil {
-		return e.val, e.tomb
+// accounted is the entry's flush-trigger size: the 8-byte key, the
+// 16-byte value (none for a tombstone) and 32 bytes of node overhead.
+func (e *memEntry) accounted() int {
+	if e.tomb {
+		return storage.KeySize + 32
 	}
-	return n.kv[n.klen:], n.tomb
+	return storage.KeySize + storage.ValueSize + 32
+}
+
+// skipNode is laid out for the common case, a key written once: the key
+// word and its first write sit in the node and are immutable once it is
+// linked; over is nil until the key is overwritten, and then points at the
+// latest write. The tower is sized to the node's own level (mean 1.33), not
+// to maxLevel — a fixed [maxLevel] array cost every node 128 bytes of
+// mostly nil pointers. next is set before the node is linked and never
+// reassigned, so readers may index it without synchronisation; a node is
+// only ever reached through a pointer at a level below its height.
+type skipNode struct {
+	key   uint64
+	first memEntry
+	over  atomic.Pointer[memEntry]
+	next  []atomic.Pointer[skipNode]
+}
+
+// load returns the node's current entry, as one write left it.
+func (n *skipNode) load() *memEntry {
+	if e := n.over.Load(); e != nil {
+		return e
+	}
+	return &n.first
 }
 
 func newMemtable(seed int64) *memtable {
-	m := &memtable{head: newSkipNode(nil, nil, false, maxLevel), rng: rand.New(rand.NewSource(seed))}
+	m := &memtable{head: &skipNode{next: make([]atomic.Pointer[skipNode], maxLevel)}, rng: rand.New(rand.NewSource(seed))}
 	m.level.Store(1)
 	return m
 }
@@ -86,26 +87,35 @@ func (m *memtable) randomLevel() int {
 	return lvl
 }
 
-// put inserts or overwrites key → val. Both slices are copied. A tombstone
-// entry (tomb true, val ignored) records a deletion. Single writer only;
-// concurrent readers are safe.
-func (m *memtable) put(key, val []byte, tomb bool) {
-	if tomb {
-		val = nil
-	}
-	var update [maxLevel]*skipNode
+// seek returns the last node whose key is below key (the head if none),
+// filling update, when non-nil, with that node's predecessor at each level.
+func (m *memtable) seek(key uint64, update *[maxLevel]*skipNode) *skipNode {
 	x := m.head
-	level := int(m.level.Load())
-	for i := level - 1; i >= 0; i-- {
-		for nxt := x.next[i].Load(); nxt != nil && bytes.Compare(nxt.key(), key) < 0; nxt = x.next[i].Load() {
+	for i := int(m.level.Load()) - 1; i >= 0; i-- {
+		for nxt := x.next[i].Load(); nxt != nil && nxt.key < key; nxt = x.next[i].Load() {
 			x = nxt
 		}
-		update[i] = x
+		if update != nil {
+			update[i] = x
+		}
 	}
-	if nxt := x.next[0].Load(); nxt != nil && bytes.Equal(nxt.key(), key) {
-		old, _ := nxt.load()
-		m.byteSz += len(val) - len(old)
-		nxt.over.Store(&memEntry{val: append([]byte(nil), val...), tomb: tomb})
+	return x
+}
+
+// put inserts or overwrites key → val. A tombstone (tomb true) records a
+// deletion and stores a zero value whatever val holds. Single writer only;
+// concurrent readers are safe.
+func (m *memtable) put(key uint64, val [storage.ValueSize]byte, tomb bool) {
+	if tomb {
+		val = [storage.ValueSize]byte{}
+	}
+	var update [maxLevel]*skipNode
+	level := int(m.level.Load())
+	x := m.seek(key, &update)
+	if nxt := x.next[0].Load(); nxt != nil && nxt.key == key {
+		e := &memEntry{val: val, tomb: tomb}
+		m.byteSz += e.accounted() - nxt.load().accounted()
+		nxt.over.Store(e)
 		return
 	}
 	lvl := m.randomLevel()
@@ -115,8 +125,8 @@ func (m *memtable) put(key, val []byte, tomb bool) {
 		}
 		m.level.Store(int32(lvl))
 	}
-	node := newSkipNode(key, val, tomb, lvl)
-	// Link bottom-up: the node is fully initialised (key, value, next
+	node := &skipNode{key: key, first: memEntry{val: val, tomb: tomb}, next: make([]atomic.Pointer[skipNode], lvl)}
+	// Link bottom-up: the node is fully initialised (key, entry, next
 	// pointers at level i) before the store that publishes it at level i,
 	// so a reader that finds it through any level sees a complete node.
 	for i := 0; i < lvl; i++ {
@@ -124,73 +134,59 @@ func (m *memtable) put(key, val []byte, tomb bool) {
 		update[i].next[i].Store(node)
 	}
 	m.n++
-	m.byteSz += len(key) + len(val) + 32
+	m.byteSz += node.first.accounted()
 }
 
-// get returns the entry for key: ok reports whether the memtable holds any
-// version of the key, and tomb whether that version is a deletion marker.
-// Safe to call concurrently with one writer.
-func (m *memtable) get(key []byte) (val []byte, tomb, ok bool) {
-	x := m.head
-	for i := int(m.level.Load()) - 1; i >= 0; i-- {
-		for nxt := x.next[i].Load(); nxt != nil && bytes.Compare(nxt.key(), key) < 0; nxt = x.next[i].Load() {
-			x = nxt
-		}
+// get returns the current entry for key: val is nil when the memtable
+// holds no version of it, and tomb is set (with a zero val) when that
+// version is a deletion marker. val aliases an immutable entry. Safe to
+// call concurrently with one writer.
+func (m *memtable) get(key uint64) (val []byte, tomb bool) {
+	if nxt := m.seek(key, nil).next[0].Load(); nxt != nil && nxt.key == key {
+		e := nxt.load()
+		return e.val[:], e.tomb
 	}
-	if nxt := x.next[0].Load(); nxt != nil && bytes.Equal(nxt.key(), key) {
-		val, tomb = nxt.load()
-		return val, tomb, true
-	}
-	return nil, false, false
+	return nil, false
 }
 
 // len returns the number of entries (tombstones included). Writer-only.
 func (m *memtable) len() int { return m.n }
 
-// bytes returns the accounted size, len(key)+len(val)+32 per entry, that
-// triggers flushes. It is a flush trigger, not a heap measurement: an entry
-// really holds a 64-byte node, its key and value bytes and 8 bytes per
-// tower level, each rounded up to an allocation size class — 99 B for the
-// archive's 8-byte key and 16-byte locator, 1.8× the 56 B accounted
-// (TestMemtableBytesPerEntry pins it). Writer-only.
+// bytes returns the accounted size, 56 B per value and 40 B per tombstone,
+// that triggers flushes. It is a flush trigger, not a heap measurement: an
+// entry really holds a 64-byte node (key word, first write, overwrite
+// pointer, tower header) and 8 bytes per tower level, each rounded up to an
+// allocation size class — 74 B for the archive's 16-byte locator, 1.3× the
+// 56 B accounted (TestMemtableBytesPerEntry pins it). Writer-only.
 func (m *memtable) bytes() int { return m.byteSz }
 
 // iterator returns a memIter positioned at the first key ≥ start. Safe to
 // call concurrently with one writer; keys inserted behind the iterator's
 // position after this call are not visited, keys ahead may be.
-func (m *memtable) iterator(start []byte) *memIter {
-	x := m.head
-	for i := int(m.level.Load()) - 1; i >= 0; i-- {
-		for nxt := x.next[i].Load(); nxt != nil && bytes.Compare(nxt.key(), start) < 0; nxt = x.next[i].Load() {
-			x = nxt
-		}
-	}
-	it := &memIter{node: x.next[0].Load()}
+func (m *memtable) iterator(start uint64) *memIter {
+	it := &memIter{node: m.seek(start, nil).next[0].Load()}
 	it.loadEntry()
 	return it
 }
 
-// memIter walks the skiplist in key order, tombstones included. The value
+// memIter walks the skiplist in key order, tombstones included. The entry
 // is captured once per position so value() and tomb() — called separately
 // by the merge iterator — always describe the same write.
 type memIter struct {
 	node *skipNode
-	val  []byte
-	del  bool
+	e    *memEntry
 }
 
 func (it *memIter) loadEntry() {
 	if it.node != nil {
-		it.val, it.del = it.node.load()
-	} else {
-		it.val, it.del = nil, false
+		it.e = it.node.load()
 	}
 }
 
 func (it *memIter) valid() bool   { return it.node != nil }
-func (it *memIter) key() []byte   { return it.node.key() }
-func (it *memIter) value() []byte { return it.val }
-func (it *memIter) tomb() bool    { return it.del }
+func (it *memIter) key() uint64   { return it.node.key }
+func (it *memIter) value() []byte { return it.e.val[:] }
+func (it *memIter) tomb() bool    { return it.e.tomb }
 func (it *memIter) next() {
 	it.node = it.node.next[0].Load()
 	it.loadEntry()

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync/atomic"
 
@@ -69,7 +70,8 @@ func (s *Snapshot) Release() {
 // searching newest → oldest so fresher versions (and tombstones) shadow
 // older runs. Safe for any number of concurrent callers.
 func (s *Snapshot) GetKV(key [storage.KeySize]byte) ([]byte, error) {
-	if v, tomb, ok := s.mem.get(key[:]); ok {
+	k := binary.BigEndian.Uint64(key[:])
+	if v, tomb := s.mem.get(k); v != nil {
 		if tomb {
 			return nil, nil
 		}
@@ -77,7 +79,7 @@ func (s *Snapshot) GetKV(key [storage.KeySize]byte) ([]byte, error) {
 	}
 	env := &s.db.env
 	for i := len(s.tables) - 1; i >= 0; i-- {
-		v, tomb, err := s.tables[i].get(key[:], env)
+		v, tomb, err := s.tables[i].get(k, env)
 		if err != nil {
 			return nil, err
 		}
@@ -98,11 +100,20 @@ func (s *Snapshot) GetKV(key [storage.KeySize]byte) ([]byte, error) {
 // passed to fn are only valid during the call. No lock is held: fn may
 // block, do I/O, or call back into the DB freely.
 func (s *Snapshot) Scan(start [storage.KeySize]byte, fn func(key, val []byte) bool) error {
+	var kb [storage.KeySize]byte
+	return s.scan(binary.BigEndian.Uint64(start[:]), func(k uint64, v []byte) bool {
+		binary.BigEndian.PutUint64(kb[:], k)
+		return fn(kb[:], v)
+	})
+}
+
+// scan is Scan over key words.
+func (s *Snapshot) scan(start uint64, fn func(key uint64, val []byte) bool) error {
 	its := make([]kvIterator, 0, len(s.tables)+1)
 	for _, tab := range s.tables {
-		its = append(its, tab.iterator(start[:], &s.db.env))
+		its = append(its, tab.iterator(start, &s.db.env))
 	}
-	its = append(its, s.mem.iterator(start[:]))
+	its = append(its, s.mem.iterator(start))
 	merged := newMergeIter(its)
 	for ; merged.valid(); merged.next() {
 		s.db.stats.AddScanned(1)

@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,10 +34,19 @@ const (
 )
 
 type blockMeta struct {
-	firstKey [storage.KeySize]byte
+	firstKey uint64
 	off      uint64
 	count    uint32
 }
+
+// keyWord is the big-endian reading of storage.EncodeKey(t, oid): integer
+// order is key order. wordTime and wordOID invert it.
+func keyWord(t, oid int32) uint64 {
+	return uint64(uint32(t)^1<<31)<<32 | uint64(uint32(oid)^1<<31)
+}
+
+func wordTime(k uint64) int32 { return int32(uint32(k>>32) ^ 1<<31) }
+func wordOID(k uint64) int32  { return int32(uint32(k) ^ 1<<31) }
 
 // sstable is an immutable on-disk run of sorted records. Its lifetime is
 // refcounted: the DB's table list holds one reference, and every snapshot
@@ -94,16 +102,13 @@ func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
 	}()
 	w := bufio.NewWriterSize(f, 1<<20)
 	var (
-		idx      []blockMeta
-		keys     []byte // every written key, KeySize bytes each, for the bloom filter
-		inBlock  uint32
-		off      uint64
-		cur      blockMeta
-		total    uint64
-		tombs    uint64
-		prev     []byte
-		zeroVal  [storage.ValueSize]byte
-		metaByte [1]byte
+		idx     []blockMeta
+		keys    []uint64 // every written key, for the bloom filter
+		inBlock uint32
+		off     uint64
+		cur     blockMeta
+		tombs   uint64
+		rec     [recSize]byte
 	)
 	flushBlock := func() {
 		if inBlock == 0 {
@@ -113,40 +118,33 @@ func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
 		idx = append(idx, cur)
 		inBlock = 0
 	}
-	for ; it.valid(); it.next() {
+	for first, prev := true, uint64(0); it.valid(); it.next() {
 		k := it.key()
-		if prev != nil && bytes.Compare(k, prev) <= 0 {
-			return fmt.Errorf("lsm: sstable writer got key %x after %x: out of order", k, prev)
+		if !first && k <= prev {
+			return fmt.Errorf("lsm: sstable writer got key %016x after %016x: out of order", k, prev)
 		}
-		prev = append(prev[:0], k...)
+		first, prev = false, k
 		tomb := it.tomb()
 		if tomb && dropTombs {
 			continue
 		}
 		if inBlock == 0 {
-			copy(cur.firstKey[:], k)
+			cur.firstKey = k
 			cur.off = off
 		}
-		if _, err := w.Write(k); err != nil {
-			return err
-		}
-		v := it.value()
-		metaByte[0] = 0
+		binary.BigEndian.PutUint64(rec[:storage.KeySize], k)
+		copy(rec[storage.KeySize:storage.RecordSize], it.value())
+		rec[storage.RecordSize] = 0
 		if tomb {
-			v = zeroVal[:]
-			metaByte[0] = tombFlag
+			rec[storage.RecordSize] = tombFlag
 			tombs++
 		}
-		if _, err := w.Write(v); err != nil {
-			return err
-		}
-		if _, err := w.Write(metaByte[:]); err != nil {
+		if _, err := w.Write(rec[:]); err != nil {
 			return err
 		}
 		off += recSize
 		inBlock++
-		total++
-		keys = append(keys, k...)
+		keys = append(keys, k)
 		if inBlock == blockRecs {
 			flushBlock()
 		}
@@ -154,20 +152,18 @@ func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
 	flushBlock()
 	indexOff := off
 	for _, bm := range idx {
-		if _, err := w.Write(bm.firstKey[:]); err != nil {
-			return err
-		}
-		var tail [12]byte
-		binary.LittleEndian.PutUint64(tail[0:8], bm.off)
-		binary.LittleEndian.PutUint32(tail[8:12], bm.count)
-		if _, err := w.Write(tail[:]); err != nil {
+		var ent [storage.KeySize + 12]byte
+		binary.BigEndian.PutUint64(ent[0:8], bm.firstKey)
+		binary.LittleEndian.PutUint64(ent[8:16], bm.off)
+		binary.LittleEndian.PutUint32(ent[16:20], bm.count)
+		if _, err := w.Write(ent[:]); err != nil {
 			return err
 		}
 		off += storage.KeySize + 12
 	}
-	filter := newBloom(len(keys) / storage.KeySize)
-	for at := 0; at < len(keys); at += storage.KeySize {
-		filter.add(keys[at : at+storage.KeySize])
+	filter := newBloom(len(keys))
+	for _, k := range keys {
+		filter.add(k)
 	}
 	bloomOff := off
 	if _, err := w.Write(filter.bits); err != nil {
@@ -179,7 +175,7 @@ func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
 	binary.LittleEndian.PutUint32(footer[8:12], uint32(len(idx)))
 	binary.LittleEndian.PutUint64(footer[12:20], bloomOff)
 	binary.LittleEndian.PutUint32(footer[20:24], uint32(len(filter.bits)))
-	binary.LittleEndian.PutUint64(footer[24:32], total)
+	binary.LittleEndian.PutUint64(footer[24:32], uint64(len(keys)))
 	binary.LittleEndian.PutUint64(footer[32:40], tombs)
 	copy(footer[40:44], sstMagic)
 	if _, err := w.Write(footer[:]); err != nil {
@@ -236,7 +232,7 @@ func openSSTable(path string) (*sstable, error) {
 	t.index = make([]blockMeta, numBlocks)
 	for i := 0; i < numBlocks; i++ {
 		rec := idxBuf[i*(storage.KeySize+12):]
-		copy(t.index[i].firstKey[:], rec[:storage.KeySize])
+		t.index[i].firstKey = binary.BigEndian.Uint64(rec[:storage.KeySize])
 		t.index[i].off = binary.LittleEndian.Uint64(rec[storage.KeySize : storage.KeySize+8])
 		t.index[i].count = binary.LittleEndian.Uint32(rec[storage.KeySize+8 : storage.KeySize+12])
 	}
@@ -279,11 +275,8 @@ func (t *sstable) retire(remove bool) {
 }
 
 // blockFor returns the index of the block that could contain key, or -1.
-func (t *sstable) blockFor(key []byte) int {
-	i := sort.Search(len(t.index), func(i int) bool {
-		return bytes.Compare(t.index[i].firstKey[:], key) > 0
-	})
-	return i - 1
+func (t *sstable) blockFor(key uint64) int {
+	return sort.Search(len(t.index), func(i int) bool { return t.index[i].firstKey > key }) - 1
 }
 
 // readBlock loads block bi into buf.
@@ -325,7 +318,7 @@ func (t *sstable) cachedBlock(bi int, env *readEnv) (block []byte, phys bool, er
 // absent, and tomb is set when the newest version here is a tombstone (the
 // caller must stop searching older runs). Safe for concurrent use: all I/O
 // is pread, the cache shards its own locking, and counters are atomic.
-func (t *sstable) get(key []byte, env *readEnv) (val []byte, tomb bool, err error) {
+func (t *sstable) get(key uint64, env *readEnv) (val []byte, tomb bool, err error) {
 	c := walkCursor{t: t}
 	rec, err := c.find(key, env)
 	if rec == nil || err != nil {
@@ -341,11 +334,13 @@ func (t *sstable) get(key []byte, env *readEnv) (val []byte, tomb bool, err erro
 // with ascending keys (DB.Fetch): the block it holds, the first key of the
 // block after it, and where the next in-block search starts. A key below
 // end is answered from the held block, with no bloom probe, index search
-// or cache lookup; only a key past it probes the bloom and loads a block.
+// or cache lookup; only a key at or past it probes the bloom and loads a
+// block. The last block's end is the largest word, so only that one key
+// reloads the block it is already in.
 type walkCursor struct {
 	t     *sstable
 	block []byte // nil until the first load
-	end   []byte // firstKey of the next block; nil when block is the last
+	end   uint64
 	pos   int
 }
 
@@ -353,10 +348,9 @@ type walkCursor struct {
 // the table holds no version of it. The record aliases the block: the
 // caller reads it and must not keep or modify it. Keys passed to
 // successive calls must not descend.
-func (c *walkCursor) find(key []byte, env *readEnv) ([]byte, error) {
-	k := binary.BigEndian.Uint64(key)
-	if c.block == nil || (c.end != nil && k >= binary.BigEndian.Uint64(c.end)) {
-		if !c.t.filter.mayContain(key) {
+func (c *walkCursor) find(k uint64, env *readEnv) ([]byte, error) {
+	if c.block == nil || k >= c.end {
+		if !c.t.filter.mayContain(k) {
 			if env != nil && env.rs != nil {
 				env.rs.bloomHits.Add(1)
 			}
@@ -365,7 +359,7 @@ func (c *walkCursor) find(key []byte, env *readEnv) ([]byte, error) {
 		if env != nil && env.rs != nil {
 			env.rs.bloomMisses.Add(1)
 		}
-		bi := c.t.blockFor(key)
+		bi := c.t.blockFor(k)
 		if bi < 0 {
 			return nil, nil
 		}
@@ -377,12 +371,12 @@ func (c *walkCursor) find(key []byte, env *readEnv) ([]byte, error) {
 			env.io.AddSeeks(1)
 			env.io.AddBytes(len(block))
 		}
-		c.block, c.end, c.pos = block, nil, 0
+		c.block, c.end, c.pos = block, ^uint64(0), 0
 		if bi+1 < len(c.t.index) {
-			c.end = c.t.index[bi+1].firstKey[:]
+			c.end = c.t.index[bi+1].firstKey
 		}
 	}
-	c.pos = blockSearch(c.block, c.pos, key)
+	c.pos = blockSearch(c.block, c.pos, k)
 	if off := c.pos * recSize; off < len(c.block) && binary.BigEndian.Uint64(c.block[off:]) == k {
 		return c.block[off : off+recSize], nil
 	}
@@ -390,10 +384,8 @@ func (c *walkCursor) find(key []byte, env *readEnv) ([]byte, error) {
 }
 
 // blockSearch returns the index of the first record at or after lo in a
-// data block whose key is ≥ key. Keys are 8 bytes, so byte order is the
-// order of their big-endian uint64 values.
-func blockSearch(block []byte, lo int, key []byte) int {
-	k := binary.BigEndian.Uint64(key)
+// data block whose key is ≥ k.
+func blockSearch(block []byte, lo int, k uint64) int {
 	hi := len(block) / recSize
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -411,7 +403,7 @@ func blockSearch(block []byte, lo int, key []byte) int {
 // query pages re-walk the same index ranges constantly, so their blocks
 // stay hot; pass a cache-less env (or nil) for one-shot sequential reads
 // like compaction merges, which keep the private-buffer fast path.
-func (t *sstable) iterator(start []byte, env *readEnv) *sstIter {
+func (t *sstable) iterator(start uint64, env *readEnv) *sstIter {
 	it := &sstIter{t: t, env: env}
 	bi := t.blockFor(start)
 	if bi < 0 {
@@ -422,9 +414,7 @@ func (t *sstable) iterator(start []byte, env *readEnv) *sstIter {
 		it.err = err
 		return it
 	}
-	if start != nil { // a merge starts at the table's first record
-		it.i = blockSearch(it.block, 0, start)
-	}
+	it.i = blockSearch(it.block, 0, start)
 	it.skipExhausted()
 	return it
 }
@@ -489,10 +479,7 @@ func (it *sstIter) skipExhausted() {
 }
 
 func (it *sstIter) valid() bool { return it.err == nil && it.block != nil }
-func (it *sstIter) key() []byte {
-	off := it.i * recSize
-	return it.block[off : off+storage.KeySize]
-}
+func (it *sstIter) key() uint64 { return binary.BigEndian.Uint64(it.block[it.i*recSize:]) }
 func (it *sstIter) value() []byte {
 	off := it.i*recSize + storage.KeySize
 	return it.block[off : off+storage.ValueSize]
@@ -509,11 +496,12 @@ func (it *sstIter) next() {
 func (it *sstIter) srcErr() error { return it.err }
 
 // kvIterator is the common iterator shape shared by memtable, sstable and
-// merge iterators. tomb reports whether the current record is a deletion
+// merge iterators: key is the record's key word, value its 16 bytes (zero
+// for a tombstone), and tomb reports whether the record is a deletion
 // marker.
 type kvIterator interface {
 	valid() bool
-	key() []byte
+	key() uint64
 	value() []byte
 	tomb() bool
 	next()

@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -42,19 +41,19 @@ func TestCompactionPreservesNewestAndOrder(t *testing.T) {
 	}
 	// The single run must be sorted, unique, and hold the newest values.
 	tab := db.tables[0]
-	it := tab.iterator(nil, nil)
-	var prev []byte
+	it := tab.iterator(0, nil)
+	var prev uint64
 	n := 0
 	for ; it.valid(); it.next() {
-		if prev != nil && bytes.Compare(prev, it.key()) >= 0 {
+		if n > 0 && prev >= it.key() {
 			t.Fatalf("compacted run out of order or duplicated")
 		}
-		tt, oid := storage.DecodeKey(it.key())
+		tt, oid := wordTime(it.key()), wordOID(it.key())
 		x, _ := storage.DecodeValue(it.value())
 		if want[[2]int32{tt, oid}] != x {
 			t.Fatalf("stale value for (%d,%d): %f", tt, oid, x)
 		}
-		prev = append(prev[:0], it.key()...)
+		prev = it.key()
 		n++
 	}
 	if n != len(want) {
