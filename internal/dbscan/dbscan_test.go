@@ -1,6 +1,8 @@
 package dbscan
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -292,9 +294,104 @@ func TestGridHandlesExtremeCoords(t *testing.T) {
 		objs := []model.ObjPos{
 			pos(1, 0, yy), pos(2, 0.1, yy), pos(3, 0.2, yy),
 		}
-		got := Cluster(objs, 1.0, 3)
-		if len(got) != 1 || len(got[0]) != 3 {
-			t.Fatalf("y=%v: boundary-cell points should cluster, got %v", yy, got)
+		for _, path := range clusterPaths {
+			got := path.cluster(objs, 1.0, 3)
+			if len(got) != 1 || len(got[0]) != 3 {
+				t.Fatalf("%s, y=%v: boundary-cell points should cluster, got %v", path.name, yy, got)
+			}
+		}
+	}
+}
+
+// Points on both sides of the int32 cell edge: the grid saturates the cell
+// coordinate instead of wrapping it, so a neighbour one cell past the edge
+// is still in the block around its neighbours' cell.
+func TestGridCellEdgeKeepsNeighbours(t *testing.T) {
+	for _, sign := range []float64{1, -1} {
+		objs := []model.ObjPos{
+			pos(1, sign*2147483647.5, 0), pos(2, sign*2147483648.2, 0), pos(3, sign*2147483647.9, sign*0.1),
+		}
+		want := []model.ObjSet{model.NewObjSet(1, 2, 3)}
+		if got := bruteCluster(objs, 1, 3); !reflect.DeepEqual(got, want) {
+			t.Fatalf("sign %v: the reference itself = %v, want %v", sign, got, want)
+		}
+		for _, path := range clusterPaths {
+			if got := path.cluster(objs, 1, 3); !reflect.DeepEqual(got, want) {
+				t.Errorf("sign %v: %s = %v, want %v", sign, path.name, got, want)
+			}
+		}
+	}
+}
+
+// clusterPaths are the two ways Cluster answers: pairwise up to smallN
+// points, a grid above. Tests that pin the output run on both.
+var clusterPaths = []struct {
+	name    string
+	cluster func([]model.ObjPos, float64, int) []model.ObjSet
+}{{"Cluster", Cluster}, {"clusterGrid", clusterGrid}}
+
+// Cluster and clusterGrid against the reference at every size across the
+// pairwise/grid boundary, exactly — same sets, same sequence. Coordinates
+// sit on a half-unit lattice (distances of exactly eps, coincident points)
+// placed at the origin, across the top or the bottom int32 cell edge, or
+// far beyond it; OIDs repeat now and then, and the odd point is NaN, which
+// has no neighbours. At eps 0 both paths take the grid.
+func TestClusterPathsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const edge = 2147483648.0
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(2*smallN + 1)
+		eps := []float64{0, 0.5, 1, 1.5}[rng.Intn(4)]
+		// The lattice's lower corner. Cell MaxInt32 ends and cell MinInt32
+		// begins at ±edge·eps, 3 units into the window.
+		origin := []float64{-3, edge*eps - 3, -edge*eps - 3, 4 * edge}[rng.Intn(4)]
+		side := 2 + rng.Intn(6)
+		objs := make([]model.ObjPos, n)
+		for i := range objs {
+			objs[i] = pos(int32(rng.Intn(3*n/2+1)), origin+float64(rng.Intn(2*side))/2, origin+float64(rng.Intn(2*side))/2)
+			if rng.Intn(40) == 0 {
+				objs[i].X = math.NaN()
+			}
+		}
+		minPts := 1 + rng.Intn(5)
+		want := bruteCluster(objs, eps, minPts)
+		for _, path := range clusterPaths {
+			if got := path.cluster(objs, eps, minPts); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (eps %v, minPts %d): %s = %v, reference %v\nobjs %v", trial, eps, minPts, path.name, got, want, objs)
+			}
+		}
+	}
+}
+
+// A re-check's four points build nothing: what is left is the one cluster,
+// sized from its seed's neighbourhood, the list holding it and the
+// neighbour buffer the callback returns.
+func TestClusterSmallAllocs(t *testing.T) {
+	objs := []model.ObjPos{pos(3, 0, 0), pos(5, 0.5, 0), pos(8, 0.5, 0.5), pos(9, 0.2, 0.6)}
+	if got := Cluster(objs, 1, 3); len(got) != 1 || len(got[0]) != 4 {
+		t.Fatalf("want one cluster of four, got %v", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Cluster(objs, 1, 3) }); allocs > 3 {
+		t.Fatalf("Cluster of four points: %v allocations, want ≤ 3", allocs)
+	}
+}
+
+// BenchmarkClusterSmall is the sweep smallN comes from: re-check-sized
+// inputs, a few points within reach of one another, on both paths.
+func BenchmarkClusterSmall(b *testing.B) {
+	for _, n := range []int{2, 4, 8, 16, 32} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		objs := make([]model.ObjPos, n)
+		for i := range objs {
+			objs[i] = pos(int32(i), rng.Float64()*2, rng.Float64()*2)
+		}
+		for _, path := range clusterPaths {
+			b.Run(fmt.Sprintf("%s/n=%d", path.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					path.cluster(objs, 1, 2)
+				}
+			})
 		}
 	}
 }
@@ -452,8 +549,10 @@ func TestClusterOrderAndBorderRule(t *testing.T) {
 		{"duplicate OIDs compact", []model.ObjPos{pos(5, 0, 0), pos(5, 0.1, 0), pos(2, 0, 0.1), pos(9, 50, 50), pos(9, 50, 50.1), pos(9, 50.1, 50)}, 1, 3,
 			sets(model.NewObjSet(2, 5), model.NewObjSet(9))},
 	} {
-		if got := Cluster(c.objs, c.eps, c.minPts); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s: Cluster = %v, want %v", c.name, got, c.want)
+		for _, path := range clusterPaths {
+			if got := path.cluster(c.objs, c.eps, c.minPts); !reflect.DeepEqual(got, c.want) {
+				t.Errorf("%s: %s = %v, want %v", c.name, path.name, got, c.want)
+			}
 		}
 		if got := bruteCluster(c.objs, c.eps, c.minPts); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: the reference itself = %v, want %v", c.name, got, c.want)
@@ -480,8 +579,10 @@ func TestClusterOrderAndBorderRule(t *testing.T) {
 		if b < a {
 			want = sets(model.NewObjSet(20, 21, 50, 51))
 		}
-		if got := Cluster(objs, 1, 4); !reflect.DeepEqual(got, want) {
-			t.Fatalf("order %v: Cluster = %v, want %v", p, got, want)
+		for _, path := range clusterPaths {
+			if got := path.cluster(objs, 1, 4); !reflect.DeepEqual(got, want) {
+				t.Fatalf("order %v: %s = %v, want %v", p, path.name, got, want)
+			}
 		}
 	})
 
@@ -497,9 +598,11 @@ func TestClusterOrderAndBorderRule(t *testing.T) {
 		}
 		eps := []float64{0.5, 1, 1.5}[rng.Intn(3)]
 		minPts := 1 + rng.Intn(5)
-		got, want := Cluster(objs, eps, minPts), bruteCluster(objs, eps, minPts)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (eps %v, minPts %d): Cluster = %v, reference %v\nobjs %v", trial, eps, minPts, got, want, objs)
+		want := bruteCluster(objs, eps, minPts)
+		for _, path := range clusterPaths {
+			if got := path.cluster(objs, eps, minPts); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (eps %v, minPts %d): %s = %v, reference %v\nobjs %v", trial, eps, minPts, path.name, got, want, objs)
+			}
 		}
 	}
 }

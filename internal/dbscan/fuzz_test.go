@@ -1,13 +1,15 @@
 package dbscan
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/model"
 )
 
-// FuzzDBSCANCluster feeds arbitrary point sets through Cluster and checks
-// the DBSCAN invariants against a brute-force O(n²) reference:
+// FuzzDBSCANCluster feeds arbitrary point sets through Cluster, requires
+// the grid path to answer exactly the same, and checks the DBSCAN
+// invariants against a brute-force O(n²) reference:
 //
 //   - no cluster below minPts members;
 //   - cluster object sets are valid (strictly increasing, duplicate-free)
@@ -50,6 +52,9 @@ func FuzzDBSCANCluster(f *testing.F) {
 		}
 
 		clusters := Cluster(objs, eps, minPts)
+		if grid := clusterGrid(objs, eps, minPts); !reflect.DeepEqual(clusters, grid) {
+			t.Fatalf("Cluster = %v, clusterGrid = %v", clusters, grid)
+		}
 
 		// Brute-force reference: neighbour counts and core flags.
 		epsSq := eps * eps

@@ -8,11 +8,11 @@ import (
 )
 
 // Index is the repository's one spatial index: a uniform grid over
-// id-addressed positions. Scratch Cluster builds one per call, Incremental
-// carries one across ticks and patches it, and the flock disk cover
-// (flock.DiskGroups) queries one with a wider reach. All points within
-// reach·cell of a point p lie in the (2·reach+1)² block of cells around p's
-// cell.
+// id-addressed positions. Scratch Cluster builds one per call above smallN
+// points, Incremental carries one across ticks and patches it, and the
+// flock disk cover (flock.DiskGroups) queries one with a wider reach. All
+// points within reach·cell of a point p lie in the (2·reach+1)² block of
+// cells around p's cell.
 //
 // The index is a flat array of (packed cell key, id) entries sorted by
 // (key, id) — no hash map. Cell coordinates pack into one ordered uint64
@@ -22,7 +22,7 @@ import (
 // Compared to a map from cell to id slice this removes all hashing from
 // the query path and all per-cell slice growth from construction — the two
 // biggest CPU and allocation sinks the k/2-hop profile showed, since every
-// re-clustering builds a fresh index.
+// scratch clustering above a handful of points builds a fresh index.
 type Index struct {
 	pos     []model.ObjPos // id → position; not copied, must not change under the index
 	cell    float64        // cell side
@@ -77,14 +77,29 @@ func packKey(cx, cy int32) uint64 {
 	return uint64(uint32(cx)^0x80000000)<<32 | uint64(uint32(cy)^0x80000000)
 }
 
-func (ix *Index) cellOf(v float64) int32 { return int32(math.Floor(v / ix.cell)) }
+// cellOf returns v's cell coordinate saturated to the int32 range, with NaN
+// in the bottom cell. Saturating never moves two cells further apart, so
+// every point within one cell side of p still lies in the 3×3 block around
+// p's cell; a NaN point is nobody's neighbour, so its cell does not matter.
+// Coordinates inside the range keep their cells exactly.
+func (ix *Index) cellOf(v float64) int32 {
+	c := math.Floor(v / ix.cell)
+	switch {
+	case c >= math.MaxInt32:
+		return math.MaxInt32
+	case c >= math.MinInt32:
+		return int32(c)
+	default: // below the range, or NaN
+		return math.MinInt32
+	}
+}
 
 func (ix *Index) keyOf(p model.ObjPos) uint64 { return packKey(ix.cellOf(p.X), ix.cellOf(p.Y)) }
 
-// cellable reports whether p lands in a cell whose coordinates fit int32.
-// Beyond that the float→int32 conversion in cellOf is implementation-
-// defined and the "neighbours live in the surrounding block" invariant
-// breaks (astronomic coordinates, NaN, Inf; NaN fails both comparisons).
+// cellable reports whether p lands in a cell whose coordinates fit int32,
+// so that cellOf keeps them unsaturated (NaN fails both comparisons).
+// Queries stay exact beyond that, but Incremental's delta reasoning is
+// proven only for cellable points and falls back to scratch on any other.
 func (ix *Index) cellable(p model.ObjPos) bool {
 	cx, cy := math.Floor(p.X/ix.cell), math.Floor(p.Y/ix.cell)
 	return cx >= math.MinInt32 && cx <= math.MaxInt32 && cy >= math.MinInt32 && cy <= math.MaxInt32

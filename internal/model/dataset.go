@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Dataset is an immutable in-memory trajectory dataset organised by
@@ -107,22 +106,39 @@ func (d *Dataset) Snapshot(t int32) []ObjPos {
 
 // Fetch returns the positions at tick t of the requested objects, in OID
 // order, skipping objects absent at t.
+//
+// Both sides are sorted by OID, so each search starts where the last one
+// ended: a step doubles from there until it passes the object, and a binary
+// search inside that last step finds it. A set of k objects spread over a
+// snapshot of n rows costs O(k log(n/k)) comparisons, and one packed into a
+// run of adjacent rows O(k).
 func (d *Dataset) Fetch(t int32, oids ObjSet) []ObjPos {
 	snap := d.Snapshot(t)
 	if len(snap) == 0 || len(oids) == 0 {
 		return nil
 	}
 	out := make([]ObjPos, 0, len(oids))
-	// Galloping merge: both sides are sorted by OID.
-	i := 0
+	i := 0 // every row before i has a smaller OID than the next object
 	for _, oid := range oids {
-		i += sort.Search(len(snap)-i, func(k int) bool { return snap[i+k].OID >= oid })
-		if i < len(snap) && snap[i].OID == oid {
+		hi := i
+		for step := 1; hi < len(snap) && snap[hi].OID < oid; step *= 2 {
+			i, hi = hi+1, hi+step
+		}
+		hi = min(hi, len(snap))
+		for i < hi { // the first row in [i, hi) with OID ≥ oid, else hi
+			mid := int(uint(i+hi) >> 1)
+			if snap[mid].OID < oid {
+				i = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if i == len(snap) {
+			break
+		}
+		if snap[i].OID == oid {
 			out = append(out, snap[i])
 			i++
-		}
-		if i >= len(snap) {
-			break
 		}
 	}
 	return out

@@ -3,6 +3,7 @@ package model
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -359,6 +360,51 @@ func TestDatasetFetch(t *testing.T) {
 	if d.Fetch(99, NewObjSet(1)) != nil {
 		t.Fatalf("Fetch out of range should be nil")
 	}
+}
+
+// FuzzDatasetFetch checks the galloping Fetch against a map. The snapshot
+// has up to 2047 rows, seeded, with OIDs from 64 upward and gaps of 1–4;
+// the query set starts up to 255 below the first row, and each further
+// byte is a gap of 2^(b mod 11), 1 to 2^10, so queries land before the
+// first row, between rows, on rows, in runs and past the last row.
+func FuzzDatasetFetch(f *testing.F) {
+	f.Add(int64(1), uint16(300), []byte{10, 0, 0, 1, 2, 10, 3, 0, 7})
+	f.Add(int64(2), uint16(1), []byte{0, 0, 0})
+	f.Add(int64(3), uint16(2000), []byte{255, 10, 10, 10, 9, 9, 9, 8, 8, 8})
+	f.Fuzz(func(t *testing.T, seed int64, rows uint16, query []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		var pts []Point
+		at := map[int32]ObjPos{}
+		oid := int32(64)
+		for range rows % 2048 {
+			p := Point{OID: oid, T: 5, X: rng.Float64(), Y: rng.Float64()}
+			pts = append(pts, p)
+			at[oid] = ObjPos{OID: oid, X: p.X, Y: p.Y}
+			oid += 1 + rng.Int31n(4)
+		}
+		d := NewDataset(pts)
+		if len(query) == 0 {
+			return
+		}
+		var oids []int32
+		for q, b := 64-int32(query[0]), query[1:]; ; b = b[1:] {
+			oids = append(oids, q)
+			if len(b) == 0 {
+				break
+			}
+			q += 1 << (b[0] % 11)
+		}
+		set := NewObjSet(oids...)
+		var want []ObjPos
+		for _, q := range set {
+			if p, ok := at[q]; ok {
+				want = append(want, p)
+			}
+		}
+		if got := d.Fetch(5, set); !slices.Equal(got, want) {
+			t.Fatalf("Fetch(%v) over %d rows = %v, want %v", set, len(pts), got, want)
+		}
+	})
 }
 
 func TestDatasetRestrict(t *testing.T) {
