@@ -46,6 +46,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -56,131 +57,121 @@ import (
 	"syscall"
 	"time"
 
-	convoy "repro"
 	"repro/internal/server"
 	"repro/internal/storage"
 )
 
+// config is convoyd's command line: the server's configuration plus the
+// settings that belong to the process.
+type config struct {
+	addr       string
+	compactLog bool
+	srv        server.Config
+}
+
+// parseFlags defines convoyd's flags on fs, parses args and checks the
+// values no later layer rejects.
+func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
+	var cfg config
+	var window, retention int
+	sc := &cfg.srv
+	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&sc.Params.M, "m", 3, "minimum convoy size (objects)")
+	fs.IntVar(&sc.Params.K, "k", 4, "minimum convoy length (ticks)")
+	fs.Float64Var(&sc.Params.Eps, "eps", 1.5, "clustering radius")
+	fs.Float64Var(&sc.FlockR, "flock-r", 0, "disk radius for flock-pattern feeds (0 = eps)")
+	fs.Float64Var(&sc.MCTheta, "mc-theta", 0, "minimum consecutive Jaccard overlap for moving-cluster feeds (0 = 0.5)")
+	fs.IntVar(&sc.Shards, "shards", 8, "shard actor count (a new feed goes to the shard holding the fewest feeds)")
+	fs.IntVar(&sc.QueueLen, "queue", 128, "per-shard ingest queue capacity (batches)")
+	fs.IntVar(&window, "window", 0, "reordering window in ticks (0 = strict in-order)")
+	fs.DurationVar(&sc.EnqueueWait, "enqueue-wait", 250*time.Millisecond, "how long ingest waits for queue space before 429")
+	fs.StringVar(&sc.PersistPath, "persist", "", "closed-convoy sink path (empty = no persistence); an existing log is replayed at startup")
+	fs.DurationVar(&sc.PersistEvery, "persist-every", 2*time.Second, "persistence interval")
+	fs.DurationVar(&sc.FeedTTL, "feed-ttl", 0, "evict feeds idle for this long (0 = never); persisted history survives in the log")
+	fs.DurationVar(&sc.EvictEvery, "evict-every", 0, "eviction sweep interval (default feed-ttl/4)")
+	fs.BoolVar(&sc.KeepHistory, "keep-history", false, "keep persisted closed-convoy history in memory (grows unbounded; default truncates it once persisted)")
+	fs.BoolVar(&cfg.compactLog, "compact-log", false, "compact the persist log before serving (drops duplicate records left by post-eviction replays)")
+	fs.StringVar(&sc.ArchiveDir, "archive-dir", "", "historical query archive directory (empty = /v1/query disabled); requires -persist, backfilled from the log at startup")
+	fs.IntVar(&sc.ArchiveCache, "archive-cache", 0, "archive index write-buffer budget in bytes (0 = default 12 MiB)")
+	fs.IntVar(&retention, "retention", 0, "expire archived convoys whose End tick lags the newest archived End by this many ticks or more (0 = keep everything); requires -archive-dir")
+	fs.IntVar(&sc.QueryBudget, "query-budget", 0, "index entries one /v1/query page may examine before returning a cursor (0 = default 65536)")
+	fs.IntVar(&sc.MaxFeeds, "max-feeds", 0, "cap on live feeds; creating more answers 429 (0 = default 65536)")
+	fs.Float64Var(&sc.IngestRate, "ingest-rate", 0, "per-feed ingest rate limit in snapshots/sec; excess answers 429 rate_limited (0 = unlimited)")
+	fs.IntVar(&sc.IngestBurst, "ingest-burst", 0, "per-feed ingest burst capacity in snapshots (0 = default 2×ingest-rate)")
+	fs.IntVar(&sc.BreakerThreshold, "breaker-threshold", 0, "consecutive queue-full rejections that open a shard's circuit breaker (0 = breakers disabled)")
+	fs.DurationVar(&sc.BreakerCooldown, "breaker-cooldown", 0, "how long an open breaker sheds ingest before probing (0 = default 1s)")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+
+	switch {
+	case window < 0 || int64(window) > math.MaxInt32:
+		return cfg, fmt.Errorf("-window %d out of range [0, %d]", window, math.MaxInt32)
+	case sc.ArchiveDir != "" && sc.PersistPath == "":
+		return cfg, errors.New("-archive-dir requires -persist (the log is the archive's source of truth)")
+	case retention < 0 || int64(retention) > math.MaxInt32:
+		return cfg, fmt.Errorf("-retention %d out of range [0, %d]", retention, math.MaxInt32)
+	case retention > 0 && sc.ArchiveDir == "":
+		return cfg, errors.New("-retention requires -archive-dir (retention expires archived convoys)")
+	case sc.IngestRate < 0 || sc.IngestBurst < 0 || sc.BreakerThreshold < 0 || sc.BreakerCooldown < 0:
+		return cfg, errors.New("-ingest-rate, -ingest-burst, -breaker-threshold and -breaker-cooldown must be >= 0")
+	case sc.IngestBurst > 0 && sc.IngestRate == 0:
+		return cfg, errors.New("-ingest-burst requires -ingest-rate")
+	case sc.BreakerCooldown > 0 && sc.BreakerThreshold == 0:
+		return cfg, errors.New("-breaker-cooldown requires -breaker-threshold")
+	case cfg.compactLog && sc.PersistPath == "":
+		return cfg, errors.New("-compact-log requires -persist")
+	}
+	sc.Window, sc.Retention = int32(window), int32(retention)
+	return cfg, nil
+}
+
 func main() {
-	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		m            = flag.Int("m", 3, "minimum convoy size (objects)")
-		k            = flag.Int("k", 4, "minimum convoy length (ticks)")
-		eps          = flag.Float64("eps", 1.5, "clustering radius")
-		flockR       = flag.Float64("flock-r", 0, "disk radius for flock-pattern feeds (0 = eps)")
-		mcTheta      = flag.Float64("mc-theta", 0, "minimum consecutive Jaccard overlap for moving-cluster feeds (0 = 0.5)")
-		shards       = flag.Int("shards", 8, "shard actor count (a new feed goes to the shard holding the fewest feeds)")
-		queue        = flag.Int("queue", 128, "per-shard ingest queue capacity (batches)")
-		window       = flag.Int("window", 0, "reordering window in ticks (0 = strict in-order)")
-		wait         = flag.Duration("enqueue-wait", 250*time.Millisecond, "how long ingest waits for queue space before 429")
-		persist      = flag.String("persist", "", "closed-convoy sink path (empty = no persistence); an existing log is replayed at startup")
-		persistEvery = flag.Duration("persist-every", 2*time.Second, "persistence interval")
-		feedTTL      = flag.Duration("feed-ttl", 0, "evict feeds idle for this long (0 = never); persisted history survives in the log")
-		evictEvery   = flag.Duration("evict-every", 0, "eviction sweep interval (default feed-ttl/4)")
-		keepHistory  = flag.Bool("keep-history", false, "keep persisted closed-convoy history in memory (grows unbounded; default truncates it once persisted)")
-		compactLog   = flag.Bool("compact-log", false, "compact the persist log before serving (drops duplicate records left by post-eviction replays)")
-		archiveDir   = flag.String("archive-dir", "", "historical query archive directory (empty = /v1/query disabled); requires -persist, backfilled from the log at startup")
-		archiveCache = flag.Int("archive-cache", 0, "archive index write-buffer budget in bytes (0 = default 12 MiB)")
-		retention    = flag.Int("retention", 0, "expire archived convoys whose End tick lags the newest archived End by this many ticks or more (0 = keep everything); requires -archive-dir")
-		queryBudget  = flag.Int("query-budget", 0, "index entries one /v1/query page may examine before returning a cursor (0 = default 65536)")
-		maxFeeds     = flag.Int("max-feeds", 0, "cap on live feeds; creating more answers 429 (0 = default 65536)")
-		ingestRate   = flag.Float64("ingest-rate", 0, "per-feed ingest rate limit in snapshots/sec; excess answers 429 rate_limited (0 = unlimited)")
-		ingestBurst  = flag.Int("ingest-burst", 0, "per-feed ingest burst capacity in snapshots (0 = default 2×ingest-rate)")
-		breakThresh  = flag.Int("breaker-threshold", 0, "consecutive queue-full rejections that open a shard's circuit breaker (0 = breakers disabled)")
-		breakCool    = flag.Duration("breaker-cooldown", 0, "how long an open breaker sheds ingest before probing (0 = default 1s)")
-	)
-	flag.Parse()
+	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "convoyd:", err)
+		os.Exit(1)
+	}
+	persist, archiveDir := cfg.srv.PersistPath, cfg.srv.ArchiveDir
 
-	if *archiveDir != "" && *persist == "" {
-		fmt.Fprintln(os.Stderr, "convoyd: -archive-dir requires -persist (the log is the archive's source of truth)")
-		os.Exit(1)
-	}
-	if *retention < 0 || int64(*retention) > math.MaxInt32 {
-		fmt.Fprintf(os.Stderr, "convoyd: -retention %d out of range [0, %d]\n", *retention, math.MaxInt32)
-		os.Exit(1)
-	}
-	if *retention > 0 && *archiveDir == "" {
-		fmt.Fprintln(os.Stderr, "convoyd: -retention requires -archive-dir (retention expires archived convoys)")
-		os.Exit(1)
-	}
-	if *ingestRate < 0 || *ingestBurst < 0 || *breakThresh < 0 || *breakCool < 0 {
-		fmt.Fprintln(os.Stderr, "convoyd: -ingest-rate, -ingest-burst, -breaker-threshold and -breaker-cooldown must be >= 0")
-		os.Exit(1)
-	}
-	if *ingestBurst > 0 && *ingestRate == 0 {
-		fmt.Fprintln(os.Stderr, "convoyd: -ingest-burst requires -ingest-rate")
-		os.Exit(1)
-	}
-	if *breakCool > 0 && *breakThresh == 0 {
-		fmt.Fprintln(os.Stderr, "convoyd: -breaker-cooldown requires -breaker-threshold")
-		os.Exit(1)
-	}
-
-	if *compactLog {
-		if *persist == "" {
-			fmt.Fprintln(os.Stderr, "convoyd: -compact-log requires -persist")
-			os.Exit(1)
-		}
-		switch _, err := os.Stat(*persist); {
+	if cfg.compactLog {
+		switch _, err := os.Stat(persist); {
 		case os.IsNotExist(err):
-			log.Printf("convoyd: -compact-log: no log at %s yet, nothing to compact", *persist)
+			log.Printf("convoyd: -compact-log: no log at %s yet, nothing to compact", persist)
 		case err != nil:
 			fmt.Fprintln(os.Stderr, "convoyd: compact:", err)
 			os.Exit(1)
 		default:
-			kept, dropped, err := storage.CompactConvoyLog(*persist)
+			kept, dropped, err := storage.CompactConvoyLog(persist)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "convoyd: compact:", err)
 				os.Exit(1)
 			}
-			log.Printf("convoyd: compacted %s: kept %d records, dropped %d duplicates", *persist, kept, dropped)
+			log.Printf("convoyd: compacted %s: kept %d records, dropped %d duplicates", persist, kept, dropped)
 		}
 	}
 
-	srv, err := server.New(server.Config{
-		Params:       convoy.Params{M: *m, K: *k, Eps: *eps},
-		FlockR:       *flockR,
-		MCTheta:      *mcTheta,
-		Shards:       *shards,
-		QueueLen:     *queue,
-		Window:       int32(*window),
-		EnqueueWait:  *wait,
-		PersistPath:  *persist,
-		PersistEvery: *persistEvery,
-		FeedTTL:      *feedTTL,
-		EvictEvery:   *evictEvery,
-		KeepHistory:  *keepHistory,
-		ArchiveDir:   *archiveDir,
-		ArchiveCache: *archiveCache,
-		Retention:    int32(*retention),
-		QueryBudget:  *queryBudget,
-		MaxFeeds:     *maxFeeds,
-
-		IngestRate:       *ingestRate,
-		IngestBurst:      *ingestBurst,
-		BreakerThreshold: *breakThresh,
-		BreakerCooldown:  *breakCool,
-	})
+	srv, err := server.New(cfg.srv)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "convoyd:", err)
 		os.Exit(1)
 	}
 	if feeds, records := srv.RecoveryInfo(); feeds > 0 {
-		log.Printf("convoyd: recovered %d feeds (%d persisted convoys) from %s", feeds, records, *persist)
+		log.Printf("convoyd: recovered %d feeds (%d persisted convoys) from %s", feeds, records, persist)
 	}
 	if backfilled, rebuilt, enabled := srv.ArchiveInfo(); enabled {
 		switch {
 		case rebuilt:
-			log.Printf("convoyd: archive %s had diverged from the log; rebuilt with %d records", *archiveDir, backfilled)
+			log.Printf("convoyd: archive %s had diverged from the log; rebuilt with %d records", archiveDir, backfilled)
 		case backfilled > 0:
-			log.Printf("convoyd: archive %s backfilled %d records from %s", *archiveDir, backfilled, *persist)
+			log.Printf("convoyd: archive %s backfilled %d records from %s", archiveDir, backfilled, persist)
 		default:
-			log.Printf("convoyd: archive %s up to date", *archiveDir)
+			log.Printf("convoyd: archive %s up to date", archiveDir)
 		}
 	}
 
 	httpSrv := &http.Server{
-		Addr:              *addr,
+		Addr:              cfg.addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -189,7 +180,7 @@ func main() {
 	defer stop()
 
 	log.Printf("convoyd: listening on %s (m=%d k=%d eps=%g shards=%d window=%d)",
-		*addr, *m, *k, *eps, *shards, *window)
+		cfg.addr, cfg.srv.Params.M, cfg.srv.Params.K, cfg.srv.Params.Eps, cfg.srv.Shards, cfg.srv.Window)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()
 

@@ -1,0 +1,68 @@
+package main
+
+import (
+	"flag"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/minetest"
+)
+
+func parse(args ...string) (config, error) {
+	return parseFlags(flag.NewFlagSet("convoyd", flag.ContinueOnError), args)
+}
+
+func TestParseFlagsRejects(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the error
+	}{
+		{[]string{"-window", "-3"}, "-window -3 out of range"},
+		{[]string{"-window", "2147483648"}, "-window 2147483648 out of range"},
+		{[]string{"-window", "4294967300"}, "-window 4294967300 out of range"},
+		{[]string{"-archive-dir", "a"}, "-archive-dir requires -persist"},
+		{[]string{"-persist", "p", "-archive-dir", "a", "-retention", "-1"}, "-retention -1 out of range"},
+		{[]string{"-persist", "p", "-archive-dir", "a", "-retention", "2147483648"}, "-retention 2147483648 out of range"},
+		{[]string{"-retention", "5"}, "-retention requires -archive-dir"},
+		{[]string{"-ingest-rate", "-1"}, "must be >= 0"},
+		{[]string{"-ingest-burst", "10"}, "-ingest-burst requires -ingest-rate"},
+		{[]string{"-breaker-cooldown", "1s"}, "-breaker-cooldown requires -breaker-threshold"},
+		{[]string{"-compact-log"}, "-compact-log requires -persist"},
+	} {
+		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("parseFlags(%q) = %v, want an error containing %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+func TestParseFlagsAccepts(t *testing.T) {
+	cfg, err := parse("-window", "2147483647", "-persist", "p", "-archive-dir", "a", "-retention", "100",
+		"-ingest-rate", "50", "-ingest-burst", "10", "-breaker-threshold", "3", "-breaker-cooldown", "1s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.srv.Window != 2147483647 || cfg.srv.Retention != 100 || cfg.srv.IngestBurst != 10 {
+		t.Fatalf("parsed %+v", cfg.srv)
+	}
+}
+
+// TestFlagsMatchREADME diffs README's convoyd flag table against the
+// flags parseFlags defines, in both directions.
+func TestFlagsMatchREADME(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("convoyd", flag.ContinueOnError)
+	if _, err := parseFlags(fs, nil); err != nil {
+		t.Fatal(err)
+	}
+	diff, err := minetest.FlagTableDiff(string(readme), "### convoyd flags", fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diff {
+		t.Error(d)
+	}
+}

@@ -1,39 +1,40 @@
 package main
 
 import (
+	"flag"
+	"net/http/httptest"
+	"os"
 	"testing"
 
 	convoy "repro"
+	"repro/internal/minetest"
+	"repro/internal/server"
 )
 
-func TestParseMix(t *testing.T) {
-	cycle, err := parseMix("convoy=2,flock=1,mc=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []convoy.Pattern{convoy.PatternConvoy, convoy.PatternConvoy, convoy.PatternFlock, convoy.PatternMC}
-	if len(cycle) != len(want) {
-		t.Fatalf("cycle %v, want %v", cycle, want)
-	}
-	for i := range want {
-		if cycle[i] != want[i] {
-			t.Fatalf("cycle %v, want %v", cycle, want)
-		}
-	}
-	if _, err := parseMix("swarm=1"); err == nil {
-		t.Fatal("unknown pattern accepted")
-	}
-	if _, err := parseMix("convoy=0"); err == nil {
-		t.Fatal("all-zero weights accepted")
-	}
+func parse(args ...string) (config, error) {
+	return parseFlags(flag.NewFlagSet("loadgen", flag.ContinueOnError), args)
 }
 
 func TestParseFlagsValidation(t *testing.T) {
-	if _, err := parseFlags([]string{"-ooo", "0.5", "-window", "0"}); err == nil {
-		t.Fatal("-ooo without a reorder window accepted")
+	for _, args := range [][]string{
+		{}, // no -addr
+		{"-addr", "http://x", "-ooo", "1.5"},
+		{"-addr", "http://x", "-burst", "sine"},
+		{"-addr", "http://x", "-patterns", "convoy,swarm"},
+		{"-addr", "http://x", "-feeds", "0"},
+		{"-addr", "http://x", "-rate", "-1"},
+	} {
+		if _, err := parse(args...); err == nil {
+			t.Errorf("parseFlags(%q) accepted", args)
+		}
 	}
-	if _, err := parseFlags([]string{"-burst", "sine"}); err == nil {
-		t.Fatal("unknown burst profile accepted")
+	cfg, err := parse("-addr", "http://x/", "-patterns", "mc, flock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.addr != "http://x" || len(cfg.patterns) != 2 ||
+		cfg.patterns[0] != convoy.PatternMC || cfg.patterns[1] != convoy.PatternFlock {
+		t.Fatalf("parsed %+v", cfg)
 	}
 }
 
@@ -47,50 +48,105 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-// TestLoadgenSmoke runs the full pipeline at miniature scale against an
-// in-process server: all three pattern families, out-of-order injection,
-// square-wave bursts — the artifact must come back with ingest and
-// close-lag samples, correct per-pattern feed counts, and closed patterns
-// in every family.
-func TestLoadgenSmoke(t *testing.T) {
-	cfg, err := parseFlags([]string{
-		"-feeds", "3", "-objects", "30", "-ticks", "40", "-batch", "6",
-		"-pattern-mix", "convoy=1,flock=1,mc=1", "-ooo", "0.25", "-window", "2",
-		"-rate", "200", "-burst", "square", "-burst-period", "3",
+// serve runs a real convoyd handler with the given reorder window.
+func serve(t *testing.T, window int32) (*server.Server, string) {
+	srv, err := server.New(server.Config{
+		Params: convoy.Params{M: 3, K: 3, Eps: minetest.CityEps},
+		Shards: 2,
+		Window: window,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := run(cfg)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	return srv, ts.URL
+}
+
+// TestLoadgenSmoke drives a real server at miniature scale: all three
+// pattern families, out-of-order batches and square-wave bursts. With a
+// reorder window of 2 the swapped ticks must all be put back, so every
+// feed mines every tick and nothing is dropped as late.
+func TestLoadgenSmoke(t *testing.T) {
+	srv, addr := serve(t, 2)
+	cfg, err := parse(
+		"-addr", addr, "-feeds", "3", "-objects", "30", "-obj-tick", "1", "-batch", "6",
+		"-patterns", "convoy,flock,mc", "-ooo", "0.25", "-rate", "2000", "-burst", "square",
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := art.Loadgen
+	rep, err := run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Ingest.Count == 0 || rep.Ingest.P50 <= 0 || rep.Ingest.P99 < rep.Ingest.P50 {
 		t.Fatalf("ingest quantiles: %+v", rep.Ingest)
 	}
-	if rep.ConvoysClosed == 0 || rep.CloseLag.Count == 0 {
-		t.Fatalf("no close-lag samples: closed=%d lag=%+v", rep.ConvoysClosed, rep.CloseLag)
+	if rep.PointsSent == 0 || rep.PointsPerS <= 0 || rep.WallS <= 0 {
+		t.Fatalf("report %+v", rep)
 	}
-	if rep.TicksSent != 3*40 {
-		t.Fatalf("ticks_sent = %d, want %d", rep.TicksSent, 3*40)
+	if rep.LateDropped != 0 {
+		t.Fatalf("report late_dropped = %d, want 0", rep.LateDropped)
 	}
-	if rep.PointsSent == 0 {
-		t.Fatal("no points sent")
+
+	st := srv.Stats()
+	if len(st.Feeds) != 3 {
+		t.Fatalf("%d feeds on the server, want 3", len(st.Feeds))
+	}
+	for name, f := range st.Feeds {
+		if f.TicksMined != minetest.CityTicks {
+			t.Errorf("feed %s: ticks_mined = %d, want %d", name, f.TicksMined, minetest.CityTicks)
+		}
+		if f.LateDropped != 0 {
+			t.Errorf("feed %s: late_dropped = %d on the server", name, f.LateDropped)
+		}
 	}
 	for _, pat := range []string{"convoy", "flock", "mc"} {
-		pc, ok := rep.Patterns[pat]
-		if !ok || pc.LiveFeeds != 1 {
-			t.Fatalf("pattern %s: %+v (patterns: %+v)", pat, pc, rep.Patterns)
-		}
-		if pc.ClosedTotal == 0 {
-			t.Fatalf("pattern %s closed nothing — load data too sparse", pat)
+		if ps := st.Patterns[pat]; ps.LiveFeeds != 1 || ps.ClosedTotal == 0 {
+			t.Errorf("pattern %s: %+v", pat, ps)
 		}
 	}
-	if rep.PeakRSSBytes == 0 {
-		t.Log("peak_rss_bytes unavailable (no /proc)") // best-effort field
+}
+
+// TestLoadgenReportsLateDrops swaps ticks against a strict in-order server:
+// the loss must reach the report, counted over exactly the run's feeds.
+func TestLoadgenReportsLateDrops(t *testing.T) {
+	srv, addr := serve(t, 0)
+	cfg, err := parse("-addr", addr, "-feeds", "2", "-objects", "10", "-obj-tick", "0", "-ooo", "1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.WallNs <= 0 {
-		t.Fatalf("wall_ns = %d", rep.WallNs)
+	rep, err := run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for _, f := range srv.Stats().Feeds {
+		want += f.LateDropped
+	}
+	if rep.LateDropped == 0 || rep.LateDropped != want {
+		t.Fatalf("report late_dropped = %d, server %d", rep.LateDropped, want)
+	}
+}
+
+// TestFlagsMatchREADME diffs README's loadgen flag table against the flags
+// parseFlags defines, in both directions.
+func TestFlagsMatchREADME(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	parseFlags(fs, nil) // only the definitions are needed; the missing -addr is an error
+	diff, err := minetest.FlagTableDiff(string(readme), "### Driving a remote convoyd", fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diff {
+		t.Error(d)
 	}
 }

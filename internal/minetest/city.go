@@ -7,11 +7,12 @@ import (
 	"repro/internal/model"
 )
 
-// The city feed is the input of the per-layer benchmarks in internal/cmc,
-// internal/dbscan and internal/movingcluster: the feed classes of the
-// repository's serve-ingest workload (bench/gen.go: Brinkhoff traffic on a
-// 16×16 road grid in a 6000² city, half the spawns platoons of four, m = 3,
-// k = 8, eps = 40).
+// The city feed reproduces the feed classes of the repository's
+// serve-ingest workload (bench/gen.go: Brinkhoff traffic on a 16×16 road
+// grid in a 6000² city, half the spawns platoons of four, m = 3, k = 8,
+// eps = 40). It is the input of the per-layer benchmarks in internal/cmc,
+// internal/dbscan, internal/flock, internal/movingcluster and
+// internal/server, and the traffic cmd/loadgen sends to a remote convoyd.
 const (
 	CityTicks = 160
 	CityM     = 3
