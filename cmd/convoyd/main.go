@@ -59,6 +59,7 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/storage"
+	"repro/internal/storage/archive"
 )
 
 // config is convoyd's command line: the server's configuration plus the
@@ -113,6 +114,12 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 		return cfg, fmt.Errorf("-retention %d out of range [0, %d]", retention, math.MaxInt32)
 	case retention > 0 && sc.ArchiveDir == "":
 		return cfg, errors.New("-retention requires -archive-dir (retention expires archived convoys)")
+	case sc.Shards < 0 || sc.QueueLen < 0 || sc.MaxFeeds < 0 || sc.ArchiveCache < 0 || sc.QueryBudget < 0:
+		return cfg, errors.New("-shards, -queue, -max-feeds, -archive-cache and -query-budget must be >= 0")
+	case sc.QueryBudget > archive.MaxBudget:
+		return cfg, fmt.Errorf("-query-budget %d above the maximum %d", sc.QueryBudget, archive.MaxBudget)
+	case sc.EnqueueWait < 0 || sc.PersistEvery < 0 || sc.FeedTTL < 0 || sc.EvictEvery < 0:
+		return cfg, errors.New("-enqueue-wait, -persist-every, -feed-ttl and -evict-every must be >= 0")
 	case sc.IngestRate < 0 || sc.IngestBurst < 0 || sc.BreakerThreshold < 0 || sc.BreakerCooldown < 0:
 		return cfg, errors.New("-ingest-rate, -ingest-burst, -breaker-threshold and -breaker-cooldown must be >= 0")
 	case sc.IngestBurst > 0 && sc.IngestRate == 0:

@@ -81,12 +81,17 @@ func (mi *miner) extend(convoys []model.Convoy, dir int32, cpu *time.Duration) (
 // convoy that cannot continue intact is emitted as closed in that
 // direction; clusters that survive (possibly smaller) continue. The closed
 // convoys are returned in discovery order.
+//
+// Every candidate born in one step shares the moving edge, so one that is a
+// sub-convoy of another (a subset of its objects with an equal-or-wider
+// fixed edge) can only ever extend into sub-convoys of the other's
+// extensions: the step's model.ConvoySet drops it before it is re-clustered.
 func (mi *miner) extendOne(vsp model.Convoy, dir int32) ([]model.Convoy, error) {
 	var out []model.Convoy
 	prev := []model.Convoy{vsp}
 	t := edge(vsp, dir) + dir
 	for len(prev) > 0 && t >= mi.ts && t <= mi.te {
-		var next []model.Convoy
+		var next model.ConvoySet
 		for _, v := range prev {
 			clusters, err := mi.recluster(t, v.Objs)
 			if err != nil {
@@ -105,7 +110,7 @@ func (mi *miner) extendOne(vsp model.Convoy, dir int32) ([]model.Convoy, error) 
 				} else {
 					w.Start = t
 				}
-				next = append(next, w)
+				next.Update(w)
 				if len(c) == len(v.Objs) {
 					survived = true
 				}
@@ -115,7 +120,7 @@ func (mi *miner) extendOne(vsp model.Convoy, dir int32) ([]model.Convoy, error) 
 				out = append(out, v)
 			}
 		}
-		prev = extendDominate(next, dir)
+		prev = next.Slice()
 		t += dir
 	}
 	// Hit the dataset boundary: whatever is still alive is closed.
@@ -127,37 +132,4 @@ func edge(v model.Convoy, dir int32) int32 {
 		return v.End
 	}
 	return v.Start
-}
-
-// extendDominate prunes, among in-flight extension candidates that share
-// the moving edge, those whose object set is a subset of another candidate
-// with an equal-or-wider fixed edge.
-func extendDominate(cands []model.Convoy, dir int32) []model.Convoy {
-	fixedLE := func(a, b model.Convoy) bool { // fixed edge of a at least as wide as b's
-		if dir > 0 {
-			return a.Start <= b.Start
-		}
-		return a.End >= b.End
-	}
-	var out []model.Convoy
-	for _, c := range cands {
-		dominated := false
-		for j := 0; j < len(out); j++ {
-			switch {
-			case fixedLE(out[j], c) && c.Objs.SubsetOf(out[j].Objs):
-				dominated = true
-			case fixedLE(c, out[j]) && out[j].Objs.SubsetOf(c.Objs):
-				out[j] = out[len(out)-1]
-				out = out[:len(out)-1]
-				j--
-			}
-			if dominated {
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, c)
-		}
-	}
-	return out
 }

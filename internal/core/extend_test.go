@@ -101,28 +101,6 @@ func TestExtendStopsAtDatasetBoundary(t *testing.T) {
 	}
 }
 
-func TestExtendDominatePrunesInFlight(t *testing.T) {
-	a := model.NewConvoy(model.NewObjSet(1, 2, 3), 0, 10)
-	sub := model.NewConvoy(model.NewObjSet(1, 2), 2, 10) // same moving edge (right)
-	out := extendDominate([]model.Convoy{sub, a}, +1)
-	if len(out) != 1 || !out[0].Equal(a) {
-		t.Fatalf("dominate = %v", out)
-	}
-	// Left direction: fixed edge is End.
-	b := model.NewConvoy(model.NewObjSet(1, 2, 3), 5, 12)
-	subL := model.NewConvoy(model.NewObjSet(2, 3), 5, 10)
-	out = extendDominate([]model.Convoy{b, subL}, -1)
-	if len(out) != 1 || !out[0].Equal(b) {
-		t.Fatalf("dominate left = %v", out)
-	}
-	// Non-dominated pair survives.
-	c := model.NewConvoy(model.NewObjSet(4, 5), 0, 10)
-	out = extendDominate([]model.Convoy{a, c}, +1)
-	if len(out) != 2 {
-		t.Fatalf("unrelated pruned: %v", out)
-	}
-}
-
 func TestIntersectClusterSets(t *testing.T) {
 	a := []model.ObjSet{
 		model.NewObjSet(1, 2, 3, 4),

@@ -6,8 +6,9 @@
 //	        one timestamp; each partition is mined independently with PCCD,
 //	        keeping every partial convoy that touches a partition border
 //	        (regardless of length) plus interior convoys of length ≥ k;
-//	reduce: the per-partition convoy sets are folded left-to-right with the
-//	        DCM merge (merge.go), and the k filter is applied at the end.
+//	reduce: the per-partition convoy sets are folded left-to-right with
+//	        Merge (merge.go), the DCM merge k/2-hop's phase 4 also uses,
+//	        and the k filter is applied at the end.
 //
 // DCM mines partially connected convoys, like the original; the experiment
 // harness compares wall-clock against k/2-hop the way the paper does. Note
@@ -68,7 +69,7 @@ func Mine(store storage.Store, cfg Config) ([]model.Convoy, error) {
 	}
 
 	// Map phase: mine each partition. Partial convoys touching a border are
-	// kept regardless of length so the reduce phase can stitch them.
+	// kept regardless of length so the reduce phase can merge them.
 	results, err := mapreduce.Run(cfg.Cluster, parts, func(p part) ([]model.Convoy, error) {
 		keep := func(c model.Convoy) bool {
 			return c.Len() >= cfg.K || c.Start == p.Start || c.End == p.End
@@ -87,89 +88,13 @@ func Mine(store storage.Store, cfg Config) ([]model.Convoy, error) {
 		return nil, err
 	}
 
-	// Reduce phase: stitch across partitions, sequentially left to right.
-	merged := stitch(results, cfg)
+	// Reduce phase: merge across partitions, sequentially left to right.
+	// The merged set is maximal and sorted, so the k filter keeps it so.
 	var out []model.Convoy
-	for _, c := range merged {
+	for _, c := range Merge(results, cfg.M) {
 		if c.Len() >= cfg.K {
 			out = append(out, c)
 		}
 	}
-	return model.MaximalConvoys(out), nil
-}
-
-// stitch folds partition results left to right: convoys ending at a
-// partition's last tick merge with convoys starting at the next partition's
-// first tick (the shared overlap tick).
-func stitch(parts [][]model.Convoy, cfg Config) []model.Convoy {
-	results := model.NewConvoySet()
-	var acc []model.Convoy
-	for pi, cur := range parts {
-		if pi == 0 {
-			acc = cur
-			continue
-		}
-		var next []model.Convoy
-		consumed := make([]bool, len(cur))
-		for _, v := range acc {
-			extended := false
-			for wi, w := range cur {
-				// The overlap tick belongs to both partitions: v ends where
-				// w starts.
-				if v.End != w.Start {
-					continue
-				}
-				inter := v.Objs.Intersect(w.Objs)
-				if len(inter) < cfg.M {
-					continue
-				}
-				next = append(next, model.Convoy{Objs: inter, Start: v.Start, End: w.End})
-				if len(inter) == len(v.Objs) {
-					extended = true
-				}
-				if len(inter) == len(w.Objs) {
-					consumed[wi] = true
-				}
-			}
-			if !extended {
-				results.Update(v)
-			}
-		}
-		for wi, w := range cur {
-			if !consumed[wi] {
-				next = append(next, w)
-			}
-		}
-		acc = dedupeConvoys(next)
-	}
-	for _, v := range acc {
-		results.Update(v)
-	}
-	return results.Sorted()
-}
-
-// dedupeConvoys drops convoys dominated by another with the same end, a
-// superset of objects and an equal-or-earlier start.
-func dedupeConvoys(cands []model.Convoy) []model.Convoy {
-	var out []model.Convoy
-	for _, c := range cands {
-		dominated := false
-		for j := 0; j < len(out); j++ {
-			switch {
-			case out[j].End >= c.End && out[j].Start <= c.Start && c.Objs.SubsetOf(out[j].Objs):
-				dominated = true
-			case c.End >= out[j].End && c.Start <= out[j].Start && out[j].Objs.SubsetOf(c.Objs):
-				out[j] = out[len(out)-1]
-				out = out[:len(out)-1]
-				j--
-			}
-			if dominated {
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, c)
-		}
-	}
-	return out
+	return out, nil
 }

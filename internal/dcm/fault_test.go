@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/mapreduce"
 	"repro/internal/minetest"
-	"repro/internal/model"
 	"repro/internal/storage"
 	"repro/internal/storage/storetest"
 )
@@ -23,25 +22,5 @@ func TestDCMPropagatesFaults(t *testing.T) {
 		if !errors.Is(err, storetest.ErrInjected) {
 			t.Fatalf("budget %d: err = %v", budget, err)
 		}
-	}
-}
-
-func TestDedupeConvoysDomination(t *testing.T) {
-	big := model.NewConvoy(model.NewObjSet(1, 2, 3), 0, 10)
-	sub := model.NewConvoy(model.NewObjSet(1, 2), 2, 8)
-	other := model.NewConvoy(model.NewObjSet(4, 5), 0, 10)
-	out := dedupeConvoys([]model.Convoy{sub, big, other})
-	if len(out) != 2 {
-		t.Fatalf("dedupe = %v, want big+other", out)
-	}
-	for _, c := range out {
-		if c.Equal(sub) {
-			t.Fatalf("dominated convoy survived: %v", out)
-		}
-	}
-	// Reverse insertion order: dominator arriving second must evict.
-	out = dedupeConvoys([]model.Convoy{big, sub})
-	if len(out) != 1 || !out[0].Equal(big) {
-		t.Fatalf("dedupe reverse = %v", out)
 	}
 }

@@ -1,31 +1,29 @@
 // merge.go implements the DCM merge algorithm of Orakzai et al. (MDM'16):
 // combining partial convoys mined in adjacent time partitions into maximal
-// convoys. k/2-hop reuses it verbatim to merge 1st-order spanning convoys
-// from adjacent hop-windows into maximal spanning convoys (paper §4.4,
-// Table 3).
+// convoys. DCM's reduce phase folds its partitions with it, and k/2-hop
+// reuses it verbatim to merge 1st-order spanning convoys from adjacent
+// hop-windows into maximal spanning convoys (paper §4.4, Table 3).
 package dcm
 
 import "repro/internal/model"
 
-// Merge folds per-slice convoy sets (ordered left to right; every convoy of
-// slice i ends where the convoys of slice i+1 begin) into maximal merged
-// convoys. minSize is the m parameter: merged object sets below it are
-// discarded.
+// Merge folds per-slice convoy sets (ordered left to right; slice i+1
+// begins at the tick where slice i ends, and only convoys ending at that
+// tick can merge with convoys of slice i+1 starting there) into maximal
+// merged convoys. minSize is the m parameter: merged object sets below it
+// are discarded.
 //
 // The procedure mirrors the paper's Table 3: convoys of the accumulator
 // that extend into the next slice continue (with the intersected object
-// set); convoys that cannot extend intact are final. A final maximality
-// filter removes convoys that are sub-convoys of others.
+// set); convoys that cannot extend intact are final. The accumulator and
+// the result are model.ConvoySets, so a convoy covered by another is
+// dropped as soon as both are known: every future merge of a dominated
+// convoy is a sub-convoy of a merge of its dominator.
 func Merge(slices [][]model.Convoy, minSize int) []model.Convoy {
-	results := model.NewConvoySet()
-	var acc []model.Convoy
-	for si, cur := range slices {
-		if si == 0 {
-			acc = mergeDominate(cur)
-			continue
-		}
-		var next []model.Convoy
-		for _, v := range acc {
+	var results, acc model.ConvoySet
+	for _, cur := range slices {
+		var next model.ConvoySet
+		for _, v := range acc.Slice() {
 			extended := false
 			for _, w := range cur {
 				if v.End != w.Start {
@@ -35,7 +33,7 @@ func Merge(slices [][]model.Convoy, minSize int) []model.Convoy {
 				if len(inter) < minSize {
 					continue
 				}
-				next = append(next, model.Convoy{Objs: inter, Start: v.Start, End: w.End})
+				next.Update(model.Convoy{Objs: inter, Start: v.Start, End: w.End})
 				if len(inter) == len(v.Objs) {
 					extended = true
 				}
@@ -49,39 +47,9 @@ func Merge(slices [][]model.Convoy, minSize int) []model.Convoy {
 		}
 		// Convoys of the current slice start their own chains; merged
 		// versions that fully cover them dominate and win in the prune.
-		next = append(next, cur...)
-		acc = mergeDominate(next)
+		next.UpdateAll(cur)
+		acc = next
 	}
-	for _, v := range acc {
-		results.Update(v)
-	}
+	results.UpdateAll(acc.Slice())
 	return results.Sorted()
-}
-
-// mergeDominate prunes, among convoys ending at the same timestamp, those
-// whose objects are a subset of another convoy with an equal-or-earlier
-// start: every future merge of the dominated convoy is a sub-convoy of a
-// merge of the dominator.
-func mergeDominate(cands []model.Convoy) []model.Convoy {
-	var out []model.Convoy
-	for _, c := range cands {
-		dominated := false
-		for j := 0; j < len(out); j++ {
-			switch {
-			case out[j].End == c.End && out[j].Start <= c.Start && c.Objs.SubsetOf(out[j].Objs):
-				dominated = true
-			case c.End == out[j].End && c.Start <= out[j].Start && out[j].Objs.SubsetOf(c.Objs):
-				out[j] = out[len(out)-1]
-				out = out[:len(out)-1]
-				j--
-			}
-			if dominated {
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, c)
-		}
-	}
-	return out
 }

@@ -146,20 +146,30 @@ func TestTable5PruningPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Max pruning row must show a positive percentage for every dataset.
-	var maxPrune []string
+	rows := map[string][]string{}
 	for _, row := range tab.Rows {
-		if row[0] == "Max pruning" {
-			maxPrune = row[1:]
+		rows[row[0]] = row[1:]
+	}
+	for _, label := range []string{"Total points", "Max points read", "Max points processed", "Min pruning"} {
+		if len(rows[label]) != len(tab.Columns)-1 {
+			t.Fatalf("missing %s row: %v", label, tab.Rows)
 		}
 	}
-	if maxPrune == nil {
-		t.Fatalf("missing Max pruning row: %v", tab.Rows)
-	}
-	for i, cell := range maxPrune {
+	// Pruning counts each point once, so even the least selective
+	// parameters leave a good part of every dataset unread.
+	for i, cell := range rows["Min pruning"] {
 		v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
-		if err != nil || v <= 0 {
-			t.Fatalf("dataset %d: max pruning %q not positive", i, cell)
+		if err != nil || v < 30 {
+			t.Errorf("dataset %s: min pruning %q, want >= 30%%", tab.Columns[i+1], cell)
+		}
+	}
+	// Re-reads are reported, never counted as processed points.
+	for i := range tab.Columns[1:] {
+		read, _ := strconv.Atoi(rows["Max points read"][i])
+		distinct, _ := strconv.Atoi(rows["Max points processed"][i])
+		total, _ := strconv.Atoi(rows["Total points"][i])
+		if distinct == 0 || distinct > read || distinct > total {
+			t.Errorf("dataset %s: %d distinct of %d read, %d total", tab.Columns[i+1], distinct, read, total)
 		}
 	}
 }

@@ -91,8 +91,8 @@ func (m *Miner) Reset() { m.mn.Reset() }
 // computed in full only at benchmark points; candidates are the pairwise
 // intersections; hop-windows verify by re-covering only the candidate's
 // objects. No connectivity validation is needed — a subset of a disk is in
-// the disk — so the generic pipeline's candidates are final (after a
-// maximality filter).
+// the disk — so the generic pipeline's candidates, maximal and in canonical
+// order, are final.
 //
 // This implements the paper's §7 ("the k/2-hop technique can be applied to
 // numerous movement patterns such as ... flock patterns").
@@ -103,14 +103,11 @@ func MineK2Hop(store storage.Store, cfg Config) ([]Flock, *core.Report, error) {
 		Benchmark:  func(rows []model.ObjPos) []model.ObjSet { return DiskGroups(rows, cfg.R, cfg.M) },
 		Restricted: func(rows []model.ObjPos) []model.ObjSet { return DiskGroups(rows, cfg.R, cfg.M) },
 	}
-	cands, rep, err := core.MineCandidates(store, ccfg, grouper)
+	out, rep, err := core.MineCandidates(store, ccfg, grouper)
 	if err != nil {
 		return nil, rep, err
 	}
-	out := model.MaximalConvoys(cands)
-	if rep != nil {
-		rep.Convoys = len(out)
-	}
+	rep.Convoys = len(out)
 	return out, rep, nil
 }
 
