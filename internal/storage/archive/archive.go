@@ -43,6 +43,9 @@
 // META also carries a checksum of the log bytes below the watermark. A log
 // that was compacted or replaced no longer matches it; the indexes are then
 // discarded and rebuilt from the log, which is always the source of truth.
+// So are indexes in another on-disk format: META names the lsm.Format its
+// indexes were written in, and an archive from a build whose SSTables
+// carried a bloom filter names none.
 //
 // # Retention
 //
@@ -97,10 +100,14 @@ const (
 // meta is the durable checkpoint: the log's first Offset bytes hold Records
 // convoy records, all of them reflected in flushed SSTables, Live of them
 // not expired, and CRC is the IEEE checksum of those bytes past the header.
-// Open trusts the checkpoint once the checksum matches and indexes only the
-// log's tail past Offset, so startup cost is proportional to the un-flushed
-// tail, not the log's lifetime.
+// Open trusts the checkpoint once the format and the checksum match and
+// indexes only the log's tail past Offset, so startup cost is proportional
+// to the un-flushed tail, not the log's lifetime.
 type meta struct {
+	// Format is the lsm.Format the indexes were written in. META under
+	// another format (or none, as before SSTables lost their bloom filter)
+	// does not describe indexes this build can read: they are rebuilt.
+	Format  string `json:"format"`
 	Records int64  `json:"records"`
 	Live    int64  `json:"live"`
 	Offset  int64  `json:"offset"`
@@ -261,11 +268,11 @@ func open(dir, path string, own bool, opts *Options) (_ *Archive, added int64, r
 	return a, added, rebuilt, nil
 }
 
-// describes reports whether the log at path still starts with the bytes the
-// checkpoint was taken over. A compacted, replaced or truncated log does
-// not.
+// describes reports whether the checkpoint is in this build's index format
+// and the log at path still starts with the bytes it was taken over. A
+// compacted, replaced or truncated log does not.
 func (m meta) describes(path string) bool {
-	if m.Offset < storage.ConvoyLogHeaderSize {
+	if m.Format != lsm.Format || m.Offset < storage.ConvoyLogHeaderSize {
 		return false
 	}
 	crc, err := logCRC(path, storage.ConvoyLogHeaderSize, m.Offset, 0)
@@ -442,7 +449,7 @@ func (a *Archive) flushLocked() error {
 		return fmt.Errorf("archive: checksum log: %w", err)
 	}
 	data, err := json.Marshal(meta{
-		Records: a.next, Live: a.live, Offset: a.end, CRC: crc,
+		Format: lsm.Format, Records: a.next, Live: a.live, Offset: a.end, CRC: crc,
 		ExpiredBefore: a.expiredBefore, MaxEnd: a.maxEnd,
 	})
 	if err != nil {
@@ -520,10 +527,10 @@ type Stats struct {
 	EntriesScanned int64 `json:"index_entries_scanned_total"`
 	RecordsRead    int64 `json:"records_read_total"`
 	// Read-path counters, summed across the three secondary indexes.
-	// BloomHits counts point lookups a bloom filter short-circuited (key
-	// proved absent with no block read); BloomMisses counts lookups that
-	// passed a filter through to a data block. BlockCache{Hits,Misses}
-	// count data-block lookups in the shared sharded caches.
+	// BlockCache{Hits,Misses} count data-block lookups in the shared
+	// sharded caches. BloomHits and BloomMisses always read 0: SSTables
+	// carry no bloom filter. They are kept only because the benchmark
+	// compiles against them, and go when it stops reading them.
 	BloomHits        int64 `json:"bloom_hits_total"`
 	BloomMisses      int64 `json:"bloom_misses_total"`
 	BlockCacheHits   int64 `json:"block_cache_hits_total"`
@@ -556,8 +563,6 @@ func (a *Archive) Stats() Stats {
 	}
 	for _, db := range []*lsm.DB{a.timeIdx, a.objIdx, a.sizeIdx} {
 		rs := db.ReadStats()
-		st.BloomHits += rs.BloomHits
-		st.BloomMisses += rs.BloomMisses
 		st.BlockCacheHits += rs.BlockCacheHits
 		st.BlockCacheMisses += rs.BlockCacheMisses
 		st.LiveSnapshots += rs.LiveSnapshots

@@ -2,8 +2,8 @@
 // log-structured merge-tree (O'Neil et al.) keyed by the composite
 // (timestamp, oid) with the point coordinates as value (§5.2).
 //
-// A dataset is written once, by WriteDataset, as one immutable SSTable
-// (sorted blocks + block index + bloom filter). Live writes (PutKV) go to
+// A dataset is written once, by WriteDataset, as one immutable SSTable:
+// sorted data blocks plus a block index (sstable.go). Live writes (PutKV) go to
 // a skiplist memtable; when the memtable exceeds its budget it is flushed
 // to an SSTable. A background size-tiered compactor folds tables together
 // when too many runs accumulate, off the write path. Deletions are
@@ -11,8 +11,10 @@
 // bottom level and garbage-collects them. Benchmark-point reads are range
 // scans (all keys of one timestamp are co-located, one positioning per
 // run); HWMT reads are one Fetch per (tick, sorted object set), a forward
-// walk that loads each block once and probes a bloom only for a block it
-// does not hold.
+// walk that loads each block it needs once. Those are the only two reads:
+// there is no point get, and so no bloom filter. A directory written by an
+// earlier build holds tables of the older format K2S2, which Open refuses
+// with an error naming it; rewrite such a dataset with WriteDataset.
 //
 // Crash model: what the MANIFEST names is the database. It lists the live
 // tables and is the sole commit point, written via fsynced tmp file + rename
@@ -29,8 +31,8 @@
 // A record has one shape from memtable to disk: an 8-byte key, a 16-byte
 // value and a tombstone flag. The key travels as its big-endian uint64
 // reading (keyWord), which every layer — skiplist, merge, writer, block
-// index, block search, bloom filter — compares and hashes; bytes appear only
-// in the sstable encoding and the exported PutKV/DeleteKV/GetKV/Scan.
+// index, block search — compares; bytes appear only in the sstable
+// encoding and the exported PutKV/DeleteKV/Scan.
 //
 // The engine serves two consumers. As a storage.Store (WriteDataset, then
 // Snapshot/Fetch) it holds trajectory points for the miners, exactly the
@@ -92,12 +94,11 @@ func (o *Options) withDefaults() Options {
 //
 // Locking: mu is a read/write lock, but reads hold it only for snapshot
 // acquisition — a pointer copy of the COW table list plus a refcount bump
-// per table (snapshot.go). All read I/O (bloom probes, block reads, merge
-// scans) happens outside the lock, so a slow query page no longer stalls
-// ingest, other queries, or the compactor's swap. Writers (PutKV, flush,
-// compaction swap, Close) take the write lock and publish new state by
-// replacing db.tables/db.mem, never mutating the slices a snapshot may
-// hold.
+// per table (snapshot.go). All read I/O (block reads, merge scans) happens
+// outside the lock, so a slow query page no longer stalls ingest, other
+// queries, or the compactor's swap. Writers (PutKV, flush, compaction
+// swap, Close) take the write lock and publish new state by replacing
+// db.tables/db.mem, never mutating the slices a snapshot may hold.
 type DB struct {
 	mu     sync.RWMutex
 	dir    string
@@ -110,10 +111,10 @@ type DB struct {
 	stats  storage.IOStats
 	closed bool
 
-	// Shared lock-free read-path state: the sharded block cache, its
-	// counter sinks, and the live-snapshot gauge.
+	// Shared lock-free read-path state: the sharded block cache, the env
+	// that hands it and the I/O counters to block reads, and the
+	// live-snapshot gauge.
 	cache         *blockCache
-	rstats        readStats
 	env           readEnv
 	liveSnapshots atomic.Int64
 
@@ -132,7 +133,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 	}
 	db := &DB{dir: dir, opts: opts.withDefaults(), mem: newMemtable(1), ts: 0, te: -1}
 	db.cache = newBlockCache(db.opts.BlockCacheBytes)
-	db.env = readEnv{cache: db.cache, io: &db.stats, rs: &db.rstats}
+	db.env = readEnv{cache: db.cache, io: &db.stats}
 	if err := db.load(); err != nil {
 		for _, t := range db.tables {
 			t.close()
@@ -287,17 +288,6 @@ func (db *DB) Compact() error {
 	return err
 }
 
-// GetKV returns the value bytes for key, or nil if absent or deleted. The
-// read runs against a snapshot: no lock is held during I/O.
-func (db *DB) GetKV(key [storage.KeySize]byte) ([]byte, error) {
-	s, err := db.AcquireSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Release()
-	return s.GetKV(key)
-}
-
 // TimeRange implements storage.Store.
 func (db *DB) TimeRange() (int32, int32) {
 	db.mu.RLock()
@@ -363,11 +353,11 @@ func (db *DB) Scan(start [storage.KeySize]byte, fn func(key, val []byte) bool) e
 // Fetch implements storage.Store: one forward walk over the requested keys,
 // all against one snapshot. oids is sorted and a tick's keys are
 // contiguous, so each run keeps a walkCursor on the block it last loaded
-// and answers the next key from it; it probes its bloom filter and loads a
-// block only when the walk leaves the held one. Per key the memtable is
-// asked first, then the runs newest → oldest, and the first that holds any
-// version — value or tombstone — decides, exactly GetKV's shadowing rule.
-// Coordinates are decoded straight from the shared block, not copied.
+// and answers the next key from it; it loads a block only when the walk
+// leaves the held one. Per key the memtable is asked first, then the runs
+// newest → oldest, and the first that holds any version — value or
+// tombstone — decides: the shadowing rule Scan's merge applies. Coordinates
+// are decoded straight from the shared block, not copied.
 func (db *DB) Fetch(t int32, oids model.ObjSet) ([]model.ObjPos, error) {
 	if len(oids) == 0 {
 		return nil, nil

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -71,18 +72,27 @@ func randomFetchSet(rng *rand.Rand) model.ObjSet {
 	return model.NewObjSet(ids...)
 }
 
-// fetchByGetKV is the reference: one GetKV per object.
-func fetchByGetKV(t *testing.T, db *DB, tick int32, oids model.ObjSet) []model.ObjPos {
+// fetchByScan is the reference: the live records of the tick, from one
+// merged Scan over the memtable and every run, looked up per object.
+func fetchByScan(t *testing.T, db *DB, tick int32, oids model.ObjSet) []model.ObjPos {
 	t.Helper()
+	rows := map[int32]model.ObjPos{}
+	err := db.Scan(storage.EncodeKey(tick, math.MinInt32), func(k, v []byte) bool {
+		kt, oid := storage.DecodeKey(k)
+		if kt != tick {
+			return false
+		}
+		x, y := storage.DecodeValue(v)
+		rows[oid] = model.ObjPos{OID: oid, X: x, Y: y}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []model.ObjPos
 	for _, oid := range oids {
-		v, err := db.GetKV(storage.EncodeKey(tick, oid))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != nil {
-			x, y := storage.DecodeValue(v)
-			out = append(out, model.ObjPos{OID: oid, X: x, Y: y})
+		if r, ok := rows[oid]; ok {
+			out = append(out, r)
 		}
 	}
 	return out
@@ -96,21 +106,21 @@ func checkFetch(t *testing.T, db *DB, rng *rand.Rand) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fetchByGetKV(t, db, tick, oids)
+	want := fetchByScan(t, db, tick, oids)
 	if len(got) != len(want) {
-		t.Fatalf("Fetch(%d, %v): %d rows, GetKV finds %d", tick, oids, len(got), len(want))
+		t.Fatalf("Fetch(%d, %v): %d rows, Scan finds %d", tick, oids, len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("Fetch(%d, %v)[%d] = %+v, GetKV gives %+v", tick, oids, i, got[i], want[i])
+			t.Fatalf("Fetch(%d, %v)[%d] = %+v, Scan gives %+v", tick, oids, i, got[i], want[i])
 		}
 	}
 }
 
-// Fetch's forward walk must return exactly what one GetKV per object does,
+// Fetch's forward walk must return exactly what a merged Scan does,
 // shadowing included: memtable over runs, newer runs over older, and a
 // tombstone in a middle run over the oldest run's value.
-func TestFetchMatchesGetKV(t *testing.T) {
+func TestFetchMatchesScan(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		db := buildFetchDB(t, seed)
 		rng := rand.New(rand.NewSource(seed * 7))

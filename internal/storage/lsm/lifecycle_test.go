@@ -206,7 +206,7 @@ func TestDeleteKVBasic(t *testing.T) {
 	if err := db.DeleteKV(key); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := db.GetKV(key); err != nil || v != nil {
+	if v, err := get(db, 1, 1); err != nil || v != nil {
 		t.Fatalf("deleted key visible: %v, %v", v, err)
 	}
 	// Deleting an absent key is fine.
@@ -218,7 +218,7 @@ func TestDeleteKVBasic(t *testing.T) {
 	if err := db.PutKV(key, val2); err != nil {
 		t.Fatal(err)
 	}
-	v, err := db.GetKV(key)
+	v, err := get(db, 1, 1)
 	if err != nil || v == nil {
 		t.Fatalf("re-put key invisible: %v, %v", v, err)
 	}
@@ -264,7 +264,7 @@ func TestTombstoneShadowsAcrossRuns(t *testing.T) {
 				t.Fatalf("%s: deleted oid %d visible", stage, r.OID)
 			}
 		}
-		if v, err := db.GetKV(storage.EncodeKey(1, 4)); err != nil || v != nil {
+		if v, err := get(db, 1, 4); err != nil || v != nil {
 			t.Fatalf("%s: get of deleted key = %v, %v", stage, v, err)
 		}
 		n := 0
@@ -354,7 +354,7 @@ func TestTombstoneKeptAboveBottomLevel(t *testing.T) {
 	if got := db.tables[1].tombs; got != 1 {
 		t.Fatalf("non-bottom merge kept %d tombstones, want 1", got)
 	}
-	if v, err := db.GetKV(storage.EncodeKey(1, 42)); err != nil || v != nil {
+	if v, err := get(db, 1, 42); err != nil || v != nil {
 		t.Fatalf("deleted key resurrected after window merge: %v, %v", v, err)
 	}
 	// Now a full compaction reaches the bottom: tombstone GC'd.
@@ -364,7 +364,7 @@ func TestTombstoneKeptAboveBottomLevel(t *testing.T) {
 	if got := db.tables[0].tombs; got != 0 {
 		t.Fatalf("bottom merge kept %d tombstones", got)
 	}
-	if v, _ := db.GetKV(storage.EncodeKey(1, 42)); v != nil {
+	if v, _ := get(db, 1, 42); v != nil {
 		t.Fatalf("deleted key visible after GC")
 	}
 }

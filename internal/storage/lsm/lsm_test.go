@@ -21,9 +21,29 @@ func put(db *DB, p model.Point) error {
 	return db.PutKV(storage.EncodeKey(p.T, p.OID), storage.EncodeValue(p.X, p.Y))
 }
 
-// get returns the value bytes stored for (t, oid), or nil if absent.
+// get returns the value bytes stored for (t, oid), or nil if absent or
+// deleted, read by a Scan from the key under a fresh snapshot.
 func get(db *DB, t, oid int32) ([]byte, error) {
-	return db.GetKV(storage.EncodeKey(t, oid))
+	s, err := db.AcquireSnapshot()
+	if err != nil {
+		return nil, err
+	}
+	defer s.Release()
+	return snapGet(s, t, oid)
+}
+
+// snapGet is get against snapshot s: the first live record a Scan from the
+// key yields, when it is that key.
+func snapGet(s *Snapshot, t, oid int32) ([]byte, error) {
+	key := storage.EncodeKey(t, oid)
+	var v []byte
+	err := s.Scan(key, func(k, val []byte) bool {
+		if bytes.Equal(k, key[:]) {
+			v = append([]byte(nil), val...)
+		}
+		return false
+	})
+	return v, err
 }
 
 func TestConformance(t *testing.T) {
@@ -365,41 +385,6 @@ func TestDBMatchesMapModel(t *testing.T) {
 	}
 }
 
-func TestBloomFilter(t *testing.T) {
-	f := newBloom(1000)
-	keys := make([]uint64, 1000)
-	for i := range keys {
-		keys[i] = keyWord(int32(i), int32(i*7))
-		f.add(keys[i])
-	}
-	for _, k := range keys {
-		if !f.mayContain(k) {
-			t.Fatalf("bloom false negative for %v", k)
-		}
-	}
-	// False-positive rate should be small.
-	fp := 0
-	const probes = 10000
-	for i := 0; i < probes; i++ {
-		if f.mayContain(keyWord(int32(i+100000), int32(i))) {
-			fp++
-		}
-	}
-	if rate := float64(fp) / probes; rate > 0.05 {
-		t.Fatalf("bloom false-positive rate too high: %f", rate)
-	}
-}
-
-func TestBloomRoundTripBytes(t *testing.T) {
-	f := newBloom(10)
-	k := binary.BigEndian.Uint64([]byte("12345678"))
-	f.add(k)
-	g := bloomFromBytes(f.bits)
-	if !g.mayContain(k) {
-		t.Fatalf("persisted bloom lost key")
-	}
-}
-
 func TestMemtableOrderedIteration(t *testing.T) {
 	m := newMemtable(1)
 	rng := rand.New(rand.NewSource(9))
@@ -548,15 +533,6 @@ func TestManifestSurvivesTmpFile(t *testing.T) {
 		t.Fatalf("Open with stale tmp: %v", err)
 	}
 	db.Close()
-}
-
-func BenchmarkPointGet(b *testing.B) {
-	db := openBenchDB(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		get(db, int32(i%100), int32(i%1000))
-	}
 }
 
 // TestPutKVScan exercises the raw key/value surface the archive indexes

@@ -102,6 +102,17 @@ func (m *memtable) seek(key uint64, update *[maxLevel]*skipNode) *skipNode {
 	return x
 }
 
+// ceil returns the first node whose key is ≥ key, or nil. seek stops at the
+// last node below key, but the writer may link more nodes below key right
+// after it before this reader loads its successor, so the walk skips them.
+func (m *memtable) ceil(key uint64) *skipNode {
+	n := m.seek(key, nil).next[0].Load()
+	for n != nil && n.key < key {
+		n = n.next[0].Load()
+	}
+	return n
+}
+
 // put inserts or overwrites key → val. A tombstone (tomb true) records a
 // deletion and stores a zero value whatever val holds. Single writer only;
 // concurrent readers are safe.
@@ -142,8 +153,8 @@ func (m *memtable) put(key uint64, val [storage.ValueSize]byte, tomb bool) {
 // version is a deletion marker. val aliases an immutable entry. Safe to
 // call concurrently with one writer.
 func (m *memtable) get(key uint64) (val []byte, tomb bool) {
-	if nxt := m.seek(key, nil).next[0].Load(); nxt != nil && nxt.key == key {
-		e := nxt.load()
+	if n := m.ceil(key); n != nil && n.key == key {
+		e := n.load()
 		return e.val[:], e.tomb
 	}
 	return nil, false
@@ -164,7 +175,7 @@ func (m *memtable) bytes() int { return m.byteSz }
 // call concurrently with one writer; keys inserted behind the iterator's
 // position after this call are not visited, keys ahead may be.
 func (m *memtable) iterator(start uint64) *memIter {
-	it := &memIter{node: m.seek(start, nil).next[0].Load()}
+	it := &memIter{node: m.ceil(start)}
 	it.loadEntry()
 	return it
 }

@@ -139,3 +139,39 @@ func TestMemtableConcurrentOverwrite(t *testing.T) {
 		t.Fatalf("len %d after overwrites of one key, want 1", m.len())
 	}
 }
+
+// TestMemtableReadsRaceAppends: a reader positioning at a key while the
+// writer links keys below it must not land on one of those. seek stops at
+// the last node below the key; a node the writer links right after that
+// node is also below the key, and an iterator that started there yielded a
+// key under its start (a Scan from k returned a smaller key), while get
+// missed the key it was asked for.
+func TestMemtableReadsRaceAppends(t *testing.T) {
+	const keys = 1 << 14
+	var val [storage.ValueSize]byte
+	for round := 0; round < 8; round++ {
+		m := newMemtable(int64(round))
+		target := uint64(keys / 2)
+		m.put(target, val, false)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := uint64(0); k < keys; k++ {
+				if k != target {
+					m.put(k, val, false)
+				}
+			}
+		}()
+		for i := 0; i < 20000; i++ {
+			start := target - uint64(i%3) // at or just under target
+			if it := m.iterator(start); !it.valid() || it.key() < start {
+				t.Fatalf("iterator(%d) started below its start", start)
+			}
+			if v, _ := m.get(target); v == nil {
+				t.Fatalf("get(%d) missed a key the memtable holds", target)
+			}
+		}
+		wg.Wait()
+	}
+}

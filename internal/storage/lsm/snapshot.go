@@ -66,33 +66,6 @@ func (s *Snapshot) Release() {
 	s.db.liveSnapshots.Add(-1)
 }
 
-// GetKV returns the value bytes for key, or nil if absent or deleted,
-// searching newest → oldest so fresher versions (and tombstones) shadow
-// older runs. Safe for any number of concurrent callers.
-func (s *Snapshot) GetKV(key [storage.KeySize]byte) ([]byte, error) {
-	k := binary.BigEndian.Uint64(key[:])
-	if v, tomb := s.mem.get(k); v != nil {
-		if tomb {
-			return nil, nil
-		}
-		return v, nil
-	}
-	env := &s.db.env
-	for i := len(s.tables) - 1; i >= 0; i-- {
-		v, tomb, err := s.tables[i].get(k, env)
-		if err != nil {
-			return nil, err
-		}
-		if tomb {
-			return nil, nil
-		}
-		if v != nil {
-			return v, nil
-		}
-	}
-	return nil, nil
-}
-
 // Scan calls fn for every live record with key ≥ start, in ascending key
 // order, merged across the captured memtable and runs (newest version of a
 // key wins; keys whose newest version is a tombstone are skipped), until fn

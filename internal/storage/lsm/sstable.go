@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync/atomic"
 
@@ -18,20 +19,27 @@ import (
 //	data blocks : blockRecs × (key[8] | value[16] | meta[1]) each (last may
 //	              be short); meta bit 0 marks a tombstone (value zeroed)
 //	index block : numBlocks × (firstKey[8] | u64 offset | u32 count)
-//	bloom block : bit array (tombstone keys included — a tombstone must be
-//	              FOUND so it can shadow older runs)
-//	footer      : u64 indexOff | u32 numBlocks | u64 bloomOff | u32 bloomLen
-//	              u64 recordCount | u64 tombCount | magic "K2S2"
+//	footer      : u64 indexOff | u32 numBlocks | u64 recordCount
+//	              u64 tombCount | magic "K2S3"
 //
 // Records within and across blocks are sorted ascending by key and unique.
+// The blocks are contiguous from offset 0 and the index follows the last
+// of them, so the footer and index describe the whole file; openSSTable
+// checks that they do before it trusts either.
 const (
 	blockRecs  = 170 // ≈4KB data blocks
-	footerSize = 8 + 4 + 8 + 4 + 8 + 8 + 4
-	sstMagic   = "K2S2"
+	indexEntry = storage.KeySize + 8 + 4
+	footerSize = 8 + 4 + 8 + 8 + 4
 
 	recSize  = storage.RecordSize + 1 // key | value | meta byte
 	tombFlag = 1                      // meta bit 0
 )
+
+// Format is the magic that ends every SSTable this build writes, and the
+// only one it opens. It changes whenever the layout above does (K2S2 had a
+// bloom filter between the index and the footer), so a store that persists
+// SSTables can record it and tell indexes it cannot read.
+const Format = "K2S3"
 
 type blockMeta struct {
 	firstKey uint64
@@ -57,12 +65,11 @@ func wordOID(k uint64) int32  { return int32(uint32(k) ^ 1<<31) }
 // crash between retire and the deferred unlink leaves an orphan file; the
 // manifest does not reference it, and sweepOrphans removes it at next Open.
 type sstable struct {
-	f      *os.File
-	path   string
-	index  []blockMeta
-	filter *bloom
-	count  uint64 // all records, tombstones included
-	tombs  uint64 // tombstone records
+	f     *os.File
+	path  string
+	index []blockMeta
+	count uint64 // all records, tombstones included
+	tombs uint64 // tombstone records
 	// id is unique across every table opened by this process; it keys the
 	// shared block cache so a retired table's blocks can never alias a
 	// successor's.
@@ -103,12 +110,12 @@ func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
 	w := bufio.NewWriterSize(f, 1<<20)
 	var (
 		idx     []blockMeta
-		keys    []uint64 // every written key, for the bloom filter
 		inBlock uint32
 		off     uint64
 		cur     blockMeta
 		tombs   uint64
 		rec     [recSize]byte
+		count   uint64
 	)
 	flushBlock := func() {
 		if inBlock == 0 {
@@ -144,7 +151,7 @@ func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
 		}
 		off += recSize
 		inBlock++
-		keys = append(keys, k)
+		count++
 		if inBlock == blockRecs {
 			flushBlock()
 		}
@@ -152,32 +159,20 @@ func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
 	flushBlock()
 	indexOff := off
 	for _, bm := range idx {
-		var ent [storage.KeySize + 12]byte
+		var ent [indexEntry]byte
 		binary.BigEndian.PutUint64(ent[0:8], bm.firstKey)
 		binary.LittleEndian.PutUint64(ent[8:16], bm.off)
 		binary.LittleEndian.PutUint32(ent[16:20], bm.count)
 		if _, err := w.Write(ent[:]); err != nil {
 			return err
 		}
-		off += storage.KeySize + 12
 	}
-	filter := newBloom(len(keys))
-	for _, k := range keys {
-		filter.add(k)
-	}
-	bloomOff := off
-	if _, err := w.Write(filter.bits); err != nil {
-		return err
-	}
-	off += uint64(len(filter.bits))
 	var footer [footerSize]byte
 	binary.LittleEndian.PutUint64(footer[0:8], indexOff)
 	binary.LittleEndian.PutUint32(footer[8:12], uint32(len(idx)))
-	binary.LittleEndian.PutUint64(footer[12:20], bloomOff)
-	binary.LittleEndian.PutUint32(footer[20:24], uint32(len(filter.bits)))
-	binary.LittleEndian.PutUint64(footer[24:32], uint64(len(keys)))
-	binary.LittleEndian.PutUint64(footer[32:40], tombs)
-	copy(footer[40:44], sstMagic)
+	binary.LittleEndian.PutUint64(footer[12:20], count)
+	binary.LittleEndian.PutUint64(footer[20:28], tombs)
+	copy(footer[28:32], Format)
 	if _, err := w.Write(footer[:]); err != nil {
 		return err
 	}
@@ -190,59 +185,85 @@ func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
 	return f.Close()
 }
 
-// openSSTable maps an existing table: footer, index and bloom are loaded
-// eagerly (they are small); data blocks are read on demand.
+// openSSTable opens an existing table and loads its footer and block index
+// (they are small); data blocks are read on demand. Neither is trusted
+// before load has checked it against the file, so a truncated, corrupt or
+// foreign file is an error here, not a huge allocation or an out-of-range
+// read later.
 func openSSTable(path string) (*sstable, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: open sstable: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
+	t := &sstable{f: f, path: path}
+	if err := t.load(); err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("lsm: sstable %s: %w", filepath.Base(path), err)
+	}
+	t.id = nextTableID.Add(1)
+	t.refs.Store(1)
+	return t, nil
+}
+
+// load reads the footer and the block index and checks that they describe
+// the file: the index ends at the footer, the blocks run contiguously from
+// offset 0 up to the index, each holds 1…blockRecs records, their first
+// keys strictly ascend, and the footer's counts agree with the index.
+func (t *sstable) load() error {
+	st, err := t.f.Stat()
+	if err != nil {
+		return err
 	}
 	if st.Size() < footerSize {
-		f.Close()
-		return nil, errors.New("lsm: sstable too small")
+		return errors.New("too small")
 	}
+	body := uint64(st.Size() - footerSize)
 	var footer [footerSize]byte
-	if _, err := f.ReadAt(footer[:], st.Size()-footerSize); err != nil {
-		f.Close()
-		return nil, err
+	if _, err := t.f.ReadAt(footer[:], int64(body)); err != nil {
+		return err
 	}
-	if string(footer[40:44]) != sstMagic {
-		f.Close()
-		return nil, errors.New("lsm: bad sstable magic")
+	if magic := string(footer[footerSize-4:]); magic != Format {
+		return fmt.Errorf("format %q, not %s: rewrite the dataset with WriteDataset", magic, Format)
 	}
-	t := &sstable{f: f, path: path, id: nextTableID.Add(1)}
-	t.refs.Store(1)
 	indexOff := binary.LittleEndian.Uint64(footer[0:8])
-	numBlocks := int(binary.LittleEndian.Uint32(footer[8:12]))
-	bloomOff := binary.LittleEndian.Uint64(footer[12:20])
-	bloomLen := int(binary.LittleEndian.Uint32(footer[20:24]))
-	t.count = binary.LittleEndian.Uint64(footer[24:32])
-	t.tombs = binary.LittleEndian.Uint64(footer[32:40])
-
-	idxBuf := make([]byte, numBlocks*(storage.KeySize+12))
-	if _, err := f.ReadAt(idxBuf, int64(indexOff)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("lsm: read index: %w", err)
+	numBlocks := uint64(binary.LittleEndian.Uint32(footer[8:12]))
+	t.count = binary.LittleEndian.Uint64(footer[12:20])
+	t.tombs = binary.LittleEndian.Uint64(footer[20:28])
+	if numBlocks*indexEntry > body || indexOff != body-numBlocks*indexEntry {
+		return fmt.Errorf("an index of %d blocks at offset %d does not end at the footer (offset %d)", numBlocks, indexOff, body)
+	}
+	buf := make([]byte, numBlocks*indexEntry)
+	if _, err := t.f.ReadAt(buf, int64(indexOff)); err != nil {
+		return fmt.Errorf("read index: %w", err)
 	}
 	t.index = make([]blockMeta, numBlocks)
-	for i := 0; i < numBlocks; i++ {
-		rec := idxBuf[i*(storage.KeySize+12):]
-		t.index[i].firstKey = binary.BigEndian.Uint64(rec[:storage.KeySize])
-		t.index[i].off = binary.LittleEndian.Uint64(rec[storage.KeySize : storage.KeySize+8])
-		t.index[i].count = binary.LittleEndian.Uint32(rec[storage.KeySize+8 : storage.KeySize+12])
+	var end, records uint64
+	for i := range t.index {
+		ent := buf[i*indexEntry:]
+		bm := blockMeta{
+			firstKey: binary.BigEndian.Uint64(ent[0:8]),
+			off:      binary.LittleEndian.Uint64(ent[8:16]),
+			count:    binary.LittleEndian.Uint32(ent[16:20]),
+		}
+		switch {
+		case bm.off != end:
+			return fmt.Errorf("block %d starts at offset %d, want %d: the blocks are not contiguous", i, bm.off, end)
+		case bm.count < 1 || bm.count > blockRecs:
+			return fmt.Errorf("block %d holds %d records, not 1…%d", i, bm.count, blockRecs)
+		case i > 0 && bm.firstKey <= t.index[i-1].firstKey:
+			return fmt.Errorf("block %d's first key %016x does not ascend", i, bm.firstKey)
+		}
+		t.index[i] = bm
+		end += uint64(bm.count) * recSize
+		records += uint64(bm.count)
 	}
-	bits := make([]byte, bloomLen)
-	if _, err := f.ReadAt(bits, int64(bloomOff)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("lsm: read bloom: %w", err)
+	if end != indexOff {
+		return fmt.Errorf("the blocks end at offset %d, the index starts at %d", end, indexOff)
 	}
-	t.filter = bloomFromBytes(bits)
-	return t, nil
+	if records != t.count || t.tombs > t.count {
+		return fmt.Errorf("the footer counts %d records (%d tombstones), the index %d", t.count, t.tombs, records)
+	}
+	return nil
 }
 
 func (t *sstable) close() error { return t.f.Close() }
@@ -294,49 +315,29 @@ func (t *sstable) readBlock(bi int, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// cachedBlock returns block bi through the shared block cache (when env
-// carries one), reporting whether a physical read happened. Cached blocks
-// are shared between goroutines and must be treated as read-only.
-func (t *sstable) cachedBlock(bi int, env *readEnv) (block []byte, phys bool, err error) {
-	if env == nil || env.cache == nil {
-		b, err := t.readBlock(bi, nil)
-		return b, err == nil, err
-	}
+// cachedBlock returns block bi through the shared block cache, reporting
+// whether a physical read happened. Cached blocks are shared between
+// goroutines and must be treated as read-only.
+func (t *sstable) cachedBlock(bi int, cache *blockCache) (block []byte, phys bool, err error) {
 	k := cacheKey{table: t.id, block: bi}
-	if b, ok := env.cache.get(k); ok {
+	if b, ok := cache.get(k); ok {
 		return b, false, nil
 	}
 	b, err := t.readBlock(bi, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	env.cache.put(k, b)
+	cache.put(k, b)
 	return b, true, nil
-}
-
-// get returns the entry for key in this table: val is nil when the key is
-// absent, and tomb is set when the newest version here is a tombstone (the
-// caller must stop searching older runs). Safe for concurrent use: all I/O
-// is pread, the cache shards its own locking, and counters are atomic.
-func (t *sstable) get(key uint64, env *readEnv) (val []byte, tomb bool, err error) {
-	c := walkCursor{t: t}
-	rec, err := c.find(key, env)
-	if rec == nil || err != nil {
-		return nil, false, err
-	}
-	if rec[storage.RecordSize]&tombFlag != 0 {
-		return nil, true, nil
-	}
-	return append([]byte(nil), rec[storage.KeySize:storage.RecordSize]...), false, nil
 }
 
 // walkCursor is one table's position in a forward walk of point reads
 // with ascending keys (DB.Fetch): the block it holds, the first key of the
 // block after it, and where the next in-block search starts. A key below
-// end is answered from the held block, with no bloom probe, index search
-// or cache lookup; only a key at or past it probes the bloom and loads a
-// block. The last block's end is the largest word, so only that one key
-// reloads the block it is already in.
+// end is answered from the held block, with no index search or cache
+// lookup; only a key at or past it loads a block. The last block's end is
+// the largest word, so only that one key reloads the block it is already
+// in.
 type walkCursor struct {
 	t     *sstable
 	block []byte // nil until the first load
@@ -347,27 +348,18 @@ type walkCursor struct {
 // find returns key's record (key | value | meta) in the table, or nil when
 // the table holds no version of it. The record aliases the block: the
 // caller reads it and must not keep or modify it. Keys passed to
-// successive calls must not descend.
+// successive calls must not descend. env must carry a cache and an IOStats.
 func (c *walkCursor) find(k uint64, env *readEnv) ([]byte, error) {
 	if c.block == nil || k >= c.end {
-		if !c.t.filter.mayContain(k) {
-			if env != nil && env.rs != nil {
-				env.rs.bloomHits.Add(1)
-			}
-			return nil, nil
-		}
-		if env != nil && env.rs != nil {
-			env.rs.bloomMisses.Add(1)
-		}
 		bi := c.t.blockFor(k)
 		if bi < 0 {
 			return nil, nil
 		}
-		block, phys, err := c.t.cachedBlock(bi, env)
+		block, phys, err := c.t.cachedBlock(bi, env.cache)
 		if err != nil {
 			return nil, err
 		}
-		if env != nil && env.io != nil && phys {
+		if phys {
 			env.io.AddSeeks(1)
 			env.io.AddBytes(len(block))
 		}
@@ -451,7 +443,7 @@ func (it *sstIter) loadBlock() error {
 		}
 		return nil
 	}
-	b, phys, err := it.t.cachedBlock(it.bi, it.env)
+	b, phys, err := it.t.cachedBlock(it.bi, it.env.cache)
 	if err != nil {
 		return err
 	}

@@ -17,10 +17,9 @@ import (
 
 // TestSSTableBytesUnchanged pins the table file format: the same input
 // iterator must produce the same file, byte for byte, as the writer did when
-// the golden hash was recorded (at the commit before the writer stopped
-// copying every key for the bloom filter). 1 000 entries span several data
-// blocks; every seventh is a tombstone, kept in one table and dropped in
-// the other.
+// the golden hash was recorded (when format K2S3 dropped the bloom filter
+// and its footer fields). 1 000 entries span several data blocks; every
+// seventh is a tombstone, kept in one table and dropped in the other.
 func TestSSTableBytesUnchanged(t *testing.T) {
 	mem := newMemtable(1)
 	for i := 0; i < 1000; i++ {
@@ -32,8 +31,8 @@ func TestSSTableBytesUnchanged(t *testing.T) {
 		dropTombs bool
 		want      string
 	}{
-		{false, "496bc0b6324a64005082ab611ae0ecd662ba3c2897611e289ef91d976e92eff4"},
-		{true, "3ec0264ac6fd001290c730b4fe68c4caa1eebf06afec9c065d28ed5e60d7c181"},
+		{false, "9cf4263a9e2ffcb54bf50756a2fed3f31d8ee2225b003458dbb7db16cce33749"},
+		{true, "ad1ca68c1cacf6629405e2345c865d28f4bfc96a6a50c56cd72d001d6a671c82"},
 	} {
 		path := filepath.Join(t.TempDir(), "t.sst")
 		if err := writeSSTable(path, mem.iterator(0), c.dropTombs); err != nil {
@@ -79,47 +78,6 @@ func TestKeyWordOrder(t *testing.T) {
 			if words != want || byteOrder != want {
 				t.Fatalf("%v vs %v: words compare %d, bytes %d, pairs %d", a, b, words, byteOrder, want)
 			}
-		}
-	}
-}
-
-// bloomHashBytes is bloomHash as it was written over the key's bytes:
-// FNV-1a over the 8 big-endian bytes, then fmix64 of that xored with the
-// bytes read little-endian.
-func bloomHashBytes(key []byte) (uint64, uint64) {
-	var h1 uint64 = 14695981039346656037
-	for _, b := range key {
-		h1 ^= uint64(b)
-		h1 *= 1099511628211
-	}
-	h2 := h1 ^ binary.LittleEndian.Uint64(key)
-	h2 ^= h2 >> 33
-	h2 *= 0xff51afd7ed558ccd
-	h2 ^= h2 >> 33
-	h2 *= 0xc4ceb9fe1a85ec53
-	h2 ^= h2 >> 33
-	if h2 == 0 {
-		h2 = 1
-	}
-	return h1, h2
-}
-
-// TestBloomHashMatchesBytes: the word hash must set the same bits the
-// byte-wise hash set, or bloom filters persisted in existing tables would
-// answer "absent" for keys they hold.
-func TestBloomHashMatchesBytes(t *testing.T) {
-	words := []uint64{0, 1, 0xff, 1 << 63, math.MaxUint64, keyWord(-5, 9)}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 1000; i++ {
-		words = append(words, rng.Uint64())
-	}
-	for _, w := range words {
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], w)
-		g1, g2 := bloomHash(w)
-		w1, w2 := bloomHashBytes(b[:])
-		if g1 != w1 || g2 != w2 {
-			t.Fatalf("bloomHash(%016x) = (%x, %x), byte-wise reference (%x, %x)", w, g1, g2, w1, w2)
 		}
 	}
 }

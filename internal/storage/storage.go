@@ -13,14 +13,17 @@
 //   - storage/relational: a clustered B+tree on (t, oid) whose leaves hold
 //     the records, built bottom-up once and opened read-only;
 //   - storage/lsm: a log-structured merge-tree keyed by (t, oid); a dataset
-//     is written as one bottom-level run committed by one manifest write.
+//     is written as one bottom-level run — an SSTable of sorted data blocks
+//     plus a block index — committed by one manifest write. Tables written
+//     by builds before format K2S3 (which carried a bloom filter) do not
+//     open; such a dataset must be rewritten with lsm.WriteDataset.
 //
 // Both indexed engines answer Fetch(t, oids) as one forward walk rather
 // than one probe per object: oids is sorted and a tick's keys are
 // contiguous, so the B+tree stays on its current leaf and each LSM run on
 // its held block while the next key falls inside it, and only a key past
-// it descends again (a B+tree root) or probes a bloom filter and loads a
-// block (an LSM run). Each LSM block-cache hit is one map lookup into the
+// it descends again (a B+tree root) or loads a block through the block
+// index (an LSM run). Each LSM block-cache hit is one map lookup into the
 // slot that holds the CLOCK used bit. Caching the fetched rows themselves
 // across calls (a run-scoped survivor table and groups memo in core) was
 // measured and rejected: see "Point-read cost" in docs/ARCHITECTURE.md.
