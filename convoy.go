@@ -113,11 +113,12 @@ type Options struct {
 	// Algorithm selects the miner (default K2Hop).
 	Algorithm Algorithm
 	// Workers bounds the parallelism of the run: the k/2-hop pipeline fans
-	// its benchmark clusterings, hop-windows and extensions out over a pool
-	// of this size, and DCM/SPARE use it as their per-node task slots. The
-	// default (0) is one worker per core, runtime.GOMAXPROCS(0); 1 forces
-	// the sequential path. Mining results are byte-identical for every
-	// worker count. Negative values are rejected.
+	// its benchmark clusterings, hop-windows (candidate clusters, then
+	// HWMT), extensions and validation checks out over a pool of this size,
+	// and DCM/SPARE use it as their per-node task slots. The default (0) is
+	// one worker per core, runtime.GOMAXPROCS(0); 1 forces the sequential
+	// path. Mining results are byte-identical for every worker count.
+	// Negative values are rejected.
 	Workers int
 	// Nodes simulates a multi-node cluster for DCM and SPARE: tasks pay a
 	// scheduling latency and their inputs/outputs are serialised (default 1

@@ -35,19 +35,32 @@ func TestStorageFaultsPropagate(t *testing.T) {
 	}
 }
 
+// Failing any read of validation — its whole-tick checks run on the pool
+// with four workers — fails the run, with no partial result.
 func TestFaultDuringValidationPhase(t *testing.T) {
 	ds := minetest.BuildRanges([]minetest.Range{
 		{Start: 0, End: 19, Groups: [][]int32{{1, 2, 3}}},
 	})
-	clean := storetest.NewFaultStore(storage.NewMemStore(ds), 1<<40)
-	if _, _, err := Mine(clean, DefaultConfig(3, 8, minetest.Eps)); err != nil {
-		t.Fatal(err)
-	}
-	// Fail on the very last operation: that lands in validation's
-	// restriction fetches.
-	fs := storetest.NewFaultStore(storage.NewMemStore(ds), clean.Ops()-1)
-	if _, _, err := Mine(fs, DefaultConfig(3, 8, minetest.Eps)); !errors.Is(err, storetest.ErrInjected) {
-		t.Fatalf("error = %v, want injected fault", err)
+	for _, workers := range []int{1, 4} {
+		cfg := DefaultConfig(3, 8, minetest.Eps)
+		cfg.Workers = workers
+		pre := storetest.NewFaultStore(storage.NewMemStore(ds), 1<<40)
+		if _, _, err := MineCandidates(pre, cfg, ConvoyGrouper(cfg.M, cfg.Eps)); err != nil {
+			t.Fatal(err)
+		}
+		clean := storetest.NewFaultStore(storage.NewMemStore(ds), 1<<40)
+		if _, _, err := Mine(clean, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if clean.Ops() <= pre.Ops() {
+			t.Fatalf("workers=%d: validation read nothing", workers)
+		}
+		for budget := pre.Ops(); budget < clean.Ops(); budget++ {
+			fs := storetest.NewFaultStore(storage.NewMemStore(ds), budget)
+			if got, _, err := Mine(fs, cfg); !errors.Is(err, storetest.ErrInjected) || got != nil {
+				t.Fatalf("workers=%d, budget %d: Mine = %v, %v, want injected fault", workers, budget, got, err)
+			}
+		}
 	}
 }
 
@@ -56,8 +69,15 @@ func TestFaultDuringValidationPhase(t *testing.T) {
 // phases 1–5 in turn covers each of those second-level reads, and the count
 // shows there are some.
 func TestFaultDuringSecondLevelValidation(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		faultDuringSecondLevelValidation(t, workers)
+	}
+}
+
+func faultDuringSecondLevelValidation(t *testing.T, workers int) {
 	ds, want := minetest.LeavingBridge()
 	cfg := DefaultConfig(2, 4, minetest.Eps)
+	cfg.Workers = workers
 	pre := storetest.NewFaultStore(storage.NewMemStore(ds), 1<<40)
 	cands, _, err := MineCandidates(pre, cfg, ConvoyGrouper(cfg.M, cfg.Eps))
 	if err != nil {
@@ -78,8 +98,8 @@ func TestFaultDuringSecondLevelValidation(t *testing.T) {
 	}
 	for budget := pre.Ops(); budget < clean.Ops(); budget++ {
 		fs := storetest.NewFaultStore(storage.NewMemStore(ds), budget)
-		if _, _, err := Mine(fs, cfg); !errors.Is(err, storetest.ErrInjected) {
-			t.Fatalf("budget %d: error = %v, want injected fault", budget, err)
+		if got, _, err := Mine(fs, cfg); !errors.Is(err, storetest.ErrInjected) || got != nil {
+			t.Fatalf("workers=%d, budget %d: Mine = %v, %v, want injected fault", workers, budget, got, err)
 		}
 	}
 }

@@ -9,11 +9,12 @@
 // candidate-cluster intersection, which is why the algorithm prunes the
 // vast majority of the data (paper Table 5).
 //
-// The independent units of work — benchmark clusterings, hop-windows,
-// extension walks — fan out over a bounded worker pool (Config.Workers);
-// results are collected index-addressed so the output is byte-identical
-// for every worker count. See docs/ARCHITECTURE.md for the pipeline
-// diagram and where the pool hooks in.
+// The independent units of work — benchmark clusterings, candidate-cluster
+// intersections and HWMT runs per hop-window, extension walks, and each
+// candidate's validation check — fan out over a bounded worker pool
+// (Config.Workers); results are collected index-addressed so the output is
+// byte-identical for every worker count. See docs/ARCHITECTURE.md for the
+// pipeline diagram and where the pool hooks in.
 package core
 
 import (
@@ -50,13 +51,15 @@ type Config struct {
 	// §4.3). Exists for the ablation benchmarks.
 	LinearHWMT bool
 	// Workers bounds the goroutines of the parallel phases: benchmark
-	// clustering (each benchmark DBSCAN run is independent), HWMT (each
-	// hop-window is independent once the candidate clusters are fixed) and
-	// extension (each merged convoy extends independently). Results are
-	// collected index-addressed, so the output is byte-identical for every
-	// worker count. ≤ 0 means one worker per core (runtime.GOMAXPROCS); 1
-	// is the sequential path. The store must tolerate concurrent reads —
-	// all bundled engines do.
+	// clustering (each benchmark DBSCAN run is independent), candidate
+	// clusters and HWMT (each hop-window is independent once the clusters
+	// it reads are fixed), extension (each merged convoy extends
+	// independently) and validation's whole-tick check (each candidate's is
+	// independent; the sweeps of the candidates that fail stay in candidate
+	// order). Results are collected index-addressed, so the output is
+	// byte-identical for every worker count. ≤ 0 means one worker per core
+	// (runtime.GOMAXPROCS); 1 is the sequential path. The store must
+	// tolerate concurrent reads — all bundled engines do.
 	Workers int
 }
 
@@ -112,9 +115,11 @@ func Mine(store storage.Store, cfg Config) ([]model.Convoy, *Report, error) {
 	// Phase 6: full-connectivity validation (convoy-specific; the generic
 	// pipeline only guarantees partially connected candidates). The same
 	// step as phases 3–5 — fetch a candidate's rows at a tick, cluster them.
+	// Each candidate's check runs on the pool; the sweeps of those that fail
+	// run in candidate order.
 	readsBefore := store.Stats().Snapshot().PointsRead - rep.PointsProcessed
 	start := time.Now()
-	res, err := vcoda.Validate(store, candidates, cfg.M, cfg.K, cfg.Eps)
+	res, err := vcoda.Validate(store, candidates, cfg.M, cfg.K, cfg.Eps, rep.Workers)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -177,11 +182,14 @@ func MineCandidates(store storage.Store, cfg Config, grouper Grouper) ([]model.C
 	rep.BenchmarkTime = time.Since(start)
 	rep.BenchmarkCPU = time.Duration(benchCPU.Load())
 
-	// Phase 2: candidate clusters per hop-window.
+	// Phase 2: candidate clusters per hop-window, each window a task.
 	start = time.Now()
 	cc := make([][]model.ObjSet, len(bps)-1)
-	for i := 0; i+1 < len(bps); i++ {
+	_ = pool.ForEach(workers, len(cc), func(i int) error { // no task can fail
 		cc[i] = intersectClusterSets(benchClusters[i], benchClusters[i+1], cfg.M)
+		return nil
+	})
+	for i := range cc {
 		if len(cc[i]) > 0 {
 			rep.HopWindows++
 		}

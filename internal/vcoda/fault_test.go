@@ -52,7 +52,8 @@ func TestCMCPropagatesFaults(t *testing.T) {
 // which reads its rows from the store like its parent did. The two
 // candidates are PCCD's for the scenario; failing every read of the run in
 // turn covers each of the second-level ones, and the count shows there are
-// some.
+// some. With four workers the candidates' checks read concurrently, so a
+// budget may run out in either; it must fail the call all the same.
 func TestValidatePropagatesSecondLevelFaults(t *testing.T) {
 	ds, want := minetest.LeavingBridge()
 	cands := []model.Convoy{
@@ -60,18 +61,20 @@ func TestValidatePropagatesSecondLevelFaults(t *testing.T) {
 		model.NewConvoy(model.NewObjSet(1, 2, 3), 0, 19),
 	}
 	const firstLevel = 9 + 20 // one Fetch per tick of each candidate
-	clean := storetest.NewFaultStore(storage.NewMemStore(ds), 1<<40)
-	got, err := Validate(clean, cands, 2, 4, minetest.Eps)
-	if err != nil || !model.ConvoysEqual(got, want) {
-		t.Fatalf("Validate = %v, %v, want %v", got, err, want)
-	}
-	if clean.Ops() <= firstLevel {
-		t.Fatalf("%d reads: no sub-candidate was re-validated from the store", clean.Ops())
-	}
-	for budget := int64(0); budget < clean.Ops(); budget++ {
-		fs := storetest.NewFaultStore(storage.NewMemStore(ds), budget)
-		if _, err := Validate(fs, cands, 2, 4, minetest.Eps); !errors.Is(err, storetest.ErrInjected) {
-			t.Fatalf("budget %d: err = %v", budget, err)
+	for _, workers := range []int{1, 4} {
+		clean := storetest.NewFaultStore(storage.NewMemStore(ds), 1<<40)
+		got, err := Validate(clean, cands, 2, 4, minetest.Eps, workers)
+		if err != nil || !model.ConvoysEqual(got, want) {
+			t.Fatalf("workers=%d: Validate = %v, %v, want %v", workers, got, err, want)
+		}
+		if clean.Ops() <= firstLevel {
+			t.Fatalf("workers=%d: %d reads: no sub-candidate was re-validated from the store", workers, clean.Ops())
+		}
+		for budget := int64(0); budget < clean.Ops(); budget++ {
+			fs := storetest.NewFaultStore(storage.NewMemStore(ds), budget)
+			if got, err := Validate(fs, cands, 2, 4, minetest.Eps, workers); !errors.Is(err, storetest.ErrInjected) || got != nil {
+				t.Fatalf("workers=%d, budget %d: Validate = %v, %v", workers, budget, got, err)
+			}
 		}
 	}
 }

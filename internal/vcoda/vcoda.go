@@ -6,11 +6,14 @@
 // Validation follows the paper's §4.6 observation: (O, T) is an FC convoy
 // exactly when (O, T) is a convoy of the dataset restricted to objects O
 // and timespan T. Validate therefore fetches a candidate's rows tick by
-// tick and sweeps them with PCCD; a candidate the sweep returns intact is
-// FC, anything smaller is re-validated the same way. Coverage of all
-// maximal FC convoys follows from DBSCAN monotonicity: adding objects never
-// splits a cluster, so an FC convoy remains a convoy in every restriction
-// of a superset of its objects.
+// tick: a candidate whose rows form the one cluster O at every tick of T is
+// FC as it stands, and one that fails somewhere is swept with PCCD, whose
+// smaller convoys are re-validated the same way. The whole-tick checks are
+// independent and run on the worker pool; the sweeps run in candidate
+// order, since which of them are needed depends on what earlier candidates
+// confirmed. Coverage of all maximal FC convoys follows from DBSCAN
+// monotonicity: adding objects never splits a cluster, so an FC convoy
+// remains a convoy in every restriction of a superset of its objects.
 //
 // Two variants mirror the paper's measurements; they differ only in the
 // store Validate reads:
@@ -19,6 +22,8 @@
 //     validation round;
 //   - VCoDA* — an in-memory copy of the snapshots the mining sweep read (the
 //     paper's faster variant).
+//
+// Both validate on one worker, as the paper's sequential baselines do.
 package vcoda
 
 import (
@@ -28,6 +33,7 @@ import (
 	"repro/internal/cmc"
 	"repro/internal/dbscan"
 	"repro/internal/model"
+	"repro/internal/pool"
 	"repro/internal/storage"
 )
 
@@ -79,7 +85,7 @@ func mine(store storage.Store, m, k int, eps float64, retain bool) ([]model.Conv
 	if retain {
 		store = storage.NewMemStore(model.NewDataset(pts))
 	}
-	out, err := Validate(store, cands, m, k, eps)
+	out, err := Validate(store, cands, m, k, eps, 1)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -88,18 +94,64 @@ func mine(store storage.Store, m, k int, eps float64, retain bool) ([]model.Conv
 	return out, rep, nil
 }
 
-// Validate reduces candidate convoys to the maximal FC convoys they cover.
-// Candidates are taken in the order given; each is swept over the rows the
-// store holds for its objects and timespan, and what the sweep returns
-// instead of the candidate goes back on the candidate's stack.
-func Validate(store storage.Store, cands []model.Convoy, m, k int, eps float64) ([]model.Convoy, error) {
+// Validate reduces candidate convoys to the maximal FC convoys they cover,
+// in two steps.
+//
+// The first checks every candidate on its own, fanned out over up to
+// workers goroutines: it fetches and clusters the candidate's rows tick by
+// tick, up to the first tick whose clusters are not exactly {v.Objs}, and
+// keeps that tick and its clusters in the candidate's slot. A candidate
+// with no such tick is FC as it stands.
+//
+// The second takes the candidates in the order given, on one goroutine,
+// because what it keeps depends on what came before: a (sub-)candidate
+// already seen, or covered by a confirmed FC convoy, is skipped. An FC
+// candidate is kept without a sweep. Any other is swept with PCCD over the
+// rows the store holds for its objects and timespan — from its stored
+// check, so no tick is fetched twice — and what the sweep returns instead
+// of the candidate goes back on the candidate's stack, to be swept whole.
+//
+// Neither the output nor the reads depend on workers. A candidate that
+// the second step skips — one covered by an earlier candidate, which PCCD
+// and k/2-hop never return — has still paid for its check.
+func Validate(store storage.Store, cands []model.Convoy, m, k int, eps float64, workers int) ([]model.Convoy, error) {
+	clusterAt := func(t int32, objs model.ObjSet) ([]model.ObjSet, error) {
+		rows, err := store.Fetch(t, objs)
+		if err != nil {
+			return nil, fmt.Errorf("vcoda: fetch %d: %w", t, err)
+		}
+		return dbscan.Cluster(rows, eps, m), nil
+	}
+
+	checks := make([]check, len(cands))
+	err := pool.ForEach(workers, len(cands), func(i int) error {
+		v := cands[i]
+		if v.Size() < m || v.Len() < k {
+			return nil
+		}
+		for t := v.Start; t <= v.End; t++ {
+			clusters, err := clusterAt(t, v.Objs)
+			if err != nil {
+				return err
+			}
+			if len(clusters) != 1 || len(clusters[0]) != len(v.Objs) {
+				checks[i] = check{split: true, at: t, clusters: clusters}
+				return nil
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	out := model.NewConvoySet()
 	seen := make(map[string]bool)
 	mn := cmc.NewMiner(m, k)
 	var stack []model.Convoy
-	for _, c := range cands {
+	for i, c := range cands {
 		stack = append(stack[:0], c)
-		for len(stack) > 0 {
+		for top := true; len(stack) > 0; top = false {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if v.Size() < m || v.Len() < k {
@@ -116,13 +168,29 @@ func Validate(store storage.Store, cands []model.Convoy, m, k int, eps float64) 
 				// it is covered it cannot be maximal, so skip the work).
 				continue
 			}
+			if top && !checks[i].split {
+				out.Update(v) // every tick clustered to v.Objs alone
+				continue
+			}
 			mn.Reset()
-			for t := v.Start; t <= v.End; t++ {
-				rows, err := store.Fetch(t, v.Objs)
-				if err != nil {
-					return nil, fmt.Errorf("vcoda: fetch %d: %w", t, err)
+			from := v.Start
+			if top {
+				// The sweep resumes from the check: the ticks before ck.at
+				// clustered to v.Objs alone.
+				ck := checks[i]
+				whole := []model.ObjSet{v.Objs}
+				for t := v.Start; t < ck.at; t++ {
+					mn.Step(t, whole)
 				}
-				mn.Step(t, dbscan.Cluster(rows, eps, m))
+				mn.Step(ck.at, ck.clusters)
+				from = ck.at + 1
+			}
+			for t := from; t <= v.End; t++ {
+				clusters, err := clusterAt(t, v.Objs)
+				if err != nil {
+					return nil, err
+				}
+				mn.Step(t, clusters)
 			}
 			for _, w := range mn.Finish() {
 				if w.Equal(v) {
@@ -134,6 +202,15 @@ func Validate(store storage.Store, cands []model.Convoy, m, k int, eps float64) 
 		}
 	}
 	return out.Sorted(), nil
+}
+
+// check is a candidate's whole-tick test: whether some tick of it did not
+// cluster to its objects alone, the first such tick, and what Cluster
+// returned there.
+type check struct {
+	split    bool
+	at       int32
+	clusters []model.ObjSet
 }
 
 // Reference mines maximal FC convoys of an in-memory dataset from first

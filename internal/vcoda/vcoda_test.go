@@ -1,6 +1,7 @@
 package vcoda
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/minetest"
@@ -120,7 +121,7 @@ func TestValidateConfirmsTrueFC(t *testing.T) {
 		{Start: 0, End: 9, Groups: [][]int32{{1, 2, 3}}},
 	})
 	v := model.NewConvoy(model.NewObjSet(1, 2, 3), 0, 9)
-	out, err := Validate(storage.NewMemStore(ds), []model.Convoy{v}, 3, 3, minetest.Eps)
+	out, err := Validate(storage.NewMemStore(ds), []model.Convoy{v}, 3, 3, minetest.Eps, 1)
 	if err != nil || len(out) != 1 || !out[0].Equal(v) {
 		t.Fatalf("Validate = %v, %v", out, err)
 	}
@@ -132,7 +133,7 @@ func TestValidateDropsTooSmall(t *testing.T) {
 	})
 	out, err := Validate(storage.NewMemStore(ds), []model.Convoy{
 		model.NewConvoy(model.NewObjSet(1, 2), 0, 9),
-	}, 3, 3, minetest.Eps)
+	}, 3, 3, minetest.Eps, 1)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("undersized candidate should vanish, got %v, %v", out, err)
 	}
@@ -145,7 +146,7 @@ func TestValidateReadsOnlyTheCandidatesRows(t *testing.T) {
 		{Start: 0, End: 5, Groups: [][]int32{{1, 2, 3}}},
 	})
 	ms := storage.NewMemStore(ds)
-	out, err := Validate(ms, []model.Convoy{model.NewConvoy(model.NewObjSet(1, 3), 1, 3)}, 2, 2, minetest.Eps)
+	out, err := Validate(ms, []model.Convoy{model.NewConvoy(model.NewObjSet(1, 3), 1, 3)}, 2, 2, minetest.Eps, 1)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("Validate = %v, %v", out, err)
 	}
@@ -156,8 +157,10 @@ func TestValidateReadsOnlyTheCandidatesRows(t *testing.T) {
 
 // Candidates that fail: the sweep over a candidate's rows returns something
 // smaller, which is validated in turn, from the store. swept lists every
-// (sub-)candidate that must be fetched and swept, one Fetch per tick of its
-// span; anything else the recursion meets is a repeat or already covered.
+// (sub-)candidate whose rows must be fetched, one Fetch per tick of its span:
+// a candidate's whole-tick check and its sweep share one read per tick, and
+// anything else the recursion meets is a repeat or already covered. Every
+// case runs with one worker and with four.
 func TestValidateFailingCandidates(t *testing.T) {
 	conv := func(start, end int32, ids ...int32) model.Convoy {
 		return model.NewConvoy(model.NewObjSet(ids...), start, end)
@@ -225,26 +228,68 @@ func TestValidateFailingCandidates(t *testing.T) {
 		cands: []model.Convoy{conv(0, 9, 1, 2, 3, 4)},
 		want:  []model.Convoy{conv(0, 4, 1, 2, 3, 4), conv(0, 9, 1, 2), conv(5, 9, 1, 2, 3)},
 		swept: []model.Convoy{conv(0, 9, 1, 2, 3, 4), conv(0, 9, 1, 2, 3), conv(5, 9, 1, 2, 3), conv(0, 9, 1, 2), conv(0, 4, 1, 2, 3, 4)},
+	}, {
+		// 1-2-9-3 at tick 0 only: restricted to the candidate, 1 and 2 are
+		// too few to cluster there, so the sweep starts from nothing.
+		name: "fails at its first tick",
+		ds: minetest.BuildRanges([]minetest.Range{
+			{Start: 0, End: 0, Groups: [][]int32{{1, 2, 9, 3}}},
+			{Start: 1, End: 5, Groups: [][]int32{{1, 2, 3}, {9}}},
+		}),
+		m:     3,
+		k:     3,
+		cands: []model.Convoy{conv(0, 5, 1, 2, 3)},
+		want:  []model.Convoy{conv(1, 5, 1, 2, 3)},
+		swept: []model.Convoy{conv(0, 5, 1, 2, 3), conv(1, 5, 1, 2, 3)},
+	}, {
+		// 1-2-9-3 at tick 5 only: the check passes every tick but the last,
+		// where {1,2} carries on and 3 drops out.
+		name: "fails only at its last tick",
+		ds: minetest.BuildRanges([]minetest.Range{
+			{Start: 0, End: 4, Groups: [][]int32{{1, 2, 3}, {9}}},
+			{Start: 5, End: 5, Groups: [][]int32{{1, 2, 9, 3}}},
+		}),
+		m:     2,
+		k:     3,
+		cands: []model.Convoy{conv(0, 5, 1, 2, 3)},
+		want:  []model.Convoy{conv(0, 4, 1, 2, 3), conv(0, 5, 1, 2)},
+		swept: []model.Convoy{conv(0, 5, 1, 2, 3), conv(0, 4, 1, 2, 3), conv(0, 5, 1, 2)},
+	}, {
+		// 1-2-3-4 throughout: {1,2,3} is FC, {1,2,4} is not, and what it
+		// shrinks to, {1,2}, is covered by the first candidate's result, so
+		// its rows are never read.
+		name: "an earlier candidate covers a sub-candidate",
+		ds: minetest.BuildRanges([]minetest.Range{
+			{Start: 0, End: 9, Groups: [][]int32{{1, 2, 3, 4}}},
+		}),
+		m:     2,
+		k:     3,
+		cands: []model.Convoy{conv(0, 9, 1, 2, 3), conv(0, 9, 1, 2, 4)},
+		want:  []model.Convoy{conv(0, 9, 1, 2, 3)},
+		swept: []model.Convoy{conv(0, 9, 1, 2, 3), conv(0, 9, 1, 2, 4)},
 	}}
-	for _, tc := range cases {
-		fs := storetest.NewFaultStore(storage.NewMemStore(tc.ds), 1<<40)
-		got, err := Validate(fs, tc.cands, tc.m, tc.k, minetest.Eps)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if !model.ConvoysEqual(got, tc.want) {
-			t.Errorf("%s: Validate = %v, want %v", tc.name, got, tc.want)
-		}
-		fetches := int64(0)
-		for _, v := range tc.swept {
-			fetches += int64(v.Len())
-		}
-		if fs.Ops() != fetches {
-			t.Errorf("%s: %d fetches, want %d (one per tick of %v)", tc.name, fs.Ops(), fetches, tc.swept)
-		}
-		for _, c := range got {
-			if !minetest.IsFCConvoy(tc.ds, c, tc.m, minetest.Eps) {
-				t.Errorf("%s: output %v is not FC", tc.name, c)
+	for _, workers := range []int{1, 4} {
+		for _, tc := range cases {
+			name := fmt.Sprintf("%s, workers=%d", tc.name, workers)
+			fs := storetest.NewFaultStore(storage.NewMemStore(tc.ds), 1<<40)
+			got, err := Validate(fs, tc.cands, tc.m, tc.k, minetest.Eps, workers)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !model.ConvoysEqual(got, tc.want) {
+				t.Errorf("%s: Validate = %v, want %v", name, got, tc.want)
+			}
+			fetches := int64(0)
+			for _, v := range tc.swept {
+				fetches += int64(v.Len())
+			}
+			if fs.Ops() != fetches {
+				t.Errorf("%s: %d fetches, want %d (one per tick of %v)", name, fs.Ops(), fetches, tc.swept)
+			}
+			for _, c := range got {
+				if !minetest.IsFCConvoy(tc.ds, c, tc.m, minetest.Eps) {
+					t.Errorf("%s: output %v is not FC", name, c)
+				}
 			}
 		}
 	}
