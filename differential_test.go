@@ -8,7 +8,6 @@ package convoy
 // implementations of the same semantics fails loudly with a set diff.
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/datagen/brinkhoff"
@@ -225,52 +224,10 @@ func TestDifferentialStreamResetReuse(t *testing.T) {
 	}
 }
 
-// TestDifferentialIncrementalClustersVsScratch is the clustering-level half
-// of the incremental proof: one dbscan.Incremental per dataset, fed every
-// snapshot in order, must emit reflect.DeepEqual output to a scratch
-// dbscan.Cluster call at every single tick — same member sets, same member
-// order, same cluster order, nil-vs-empty included. 120 seeds of the
-// always-present generator plus 120 seeds of the churn generator (objects
-// joining and leaving mid-stream), the exact regime the delta engine
-// carries state through.
-func TestDifferentialIncrementalClustersVsScratch(t *testing.T) {
-	gens := []struct {
-		name string
-		gen  func(seed int64, nObj, nTicks int) *model.Dataset
-	}{
-		{"random", minetest.Random},
-		{"churn", minetest.RandomChurn},
-	}
-	for _, g := range gens {
-		for seed := int64(0); seed < 120; seed++ {
-			nObj := 8 + int(seed%5)
-			nTicks := 12 + int(seed%9)
-			ds := g.gen(seed, nObj, nTicks)
-			inc, err := dbscan.NewIncremental(minetest.Eps, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts, te := ds.TimeRange()
-			for tt := ts; tt <= te; tt++ {
-				snap := ds.Snapshot(tt)
-				got := inc.Step(snap)
-				want := dbscan.Cluster(snap, minetest.Eps, 3)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s seed %d t=%d: incremental %v != scratch %v", g.name, seed, tt, got, want)
-				}
-			}
-			if st := inc.Stats(); st.Fallbacks != 0 {
-				t.Fatalf("%s seed %d: unexpected fallback ticks: %+v", g.name, seed, st)
-			}
-		}
-	}
-}
-
 // TestDifferentialStreamVsBatchChurn is TestDifferentialStreamVsBatch over
 // the high-churn generator: objects join and leave the feed mid-stream, so
-// the streaming side's incremental clustering state sees appearance and
-// disappearance deltas on nearly every tick, and its convoy output must
-// still be byte-identical to the batch oracle.
+// the sweep's candidates gain and lose members on nearly every tick, and
+// the streaming output must still be byte-identical to the batch oracle.
 func TestDifferentialStreamVsBatchChurn(t *testing.T) {
 	const trials = 120
 	for seed := int64(0); seed < trials; seed++ {

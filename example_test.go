@@ -46,7 +46,7 @@ func ExampleMine() {
 	// objects {1,2,3} together from t=2 to t=13
 }
 
-// ExampleNewStreamMiner feeds snapshots to the incremental miner one
+// ExampleNewStreamMiner feeds snapshots to the streaming miner one
 // timestamp at a time — no store, no history — and flushes at end of
 // stream. Streaming results are partially connected convoys (see the
 // StreamMiner docs).

@@ -25,7 +25,7 @@ import (
 	"repro/internal/storage"
 )
 
-// Miner is an incremental PCCD miner fed one clustered snapshot at a time.
+// Miner is a streaming PCCD miner fed one clustered snapshot at a time.
 // It is the building block shared by the sequential baseline, the DCM
 // partition workers, full-connectivity validation (vcoda.Validate, which
 // Resets one miner between candidates), the flock sweep and the

@@ -96,14 +96,13 @@ func clusterGrid(objs []model.ObjPos, eps float64, minPts int) []model.ObjSet {
 	})
 }
 
-// expand is DBSCAN's control flow, the one copy scratch Cluster and
-// Incremental share: a seed scan over the point ids in order (input
-// order), BFS expansion through core points, first-reach border
-// assignment, and the sub-minPts discard guard. pos and labels are
-// id-addressed; labels is scratch space. neighbors(id) returns the ids
-// within eps of id, itself included, and is asked at most once per point;
-// its answer is read before the next call, so the callee may reuse one
-// buffer.
+// expand is DBSCAN's control flow, the one copy both of Cluster's paths
+// share: a seed scan over the point ids in order (input order), BFS
+// expansion through core points, first-reach border assignment, and the
+// sub-minPts discard guard. pos and labels are id-addressed; labels is
+// scratch space. neighbors(id) returns the ids within eps of id, itself
+// included, and is asked at most once per point; its answer is read before
+// the next call, so the callee may reuse one buffer.
 //
 // The output is a function of the order and of the neighbourhoods as sets:
 // a cluster is everything density-reachable from its seed, whichever way

@@ -499,7 +499,7 @@ func permutations(n int, f func([]int)) {
 	rec(n)
 }
 
-// The decisions of the expansion that Cluster and Incremental share, which
+// The decisions of the expansion that both of Cluster's paths share, which
 // the set-level tests above leave open: the order clusters come out in,
 // which cluster a contested border point joins, what happens to a point
 // first dismissed as noise, to a cluster whose border points were taken,

@@ -8,11 +8,10 @@ import (
 )
 
 // Index is the repository's one spatial index: a uniform grid over
-// id-addressed positions. Scratch Cluster builds one per call above smallN
-// points, Incremental carries one across ticks and patches it, and the
-// flock disk cover (flock.DiskGroups) queries one with a wider reach. All
-// points within reach·cell of a point p lie in the (2·reach+1)² block of
-// cells around p's cell.
+// id-addressed positions. Cluster builds one per call above smallN points,
+// and the flock disk cover (flock.DiskGroups) queries one with a wider
+// reach. All points within reach·cell of a point p lie in the
+// (2·reach+1)² block of cells around p's cell.
 //
 // The index is a flat array of (packed cell key, id) entries sorted by
 // (key, id) — no hash map. Cell coordinates pack into one ordered uint64
@@ -95,15 +94,6 @@ func (ix *Index) cellOf(v float64) int32 {
 }
 
 func (ix *Index) keyOf(p model.ObjPos) uint64 { return packKey(ix.cellOf(p.X), ix.cellOf(p.Y)) }
-
-// cellable reports whether p lands in a cell whose coordinates fit int32,
-// so that cellOf keeps them unsaturated (NaN fails both comparisons).
-// Queries stay exact beyond that, but Incremental's delta reasoning is
-// proven only for cellable points and falls back to scratch on any other.
-func (ix *Index) cellable(p model.ObjPos) bool {
-	cx, cy := math.Floor(p.X/ix.cell), math.Floor(p.Y/ix.cell)
-	return cx >= math.MinInt32 && cx <= math.MaxInt32 && cy >= math.MinInt32 && cy <= math.MaxInt32
-}
 
 // span returns the cell coordinates c-reach..c+reach clamped at the int32
 // extremes: a wrapped coordinate would either skip cells that do hold points

@@ -10,16 +10,15 @@ import (
 	"repro/internal/model"
 )
 
-// The step benchmarks run one clustering tick per op over two kinds of
-// feed, through the incremental engine and through scratch Cluster.
+// BenchmarkClusterStep's feeds come in two kinds.
 //
 // The churn sweep models a convoyd feed at steady state: 4000 objects in
 // 125 well-separated groups of 32, where each tick a churn-fraction of the
 // groups jiggles (sub-eps moves, the common GPS-fix case) and the rest hold
-// position. churn=100 moves every group every tick — the worst case for
-// delta reasoning, one grid query per object just as scratch pays, plus the
-// diff; churn=1 is the "mostly parked" regime the ROADMAP's feeds-per-node
-// target cares about.
+// position. churn=100 moves every group every tick; churn=1 is the "mostly
+// parked" regime. Clustering from scratch costs the same in both, which is
+// the point of keeping the sweep: a change that made it depend on churn
+// would show here.
 //
 // moving and parked are the convoy feed classes of the repository's
 // serve-ingest workload (minetest.City, ≈ 1 600 objects per tick; parked
@@ -105,35 +104,10 @@ func jiggleGroups(objs []model.ObjPos, rng *rand.Rand, next, count int) int {
 	return next
 }
 
-// BenchmarkIncrementalStep measures one delta-fed clustering tick. The
-// snapshot is prepared outside the timer, so ns/op is purely Step: diff,
-// grid patch, one query per changed object, list patching, replay.
-func BenchmarkIncrementalStep(b *testing.B) {
-	for _, feed := range stepFeeds() {
-		b.Run(feed.name, func(b *testing.B) {
-			inc, err := dbscan.NewIncremental(feed.eps, feed.minPts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			inc.Step(feed.next(0)) // pay the initial rebuild outside the loop
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 1; i <= b.N; i++ {
-				b.StopTimer()
-				objs := feed.next(i)
-				b.StartTimer()
-				inc.Step(objs)
-			}
-			if st := inc.Stats(); st.Fallbacks != 0 || st.Rebuilds != 1 {
-				b.Fatalf("benchmark fell out of the incremental path: %+v", st)
-			}
-		})
-	}
-}
-
-// BenchmarkScratchStep clusters the same snapshots from scratch each tick:
-// what the batch miners do, and what the incremental engine has to beat.
-func BenchmarkScratchStep(b *testing.B) {
+// BenchmarkClusterStep clusters one snapshot per op, as StreamMiner does
+// for every tick of a live feed. The snapshot is prepared outside the
+// timer, so ns/op is purely Cluster.
+func BenchmarkClusterStep(b *testing.B) {
 	for _, feed := range stepFeeds() {
 		b.Run(feed.name, func(b *testing.B) {
 			feed.next(0)

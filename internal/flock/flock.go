@@ -46,7 +46,7 @@ func Sweep(store storage.Store, cfg Config) ([]Flock, error) {
 	return mn.Finish(), nil
 }
 
-// Miner is the incremental flock miner fed one snapshot at a time: each
+// Miner is the streaming flock miner fed one snapshot at a time: each
 // Step covers the snapshot with maximal candidate disks (DiskGroups) and
 // feeds them to the shared sweep engine (cmc.Miner), which does the
 // cross-tick intersection, domination pruning and emission; its postings

@@ -131,7 +131,7 @@ type match struct {
 	overlap        float64
 }
 
-// Miner is the incremental moving-cluster miner fed one snapshot at a time,
+// Miner is the streaming moving-cluster miner fed one snapshot at a time,
 // mirroring cmc.Miner's streaming surface (Step/Drain/Finish/Last/Reset).
 // It carries the open chains across ticks; each Step clusters the snapshot
 // and runs the same greedy best-overlap matching as Mine. Patterns are

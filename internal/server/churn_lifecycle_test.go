@@ -1,12 +1,12 @@
 package server
 
-// Lifecycle seams of the incremental clustering state. Every feed's
-// StreamMiner now carries a dbscan.Incremental across ticks; that state is
-// deliberately not persisted — eviction drops it, crash recovery restarts
-// it empty — so these tests pin down that every teardown/rebuild seam still
-// produces convoys byte-identical to the batch oracle, on churn-heavy data
-// where the delta engine is exercised hardest. The concurrent variant runs
-// under -race in CI: shards must never share incremental state.
+// Lifecycle seams of a feed's mining state on churn-heavy data, where
+// objects join and leave mid-stream. A feed's StreamMiner carries open
+// convoy candidates across ticks; that state is deliberately not persisted
+// — eviction drops it, crash recovery restarts it empty — so these tests
+// pin down that every teardown/restart seam still produces convoys
+// byte-identical to the batch oracle. The concurrent variant runs under
+// -race in CI: shards must never share a feed's miner.
 
 import (
 	"fmt"
@@ -33,10 +33,10 @@ func churnSnapshots(ds *model.Dataset, offset int32) []snapshotJSON {
 	return out
 }
 
-// TestEvictRecreateChurnMatchesBatch: a feed whose incremental state was
-// torn down by TTL eviction and whose client then replays from scratch
-// must mine exactly the batch result — the recreated feed's empty engine
-// rebuilds on first tick and diffs from there.
+// TestEvictRecreateChurnMatchesBatch: a feed whose miner was torn down by
+// TTL eviction and whose client then replays from scratch must mine
+// exactly the batch result — the recreated feed starts from an empty
+// miner.
 func TestEvictRecreateChurnMatchesBatch(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		Shards:  2,
@@ -44,7 +44,7 @@ func TestEvictRecreateChurnMatchesBatch(t *testing.T) {
 	})
 	ds := minetest.RandomChurn(2, 12, 20)
 
-	// First incarnation builds up incremental state, then goes idle.
+	// First incarnation builds up open candidates, then goes idle.
 	ingestDataset(t, ts.URL, "churn", ds, 3)
 	waitFor(t, 5*time.Second, "feed eviction", func() bool {
 		_, ok := srv.Stats().Feeds["churn"]
@@ -62,8 +62,7 @@ func TestEvictRecreateChurnMatchesBatch(t *testing.T) {
 }
 
 // TestRestartRecoveryChurnReplay is the crash round-trip on churn data: the
-// recovered feed's miner (and with it the incremental clustering state)
-// restarts empty, a client replays the full history, and the final convoys
+// recovered feed's miner restarts empty, a client replays the full history, and the final convoys
 // equal the batch reference while the log gains no duplicate records.
 func TestRestartRecoveryChurnReplay(t *testing.T) {
 	path := t.TempDir() + "/closed.k2cl"
@@ -140,9 +139,9 @@ func TestRestartRecoveryChurnReplay(t *testing.T) {
 	}
 }
 
-// TestConcurrentFeedsChurn is the -race soak for per-feed incremental
-// state: 12 churn-heavy feeds stream concurrently through 4 shards, each
-// shard's actor owning several engines, and every feed's flushed output
+// TestConcurrentFeedsChurn is the -race soak for per-feed mining state: 12
+// churn-heavy feeds stream concurrently through 4 shards, each shard's
+// actor owning several miners, and every feed's flushed output
 // must equal its batch reference.
 func TestConcurrentFeedsChurn(t *testing.T) {
 	_, ts := newTestServer(t, Config{Shards: 4, QueueLen: 16})

@@ -142,8 +142,9 @@ type PatternMiner interface {
 }
 
 // NewPatternMiner creates the streaming miner for one pattern family.
-// PatternConvoy wraps StreamMiner (the PCCD sweep over incremental DBSCAN);
-// PatternFlock runs per-tick disk groups over the same sweep engine; PatternMC chains per-tick DBSCAN clusters by Jaccard overlap.
+// PatternConvoy wraps StreamMiner (the PCCD sweep over per-tick DBSCAN);
+// PatternFlock runs per-tick disk groups over the same sweep engine;
+// PatternMC chains per-tick DBSCAN clusters by Jaccard overlap.
 func NewPatternMiner(pat Pattern, pp PatternParams) (PatternMiner, error) {
 	pp = pp.withDefaults()
 	if err := pp.validate(); err != nil {

@@ -23,20 +23,16 @@ import (
 //
 // A StreamMiner is not safe for concurrent use; the convoyd server gives
 // each feed a single owning shard actor for exactly this reason. That
-// single-owner rule is also what lets the miner keep stateful hot-path
-// engines: the sweep engine's per-miner posting buffers (cmc.Miner indexes
-// each tick's clusters by object and visits only the candidates and
-// clusters that share a member) and the incremental clustering engine
-// (dbscan.Incremental carries the grid index and every object's
-// eps-neighbourhood across ticks, so a tick re-clusters only the
-// neighbourhoods its deltas touched; see docs/ARCHITECTURE.md
-// "Incremental clustering"). A long-lived feed reaches a steady state
-// where ingesting a tick costs work proportional to how much actually
-// changed — in particular not to the number of convoys closed so far.
+// single-owner rule is also what lets the sweep engine keep per-miner
+// posting buffers (cmc.Miner indexes each tick's clusters by object and
+// visits only the candidates and clusters that share a member). Each tick
+// is clustered from scratch by dbscan.Cluster; no clustering state carries
+// over, so a tick costs one clustering of its snapshot plus a sweep step
+// that follows the clusters' members — not the number of convoys closed so
+// far (see docs/ARCHITECTURE.md "Why the live path clusters from scratch").
 type StreamMiner struct {
 	params Params
 	miner  *cmc.Miner
-	inc    *dbscan.Incremental
 	dupChk map[int32]struct{} // reused per Observe for duplicate-OID detection
 }
 
@@ -45,14 +41,9 @@ func NewStreamMiner(p Params) (*StreamMiner, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	inc, err := dbscan.NewIncremental(p.Eps, p.M)
-	if err != nil {
-		return nil, err
-	}
 	return &StreamMiner{
 		params: p,
 		miner:  cmc.NewMiner(p.M, p.K),
-		inc:    inc,
 		dupChk: map[int32]struct{}{},
 	}, nil
 }
@@ -73,7 +64,7 @@ func (s *StreamMiner) Observe(t int32, positions []ObjPos) error {
 	if last, ok := s.miner.Last(); ok && t <= last {
 		return fmt.Errorf("convoy: non-monotonic stream: observed t=%d after t=%d", t, last)
 	}
-	s.miner.Step(t, s.inc.Step(s.resolveDuplicates(positions)))
+	s.miner.Step(t, dbscan.Cluster(s.resolveDuplicates(positions), s.params.Eps, s.params.M))
 	return nil
 }
 
@@ -132,11 +123,6 @@ func (s *StreamMiner) Flush() []Convoy {
 }
 
 // Reset returns the miner to its initial state, discarding all open
-// candidates, closed convoys, timestamp history and the incremental
-// clustering state (its memory included — an evicted feed must not pin its
-// neighbourhood cache) while keeping the parameters. After a Reset the
-// miner accepts any timestamp again.
-func (s *StreamMiner) Reset() {
-	s.miner.Reset()
-	s.inc.Reset()
-}
+// candidates, closed convoys and timestamp history while keeping the
+// parameters. After a Reset the miner accepts any timestamp again.
+func (s *StreamMiner) Reset() { s.miner.Reset() }

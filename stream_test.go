@@ -1,6 +1,7 @@
 package convoy
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/minetest"
@@ -238,7 +239,6 @@ func TestStreamMinerReset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rebuildsBefore := sm.inc.Stats().Rebuilds
 	sm.Reset()
 	if _, ok := sm.Last(); ok {
 		t.Fatal("Last() valid after Reset")
@@ -255,10 +255,65 @@ func TestStreamMinerReset(t *testing.T) {
 	if !model.ConvoysEqual(got, want) {
 		t.Fatalf("after reset got %v, want %v", got, want)
 	}
-	// Reset must also tear down the incremental clustering state: the first
-	// post-Reset Observe rebuilds it from scratch instead of diffing against
-	// the pre-Reset world.
-	if rebuilds := sm.inc.Stats().Rebuilds; rebuilds != rebuildsBefore+1 {
-		t.Fatalf("incremental state survived Reset: %d rebuilds, want %d", rebuilds, rebuildsBefore+1)
+}
+
+// TestStreamMinerEdgeInputs streams inputs the random differentials rarely
+// produce: empty snapshots between populated ticks, and coordinates whose
+// grid cell lies beyond the int32 range (|x| > eps·2³¹) or at ±Inf, which
+// the grid saturates into its edge cells. Flush must equal the batch sweep
+// over the same records, with every tick — empty ones included — observed.
+func TestStreamMinerEdgeInputs(t *testing.T) {
+	const eps = 1.5
+	far := eps * (1 << 31) * 4 // four times past the last representable cell
+	trio := func(x, y float64) []ObjPos {
+		return []ObjPos{{OID: 1, X: x, Y: y}, {OID: 2, X: x + 0.5, Y: y}, {OID: 3, X: x + 1, Y: y}}
+	}
+	with := func(snap []ObjPos, extra ...ObjPos) []ObjPos { return append(append([]ObjPos{}, snap...), extra...) }
+	cases := []struct {
+		name  string
+		ticks [][]ObjPos // ticks[i] is the snapshot of t = i
+	}{
+		{"empty ticks mid-stream", [][]ObjPos{trio(0, 0), trio(0, 0), nil, trio(0, 0), trio(0, 0), trio(0, 0), nil, nil, trio(0, 0), trio(0, 0)}},
+		{"empty first and last ticks", [][]ObjPos{nil, trio(0, 0), trio(0, 0), trio(0, 0), nil}},
+		{"beyond eps·2³¹", [][]ObjPos{trio(0, 0), trio(far, 0), trio(far, -far), trio(-far, far), trio(0, 0), trio(1e30, 0), trio(-1e30, 1e30), trio(0, 0)}},
+		{"a far object joins and leaves", [][]ObjPos{trio(0, 0), with(trio(0, 0), ObjPos{OID: 4, X: 1e30}), with(trio(0, 0), ObjPos{OID: 4, X: -far, Y: far}), trio(0, 0)}},
+		{"±Inf", [][]ObjPos{
+			trio(0, 0),
+			with(trio(0, 0), ObjPos{OID: 4, X: math.Inf(1)}, ObjPos{OID: 5, X: math.Inf(-1)}, ObjPos{OID: 6, Y: math.Inf(1)}),
+			with(trio(0, 0), ObjPos{OID: 4, X: math.Inf(1), Y: math.Inf(-1)}, ObjPos{OID: 5, X: math.Inf(1), Y: math.Inf(-1)}),
+			trio(0, 0),
+			{{OID: 1, X: math.Inf(1)}, {OID: 2, X: math.Inf(1)}, {OID: 3, X: math.Inf(1)}},
+			trio(0, 0), trio(0, 0),
+		}},
+	}
+	for _, tc := range cases {
+		for _, p := range []Params{{M: 2, K: 2, Eps: eps}, {M: 3, K: 2, Eps: eps}, {M: 2, K: 3, Eps: eps}} {
+			var points []Point
+			for tt, snap := range tc.ticks {
+				for _, o := range snap {
+					points = append(points, Point{OID: o.OID, T: int32(tt), X: o.X, Y: o.Y})
+				}
+			}
+			sm, err := NewStreamMiner(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for tt, snap := range tc.ticks {
+				if err := sm.Observe(int32(tt), snap); err != nil {
+					t.Fatalf("%s %+v: observe t=%d: %v", tc.name, p, tt, err)
+				}
+			}
+			got := sm.Flush()
+			want, err := Mine(NewMemStore(NewDataset(points)), p, &Options{Algorithm: PCCD})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := minetest.DiffConvoys("stream", got, "batch", want.Convoys); d != "" {
+				t.Fatalf("%s %+v: %s", tc.name, p, d)
+			}
+			if len(want.Convoys) == 0 {
+				t.Fatalf("%s %+v: no convoys, so the case proves nothing", tc.name, p)
+			}
+		}
 	}
 }
