@@ -3,10 +3,10 @@ package convoy_test
 // One testing.B benchmark per table and figure of the paper's evaluation
 // (§6). Each benchmark regenerates its experiment at Tiny scale — the
 // experiment functions are the same ones `cmd/experiments` runs at larger
-// scales; see DESIGN.md §5 for the index and EXPERIMENTS.md for the
-// paper-vs-measured record. The Benchmark*Algo benches at the bottom
-// measure the individual miners head-to-head on one dataset, which is the
-// quickest way to see the k/2-hop gain without running a whole figure.
+// scales, and `experiments -list` prints their index. The Benchmark*Algo
+// benches at the bottom measure the individual miners head-to-head on one
+// dataset, which is the quickest way to see the k/2-hop gain without
+// running a whole figure.
 
 import (
 	"fmt"
@@ -56,7 +56,7 @@ func BenchmarkFig8j_PreValidationConvoys(b *testing.B)  { benchExperiment(b, "fi
 func BenchmarkFig8k_EffectOfConvoyCount(b *testing.B)   { benchExperiment(b, "fig8k") }
 func BenchmarkFig8l_DataSizeScalability(b *testing.B)   { benchExperiment(b, "fig8l") }
 
-// --- Ablations (DESIGN.md §7; not a paper figure) ---------------------------
+// --- Ablations (docs/ARCHITECTURE.md, "Design notes"; not a paper figure) ---
 
 func BenchmarkAblation_DesignChoices(b *testing.B) { benchExperiment(b, "ablation") }
 

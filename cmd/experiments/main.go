@@ -1,5 +1,5 @@
 // Command experiments regenerates the paper's evaluation tables and
-// figures (as text tables; see DESIGN.md §5 for the index).
+// figures (as text tables; -list prints the index).
 //
 // Usage:
 //

@@ -127,7 +127,7 @@ type Options struct {
 	// Lambda is the partition/piece length for DCM and CuTS (0 = default).
 	Lambda int
 	// DisableReExtend turns off k/2-hop's post-extension fixpoint (paper
-	// fidelity mode; see DESIGN.md §3).
+	// fidelity mode; see docs/ARCHITECTURE.md, "Design notes").
 	DisableReExtend bool
 }
 

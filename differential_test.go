@@ -101,6 +101,52 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 	}
 }
 
+// TestDifferentialSharedBorderPoints runs every algorithm, and the streaming
+// miner, over one snapshot repeated for ticks 0–5: cores 10 and 20 lie 1.2
+// apart, each with a private neighbour (11, 21), and objects 1 and 2 lie
+// within eps = 1 of both cores but 1.2 from each other. At m = 4 neither 1
+// nor 2 is a core, and each cluster needs both to reach four objects, so
+// the snapshot's clusters are {1,2,10,11} and {1,2,20,21}, sharing their
+// border points. Both are fully connected, so every miner must return both
+// over [0,5], whatever the input order; one that gives a shared border
+// point to the cluster seeded first loses {1,2,20,21}.
+func TestDifferentialSharedBorderPoints(t *testing.T) {
+	at := map[int32][2]float64{10: {0, 0}, 11: {-0.9, 0}, 20: {1.2, 0}, 21: {2.1, 0}, 1: {0.6, 0.6}, 2: {0.6, -0.6}}
+	var pts []Point
+	for tt := int32(0); tt <= 5; tt++ {
+		for oid, xy := range at {
+			pts = append(pts, Point{OID: oid, T: tt, X: xy[0], Y: xy[1]})
+		}
+	}
+	ds := NewDataset(pts)
+	p := Params{M: 4, K: 4, Eps: 1}
+	want := []Convoy{
+		model.NewConvoy(model.NewObjSet(1, 2, 10, 11), 0, 5),
+		model.NewConvoy(model.NewObjSet(1, 2, 20, 21), 0, 5),
+	}
+	for _, algo := range []Algorithm{K2Hop, VCoDA, VCoDAStar, PCCD, CuTS, DCM, SPARE} {
+		res, err := MineDataset(ds, p, &Options{Algorithm: algo})
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		if d := minetest.DiffConvoys(string(algo), res.Convoys, "want", want); d != "" {
+			t.Error(d)
+		}
+	}
+	sm, err := NewStreamMiner(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tt := int32(0); tt <= 5; tt++ {
+		if err := sm.Observe(tt, ds.Snapshot(tt)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := minetest.DiffConvoys("stream", sm.Flush(), "want", want); d != "" {
+		t.Error(d)
+	}
+}
+
 // TestDifferentialSweepVsSortedReference pins the posting-list sweep to the
 // algorithm's definition: minetest.ReferenceSweep is a frozen sorted-slice
 // transliteration of the CMC/PCCD sweep (ObjSet.Intersect against every

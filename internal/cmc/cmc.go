@@ -33,17 +33,17 @@ import (
 //
 // The per-tick sweep is output-sensitive: it costs what intersects, not
 // alive × clusters. Each Step builds object → cluster postings over the
-// tick's members (clusters may overlap — flock.DiskGroups feeds this miner
-// too), finds a candidate's intersecting clusters by walking its members
-// and counting hits per cluster, and domination-prunes through object →
-// candidate postings, so a candidate is compared only with candidates that
-// contain one of its members. Sets stay sorted ObjSets throughout: with
-// candidates of ~6 objects in a tick universe of ~1 600, a posting walk
-// touches a few dozen integers where the interned-bitset sweep this
-// replaced ANDed 27 words per (candidate, cluster) pair — 10.3 ms → 0.20 ms
-// per Step on a 1 600-object city feed (BenchmarkMinerStep/moving). Package
-// core's candidate-cluster phase runs the same sweep between two benchmark
-// clusterings.
+// tick's members (clusters may overlap: DBSCAN's share border points at
+// m ≥ 4, and flock.DiskGroups' disks overlap), finds a candidate's
+// intersecting clusters by walking its members and counting hits per
+// cluster, and domination-prunes through object → candidate postings, so a
+// candidate is compared only with candidates that contain one of its
+// members. Sets stay sorted ObjSets throughout: with candidates of ~6
+// objects in a tick universe of ~1 600, a posting walk touches a few dozen
+// integers where the interned-bitset sweep this replaced ANDed 27 words per
+// (candidate, cluster) pair — 10.3 ms → 0.20 ms per Step on a 1 600-object
+// city feed (BenchmarkMinerStep/moving). Package core's candidate-cluster
+// phase runs the same sweep between two benchmark clusterings.
 //
 // Order is deterministic. alive holds the candidates that survived the
 // previous Step in their previous relative order (a candidate split over

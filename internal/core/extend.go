@@ -16,7 +16,7 @@ const maxReExtend = 4
 // ends (paper §4.5, Algorithm 3): first to the right, then to the left.
 // When cfg.ReExtend is set, the two passes repeat until a fixpoint, because
 // an object set that shrank while extending left may be further extensible
-// to the right (and vice versa) — see DESIGN.md §3.
+// to the right (and vice versa) — see docs/ARCHITECTURE.md, "Design notes".
 func (mi *miner) extendAll(merged []model.Convoy, rep *Report) ([]model.Convoy, error) {
 	cur := merged
 	var prev []model.Convoy // the previous pass's result

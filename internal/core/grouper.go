@@ -13,7 +13,10 @@ import (
 // Requirements for correctness of the pipeline:
 //
 //   - Benchmark(rows) returns groups such that every pattern instance alive
-//     at that timestamp has its object set contained in some group;
+//     at that timestamp has its object set contained in some group. DBSCAN
+//     meets this because its clusters are maximal density-connected sets
+//     (Definition 3): a border point joins every cluster that reaches it,
+//     so a set that clusters as one on its own points lies inside one;
 //   - Restricted(rows) does the same for a snapshot restricted to a
 //     candidate's objects, and must be restriction-monotone: if a pattern's
 //     objects group together in a superset snapshot, they still group

@@ -43,7 +43,7 @@ type Config struct {
 	// a convoy shrinks during the left extension, the shrunken convoy may be
 	// further extensible to the right; the paper's Algorithm 3 extends once
 	// in each direction, which can miss such convoys. Enabled by default via
-	// DefaultConfig (see DESIGN.md §3).
+	// DefaultConfig (see docs/ARCHITECTURE.md, "Design notes").
 	ReExtend bool
 	// LinearHWMT processes hop-window timestamps left-to-right instead of
 	// in bisection order. Results are identical; the bisection order prunes
@@ -272,7 +272,8 @@ func (mi *miner) recluster(t int32, objs model.ObjSet) ([]model.ObjSet, error) {
 //
 // The sweep is output-sensitive — it pays for what intersects, not for
 // |a|×|b| pairs: the right-hand clusters are indexed by object (they may
-// overlap — flock.DiskGroups produces such covers), each left cluster walks
+// overlap — DBSCAN's clusters share border points at m ≥ 4, and
+// flock.DiskGroups produces overlapping covers), each left cluster walks
 // its members' postings counting hits per right cluster, and only the pairs
 // that reach m hits are materialized, by one sorted merge.
 //

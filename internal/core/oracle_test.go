@@ -15,28 +15,20 @@ import (
 )
 
 // bruteForceFC returns the maximal FC convoys of ds straight from
-// Definitions 3 and 4. A set S of at least m objects is together at a tick
-// when it lies inside one (m, eps)-cluster of the tick's snapshot (a
-// convoy, Definition 3) and DBSCAN(eps, m) over S's own points alone puts
-// all of S in one cluster (fully connected, Definition 4). Its maximal FC
-// convoys are the runs of such ticks at least k long. Every object subset
-// is tried and the result reduced to the maximal convoys. It shares no
-// code with any miner beyond DBSCAN itself; ds must be tiny.
-//
-// Both conditions are needed because a cluster is what dbscan.Cluster
-// returns: a partition in which a border point within reach of two
-// clusters belongs to the first only. Connected among themselves, S may
-// still hold such a point that the snapshot gave to another cluster, and
-// then S is no convoy.
+// Definition 4: a set S of at least m objects is together at a tick when
+// DBSCAN(eps, m) over S's own points alone puts all of S in one cluster,
+// and its maximal FC convoys are the runs of such ticks at least k long.
+// (S then also lies inside one (m, eps)-cluster of the whole snapshot,
+// Definition 3, because a cluster is a maximal density-connected set.)
+// Every object subset is tried and the result reduced to the maximal
+// convoys. It shares no code with any miner beyond DBSCAN itself; ds must be
+// tiny.
 func bruteForceFC(ds *model.Dataset, m, k int, eps float64) []model.Convoy {
 	objs := ds.Objects()
 	ts, te := ds.TimeRange()
 	var snaps [][]model.ObjPos
-	var clusters [][]model.ObjSet
 	for t := ts; t <= te; t++ {
-		snap := ds.Snapshot(t)
-		snaps = append(snaps, snap)
-		clusters = append(clusters, dbscan.Cluster(snap, eps, m))
+		snaps = append(snaps, ds.Snapshot(t))
 	}
 	var fc []model.Convoy
 	for mask := 1; mask < 1<<len(objs); mask++ {
@@ -51,7 +43,7 @@ func bruteForceFC(ds *model.Dataset, m, k int, eps float64) []model.Convoy {
 		}
 		run := int32(0) // length of the run of together-ticks ending at t
 		for t := ts; t <= te+1; t++ {
-			if t <= te && together(snaps[t-ts], clusters[t-ts], set, m, eps) {
+			if t <= te && together(snaps[t-ts], set, m, eps) {
 				run++
 				continue
 			}
@@ -64,20 +56,9 @@ func bruteForceFC(ds *model.Dataset, m, k int, eps float64) []model.Convoy {
 	return model.MaximalConvoys(fc)
 }
 
-// together reports whether set lies inside one of the snapshot's clusters
-// and DBSCAN over exactly set's points in snap yields one cluster holding
-// all of them.
-func together(snap []model.ObjPos, clusters []model.ObjSet, set model.ObjSet, m int, eps float64) bool {
-	inOne := false
-	for _, c := range clusters {
-		if set.SubsetOf(c) {
-			inOne = true
-			break
-		}
-	}
-	if !inOne {
-		return false
-	}
+// together reports whether DBSCAN over exactly set's points in snap yields
+// one cluster holding all of them.
+func together(snap []model.ObjPos, set model.ObjSet, m int, eps float64) bool {
 	var pts []model.ObjPos
 	for _, p := range snap {
 		if set.Contains(p.OID) {
@@ -175,6 +156,28 @@ func minersAgree(t testing.TB, label string, store storage.Store, c fcCase, want
 		if !model.ConvoysEqual(got.cs, want) {
 			t.Fatalf("%s m=%d k=%d eps=%g: %s = %v, Definition 4 gives %v", label, c.m, c.k, c.eps, got.name, got.cs, want)
 		}
+	}
+}
+
+// TestMineFCSharedBorderPoint is FuzzMineFC's first crasher (m = 4, k = 2,
+// eps = 2). At tick 0 object 2, at (1,2), is no core but lies within eps of
+// core 3 at (0,2), whose cluster is {2,3,5,6,7,8}, and of core 0 at (2,1),
+// whose cluster is {0,1,2,4}; the two cores are √5 apart. At tick 1 every
+// object sits at the origin. So both sets are FC convoys over [0,1]. A miner
+// over a DBSCAN that hands a shared border point to the cluster seeded first
+// returns {3,5,6,7,8} in place of the first.
+func TestMineFCSharedBorderPoint(t *testing.T) {
+	c := decodeFC([]byte("20201*C10C"))
+	got, _, err := Mine(storage.NewMemStore(c.ds), DefaultConfig(c.m, c.k, c.eps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []model.Convoy{
+		model.NewConvoy(model.NewObjSet(0, 1, 2, 4), 0, 1),
+		model.NewConvoy(model.NewObjSet(2, 3, 5, 6, 7, 8), 0, 1),
+	}
+	if !model.ConvoysEqual(got, want) {
+		t.Fatalf("m=%d k=%d eps=%g: core.Mine = %v, want %v", c.m, c.k, c.eps, got, want)
 	}
 }
 

@@ -4,7 +4,7 @@
 // are either proprietary, large downloads, or produced by a Java tool) with
 // deterministic synthetic equivalents that preserve the behaviour the
 // algorithms care about: object counts, sampling density, and — crucially —
-// the rarity and size of groups that travel together (see DESIGN.md §3).
+// the rarity and size of groups that travel together.
 package datagen
 
 import (

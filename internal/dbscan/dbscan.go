@@ -6,8 +6,11 @@
 // Convoy semantics (paper §3.1): an (m,eps)-cluster is a maximal set of
 // density-connected objects of size ≥ m. Running DBSCAN with minPts = m and
 // radius eps yields exactly those clusters; noise points belong to no
-// cluster. Border points are assigned to the first cluster that reaches
-// them, matching the reference implementations the paper compares against.
+// cluster. A border point within eps of core points of two clusters belongs
+// to both (Ester et al.'s maximal density-connected sets), so clusters may
+// share border points, and which clusters come out does not depend on the
+// input order. At m ≤ 3 no border point can be shared: a non-core point
+// has at most one other point within eps.
 //
 // The grid index buckets points into eps×eps cells, so an eps-neighbourhood
 // query inspects at most the 3×3 surrounding cells: expected O(1) per query
@@ -97,19 +100,22 @@ func clusterGrid(objs []model.ObjPos, eps float64, minPts int) []model.ObjSet {
 }
 
 // expand is DBSCAN's control flow, the one copy both of Cluster's paths
-// share: a seed scan over the point ids in order (input order), BFS
-// expansion through core points, first-reach border assignment, and the
-// sub-minPts discard guard. pos and labels are id-addressed; labels is
+// share: a seed scan over the point ids in order (input order) and BFS
+// expansion through core points. pos and labels are id-addressed; labels is
 // scratch space. neighbors(id) returns the ids within eps of id, itself
 // included, and is asked at most once per point; its answer is read before
 // the next call, so the callee may reuse one buffer.
 //
-// The output is a function of the order and of the neighbourhoods as sets:
-// a cluster is everything density-reachable from its seed, whichever way
-// the frontier is walked, and is sorted before it is returned; clusters
-// come out in the order of their seeds; and a border point within reach of
-// several clusters goes to the one whose seed comes first, not to whichever
-// list names it first.
+// A cluster is one connected component of core points plus every non-core
+// point within eps of one of them (Definition 3's maximal density-connected
+// set), so a border point next to cores of two components joins both, and
+// every cluster holds at least its seed's minPts neighbours. A core point's
+// label is its cluster; a non-core point's label is the last cluster it
+// joined. Clusters are built one after another, so that label is all the
+// guard against joining one twice; and a point an earlier cluster labelled
+// is no core, or it would have drawn this cluster's cores in. The set of
+// clusters is a function of the neighbourhoods alone; they come out sorted,
+// in the order of their seeds (each component's first core in order).
 func expand(order, labels []int32, pos []model.ObjPos, minPts int, neighbors func(id int32) []int32) []model.ObjSet {
 	for _, i := range order {
 		labels[i] = unvisited
@@ -139,49 +145,38 @@ func expand(order, labels []int32, pos []model.ObjPos, minPts int, neighbors fun
 		for len(frontier) > 0 {
 			j := frontier[len(frontier)-1]
 			frontier = frontier[:len(frontier)-1]
-			switch labels[j] {
-			case unvisited:
-				labels[j] = cid
-				cluster = append(cluster, pos[j].OID)
-				if nb := neighbors(j); len(nb) >= minPts {
-					// j is core: its whole neighbourhood joins the frontier.
-					for _, q := range nb {
-						if labels[q] == unvisited || labels[q] == noise {
-							frontier = append(frontier, q)
-						}
+			if labels[j] == cid {
+				continue
+			}
+			fresh := labels[j] == unvisited
+			labels[j] = cid
+			cluster = append(cluster, pos[j].OID)
+			if !fresh {
+				continue // noise, or a border point of an earlier cluster
+			}
+			if nb := neighbors(j); len(nb) >= minPts {
+				// j is core: its whole neighbourhood joins the frontier.
+				for _, q := range nb {
+					if labels[q] != cid {
+						frontier = append(frontier, q)
 					}
 				}
-			case noise:
-				// Border point previously dismissed as noise.
-				labels[j] = cid
-				cluster = append(cluster, pos[j].OID)
 			}
 		}
-		if len(cluster) >= minPts {
-			// Each point id joins a cluster exactly once (the labels array
-			// guards), so after an in-place sort only duplicate OIDs —
-			// distinct points sharing an id, which the snapshot contract
-			// discourages but Cluster's API does not forbid — can break the
-			// ObjSet invariant. The common case is a branch-predicted scan;
-			// the dedup pass runs only when a duplicate actually exists.
-			slices.Sort(cluster)
-			for j := 1; j < len(cluster); j++ {
-				if cluster[j] == cluster[j-1] {
-					cluster = slices.Compact(cluster)
-					break
-				}
-			}
-			clusters = append(clusters, cluster)
-		} else {
-			// An earlier cluster took border points this seed needed to
-			// reach minPts: not an (m,eps)-cluster. Its points go back to
-			// noise, where a later cluster may still reach them.
-			for _, k := range order {
-				if labels[k] == cid {
-					labels[k] = noise
-				}
+		// Each point id joins a cluster at most once (the labels array
+		// guards), so after an in-place sort only duplicate OIDs — distinct
+		// points sharing an id, which the snapshot contract discourages but
+		// Cluster's API does not forbid — can break the ObjSet invariant.
+		// The common case is a branch-predicted scan; the dedup pass runs
+		// only when a duplicate actually exists.
+		slices.Sort(cluster)
+		for j := 1; j < len(cluster); j++ {
+			if cluster[j] == cluster[j-1] {
+				cluster = slices.Compact(cluster)
+				break
 			}
 		}
+		clusters = append(clusters, cluster)
 	}
 	return clusters
 }

@@ -132,6 +132,8 @@ func TestMinClusterSizeRespected(t *testing.T) {
 	}
 }
 
+// At minPts 3 a non-core point has one other point within eps at most, so
+// no border point is shared and the clusters are disjoint.
 func TestClustersDisjointAndValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
@@ -411,10 +413,8 @@ func BenchmarkCluster1000(b *testing.B) {
 
 // bruteCluster is DBSCAN stated without a traversal, over O(n²)
 // neighbourhoods: cores are grouped into connected components, components
-// are taken in the input order of their first core, and each claims its
-// cores plus the non-core points next to them that no earlier surviving
-// component claimed. A component left with fewer than minPts points — an
-// earlier one took its border points — is dropped and claims nothing.
+// are taken in the input order of their first core, and each holds its
+// cores plus every non-core point next to one of them.
 func bruteCluster(objs []model.ObjPos, eps float64, minPts int) []model.ObjSet {
 	n := len(objs)
 	near := func(i, j int) bool { return model.DistSq(objs[i], objs[j]) <= eps*eps }
@@ -442,37 +442,59 @@ func bruteCluster(objs []model.ObjPos, eps float64, minPts int) []model.ObjSet {
 			}
 		}
 	}
-	claimed := make([]bool, n)
 	var out []model.ObjSet
 	for first := range objs {
 		if !core[first] || comp[first] != first {
 			continue
 		}
-		var members []int
+		var oids []int32
 		for i := range objs {
-			switch {
-			case core[i] && comp[i] == first:
-				members = append(members, i)
-			case !core[i] && !claimed[i]:
-				for j := range objs {
-					if core[j] && comp[j] == first && near(i, j) {
-						members = append(members, i)
-						break
-					}
+			for j := range objs {
+				if core[j] && comp[j] == first && near(i, j) {
+					oids = append(oids, objs[i].OID)
+					break
 				}
 			}
-		}
-		if len(members) < minPts {
-			continue
-		}
-		var oids []int32
-		for _, i := range members {
-			claimed[i] = true
-			oids = append(oids, objs[i].OID)
 		}
 		out = append(out, model.NewObjSet(oids...))
 	}
 	return out
+}
+
+// TestClusteredSubsetLiesInACluster is the contract core.Grouper asks of
+// DBSCAN: a set of objects that clusters as one on its own points lies
+// inside some cluster of the whole snapshot, so re-clustering a candidate
+// never finds a group the full clustering missed. Every subset is tried, on
+// 7–10 points in distinct cells of a 4×4 unit lattice at eps 1, where a
+// point has at most four neighbours and, at minPts 4 and 5, border points
+// within reach of two clusters are common.
+func TestClusteredSubsetLiesInACluster(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 400; trial++ {
+		objs := make([]model.ObjPos, 7+rng.Intn(4))
+		for i, cell := range rng.Perm(16)[:len(objs)] {
+			objs[i] = pos(int32(i), float64(cell%4), float64(cell/4))
+		}
+		const eps = 1.0
+		minPts := 2 + rng.Intn(4)
+		whole := Cluster(objs, eps, minPts)
+		for mask := 1; mask < 1<<len(objs); mask++ {
+			var sub []model.ObjPos
+			for i, p := range objs {
+				if mask&(1<<i) != 0 {
+					sub = append(sub, p)
+				}
+			}
+			cs := Cluster(sub, eps, minPts)
+			if len(cs) != 1 || len(cs[0]) != len(sub) {
+				continue
+			}
+			if !slices.ContainsFunc(whole, cs[0].SubsetOf) {
+				t.Fatalf("trial %d (minPts %d): %v clusters on its own but lies in no cluster of %v\nobjs %v",
+					trial, minPts, cs[0], whole, objs)
+			}
+		}
+	}
 }
 
 // permutations calls f with every ordering of 0..n-1 (Heap's algorithm).
@@ -500,10 +522,9 @@ func permutations(n int, f func([]int)) {
 }
 
 // The decisions of the expansion that both of Cluster's paths share, which
-// the set-level tests above leave open: the order clusters come out in,
-// which cluster a contested border point joins, what happens to a point
-// first dismissed as noise, to a cluster whose border points were taken,
-// and to duplicate OIDs.
+// the set-level tests above leave open: the order clusters come out in, a
+// border point next to cores of two clusters (it joins both), a point first
+// dismissed as noise, and duplicate OIDs.
 func TestClusterOrderAndBorderRule(t *testing.T) {
 	sets := func(s ...model.ObjSet) []model.ObjSet { return s }
 	left := []model.ObjPos{pos(1, 0, 0), pos(2, 0.5, 0), pos(3, 1, 0)}
@@ -534,17 +555,17 @@ func TestClusterOrderAndBorderRule(t *testing.T) {
 		// first, so it is noise until the cluster seeded at 2 reaches it.
 		{"noise later reached is a border member", []model.ObjPos{pos(3, 1, 0), pos(1, 0, 0), pos(2, 0.5, 0), pos(4, 0.2, 0.2)}, 0.6, 4,
 			sets(model.NewObjSet(1, 2, 3, 4))},
-		// Both cores need the contested pair to reach minPts = 4. The first
-		// seed takes both; the second is left with two points and dropped.
-		{"contested borders go to the first seed, the loser is dropped", contested(10, 20), 1, 4,
-			sets(model.NewObjSet(10, 11, 50, 51))},
+		// Both cores need the contested pair to reach minPts = 4, and both
+		// get it: the pair is density-reachable from each.
+		{"contested borders join both clusters", contested(10, 20), 1, 4,
+			sets(model.NewObjSet(10, 11, 50, 51), model.NewObjSet(20, 21, 50, 51))},
 		{"contested borders: second core listed first", slices.Concat(contested(10, 20)[2:4], contested(10, 20)[:2], contested(10, 20)[4:]), 1, 4,
-			sets(model.NewObjSet(20, 21, 50, 51))},
-		// The dropped cluster hands back what it did hold: 22, next to its
-		// core 20 and to the later core 30, which needs it to reach minPts.
-		{"a dropped cluster releases its border points", slices.Concat(contested(10, 20)[:3], []model.ObjPos{
+			sets(model.NewObjSet(20, 21, 50, 51), model.NewObjSet(10, 11, 50, 51))},
+		// A chain of three cores: 50 and 51 lie between 10 and 20, 22
+		// between 20 and 30, and each sits in both clusters next to it.
+		{"a border point in each pair of neighbouring clusters", slices.Concat(contested(10, 20)[:3], []model.ObjPos{
 			pos(22, 2.1, 0), pos(30, 3, 0), pos(31, 3.6, 0.6), pos(32, 3.6, -0.6)}, contested(10, 20)[4:]), 1, 4,
-			sets(model.NewObjSet(10, 11, 50, 51), model.NewObjSet(22, 30, 31, 32))},
+			sets(model.NewObjSet(10, 11, 50, 51), model.NewObjSet(20, 22, 50, 51), model.NewObjSet(22, 30, 31, 32))},
 		// Size is judged on points, the set is compacted afterwards.
 		{"duplicate OIDs compact", []model.ObjPos{pos(5, 0, 0), pos(5, 0.1, 0), pos(2, 0, 0.1), pos(9, 50, 50), pos(9, 50, 50.1), pos(9, 50.1, 50)}, 1, 3,
 			sets(model.NewObjSet(2, 5), model.NewObjSet(9))},
@@ -559,9 +580,9 @@ func TestClusterOrderAndBorderRule(t *testing.T) {
 		}
 	}
 
-	// The contested fixture under every input order: whichever core is
-	// listed first seeds the surviving cluster, wherever the border points,
-	// the private neighbours and the other core sit around it.
+	// The contested fixture under every input order: the same two
+	// clusters, led by whichever core is listed first, wherever the border
+	// points, the private neighbours and the other core sit around it.
 	fixture := contested(10, 20)
 	permutations(len(fixture), func(p []int) {
 		objs := make([]model.ObjPos, len(p))
@@ -575,9 +596,9 @@ func TestClusterOrderAndBorderRule(t *testing.T) {
 				b = at
 			}
 		}
-		want := sets(model.NewObjSet(10, 11, 50, 51))
+		want := sets(model.NewObjSet(10, 11, 50, 51), model.NewObjSet(20, 21, 50, 51))
 		if b < a {
-			want = sets(model.NewObjSet(20, 21, 50, 51))
+			want[0], want[1] = want[1], want[0]
 		}
 		for _, path := range clusterPaths {
 			if got := path.cluster(objs, 1, 4); !reflect.DeepEqual(got, want) {

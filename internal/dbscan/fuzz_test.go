@@ -2,6 +2,7 @@ package dbscan
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -12,13 +13,13 @@ import (
 // invariants against a brute-force O(n²) reference:
 //
 //   - no cluster below minPts members;
-//   - cluster object sets are valid (strictly increasing, duplicate-free)
-//     and pairwise disjoint (border points are assigned exactly once);
-//   - every cluster member is density-reachable: it is within eps of a core
-//     point of its own cluster, and the cluster's core points form one
-//     eps-connected component;
-//   - completeness: every core point is in some cluster, and two core
-//     points within eps of each other share a cluster.
+//   - cluster object sets are valid (strictly increasing, duplicate-free);
+//   - a core point is in exactly one cluster, and a non-core point is in
+//     exactly the clusters of its core neighbours (a border point within
+//     reach of two clusters is in both);
+//   - the cluster's core points form one eps-connected component;
+//   - completeness: two core points within eps of each other share a
+//     cluster.
 //
 // Input encoding: byte 0 → minPts ∈ [1,6], byte 1 → eps ∈ {0.5,…,4.0},
 // then 3-byte chunks (oid, x, y) with coordinates as signed bytes, so
@@ -76,10 +77,7 @@ func FuzzDBSCANCluster(f *testing.F) {
 			idxOf[p.OID] = i
 		}
 
-		clusterOf := make([]int, n)
-		for i := range clusterOf {
-			clusterOf[i] = -1
-		}
+		in := make([][]int, n) // point → the clusters holding it, ascending
 		for ci, cl := range clusters {
 			if len(cl) < minPts {
 				t.Fatalf("cluster %d has %d members < minPts %d: %v", ci, len(cl), minPts, cl)
@@ -92,28 +90,30 @@ func FuzzDBSCANCluster(f *testing.F) {
 				if !ok {
 					t.Fatalf("cluster %d contains unknown oid %d", ci, oid)
 				}
-				if clusterOf[i] != -1 {
-					t.Fatalf("oid %d assigned to clusters %d and %d", oid, clusterOf[i], ci)
-				}
-				clusterOf[i] = ci
+				in[i] = append(in[i], ci)
 			}
 		}
 
-		// Density-reachability: every member within eps of a core member of
-		// the same cluster.
-		for ci, cl := range clusters {
-			for _, oid := range cl {
-				i := idxOf[oid]
-				ok := false
-				for _, j := range neighbors[i] {
-					if core[j] && clusterOf[j] == ci {
-						ok = true
-						break
-					}
+		// Membership: a core in one cluster, a non-core point in the
+		// clusters of its core neighbours and no other.
+		for i := 0; i < n; i++ {
+			if core[i] && len(in[i]) != 1 {
+				t.Fatalf("core oid %d is in clusters %v, want exactly one", objs[i].OID, in[i])
+			}
+		}
+		for i := 0; i < n; i++ {
+			if core[i] {
+				continue
+			}
+			var want []int
+			for _, j := range neighbors[i] {
+				if core[j] && !slices.Contains(want, in[j][0]) {
+					want = append(want, in[j][0])
 				}
-				if !ok {
-					t.Fatalf("cluster %d member oid %d is not within eps of any core of its cluster", ci, oid)
-				}
+			}
+			slices.Sort(want)
+			if !slices.Equal(in[i], want) {
+				t.Fatalf("non-core oid %d is in clusters %v, its core neighbours in %v", objs[i].OID, in[i], want)
 			}
 		}
 
@@ -134,7 +134,7 @@ func FuzzDBSCANCluster(f *testing.F) {
 				i := frontier[len(frontier)-1]
 				frontier = frontier[:len(frontier)-1]
 				for _, j := range neighbors[i] {
-					if core[j] && clusterOf[j] == ci && !reach[j] {
+					if core[j] && in[j][0] == ci && !reach[j] {
 						reach[j] = true
 						frontier = append(frontier, j)
 					}
@@ -147,20 +147,15 @@ func FuzzDBSCANCluster(f *testing.F) {
 			}
 		}
 
-		// Completeness: cores always clustered; eps-close cores co-clustered.
-		for i := 0; i < n; i++ {
-			if core[i] && clusterOf[i] == -1 {
-				t.Fatalf("core point oid %d left unclustered", objs[i].OID)
-			}
-		}
+		// Completeness: eps-close cores co-clustered.
 		for i := 0; i < n; i++ {
 			if !core[i] {
 				continue
 			}
 			for _, j := range neighbors[i] {
-				if core[j] && clusterOf[i] != clusterOf[j] {
+				if core[j] && in[i][0] != in[j][0] {
 					t.Fatalf("cores oid %d and oid %d are within eps but in clusters %d and %d",
-						objs[i].OID, objs[j].OID, clusterOf[i], clusterOf[j])
+						objs[i].OID, objs[j].OID, in[i][0], in[j][0])
 				}
 			}
 		}

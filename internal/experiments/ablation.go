@@ -13,15 +13,15 @@ func init() {
 }
 
 // ablation quantifies two of k/2-hop's design choices (not a paper figure —
-// see DESIGN.md §7): the HWMT bisection order vs a left-to-right sweep, and
-// the post-extension fixpoint. Reported per dataset at the default k:
-// wall-clock and points read for each variant.
+// see docs/ARCHITECTURE.md, "Design notes"): the HWMT bisection order vs a
+// left-to-right sweep, and the post-extension fixpoint. Reported per
+// dataset at the default k: wall-clock and points read for each variant.
 func ablation(s Scale) (Table, error) {
 	t := Table{
 		ID:      "ablation",
 		Title:   "k/2-hop design-choice ablations",
 		Columns: []string{"dataset", "variant", "time", "points read"},
-		Notes:   "bisection aborts dead hop-windows earlier; the fixpoint re-extension is the correctness patch from DESIGN.md §3",
+		Notes:   "bisection aborts dead hop-windows earlier; the fixpoint re-extension finds convoys the paper's single right-then-left pass misses",
 	}
 	for _, spec := range Datasets() {
 		ds := spec.Build(s)

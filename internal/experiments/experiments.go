@@ -1,10 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§6) against the synthetic datasets (see DESIGN.md §5 for the
-// experiment index and §3 for the dataset substitutions). Each experiment
-// returns a Table whose rows correspond to the series the paper plots;
-// absolute numbers differ from the paper's testbed, but the comparisons —
-// who wins, how gains move with k, m, eps, cores, nodes and data size —
-// are the reproduction targets recorded in EXPERIMENTS.md.
+// evaluation (§6) against the synthetic datasets that package datagen
+// substitutes for the paper's (`cmd/experiments -list` prints the index).
+// Each experiment returns a Table whose rows correspond to the series the
+// paper plots; absolute numbers differ from the paper's testbed, but the
+// comparisons — who wins, how gains move with k, m, eps, cores, nodes and
+// data size — are the reproduction targets.
 package experiments
 
 import (

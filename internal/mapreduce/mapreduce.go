@@ -1,7 +1,7 @@
 // Package mapreduce is a miniature in-process map-reduce runtime standing
-// in for the Hadoop/YARN and Spark clusters of the paper's setups B and C
-// (see DESIGN.md §3). It reproduces the costs that matter when comparing a
-// distributed miner against sequential k/2-hop:
+// in for the Hadoop/YARN and Spark clusters of the paper's setups B and C.
+// It reproduces the costs that matter when comparing a distributed miner
+// against sequential k/2-hop:
 //
 //   - bounded parallelism: a worker pool of Cores goroutines per simulated
 //     node, tasks queued like containers;

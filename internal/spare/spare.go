@@ -12,8 +12,11 @@
 //	  pair with a ≥k consecutive co-clustering run) is partitioned into
 //	  stars owned by their minimum vertex; each star enumerates candidate
 //	  groups apriori-style, pruning any group whose AND-ed sequence has no
-//	  run of k consecutive timestamps. Because same-cluster is transitive
-//	  at a fixed timestamp, anchoring sequences at the star owner is exact.
+//	  run of k consecutive timestamps. Where a tick's clusters are
+//	  disjoint, same-cluster is transitive and anchoring sequences at the
+//	  star owner is exact; where two clusters share a border point (DBSCAN
+//	  at m ≥ 4), a group's runs are cut at the ticks where it lies inside
+//	  no single cluster.
 //
 // The paper's critique — which the experiments reproduce — is that stage 1
 // clusters every snapshot of the whole dataset no matter how rare convoys
@@ -22,6 +25,7 @@ package spare
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -85,11 +89,23 @@ func Mine(store storage.Store, cfg Config) ([]model.Convoy, error) {
 		return nil, err
 	}
 
-	// Pair co-clustering sequences (the object graph's edge labels).
+	// Pair co-clustering sequences (the object graph's edge labels), and
+	// the clusters of each tick at which some object is in two of them.
 	seqs := map[pair]*bitset.Bits{}
+	shared := make([][]model.ObjSet, nTicks)
+	in := map[int32]bool{}
 	for _, batch := range clustered {
 		for _, tc := range batch {
 			bit := int(tc.T - ts)
+			clear(in)
+			for _, cl := range tc.Clusters {
+				for _, o := range cl {
+					if in[o] {
+						shared[bit] = tc.Clusters
+					}
+					in[o] = true
+				}
+			}
 			for _, cl := range tc.Clusters {
 				for i := 0; i < len(cl); i++ {
 					for j := i + 1; j < len(cl); j++ {
@@ -124,7 +140,7 @@ func Mine(store storage.Store, cfg Config) ([]model.Convoy, error) {
 	}
 
 	results, err := mapreduce.Run(cfg.Cluster, owners, func(a int32) ([]model.Convoy, error) {
-		return enumerateStar(a, stars[a], seqs2(seqs, a), nTicks, ts, cfg), nil
+		return enumerateStar(a, stars[a], seqs2(seqs, a), shared, ts, cfg), nil
 	})
 	if err != nil {
 		return nil, err
@@ -155,28 +171,41 @@ func seqs2(seqs map[pair]*bitset.Bits, a int32) map[int32]*bitset.Bits {
 // enumerateStar runs the apriori candidate enumeration within one star:
 // depth-first growth of groups {a} ∪ S, S ⊆ neighbours(a), AND-ing the
 // anchored sequences and pruning when the longest run drops below k. Every
-// surviving group emits one convoy per ≥k run; global maximality filtering
-// happens in the caller.
+// surviving group emits one convoy per ≥k run of the ticks at which it lies
+// inside one cluster: the AND-ed run, cut at the ticks where the group
+// spans clusters that share an object. shared holds one entry per tick:
+// the tick's clusters if two of them share an object, else nil. Global
+// maximality filtering happens in the caller.
 //
 // The DFS runs on the shared set engine's reuse pattern: one bitset buffer
 // per depth (siblings at a depth overwrite it, descendants use deeper
 // buffers) and one shared group stack, so enumeration allocates only for
 // emitted convoys — the old per-node AndNew clone made the enumerator the
 // dominant allocator on dense stars.
-func enumerateStar(a int32, neighbours []int32, seq map[int32]*bitset.Bits, nTicks int, ts int32, cfg Config) []model.Convoy {
+func enumerateStar(a int32, neighbours []int32, seq map[int32]*bitset.Bits, shared [][]model.ObjSet, ts int32, cfg Config) []model.Convoy {
 	var out []model.Convoy
+	nTicks := len(shared)
 	group := make([]int32, 0, len(neighbours)) // shared DFS stack
 	emit := func(bits *bitset.Bits) {
 		if len(group)+1 < cfg.M {
 			return
 		}
 		for _, run := range bits.Runs(cfg.K) {
-			objs := model.NewObjSet(append([]int32{a}, group...)...)
-			out = append(out, model.Convoy{
-				Objs:  objs,
-				Start: ts + int32(run[0]),
-				End:   ts + int32(run[1]),
-			})
+			from := run[0]
+			for t := run[0]; t <= run[1]+1; t++ {
+				if t <= run[1] && (shared[t] == nil || inOneCluster(shared[t], a, group)) {
+					continue
+				}
+				if t-from >= cfg.K {
+					objs := model.NewObjSet(append([]int32{a}, group...)...)
+					out = append(out, model.Convoy{
+						Objs:  objs,
+						Start: ts + int32(from),
+						End:   ts + int32(t-1),
+					})
+				}
+				from = t + 1
+			}
 		}
 	}
 	var bufs []*bitset.Bits // one AND buffer per DFS depth
@@ -203,4 +232,12 @@ func enumerateStar(a int32, neighbours []int32, seq map[int32]*bitset.Bits, nTic
 	full.SetRange(0, nTicks-1)
 	dfs(full, 0, 0)
 	return out
+}
+
+// inOneCluster reports whether a and every object of group lie inside one
+// of clusters.
+func inOneCluster(clusters []model.ObjSet, a int32, group []int32) bool {
+	return slices.ContainsFunc(clusters, func(cl model.ObjSet) bool {
+		return cl.Contains(a) && !slices.ContainsFunc(group, func(o int32) bool { return !cl.Contains(o) })
+	})
 }

@@ -29,7 +29,7 @@ func TestEnumerateStarSimple(t *testing.T) {
 		2: seqOf(10, [2]int{0, 9}),
 		3: seqOf(10, [2]int{0, 9}),
 	}
-	out := enumerateStar(1, []int32{2, 3}, seq, 10, 0, Config{M: 3, K: 5})
+	out := enumerateStar(1, []int32{2, 3}, seq, make([][]model.ObjSet, 10), 0, Config{M: 3, K: 5})
 	want := model.NewConvoy(model.NewObjSet(1, 2, 3), 0, 9)
 	found := false
 	for _, c := range out {
@@ -49,7 +49,7 @@ func TestEnumerateStarPrunesShortRuns(t *testing.T) {
 		2: seqOf(12, [2]int{0, 11}),
 		3: seqOf(12, [2]int{0, 1}, [2]int{5, 6}, [2]int{10, 11}),
 	}
-	out := enumerateStar(1, []int32{2, 3}, seq, 12, 0, Config{M: 2, K: 4})
+	out := enumerateStar(1, []int32{2, 3}, seq, make([][]model.ObjSet, 12), 0, Config{M: 2, K: 4})
 	for _, c := range out {
 		if c.Objs.Contains(3) {
 			t.Fatalf("pruned group emitted: %v", c)
@@ -71,7 +71,7 @@ func TestEnumerateStarMultipleRuns(t *testing.T) {
 	seq := map[int32]*bitset.Bits{
 		2: seqOf(20, [2]int{0, 5}, [2]int{10, 17}),
 	}
-	out := enumerateStar(1, []int32{2}, seq, 20, 100, Config{M: 2, K: 4})
+	out := enumerateStar(1, []int32{2}, seq, make([][]model.ObjSet, 20), 100, Config{M: 2, K: 4})
 	if len(out) != 2 {
 		t.Fatalf("want 2 run-convoys, got %v", out)
 	}
@@ -83,9 +83,33 @@ func TestEnumerateStarMultipleRuns(t *testing.T) {
 
 func TestEnumerateStarRespectsM(t *testing.T) {
 	seq := map[int32]*bitset.Bits{2: seqOf(10, [2]int{0, 9})}
-	out := enumerateStar(1, []int32{2}, seq, 10, 0, Config{M: 3, K: 4})
+	out := enumerateStar(1, []int32{2}, seq, make([][]model.ObjSet, 10), 0, Config{M: 3, K: 4})
 	if len(out) != 0 {
 		t.Fatalf("pairs must not satisfy m=3: %v", out)
+	}
+}
+
+// At a tick whose clusters share a border point, pairwise co-clustering
+// with the owner does not put a group inside one cluster. Here 1 is in
+// {1,2,4,5} and {1,3,6,7} at tick 5: the pairs (1,2) and (1,3) hold
+// throughout [0,9], but {1,2,3} is together only in [0,4] and [6,9], while
+// {1,2} keeps the whole run.
+func TestEnumerateStarCutsRunsAtSplitTicks(t *testing.T) {
+	seq := map[int32]*bitset.Bits{
+		2: seqOf(10, [2]int{0, 9}),
+		3: seqOf(10, [2]int{0, 9}),
+	}
+	shared := make([][]model.ObjSet, 10)
+	shared[5] = []model.ObjSet{model.NewObjSet(1, 2, 4, 5), model.NewObjSet(1, 3, 6, 7)}
+	got := model.NewConvoySet(enumerateStar(1, []int32{2, 3}, seq, shared, 0, Config{M: 2, K: 4})...).Sorted()
+	want := model.NewConvoySet(
+		model.NewConvoy(model.NewObjSet(1, 2), 0, 9),
+		model.NewConvoy(model.NewObjSet(1, 3), 0, 9),
+		model.NewConvoy(model.NewObjSet(1, 2, 3), 0, 4),
+		model.NewConvoy(model.NewObjSet(1, 2, 3), 6, 9),
+	).Sorted()
+	if !model.ConvoysEqual(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Command mdlinks checks the internal links of markdown files so the
 // cross-references between README.md, docs/API.md and docs/ARCHITECTURE.md
 // cannot rot: every relative link must point at a file that exists, and
-// every fragment (`file.md#section`, or `#section` within a file) must
+// every fragment (`docs/API.md#section`, or `#section` within a file) must
 // match a heading in the target file, using GitHub's anchor slug rules.
 // External links (http/https/mailto) are deliberately not fetched — CI
 // must not depend on the network — and links inside fenced code blocks are
