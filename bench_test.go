@@ -56,10 +56,6 @@ func BenchmarkFig8j_PreValidationConvoys(b *testing.B)  { benchExperiment(b, "fi
 func BenchmarkFig8k_EffectOfConvoyCount(b *testing.B)   { benchExperiment(b, "fig8k") }
 func BenchmarkFig8l_DataSizeScalability(b *testing.B)   { benchExperiment(b, "fig8l") }
 
-// --- Ablations (docs/ARCHITECTURE.md, "Design notes"; not a paper figure) ---
-
-func BenchmarkAblation_DesignChoices(b *testing.B) { benchExperiment(b, "ablation") }
-
 // --- Tables ---------------------------------------------------------------
 
 func BenchmarkTable4_BrinkhoffProperties(b *testing.B) { benchExperiment(b, "table4") }

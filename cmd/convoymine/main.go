@@ -115,8 +115,7 @@ func run(data, file, scale, algo, store string, m, k int, eps float64, workers, 
 		fmt.Printf("phases: benchmark=%s candidates=%s hwmt=%s merge=%s extR=%s extL=%s validate=%s\n",
 			r.BenchmarkTime, r.CandidateTime, r.HWMTTime, r.MergeTime,
 			r.ExtendRight, r.ExtendLeft, r.ValidateTime)
-		fmt.Printf("pool: workers=%d cpu: benchmark=%s hwmt=%s extR=%s extL=%s\n",
-			r.Workers, r.BenchmarkCPU, r.HWMTCPU, r.ExtendRightCPU, r.ExtendLeftCPU)
+		fmt.Printf("pool: workers=%d\n", r.Workers)
 	}
 	if verbose {
 		for _, c := range res.Convoys {

@@ -126,9 +126,6 @@ type Options struct {
 	Nodes int
 	// Lambda is the partition/piece length for DCM and CuTS (0 = default).
 	Lambda int
-	// DisableReExtend turns off k/2-hop's post-extension fixpoint (paper
-	// fidelity mode; see docs/ARCHITECTURE.md, "Design notes").
-	DisableReExtend bool
 }
 
 // Result carries the mined convoys and run metadata.
@@ -168,7 +165,6 @@ func Mine(store Store, p Params, opts *Options) (*Result, error) {
 			o.Nodes = opts.Nodes
 		}
 		o.Lambda = opts.Lambda
-		o.DisableReExtend = opts.DisableReExtend
 	}
 	res := &Result{Algorithm: o.Algorithm}
 	before := store.Stats().Snapshot().PointsRead
@@ -184,11 +180,8 @@ func Mine(store Store, p Params, opts *Options) (*Result, error) {
 			res.PreValidation = rep.PreValidation
 			break
 		}
-		cfg := core.DefaultConfig(p.M, p.K, p.Eps)
-		cfg.ReExtend = !o.DisableReExtend
-		cfg.Workers = o.Workers
 		var rep *core.Report
-		res.Convoys, rep, err = core.Mine(store, cfg)
+		res.Convoys, rep, err = core.Mine(store, core.Config{M: p.M, K: p.K, Eps: p.Eps, Workers: o.Workers})
 		res.K2Hop = rep
 		if rep != nil {
 			res.PreValidation = rep.PreValidation

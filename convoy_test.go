@@ -87,17 +87,3 @@ func TestMultiNodeOptionsWork(t *testing.T) {
 		}
 	}
 }
-
-func TestDisableReExtendStillSound(t *testing.T) {
-	ds := minetest.Random(7, 10, 18)
-	p := Params{M: 3, K: 5, Eps: minetest.Eps}
-	res, err := MineDataset(ds, p, &Options{DisableReExtend: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range res.Convoys {
-		if !minetest.IsFCConvoy(ds, c, p.M, p.Eps) {
-			t.Fatalf("unsound convoy %v", c)
-		}
-	}
-}

@@ -1,0 +1,59 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/minetest"
+	"repro/internal/model"
+	"repro/internal/storage"
+	"repro/internal/vcoda"
+)
+
+// BenchmarkMineCity batch-mines the serve workloads' own traffic — the
+// moving city feed and its parked variant, ≈ 1 830 objects per tick over
+// 160 ticks — at the serve parameters (m = 3, k = 8, eps = 40), with
+// k/2-hop and with VCoDA, on one worker each. Besides time it reports what
+// each miner reads from the store: points returned and point queries.
+func BenchmarkMineCity(b *testing.B) {
+	moving := minetest.City(1, 650, 14)
+	feeds := []struct {
+		name  string
+		ticks [][]model.ObjPos
+	}{{"moving", moving}, {"parked", minetest.Park(moving)}}
+	miners := []struct {
+		name string
+		mine func(storage.Store) error
+	}{
+		{"k2hop", func(s storage.Store) error {
+			_, _, err := Mine(s, Config{M: minetest.CityM, K: minetest.CityK, Eps: minetest.CityEps, Workers: 1})
+			return err
+		}},
+		{"vcoda", func(s storage.Store) error {
+			_, _, err := vcoda.Mine(s, minetest.CityM, minetest.CityK, minetest.CityEps)
+			return err
+		}},
+	}
+	for _, feed := range feeds {
+		var pts []model.Point
+		for t, snap := range feed.ticks {
+			for _, p := range snap {
+				pts = append(pts, model.Point{OID: p.OID, T: int32(t), X: p.X, Y: p.Y})
+			}
+		}
+		ds := model.NewDataset(pts)
+		for _, mn := range miners {
+			b.Run(feed.name+"/"+mn.name, func(b *testing.B) {
+				var io storage.IOStats
+				for i := 0; i < b.N; i++ {
+					ms := storage.NewMemStore(ds)
+					if err := mn.mine(ms); err != nil {
+						b.Fatal(err)
+					}
+					io = ms.Stats().Snapshot()
+				}
+				b.ReportMetric(float64(io.PointsRead), "points_read/op")
+				b.ReportMetric(float64(io.PointQueries), "point_queries/op")
+			})
+		}
+	}
+}

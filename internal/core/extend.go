@@ -1,48 +1,32 @@
 package core
 
 import (
-	"slices"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
 	"repro/internal/pool"
 )
 
-// maxReExtend bounds the ReExtend fixpoint's iterations (safety valve).
-const maxReExtend = 4
-
 // extendAll grows the maximal spanning convoys to their true starts and
-// ends (paper §4.5, Algorithm 3): first to the right, then to the left.
-// When cfg.ReExtend is set, the two passes repeat until a fixpoint, because
-// an object set that shrank while extending left may be further extensible
-// to the right (and vice versa) — see docs/ARCHITECTURE.md, "Design notes".
+// ends (paper §4.5, Algorithm 3): one pass to the right, then one to the
+// left. One pass each way covers every maximal pattern, because the
+// Grouper is restriction-monotone — see docs/ARCHITECTURE.md, "Why
+// extension runs once each way".
 func (mi *miner) extendAll(merged []model.Convoy, rep *Report) ([]model.Convoy, error) {
-	cur := merged
-	var prev []model.Convoy // the previous pass's result
-	for iter := 0; ; iter++ {
-		start := time.Now()
-		right, err := mi.extend(cur, +1, &rep.ExtendRightCPU)
-		if err != nil {
-			return nil, err
-		}
-		rep.ExtendRight += time.Since(start)
-
-		start = time.Now()
-		cur, err = mi.extend(right, -1, &rep.ExtendLeftCPU)
-		if err != nil {
-			return nil, err
-		}
-		rep.ExtendLeft += time.Since(start)
-
-		// extend returns canonical order, so a pass that changed nothing
-		// compares equal element by element.
-		if !mi.cfg.ReExtend || iter+1 >= maxReExtend ||
-			slices.EqualFunc(cur, prev, model.Convoy.Equal) {
-			return cur, nil
-		}
-		prev = cur
+	start := time.Now()
+	right, err := mi.extend(merged, +1)
+	if err != nil {
+		return nil, err
 	}
+	rep.ExtendRight = time.Since(start)
+
+	start = time.Now()
+	out, err := mi.extend(right, -1)
+	if err != nil {
+		return nil, err
+	}
+	rep.ExtendLeft = time.Since(start)
+	return out, nil
 }
 
 // extend grows every convoy in the given direction (+1 = right, -1 = left).
@@ -51,13 +35,10 @@ func (mi *miner) extendAll(merged []model.Convoy, rep *Report) ([]model.Convoy, 
 // maximality merge replays them in task-index order, which makes the result
 // identical to the sequential walk for every worker count (the maximality
 // filter is also order-confluent, but replaying in order keeps even the
-// internal set states bit-for-bit equal). Summed task time lands in cpu.
-func (mi *miner) extend(convoys []model.Convoy, dir int32, cpu *time.Duration) ([]model.Convoy, error) {
+// internal set states bit-for-bit equal).
+func (mi *miner) extend(convoys []model.Convoy, dir int32) ([]model.Convoy, error) {
 	closed := make([][]model.Convoy, len(convoys))
-	var taskCPU atomic.Int64
 	err := pool.ForEach(mi.workers, len(convoys), func(i int) error {
-		t0 := time.Now()
-		defer func() { taskCPU.Add(int64(time.Since(t0))) }()
 		cs, err := mi.extendOne(convoys[i], dir)
 		if err != nil {
 			return err
@@ -68,7 +49,6 @@ func (mi *miner) extend(convoys []model.Convoy, dir int32, cpu *time.Duration) (
 	if err != nil {
 		return nil, err
 	}
-	*cpu += time.Duration(taskCPU.Load())
 	out := model.NewConvoySet()
 	for _, cs := range closed {
 		out.UpdateAll(cs)

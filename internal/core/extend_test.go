@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/minetest"
 	"repro/internal/model"
@@ -14,10 +13,8 @@ import (
 
 func newTestMiner(ds *model.Dataset, m, k int) *miner {
 	ts, te := ds.TimeRange()
-	cfg := DefaultConfig(m, k, minetest.Eps)
 	return &miner{
 		store:   storage.NewMemStore(ds),
-		cfg:     cfg,
 		ts:      ts,
 		te:      te,
 		grouper: ConvoyGrouper(m, minetest.Eps),
@@ -32,7 +29,7 @@ func TestExtendRightGrowsToTrueEnd(t *testing.T) {
 	mi := newTestMiner(ds, 3, 8)
 	// Spanning skeleton [4, 8]; the true convoy runs to 13.
 	in := []model.Convoy{model.NewConvoy(model.NewObjSet(1, 2, 3), 4, 8)}
-	out, err := mi.extend(in, +1, new(time.Duration))
+	out, err := mi.extend(in, +1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +46,7 @@ func TestExtendLeftGrowsToTrueStart(t *testing.T) {
 	})
 	mi := newTestMiner(ds, 3, 8)
 	in := []model.Convoy{model.NewConvoy(model.NewObjSet(1, 2, 3), 8, 19)}
-	out, err := mi.extend(in, -1, new(time.Duration))
+	out, err := mi.extend(in, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +69,7 @@ func TestExtendSplitsIntoSubgroups(t *testing.T) {
 	ds := minetest.Build(groups)
 	mi := newTestMiner(ds, 2, 4)
 	in := []model.Convoy{model.NewConvoy(model.NewObjSet(1, 2, 3, 4), 4, 8)}
-	out, err := mi.extend(in, +1, new(time.Duration))
+	out, err := mi.extend(in, +1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +89,7 @@ func TestExtendStopsAtDatasetBoundary(t *testing.T) {
 	})
 	mi := newTestMiner(ds, 3, 4)
 	in := []model.Convoy{model.NewConvoy(model.NewObjSet(1, 2, 3), 4, 8)}
-	out, err := mi.extend(in, +1, new(time.Duration))
+	out, err := mi.extend(in, +1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestStorageFaultsPropagate(t *testing.T) {
 	})
 	// First find out how many store operations a clean run needs.
 	clean := storetest.NewFaultStore(storage.NewMemStore(ds), 1<<40)
-	if _, _, err := Mine(clean, DefaultConfig(3, 8, minetest.Eps)); err != nil {
+	if _, _, err := Mine(clean, Config{M: 3, K: 8, Eps: minetest.Eps}); err != nil {
 		t.Fatalf("clean run failed: %v", err)
 	}
 	total := clean.Ops()
@@ -28,7 +28,7 @@ func TestStorageFaultsPropagate(t *testing.T) {
 	// Fail at a sample of positions across the whole run (every phase).
 	for budget := int64(0); budget < total; budget += total/7 + 1 {
 		fs := storetest.NewFaultStore(storage.NewMemStore(ds), budget)
-		_, _, err := Mine(fs, DefaultConfig(3, 8, minetest.Eps))
+		_, _, err := Mine(fs, Config{M: 3, K: 8, Eps: minetest.Eps})
 		if !errors.Is(err, storetest.ErrInjected) {
 			t.Fatalf("budget %d: error = %v, want injected fault", budget, err)
 		}
@@ -42,7 +42,7 @@ func TestFaultDuringValidationPhase(t *testing.T) {
 		{Start: 0, End: 19, Groups: [][]int32{{1, 2, 3}}},
 	})
 	for _, workers := range []int{1, 4} {
-		cfg := DefaultConfig(3, 8, minetest.Eps)
+		cfg := Config{M: 3, K: 8, Eps: minetest.Eps}
 		cfg.Workers = workers
 		pre := storetest.NewFaultStore(storage.NewMemStore(ds), 1<<40)
 		if _, _, err := MineCandidates(pre, cfg, ConvoyGrouper(cfg.M, cfg.Eps)); err != nil {
@@ -76,7 +76,7 @@ func TestFaultDuringSecondLevelValidation(t *testing.T) {
 
 func faultDuringSecondLevelValidation(t *testing.T, workers int) {
 	ds, want := minetest.LeavingBridge()
-	cfg := DefaultConfig(2, 4, minetest.Eps)
+	cfg := Config{M: 2, K: 4, Eps: minetest.Eps}
 	cfg.Workers = workers
 	pre := storetest.NewFaultStore(storage.NewMemStore(ds), 1<<40)
 	cands, _, err := MineCandidates(pre, cfg, ConvoyGrouper(cfg.M, cfg.Eps))

@@ -20,7 +20,10 @@ import (
 //   - Restricted(rows) does the same for a snapshot restricted to a
 //     candidate's objects, and must be restriction-monotone: if a pattern's
 //     objects group together in a superset snapshot, they still group
-//     together (possibly inside a smaller group) in the restriction;
+//     together (possibly inside a smaller group) in the restriction. This
+//     is why extension needs one pass each way: a pattern's objects keep
+//     grouping inside whichever candidate still contains them, so some walk
+//     carries them to the pattern's true end, and then to its true start;
 //   - Restricted must be deterministic — the same rows always produce the
 //     same groups. The pipeline prunes duplicate candidate sets before
 //     re-clustering (HWMT levels and the phase-2 intersection), which is

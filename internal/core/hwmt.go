@@ -28,9 +28,6 @@ import "repro/internal/model"
 // points is all a spanning convoy needs.
 func (mi *miner) hwmt(lo, hi int32, cc []model.ObjSet) ([]model.ObjSet, error) {
 	order := bisectOrder(lo, hi)
-	if mi.cfg.LinearHWMT {
-		order = linearOrder(lo, hi)
-	}
 	if len(order) == 0 {
 		return cc, nil
 	}
@@ -60,19 +57,6 @@ func (mi *miner) hwmt(lo, hi int32, cc []model.ObjSet) ([]model.ObjSet, error) {
 		cands = next
 	}
 	return cands, nil
-}
-
-// linearOrder returns the timestamps of [lo, hi] left to right (the
-// ablation baseline for bisectOrder).
-func linearOrder(lo, hi int32) []int32 {
-	if hi < lo {
-		return nil
-	}
-	out := make([]int32, 0, int(hi-lo)+1)
-	for t := lo; t <= hi; t++ {
-		out = append(out, t)
-	}
-	return out
 }
 
 // bisectOrder returns the timestamps of [lo, hi] in HWMT level order: the

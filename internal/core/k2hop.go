@@ -2,7 +2,7 @@
 // mining algorithm (§4). The pipeline is
 //
 //	benchmark clustering → candidate clusters → HWMT per hop-window →
-//	DCM-merge → extend right/left → full-connectivity validation
+//	DCM-merge → extend right, then left → full-connectivity validation
 //
 // Only the benchmark points (every ⌊k/2⌋-th timestamp) are clustered in
 // full; everything else touches only the objects that survived the
@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dcm"
@@ -39,17 +38,6 @@ type Config struct {
 	M   int
 	K   int
 	Eps float64
-	// ReExtend controls the post-extension fixpoint: when the object set of
-	// a convoy shrinks during the left extension, the shrunken convoy may be
-	// further extensible to the right; the paper's Algorithm 3 extends once
-	// in each direction, which can miss such convoys. Enabled by default via
-	// DefaultConfig (see docs/ARCHITECTURE.md, "Design notes").
-	ReExtend bool
-	// LinearHWMT processes hop-window timestamps left-to-right instead of
-	// in bisection order. Results are identical; the bisection order prunes
-	// coincidentally-together candidates after fewer re-clusterings (paper
-	// §4.3). Exists for the ablation benchmarks.
-	LinearHWMT bool
 	// Workers bounds the goroutines of the parallel phases: benchmark
 	// clustering (each benchmark DBSCAN run is independent), candidate
 	// clusters and HWMT (each hop-window is independent once the clusters
@@ -63,15 +51,8 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig returns a Config with the correction flags enabled.
-func DefaultConfig(m, k int, eps float64) Config {
-	return Config{M: m, K: k, Eps: eps, ReExtend: true}
-}
-
-// Report exposes per-phase timings and pruning counters (paper Fig 8i and
-// Table 5). The *Time/Extend* fields are wall clock; the *CPU fields sum
-// the per-task time across workers for the parallel phases, so CPU/wall
-// approximates the effective speedup a phase got from the pool.
+// Report exposes per-phase wall-clock timings and pruning counters (paper
+// Fig 8i and Table 5).
 type Report struct {
 	BenchmarkTime time.Duration // benchmark-point clustering
 	CandidateTime time.Duration // cluster-set intersection
@@ -81,11 +62,7 @@ type Report struct {
 	ExtendLeft    time.Duration
 	ValidateTime  time.Duration
 
-	Workers        int           // worker-pool size the run used
-	BenchmarkCPU   time.Duration // summed task time of benchmark clustering
-	HWMTCPU        time.Duration // summed task time of hop-window mining
-	ExtendRightCPU time.Duration
-	ExtendLeftCPU  time.Duration
+	Workers int // worker-pool size the run used
 
 	BenchmarkPoints int // number of benchmark timestamps clustered
 	HopWindows      int // windows with non-empty candidate sets
@@ -95,12 +72,6 @@ type Report struct {
 	Convoys         int // final FC convoys
 
 	PointsProcessed int64 // points read from the store during the run
-}
-
-// Total returns the summed phase time.
-func (r *Report) Total() time.Duration {
-	return r.BenchmarkTime + r.CandidateTime + r.HWMTTime + r.MergeTime +
-		r.ExtendRight + r.ExtendLeft + r.ValidateTime
 }
 
 // Mine runs k/2-hop against a store and returns the maximal fully connected
@@ -152,7 +123,7 @@ func MineCandidates(store storage.Store, cfg Config, grouper Grouper) ([]model.C
 	if te < ts || int(te-ts)+1 < cfg.K {
 		return nil, rep, nil // dataset shorter than K: no patterns possible
 	}
-	mi := &miner{store: store, cfg: cfg, ts: ts, te: te, grouper: grouper, workers: workers}
+	mi := &miner{store: store, ts: ts, te: te, grouper: grouper, workers: workers}
 
 	// Phase 1: benchmark points and benchmark clusters. Every benchmark
 	// DBSCAN run is independent, so the snapshots fan out over the pool;
@@ -165,10 +136,7 @@ func MineCandidates(store storage.Store, cfg Config, grouper Grouper) ([]model.C
 	}
 	rep.BenchmarkPoints = len(bps)
 	benchClusters := make([][]model.ObjSet, len(bps))
-	var benchCPU atomic.Int64
 	err := pool.ForEach(workers, len(bps), func(i int) error {
-		t0 := time.Now()
-		defer func() { benchCPU.Add(int64(time.Since(t0))) }()
 		snap, err := store.Snapshot(bps[i])
 		if err != nil {
 			return fmt.Errorf("core: benchmark snapshot %d: %w", bps[i], err)
@@ -180,7 +148,6 @@ func MineCandidates(store storage.Store, cfg Config, grouper Grouper) ([]model.C
 		return nil, rep, err
 	}
 	rep.BenchmarkTime = time.Since(start)
-	rep.BenchmarkCPU = time.Duration(benchCPU.Load())
 
 	// Phase 2: candidate clusters per hop-window, each window a task.
 	start = time.Now()
@@ -201,13 +168,10 @@ func MineCandidates(store storage.Store, cfg Config, grouper Grouper) ([]model.C
 	// collect per-window so the spanning order matches the sequential run.
 	start = time.Now()
 	spanning := make([][]model.Convoy, len(cc))
-	var hwmtCPU atomic.Int64
 	err = pool.ForEach(workers, len(cc), func(i int) error {
 		if len(cc[i]) == 0 {
 			return nil
 		}
-		t0 := time.Now()
-		defer func() { hwmtCPU.Add(int64(time.Since(t0))) }()
 		surv, err := mi.hwmt(bps[i]+1, bps[i+1]-1, cc[i])
 		if err != nil {
 			return err
@@ -224,7 +188,6 @@ func MineCandidates(store storage.Store, cfg Config, grouper Grouper) ([]model.C
 		rep.Spanning += len(spanning[i])
 	}
 	rep.HWMTTime = time.Since(start)
-	rep.HWMTCPU = time.Duration(hwmtCPU.Load())
 
 	// Phase 4: merge spanning convoys across windows.
 	start = time.Now()
@@ -250,7 +213,6 @@ func MineCandidates(store storage.Store, cfg Config, grouper Grouper) ([]model.C
 // miner carries the store and parameters through the phases.
 type miner struct {
 	store   storage.Store
-	cfg     Config
 	ts, te  int32
 	grouper Grouper
 	workers int

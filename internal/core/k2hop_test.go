@@ -12,7 +12,7 @@ import (
 
 func mine(t *testing.T, ds *model.Dataset, m, k int) ([]model.Convoy, *Report) {
 	t.Helper()
-	out, rep, err := Mine(storage.NewMemStore(ds), DefaultConfig(m, k, minetest.Eps))
+	out, rep, err := Mine(storage.NewMemStore(ds), Config{M: m, K: k, Eps: minetest.Eps})
 	if err != nil {
 		t.Fatalf("Mine: %v", err)
 	}
@@ -137,10 +137,10 @@ func TestKEdgeCases(t *testing.T) {
 
 func TestKTooSmallRejected(t *testing.T) {
 	ds := minetest.BuildRanges([]minetest.Range{{Start: 0, End: 3, Groups: [][]int32{{1, 2}}}})
-	if _, _, err := Mine(storage.NewMemStore(ds), DefaultConfig(2, 1, minetest.Eps)); err == nil {
+	if _, _, err := Mine(storage.NewMemStore(ds), Config{M: 2, K: 1, Eps: minetest.Eps}); err == nil {
 		t.Fatalf("K=1 should be rejected")
 	}
-	if _, _, err := Mine(storage.NewMemStore(ds), DefaultConfig(0, 4, minetest.Eps)); err == nil {
+	if _, _, err := Mine(storage.NewMemStore(ds), Config{M: 0, K: 4, Eps: minetest.Eps}); err == nil {
 		t.Fatalf("M=0 should be rejected")
 	}
 }
@@ -161,7 +161,7 @@ func TestMatchesReferenceQuick(t *testing.T) {
 		for _, mk := range []struct{ m, k int }{{2, 3}, {2, 5}, {3, 4}, {3, 8}, {4, 6}} {
 			ds := minetest.Random(seed, 10, 18)
 			want := vcoda.Reference(ds, mk.m, mk.k, minetest.Eps)
-			got, _, err := Mine(storage.NewMemStore(ds), DefaultConfig(mk.m, mk.k, minetest.Eps))
+			got, _, err := Mine(storage.NewMemStore(ds), Config{M: mk.m, K: mk.k, Eps: minetest.Eps})
 			if err != nil {
 				t.Fatalf("seed %d m=%d k=%d: %v", seed, mk.m, mk.k, err)
 			}
@@ -205,7 +205,7 @@ func TestPruningCountsReported(t *testing.T) {
 	}
 	ds := minetest.Build(groups)
 	ms := storage.NewMemStore(ds)
-	_, rep, err := Mine(ms, DefaultConfig(3, 20, minetest.Eps))
+	_, rep, err := Mine(ms, Config{M: 3, K: 20, Eps: minetest.Eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,13 +246,11 @@ func TestBisectOrder(t *testing.T) {
 	}
 }
 
-func TestReExtendFindsShrunkenConvoys(t *testing.T) {
-	// Construct the case Algorithm 3 misses without re-extension:
-	// abc together [0,9]; ab alone continue [10,15]; and ab also were
-	// together earlier at [0,...] — after extendRight abc closes at 9 with
-	// subset ab continuing right to 15; extendLeft then keeps ab at start 0.
-	// Now make c rejoin on the left only: cd together... Simpler: verify
-	// against the reference on a scenario with asymmetric membership.
+func TestExtensionCoversShrunkenConvoys(t *testing.T) {
+	// ab is together over the whole run [0,15], and c joins it only over
+	// [4,9]. Both abc [4,9] and its shrunken subset ab [0,15] are maximal:
+	// abc must close at both of its ends while ab extends past them on
+	// both sides. The result must equal the reference's.
 	ds := minetest.BuildRanges([]minetest.Range{
 		{Start: 0, End: 3, Groups: [][]int32{{1, 2}, {3}}},
 		{Start: 4, End: 9, Groups: [][]int32{{1, 2, 3}}},
@@ -273,7 +271,7 @@ func TestLargerRandomAgreement(t *testing.T) {
 		ds := minetest.Random(seed, 20, 40)
 		for _, k := range []int{4, 7, 12} {
 			want := vcoda.Reference(ds, 3, k, minetest.Eps)
-			got, _, err := Mine(storage.NewMemStore(ds), DefaultConfig(3, k, minetest.Eps))
+			got, _, err := Mine(storage.NewMemStore(ds), Config{M: 3, K: k, Eps: minetest.Eps})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -133,7 +133,7 @@ func fcSeeds() [][]byte {
 // returns exactly want.
 func minersAgree(t testing.TB, label string, store storage.Store, c fcCase, want []model.Convoy) {
 	t.Helper()
-	k2hop, _, err := Mine(store, DefaultConfig(c.m, c.k, c.eps))
+	k2hop, _, err := Mine(store, Config{M: c.m, K: c.k, Eps: c.eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func minersAgree(t testing.TB, label string, store storage.Store, c fcCase, want
 // returns {3,5,6,7,8} in place of the first.
 func TestMineFCSharedBorderPoint(t *testing.T) {
 	c := decodeFC([]byte("20201*C10C"))
-	got, _, err := Mine(storage.NewMemStore(c.ds), DefaultConfig(c.m, c.k, c.eps))
+	got, _, err := Mine(storage.NewMemStore(c.ds), Config{M: c.m, K: c.k, Eps: c.eps})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func mineWith(t *testing.T, ds *model.Dataset, m, k, workers int) string {
 // mineReads is mineWith that also returns what the run read from its store.
 func mineReads(t *testing.T, ds *model.Dataset, m, k, workers int) (string, storage.IOStats) {
 	t.Helper()
-	cfg := DefaultConfig(m, k, minetest.Eps)
+	cfg := Config{M: m, K: k, Eps: minetest.Eps}
 	cfg.Workers = workers
 	store := storage.NewMemStore(ds)
 	out, rep, err := Mine(store, cfg)
@@ -119,7 +119,7 @@ func TestParallelReadsDoNotDependOnWorkers(t *testing.T) {
 // the mined FC convoys: the ones validation sweeps.
 func failingCandidates(t *testing.T, ds *model.Dataset, m, k int) int {
 	t.Helper()
-	cfg := DefaultConfig(m, k, minetest.Eps)
+	cfg := Config{M: m, K: k, Eps: minetest.Eps}
 	cands, _, err := MineCandidates(storage.NewMemStore(ds), cfg, ConvoyGrouper(m, minetest.Eps))
 	if err != nil {
 		t.Fatal(err)
@@ -138,12 +138,11 @@ func failingCandidates(t *testing.T, ds *model.Dataset, m, k int) int {
 	return n
 }
 
-// TestParallelReportCPUAccounting checks that the parallel phases record
-// summed task time: CPU time must be at least a large fraction of wall
-// time for a busy phase (they are equal modulo scheduling when workers=1).
-func TestParallelReportCPUAccounting(t *testing.T) {
+// TestParallelReportWorkers checks that the report records the pool size
+// the run used.
+func TestParallelReportWorkers(t *testing.T) {
 	ds := minetest.Random(5, 40, 120)
-	cfg := DefaultConfig(3, 10, minetest.Eps)
+	cfg := Config{M: 3, K: 10, Eps: minetest.Eps}
 	cfg.Workers = 4
 	_, rep, err := Mine(storage.NewMemStore(ds), cfg)
 	if err != nil {
@@ -152,15 +151,6 @@ func TestParallelReportCPUAccounting(t *testing.T) {
 	if rep.Workers != 4 {
 		t.Fatalf("Workers = %d, want 4", rep.Workers)
 	}
-	if rep.BenchmarkTime > 0 && rep.BenchmarkCPU == 0 {
-		t.Fatal("benchmark phase ran but recorded no CPU time")
-	}
-	if rep.HWMTTime > 0 && rep.HWMTCPU == 0 {
-		t.Fatal("HWMT phase ran but recorded no CPU time")
-	}
-	if rep.ExtendRight > 0 && rep.ExtendRightCPU == 0 {
-		t.Fatal("extend-right phase ran but recorded no CPU time")
-	}
 }
 
 // TestParallelAgainstReference cross-validates the parallel run against
@@ -168,7 +158,7 @@ func TestParallelReportCPUAccounting(t *testing.T) {
 // fully connected convoy of the dataset.
 func TestParallelAgainstReference(t *testing.T) {
 	ds := minetest.Random(6, 30, 100)
-	cfg := DefaultConfig(3, 8, minetest.Eps)
+	cfg := Config{M: 3, K: 8, Eps: minetest.Eps}
 	cfg.Workers = 8
 	out, _, err := Mine(storage.NewMemStore(ds), cfg)
 	if err != nil {

@@ -60,7 +60,7 @@ func TestMatchesReference2D(t *testing.T) {
 		ds := random2D(seed, 15, 20)
 		for _, k := range []int{4, 8} {
 			want := vcoda.Reference(ds, 3, k, 2.0)
-			got, _, err := Mine(storage.NewMemStore(ds), DefaultConfig(3, k, 2.0))
+			got, _, err := Mine(storage.NewMemStore(ds), Config{M: 3, K: k, Eps: 2.0})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func TestPruningShape(t *testing.T) {
 
 	processed := func(k int) int64 {
 		ms := storage.NewMemStore(ds)
-		if _, _, err := Mine(ms, DefaultConfig(3, k, minetest.Eps)); err != nil {
+		if _, _, err := Mine(ms, Config{M: 3, K: k, Eps: minetest.Eps}); err != nil {
 			t.Fatal(err)
 		}
 		return ms.Stats().Snapshot().PointsRead

@@ -121,12 +121,6 @@ func RunAll(scale Scale, w io.Writer) error {
 
 // --- small shared helpers ------------------------------------------------
 
-func timeIt(f func() error) (time.Duration, error) {
-	start := time.Now()
-	err := f()
-	return time.Since(start), err
-}
-
 func secs(d time.Duration) string { return fmt.Sprintf("%.3fs", d.Seconds()) }
 func gain(base, fast time.Duration) string {
 	if fast <= 0 {

@@ -11,7 +11,7 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
-		"ablation", "compare", "fig7a", "fig7b", "fig7c", "fig7d", "fig7e", "fig7f", "fig7g", "fig7h",
+		"compare", "fig7a", "fig7b", "fig7c", "fig7d", "fig7e", "fig7f", "fig7g", "fig7h",
 		"fig8a", "fig8b", "fig8c", "fig8d", "fig8e", "fig8f", "fig8g", "fig8h",
 		"fig8i", "fig8j", "fig8k", "fig8l", "table4", "table5",
 	}

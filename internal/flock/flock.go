@@ -97,8 +97,7 @@ func (m *Miner) Reset() { m.mn.Reset() }
 // This implements the paper's §7 ("the k/2-hop technique can be applied to
 // numerous movement patterns such as ... flock patterns").
 func MineK2Hop(store storage.Store, cfg Config) ([]Flock, *core.Report, error) {
-	ccfg := core.DefaultConfig(cfg.M, cfg.K, cfg.R)
-	ccfg.Workers = cfg.Workers
+	ccfg := core.Config{M: cfg.M, K: cfg.K, Eps: cfg.R, Workers: cfg.Workers}
 	grouper := core.Grouper{
 		Benchmark:  func(rows []model.ObjPos) []model.ObjSet { return DiskGroups(rows, cfg.R, cfg.M) },
 		Restricted: func(rows []model.ObjPos) []model.ObjSet { return DiskGroups(rows, cfg.R, cfg.M) },

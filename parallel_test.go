@@ -75,22 +75,3 @@ func TestMineDefaultWorkersIsPerCore(t *testing.T) {
 		t.Fatalf("default workers = %d, want ≥ 1", res.K2Hop.Workers)
 	}
 }
-
-// Example-style sanity for the wall-vs-CPU accounting exposed in the
-// report (used by the experiments tables).
-func TestReportPhaseAccounting(t *testing.T) {
-	spec := experiments.TDriveSpec()
-	ds := spec.Build(experiments.Tiny)
-	res, err := convoy.MineDataset(ds, convoy.Params{M: spec.M, K: spec.KMid(ds), Eps: spec.Eps},
-		&convoy.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := res.K2Hop
-	if rep == nil {
-		t.Fatal("no report")
-	}
-	if rep.BenchmarkTime > 0 && rep.BenchmarkCPU <= 0 {
-		t.Fatalf("benchmark wall %v but no CPU recorded", rep.BenchmarkTime)
-	}
-}
