@@ -59,11 +59,13 @@ type Miner struct {
 	m    int
 	keep func(model.Convoy) bool
 	// alive candidates; invariant: no candidate dominates another.
-	alive  []candidate
-	closed closedSet
-	// fresh queues convoys accepted into the closed set since the last
-	// Drain, in emission order. This lets streaming consumers poll for
-	// novelty in O(new) instead of re-deriving it from the full result set.
+	alive []candidate
+	// closed holds every convoy closed so far, in emission order. It needs
+	// no maximality filter; see Finish.
+	closed []model.Convoy
+	// fresh queues the convoys closed since the last Drain, in emission
+	// order. This lets streaming consumers poll for novelty in O(new)
+	// instead of re-deriving it from the full result set.
 	fresh   []model.Convoy
 	lastT   int32
 	started bool
@@ -260,7 +262,8 @@ func (mn *Miner) dominated(i int, c candidate) bool {
 }
 
 func (mn *Miner) emit(c model.Convoy) {
-	if mn.keep(c) && mn.closed.add(c) {
+	if mn.keep(c) {
+		mn.closed = append(mn.closed, c)
 		mn.fresh = append(mn.fresh, c)
 	}
 }
@@ -274,69 +277,28 @@ func (mn *Miner) flushAll(endT int32) {
 	mn.alive = mn.alive[:0]
 }
 
-// closedSet is the miner's result set: every convoy closed so far, maximal
-// under the sub-convoy order, in emission order.
+// Finish flushes candidates still alive at the final timestamp and returns
+// all mined maximal convoys in canonical order.
 //
-// A convoy closing with End = e can only dominate, or be dominated by,
-// closed convoys with the same End. Ends arrive in non-decreasing order, so
-// an earlier convoy (O', s', e') has e' ≤ e and cannot contain one ending
-// later. Nor can the new convoy (O, s, e) contain it when e' < e: O sat
-// inside one cluster at e'+1, so O' ⊆ O did too, and the candidate (O', s')
-// would have survived tick e'+1 intact instead of closing at e'. The
-// maximality filter therefore runs within the trailing run of equal Ends
-// only, and an add costs the convoys closed at that tick, not the feed's
-// lifetime.
-type closedSet struct {
-	items []model.Convoy
-	group int // items[group:] are the convoys whose End equals the latest End
-	// compares counts sub-convoy tests, for the same purpose as Miner.work.
-	compares int
-}
-
-// add inserts v, which must not end before any convoy already in the set,
-// and reports whether it was accepted (false when v is a sub-convoy of a
-// member). Members that are sub-convoys of v are dropped.
-func (s *closedSet) add(v model.Convoy) bool {
-	if n := len(s.items); n > 0 && s.items[n-1].End != v.End {
-		s.group = n
-	}
-	grp := s.items[s.group:]
-	keep := grp[:0]
-	for _, w := range grp {
-		s.compares++
-		if v.SubConvoyOf(w) {
-			// Members are mutually maximal, so nothing was dropped before
-			// reaching w (it would be a sub-convoy of w too).
-			return false
-		}
-		if !w.SubConvoyOf(v) {
-			keep = append(keep, w)
-		}
-	}
-	s.items = append(s.items[:s.group+len(keep)], v)
-	return true
-}
-
-// sorted returns the set in canonical order.
-func (s *closedSet) sorted() []model.Convoy {
-	out := slices.Clone(s.items)
+// The closed list needs no maximality filter when every cluster fed to
+// Step holds at least m objects (DBSCAN's and flock.DiskGroups' do). Say
+// closed convoys (O', s', e') ⊆ (O, s, e). With e' = e both were alive at
+// e, which is domination-free. With e' < e, O ⊇ O' sat in one cluster at
+// e'+1, so (O', s') survived that tick intact instead of closing at e'.
+// See docs/ARCHITECTURE.md, "Why the sweeps' result sets need no filter".
+func (mn *Miner) Finish() []model.Convoy {
+	mn.flushAll(mn.lastT)
+	out := slices.Clone(mn.closed)
 	model.SortConvoys(out)
 	return out
 }
 
-// Finish flushes candidates still alive at the final timestamp and returns
-// all mined maximal convoys in canonical order.
-func (mn *Miner) Finish() []model.Convoy {
-	mn.flushAll(mn.lastT)
-	return mn.closed.sorted()
-}
-
-// Drain returns the convoys accepted into the result set since the last
-// Drain, in emission order, and clears the queue. A drained convoy is final:
-// no convoy that closes later contains it (see closedSet), so every convoy
-// is drained exactly once and Finish returns the drained convoys plus the
-// ones it closes itself. Cost is O(drained), independent of the accumulated
-// result-set size — the property the convoyd ingest hot path relies on.
+// Drain returns the convoys closed since the last Drain, in emission order,
+// and clears the queue. A drained convoy is final: no convoy that closes
+// later contains it (see Finish), so every convoy is drained exactly once
+// and Finish returns the drained convoys plus the ones it closes itself.
+// Cost is O(drained), independent of the accumulated result-set size —
+// the property the convoyd ingest hot path relies on.
 func (mn *Miner) Drain() []model.Convoy {
 	out := mn.fresh
 	mn.fresh = nil
@@ -353,7 +315,8 @@ func (mn *Miner) Last() (t int32, ok bool) { return mn.lastT, mn.started }
 func (mn *Miner) Reset() {
 	clear(mn.alive)
 	mn.alive = mn.alive[:0]
-	mn.closed = closedSet{}
+	clear(mn.closed)
+	mn.closed = mn.closed[:0]
 	mn.fresh = nil
 	mn.lastT = 0
 	mn.started = false

@@ -151,7 +151,10 @@ func TestCompletenessBruteForce(t *testing.T) {
 		ds := minetest.Random(seed, 8, 12)
 		m, k := 2, 3
 		got := mineDS(t, ds, m, k)
-		cover := model.NewConvoySet(got...)
+		var cover model.Cover
+		for _, c := range got {
+			cover.Add(c)
+		}
 		// Enumerate every interval and every pair of objects; if the pair is
 		// co-clustered throughout, some output must cover it.
 		objs := ds.Objects()

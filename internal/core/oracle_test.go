@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dbscan"
+	"repro/internal/dcm"
 	"repro/internal/minetest"
 	"repro/internal/model"
 	"repro/internal/storage"
@@ -53,7 +54,7 @@ func bruteForceFC(ds *model.Dataset, m, k int, eps float64) []model.Convoy {
 			run = 0
 		}
 	}
-	return model.MaximalConvoys(fc)
+	return minetest.ReferenceMaximal(fc)
 }
 
 // together reports whether DBSCAN over exactly set's points in snap yields
@@ -130,9 +131,22 @@ func fcSeeds() [][]byte {
 }
 
 // minersAgree mines c with every miner over store and fails unless each
-// returns exactly want.
+// returns exactly want, and unless k/2-hop's merge phase returns a maximal
+// set: dcm.Merge keeps its final convoys unfiltered, on the argument in its
+// doc comment, and the brute-force filter must find nothing to remove.
 func minersAgree(t testing.TB, label string, store storage.Store, c fcCase, want []model.Convoy) {
 	t.Helper()
+	if ts, te := store.TimeRange(); te >= ts && int(te-ts)+1 >= c.k {
+		mi := &miner{store: store, ts: ts, te: te, grouper: ConvoyGrouper(c.m, c.eps), workers: 1}
+		spanning, err := mi.spanning(Config{M: c.m, K: c.k, Eps: c.eps}, &Report{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged := dcm.Merge(spanning, c.m)
+		if got, maximal := minetest.Canonical(merged), minetest.Canonical(minetest.ReferenceMaximal(merged)); got != maximal {
+			t.Fatalf("%s m=%d k=%d eps=%g: dcm.Merge returned a covered convoy:\n%s\nmaximal:\n%s", label, c.m, c.k, c.eps, got, maximal)
+		}
+	}
 	k2hop, _, err := Mine(store, Config{M: c.m, K: c.k, Eps: c.eps})
 	if err != nil {
 		t.Fatal(err)

@@ -41,6 +41,26 @@ type Config struct {
 
 // Mine runs DCM against a store.
 func Mine(store storage.Store, cfg Config) ([]model.Convoy, error) {
+	parts, err := mineParts(store, cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Reduce phase: merge across partitions, sequentially left to right.
+	// The merged set is maximal and sorted, so the k filter keeps it so.
+	var out []model.Convoy
+	for _, c := range Merge(parts, cfg.M) {
+		if c.Len() >= cfg.K {
+			out = append(out, c)
+		}
+	}
+	return out, nil
+}
+
+// mineParts is the map phase: it mines every partition and returns their
+// convoy sets left to right, the slices Merge folds. Partial convoys
+// touching a border are kept regardless of length so the reduce phase can
+// merge them.
+func mineParts(store storage.Store, cfg Config) ([][]model.Convoy, error) {
 	if cfg.Lambda <= 0 {
 		cfg.Lambda = 4 * cfg.K
 	}
@@ -68,9 +88,7 @@ func Mine(store storage.Store, cfg Config) ([]model.Convoy, error) {
 		}
 	}
 
-	// Map phase: mine each partition. Partial convoys touching a border are
-	// kept regardless of length so the reduce phase can merge them.
-	results, err := mapreduce.Run(cfg.Cluster, parts, func(p part) ([]model.Convoy, error) {
+	return mapreduce.Run(cfg.Cluster, parts, func(p part) ([]model.Convoy, error) {
 		keep := func(c model.Convoy) bool {
 			return c.Len() >= cfg.K || c.Start == p.Start || c.End == p.End
 		}
@@ -84,17 +102,4 @@ func Mine(store storage.Store, cfg Config) ([]model.Convoy, error) {
 		}
 		return mn.Finish(), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Reduce phase: merge across partitions, sequentially left to right.
-	// The merged set is maximal and sorted, so the k filter keeps it so.
-	var out []model.Convoy
-	for _, c := range Merge(results, cfg.M) {
-		if c.Len() >= cfg.K {
-			out = append(out, c)
-		}
-	}
-	return out, nil
 }

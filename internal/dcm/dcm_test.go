@@ -46,7 +46,9 @@ func TestConvoyInsideOnePartition(t *testing.T) {
 }
 
 // DCM mines the same pattern class as PCCD, so the two must agree exactly
-// regardless of partition size.
+// regardless of partition size. Merge keeps its final convoys unfiltered,
+// so its output over the partitions must also be maximal as it stands,
+// before the k filter could hide a short covered convoy.
 func TestMatchesPCCD(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		ds := minetest.Random(seed, 10, 24)
@@ -58,6 +60,14 @@ func TestMatchesPCCD(t *testing.T) {
 			got := mineDCM(t, ds, 3, 4, lambda)
 			if !model.ConvoysEqual(got, want) {
 				t.Fatalf("seed %d λ=%d:\n got %v\nwant %v", seed, lambda, got, want)
+			}
+			parts, err := mineParts(storage.NewMemStore(ds), Config{M: 3, K: 4, Eps: minetest.Eps, Lambda: lambda})
+			if err != nil {
+				t.Fatal(err)
+			}
+			merged := Merge(parts, 3)
+			if sm, sr := minetest.Canonical(merged), minetest.Canonical(minetest.ReferenceMaximal(merged)); sm != sr {
+				t.Fatalf("seed %d λ=%d: Merge returned a covered convoy:\n%s\nmaximal:\n%s", seed, lambda, sm, sr)
 			}
 		}
 	}

@@ -15,15 +15,29 @@ import "repro/internal/model"
 //
 // The procedure mirrors the paper's Table 3: convoys of the accumulator
 // that extend into the next slice continue (with the intersected object
-// set); convoys that cannot extend intact are final. The accumulator and
-// the result are model.ConvoySets, so a convoy covered by another is
-// dropped as soon as both are known: every future merge of a dominated
-// convoy is a sub-convoy of a merge of its dominator.
+// set); convoys that cannot extend intact are final. The accumulator is
+// reduced with model.Cover.Filter after every slice, so a convoy covered
+// by another is dropped as soon as both are known: every future merge of a
+// dominated convoy is a sub-convoy of a merge of its dominator.
+//
+// The final convoys are appended with no filter: a final convoy's
+// would-be dominator descends from a convoy of the same filtered
+// accumulator, which either covers it (so it was filtered out) or is it
+// (so it extended intact). That needs every input convoy to have at least
+// minSize objects, and either no single-tick convoy at a later slice's
+// first tick (k/2-hop: spanning convoys span whole hop-windows) or every
+// convoy ending at the next slice's first tick to lie inside a convoy of
+// the next slice starting there (DCM: every cluster at the shared tick
+// starts a kept border convoy of the later partition). The proof is in
+// docs/ARCHITECTURE.md, "Why the sweeps' result sets need no filter".
 func Merge(slices [][]model.Convoy, minSize int) []model.Convoy {
-	var results, acc model.ConvoySet
+	var (
+		results, acc, next []model.Convoy
+		cover              model.Cover
+	)
 	for _, cur := range slices {
-		var next model.ConvoySet
-		for _, v := range acc.Slice() {
+		next = next[:0]
+		for _, v := range acc {
 			extended := false
 			for _, w := range cur {
 				if v.End != w.Start {
@@ -33,7 +47,7 @@ func Merge(slices [][]model.Convoy, minSize int) []model.Convoy {
 				if len(inter) < minSize {
 					continue
 				}
-				next.Update(model.Convoy{Objs: inter, Start: v.Start, End: w.End})
+				next = append(next, model.Convoy{Objs: inter, Start: v.Start, End: w.End})
 				if len(inter) == len(v.Objs) {
 					extended = true
 				}
@@ -42,14 +56,15 @@ func Merge(slices [][]model.Convoy, minSize int) []model.Convoy {
 				// v cannot continue intact; it is a maximal merged convoy
 				// (possibly still extendable in time by the extension phase,
 				// but not by whole-window merging).
-				results.Update(v)
+				results = append(results, v)
 			}
 		}
 		// Convoys of the current slice start their own chains; merged
-		// versions that fully cover them dominate and win in the prune.
-		next.UpdateAll(cur)
-		acc = next
+		// versions that fully cover them dominate and win in the filter.
+		next = append(next, cur...)
+		acc, next = cover.Filter(next), acc
 	}
-	results.UpdateAll(acc.Slice())
-	return results.Sorted()
+	results = append(results, acc...)
+	model.SortConvoys(results)
+	return results
 }

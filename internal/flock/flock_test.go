@@ -239,7 +239,10 @@ func TestSweepFindsFlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cover := model.NewConvoySet(got...)
+	var cover model.Cover
+	for _, f := range got {
+		cover.Add(f)
+	}
 	for _, want := range []Flock{
 		model.NewConvoy(model.NewObjSet(1, 2, 3), 0, 14),
 		model.NewConvoy(model.NewObjSet(1, 2, 3, 4), 5, 9),

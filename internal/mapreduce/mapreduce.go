@@ -18,8 +18,9 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sync"
 	"time"
+
+	"repro/internal/pool"
 )
 
 // Cluster describes the simulated execution substrate.
@@ -61,46 +62,33 @@ func (c Cluster) Workers() int {
 
 // Run executes one task per input on the cluster and collects the outputs
 // in input order. In and Out must be gob-encodable when Serialize is on.
+// The tasks fan out over pool.ForEach with the cluster's worker count: on
+// a failure no further task starts, and the error of the lowest failing
+// task is returned.
 func Run[In any, Out any](c Cluster, inputs []In, task func(In) (Out, error)) ([]Out, error) {
 	outs := make([]Out, len(inputs))
-	errs := make([]error, len(inputs))
-	sem := make(chan struct{}, c.Workers())
-	var wg sync.WaitGroup
-	for i := range inputs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if c.TaskLatency > 0 {
-				time.Sleep(c.TaskLatency)
-			}
-			in := inputs[i]
-			if c.Serialize {
-				if err := roundTrip(&in); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-			out, err := task(in)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if c.Serialize {
-				if err := roundTrip(&out); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-			outs[i] = out
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: task %d: %w", i, err)
+	err := pool.ForEach(c.Workers(), len(inputs), func(i int) error {
+		if c.TaskLatency > 0 {
+			time.Sleep(c.TaskLatency)
 		}
+		in := inputs[i]
+		if c.Serialize {
+			if err := roundTrip(&in); err != nil {
+				return fmt.Errorf("mapreduce: task %d: %w", i, err)
+			}
+		}
+		out, err := task(in)
+		if err == nil && c.Serialize {
+			err = roundTrip(&out)
+		}
+		if err != nil {
+			return fmt.Errorf("mapreduce: task %d: %w", i, err)
+		}
+		outs[i] = out
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return outs, nil
 }

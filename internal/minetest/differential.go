@@ -30,11 +30,12 @@ type SweepTick struct {
 // ReferenceSweep is a deliberately naive CMC/PCCD sweep over sorted-slice
 // ObjSets: intersect every alive candidate with every group of the tick via
 // ObjSet.Intersect, prune dominated candidates with all-pairs
-// ObjSet.SubsetOf, keep maximal results in one global ConvoySet. It is a
+// ObjSet.SubsetOf, reduce the results with ReferenceMaximal. It is a
 // frozen transliteration of the algorithm's definition, kept free of every
-// production shortcut on purpose — no postings, no per-End result groups —
-// so the differential suite can assert that cmc.Miner and everything
-// stacked on it is byte-identical to the definition. Groups may overlap
+// production shortcut on purpose — no postings, no reliance on the closing
+// order making results maximal — so the differential suite can assert that
+// cmc.Miner and everything stacked on it is byte-identical to the
+// definition. Groups may overlap
 // (disk covers do), and timestamps may skip: a gap closes every candidate
 // at the last tick before it.
 func ReferenceSweep(ticks []SweepTick, m, k int) []model.Convoy {
@@ -42,11 +43,11 @@ func ReferenceSweep(ticks []SweepTick, m, k int) []model.Convoy {
 		objs  model.ObjSet
 		start int32
 	}
-	results := model.NewConvoySet()
+	var results []model.Convoy
 	var alive []cand
 	closeAt := func(v cand, end int32) {
 		if int(end-v.start)+1 >= k {
-			results.Update(model.Convoy{Objs: v.objs, Start: v.start, End: end})
+			results = append(results, model.Convoy{Objs: v.objs, Start: v.start, End: end})
 		}
 	}
 	var last int32
@@ -104,7 +105,29 @@ func ReferenceSweep(ticks []SweepTick, m, k int) []model.Convoy {
 	for _, v := range alive {
 		closeAt(v, last)
 	}
-	return results.Sorted()
+	return ReferenceMaximal(results)
+}
+
+// ReferenceMaximal is the brute-force maximality filter, the oracle for
+// model.Maximal and for the miners whose closing order is argued to leave
+// nothing to filter. It is the definition over all pairs: a convoy stays
+// unless another contains it, and of equal convoys the first stays. It
+// returns the survivors in canonical order and leaves cs as it is.
+func ReferenceMaximal(cs []model.Convoy) []model.Convoy {
+	out := []model.Convoy{}
+	for i, v := range cs {
+		kept := true
+		for j, w := range cs {
+			if j != i && v.SubConvoyOf(w) && (!v.Equal(w) || j < i) {
+				kept = false
+			}
+		}
+		if kept {
+			out = append(out, v)
+		}
+	}
+	model.SortConvoys(out)
+	return out
 }
 
 // ReferencePCCD is ReferenceSweep over the density clusters of every

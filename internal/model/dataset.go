@@ -87,14 +87,6 @@ func (d *Dataset) TimeRange() (ts, te int32) { return d.ts, d.te }
 // NumPoints returns the total number of stored points.
 func (d *Dataset) NumPoints() int { return d.n }
 
-// NumTimestamps returns the number of ticks in the dataset's range.
-func (d *Dataset) NumTimestamps() int {
-	if d.te < d.ts {
-		return 0
-	}
-	return int(d.te-d.ts) + 1
-}
-
 // Snapshot returns all objects present at tick t, sorted by OID. The
 // returned slice is shared with the dataset and must not be modified.
 func (d *Dataset) Snapshot(t int32) []ObjPos {

@@ -1,7 +1,8 @@
 // Package model defines the shared data model for convoy mining: raw
 // trajectory points, per-timestamp object positions, object sets, time
-// intervals and convoys, together with the (sub-)convoy ordering that the
-// mining algorithms rely on.
+// intervals and convoys, together with the (sub-)convoy ordering and the
+// maximality filter built on it (Cover, Maximal) that the mining
+// algorithms rely on.
 //
 // Conventions used across the repository:
 //
@@ -182,25 +183,6 @@ func (s ObjSet) Union(t ObjSet) ObjSet {
 	return out
 }
 
-// Minus returns the ids of s that are not in t.
-func (s ObjSet) Minus(t ObjSet) ObjSet {
-	var out ObjSet
-	i, j := 0, 0
-	for i < len(s) {
-		switch {
-		case j >= len(t) || s[i] < t[j]:
-			out = append(out, s[i])
-			i++
-		case s[i] == t[j]:
-			i++
-			j++
-		default:
-			j++
-		}
-	}
-	return out
-}
-
 // Clone returns an independent copy of s.
 func (s ObjSet) Clone() ObjSet {
 	if s == nil {
@@ -255,11 +237,6 @@ func (iv Interval) Len() int {
 
 // Contains reports whether t lies within the interval.
 func (iv Interval) Contains(t int32) bool { return iv.Start <= t && t <= iv.End }
-
-// ContainsInterval reports whether o lies entirely within iv.
-func (iv Interval) ContainsInterval(o Interval) bool {
-	return iv.Start <= o.Start && o.End <= iv.End
-}
 
 // Overlaps reports whether the two intervals share at least one timestamp.
 func (iv Interval) Overlaps(o Interval) bool {
@@ -319,7 +296,7 @@ func (c Convoy) String() string {
 // SortConvoys orders convoys canonically (by start, end, size, then ids) so
 // result sets can be compared in tests. The comparison-based generic sort
 // avoids the reflect swapper sort.Slice would allocate — this runs on every
-// ConvoySet.Sorted call in the extension phases, not just in tests.
+// result set the miners return, not just in tests.
 func SortConvoys(cs []Convoy) {
 	slices.SortFunc(cs, func(a, b Convoy) int {
 		if c := cmp.Compare(a.Start, b.Start); c != 0 {

@@ -68,9 +68,6 @@ func TestObjSetIntersectUnionMinus(t *testing.T) {
 	if got := a.Union(b); !got.Equal(NewObjSet(1, 2, 3, 4, 5, 8, 9)) {
 		t.Errorf("Union = %v", got)
 	}
-	if got := a.Minus(b); !got.Equal(NewObjSet(1, 5)) {
-		t.Errorf("Minus = %v", got)
-	}
 	if got := a.Intersect(nil); got != nil {
 		t.Errorf("Intersect(nil) = %v, want nil", got)
 	}
@@ -117,10 +114,6 @@ func TestObjSetOpsQuick(t *testing.T) {
 		if !u.Valid() || len(u) != len(am)+len(bm)-cnt {
 			return false
 		}
-		m := a.Minus(b)
-		if !m.Valid() || len(m) != len(am)-cnt {
-			return false
-		}
 		return inter.SubsetOf(a) && inter.SubsetOf(b) && a.SubsetOf(u) && b.SubsetOf(u)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -158,9 +151,6 @@ func TestIntervalOps(t *testing.T) {
 	}
 	if !iv.Overlaps(Interval{Start: 7, End: 10}) || iv.Overlaps(Interval{Start: 8, End: 10}) {
 		t.Errorf("Overlaps boundary behaviour wrong")
-	}
-	if !iv.ContainsInterval(Interval{Start: 3, End: 7}) || iv.ContainsInterval(Interval{Start: 2, End: 7}) {
-		t.Errorf("ContainsInterval wrong")
 	}
 }
 
@@ -210,39 +200,32 @@ func TestSortConvoysCanonical(t *testing.T) {
 	}
 }
 
-func TestConvoySetUpdate(t *testing.T) {
-	s := NewConvoySet()
+func TestCoverFilter(t *testing.T) {
 	big := NewConvoy(NewObjSet(1, 2, 3), 0, 10)
 	small := NewConvoy(NewObjSet(1, 2), 2, 8)
-	if !s.Update(small) {
-		t.Fatalf("inserting into empty set should succeed")
-	}
-	if !s.Update(big) {
-		t.Fatalf("inserting superset should succeed")
-	}
-	if s.Len() != 1 || !s.Contains(big) {
-		t.Fatalf("superset should displace subset: %v", s.Slice())
-	}
-	if s.Update(small) {
-		t.Fatalf("re-inserting sub-convoy should be a no-op")
-	}
+	longer := NewConvoy(NewObjSet(1, 2), 0, 11)
 	other := NewConvoy(NewObjSet(4, 5), 0, 10)
-	s.Update(other)
-	if s.Len() != 2 {
-		t.Fatalf("unrelated convoy should coexist")
+	var c Cover
+	got := c.Filter([]Convoy{small, big, small, other, longer})
+	if want := []Convoy{big, other, longer}; !ConvoysEqual(got, want) {
+		t.Fatalf("Filter = %v, want %v", got, want)
 	}
-	if !s.Covers(small) || s.Covers(NewConvoy(NewObjSet(9), 0, 0)) {
-		t.Fatalf("Covers wrong")
+	if !c.Covers(small) || !c.Covers(big) || c.Covers(NewConvoy(NewObjSet(9), 0, 0)) {
+		t.Fatalf("Covers wrong after Filter")
+	}
+	// A second Filter starts from an empty cover.
+	if got := c.Filter([]Convoy{small}); len(got) != 1 || !got[0].Equal(small) || c.Covers(big) {
+		t.Fatalf("second Filter = %v, Covers(big) = %v", got, c.Covers(big))
 	}
 }
 
-// Property: after arbitrary updates, no member is a strict sub-convoy of
-// another, and every inserted convoy is covered.
-func TestConvoySetInvariantQuick(t *testing.T) {
+// Property: Filter's output holds no duplicate and no strict sub-convoy of
+// another member, and covers every input convoy.
+func TestCoverFilterInvariantQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	var c Cover
 	for iter := 0; iter < 200; iter++ {
-		s := NewConvoySet()
-		var inserted []Convoy
+		var in []Convoy
 		for i := 0; i < 30; i++ {
 			n := rng.Intn(4) + 1
 			ids := make([]int32, n)
@@ -251,38 +234,41 @@ func TestConvoySetInvariantQuick(t *testing.T) {
 			}
 			start := int32(rng.Intn(8))
 			end := start + int32(rng.Intn(8))
-			c := NewConvoy(NewObjSet(ids...), start, end)
-			s.Update(c)
-			inserted = append(inserted, c)
+			in = append(in, NewConvoy(NewObjSet(ids...), start, end))
 		}
-		items := s.Slice()
+		items := c.Filter(slices.Clone(in))
 		for i := range items {
 			for j := range items {
-				if i != j && items[i].StrictSubConvoyOf(items[j]) {
-					t.Fatalf("iter %d: %v strict sub-convoy of %v", iter, items[i], items[j])
-				}
-				if i != j && items[i].Equal(items[j]) {
-					t.Fatalf("iter %d: duplicate %v", iter, items[i])
+				if i != j && items[i].SubConvoyOf(items[j]) {
+					t.Fatalf("iter %d: %v sub-convoy of %v", iter, items[i], items[j])
 				}
 			}
 		}
-		for _, c := range inserted {
-			if !s.Covers(c) {
-				t.Fatalf("iter %d: inserted convoy %v not covered", iter, c)
+		for _, v := range in {
+			if !c.Covers(v) {
+				t.Fatalf("iter %d: input convoy %v not covered", iter, v)
 			}
 		}
 	}
 }
 
-func TestMaximalConvoys(t *testing.T) {
+func TestMaximal(t *testing.T) {
 	in := []Convoy{
 		NewConvoy(NewObjSet(1, 2), 0, 5),
 		NewConvoy(NewObjSet(1, 2, 3), 0, 5),
 		NewConvoy(NewObjSet(1, 2), 0, 6),
 	}
-	out := MaximalConvoys(in)
-	if len(out) != 2 {
-		t.Fatalf("MaximalConvoys = %v, want 2 convoys", out)
+	before := slices.Clone(in)
+	out := Maximal(in)
+	want := []Convoy{in[1], in[2]}
+	if !slices.EqualFunc(out, want, Convoy.Equal) {
+		t.Fatalf("Maximal = %v, want %v in canonical order", out, want)
+	}
+	if !slices.EqualFunc(in, before, Convoy.Equal) {
+		t.Fatalf("Maximal reordered its input: %v", in)
+	}
+	if out := Maximal(nil); out == nil || len(out) != 0 {
+		t.Fatalf("Maximal(nil) = %#v, want an empty slice", out)
 	}
 }
 
@@ -298,8 +284,8 @@ func TestDatasetBasics(t *testing.T) {
 	if ts != 5 || te != 7 {
 		t.Fatalf("TimeRange = [%d,%d]", ts, te)
 	}
-	if d.NumPoints() != 4 || d.NumTimestamps() != 3 {
-		t.Fatalf("NumPoints=%d NumTimestamps=%d", d.NumPoints(), d.NumTimestamps())
+	if d.NumPoints() != 4 {
+		t.Fatalf("NumPoints=%d", d.NumPoints())
 	}
 	snap := d.Snapshot(5)
 	if len(snap) != 2 || snap[0].OID != 1 || snap[1].OID != 2 {
@@ -455,7 +441,7 @@ func TestEmptyDataset(t *testing.T) {
 	if te >= ts {
 		t.Fatalf("empty dataset should have inverted range")
 	}
-	if d.NumTimestamps() != 0 || d.NumPoints() != 0 {
+	if d.NumPoints() != 0 {
 		t.Fatalf("empty dataset counts wrong")
 	}
 }

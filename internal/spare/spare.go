@@ -145,13 +145,7 @@ func Mine(store storage.Store, cfg Config) ([]model.Convoy, error) {
 	if err != nil {
 		return nil, err
 	}
-	all := model.NewConvoySet()
-	for _, batch := range results {
-		for _, c := range batch {
-			all.Update(c)
-		}
-	}
-	return all.Sorted(), nil
+	return model.Maximal(slices.Concat(results...)), nil
 }
 
 // pair is an unordered object pair with a < b.

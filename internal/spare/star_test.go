@@ -101,13 +101,13 @@ func TestEnumerateStarCutsRunsAtSplitTicks(t *testing.T) {
 	}
 	shared := make([][]model.ObjSet, 10)
 	shared[5] = []model.ObjSet{model.NewObjSet(1, 2, 4, 5), model.NewObjSet(1, 3, 6, 7)}
-	got := model.NewConvoySet(enumerateStar(1, []int32{2, 3}, seq, shared, 0, Config{M: 2, K: 4})...).Sorted()
-	want := model.NewConvoySet(
+	got := model.Maximal(enumerateStar(1, []int32{2, 3}, seq, shared, 0, Config{M: 2, K: 4}))
+	want := []model.Convoy{
 		model.NewConvoy(model.NewObjSet(1, 2), 0, 9),
 		model.NewConvoy(model.NewObjSet(1, 3), 0, 9),
 		model.NewConvoy(model.NewObjSet(1, 2, 3), 0, 4),
 		model.NewConvoy(model.NewObjSet(1, 2, 3), 6, 9),
-	).Sorted()
+	}
 	if !model.ConvoysEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}

@@ -109,9 +109,10 @@ func (a *Archive) applyExpireLocked() error {
 		return err
 	}
 	defer f.Close()
+	cr := storage.NewConvoyReader(f)
 	for _, v := range victims {
 		// The member list lives in the record, not in the time index.
-		rec, err := storage.ReadConvoyAt(f, v.off)
+		rec, err := cr.ReadAt(v.off)
 		if err != nil {
 			return err
 		}

@@ -376,18 +376,10 @@ func ScanConvoyLogFrom(path string, from int64, fn func(off int64, rec LoggedCon
 	}
 }
 
-// ReadConvoyAt decodes the single record starting at byte offset off. It is
-// the random-access read path of the archive: secondary indexes store
-// record offsets, and a query materialises each hit with one positioned
-// read. The offset must be a record boundary previously produced by
-// ScanConvoyLogFrom or ConvoyLog.Offset; arbitrary offsets fail with a
-// decode error (or worse, decode garbage), they are not validated.
-func ReadConvoyAt(r io.ReaderAt, off int64) (LoggedConvoy, error) {
-	return NewConvoyReader(r).ReadAt(off)
-}
-
-// ConvoyReader is ReadConvoyAt for many records of one log: every ReadAt
-// goes through the same read buffer. Not safe for concurrent use.
+// ConvoyReader is the random-access read path of the archive: secondary
+// indexes store record offsets, and a query materialises each hit with one
+// positioned read. Every ReadAt goes through the same read buffer. Not
+// safe for concurrent use.
 type ConvoyReader struct {
 	r  io.ReaderAt
 	br *bufio.Reader
@@ -401,7 +393,10 @@ func NewConvoyReader(r io.ReaderAt) *ConvoyReader {
 	return &ConvoyReader{r: r, br: bufio.NewReaderSize(nil, 4096)}
 }
 
-// ReadAt decodes the record starting at byte offset off.
+// ReadAt decodes the record starting at byte offset off. The offset must
+// be a record boundary previously produced by ScanConvoyLogFrom or
+// ConvoyLog.Offset; arbitrary offsets fail with a decode error (or worse,
+// decode garbage), they are not validated.
 func (cr *ConvoyReader) ReadAt(off int64) (LoggedConvoy, error) {
 	cr.br.Reset(io.NewSectionReader(cr.r, off, 1<<31))
 	rec, _, err := readLogRecord(cr.br)

@@ -343,7 +343,7 @@ func TestConvoyLogRejectsGarbage(t *testing.T) {
 // TestScanConvoyLogFromAndReadAt checks the positioned access paths the
 // archive is built on: the offsets handed to the scan callback address
 // record boundaries, resuming a scan from any of them yields exactly the
-// suffix, ReadConvoyAt round-trips every record by offset, and
+// suffix, ConvoyReader.ReadAt round-trips every record by offset, and
 // ConvoyLog.Offset tracks the append position.
 func TestScanConvoyLogFromAndReadAt(t *testing.T) {
 	dir := t.TempDir()
@@ -396,8 +396,9 @@ func TestScanConvoyLogFromAndReadAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	cr := NewConvoyReader(f)
 	for i, want := range tailTestRecords {
-		got, err := ReadConvoyAt(f, scanOffs[i])
+		got, err := cr.ReadAt(scanOffs[i])
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -405,8 +406,8 @@ func TestScanConvoyLogFromAndReadAt(t *testing.T) {
 			t.Fatalf("record %d: %+v, want %+v", i, got, want)
 		}
 	}
-	if _, err := ReadConvoyAt(f, end); err == nil {
-		t.Fatal("ReadConvoyAt past the end succeeded")
+	if _, err := NewConvoyReader(f).ReadAt(end); err == nil {
+		t.Fatal("ReadAt past the end succeeded")
 	}
 
 	// Resume from each boundary: the scan must yield exactly the suffix.

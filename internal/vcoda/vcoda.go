@@ -145,7 +145,10 @@ func Validate(store storage.Store, cands []model.Convoy, m, k int, eps float64, 
 		return nil, err
 	}
 
-	out := model.NewConvoySet()
+	var (
+		fc    []model.Convoy // confirmed FC convoys
+		cover model.Cover    // fc, for the skip below
+	)
 	seen := make(map[string]bool)
 	mn := cmc.NewMiner(m, k)
 	var stack []model.Convoy
@@ -162,14 +165,15 @@ func Validate(store storage.Store, cands []model.Convoy, m, k int, eps float64, 
 				continue
 			}
 			seen[key] = true
-			if out.Covers(v) {
+			if cover.Covers(v) {
 				// Already implied by a confirmed FC convoy (a sub-convoy of an
 				// FC convoy restricted-mines to itself only if it is FC, but if
 				// it is covered it cannot be maximal, so skip the work).
 				continue
 			}
 			if top && !checks[i].split {
-				out.Update(v) // every tick clustered to v.Objs alone
+				fc = append(fc, v) // every tick clustered to v.Objs alone
+				cover.Add(v)
 				continue
 			}
 			mn.Reset()
@@ -194,14 +198,16 @@ func Validate(store storage.Store, cands []model.Convoy, m, k int, eps float64, 
 			}
 			for _, w := range mn.Finish() {
 				if w.Equal(v) {
-					out.Update(v)
+					fc = append(fc, v)
+					cover.Add(v)
 				} else {
 					stack = append(stack, w)
 				}
 			}
 		}
 	}
-	return out.Sorted(), nil
+	// A later confirmed convoy may cover an earlier one.
+	return model.Maximal(fc), nil
 }
 
 // check is a candidate's whole-tick test: whether some tick of it did not

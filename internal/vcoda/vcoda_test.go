@@ -98,7 +98,10 @@ func TestReferenceCompleteness(t *testing.T) {
 		ds := minetest.Random(seed, 8, 10)
 		m, k := 2, 3
 		out := Reference(ds, m, k, minetest.Eps)
-		cover := model.NewConvoySet(out...)
+		var cover model.Cover
+		for _, c := range out {
+			cover.Add(c)
+		}
 		objs := ds.Objects()
 		ts, te := ds.TimeRange()
 		for s := ts; s <= te; s++ {

@@ -107,12 +107,12 @@ type ObjPos = model.ObjPos
 // order they closed. A convoy is closed when its group can no longer be
 // extended at the most recent observed timestamp.
 //
-// Every convoy is reported exactly once: the sweep accepts a closing convoy
-// into its maximal result set at most once, and only accepted convoys are
-// drained. Convoys that close at the same tick are reported in the sweep's
-// candidate order (see cmc.Miner). Cost is proportional to the newly closed
-// convoys, not the accumulated result set, so polling after every batch
-// stays cheap on long-lived streams.
+// Every convoy is reported exactly once: the sweep closes each convoy
+// once, and a convoy is maximal as it closes — none closed later covers it
+// (see cmc.Miner.Finish). Convoys that close at the same tick are reported
+// in the sweep's candidate order (see cmc.Miner). Cost is proportional to
+// the newly closed convoys, not the accumulated result set, so polling
+// after every batch stays cheap on long-lived streams.
 func (s *StreamMiner) Closed() []Convoy { return s.miner.Drain() }
 
 // Flush ends the stream: every still-open convoy of sufficient length is
