@@ -33,9 +33,10 @@ func (mi *miner) extendAll(merged []model.Convoy, rep *Report) ([]model.Convoy, 
 // extend grows every convoy in the given direction (+1 = right, -1 = left)
 // and returns the maximal convoys the walks close, in canonical order. Each
 // convoy extends independently, so the walks fan out over the worker pool,
-// each into its own slot; model.Maximal's output depends only on what the
-// walks closed, not on their order, so it is the same for every worker
-// count.
+// each into its own slot. The slots are concatenated into one fresh slice,
+// which a Cover filters in place: what it keeps depends only on what the
+// walks closed, not on their order, so after the canonical sort it is the
+// same for every worker count.
 func (mi *miner) extend(convoys []model.Convoy, dir int32) ([]model.Convoy, error) {
 	closed := make([][]model.Convoy, len(convoys))
 	err := pool.ForEach(mi.workers, len(convoys), func(i int) error {
@@ -49,7 +50,10 @@ func (mi *miner) extend(convoys []model.Convoy, dir int32) ([]model.Convoy, erro
 	if err != nil {
 		return nil, err
 	}
-	return model.Maximal(slices.Concat(closed...)), nil
+	var cover model.Cover
+	out := cover.Filter(slices.Concat(closed...))
+	model.SortConvoys(out)
+	return out, nil
 }
 
 // extendOne walks one convoy one timestamp at a time in the given

@@ -13,10 +13,12 @@
 // has at most one other point within eps.
 //
 // The grid index buckets points into eps×eps cells, so an eps-neighbourhood
-// query inspects at most the 3×3 surrounding cells: expected O(1) per query
-// for non-degenerate data, O(n) per clustering run, instead of the O(n²) of
-// index-free DBSCAN that the paper identifies as a bottleneck. The O(n²)
-// is cheaper only for a handful of points, which is what the k/2-hop
+// lies in the 3×3 block of cells around the point's own. The index is
+// radix-sorted and one linear sweep finds every cell's block, so a run is
+// O(n) plus one scan of the block per queried point, instead of the O(n²)
+// of index-free DBSCAN that the paper identifies as a bottleneck; a point
+// whose block holds fewer than minPts points is not scanned at all. The
+// O(n²) is cheaper only for a handful of points, which is what the k/2-hop
 // re-checks cluster almost every time: up to smallN points Cluster tests
 // every pair and builds no index.
 package dbscan
@@ -38,8 +40,8 @@ const (
 // validation) cluster a candidate's few objects: 3–5 in 96 % of calls,
 // ≤ 12 in 99.9 %. In BenchmarkClusterSmall the pairwise scan beats the
 // grid 2–2.6× at every size from 2 to 32 points, but a larger smallN pays
-// off only on the few calls above 16, while the order and label buffers,
-// a stack array of 2·smallN slots, are zeroed on every call.
+// off only on the few calls above 16, while the label buffer, a stack
+// array of smallN slots, is zeroed on every call.
 const smallN = 16
 
 // Cluster runs DBSCAN over objs and returns the (minPts,eps)-clusters as
@@ -64,13 +66,9 @@ func Cluster(objs []model.ObjPos, eps float64, minPts int) []model.ObjSet {
 		return clusterGrid(objs, eps, minPts)
 	}
 	epsSq := eps * eps
-	var buf [2 * smallN]int32
-	order, labels := buf[:n], buf[smallN:smallN+n]
-	for i := range order {
-		order[i] = int32(i)
-	}
+	var buf [smallN]int32
 	nbuf := make([]int32, 0, n) // on the heap: the callback returns it
-	return expand(order, labels, objs, minPts, func(id int32) []int32 {
+	return expand(buf[:n], objs, minPts, func(id int32) []int32 {
 		nb, p := nbuf[:0], objs[id]
 		for j, q := range objs {
 			if model.DistSq(p, q) <= epsSq {
@@ -81,28 +79,53 @@ func Cluster(objs []model.ObjPos, eps float64, minPts int) []model.ObjSet {
 	})
 }
 
-// clusterGrid is Cluster over a grid Index, for minPts ≥ 1: one binary
-// search and a short scan per neighbourhood, after an O(n log n) build.
+// clusterGrid is Cluster over a grid Index, for minPts ≥ 1. The index is
+// radix-sorted and one linear sweep finds every cell's 3×3 block, so the
+// build is O(n) and a neighbourhood is a scan of three id ranges with no
+// search. A point whose block holds fewer than minPts points cannot be
+// core, so its neighbourhood comes back empty without a scan: expand uses
+// a neighbourhood only to test for a core point and to grow a core point's
+// frontier, so this holds for seeds and frontier points alike.
+//
+// The call's scratch is one int32 slab sized from n (the sorted ids, the
+// sort's scratch half, which then holds the labels, and id → block), the
+// keys, the dense cells' blocks (with room for every cell's) and the
+// neighbour buffer, sized to the largest block kept. The index sorts bare
+// ids beside id-addressed keys: (key, id) entries and their sort buffer
+// made the scratch about 1.4× as large, and the extra garbage raised the
+// mining sweep's peak RSS.
 func clusterGrid(objs []model.ObjPos, eps float64, minPts int) []model.ObjSet {
 	n := len(objs)
-	ix := NewIndex(objs, eps)
+	slab := make([]int32, 3*n)
+	ix, labels := newIndex(objs, eps, slab[:2*n])
+	blockOf := slab[2*n:] // id → the number of its cell's block, or -1 for a sparse cell
+	blocks, largest := make([]int32, 0, 6*ix.cells()), 0
+	ix.blocks(func(cell []int32, block [6]int32) {
+		b := int32(-1)
+		if size := blockSize(block[:]); size >= minPts {
+			b, largest = int32(len(blocks)/6), max(largest, size)
+			blocks = append(blocks, block[:]...)
+		}
+		for _, id := range cell {
+			blockOf[id] = b
+		}
+	})
+	nbuf := make([]int32, 0, largest) // reused across queries
 	epsSq := eps * eps
-	buf := make([]int32, 2*n) // int32 halves the per-call zeroing cost
-	order, labels := buf[:n], buf[n:]
-	for i := range order {
-		order[i] = int32(i)
-	}
-	var nbuf []int32 // neighbour buffer, reused across queries
-	return expand(order, labels, objs, minPts, func(id int32) []int32 {
-		nbuf = ix.Within(objs[id], epsSq, 1, nbuf[:0])
+	return expand(labels, objs, minPts, func(id int32) []int32 {
+		b := blockOf[id]
+		if b < 0 {
+			return nil
+		}
+		nbuf = ix.near(objs[id], blocks[6*b:6*b+6], epsSq, nbuf[:0])
 		return nbuf
 	})
 }
 
 // expand is DBSCAN's control flow, the one copy both of Cluster's paths
-// share: a seed scan over the point ids in order (input order) and BFS
-// expansion through core points. pos and labels are id-addressed; labels is
-// scratch space. neighbors(id) returns the ids within eps of id, itself
+// share: a seed scan over the point ids in input order and BFS expansion
+// through core points. pos and labels are id-addressed; labels is scratch
+// space. neighbors(id) returns the ids within eps of id, itself
 // included, and is asked at most once per point; its answer is read before
 // the next call, so the callee may reuse one buffer.
 //
@@ -116,13 +139,13 @@ func clusterGrid(objs []model.ObjPos, eps float64, minPts int) []model.ObjSet {
 // is no core, or it would have drawn this cluster's cores in. The set of
 // clusters is a function of the neighbourhoods alone; they come out sorted,
 // in the order of their seeds (each component's first core in order).
-func expand(order, labels []int32, pos []model.ObjPos, minPts int, neighbors func(id int32) []int32) []model.ObjSet {
-	for _, i := range order {
+func expand(labels []int32, pos []model.ObjPos, minPts int, neighbors func(id int32) []int32) []model.ObjSet {
+	for i := range labels {
 		labels[i] = unvisited
 	}
 	var clusters []model.ObjSet
 	frontier := make([]int32, 0, 256) // BFS queue, reused across seeds; starts on the stack
-	for _, i := range order {
+	for i := range int32(len(labels)) {
 		if labels[i] != unvisited {
 			continue
 		}

@@ -378,6 +378,18 @@ func TestClusterSmallAllocs(t *testing.T) {
 	}
 }
 
+// The grid path's scratch is four arrays, each allocated once: an int32
+// slab sized from n, the keys, the dense cells' blocks and the neighbour
+// buffer sized from the largest of them; everything else is output. 171 is
+// what the path allocated on this input when it still grew its neighbour
+// buffer query by query.
+func TestClusterGridAllocs(t *testing.T) {
+	objs := cluster1000()
+	if allocs := testing.AllocsPerRun(20, func() { Cluster(objs, 2.0, 3) }); allocs > 171 {
+		t.Fatalf("Cluster of 1 000 points: %v allocations, want ≤ 171", allocs)
+	}
+}
+
 // BenchmarkClusterSmall is the sweep smallN comes from: re-check-sized
 // inputs, a few points within reach of one another, on both paths.
 func BenchmarkClusterSmall(b *testing.B) {
@@ -398,12 +410,18 @@ func BenchmarkClusterSmall(b *testing.B) {
 	}
 }
 
-func BenchmarkCluster1000(b *testing.B) {
+// cluster1000 is 1 000 points spread uniformly over a 100×100 square.
+func cluster1000() []model.ObjPos {
 	rng := rand.New(rand.NewSource(1))
 	objs := make([]model.ObjPos, 1000)
 	for i := range objs {
 		objs[i] = pos(int32(i), rng.Float64()*100, rng.Float64()*100)
 	}
+	return objs
+}
+
+func BenchmarkCluster1000(b *testing.B) {
+	objs := cluster1000()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
