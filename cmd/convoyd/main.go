@@ -1,12 +1,11 @@
 // Command convoyd serves streaming convoy mining over HTTP: snapshot
 // ingest per feed (JSON, or the K2BI binary batch protocol negotiated on
-// Content-Type, including a sticky per-connection stream endpoint),
-// long-poll queries for closed convoys, an end-of-feed flush returning
-// the full maximal result set, and — with -archive-dir — historical
-// queries over everything ever persisted. Ingest is guarded by admission
-// control: -ingest-rate/-ingest-burst arm a per-feed token bucket and
-// -breaker-threshold/-breaker-cooldown a per-shard circuit breaker; all
-// rejections answer 429 with Retry-After and a machine-readable code.
+// Content-Type), long-poll queries for closed convoys, an end-of-feed flush
+// returning the full maximal result set, and — with -archive-dir —
+// historical queries over everything ever persisted. Ingest is guarded by
+// admission control: -ingest-rate/-ingest-burst arm a per-feed token bucket
+// and -enqueue-wait bounds the wait for shard queue space; both rejections
+// answer 429 with Retry-After and a machine-readable code.
 // docs/API.md is the complete endpoint reference; see
 // docs/ARCHITECTURE.md ("convoyd") for the sharding, reordering and
 // archive design.
@@ -99,8 +98,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	fs.IntVar(&sc.MaxFeeds, "max-feeds", 0, "cap on live feeds; creating more answers 429 (0 = default 65536)")
 	fs.Float64Var(&sc.IngestRate, "ingest-rate", 0, "per-feed ingest rate limit in snapshots/sec; excess answers 429 rate_limited (0 = unlimited)")
 	fs.IntVar(&sc.IngestBurst, "ingest-burst", 0, "per-feed ingest burst capacity in snapshots (0 = default 2×ingest-rate)")
-	fs.IntVar(&sc.BreakerThreshold, "breaker-threshold", 0, "consecutive queue-full rejections that open a shard's circuit breaker (0 = breakers disabled)")
-	fs.DurationVar(&sc.BreakerCooldown, "breaker-cooldown", 0, "how long an open breaker sheds ingest before probing (0 = default 1s)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
@@ -120,12 +117,10 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 		return cfg, fmt.Errorf("-query-budget %d above the maximum %d", sc.QueryBudget, archive.MaxBudget)
 	case sc.EnqueueWait < 0 || sc.PersistEvery < 0 || sc.FeedTTL < 0 || sc.EvictEvery < 0:
 		return cfg, errors.New("-enqueue-wait, -persist-every, -feed-ttl and -evict-every must be >= 0")
-	case sc.IngestRate < 0 || sc.IngestBurst < 0 || sc.BreakerThreshold < 0 || sc.BreakerCooldown < 0:
-		return cfg, errors.New("-ingest-rate, -ingest-burst, -breaker-threshold and -breaker-cooldown must be >= 0")
+	case sc.IngestRate < 0 || sc.IngestBurst < 0:
+		return cfg, errors.New("-ingest-rate and -ingest-burst must be >= 0")
 	case sc.IngestBurst > 0 && sc.IngestRate == 0:
 		return cfg, errors.New("-ingest-burst requires -ingest-rate")
-	case sc.BreakerCooldown > 0 && sc.BreakerThreshold == 0:
-		return cfg, errors.New("-breaker-cooldown requires -breaker-threshold")
 	case cfg.compactLog && sc.PersistPath == "":
 		return cfg, errors.New("-compact-log requires -persist")
 	}

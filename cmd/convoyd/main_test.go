@@ -37,7 +37,6 @@ func TestParseFlagsRejects(t *testing.T) {
 		{[]string{"-enqueue-wait", "-1s"}, "-enqueue-wait, -persist-every"},
 		{[]string{"-ingest-rate", "-1"}, "must be >= 0"},
 		{[]string{"-ingest-burst", "10"}, "-ingest-burst requires -ingest-rate"},
-		{[]string{"-breaker-cooldown", "1s"}, "-breaker-cooldown requires -breaker-threshold"},
 		{[]string{"-compact-log"}, "-compact-log requires -persist"},
 	} {
 		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -48,7 +47,7 @@ func TestParseFlagsRejects(t *testing.T) {
 
 func TestParseFlagsAccepts(t *testing.T) {
 	cfg, err := parse("-window", "2147483647", "-persist", "p", "-archive-dir", "a", "-retention", "100",
-		"-ingest-rate", "50", "-ingest-burst", "10", "-breaker-threshold", "3", "-breaker-cooldown", "1s",
+		"-ingest-rate", "50", "-ingest-burst", "10",
 		"-query-budget", "1048576")
 	if err != nil {
 		t.Fatal(err)

@@ -171,7 +171,7 @@ func (mi *miner) spanning(cfg Config, rep *Report) ([][]model.Convoy, error) {
 		if err != nil {
 			return fmt.Errorf("core: benchmark snapshot %d: %w", bps[i], err)
 		}
-		benchClusters[i] = mi.grouper.Benchmark(snap)
+		benchClusters[i] = mi.grouper(snap)
 		return nil
 	})
 	if err != nil {
@@ -236,7 +236,7 @@ func (mi *miner) recluster(t int32, objs model.ObjSet) ([]model.ObjSet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: fetch t=%d: %w", t, err)
 	}
-	return mi.grouper.Restricted(rows), nil
+	return mi.grouper(rows), nil
 }
 
 // intersectClusterSets computes the candidate clusters CC = {c ∩ c' : |c ∩

@@ -98,10 +98,7 @@ func (m *Miner) Reset() { m.mn.Reset() }
 // numerous movement patterns such as ... flock patterns").
 func MineK2Hop(store storage.Store, cfg Config) ([]Flock, *core.Report, error) {
 	ccfg := core.Config{M: cfg.M, K: cfg.K, Eps: cfg.R, Workers: cfg.Workers}
-	grouper := core.Grouper{
-		Benchmark:  func(rows []model.ObjPos) []model.ObjSet { return DiskGroups(rows, cfg.R, cfg.M) },
-		Restricted: func(rows []model.ObjPos) []model.ObjSet { return DiskGroups(rows, cfg.R, cfg.M) },
-	}
+	grouper := func(rows []model.ObjPos) []model.ObjSet { return DiskGroups(rows, cfg.R, cfg.M) }
 	out, rep, err := core.MineCandidates(store, ccfg, grouper)
 	if err != nil {
 		return nil, rep, err

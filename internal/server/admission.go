@@ -4,36 +4,22 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Admission control for the ingest path: requests are shed at the HTTP edge
-// — before shard routing, before queue waits — when accepting them could
-// only deepen an overload. Two independent mechanisms compose:
-//
-//   - a per-feed token bucket (Config.IngestRate/IngestBurst) bounds how
-//     many snapshots per second one feed may push, so a single hot feed
-//     cannot starve the other feeds placed on its shard;
-//   - a per-shard circuit breaker (Config.BreakerThreshold/BreakerCooldown)
-//     watches for consecutive queue-full rejections and, once tripped,
-//     rejects the shard's ingest outright for a cooldown — the herd stops
-//     hammering a saturated queue's lock and wait path, and the actor gets
-//     slack to drain.
-//
-// Both reject with 429 plus a machine-readable code (rate_limited /
-// breaker_open) and a Retry-After telling the client when capacity is
-// expected back; queue-full itself (the pre-existing backpressure) keeps
-// its own code (queue_full). Flush and query traffic is never shed — only
-// snapshot ingest, the one load source a client can meaningfully back off.
+// Admission control for the ingest path: a per-feed token bucket
+// (Config.IngestRate/IngestBurst) bounds how many snapshots per second one
+// feed may push, so a single hot feed cannot starve the other feeds placed
+// on its shard. It sheds at the HTTP edge — before the shard queue — with
+// 429 rate_limited and a Retry-After telling the client when its budget is
+// back; a full shard queue (the reactive backpressure, bounded by
+// Config.EnqueueWait) keeps its own code, queue_full. Flush and query
+// traffic is never shed — only snapshot ingest, the one load source a
+// client can meaningfully back off.
 
 // ErrRateLimited is returned when a feed's token bucket is exhausted; the
 // HTTP layer maps it to 429 rate_limited.
 var ErrRateLimited = errors.New("server: feed ingest rate limit exceeded")
-
-// ErrBreakerOpen is returned while a shard's circuit breaker sheds load;
-// the HTTP layer maps it to 429 breaker_open.
-var ErrBreakerOpen = errors.New("server: shard circuit breaker open")
 
 // retryableError decorates a sentinel with the wait after which the client
 // should retry; writeServerError surfaces it as Retry-After.
@@ -89,125 +75,8 @@ func (b *tokenBucket) take(n int, now int64) (time.Duration, bool) {
 	return wait, false
 }
 
-// Circuit breaker states.
-const (
-	breakerClosed int32 = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-// breakerStateName maps a state to the label /v1/stats exposes.
-func breakerStateName(s int32) string {
-	switch s {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half_open"
-	default:
-		return "closed"
-	}
-}
-
-// breaker is one shard's circuit breaker. Closed, it only counts: every
-// queue-full rejection increments a consecutive-failure streak and any
-// successful enqueue resets it. At threshold the breaker opens: ingest to
-// the shard is rejected immediately (no routing, no enqueue attempt, no
-// wait) until the cooldown elapses, then a single half-open probe is let
-// through — its success closes the breaker, its failure re-opens it for
-// another cooldown.
-type breaker struct {
-	threshold int
-	cooldown  time.Duration
-
-	mu       sync.Mutex
-	state    int32
-	failures int
-	openedAt time.Time
-	probing  bool // a half-open probe is in flight
-
-	trips atomic.Int64 // times the breaker opened (lifetime)
-}
-
-func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	return &breaker{threshold: threshold, cooldown: cooldown}
-}
-
-// allow reports whether a request may proceed to the shard queue; when it
-// may not, the remaining cooldown is returned for Retry-After.
-func (b *breaker) allow(now time.Time) (time.Duration, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return 0, true
-	case breakerOpen:
-		if rest := b.cooldown - now.Sub(b.openedAt); rest > 0 {
-			return rest, false
-		}
-		b.state = breakerHalfOpen
-		b.probing = false
-		fallthrough
-	default: // half-open: exactly one probe at a time
-		if b.probing {
-			return b.cooldown, false
-		}
-		b.probing = true
-		return 0, true
-	}
-}
-
-// record feeds the outcome of an admitted enqueue back: success closes (or
-// keeps closed) the breaker, a queue-full failure advances it toward (or
-// back to) open. Outcomes other than success/queue-full — eviction races,
-// shutdown — are neutral: they say nothing about queue health.
-func (b *breaker) record(err error, now time.Time) {
-	success := err == nil
-	full := errors.Is(err, ErrBackpressure)
-	if !success && !full {
-		b.mu.Lock()
-		b.probing = false
-		b.mu.Unlock()
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.probing = false
-	if success {
-		b.state = breakerClosed
-		b.failures = 0
-		return
-	}
-	if b.state == breakerHalfOpen {
-		// The probe hit a still-full queue: straight back to open.
-		b.state = breakerOpen
-		b.openedAt = now
-		b.trips.Add(1)
-		return
-	}
-	b.failures++
-	if b.threshold > 0 && b.failures >= b.threshold {
-		b.state = breakerOpen
-		b.openedAt = now
-		b.failures = 0
-		b.trips.Add(1)
-	}
-}
-
-// stateName returns the breaker's current state label for /v1/stats.
-func (b *breaker) stateName(now time.Time) string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == breakerOpen && now.Sub(b.openedAt) >= b.cooldown {
-		// Cooldown elapsed but no request has probed yet; report half_open,
-		// which is what the next allow() will decide.
-		return breakerStateName(breakerHalfOpen)
-	}
-	return breakerStateName(b.state)
-}
-
 // admitIngest runs one ingest batch through admission control and the shard
-// queue: the feed's token bucket first (cheapest, most specific), then the
-// shard breaker, then the real enqueue, whose outcome trains the breaker.
+// queue: the feed's token bucket first, then the real enqueue.
 func (s *Server) admitIngest(ctx context.Context, f *feed, batch []tick) error {
 	if b := f.bucket; b != nil {
 		if wait, ok := b.take(len(batch), time.Now().UnixNano()); !ok {
@@ -215,18 +84,7 @@ func (s *Server) admitIngest(ctx context.Context, f *feed, batch []tick) error {
 			return &retryableError{err: ErrRateLimited, after: wait}
 		}
 	}
-	var br *breaker
-	if s.breakers != nil {
-		br = s.breakers[f.shard]
-		if wait, ok := br.allow(time.Now()); !ok {
-			s.breakerRejected.Add(1)
-			return &retryableError{err: ErrBreakerOpen, after: wait}
-		}
-	}
 	err := s.enqueue(ctx, shardMsg{feed: f, snaps: batch})
-	if br != nil {
-		br.record(err, time.Now())
-	}
 	if errors.Is(err, ErrBackpressure) {
 		s.queueFull.Add(1)
 	}
@@ -236,8 +94,9 @@ func (s *Server) admitIngest(ctx context.Context, f *feed, batch []tick) error {
 // AdmissionStats is the admission section of /v1/stats: how often each
 // shedding mechanism fired over the server's lifetime.
 type AdmissionStats struct {
-	RateLimitedTotal     int64 `json:"rate_limited_total"`
-	BreakerRejectedTotal int64 `json:"breaker_rejected_total"`
-	BreakerTripsTotal    int64 `json:"breaker_trips_total"`
-	QueueFullTotal       int64 `json:"queue_full_total"`
+	RateLimitedTotal int64 `json:"rate_limited_total"`
+	QueueFullTotal   int64 `json:"queue_full_total"`
+	// BreakerRejectedTotal is always 0 and never served; it exists only
+	// because the benchmark in bench/ still sums it into its shed count.
+	BreakerRejectedTotal int64 `json:"-"`
 }

@@ -61,68 +61,6 @@ func TestTokenBucket(t *testing.T) {
 	}
 }
 
-func TestBreakerStateMachine(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := newBreaker(3, time.Second)
-
-	for i := 0; i < 3; i++ {
-		if _, ok := b.allow(now); !ok {
-			t.Fatalf("closed breaker refused request %d", i)
-		}
-		b.record(ErrBackpressure, now)
-	}
-	if wait, ok := b.allow(now); ok || wait != time.Second {
-		t.Fatalf("breaker not open after threshold: ok=%v wait=%v", ok, wait)
-	}
-	if got := b.trips.Load(); got != 1 {
-		t.Fatalf("trips = %d, want 1", got)
-	}
-	if b.stateName(now) != "open" {
-		t.Fatalf("state %q, want open", b.stateName(now))
-	}
-
-	// Cooldown over: exactly one probe gets through.
-	now = now.Add(time.Second)
-	if b.stateName(now) != "half_open" {
-		t.Fatalf("state %q, want half_open", b.stateName(now))
-	}
-	if _, ok := b.allow(now); !ok {
-		t.Fatal("half-open breaker refused the probe")
-	}
-	if _, ok := b.allow(now); ok {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	// Probe fails: straight back to open for another cooldown.
-	b.record(ErrBackpressure, now)
-	if _, ok := b.allow(now.Add(time.Second - 1)); ok {
-		t.Fatal("reopened breaker admitted inside cooldown")
-	}
-	if got := b.trips.Load(); got != 2 {
-		t.Fatalf("trips = %d, want 2", got)
-	}
-	// Next probe succeeds: closed again, failure streak reset.
-	now = now.Add(2 * time.Second)
-	if _, ok := b.allow(now); !ok {
-		t.Fatal("breaker refused the second probe")
-	}
-	b.record(nil, now)
-	if b.stateName(now) != "closed" {
-		t.Fatalf("state %q after successful probe, want closed", b.stateName(now))
-	}
-	// Neutral outcomes (eviction races, shutdown) say nothing about queue
-	// health: they neither advance nor reset the queue-full streak.
-	b.record(ErrBackpressure, now)
-	b.record(ErrFeedEvicted, now)
-	b.record(ErrBackpressure, now)
-	if _, ok := b.allow(now); !ok {
-		t.Fatal("a streak of 2 queue-fulls tripped a threshold-3 breaker")
-	}
-	b.record(ErrBackpressure, now)
-	if _, ok := b.allow(now); ok {
-		t.Fatal("the third queue-full did not trip the breaker")
-	}
-}
-
 // TestIngestRateLimit exercises the per-feed token bucket end to end: a
 // feed over its budget gets 429 rate_limited with Retry-After, other feeds
 // are unaffected, and /v1/stats counts the sheds.
@@ -166,75 +104,12 @@ func TestIngestRateLimit(t *testing.T) {
 	}
 }
 
-// TestBreakerSheds stalls a shard so its queue jams, drives ingest until
-// the queue-full streak trips the breaker, and checks the failure mode
-// changes from queue_full to breaker_open — i.e. load is being shed before
-// the queue (and its enqueue-wait) is even touched. Releasing the shard
-// closes the breaker again via the half-open probe.
-func TestBreakerSheds(t *testing.T) {
-	release := make(chan struct{})
-	srv, ts := newTestServer(t, Config{
-		Shards: 1, QueueLen: 2, BreakerThreshold: 3, BreakerCooldown: time.Second,
-		testHook: func(int) { <-release },
-	})
-	ds := minetest.Random(7, 10, 16)
-	one := snapshotsOf(ds, 0, 0)
-
-	var queueFull, breakerOpen int
-	deadline := time.Now().Add(10 * time.Second)
-	for breakerOpen == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("breaker never opened")
-		}
-		code, body := postJSON(t, ts.URL+"/v1/feeds/jam/ingest", ingestRequest{Snapshots: one})
-		switch code {
-		case http.StatusAccepted:
-		case http.StatusTooManyRequests:
-			switch e := decodeEnvelope(t, body); e.Code {
-			case string(codeQueueFull):
-				queueFull++
-			case string(codeBreakerOpen):
-				breakerOpen++
-			default:
-				t.Fatalf("unexpected 429 code %q", e.Code)
-			}
-		default:
-			t.Fatalf("status %d: %s", code, body)
-		}
-	}
-	if queueFull < 3 {
-		t.Fatalf("breaker opened after %d queue-full rejections, want >= threshold 3", queueFull)
-	}
-	st := srv.Stats()
-	if st.Shards[0].BreakerState != "open" {
-		t.Fatalf("breaker state %q, want open", st.Shards[0].BreakerState)
-	}
-	if st.Admission.BreakerTripsTotal < 1 || st.Admission.BreakerRejectedTotal < 1 || st.Admission.QueueFullTotal < 3 {
-		t.Fatalf("admission stats %+v do not reflect the incident", st.Admission)
-	}
-
-	// Unjam the shard; after the cooldown a probe succeeds and ingest flows
-	// again.
-	close(release)
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		code, _ := postJSON(t, ts.URL+"/v1/feeds/jam/ingest", ingestRequest{Snapshots: snapshotsOf(ds, 1, 1)})
-		if code == http.StatusAccepted {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("breaker never closed after the shard drained")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestStreamCoalescingAvoidsBackpressure is the soak regression for the
-// binary protocol's raison d'être: a snapshot-per-request JSON load that
-// reliably trips queue-full on a stalled shard is replayed as one binary
-// stream, whose chunked enqueues fit the same queue with zero 429s — and
-// the mined output still matches batch PCCD.
-func TestStreamCoalescingAvoidsBackpressure(t *testing.T) {
+// TestBatchingAvoidsBackpressure is the soak regression for batched ingest:
+// a snapshot-per-request JSON load that reliably trips queue-full on a
+// stalled shard is replayed as a few K2BI bodies of many ticks each, which
+// take one queue slot per body and so fit the same queue with zero 429s —
+// and the mined output still matches batch PCCD.
+func TestBatchingAvoidsBackpressure(t *testing.T) {
 	ds := minetest.Random(8, 10, 64)
 	lo, hi := ds.TimeRange()
 	nTicks := int(hi - lo + 1)
@@ -293,21 +168,25 @@ func TestStreamCoalescingAvoidsBackpressure(t *testing.T) {
 		}
 	})
 
-	// The same 64 snapshots as one binary stream: 16-tick chunks mean at
-	// most 4 queue slots, so the identical server config sheds nothing.
-	t.Run("binary-stream", func(t *testing.T) {
+	// The same 64 snapshots as four K2BI bodies of 16 frames: one queue
+	// slot each, so the identical server config sheds nothing.
+	t.Run("k2bi-batches", func(t *testing.T) {
 		rejected := run(t, func(base string) int {
-			status, body := streamIngest(t, base, "soak", encodeDataset(t, ds, lo, hi))
-			if status == http.StatusTooManyRequests {
-				return 1
+			rejected := 0
+			for b := lo; b <= hi; b += 16 {
+				status, body := postBinary(t, base+"/v1/feeds/soak/ingest", encodeDataset(t, ds, b, min(b+15, hi)))
+				switch status {
+				case http.StatusAccepted:
+				case http.StatusTooManyRequests:
+					rejected++
+				default:
+					t.Fatalf("K2BI batch at t=%d: status %d: %s", b, status, body)
+				}
 			}
-			if status != http.StatusAccepted {
-				t.Fatalf("stream: status %d: %s", status, body)
-			}
-			return 0
+			return rejected
 		})
 		if rejected != 0 {
-			t.Fatal("binary stream hit backpressure at a load the protocol is sized to absorb")
+			t.Fatal("K2BI batches hit backpressure at a load one slot per body absorbs")
 		}
 	})
 }

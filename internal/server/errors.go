@@ -44,7 +44,6 @@ const (
 	// 429 — admission control; all of them carry Retry-After.
 	codeQueueFull   apiCode = "queue_full"   // shard ingest queue stayed full for -enqueue-wait
 	codeRateLimited apiCode = "rate_limited" // per-feed token bucket exhausted (-ingest-rate)
-	codeBreakerOpen apiCode = "breaker_open" // shard circuit breaker shedding load (-breaker-threshold)
 	codeFeedLimit   apiCode = "feed_limit"   // -max-feeds cap reached
 
 	// 5xx.
@@ -69,7 +68,6 @@ var apiCodes = map[apiCode]string{
 	codeUnsupportedMedia: "Content-Type not negotiable",
 	codeQueueFull:        "shard ingest queue full",
 	codeRateLimited:      "per-feed ingest rate limit exceeded",
-	codeBreakerOpen:      "shard circuit breaker open",
 	codeFeedLimit:        "live feed cap reached",
 	codeInternal:         "internal server error",
 	codeNoArchive:        "no archive configured",

@@ -32,8 +32,8 @@ type ingestRequest struct {
 
 type ingestResponse struct {
 	Accepted int `json:"accepted"`
-	// Frames is the number of binary frames decoded; only set on the K2BI
-	// paths (a JSON batch has no frames).
+	// Frames is the number of binary frames decoded; only set on K2BI
+	// ingest (a JSON batch has no frames).
 	Frames int `json:"frames,omitempty"`
 }
 
@@ -59,10 +59,7 @@ type convoysResponse struct {
 	Flushed         bool         `json:"flushed"`
 }
 
-// maxIngestBody bounds one ingest request (16 MiB, JSON or binary). The
-// sticky stream endpoint is exempt — bounding a deliberately long-lived
-// stream by bytes would just force clients to reconnect; its resource
-// bounds are per-frame caps and admission control.
+// maxIngestBody bounds one ingest request (16 MiB, JSON or binary).
 const maxIngestBody = 16 << 20
 
 // maxLongPoll caps the wait parameter of the convoys endpoint.
@@ -84,7 +81,6 @@ type route struct {
 func (s *Server) routes() []route {
 	return []route{
 		{"POST /v1/feeds/{feed}/ingest", s.handleIngest},
-		{"POST /v1/feeds/{feed}/ingest/stream", s.handleIngestStream},
 		{"GET /v1/feeds/{feed}/convoys", s.handleConvoys},
 		{"POST /v1/feeds/{feed}/flush", s.handleFlush},
 		{"GET /v1/query/time", s.handleQueryTime},
@@ -110,7 +106,6 @@ func (s *Server) Routes() []string {
 // Handler returns the convoyd HTTP API:
 //
 //	POST /v1/feeds/{feed}/ingest          ingest (JSON or K2BI binary, by Content-Type)
-//	POST /v1/feeds/{feed}/ingest/stream   sticky binary ingest: many K2BI frames, one connection
 //	GET  /v1/feeds/{feed}/convoys         closed convoys since ?cursor, long-poll via ?wait
 //	POST /v1/feeds/{feed}/flush           end the feed, return the full maximal set
 //	GET  /v1/query/time                   archived convoys overlapping [?from, ?to]
@@ -140,30 +135,25 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	// The body parses before the feed resolves: a rejected body creates no
 	// feed.
-	body := http.MaxBytesReader(w, r.Body, maxIngestBody)
-	var batch []tick
-	var frames int
-	var err error
+	parse := parseJSONBatch
 	if binary {
-		batch, err = parseBinaryBatch(body)
-		frames = len(batch)
-	} else {
-		batch, err = parseJSONBatch(body)
+		parse = parseBinaryBatch
 	}
-	var admit func([]tick) error
+	batch, err := parse(http.MaxBytesReader(w, r.Body, maxIngestBody))
 	if err == nil {
-		admit, err = s.ingestInto(r)
-	}
-	if err == nil {
-		err = admit(batch)
+		err = s.ingestInto(r, batch)
 	}
 	if err != nil {
 		writeServerError(w, err)
 		return
 	}
+	resp := ingestResponse{Accepted: len(batch)}
+	if binary {
+		resp.Frames = len(batch)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(ingestResponse{Accepted: len(batch), Frames: frames})
+	json.NewEncoder(w).Encode(resp)
 }
 
 // patternParam parses the optional ?pattern= query parameter. Absent means
@@ -378,8 +368,6 @@ func writeServerError(w http.ResponseWriter, err error) {
 		writeRetryError(w, codeQueueFull, err.Error(), retryAfter(err, time.Second))
 	case errors.Is(err, ErrRateLimited):
 		writeRetryError(w, codeRateLimited, err.Error(), retryAfter(err, time.Second))
-	case errors.Is(err, ErrBreakerOpen):
-		writeRetryError(w, codeBreakerOpen, err.Error(), retryAfter(err, time.Second))
 	case errors.Is(err, ErrFeedLimit):
 		writeRetryError(w, codeFeedLimit, err.Error(), retryAfter(err, time.Second))
 	case errors.Is(err, ErrPatternMismatch):

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/minetest"
@@ -59,10 +61,9 @@ func decodeEnvelope(t *testing.T, body []byte) errorResponse {
 	return e
 }
 
-// TestIngestNegotiation covers the Content-Type dispatch of the unary
-// ingest endpoint: JSON by default, binary on application/x-k2bi, 415 with
-// the envelope for anything else — on both the canonical /ingest route and
-// the /snapshots alias.
+// TestIngestNegotiation covers the Content-Type dispatch of the ingest
+// endpoint: JSON by default, binary on application/x-k2bi, 415 with the
+// envelope for anything else.
 func TestIngestNegotiation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Shards: 2})
 	ds := minetest.Random(1, 10, 16)
@@ -165,59 +166,152 @@ func nanFloat() float64 {
 	return zero / zero
 }
 
-// streamIngest sends a K2BI byte stream to the sticky endpoint.
-func streamIngest(t testing.TB, base, feed string, body []byte) (int, []byte) {
-	t.Helper()
-	resp, err := http.Post(base+"/v1/feeds/"+feed+"/ingest/stream", contentTypeK2BI, bytes.NewReader(body))
+// TestIngestJSONTrailingData checks a JSON body is exactly one batch: two
+// concatenated batches, or a batch followed by anything but whitespace, are
+// 400 and nothing reaches a feed — the decoder must not take the first
+// value and silently drop the rest.
+func TestIngestJSONTrailingData(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Shards: 2})
+	one, err := json.Marshal(ingestRequest{Snapshots: snapshotsOf(minetest.Random(3, 10, 16), 0, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	for feed, body := range map[string]string{
+		"two-batches": string(one) + string(one),
+		"garbage":     string(one) + " x",
+		"bracket":     string(one) + "]",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/feeds/"+feed+"/ingest", contentTypeJSON, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", feed, resp.StatusCode, data)
+		}
+		if e := decodeEnvelope(t, data); e.Code != string(codeBadRequest) {
+			t.Fatalf("%s: code %q, want %q", feed, e.Code, codeBadRequest)
+		}
+		if f, _ := srv.feedFor(feed, false, ""); f != nil {
+			t.Fatalf("%s: rejected body created its feed", feed)
+		}
+	}
+	// Trailing whitespace is not data.
+	resp, err := http.Post(ts.URL+"/v1/feeds/trail-ws/ingest", contentTypeJSON,
+		bytes.NewReader(append(one, " \n\t\r\n"...)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, data
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("trailing whitespace: status %d, want 202", resp.StatusCode)
+	}
 }
 
-// TestIngestStream drives a whole dataset through the sticky stream
-// endpoint in one request and checks the mined result matches batch PCCD.
-func TestIngestStream(t *testing.T) {
-	_, ts := newTestServer(t, Config{Shards: 2})
-	ds := minetest.Random(3, 10, 16)
-	lo, hi := ds.TimeRange()
-	status, body := streamIngest(t, ts.URL, "stream", encodeDataset(t, ds, lo, hi))
-	if status != http.StatusAccepted {
-		t.Fatalf("stream: status %d: %s", status, body)
-	}
-	var resp streamResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if want := int(hi - lo + 1); resp.Frames != want || resp.Accepted != want {
-		t.Fatalf("stream response %+v, want %d frames accepted", resp, want)
-	}
-	got := flushFeed(t, ts.URL, "stream")
-	if want := batchPCCD(t, ds); !model.ConvoysEqual(got, want) {
-		t.Fatalf("streamed %v != batch %v", got, want)
-	}
-	// Wrong Content-Type on the stream endpoint is 415: it has no JSON mode.
-	r2, err := http.Post(ts.URL+"/v1/feeds/stream2/ingest/stream", "application/json", bytes.NewReader(nil))
+// TestIngestBodyCap sends a body one byte over maxIngestBody in each wire
+// format, both otherwise well-formed: each is 400 bad_request with the one
+// cap message, and neither creates its feed.
+func TestIngestBodyCap(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Shards: 2})
+
+	pos := `{"oid":1,"x":0,"y":0}`
+	jsonBody := `{"snapshots":[{"t":0,"positions":[` + strings.Repeat(pos+",", maxIngestBody/len(pos)) + pos + `]}]}`
+
+	frame, err := storage.AppendBatchFrame(nil, 0, make([]model.ObjPos, maxIngestBody/20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2.Body.Close()
-	if r2.StatusCode != http.StatusUnsupportedMediaType {
-		t.Fatalf("JSON stream: status %d, want 415", r2.StatusCode)
+	for _, tc := range []struct {
+		feed, ct string
+		body     []byte
+	}{
+		{"cap-json", contentTypeJSON, []byte(jsonBody)},
+		{"cap-k2bi", contentTypeK2BI, frame},
+	} {
+		if len(tc.body) <= maxIngestBody {
+			t.Fatalf("%s: test body of %d bytes is within the cap", tc.feed, len(tc.body))
+		}
+		resp, err := http.Post(ts.URL+"/v1/feeds/"+tc.feed+"/ingest", tc.ct, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", tc.feed, resp.StatusCode, data)
+		}
+		e := decodeEnvelope(t, data)
+		if want := fmt.Sprintf("ingest body exceeds %d bytes", maxIngestBody); e.Code != string(codeBadRequest) || e.Error != want {
+			t.Fatalf("%s: envelope %+v, want %s %q", tc.feed, e, codeBadRequest, want)
+		}
+		if f, _ := srv.feedFor(tc.feed, false, ""); f != nil {
+			t.Fatalf("%s: over-cap body created its feed", tc.feed)
+		}
 	}
+}
+
+// FuzzIngestBody posts arbitrary bytes as an ingest body in each wire
+// format to a fresh server. Whatever the bytes, the answer is 202 or a 4xx
+// carrying the error envelope with a registered code — never a 5xx or a
+// panic, in the handler or in the shard actor that mines an accepted
+// batch — and a 400 creates no feed.
+func FuzzIngestBody(f *testing.F) {
+	ds := minetest.Random(9, 6, 4)
+	lo, hi := ds.TimeRange()
+	valid, err := json.Marshal(ingestRequest{Snapshots: snapshotsOf(ds, lo, hi)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	frames := encodeDataset(f, ds, lo, hi)
+	nan, err := storage.AppendBatchFrame(nil, 0, []model.ObjPos{{OID: 1, X: nanFloat()}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(frames)
+	f.Add(frames[:len(frames)-3])
+	f.Add(nan)
+	f.Add(append(append([]byte(nil), valid...), valid...))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		srv, err := New(Config{Params: testParams, Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		for _, ct := range []string{contentTypeJSON, contentTypeK2BI} {
+			feed := "fuzz-" + ct[len("application/"):]
+			req := httptest.NewRequest("POST", "/v1/feeds/"+feed+"/ingest", bytes.NewReader(body))
+			req.Header.Set("Content-Type", ct)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			switch status := rec.Code; {
+			case status == http.StatusAccepted:
+			case status >= 400 && status < 500:
+				e := decodeEnvelope(t, rec.Body.Bytes())
+				if status == http.StatusBadRequest {
+					if f, _ := srv.feedFor(feed, false, ""); f != nil {
+						t.Fatalf("%s: 400 %q created the feed", ct, e.Error)
+					}
+				}
+			default:
+				t.Fatalf("%s: status %d: %s", ct, status, rec.Body.Bytes())
+			}
+		}
+		// Close drains the shard: a batch that panics the miner fails here.
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestBinaryMatchesJSON is the protocol-equivalence differential: 120
 // random datasets, each ingested twice into one server — once over JSON,
-// once over K2BI (alternating the one-shot and stream endpoints) — must
-// mine exactly the same convoys, which must also equal the batch PCCD
-// reference. The binary protocol is a wire-format change only; it can
-// never change a mining result.
+// once over K2BI (alternating one frame per request with one whole-dataset
+// body) — must mine exactly the same convoys, which must also equal the
+// batch PCCD reference. The binary protocol is a wire-format change only;
+// it can never change a mining result.
 func TestBinaryMatchesJSON(t *testing.T) {
 	const seeds = 120
 	_, ts := newTestServer(t, Config{Shards: 4, QueueLen: 64})
@@ -227,16 +321,15 @@ func TestBinaryMatchesJSON(t *testing.T) {
 		jsonFeed := fmt.Sprintf("json-%d", seed)
 		binFeed := fmt.Sprintf("bin-%d", seed)
 		ingestDataset(t, ts.URL, jsonFeed, ds, 3)
-		frames := encodeDataset(t, ds, lo, hi)
-		var status int
-		var body []byte
-		if seed%2 == 0 {
-			status, body = postBinary(t, ts.URL+"/v1/feeds/"+binFeed+"/ingest", frames)
-		} else {
-			status, body = streamIngest(t, ts.URL, binFeed, frames)
+		step := hi - lo + 1 // one whole-dataset body
+		if seed%2 == 1 {
+			step = 1 // one frame per request
 		}
-		if status != http.StatusAccepted {
-			t.Fatalf("seed %d: binary ingest status %d: %s", seed, status, body)
+		for b := lo; b <= hi; b += step {
+			status, body := postBinary(t, ts.URL+"/v1/feeds/"+binFeed+"/ingest", encodeDataset(t, ds, b, b+step-1))
+			if status != http.StatusAccepted {
+				t.Fatalf("seed %d: binary ingest at t=%d: status %d: %s", seed, b, status, body)
+			}
 		}
 		fromJSON := flushFeed(t, ts.URL, jsonFeed)
 		fromBin := flushFeed(t, ts.URL, binFeed)

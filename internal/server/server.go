@@ -1,8 +1,8 @@
 // Package server implements convoyd, the sharded streaming convoy-mining
-// service: many concurrent trajectory feeds arrive over HTTP (JSON ingest),
-// each feed is placed, when it is created, on whichever of a configurable
-// number of shard actors holds the fewest feeds, and each actor owns the
-// StreamMiners of its feeds. Closed convoys are queryable per feed
+// service: many concurrent trajectory feeds arrive over HTTP (JSON or K2BI
+// ingest), each feed is placed, when it is created, on whichever of a
+// configurable number of shard actors holds the fewest feeds, and each actor
+// owns the StreamMiners of its feeds. Closed convoys are queryable per feed
 // (long-poll or flush) and are periodically persisted to the closed-convoy
 // sink in internal/storage.
 //
@@ -148,14 +148,6 @@ type Config struct {
 	// 2×IngestRate, at least 1): the largest burst one feed may push at
 	// once after idling.
 	IngestBurst int
-	// BreakerThreshold, when positive, arms a circuit breaker per shard:
-	// after this many consecutive queue-full rejections the shard's ingest
-	// is shed outright with 429 breaker_open for BreakerCooldown, then a
-	// single probe decides whether to close it again. 0 disables breakers.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker sheds before probing
-	// (default 1s).
-	BreakerCooldown time.Duration
 	// Retention, when positive, bounds the archive's history: at every
 	// archive flush tick, convoys whose End tick has fallen more than
 	// Retention ticks behind the newest archived End are expired
@@ -192,9 +184,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IngestRate > 0 && c.IngestBurst <= 0 {
 		c.IngestBurst = max(int(2*c.IngestRate), 1)
-	}
-	if c.BreakerThreshold > 0 && c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
 	}
 	return c
 }
@@ -245,13 +234,10 @@ type Server struct {
 	bgStop chan struct{}
 	bgDone chan struct{}
 
-	// Admission control (see admission.go): one breaker per shard (nil
-	// when Config.BreakerThreshold is 0) and the lifetime shed counters
+	// Admission control (see admission.go): the lifetime shed counters
 	// exposed by /v1/stats.
-	breakers        []*breaker
-	rateLimited     atomic.Int64
-	breakerRejected atomic.Int64
-	queueFull       atomic.Int64
+	rateLimited atomic.Int64
+	queueFull   atomic.Int64
 
 	evictedTotal   atomic.Int64 // feeds evicted over the server's lifetime
 	truncatedTotal atomic.Int64 // convoys truncated from memory over the server's lifetime
@@ -314,12 +300,6 @@ func New(cfg Config) (*Server, error) {
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
 		s.shards[i] = &shard{id: i, in: make(chan shardMsg, cfg.QueueLen), srv: s}
-	}
-	if cfg.BreakerThreshold > 0 {
-		s.breakers = make([]*breaker, cfg.Shards)
-		for i := range s.breakers {
-			s.breakers[i] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-		}
 	}
 	s.workers = pool.Go(cfg.Shards, func(i int) { s.shards[i].run() })
 	if s.sink != nil || cfg.FeedTTL > 0 {

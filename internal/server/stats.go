@@ -2,7 +2,6 @@ package server
 
 import (
 	"runtime/metrics"
-	"time"
 
 	"repro/internal/storage/archive"
 )
@@ -53,9 +52,6 @@ type ShardStats struct {
 	QueueLen int `json:"queue_len"`
 	QueueCap int `json:"queue_cap"`
 	Feeds    int `json:"feeds"`
-	// BreakerState is the shard circuit breaker's state (closed / open /
-	// half_open); absent when breakers are disabled.
-	BreakerState string `json:"breaker_state,omitempty"`
 }
 
 // MemoryStats summarises what bounds the server's resident footprint: how
@@ -79,16 +75,10 @@ func (s *Server) Stats() Stats {
 		SinkBroken: s.sinkBroken.Load(),
 	}
 	st.Shards = make([]ShardStats, len(s.shards))
-	now := time.Now()
 	for i, sh := range s.shards {
 		st.Shards[i] = ShardStats{QueueLen: len(sh.in), QueueCap: cap(sh.in)}
-		if s.breakers != nil {
-			st.Shards[i].BreakerState = s.breakers[i].stateName(now)
-			st.Admission.BreakerTripsTotal += s.breakers[i].trips.Load()
-		}
 	}
 	st.Admission.RateLimitedTotal = s.rateLimited.Load()
-	st.Admission.BreakerRejectedTotal = s.breakerRejected.Load()
 	st.Admission.QueueFullTotal = s.queueFull.Load()
 	s.mu.RLock()
 	for name, f := range s.feeds {
