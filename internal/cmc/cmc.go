@@ -32,18 +32,19 @@ import (
 // streaming front-ends (StreamMiner, and through it every convoyd shard).
 //
 // The per-tick sweep is output-sensitive: it costs what intersects, not
-// alive × clusters. Each Step builds object → cluster postings over the
-// tick's members (clusters may overlap: DBSCAN's share border points at
-// m ≥ 4, and flock.DiskGroups' disks overlap), finds a candidate's
-// intersecting clusters by walking its members and counting hits per
-// cluster, and domination-prunes through object → candidate postings, so a
-// candidate is compared only with candidates that contain one of its
-// members. Sets stay sorted ObjSets throughout: with candidates of ~6
-// objects in a tick universe of ~1 600, a posting walk touches a few dozen
-// integers where the interned-bitset sweep this replaced ANDed 27 words per
-// (candidate, cluster) pair — 10.3 ms → 0.20 ms per Step on a 1 600-object
-// city feed (BenchmarkMinerStep/moving). Package core's candidate-cluster
-// phase runs the same sweep between two benchmark clusterings.
+// alive × clusters. Each Step indexes the tick's clusters in a
+// postings.Index (clusters may overlap: DBSCAN's share border points at
+// m ≥ 4, and flock.DiskGroups' disks overlap), which counts the members a
+// candidate shares with each cluster it touches, and domination-prunes
+// through object → candidate postings over the same slots, so a candidate
+// is compared only with candidates that contain one of its members. Sets
+// stay sorted ObjSets throughout: with candidates of ~6 objects in a tick
+// universe of ~1 600, a posting walk touches a few dozen integers where the
+// interned-bitset sweep this replaced ANDed 27 words per (candidate,
+// cluster) pair — 10.3 ms → 0.20 ms per Step on a 1 600-object city feed
+// (BenchmarkMinerStep/moving). The same overlap join serves package core's
+// candidate-cluster phase between two benchmark clusterings,
+// movingcluster's chainer and dcm.Merge.
 //
 // Order is deterministic. alive holds the candidates that survived the
 // previous Step in their previous relative order (a candidate split over
@@ -71,15 +72,10 @@ type Miner struct {
 	started bool
 
 	// Per-tick sweep state, reused across Steps.
-	next    []candidate     // candidates of the tick being built
-	slot    map[int32]int32 // object id → dense slot among the tick's cluster members
-	clSlots []int32         // member slots of the tick's clusters, flattened in cluster order
-	slots   []int32         // member slots of next's candidates, flattened in next's order
-	byObj   postings.Lists  // slot → clusters containing the object
-	byCand  postings.Lists  // slot → candidates of next containing the object
-	hits    []int32         // per cluster: members of the candidate being extended
-	touched []int32         // clusters with hits > 0, for the candidate being extended
-	vSlots  []int32         // slots of the candidate being extended (-1: in no cluster)
+	next   []candidate    // candidates of the tick being built
+	byObj  postings.Index // the tick's clusters; its slots number their members
+	slots  []int32        // member slots of next's candidates, flattened in next's order
+	byCand postings.Lists // slot → candidates of next containing the object
 
 	// work counts posting entries visited and set comparisons made, so tests
 	// can pin that a Step's cost follows what intersects rather than the
@@ -105,7 +101,7 @@ func NewMiner(m, k int) *Miner {
 // NewMinerKeep creates a miner with a custom output filter, used by DCM
 // partitions that must also keep short convoys touching partition borders.
 func NewMinerKeep(m int, keep func(model.Convoy) bool) *Miner {
-	return &Miner{m: m, keep: keep, slot: map[int32]int32{}}
+	return &Miner{m: m, keep: keep}
 }
 
 // Step feeds the cluster set of timestamp t. Timestamps must be fed in
@@ -126,7 +122,9 @@ func (mn *Miner) Step(t int32, clusters []model.ObjSet) {
 	}
 	mn.started = true
 
-	mn.indexClusters(clusters)
+	// A candidate can only continue as a subset of some cluster of t, so
+	// the clusters' members are the whole live universe of the tick.
+	mn.byObj.Build(len(clusters), func(j int) model.ObjSet { return clusters[j] })
 	mn.next, mn.slots = mn.next[:0], mn.slots[:0]
 	for _, v := range mn.alive {
 		if !mn.extend(v) {
@@ -135,7 +133,7 @@ func (mn *Miner) Step(t int32, clusters []model.ObjSet) {
 	}
 	// Every current cluster starts a fresh candidate (it may be dominated).
 	at := int32(len(mn.slots))
-	mn.slots = append(mn.slots, mn.clSlots...)
+	mn.slots = append(mn.slots, mn.byObj.Slots()...)
 	for _, c := range clusters {
 		if len(c) > 0 { // an empty set has no member to be found through
 			mn.next = append(mn.next, candidate{objs: c, start: t, at: at})
@@ -146,54 +144,17 @@ func (mn *Miner) Step(t int32, clusters []model.ObjSet) {
 	mn.lastT = t
 }
 
-// indexClusters assigns every member of the tick's clusters a dense slot and
-// builds the slot → cluster postings. A candidate can only continue as a
-// subset of some cluster of t, so these slots are the whole live universe
-// of the tick.
-func (mn *Miner) indexClusters(clusters []model.ObjSet) {
-	clear(mn.slot)
-	mn.clSlots = mn.clSlots[:0]
-	for _, c := range clusters {
-		for _, o := range c {
-			s, ok := mn.slot[o]
-			if !ok {
-				s = int32(len(mn.slot))
-				mn.slot[o] = s
-			}
-			mn.clSlots = append(mn.clSlots, s)
-		}
-	}
-	mn.byObj.Build(len(mn.slot), mn.clSlots, len(clusters), func(j int) int { return len(clusters[j]) })
-	mn.hits = append(mn.hits[:0], make([]int32, len(clusters))...)
-}
-
 // extend carries candidate v into the current tick: for every cluster that
 // holds at least m of v's members it appends the intersection to next. It
 // reports whether v survived intact (some cluster holds all of it), in
 // which case the continuation shares v's ObjSet; only a real shrink
 // materializes a new one.
 func (mn *Miner) extend(v candidate) (survived bool) {
-	vs, touched := mn.vSlots[:0], mn.touched[:0]
-	for _, o := range v.objs {
-		s, ok := mn.slot[o]
-		if !ok {
-			s = -1
-		} else {
-			for _, j := range mn.byObj.Of(s) {
-				if mn.hits[j] == 0 {
-					touched = append(touched, j)
-				}
-				mn.hits[j]++
-			}
-			mn.work += len(mn.byObj.Of(s))
-		}
-		vs = append(vs, s)
-	}
-	mn.vSlots, mn.touched = vs, touched
-	slices.Sort(touched) // cluster order, whichever member was hit first
-	for _, j := range touched {
-		n := int(mn.hits[j])
-		mn.hits[j] = 0
+	hits := mn.byObj.Overlaps(v.objs)
+	vs := mn.byObj.QuerySlots()
+	for _, h := range hits {
+		n := int(h.N)
+		mn.work += n // one posting entry per shared member
 		if n < mn.m {
 			continue
 		}
@@ -206,7 +167,7 @@ func (mn *Miner) extend(v candidate) (survived bool) {
 		}
 		objs := make(model.ObjSet, 0, n)
 		for i, s := range vs {
-			if s >= 0 && slices.Contains(mn.byObj.Of(s), j) {
+			if s >= 0 && mn.byObj.Holds(h.Set, s) {
 				objs = append(objs, v.objs[i])
 				mn.slots = append(mn.slots, s)
 			}
@@ -222,7 +183,7 @@ func (mn *Miner) extend(v candidate) (survived bool) {
 // the candidates listed under c's rarest member: only those are compared.
 func (mn *Miner) prune() {
 	next := mn.next
-	mn.byCand.Build(len(mn.slot), mn.slots, len(next), func(i int) int { return len(next[i].objs) })
+	mn.byCand.Build(mn.byObj.NumSlots(), mn.slots, len(next), func(i int) int { return len(next[i].objs) })
 	old := mn.alive
 	out := old[:0]
 	for i, c := range next {

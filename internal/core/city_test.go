@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/minetest"
 	"repro/internal/model"
@@ -13,7 +14,9 @@ import (
 // moving city feed and its parked variant, ≈ 1 830 objects per tick over
 // 160 ticks — at the serve parameters (m = 3, k = 8, eps = 40), with
 // k/2-hop and with VCoDA, on one worker each. Besides time it reports what
-// each miner reads from the store: points returned and point queries.
+// each miner reads from the store: points returned and point queries; for
+// k/2-hop also the mean Report.MergeTime, the DCM merge of its spanning
+// convoys.
 func BenchmarkMineCity(b *testing.B) {
 	moving := minetest.City(1, 650, 14)
 	feeds := []struct {
@@ -22,15 +25,18 @@ func BenchmarkMineCity(b *testing.B) {
 	}{{"moving", moving}, {"parked", minetest.Park(moving)}}
 	miners := []struct {
 		name string
-		mine func(storage.Store) error
+		mine func(storage.Store) (merge time.Duration, err error)
 	}{
-		{"k2hop", func(s storage.Store) error {
-			_, _, err := Mine(s, Config{M: minetest.CityM, K: minetest.CityK, Eps: minetest.CityEps, Workers: 1})
-			return err
+		{"k2hop", func(s storage.Store) (time.Duration, error) {
+			_, rep, err := Mine(s, Config{M: minetest.CityM, K: minetest.CityK, Eps: minetest.CityEps, Workers: 1})
+			if err != nil {
+				return 0, err
+			}
+			return rep.MergeTime, nil
 		}},
-		{"vcoda", func(s storage.Store) error {
+		{"vcoda", func(s storage.Store) (time.Duration, error) {
 			_, _, err := vcoda.Mine(s, minetest.CityM, minetest.CityK, minetest.CityEps)
-			return err
+			return 0, err
 		}},
 	}
 	for _, feed := range feeds {
@@ -44,15 +50,21 @@ func BenchmarkMineCity(b *testing.B) {
 		for _, mn := range miners {
 			b.Run(feed.name+"/"+mn.name, func(b *testing.B) {
 				var io storage.IOStats
+				var merge time.Duration
 				for i := 0; i < b.N; i++ {
 					ms := storage.NewMemStore(ds)
-					if err := mn.mine(ms); err != nil {
+					d, err := mn.mine(ms)
+					if err != nil {
 						b.Fatal(err)
 					}
+					merge += d
 					io = ms.Stats().Snapshot()
 				}
 				b.ReportMetric(float64(io.PointsRead), "points_read/op")
 				b.ReportMetric(float64(io.PointQueries), "point_queries/op")
+				if mn.name == "k2hop" {
+					b.ReportMetric(merge.Seconds()*1e3/float64(b.N), "merge_ms/op")
+				}
 			})
 		}
 	}

@@ -20,7 +20,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/dcm"
@@ -244,11 +243,11 @@ func (mi *miner) recluster(t int32, objs model.ObjSet) ([]model.ObjSet, error) {
 // order.
 //
 // The sweep is output-sensitive — it pays for what intersects, not for
-// |a|×|b| pairs: the right-hand clusters are indexed by object (they may
+// |a|×|b| pairs: a postings.Index over the right-hand clusters (they may
 // overlap — DBSCAN's clusters share border points at m ≥ 4, and
-// flock.DiskGroups produces overlapping covers), each left cluster walks
-// its members' postings counting hits per right cluster, and only the pairs
-// that reach m hits are materialized, by one sorted merge.
+// flock.DiskGroups produces overlapping covers) counts what each left
+// cluster shares with every right cluster it touches, and only the pairs
+// that share m objects are materialized, by one sorted merge.
 //
 // Distinct benchmark pairs frequently produce the same intersection; such
 // duplicates are emitted once, at their first position. Downstream cost
@@ -259,49 +258,17 @@ func intersectClusterSets(a, b []model.ObjSet, m int) []model.ObjSet {
 	if len(a) == 0 || len(b) == 0 {
 		return nil
 	}
-	// Dense slots for the right-hand members, then slot → clusters of b.
-	slot := map[int32]int32{}
-	var flat []int32
-	for _, c := range b {
-		for _, o := range c {
-			s, ok := slot[o]
-			if !ok {
-				s = int32(len(slot))
-				slot[o] = s
-			}
-			flat = append(flat, s)
-		}
-	}
-	var byObj postings.Lists
-	byObj.Build(len(slot), flat, len(b), func(j int) int { return len(b[j]) })
-
-	hits := make([]int32, len(b)) // per right cluster: members of the left cluster at hand
-	var touched []int32           // right clusters with hits > 0
+	var idx postings.Index
+	idx.Build(len(b), func(j int) model.ObjSet { return b[j] })
 	var out []model.ObjSet
 	seen := map[string]bool{}
 	var keyBuf []byte
 	for _, c := range a {
-		touched = touched[:0]
-		for _, o := range c {
-			s, ok := slot[o]
-			if !ok {
+		for _, h := range idx.Overlaps(c) {
+			if int(h.N) < m {
 				continue
 			}
-			for _, j := range byObj.Of(s) {
-				if hits[j] == 0 {
-					touched = append(touched, j)
-				}
-				hits[j]++
-			}
-		}
-		slices.Sort(touched) // right-cluster order, whichever member was hit first
-		for _, j := range touched {
-			n := int(hits[j])
-			hits[j] = 0
-			if n < m {
-				continue
-			}
-			cc := c.Intersect(b[j])
+			cc := c.Intersect(b[h.Set])
 			keyBuf = cc.AppendKey(keyBuf[:0])
 			if seen[string(keyBuf)] {
 				continue

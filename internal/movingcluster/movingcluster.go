@@ -140,10 +140,10 @@ type match struct {
 //
 // Matching is postings-driven: a pair with an empty intersection has overlap
 // 0 < θ, so only pairs that share an object are ever scored. Each Step
-// builds object → chain postings over the open chains' last clusters and
-// walks every cluster's members through them, counting hits per chain —
-// the hit count is the intersection size. The cost follows the members
-// walked, not chains × clusters.
+// indexes the open chains' last clusters in a postings.Index and asks it,
+// for every cluster, which chains it shares members with and how many —
+// the intersection size. The cost follows the members walked, not
+// chains × clusters.
 //
 // Gaps in the timestamp sequence terminate every open chain: a chain cannot
 // overlap a tick that has no clusters, which is exactly what the batch sweep
@@ -158,17 +158,13 @@ type Miner struct {
 	started bool
 
 	// Per-tick matching state, reused across Steps.
-	slot    map[int32]int32 // object id → dense slot among the last clusters' members
-	slots   []int32         // member slots of the chains' last clusters, flattened in chain order
-	byObj   postings.Lists  // slot → chains whose last cluster holds the object
-	hits    []int32         // per chain: members shared with the cluster being matched
-	touched []int32         // chains with hits > 0, for the cluster being matched
+	lasts   postings.Index // the open chains' last clusters, in chain order
 	matches []match
 }
 
 // NewMiner creates a streaming miner for the given parameters.
 func NewMiner(cfg Config) *Miner {
-	return &Miner{cfg: cfg, slot: map[int32]int32{}}
+	return &Miner{cfg: cfg}
 }
 
 // Step clusters the snapshot of timestamp t and chains the clusters.
@@ -227,46 +223,19 @@ func (mn *Miner) StepClusters(t int32, clusters []model.ObjSet) {
 }
 
 // overlapping returns every (chain, cluster) pair that shares an object and
-// whose Jaccard overlap reaches θ, in no particular order. The slice is
+// whose Jaccard overlap reaches θ, by cluster and then chain. The slice is
 // reused by the next call.
 func (mn *Miner) overlapping(clusters []model.ObjSet) []match {
-	clear(mn.slot)
-	mn.slots = mn.slots[:0]
-	for _, ch := range mn.active {
-		for _, o := range ch.last() {
-			s, ok := mn.slot[o]
-			if !ok {
-				s = int32(len(mn.slot))
-				mn.slot[o] = s
-			}
-			mn.slots = append(mn.slots, s)
-		}
-	}
-	mn.byObj.Build(len(mn.slot), mn.slots, len(mn.active), func(ci int) int { return len(mn.active[ci].last()) })
-	mn.hits = append(mn.hits[:0], make([]int32, len(mn.active))...)
-
-	matches, touched := mn.matches[:0], mn.touched
+	mn.lasts.Build(len(mn.active), func(ci int) model.ObjSet { return mn.active[ci].last() })
+	matches := mn.matches[:0]
 	for cj, cl := range clusters {
-		touched = touched[:0]
-		for _, o := range cl {
-			if s, ok := mn.slot[o]; ok {
-				for _, ci := range mn.byObj.Of(s) {
-					if mn.hits[ci] == 0 {
-						touched = append(touched, ci)
-					}
-					mn.hits[ci]++
-				}
-			}
-		}
-		for _, ci := range touched {
-			ov := overlap(int(mn.hits[ci]), len(mn.active[ci].last()), len(cl))
-			mn.hits[ci] = 0
-			if ov >= mn.cfg.Theta {
-				matches = append(matches, match{chain: ci, cluster: int32(cj), overlap: ov})
+		for _, h := range mn.lasts.Overlaps(cl) {
+			if ov := overlap(int(h.N), len(mn.active[h.Set].last()), len(cl)); ov >= mn.cfg.Theta {
+				matches = append(matches, match{chain: h.Set, cluster: int32(cj), overlap: ov})
 			}
 		}
 	}
-	mn.matches, mn.touched = matches, touched
+	mn.matches = matches
 	return matches
 }
 
