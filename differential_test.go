@@ -29,7 +29,7 @@ func TestDifferentialStreamVsBatch(t *testing.T) {
 		ds := minetest.Random(seed, nObj, nTicks)
 		p := Params{M: 3, K: 4, Eps: minetest.Eps}
 
-		sm, err := NewStreamMiner(p)
+		sm, err := NewPatternMiner(PatternConvoy, PatternParams{Params: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestDifferentialStreamVsBatch(t *testing.T) {
 				t.Fatalf("seed %d: observe t=%d: %v", seed, tt, err)
 			}
 		}
-		got := sm.Flush()
+		got := resultConvoys(sm.Flush())
 
 		want, err := MineDataset(ds, p, &Options{Algorithm: PCCD})
 		if err != nil {
@@ -86,7 +86,7 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 			}
 		}
 
-		sm, err := NewStreamMiner(p)
+		sm, err := NewPatternMiner(PatternConvoy, PatternParams{Params: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if d := minetest.DiffConvoys("stream", sm.Flush(), "pccd", ref.Convoys); d != "" {
+		if d := minetest.DiffConvoys("stream", resultConvoys(sm.Flush()), "pccd", ref.Convoys); d != "" {
 			t.Fatalf("seed %d: %s", seed, d)
 		}
 	}
@@ -134,7 +134,7 @@ func TestDifferentialSharedBorderPoints(t *testing.T) {
 			t.Error(d)
 		}
 	}
-	sm, err := NewStreamMiner(p)
+	sm, err := NewPatternMiner(PatternConvoy, PatternParams{Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestDifferentialSharedBorderPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d := minetest.DiffConvoys("stream", sm.Flush(), "want", want); d != "" {
+	if d := minetest.DiffConvoys("stream", resultConvoys(sm.Flush()), "want", want); d != "" {
 		t.Error(d)
 	}
 }
@@ -247,35 +247,6 @@ func TestDifferentialSweepVsSortedReference(t *testing.T) {
 	}
 }
 
-// TestDifferentialStreamResetReuse checks that one StreamMiner instance,
-// Reset between streams, matches fresh-miner results — the reuse pattern
-// the convoyd shard actors depend on.
-func TestDifferentialStreamResetReuse(t *testing.T) {
-	p := Params{M: 3, K: 4, Eps: minetest.Eps}
-	sm, err := NewStreamMiner(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(0); seed < 20; seed++ {
-		ds := minetest.Random(seed, 9, 14)
-		ts, te := ds.TimeRange()
-		for tt := ts; tt <= te; tt++ {
-			if err := sm.Observe(tt, ds.Snapshot(tt)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got := sm.Flush()
-		want, err := MineDataset(ds, p, &Options{Algorithm: PCCD})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := minetest.DiffConvoys("reused-stream", got, "batch", want.Convoys); d != "" {
-			t.Fatalf("seed %d: %s", seed, d)
-		}
-		sm.Reset()
-	}
-}
-
 // TestDifferentialStreamVsBatchChurn is TestDifferentialStreamVsBatch over
 // the high-churn generator: objects join and leave the feed mid-stream, so
 // the sweep's candidates gain and lose members on nearly every tick, and
@@ -288,7 +259,7 @@ func TestDifferentialStreamVsBatchChurn(t *testing.T) {
 		ds := minetest.RandomChurn(seed, nObj, nTicks)
 		p := Params{M: 3, K: 4, Eps: minetest.Eps}
 
-		sm, err := NewStreamMiner(p)
+		sm, err := NewPatternMiner(PatternConvoy, PatternParams{Params: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +269,7 @@ func TestDifferentialStreamVsBatchChurn(t *testing.T) {
 				t.Fatalf("seed %d: observe t=%d: %v", seed, tt, err)
 			}
 		}
-		got := sm.Flush()
+		got := resultConvoys(sm.Flush())
 
 		want, err := MineDataset(ds, p, &Options{Algorithm: PCCD})
 		if err != nil {
@@ -328,7 +299,7 @@ func TestDifferentialStreamVsBatchBrinkhoff(t *testing.T) {
 		ds := brinkhoff.Generate(bp)
 		p := Params{M: 3, K: 3, Eps: 40}
 
-		sm, err := NewStreamMiner(p)
+		sm, err := NewPatternMiner(PatternConvoy, PatternParams{Params: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +309,7 @@ func TestDifferentialStreamVsBatchBrinkhoff(t *testing.T) {
 				t.Fatalf("seed %d: observe t=%d: %v", seed, tt, err)
 			}
 		}
-		got := sm.Flush()
+		got := resultConvoys(sm.Flush())
 
 		want, err := MineDataset(ds, p, &Options{Algorithm: PCCD})
 		if err != nil {

@@ -46,12 +46,13 @@ func ExampleMine() {
 	// objects {1,2,3} together from t=2 to t=13
 }
 
-// ExampleNewStreamMiner feeds snapshots to the streaming miner one
+// ExampleNewPatternMiner feeds snapshots to the streaming convoy miner one
 // timestamp at a time — no store, no history — and flushes at end of
-// stream. Streaming results are partially connected convoys (see the
-// StreamMiner docs).
-func ExampleNewStreamMiner() {
-	sm, err := convoy.NewStreamMiner(convoy.Params{M: 2, K: 3, Eps: 5})
+// stream. Streaming convoys are partially connected (see the PatternMiner
+// docs).
+func ExampleNewPatternMiner() {
+	params := convoy.PatternParams{Params: convoy.Params{M: 2, K: 3, Eps: 5}}
+	sm, err := convoy.NewPatternMiner(convoy.PatternConvoy, params)
 	if err != nil {
 		log.Fatal(err)
 	}

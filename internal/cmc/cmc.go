@@ -28,8 +28,8 @@ import (
 // Miner is a streaming PCCD miner fed one clustered snapshot at a time.
 // It is the building block shared by the sequential baseline, the DCM
 // partition workers, full-connectivity validation (vcoda.Validate, which
-// Resets one miner between candidates), the flock sweep and the
-// streaming front-ends (StreamMiner, and through it every convoyd shard).
+// Resets one miner between candidates), the flock sweep and the streaming
+// convoy.PatternMiner of every convoyd convoy and flock feed.
 //
 // The per-tick sweep is output-sensitive: it costs what intersects, not
 // alive × clusters. Each Step indexes the tick's clusters in a
@@ -107,7 +107,7 @@ func NewMinerKeep(m int, keep func(model.Convoy) bool) *Miner {
 // Step feeds the cluster set of timestamp t. Timestamps must be fed in
 // strictly increasing order; feeding a timestamp ≤ the previous one is a
 // contract violation and panics (the callers that accept untrusted input —
-// StreamMiner and the convoyd ingest path — validate before calling).
+// convoy.PatternMiner and the convoyd ingest path — validate before calling).
 //
 // The order may have gaps: a gap kills all candidates (an object cannot be
 // "together" at a missing tick), so every candidate alive before the gap is

@@ -1,8 +1,10 @@
 package cmc
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/dbscan"
 	"repro/internal/minetest"
 	"repro/internal/model"
 	"repro/internal/storage"
@@ -207,5 +209,42 @@ func TestEmptyDataset(t *testing.T) {
 	got := mineDS(t, model.NewDataset(nil), 3, 3)
 	if len(got) != 0 {
 		t.Fatalf("empty dataset should yield nothing, got %v", got)
+	}
+}
+
+// TestClosedListRetainedBytes measures what Miner.closed — the result list
+// Finish needs, which grows with every convoy a stream closes — keeps per
+// convoy on the moving city feed (≈ 1 600 objects per tick), the figure
+// docs/ARCHITECTURE.md quotes for a long-lived convoyd feed. It is the heap
+// the list pins minus the heap once the list is dropped, over the convoys
+// it holds; every drained convoy has already been handed to its consumer.
+func TestClosedListRetainedBytes(t *testing.T) {
+	ticks := minetest.City(1, 650, 14)
+	mn := NewMiner(minetest.CityM, minetest.CityK)
+	for tt, snap := range ticks {
+		mn.Step(int32(tt), dbscan.Cluster(snap, minetest.CityEps, minetest.CityM))
+		mn.Drain()
+	}
+	n, members := len(mn.closed), 0
+	if n == 0 {
+		t.Fatal("the city feed closed no convoy")
+	}
+	for _, c := range mn.closed {
+		members += len(c.Objs)
+	}
+	var with, without runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&with)
+	mn.closed = nil
+	runtime.GC()
+	runtime.ReadMemStats(&without)
+	runtime.KeepAlive(mn)
+	per := (float64(with.HeapAlloc) - float64(without.HeapAlloc)) / float64(n)
+	t.Logf("%d closed convoys of %.1f members on average retain %.0f bytes each", n, float64(members)/float64(n), per)
+	// A closed convoy costs its 32-byte header and 4 bytes per member, plus
+	// the list's growth slack. Several times that means a convoy pins memory
+	// it does not own, such as its tick's whole cluster buffer.
+	if limit := 2 * (32 + 4*float64(members)/float64(n)); per > limit {
+		t.Fatalf("%.0f bytes retained per closed convoy, want ≤ %.0f", per, limit)
 	}
 }

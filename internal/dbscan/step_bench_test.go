@@ -104,7 +104,7 @@ func jiggleGroups(objs []model.ObjPos, rng *rand.Rand, next, count int) int {
 	return next
 }
 
-// BenchmarkClusterStep clusters one snapshot per op, as StreamMiner does
+// BenchmarkClusterStep clusters one snapshot per op, as PatternMiner does
 // for every tick of a live feed. The snapshot is prepared outside the
 // timer, so ns/op is purely Cluster.
 func BenchmarkClusterStep(b *testing.B) {

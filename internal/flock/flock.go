@@ -80,13 +80,6 @@ func (m *Miner) Drain() []Flock { return m.mn.Drain() }
 // over the same tick sequence.
 func (m *Miner) Finish() []Flock { return m.mn.Finish() }
 
-// Last returns the most recently stepped timestamp; ok is false before the
-// first Step (and after a Reset).
-func (m *Miner) Last() (t int32, ok bool) { return m.mn.Last() }
-
-// Reset returns the miner to its initial state, keeping the parameters.
-func (m *Miner) Reset() { m.mn.Reset() }
-
 // MineK2Hop mines maximal flocks with the k/2-hop pipeline: disks are
 // computed in full only at benchmark points; candidates are the pairwise
 // intersections; hop-windows verify by re-covering only the candidate's

@@ -132,7 +132,7 @@ type match struct {
 }
 
 // Miner is the streaming moving-cluster miner fed one snapshot at a time,
-// mirroring cmc.Miner's streaming surface (Step/Drain/Finish/Last/Reset).
+// mirroring cmc.Miner's streaming surface (Step/Drain/Finish/Last).
 // It carries the open chains across ticks; each Step clusters the snapshot
 // and runs the same greedy best-overlap matching as Mine. Patterns are
 // emitted the moment their chain fails to extend, so streaming consumers
@@ -254,8 +254,8 @@ func (mn *Miner) closeAll() {
 }
 
 // Drain returns the patterns emitted since the last Drain, in emission
-// order. Unlike cmc.Miner's result set, a moving cluster is emitted exactly
-// once and never superseded, so Drain needs no external dedup.
+// order. Like cmc.Miner.Drain, every pattern is drained exactly once: a
+// moving cluster is emitted once and never superseded.
 func (mn *Miner) Drain() []MovingCluster {
 	out := mn.out[mn.fresh:len(mn.out):len(mn.out)]
 	mn.fresh = len(mn.out)
@@ -264,22 +264,13 @@ func (mn *Miner) Drain() []MovingCluster {
 
 // Finish ends the stream: every open chain of sufficient length is emitted,
 // and the full result set is returned in emission order — exactly what Mine
-// returns over the same tick sequence.
+// returns over the same tick sequence. The chains Finish closes stay queued
+// for Drain, as cmc.Miner.Finish leaves its own.
 func (mn *Miner) Finish() []MovingCluster {
 	mn.closeAll()
-	mn.fresh = len(mn.out)
 	return mn.out
 }
 
 // Last returns the most recently stepped timestamp; ok is false before the
-// first Step (and after a Reset).
+// first Step.
 func (mn *Miner) Last() (t int32, ok bool) { return mn.lastT, mn.started }
-
-// Reset returns the miner to its initial state, keeping the parameters.
-func (mn *Miner) Reset() {
-	mn.active = nil
-	mn.out = nil
-	mn.fresh = 0
-	mn.lastT = 0
-	mn.started = false
-}

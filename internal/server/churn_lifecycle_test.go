@@ -1,7 +1,7 @@
 package server
 
 // Lifecycle seams of a feed's mining state on churn-heavy data, where
-// objects join and leave mid-stream. A feed's StreamMiner carries open
+// objects join and leave mid-stream. A feed's PatternMiner carries open
 // convoy candidates across ticks; that state is deliberately not persisted
 // — eviction drops it, crash recovery restarts it empty — so these tests
 // pin down that every teardown/restart seam still produces convoys

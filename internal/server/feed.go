@@ -8,9 +8,9 @@ import (
 )
 
 // feed is one trajectory feed (a dataset/region key). Its mining state —
-// the StreamMiner, the reordering buffer, and the published-convoy
-// bookkeeping used to detect novelty — is owned exclusively by the shard
-// actor the feed was placed on; no lock protects it and none is needed.
+// the PatternMiner, the reordering buffer, and the digests recovered from
+// the convoy log — is owned exclusively by the shard actor the feed was
+// placed on; no lock protects it and none is needed.
 //
 // The published state below mu is the read side: HTTP handlers serve
 // long-polls and stats from it, and the persistence tick drains it.
@@ -29,10 +29,15 @@ type feed struct {
 	pattern convoy.Pattern
 
 	// --- owned by the shard actor goroutine, unguarded -------------------
-	miner   convoy.PatternMiner
-	buf     *reorder
-	pubSeen map[convoy.PatternDigest]struct{} // patterns already published (or recovered from the log)
-	done    bool                              // feed was flushed; further ingest is dropped
+	miner *convoy.PatternMiner
+	buf   *reorder
+	// pubSeen holds the digests of the patterns recovered from the convoy
+	// log, so a client re-sending after a restart does not publish them
+	// again. It never grows: the miner reports each pattern once, so what
+	// the feed closes itself needs no dedup. Nil for a feed that recovered
+	// nothing.
+	pubSeen map[convoy.PatternDigest]struct{}
+	done    bool // feed was flushed; further ingest is dropped
 
 	// --- lifecycle coordination (see lifecycle.go) -----------------------
 	// pending counts shard messages enqueued but not yet fully processed;
@@ -97,7 +102,6 @@ func newFeed(name string, pat convoy.Pattern, pp convoy.PatternParams, window in
 		pattern: pat,
 		miner:   m,
 		buf:     newReorder(window),
-		pubSeen: map[convoy.PatternDigest]struct{}{},
 		notify:  make(chan struct{}),
 	}
 	f.stats.Pattern = string(pat)
@@ -110,15 +114,17 @@ func (f *feed) head() int { return f.start + len(f.closed) }
 // touch records activity for TTL eviction.
 func (f *feed) touch(nowNanos int64) { f.lastActive.Store(nowNanos) }
 
-// publish appends newly closed patterns to the published list and wakes all
-// long-pollers. Called only from the owning shard actor.
+// publish appends newly closed patterns to the published list, minus any
+// that recovery already loaded from the log, and wakes all long-pollers.
+// Called only from the owning shard actor.
 func (f *feed) publish(cs []convoy.PatternResult) {
-	fresh := cs[:0:0]
-	for _, c := range cs {
-		d := c.Digest()
-		if _, dup := f.pubSeen[d]; !dup {
-			f.pubSeen[d] = struct{}{}
-			fresh = append(fresh, c)
+	fresh := cs
+	if len(f.pubSeen) > 0 {
+		fresh = cs[:0:0]
+		for _, c := range cs {
+			if _, dup := f.pubSeen[c.Digest()]; !dup {
+				fresh = append(fresh, c)
+			}
 		}
 	}
 	f.mu.Lock()

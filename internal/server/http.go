@@ -320,10 +320,12 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		for _, c := range final {
 			out = append(out, toConvoyJSON(c))
 		}
-		// The cursor lives in the /convoys domain (an index into the feed's
-		// published-closed list), which is not the same as len(final): the
-		// published list also holds convoys later superseded in the maximal
-		// set. Report the real position so a client can keep polling with it.
+		// The cursor lives in the /convoys domain (an absolute index into the
+		// feed's published list). It equals len(final) only when that domain
+		// starts at 0: a feed recovered from the log, or recreated under the
+		// name of an evicted one, numbers its patterns after the recovered or
+		// truncated prefix, while final holds only what this incarnation
+		// mined. Report the real position so a client can keep polling with it.
 		f.mu.Lock()
 		cursor, tb := f.head(), f.start
 		f.mu.Unlock()

@@ -441,9 +441,11 @@ func TestLiveConvoysLimit(t *testing.T) {
 			t.Fatal("paging does not terminate")
 		}
 	}
-	// The published pages are a superset story: every flush-final convoy
-	// was published (possibly among superseded intermediates), so check
-	// containment of the final set in the paged set.
+	// Each convoy is published exactly once, so the pages hold the final
+	// set: as many convoys, each of them found.
+	if len(got) != len(want) {
+		t.Fatalf("paged %d convoys, flush returned %d", len(got), len(want))
+	}
 	for _, w := range want {
 		found := false
 		for _, g := range got {

@@ -3,15 +3,20 @@ package server
 // Kill/restart differential for the flock and moving-cluster feed modes: the
 // root-package wall (pattern_differential_test.go) proves the streaming
 // miners byte-identical to the batch oracles over the 120-seed corpus; this
-// file proves the same equality survives the recovery seam. Each seed's
-// churn dataset is streamed twice with a convoy-closing gap, the server is
-// killed mid-second-pass, restarted, and the client replays the full
-// history — the flush must equal the batch oracle over the doubled dataset,
-// the feed's family must survive recovery, and dedup must leave every
-// persisted result in the log exactly once.
+// file proves the same equality survives the recovery seam, for convoy
+// feeds too. Each seed's churn dataset is streamed twice with a
+// convoy-closing gap, the server is killed mid-second-pass, restarted, and
+// the client replays the full history — the flush must equal the batch
+// oracle over the doubled dataset, the feed's family must survive recovery,
+// and dedup must leave every persisted result in the log exactly once.
+//
+// The dedup set is pinned on both sides of the seam: the fresh feed keeps
+// it empty however much it publishes, and the recovered feed holds exactly
+// the logged patterns' digests after publishing the new ones.
 
 import (
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -42,7 +47,22 @@ func patternLogMultiset(t *testing.T, path, feed string) map[string]int {
 	return out
 }
 
-func patternRestartSeed(t *testing.T, pat convoy.Pattern, seed int64) {
+// logDigests is the dedup set recovery builds from the log at path.
+func logDigests(t *testing.T, path string) map[convoy.PatternDigest]struct{} {
+	t.Helper()
+	out := map[convoy.PatternDigest]struct{}{}
+	for _, r := range readConvoyLog(t, path) {
+		if !storage.IsFlushMarker(r.Convoy) {
+			out[loggedResult(r).Digest()] = struct{}{}
+		}
+	}
+	return out
+}
+
+// patternRestartSeed runs one seed's kill/restart round-trip. It returns
+// how many patterns the fresh feed published before the kill, and how many
+// new ones the recovered feed published on top of a non-empty log.
+func patternRestartSeed(t *testing.T, pat convoy.Pattern, seed int64) (published, republished int) {
 	path := t.TempDir() + "/closed.k2cl"
 	cfg := Config{Params: patternSoakParams, Shards: 1, PersistPath: path, PersistEvery: 5 * time.Millisecond}
 	ds := minetest.RandomChurn(seed, 8+int(seed%5), 10+int(seed%7))
@@ -71,7 +91,15 @@ func patternRestartSeed(t *testing.T, pat convoy.Pattern, seed int64) {
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// The miner reports each pattern once, so a feed that recovered nothing
+	// dedups nothing and its set stays empty.
+	fresh := srv1.feeds["churn"]
+	published = fresh.head()
+	if len(fresh.pubSeen) != 0 {
+		t.Fatalf("seed %d (%s): fresh feed published %d patterns and holds %d digests, want 0", seed, pat, published, len(fresh.pubSeen))
+	}
 	before := patternLogMultiset(t, path, "churn")
+	logged := logDigests(t, path)
 
 	srv2, err := New(cfg)
 	if err != nil {
@@ -113,6 +141,14 @@ func patternRestartSeed(t *testing.T, pat convoy.Pattern, seed int64) {
 	if err := srv2.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Publishing what the log lacked added nothing to the recovered set.
+	rf := srv2.feeds["churn"]
+	if !maps.Equal(rf.pubSeen, logged) {
+		t.Fatalf("seed %d (%s): recovered feed holds %d digests, the log %d", seed, pat, len(rf.pubSeen), len(logged))
+	}
+	if len(logged) > 0 {
+		republished = rf.head() - len(logged)
+	}
 
 	// Durability: the log converges to exactly the oracle (dedup kept each
 	// pre-crash record single across the replay), nothing lost.
@@ -125,20 +161,26 @@ func patternRestartSeed(t *testing.T, pat convoy.Pattern, seed int64) {
 			t.Fatalf("seed %d: record %q appears %d times after replay", seed, k, after[k])
 		}
 	}
+	return published, republished
 }
 
 // TestPatternRestartDifferential runs the kill/restart round-trip over the
-// 120-seed churn corpus for both new pattern families.
+// 120-seed churn corpus for every pattern family.
 func TestPatternRestartDifferential(t *testing.T) {
 	seeds := int64(120)
 	if testing.Short() {
 		seeds = 12
 	}
-	for _, pat := range []convoy.Pattern{convoy.PatternFlock, convoy.PatternMC} {
+	for _, pat := range []convoy.Pattern{convoy.PatternConvoy, convoy.PatternFlock, convoy.PatternMC} {
 		t.Run(string(pat), func(t *testing.T) {
 			t.Parallel()
+			published, republished := 0, 0
 			for seed := int64(0); seed < seeds; seed++ {
-				patternRestartSeed(t, pat, seed)
+				p, r := patternRestartSeed(t, pat, seed)
+				published, republished = published+p, republished+r
+			}
+			if published == 0 || republished == 0 {
+				t.Fatalf("fresh feeds published %d patterns, recovered feeds %d new ones: the dedup-set checks need both > 0", published, republished)
 			}
 		})
 	}

@@ -149,7 +149,8 @@ func patternFromLog(tag uint8) convoy.Pattern {
 }
 
 // loggedResult reconstructs the published PatternResult a log record
-// persisted, so recovery rebuilds the same dedup keys publish used.
+// persisted, so recovery builds the digests publish checks re-sent
+// patterns against.
 func loggedResult(lc storage.LoggedConvoy) convoy.PatternResult {
 	return convoy.PatternResult{Convoy: lc.Convoy, Clusters: lc.Clusters}
 }

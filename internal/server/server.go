@@ -2,7 +2,7 @@
 // service: many concurrent trajectory feeds arrive over HTTP (JSON or K2BI
 // ingest), each feed is placed, when it is created, on whichever of a
 // configurable number of shard actors holds the fewest feeds, and each actor
-// owns the StreamMiners of its feeds. Closed convoys are queryable per feed
+// owns the PatternMiners of its feeds. Closed convoys are queryable per feed
 // (long-poll or flush) and are periodically persisted to the closed-convoy
 // sink in internal/storage.
 //
@@ -22,7 +22,11 @@
 // Long-lived serving is memory-bounded by the feed lifecycle (see
 // lifecycle.go): idle feeds are evicted after FeedTTL, persisted history is
 // truncated from memory, and a restart replays the convoy log to restore
-// cursor positions and dedup state.
+// cursor positions and, for dedup, the digests of the logged patterns —
+// the only digests a feed holds. One per-feed structure still grows with
+// every closed pattern until eviction: the miner's result list, which
+// /flush answers from (about 55 bytes per closed convoy on the city feed;
+// see docs/ARCHITECTURE.md "Memory limits").
 package server
 
 import (

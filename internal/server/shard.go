@@ -73,8 +73,8 @@ func (sh *shard) ingest(f *feed, snaps []tick) {
 	f.publish(f.miner.Closed())
 }
 
-// flush drains the reordering buffer, ends the stream, publishes everything
-// and replies with the full maximal result set.
+// flush drains the reordering buffer, ends the stream, publishes what the
+// flush closed and replies with the full maximal result set.
 func (sh *shard) flush(f *feed, reply chan []convoy.PatternResult) {
 	if !f.done {
 		rest := f.buf.drain()
@@ -84,7 +84,7 @@ func (sh *shard) flush(f *feed, reply chan []convoy.PatternResult) {
 		sh.observe(f, rest)
 		final := f.miner.Flush()
 		f.done = true
-		f.publish(final) // convoys first closed by the flush itself
+		f.publish(f.miner.Closed())
 		f.markFlushed(final)
 	}
 	f.mu.Lock()

@@ -190,46 +190,3 @@ func TestDifferentialPatternGapEqualsEmptyTicks(t *testing.T) {
 		}
 	}
 }
-
-// TestDifferentialPatternMinerResetReuse checks that one PatternMiner per
-// family, Reset between streams, matches fresh batch results — the reuse
-// pattern TTL eviction plus feed recreation depends on.
-func TestDifferentialPatternMinerResetReuse(t *testing.T) {
-	pp := PatternParams{Params: Params{M: 3, K: 3, Eps: minetest.Eps}, R: 2.0, Theta: 0.5}
-	fm, err := NewPatternMiner(PatternFlock, pp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mm, err := NewPatternMiner(PatternMC, pp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(0); seed < 20; seed++ {
-		ds := minetest.RandomChurn(seed, 9, 14)
-		ts, te := ds.TimeRange()
-		for tt := ts; tt <= te; tt++ {
-			if err := fm.Observe(tt, ds.Snapshot(tt)); err != nil {
-				t.Fatal(err)
-			}
-			if err := mm.Observe(tt, ds.Snapshot(tt)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		wantF, err := MineFlocks(NewMemStore(ds), FlockParams{M: pp.M, K: pp.K, R: pp.R}, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := minetest.DiffConvoys("reused-flock", resultConvoys(fm.Flush()), "batch", wantF); d != "" {
-			t.Fatalf("seed %d: %s", seed, d)
-		}
-		wantM, err := MineMovingClusters(NewMemStore(ds), MovingClusterParams{M: pp.M, Eps: pp.Eps, Theta: pp.Theta, K: pp.K})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sg, sb := canonMCResults(mm.Flush()), canonMCs(wantM); sg != sb {
-			t.Fatalf("seed %d: reused mc miner differs:\nstream:\n%s\nbatch:\n%s", seed, sg, sb)
-		}
-		fm.Reset()
-		mm.Reset()
-	}
-}

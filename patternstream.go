@@ -4,18 +4,20 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
+	"repro/internal/cmc"
+	"repro/internal/dbscan"
 	"repro/internal/flock"
+	"repro/internal/model"
 	"repro/internal/movingcluster"
 )
 
-// This file generalizes the streaming surface of stream.go to the pattern
-// families of patterns.go: a convoyd feed can mine convoys (the default),
-// flocks, or moving clusters, selected per feed by a Pattern. Each mode is
-// a PatternMiner with the same contract as StreamMiner (strictly monotonic
-// Observe, gap-closes-everything, duplicate-OID canonicalization), and each
-// is byte-identical to its batch counterpart — MineFlocks(sweep) and
-// MineMovingClusters share the exact streaming engines underneath.
+// This file is the streaming surface: a convoyd feed mines convoys (the
+// default), flocks, or moving clusters, selected per feed by a Pattern,
+// through one PatternMiner whose results are byte-identical to the batch
+// counterpart — Mine with PCCD, MineFlocks(sweep) and MineMovingClusters
+// run the same sweep engines underneath.
 
 // Pattern selects the movement-pattern family a streaming feed is mined
 // with. The zero value is not valid; use DefaultPattern / ParsePattern.
@@ -104,8 +106,8 @@ type PatternDigest [16]byte
 // bytes: Start, End and the length-prefixed member ids as little-endian
 // int32s, followed — for moving clusters — by every per-tick cluster in the
 // same form, because two distinct chains can share a footprint and
-// lifespan. Dedup sets hold one digest per pattern the feed ever closed, so
-// they retain 16 bytes each rather than a formatted string.
+// lifespan. A feed's dedup set holds one digest per pattern recovered from
+// its convoy log, 16 bytes each rather than a formatted string.
 func (r PatternResult) Digest() PatternDigest {
 	var stack [256]byte // enough for a 60-member convoy without touching the heap
 	buf := binary.LittleEndian.AppendUint32(stack[:0], uint32(r.Start))
@@ -126,62 +128,142 @@ func appendObjSet(buf []byte, s ObjSet) []byte {
 	return buf
 }
 
-// PatternMiner is the streaming surface every feed mode implements —
-// StreamMiner's contract, generalized over the result type. Observe rejects
-// non-monotonic timestamps with an error and leaves the miner untouched; a
-// gap closes every open pattern; duplicate OIDs within a snapshot are
-// canonicalized (last occurrence wins). Closed drains results that closed
-// since the last call in O(new); Flush ends the stream and returns the full
-// final result set. Not safe for concurrent use.
-type PatternMiner interface {
-	Observe(t int32, positions []ObjPos) error
-	Last() (t int32, ok bool)
-	Closed() []PatternResult
-	Flush() []PatternResult
-	Reset()
+// PatternMiner mines one pattern family incrementally from a live feed of
+// snapshots: positions arrive one timestamp at a time, and each pattern is
+// reported as soon as it closes. Each tick is grouped from scratch —
+// dbscan.Cluster for convoys and moving clusters, flock.DiskGroups for
+// flocks; no grouping state carries over — and the groups go to one sweep:
+// the PCCD engine cmc.Miner for convoys and flocks, the MC2 chainer
+// movingcluster.Miner for moving clusters. A tick therefore costs one
+// grouping of its snapshot plus a sweep step that follows the groups'
+// members, not the number of patterns closed so far (see
+// docs/ARCHITECTURE.md "Why the live path clusters from scratch"). This
+// serves the streaming-companion use cases the paper's related work
+// discusses (Tang et al., ICDE'12), where the data never rests in a store.
+//
+// Note the pattern class: a streaming miner cannot validate full
+// connectivity retroactively without storing history, so convoys are
+// partially connected (like CMC/PCCD). Run the k/2-hop batch miner over
+// persisted history for FC results.
+//
+// A PatternMiner is not safe for concurrent use; the convoyd server gives
+// each feed a single owning shard actor for exactly this reason, which is
+// also what lets the sweeps keep their per-tick buffers on the miner.
+type PatternMiner struct {
+	group  func([]ObjPos) []ObjSet // a tick's groups
+	sweep  *cmc.Miner              // convoys and flocks; nil for moving clusters
+	chains *movingcluster.Miner    // moving clusters; nil otherwise
+	dupChk map[int32]struct{}      // reused per Observe for duplicate-OID detection
 }
 
 // NewPatternMiner creates the streaming miner for one pattern family.
-// PatternConvoy wraps StreamMiner (the PCCD sweep over per-tick DBSCAN);
-// PatternFlock runs per-tick disk groups over the same sweep engine;
-// PatternMC chains per-tick DBSCAN clusters by Jaccard overlap.
-func NewPatternMiner(pat Pattern, pp PatternParams) (PatternMiner, error) {
+func NewPatternMiner(pat Pattern, pp PatternParams) (*PatternMiner, error) {
 	pp = pp.withDefaults()
 	if err := pp.validate(); err != nil {
 		return nil, err
 	}
+	pm := &PatternMiner{
+		group:  func(snap []ObjPos) []ObjSet { return dbscan.Cluster(snap, pp.Eps, pp.M) },
+		dupChk: map[int32]struct{}{},
+	}
 	switch pat {
 	case PatternConvoy:
-		sm, err := NewStreamMiner(pp.Params)
-		if err != nil {
-			return nil, err
-		}
-		return &convoyStream{sm: sm}, nil
+		pm.sweep = cmc.NewMiner(pp.M, pp.K)
 	case PatternFlock:
-		return &flockStream{
-			mn:     flock.NewMiner(flock.Config{M: pp.M, K: pp.K, R: pp.R}),
-			dupChk: map[int32]struct{}{},
-		}, nil
+		pm.group = func(snap []ObjPos) []ObjSet { return flock.DiskGroups(snap, pp.R, pp.M) }
+		pm.sweep = cmc.NewMiner(pp.M, pp.K)
 	case PatternMC:
-		return &mcStream{
-			mn:     movingcluster.NewMiner(movingcluster.Config{M: pp.M, Eps: pp.Eps, Theta: pp.Theta, K: pp.K}),
-			dupChk: map[int32]struct{}{},
-		}, nil
+		pm.chains = movingcluster.NewMiner(movingcluster.Config{M: pp.M, Eps: pp.Eps, Theta: pp.Theta, K: pp.K})
 	default:
 		return nil, fmt.Errorf("convoy: unknown pattern %q", pat)
 	}
+	return pm, nil
 }
 
-// convoyStream adapts StreamMiner to the PatternMiner surface.
-type convoyStream struct {
-	sm *StreamMiner
+// ObjPos is an object's position within one snapshot.
+type ObjPos = model.ObjPos
+
+// Observe ingests the positions of one timestamp. Timestamps must arrive in
+// strictly increasing order; an out-of-order or duplicate timestamp is
+// rejected with an error and leaves the miner untouched. The order may have
+// gaps: a gap closes every open pattern (objects cannot be "together" at a
+// missing tick), so mining restarts fresh at t.
+//
+// A snapshot containing the same OID more than once is canonicalized
+// exactly as model.NewDataset canonicalizes a tick — stable-sorted by OID,
+// keeping the last occurrence of each duplicate — so streaming a feed with
+// duplicate fixes yields byte-identical patterns to batch-mining the same
+// records. Duplicate-free snapshots pass through untouched, in their given
+// order. The input slice is never modified.
+func (pm *PatternMiner) Observe(t int32, positions []ObjPos) error {
+	last, ok := pm.sweepLast()
+	if ok && t <= last {
+		return fmt.Errorf("convoy: non-monotonic stream: observed t=%d after t=%d", t, last)
+	}
+	groups := pm.group(canonPositions(pm.dupChk, positions))
+	if pm.chains != nil {
+		pm.chains.StepClusters(t, groups)
+	} else {
+		pm.sweep.Step(t, groups)
+	}
+	return nil
 }
 
-func (s *convoyStream) Observe(t int32, positions []ObjPos) error { return s.sm.Observe(t, positions) }
-func (s *convoyStream) Last() (int32, bool)                       { return s.sm.Last() }
-func (s *convoyStream) Closed() []PatternResult                   { return wrapConvoys(s.sm.Closed()) }
-func (s *convoyStream) Flush() []PatternResult                    { return wrapConvoys(s.sm.Flush()) }
-func (s *convoyStream) Reset()                                    { s.sm.Reset() }
+// sweepLast is the sweep's most recently stepped timestamp; ok is false
+// before the first Observe.
+func (pm *PatternMiner) sweepLast() (t int32, ok bool) {
+	if pm.chains != nil {
+		return pm.chains.Last()
+	}
+	return pm.sweep.Last()
+}
+
+// canonPositions applies the duplicate-OID rule of Observe: duplicate OIDs
+// are canonicalized by model.CanonSnapshot, exactly as model.NewDataset
+// canonicalizes a tick. A snapshot whose OIDs already ascend — every tick
+// convoyd's reorder buffer releases — is recognised in one linear pass; any
+// other duplicate-free snapshot costs one pass over dupChk, a caller-owned
+// scratch map cleared here. Neither allocates, and the input is never
+// modified.
+func canonPositions(dupChk map[int32]struct{}, positions []ObjPos) []ObjPos {
+	if model.IsCanonSnapshot(positions) {
+		return positions
+	}
+	clear(dupChk)
+	for _, p := range positions {
+		if _, ok := dupChk[p.OID]; ok {
+			return model.CanonSnapshot(slices.Clone(positions))
+		}
+		dupChk[p.OID] = struct{}{}
+	}
+	return positions
+}
+
+// Closed drains the patterns that have closed since the last call, in the
+// order they closed, including those a Flush closed. Every pattern is
+// reported exactly once: each sweep closes a pattern once, and a pattern
+// is final as it closes — none closed later covers it (see cmc.Miner.Finish;
+// a moving cluster is never superseded). Cost is proportional to the newly
+// closed patterns, not the accumulated result set, so polling after every
+// batch stays cheap on long-lived streams.
+func (pm *PatternMiner) Closed() []PatternResult {
+	if pm.chains != nil {
+		return wrapMCs(pm.chains.Drain())
+	}
+	return wrapConvoys(pm.sweep.Drain())
+}
+
+// Flush ends the stream: every still-open pattern of sufficient length is
+// closed at the last observed timestamp, and the full result set is
+// returned — convoys and flocks in canonical order, moving clusters in
+// emission order, each exactly what the batch miner returns over the same
+// records. The patterns the flush itself closes stay queued for Closed.
+func (pm *PatternMiner) Flush() []PatternResult {
+	if pm.chains != nil {
+		return wrapMCs(pm.chains.Finish())
+	}
+	return wrapConvoys(pm.sweep.Finish())
+}
 
 func wrapConvoys(cs []Convoy) []PatternResult {
 	if len(cs) == 0 {
@@ -193,48 +275,6 @@ func wrapConvoys(cs []Convoy) []PatternResult {
 	}
 	return out
 }
-
-// flockStream adapts flock.Miner. Like StreamMiner.Closed, Drain reports
-// every flock exactly once.
-type flockStream struct {
-	mn     *flock.Miner
-	dupChk map[int32]struct{}
-}
-
-func (s *flockStream) Observe(t int32, positions []ObjPos) error {
-	if last, ok := s.mn.Last(); ok && t <= last {
-		return fmt.Errorf("convoy: non-monotonic stream: observed t=%d after t=%d", t, last)
-	}
-	s.mn.Step(t, canonPositions(s.dupChk, positions))
-	return nil
-}
-
-func (s *flockStream) Last() (int32, bool) { return s.mn.Last() }
-
-func (s *flockStream) Closed() []PatternResult { return wrapConvoys(s.mn.Drain()) }
-func (s *flockStream) Flush() []PatternResult  { return wrapConvoys(s.mn.Finish()) }
-func (s *flockStream) Reset()                  { s.mn.Reset() }
-
-// mcStream adapts movingcluster.Miner. A moving cluster is emitted exactly
-// once and never superseded, so no dedup map is needed.
-type mcStream struct {
-	mn     *movingcluster.Miner
-	dupChk map[int32]struct{}
-}
-
-func (s *mcStream) Observe(t int32, positions []ObjPos) error {
-	if last, ok := s.mn.Last(); ok && t <= last {
-		return fmt.Errorf("convoy: non-monotonic stream: observed t=%d after t=%d", t, last)
-	}
-	s.mn.Step(t, canonPositions(s.dupChk, positions))
-	return nil
-}
-
-func (s *mcStream) Last() (int32, bool) { return s.mn.Last() }
-
-func (s *mcStream) Closed() []PatternResult { return wrapMCs(s.mn.Drain()) }
-func (s *mcStream) Flush() []PatternResult  { return wrapMCs(s.mn.Finish()) }
-func (s *mcStream) Reset()                  { s.mn.Reset() }
 
 func wrapMCs(mcs []MovingCluster) []PatternResult {
 	if len(mcs) == 0 {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestStreamMinerBasic(t *testing.T) {
-	sm, err := NewStreamMiner(Params{M: 2, K: 3, Eps: minetest.Eps})
+	sm, err := NewPatternMiner(PatternConvoy, PatternParams{Params: Params{M: 2, K: 3, Eps: minetest.Eps}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,18 +18,18 @@ func TestStreamMinerBasic(t *testing.T) {
 	for tt := int32(0); tt < 5; tt++ {
 		sm.Observe(tt, []ObjPos{near(1, 0), near(2, 1)})
 	}
-	if got := sm.Closed(); len(got) != 0 {
+	if got := resultConvoys(sm.Closed()); len(got) != 0 {
 		t.Fatalf("nothing should close while alive: %v", got)
 	}
 	sm.Observe(5, []ObjPos{near(1, 0), near(2, 500)})
-	got := sm.Closed()
+	got := resultConvoys(sm.Closed())
 	want := model.NewConvoy(NewObjSet(1, 2), 0, 4)
 	if len(got) != 1 || !got[0].Equal(want) {
 		t.Fatalf("closed = %v, want %v", got, want)
 	}
 	// No duplicate reporting.
 	sm.Observe(6, []ObjPos{near(1, 0), near(2, 500)})
-	if got := sm.Closed(); len(got) != 0 {
+	if got := resultConvoys(sm.Closed()); len(got) != 0 {
 		t.Fatalf("duplicate close: %v", got)
 	}
 }
@@ -39,14 +39,14 @@ func TestStreamMinerFlushMatchesBatch(t *testing.T) {
 		ds := minetest.Random(seed, 10, 15)
 		ts, te := ds.TimeRange()
 		p := Params{M: 3, K: 4, Eps: minetest.Eps}
-		sm, err := NewStreamMiner(p)
+		sm, err := NewPatternMiner(PatternConvoy, PatternParams{Params: p})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for tt := ts; tt <= te; tt++ {
 			sm.Observe(tt, ds.Snapshot(tt))
 		}
-		got := sm.Flush()
+		got := resultConvoys(sm.Flush())
 		want, err := MineDataset(ds, p, &Options{Algorithm: PCCD})
 		if err != nil {
 			t.Fatal(err)
@@ -58,7 +58,7 @@ func TestStreamMinerFlushMatchesBatch(t *testing.T) {
 }
 
 func TestStreamMinerGapClosesConvoys(t *testing.T) {
-	sm, err := NewStreamMiner(Params{M: 2, K: 2, Eps: minetest.Eps})
+	sm, err := NewPatternMiner(PatternConvoy, PatternParams{Params: Params{M: 2, K: 2, Eps: minetest.Eps}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestStreamMinerGapClosesConvoys(t *testing.T) {
 	sm.Observe(1, pair)
 	sm.Observe(10, pair) // gap
 	sm.Observe(11, pair)
-	got := sm.Flush()
+	got := resultConvoys(sm.Flush())
 	want := []Convoy{
 		model.NewConvoy(NewObjSet(1, 2), 0, 1),
 		model.NewConvoy(NewObjSet(1, 2), 10, 11),
@@ -78,7 +78,7 @@ func TestStreamMinerGapClosesConvoys(t *testing.T) {
 }
 
 func TestStreamMinerValidation(t *testing.T) {
-	if _, err := NewStreamMiner(Params{M: 0, K: 2, Eps: 1}); err == nil {
+	if _, err := NewPatternMiner(PatternConvoy, PatternParams{Params: Params{M: 0, K: 2, Eps: 1}}); err == nil {
 		t.Fatalf("invalid params should fail")
 	}
 }
@@ -87,7 +87,7 @@ func TestStreamMinerValidation(t *testing.T) {
 // documented-but-unchecked contract: timestamps must be strictly
 // increasing, and a violating Observe must leave the miner untouched.
 func TestStreamMinerRejectsNonMonotonic(t *testing.T) {
-	sm, err := NewStreamMiner(Params{M: 2, K: 2, Eps: minetest.Eps})
+	sm, err := NewPatternMiner(PatternConvoy, PatternParams{Params: Params{M: 2, K: 2, Eps: minetest.Eps}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +101,11 @@ func TestStreamMinerRejectsNonMonotonic(t *testing.T) {
 	if err := sm.Observe(2, pair); err == nil {
 		t.Fatal("decreasing timestamp accepted")
 	}
-	if last, ok := sm.Last(); !ok || last != 3 {
-		t.Fatalf("Last() = %d,%v after rejected observes, want 3,true", last, ok)
-	}
 	// The rejected snapshots must not have perturbed mining.
 	if err := sm.Observe(4, pair); err != nil {
 		t.Fatal(err)
 	}
-	got := sm.Flush()
+	got := resultConvoys(sm.Flush())
 	want := []Convoy{model.NewConvoy(NewObjSet(1, 2), 3, 4)}
 	if !model.ConvoysEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -119,7 +116,7 @@ func TestStreamMinerRejectsNonMonotonic(t *testing.T) {
 // convoys" contract on the live path: after a gap, the closed convoy is
 // observable through Closed() immediately — no Flush needed.
 func TestStreamMinerGapReportsWithoutFlush(t *testing.T) {
-	sm, err := NewStreamMiner(Params{M: 2, K: 2, Eps: minetest.Eps})
+	sm, err := NewPatternMiner(PatternConvoy, PatternParams{Params: Params{M: 2, K: 2, Eps: minetest.Eps}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,13 +126,13 @@ func TestStreamMinerGapReportsWithoutFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := sm.Closed(); len(got) != 0 {
+	if got := resultConvoys(sm.Closed()); len(got) != 0 {
 		t.Fatalf("nothing should close while alive: %v", got)
 	}
 	if err := sm.Observe(10, pair); err != nil { // gap: ticks 3..9 missing
 		t.Fatal(err)
 	}
-	got := sm.Closed()
+	got := resultConvoys(sm.Closed())
 	want := model.NewConvoy(NewObjSet(1, 2), 0, 2)
 	if len(got) != 1 || !got[0].Equal(want) {
 		t.Fatalf("closed after gap = %v, want [%v]", got, want)
@@ -165,7 +162,7 @@ func TestStreamMinerDuplicateOIDsMatchBatch(t *testing.T) {
 	}
 	ds := model.NewDataset(pts)
 
-	sm, err := NewStreamMiner(p)
+	sm, err := NewPatternMiner(PatternConvoy, PatternParams{Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +176,7 @@ func TestStreamMinerDuplicateOIDsMatchBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := sm.Flush()
+	got := resultConvoys(sm.Flush())
 	want, err := MineDataset(ds, p, &Options{Algorithm: PCCD})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +195,7 @@ func TestStreamMinerDuplicateOIDsRandom(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		ds := minetest.Random(seed, 10, 12)
 		p := Params{M: 3, K: 4, Eps: minetest.Eps}
-		sm, err := NewStreamMiner(p)
+		sm, err := NewPatternMiner(PatternConvoy, PatternParams{Params: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +214,7 @@ func TestStreamMinerDuplicateOIDsRandom(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got := sm.Flush()
+		got := resultConvoys(sm.Flush())
 		want, err := MineDataset(ds, p, &Options{Algorithm: PCCD})
 		if err != nil {
 			t.Fatal(err)
@@ -225,35 +222,6 @@ func TestStreamMinerDuplicateOIDsRandom(t *testing.T) {
 		if !model.ConvoysEqual(got, want.Convoys) {
 			t.Fatalf("seed %d: stream with dup fixes %v != batch %v", seed, got, want.Convoys)
 		}
-	}
-}
-
-func TestStreamMinerReset(t *testing.T) {
-	sm, err := NewStreamMiner(Params{M: 2, K: 2, Eps: minetest.Eps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pair := []ObjPos{{OID: 1, X: 0}, {OID: 2, X: 1}}
-	for _, tt := range []int32{5, 6, 7} {
-		if err := sm.Observe(tt, pair); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sm.Reset()
-	if _, ok := sm.Last(); ok {
-		t.Fatal("Last() valid after Reset")
-	}
-	// Timestamps from before the reset point are acceptable again, and no
-	// pre-reset state leaks into the results.
-	for _, tt := range []int32{0, 1, 2} {
-		if err := sm.Observe(tt, pair); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := sm.Flush()
-	want := []Convoy{model.NewConvoy(NewObjSet(1, 2), 0, 2)}
-	if !model.ConvoysEqual(got, want) {
-		t.Fatalf("after reset got %v, want %v", got, want)
 	}
 }
 
@@ -294,7 +262,7 @@ func TestStreamMinerEdgeInputs(t *testing.T) {
 					points = append(points, Point{OID: o.OID, T: int32(tt), X: o.X, Y: o.Y})
 				}
 			}
-			sm, err := NewStreamMiner(p)
+			sm, err := NewPatternMiner(PatternConvoy, PatternParams{Params: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +271,7 @@ func TestStreamMinerEdgeInputs(t *testing.T) {
 					t.Fatalf("%s %+v: observe t=%d: %v", tc.name, p, tt, err)
 				}
 			}
-			got := sm.Flush()
+			got := resultConvoys(sm.Flush())
 			want, err := Mine(NewMemStore(NewDataset(points)), p, &Options{Algorithm: PCCD})
 			if err != nil {
 				t.Fatal(err)
@@ -316,4 +284,140 @@ func TestStreamMinerEdgeInputs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzPatternInput is one decoded FuzzPatternMiner input: a family, its
+// parameters, and the Observe calls to make, rejected ones included.
+type fuzzPatternInput struct {
+	pat   Pattern
+	pp    PatternParams
+	ticks []fuzzPatternTick
+}
+
+type fuzzPatternTick struct {
+	t   int32
+	pos []ObjPos
+}
+
+// decodeFuzzPattern turns fuzz bytes into a pattern stream. The first byte
+// picks the family (bits 0–1), M (bit 2: 2 or 3), K (bit 3: 2 or 3) and θ
+// (bit 4: 0.5 or 1). Each tick is one header byte — bits 0–1 the timestamp
+// step (+1; a gap, +2 or +3 by bit 5; the same timestamp again; −1), bits
+// 2–4 the point count — then one byte per point: the OID in bits
+// 0–2, so duplicates are common, and x, y in bits 3–4 and 5–7 on a unit
+// grid, so eps = 1.5 groups neighbours.
+func decodeFuzzPattern(data []byte) fuzzPatternInput {
+	var in fuzzPatternInput
+	var h byte
+	if len(data) > 0 {
+		h = data[0]
+	}
+	in.pat = [...]Pattern{PatternConvoy, PatternFlock, PatternMC, PatternMC}[h&3]
+	in.pp = PatternParams{Params: Params{M: 2 + int(h>>2&1), K: 2 + int(h>>3&1), Eps: 1.5}, Theta: 0.5}
+	if h&16 != 0 {
+		in.pp.Theta = 1
+	}
+	t := int32(0)
+	for i := 1; i < len(data) && len(in.ticks) < 48; {
+		h := data[i]
+		i++
+		switch h & 3 {
+		case 0:
+			t++
+		case 1:
+			t += 2 + int32(h>>5&1)
+		case 3:
+			t--
+		}
+		var pos []ObjPos
+		for n := int(h >> 2 & 7); n > 0 && i < len(data); n-- {
+			b := data[i]
+			i++
+			pos = append(pos, ObjPos{OID: int32(b & 7), X: float64(b >> 3 & 3), Y: float64(b >> 5)})
+		}
+		in.ticks = append(in.ticks, fuzzPatternTick{t: t, pos: pos})
+	}
+	return in
+}
+
+// FuzzPatternMiner streams fuzz-chosen ticks through each family's
+// PatternMiner — duplicate OIDs, gaps, and repeated or decreasing
+// timestamps included — and holds it to the batch miner over the records
+// of the accepted ticks: an Observe whose timestamp does not advance must
+// fail and leave the miner untouched, Flush must equal the batch result,
+// and the Closed calls after every Observe and after the Flush must report
+// exactly Flush's patterns, each once.
+func FuzzPatternMiner(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := decodeFuzzPattern(data)
+		pm, err := NewPatternMiner(in.pat, in.pp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var points []Point
+		var closed []PatternResult
+		last, started := int32(0), false
+		for _, tk := range in.ticks {
+			err := pm.Observe(tk.t, tk.pos)
+			if rejected := started && tk.t <= last; rejected != (err != nil) {
+				t.Fatalf("Observe(t=%d) after t=%d (started %v): err = %v", tk.t, last, started, err)
+			}
+			got := pm.Closed()
+			if err != nil {
+				if len(got) != 0 {
+					t.Fatalf("rejected Observe(t=%d) closed %v", tk.t, got)
+				}
+				continue
+			}
+			last, started = tk.t, true
+			closed = append(closed, got...)
+			for _, p := range tk.pos {
+				points = append(points, Point{OID: p.OID, T: tk.t, X: p.X, Y: p.Y})
+			}
+		}
+		final := pm.Flush()
+		closed = append(closed, pm.Closed()...)
+
+		store := NewMemStore(NewDataset(points))
+		pp := in.pp
+		switch in.pat {
+		case PatternMC:
+			want, err := MineMovingClusters(store, MovingClusterParams{M: pp.M, Eps: pp.Eps, Theta: pp.Theta, K: pp.K})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sg, sb := canonMCResults(final), canonMCs(want); sg != sb {
+				t.Fatalf("stream:\n%s\nbatch:\n%s", sg, sb)
+			}
+		default:
+			var want []Convoy
+			if in.pat == PatternFlock {
+				want, err = MineFlocks(store, FlockParams{M: pp.M, K: pp.K, R: pp.Eps}, true)
+			} else {
+				var res *Result
+				if res, err = Mine(store, pp.Params, &Options{Algorithm: PCCD}); err == nil {
+					want = res.Convoys
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sg, sb := minetest.Canonical(resultConvoys(final)), minetest.Canonical(want); sg != sb {
+				t.Fatalf("stream:\n%s\nbatch:\n%s", sg, sb)
+			}
+		}
+
+		seen := map[PatternDigest]int{}
+		for _, r := range closed {
+			seen[r.Digest()]++
+		}
+		for _, r := range final {
+			if n := seen[r.Digest()]; n != 1 {
+				t.Fatalf("Closed reported %v %d times, want once", r.Convoy, n)
+			}
+		}
+		if len(closed) != len(final) {
+			t.Fatalf("Closed reported %d patterns, Flush %d", len(closed), len(final))
+		}
+	})
 }

@@ -2,6 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
@@ -110,6 +114,81 @@ func TestDocsNameBenchmarkMetrics(t *testing.T) {
 		}
 		for _, name := range unknownMetrics(string(text), layers, names) {
 			t.Errorf("%s names `%s`, which BENCHMARK.json does not list", filepath.Base(doc), name)
+		}
+	}
+}
+
+// testNameRe is a test, fuzz target, benchmark or example as the docs quote
+// it, optionally followed by a subtest path (`BenchmarkMinerStep/moving`).
+var testNameRe = regexp.MustCompile(`^((?:Test|Fuzz|Benchmark|Example)[A-Z_][A-Za-z0-9_]*)(?:/\S*)?$`)
+
+// unknownTestNames returns the backticked test names in text that declared
+// does not hold.
+func unknownTestNames(text string, declared map[string]bool) []string {
+	var bad []string
+	for _, m := range codeSpanRe.FindAllStringSubmatch(fenceRe.ReplaceAllString(text, ""), -1) {
+		if sm := testNameRe.FindStringSubmatch(m[1]); sm != nil && !declared[sm[1]] {
+			bad = append(bad, m[1])
+		}
+	}
+	return bad
+}
+
+func TestUnknownTestNames(t *testing.T) {
+	declared := map[string]bool{"TestFoo": true, "BenchmarkBar": true, "ExampleServer_query": true}
+	text := "`TestFoo` `BenchmarkBar/moving` `ExampleServer_query` `TestGone` `FuzzGone/seed` " +
+		"`go test -run TestGone` `Testing` `Example`\n```\n`TestFenced`\n```\n"
+	got := strings.Join(unknownTestNames(text, declared), " ")
+	if want := "TestGone FuzzGone/seed"; got != want {
+		t.Fatalf("unknown test names %q, want %q", got, want)
+	}
+}
+
+// TestDocsNameExistingTests fails when README.md or docs/*.md names, in
+// backticks, a Test, Fuzz, Benchmark or Example function that no _test.go
+// file of the repository declares — a test renamed or deleted without its
+// docs.
+func TestDocsNameExistingTests(t *testing.T) {
+	declared := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(repoRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != repoRoot && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				declared[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !declared["TestDocsNameExistingTests"] {
+		t.Fatalf("walked the _test.go files from %s without finding this test; did the layout change?", repoRoot)
+	}
+	docs, err := filepath.Glob(filepath.Join(repoRoot, "docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range append([]string{filepath.Join(repoRoot, "README.md")}, docs...) {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range unknownTestNames(string(text), declared) {
+			t.Errorf("%s names `%s`, which no _test.go file declares", filepath.Base(doc), name)
 		}
 	}
 }
