@@ -3,9 +3,10 @@
 // Content-Type), long-poll queries for closed convoys, an end-of-feed flush
 // returning the full maximal result set, and — with -archive-dir —
 // historical queries over everything ever persisted. Ingest is guarded by
-// admission control: -ingest-rate/-ingest-burst arm a per-feed token bucket
-// and -enqueue-wait bounds the wait for shard queue space; both rejections
-// answer 429 with Retry-After and a machine-readable code.
+// admission control: -ingest-rate arms a per-feed token bucket holding two
+// seconds' worth of snapshots, and -enqueue-wait bounds the wait for shard
+// queue space; both rejections answer 429 with Retry-After and a
+// machine-readable code.
 // docs/API.md is the complete endpoint reference; see
 // docs/ARCHITECTURE.md ("convoyd") for the sharding, reordering and
 // archive design.
@@ -58,7 +59,6 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/storage"
-	"repro/internal/storage/archive"
 )
 
 // config is convoyd's command line: the server's configuration plus the
@@ -88,16 +88,12 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	fs.StringVar(&sc.PersistPath, "persist", "", "closed-convoy sink path (empty = no persistence); an existing log is replayed at startup")
 	fs.DurationVar(&sc.PersistEvery, "persist-every", 2*time.Second, "persistence interval")
 	fs.DurationVar(&sc.FeedTTL, "feed-ttl", 0, "evict feeds idle for this long (0 = never); persisted history survives in the log")
-	fs.DurationVar(&sc.EvictEvery, "evict-every", 0, "eviction sweep interval (default feed-ttl/4)")
-	fs.BoolVar(&sc.KeepHistory, "keep-history", false, "keep persisted closed-convoy history in memory (grows unbounded; default truncates it once persisted)")
 	fs.BoolVar(&cfg.compactLog, "compact-log", false, "compact the persist log before serving (drops duplicate records left by post-eviction replays)")
 	fs.StringVar(&sc.ArchiveDir, "archive-dir", "", "historical query archive directory (empty = /v1/query disabled); requires -persist, backfilled from the log at startup")
 	fs.IntVar(&sc.ArchiveCache, "archive-cache", 0, "archive index write-buffer budget in bytes (0 = default 12 MiB)")
 	fs.IntVar(&retention, "retention", 0, "expire archived convoys whose End tick lags the newest archived End by this many ticks or more (0 = keep everything); requires -archive-dir")
-	fs.IntVar(&sc.QueryBudget, "query-budget", 0, "index entries one /v1/query page may examine before returning a cursor (0 = default 65536)")
 	fs.IntVar(&sc.MaxFeeds, "max-feeds", 0, "cap on live feeds; creating more answers 429 (0 = default 65536)")
 	fs.Float64Var(&sc.IngestRate, "ingest-rate", 0, "per-feed ingest rate limit in snapshots/sec; excess answers 429 rate_limited (0 = unlimited)")
-	fs.IntVar(&sc.IngestBurst, "ingest-burst", 0, "per-feed ingest burst capacity in snapshots (0 = default 2×ingest-rate)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
@@ -111,16 +107,12 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 		return cfg, fmt.Errorf("-retention %d out of range [0, %d]", retention, math.MaxInt32)
 	case retention > 0 && sc.ArchiveDir == "":
 		return cfg, errors.New("-retention requires -archive-dir (retention expires archived convoys)")
-	case sc.Shards < 0 || sc.QueueLen < 0 || sc.MaxFeeds < 0 || sc.ArchiveCache < 0 || sc.QueryBudget < 0:
-		return cfg, errors.New("-shards, -queue, -max-feeds, -archive-cache and -query-budget must be >= 0")
-	case sc.QueryBudget > archive.MaxBudget:
-		return cfg, fmt.Errorf("-query-budget %d above the maximum %d", sc.QueryBudget, archive.MaxBudget)
-	case sc.EnqueueWait < 0 || sc.PersistEvery < 0 || sc.FeedTTL < 0 || sc.EvictEvery < 0:
-		return cfg, errors.New("-enqueue-wait, -persist-every, -feed-ttl and -evict-every must be >= 0")
-	case sc.IngestRate < 0 || sc.IngestBurst < 0:
-		return cfg, errors.New("-ingest-rate and -ingest-burst must be >= 0")
-	case sc.IngestBurst > 0 && sc.IngestRate == 0:
-		return cfg, errors.New("-ingest-burst requires -ingest-rate")
+	case sc.Shards < 0 || sc.QueueLen < 0 || sc.MaxFeeds < 0 || sc.ArchiveCache < 0:
+		return cfg, errors.New("-shards, -queue, -max-feeds and -archive-cache must be >= 0")
+	case sc.EnqueueWait < 0 || sc.PersistEvery < 0 || sc.FeedTTL < 0:
+		return cfg, errors.New("-enqueue-wait, -persist-every and -feed-ttl must be >= 0")
+	case sc.IngestRate < 0:
+		return cfg, errors.New("-ingest-rate must be >= 0")
 	case cfg.compactLog && sc.PersistPath == "":
 		return cfg, errors.New("-compact-log requires -persist")
 	}
@@ -158,15 +150,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "convoyd:", err)
 		os.Exit(1)
 	}
-	if feeds, records := srv.RecoveryInfo(); feeds > 0 {
-		log.Printf("convoyd: recovered %d feeds (%d persisted convoys) from %s", feeds, records, persist)
+	st := srv.Stats()
+	if m := st.Memory; m.RecoveredFeeds > 0 {
+		log.Printf("convoyd: recovered %d feeds (%d persisted convoys) from %s", m.RecoveredFeeds, m.RecoveredConvoys, persist)
 	}
-	if backfilled, rebuilt, enabled := srv.ArchiveInfo(); enabled {
+	if a := st.Archive; a != nil {
 		switch {
-		case rebuilt:
-			log.Printf("convoyd: archive %s had diverged from the log; rebuilt with %d records", archiveDir, backfilled)
-		case backfilled > 0:
-			log.Printf("convoyd: archive %s backfilled %d records from %s", archiveDir, backfilled, persist)
+		case a.Rebuilt:
+			log.Printf("convoyd: archive %s had diverged from the log; rebuilt with %d records", archiveDir, a.Backfilled)
+		case a.Backfilled > 0:
+			log.Printf("convoyd: archive %s backfilled %d records from %s", archiveDir, a.Backfilled, persist)
 		default:
 			log.Printf("convoyd: archive %s up to date", archiveDir)
 		}

@@ -29,14 +29,10 @@ func TestParseFlagsRejects(t *testing.T) {
 		{[]string{"-queue", "-1"}, "-shards, -queue"},
 		{[]string{"-max-feeds", "-1"}, "-shards, -queue"},
 		{[]string{"-archive-cache", "-1"}, "-shards, -queue"},
-		{[]string{"-query-budget", "-1"}, "-shards, -queue"},
-		{[]string{"-query-budget", "5000000"}, "-query-budget 5000000 above the maximum"},
 		{[]string{"-persist-every", "-1s"}, "-enqueue-wait, -persist-every"},
-		{[]string{"-evict-every", "-1s"}, "-enqueue-wait, -persist-every"},
 		{[]string{"-feed-ttl", "-1m"}, "-enqueue-wait, -persist-every"},
 		{[]string{"-enqueue-wait", "-1s"}, "-enqueue-wait, -persist-every"},
 		{[]string{"-ingest-rate", "-1"}, "must be >= 0"},
-		{[]string{"-ingest-burst", "10"}, "-ingest-burst requires -ingest-rate"},
 		{[]string{"-compact-log"}, "-compact-log requires -persist"},
 	} {
 		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -47,17 +43,16 @@ func TestParseFlagsRejects(t *testing.T) {
 
 func TestParseFlagsAccepts(t *testing.T) {
 	cfg, err := parse("-window", "2147483647", "-persist", "p", "-archive-dir", "a", "-retention", "100",
-		"-ingest-rate", "50", "-ingest-burst", "10",
-		"-query-budget", "1048576")
+		"-ingest-rate", "50")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.srv.Window != 2147483647 || cfg.srv.Retention != 100 || cfg.srv.IngestBurst != 10 || cfg.srv.QueryBudget != 1<<20 {
+	if cfg.srv.Window != 2147483647 || cfg.srv.Retention != 100 || cfg.srv.IngestRate != 50 {
 		t.Fatalf("parsed %+v", cfg.srv)
 	}
 	// 0 keeps its documented meaning (a default, or "off") everywhere.
-	if _, err := parse("-shards", "0", "-queue", "0", "-max-feeds", "0", "-archive-cache", "0", "-query-budget", "0",
-		"-persist-every", "0", "-evict-every", "0", "-feed-ttl", "0", "-enqueue-wait", "0"); err != nil {
+	if _, err := parse("-shards", "0", "-queue", "0", "-max-feeds", "0", "-archive-cache", "0",
+		"-persist-every", "0", "-feed-ttl", "0", "-enqueue-wait", "0"); err != nil {
 		t.Fatal(err)
 	}
 }

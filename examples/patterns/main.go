@@ -59,8 +59,13 @@ func main() {
 		fmt.Printf("  %v over [%d,%d] — the whole line counts\n", c.Objs, c.Start, c.End)
 	}
 
+	// Flocks and moving clusters share one PatternParams: flocks read M, K
+	// and the disk radius R; moving clusters read M, K, the DBSCAN Eps and
+	// the Jaccard threshold Theta.
+	pp := convoy.PatternParams{Params: convoy.Params{M: 3, K: 30, Eps: 1.6}, R: 1.1, Theta: 0.5}
+
 	// Flocks: only the tight trio fits one radius-1.1 disk.
-	flocks, err := convoy.MineFlocks(store, convoy.FlockParams{M: 3, K: 30, R: 1.1}, false)
+	flocks, err := convoy.MineFlocks(store, pp, false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,9 +75,7 @@ func main() {
 	}
 
 	// Moving clusters: the herd as a whole, tolerant of the tail churn.
-	mcs, err := convoy.MineMovingClusters(store, convoy.MovingClusterParams{
-		M: 3, Eps: 1.6, Theta: 0.5, K: 30,
-	})
+	mcs, err := convoy.MineMovingClusters(store, pp)
 	if err != nil {
 		log.Fatal(err)
 	}

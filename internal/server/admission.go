@@ -8,9 +8,9 @@ import (
 )
 
 // Admission control for the ingest path: a per-feed token bucket
-// (Config.IngestRate/IngestBurst) bounds how many snapshots per second one
-// feed may push, so a single hot feed cannot starve the other feeds placed
-// on its shard. It sheds at the HTTP edge — before the shard queue — with
+// (Config.IngestRate, holding two seconds' worth of snapshots) bounds how
+// many snapshots per second one feed may push, so a single hot feed
+// cannot starve the other feeds placed on its shard. It sheds at the HTTP edge — before the shard queue — with
 // 429 rate_limited and a Retry-After telling the client when its budget is
 // back; a full shard queue (the reactive backpressure, bounded by
 // Config.EnqueueWait) keeps its own code, queue_full. Flush and query

@@ -65,17 +65,18 @@ func TestTokenBucket(t *testing.T) {
 // feed over its budget gets 429 rate_limited with Retry-After, other feeds
 // are unaffected, and /v1/stats counts the sheds.
 func TestIngestRateLimit(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Shards: 2, IngestRate: 0.001, IngestBurst: 3})
+	srv, ts := newTestServer(t, Config{Shards: 2, IngestRate: 0.001})
 	ds := minetest.Random(6, 10, 16)
-	snaps := snapshotsOf(ds, 0, 5)
+	snaps := snapshotsOf(ds, 0, 2)
 
-	// Burst of 3 admitted, the 4th snapshot is over budget (refill is ~0 at
-	// 0.001/s, so the test cannot flake on timing).
-	code, body := postJSON(t, ts.URL+"/v1/feeds/limited/ingest", ingestRequest{Snapshots: snaps[:3]})
+	// The bucket holds 2×rate snapshots, at least 1: the first snapshot is
+	// admitted, the 2nd is over budget (refill is ~0 at 0.001/s, so the
+	// test cannot flake on timing).
+	code, body := postJSON(t, ts.URL+"/v1/feeds/limited/ingest", ingestRequest{Snapshots: snaps[:1]})
 	if code != http.StatusAccepted {
 		t.Fatalf("burst: status %d: %s", code, body)
 	}
-	code, body = postJSON(t, ts.URL+"/v1/feeds/limited/ingest", ingestRequest{Snapshots: snaps[3:4]})
+	code, body = postJSON(t, ts.URL+"/v1/feeds/limited/ingest", ingestRequest{Snapshots: snaps[1:2]})
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("over budget: status %d, want 429: %s", code, body)
 	}
@@ -83,7 +84,7 @@ func TestIngestRateLimit(t *testing.T) {
 		t.Fatalf("over budget: code %q, want %q", e.Code, codeRateLimited)
 	}
 	resp, err := http.Post(ts.URL+"/v1/feeds/limited/ingest", "application/json",
-		jsonBody(t, ingestRequest{Snapshots: snaps[4:5]}))
+		jsonBody(t, ingestRequest{Snapshots: snaps[2:3]}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestIngestRateLimit(t *testing.T) {
 		t.Fatal("429 without Retry-After breaks the backpressure contract")
 	}
 	// The bucket is per feed: a different feed still ingests.
-	code, body = postJSON(t, ts.URL+"/v1/feeds/other/ingest", ingestRequest{Snapshots: snaps[:3]})
+	code, body = postJSON(t, ts.URL+"/v1/feeds/other/ingest", ingestRequest{Snapshots: snaps[:1]})
 	if code != http.StatusAccepted {
 		t.Fatalf("other feed: status %d: %s", code, body)
 	}

@@ -250,10 +250,10 @@ func TestArchiveKillRestart(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	backfilled, rebuilt, _ := srv.ArchiveInfo()
-	if live := logged - int64(len(hist)); rebuilt || live < killLiveFeeds || backfilled != live {
+	a := srv.Stats().Archive
+	if live := logged - int64(len(hist)); a.Rebuilt || live < killLiveFeeds || a.Backfilled != live {
 		t.Fatalf("restart indexed %d records (rebuilt=%v), want the %d logged after the killed process's checkpoint",
-			backfilled, rebuilt, live)
+			a.Backfilled, a.Rebuilt, live)
 	}
 	assertQueriesMatchLog(t, ts.URL, cfg.PersistPath)
 	assertArchiveDirIsDerived(t, cfg.ArchiveDir)
@@ -271,8 +271,8 @@ func TestArchiveCompactRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if backfilled, rebuilt, _ := srv.ArchiveInfo(); backfilled != 300 || rebuilt {
-		t.Fatalf("first start indexed %d records (rebuilt=%v), want 300", backfilled, rebuilt)
+	if a := srv.Stats().Archive; a.Backfilled != 300 || a.Rebuilt {
+		t.Fatalf("first start indexed %d records (rebuilt=%v), want 300", a.Backfilled, a.Rebuilt)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -286,8 +286,8 @@ func TestArchiveCompactRestart(t *testing.T) {
 	}
 
 	srv, ts := newTestServer(t, cfg)
-	if backfilled, rebuilt, _ := srv.ArchiveInfo(); !rebuilt || backfilled != int64(kept) {
-		t.Fatalf("start on the compacted log indexed %d records (rebuilt=%v), want a rebuild of %d", backfilled, rebuilt, kept)
+	if a := srv.Stats().Archive; !a.Rebuilt || a.Backfilled != int64(kept) {
+		t.Fatalf("start on the compacted log indexed %d records (rebuilt=%v), want a rebuild of %d", a.Backfilled, a.Rebuilt, kept)
 	}
 	assertQueriesMatchLog(t, ts.URL, cfg.PersistPath)
 	assertArchiveDirIsDerived(t, cfg.ArchiveDir)
@@ -350,8 +350,8 @@ func TestCleanRestartIndexesNothing(t *testing.T) {
 	files, manifests := indexState()
 
 	srv, ts = newTestServer(t, cfg)
-	if backfilled, rebuilt, _ := srv.ArchiveInfo(); backfilled != 0 || rebuilt {
-		t.Fatalf("clean restart indexed %d records (rebuilt=%v), want none", backfilled, rebuilt)
+	if a := srv.Stats().Archive; a.Backfilled != 0 || a.Rebuilt {
+		t.Fatalf("clean restart indexed %d records (rebuilt=%v), want none", a.Backfilled, a.Rebuilt)
 	}
 	if got := answers(ts.URL); !reflect.DeepEqual(got, want) {
 		t.Fatalf("queries after the restart answer %v, before it %v", got, want)

@@ -40,7 +40,7 @@ func churnSnapshots(ds *model.Dataset, offset int32) []snapshotJSON {
 func TestEvictRecreateChurnMatchesBatch(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		Shards:  2,
-		FeedTTL: 40 * time.Millisecond, EvictEvery: 10 * time.Millisecond,
+		FeedTTL: 40 * time.Millisecond,
 	})
 	ds := minetest.RandomChurn(2, 12, 20)
 
@@ -98,7 +98,7 @@ func TestRestartRecoveryChurnReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(srv2.Handler())
-	if feeds, _ := srv2.RecoveryInfo(); feeds != 1 {
+	if feeds := srv2.Stats().Memory.RecoveredFeeds; feeds != 1 {
 		t.Fatalf("recovered %d feeds, want 1", feeds)
 	}
 	// Replay everything from t=0 (the recovered miner accepts any timestamp)

@@ -62,14 +62,12 @@ type feed struct {
 	mu     sync.Mutex
 	closed []convoy.PatternResult // resident history suffix: absolute indices [start, head)
 	start  int                    // absolute index of closed[0] (truncatedBefore)
-	// persisted is the at-most-once append guard: it advances before the
-	// write so a sink error can never re-append. durable advances only
-	// after a successful Sync covering the records, so it is the safe
-	// bound for anything that discards in-memory state (eviction,
-	// truncation). Invariant: start ≤ durable ≤ persisted ≤ head.
-	persisted int
-	durable   int
-	flushed   bool
+	// durable advances only after a successful Sync covering the records,
+	// so it is where the next persist round starts and the safe bound for
+	// anything that discards in-memory state (eviction, truncation).
+	// Invariant: start ≤ durable ≤ head.
+	durable int
+	flushed bool
 	// flushLogged records that the flush sentinel reached the log, making
 	// the flushed state restart-durable (written by persistAll once the
 	// whole history is durable).

@@ -12,9 +12,9 @@ import "time"
 // configured, a feed is only evicted once its entire published history is
 // durably in the log (fsynced, not merely handed to the sink's buffer), so
 // eviction never loses a closed convoy that could still reach the log.
-// (The sweep runs every Config.EvictEvery on the server's one background
-// loop, beside the persist tick that catches the feed up; a later sweep
-// then collects it.)
+// (The sweep runs every FeedTTL/4, at least every 10ms, on the server's one
+// background loop, beside the persist tick that catches the feed up; a
+// later sweep then collects it.)
 //
 // Eviction is coordinated with ingest through two invariants:
 //
@@ -71,10 +71,9 @@ func (s *Server) evict(f *feed, cutoff int64) {
 		return
 	}
 	if s.sink != nil {
-		// Durable, not persisted: the persisted marker advances before the
-		// write (at-most-once guard), so records can sit in the sink's
-		// unflushed buffer with persisted == head. Only a successful Sync
-		// advances durable, and only a fully durable feed may be dropped.
+		// Only a successful Sync advances durable, so records handed to the
+		// sink's buffer but not yet synced keep the feed resident; only a
+		// fully durable feed may be dropped.
 		// This deliberately also applies when the sink is broken: durable
 		// is frozen then, so feeds holding convoys that never reached the
 		// log stay resident forever — the server degrades toward keeping

@@ -50,7 +50,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // kept warm by queries survives; ingest under the evicted name then starts
 // a fresh feed.
 func TestIdleFeedEviction(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Shards: 2, FeedTTL: 40 * time.Millisecond, EvictEvery: 10 * time.Millisecond})
+	srv, ts := newTestServer(t, Config{Shards: 2, FeedTTL: 40 * time.Millisecond})
 	one := ingestRequest{Snapshots: []snapshotJSON{{T: 0, Positions: []positionJSON{{OID: 1}}}}}
 	for _, feed := range []string{"cold", "hot"} {
 		if code, body := postJSON(t, ts.URL+"/v1/feeds/"+feed+"/ingest", one); code != http.StatusAccepted {
@@ -92,7 +92,6 @@ func TestEvictionWaitsForPersistence(t *testing.T) {
 		PersistPath:  path,
 		PersistEvery: time.Hour, // persistence never runs during the test
 		FeedTTL:      20 * time.Millisecond,
-		EvictEvery:   5 * time.Millisecond,
 	})
 	// "unpersisted" closes a convoy that cannot reach the sink; "bare"
 	// publishes nothing, so it has nothing to lose.
@@ -110,6 +109,80 @@ func TestEvictionWaitsForPersistence(t *testing.T) {
 	})
 	if _, ok := srv.Stats().Feeds["unpersisted"]; !ok {
 		t.Fatal("feed with unpersisted closed convoys was evicted")
+	}
+}
+
+// TestBrokenSinkKeepsHistory pins the degraded mode a failed fsync
+// latches: /v1/stats reports sink_broken, later persist rounds append
+// nothing, and since the durable watermark stops where the last good Sync
+// left it, the feed's history past it is neither truncated nor evicted —
+// every pattern stays servable from cursor 0.
+func TestBrokenSinkKeepsHistory(t *testing.T) {
+	path := t.TempDir() + "/closed.k2cl"
+	srv, ts := newTestServer(t, Config{
+		Params:       gapParams,
+		Shards:       1,
+		PersistPath:  path,
+		PersistEvery: time.Hour, // the test drives persistAll itself
+		FeedTTL:      20 * time.Millisecond,
+	})
+	headIs := func(n int) func() bool {
+		return func() bool {
+			fs, ok := srv.Stats().Feeds["f"]
+			return ok && fs.ClosedTotal == int64(n)
+		}
+	}
+	snaps := gapSnapshots(1, 2)
+	// One good round makes the first convoy durable...
+	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/ingest", ingestRequest{Snapshots: snaps[:6]}); code != http.StatusAccepted {
+		t.Fatal("ingest failed")
+	}
+	waitFor(t, 5*time.Second, "first convoy", headIs(1))
+	srv.persistAll()
+	// ...then the disk goes away under the live sink and a second convoy
+	// closes: the next round's Sync fails.
+	if err := srv.sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/ingest", ingestRequest{Snapshots: snaps[6:]}); code != http.StatusAccepted {
+		t.Fatal("ingest failed")
+	}
+	waitFor(t, 5*time.Second, "second convoy", headIs(2))
+	srv.persistAll()
+	if !srv.Stats().SinkBroken {
+		t.Fatal("a failed Sync did not latch sink_broken")
+	}
+	var st Stats
+	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK || !st.SinkBroken {
+		t.Fatalf("/v1/stats: status %d, sink_broken %v", code, st.SinkBroken)
+	}
+
+	off := srv.sink.Offset()
+	srv.persistAll()
+	srv.sweep(time.Now().Add(time.Hour)) // every feed is idle by then
+	if got := srv.sink.Offset(); got != off {
+		t.Fatalf("a round after the break appended %d bytes", got-off)
+	}
+	var logged int
+	if _, err := storage.ScanConvoyLog(path, func(storage.LoggedConvoy) error { logged++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if logged != 1 {
+		t.Fatalf("log holds %d records, want only the 1 synced before the break", logged)
+	}
+	fs, ok := srv.Stats().Feeds["f"]
+	if !ok {
+		t.Fatal("feed with undurable history evicted while the sink is broken")
+	}
+	if fs.TruncatedBefore != 0 || fs.ClosedInMemory != 2 {
+		t.Fatalf("feed stats %+v, want nothing truncated and 2 convoys in memory", fs)
+	}
+	var resp convoysResponse
+	if code := getJSON(t, ts.URL+"/v1/feeds/f/convoys?cursor=0", &resp); code != http.StatusOK {
+		t.Fatalf("cursor 0: status %d", code)
+	}
+	if len(resp.Convoys) != 2 || resp.Cursor != 2 {
+		t.Fatalf("cursor 0: %+v, want both convoys", resp)
 	}
 }
 
@@ -167,46 +240,15 @@ func TestHistoryTruncation(t *testing.T) {
 	}
 }
 
-// TestKeepHistory: with truncation disabled, every cursor stays valid after
-// persistence.
-func TestKeepHistory(t *testing.T) {
-	path := t.TempDir() + "/closed.k2cl"
-	srv, ts := newTestServer(t, Config{
-		Params:       gapParams,
-		Shards:       1,
-		PersistPath:  path,
-		PersistEvery: 10 * time.Millisecond,
-		KeepHistory:  true,
-	})
-	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/ingest",
-		ingestRequest{Snapshots: gapSnapshots(1, 2)}); code != http.StatusAccepted {
-		t.Fatal("ingest failed")
-	}
-	waitFor(t, 5*time.Second, "persistence", func() bool {
-		f, _ := srv.feedFor("f", false, "")
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return f.persisted == 2
-	})
-	var resp convoysResponse
-	if code := getJSON(t, ts.URL+"/v1/feeds/f/convoys?cursor=0", &resp); code != http.StatusOK {
-		t.Fatalf("cursor 0 after persist: status %d, want 200 with KeepHistory", code)
-	}
-	if len(resp.Convoys) != 2 || resp.TruncatedBefore != 0 {
-		t.Fatalf("KeepHistory response: %+v, want both convoys and truncated_before 0", resp)
-	}
-}
-
 // TestEvictionUnderConcurrentIngest hammers a mix of hot and intermittent
 // feeds while the TTL sweep runs at full tilt: every response must be one
 // of 202/410/429, evicted feeds must be transparently recreated, and the
 // server must stay consistent (run under -race in CI).
 func TestEvictionUnderConcurrentIngest(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
-		Shards:     4,
-		QueueLen:   8,
-		FeedTTL:    20 * time.Millisecond,
-		EvictEvery: 5 * time.Millisecond,
+		Shards:   4,
+		QueueLen: 8,
+		FeedTTL:  20 * time.Millisecond,
 	})
 	const feeds = 8
 	stop := time.Now().Add(300 * time.Millisecond)
@@ -257,7 +299,7 @@ func TestEvictionUnderConcurrentIngest(t *testing.T) {
 // feed survives a wait far longer than the TTL, serves the poll normally,
 // and is only collected once no one is waiting on it.
 func TestLongPollHoldsEviction(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Shards: 1, FeedTTL: 30 * time.Millisecond, EvictEvery: 10 * time.Millisecond})
+	srv, ts := newTestServer(t, Config{Shards: 1, FeedTTL: 30 * time.Millisecond})
 	one := ingestRequest{Snapshots: []snapshotJSON{{T: 0, Positions: []positionJSON{{OID: 1}}}}}
 	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/ingest", one); code != http.StatusAccepted {
 		t.Fatal("ingest failed")
@@ -406,8 +448,8 @@ func TestRestartRecovery(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
-	if feeds, recs := srv2.RecoveryInfo(); feeds != 2 || recs != len(beforeTotal(before)) {
-		t.Fatalf("recovered %d feeds / %d records, want 2 feeds / %d records", feeds, recs, len(beforeTotal(before)))
+	if m := srv2.Stats().Memory; m.RecoveredFeeds != 2 || m.RecoveredConvoys != len(beforeTotal(before)) {
+		t.Fatalf("recovered %d feeds / %d records, want 2 feeds / %d records", m.RecoveredFeeds, m.RecoveredConvoys, len(beforeTotal(before)))
 	}
 	// Cursor positions survived the restart: the persisted range is 410,
 	// the recovered head is live.
@@ -513,7 +555,7 @@ func beforeTotal(m map[string]int) []string {
 func TestEvictRecreateContinuesCursorDomain(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		Params: gapParams, Shards: 1,
-		FeedTTL: 30 * time.Millisecond, EvictEvery: 10 * time.Millisecond,
+		FeedTTL: 30 * time.Millisecond,
 	})
 	// First incarnation publishes one convoy (head=1), then goes idle.
 	if code, _ := postJSON(t, ts.URL+"/v1/feeds/f/ingest",
@@ -597,11 +639,10 @@ func TestRecoveryRespectsMaxFeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	feeds, recs := srv.RecoveryInfo()
-	if feeds != 2 || recs != 5 {
-		t.Fatalf("recovered %d feeds / %d records, want 2 capped feeds / 5 replayed records", feeds, recs)
-	}
 	st := srv.Stats()
+	if m := st.Memory; m.RecoveredFeeds != 2 || m.RecoveredConvoys != 5 {
+		t.Fatalf("recovered %d feeds / %d records, want 2 capped feeds / 5 replayed records", m.RecoveredFeeds, m.RecoveredConvoys)
+	}
 	for _, name := range []string{"old-4", "old-3"} {
 		if _, ok := st.Feeds[name]; !ok {
 			t.Fatalf("most recent feed %s not resurrected: %v", name, st.Feeds)
@@ -632,7 +673,6 @@ func TestSoakLifecycle(t *testing.T) {
 		PersistPath:  path,
 		PersistEvery: 5 * time.Millisecond,
 		FeedTTL:      60 * time.Millisecond,
-		EvictEvery:   10 * time.Millisecond,
 	}
 	srv, err := New(cfg)
 	if err != nil {
@@ -695,8 +735,8 @@ func TestSoakLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(srv2.Handler())
-	if f, r := srv2.RecoveryInfo(); f != feeds || r != 2*feeds {
-		t.Fatalf("recovered %d feeds / %d records, want %d / %d", f, r, feeds, 2*feeds)
+	if m := srv2.Stats().Memory; m.RecoveredFeeds != feeds || m.RecoveredConvoys != 2*feeds {
+		t.Fatalf("recovered %d feeds / %d records, want %d / %d", m.RecoveredFeeds, m.RecoveredConvoys, feeds, 2*feeds)
 	}
 	postJSON(t, ts2.URL+"/v1/feeds/soak-1/ingest", ingestRequest{Snapshots: gapSnapshots(3, 4)})
 	flushFeed(t, ts2.URL, "soak-1")

@@ -70,8 +70,7 @@ func patternSoakWant(t *testing.T, pat convoy.Pattern, pts []model.Point) map[st
 	want := map[string]int{}
 	switch pat {
 	case convoy.PatternFlock:
-		fs, err := convoy.MineFlocks(convoy.NewMemStore(ds),
-			convoy.FlockParams{M: patternSoakParams.M, K: patternSoakParams.K, R: patternSoakParams.Eps}, true)
+		fs, err := convoy.MineFlocks(convoy.NewMemStore(ds), convoy.PatternParams{Params: patternSoakParams}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,8 +78,7 @@ func patternSoakWant(t *testing.T, pat convoy.Pattern, pts []model.Point) map[st
 			want[f.Key()]++
 		}
 	case convoy.PatternMC:
-		ms, err := convoy.MineMovingClusters(convoy.NewMemStore(ds),
-			convoy.MovingClusterParams{M: patternSoakParams.M, Eps: patternSoakParams.Eps, Theta: 0.5, K: patternSoakParams.K})
+		ms, err := convoy.MineMovingClusters(convoy.NewMemStore(ds), convoy.PatternParams{Params: patternSoakParams})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +236,6 @@ func TestMultiPatternLifecycleSoak(t *testing.T) {
 		PersistPath:  path,
 		PersistEvery: 5 * time.Millisecond,
 		FeedTTL:      120 * time.Millisecond,
-		EvictEvery:   10 * time.Millisecond,
 	}
 	pats := []convoy.Pattern{convoy.PatternConvoy, convoy.PatternFlock, convoy.PatternMC}
 	const feeds = 12
@@ -308,13 +305,13 @@ func TestMultiPatternLifecycleSoak(t *testing.T) {
 	// whatever the feed mines — explicit on odd) appends nothing; flush
 	// returns the batch-oracle final set in the negotiated family.
 	cfg2 := cfg
-	cfg2.FeedTTL, cfg2.EvictEvery = 0, 0
+	cfg2.FeedTTL = 0
 	srv2, err := New(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(srv2.Handler())
-	if f, _ := srv2.RecoveryInfo(); f != feeds {
+	if f := srv2.Stats().Memory.RecoveredFeeds; f != feeds {
 		t.Fatalf("recovered %d feeds, want %d", f, feeds)
 	}
 	assertPatternStats(t, srv2, cases, feeds/3, "recovered")

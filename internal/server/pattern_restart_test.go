@@ -107,7 +107,7 @@ func patternRestartSeed(t *testing.T, pat convoy.Pattern, seed int64) (published
 	}
 	ts2 := httptest.NewServer(srv2.Handler())
 	if len(before) > 0 {
-		if f, _ := srv2.RecoveryInfo(); f != 1 {
+		if f := srv2.Stats().Memory.RecoveredFeeds; f != 1 {
 			t.Fatalf("seed %d: recovered %d feeds, want 1", seed, f)
 		}
 		if got := srv2.Stats().Feeds["churn"].Pattern; got != string(pat) {

@@ -56,15 +56,14 @@ func shardFeeds(srv *Server) []int {
 // at the feed cap changes nothing.
 func TestPlacementBalance(t *testing.T) {
 	const perShard = 5
-	const ttl = 30 * time.Millisecond
+	const ttl = time.Hour
 	one := ingestRequest{Snapshots: []snapshotJSON{{T: 0, Positions: []positionJSON{{OID: 1}}}}}
 	for _, shards := range []int{2, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			// The background sweep never fires (EvictEvery); the test drives
-			// sweep itself so it chooses which feeds are idle.
-			srv, ts := newTestServer(t, Config{
-				Shards: shards, MaxFeeds: shards * perShard, FeedTTL: ttl, EvictEvery: time.Hour,
-			})
+			// With an hour-long TTL the background sweep never fires; the
+			// test drives sweep itself with a future now, so it chooses
+			// which feeds are idle.
+			srv, ts := newTestServer(t, Config{Shards: shards, MaxFeeds: shards * perShard, FeedTTL: ttl})
 			ingest := func(name string) {
 				t.Helper()
 				if code, body := postJSON(t, ts.URL+"/v1/feeds/"+name+"/ingest", one); code != http.StatusAccepted {
@@ -92,11 +91,11 @@ func TestPlacementBalance(t *testing.T) {
 				t.Fatalf("feeds per shard %v, want %v", got, want)
 			}
 
-			// Let every feed go idle, then touch all but the last shard's:
-			// a sweep as of `now` can only collect that shard's feeds.
+			// Every feed is idle as of one TTL from now; touch all but the
+			// last shard's: a sweep as of `now` can only collect that
+			// shard's feeds.
 			victim := shards - 1
-			time.Sleep(ttl + 5*time.Millisecond)
-			now := time.Now()
+			now := time.Now().Add(ttl)
 			for _, f := range feeds {
 				if f.shard != victim && !srv.touchFeed(f) {
 					t.Fatalf("feed %s evicted before the sweep", f.name)

@@ -39,7 +39,7 @@ type queryResponse struct {
 // limit, cursor, min_size, min_dur, feed. Returns ok=false after writing
 // the 400.
 func (s *Server) queryParams(w http.ResponseWriter, r *http.Request) (archive.Query, bool) {
-	q := archive.Query{Budget: s.cfg.QueryBudget}
+	var q archive.Query
 	get := r.URL.Query()
 	for name, dst := range map[string]*int{"limit": &q.Limit, "min_size": &q.MinSize, "min_dur": &q.MinDur} {
 		if v := get.Get(name); v != "" {
@@ -221,12 +221,4 @@ func (s *Server) handleRetention(w http.ResponseWriter, r *http.Request) {
 		resp.Before = *st.ExpiredBefore
 	}
 	writeJSON(w, resp)
-}
-
-// ArchiveInfo reports what the startup backfill did: the number of log
-// records indexed and whether the indexes were rebuilt because the log no
-// longer matched their checkpoint. enabled is false when no archive is
-// configured.
-func (s *Server) ArchiveInfo() (backfilled int64, rebuilt, enabled bool) {
-	return s.backfilled, s.archRebuilt, s.arch != nil
 }

@@ -94,7 +94,7 @@ func (s *Server) recover() error {
 		}
 		f.bucket = s.newBucket(now)
 		f.pubSeen = r.keys
-		f.start, f.persisted, f.durable = r.count, r.count, r.count
+		f.start, f.durable = r.count, r.count
 		f.stats.ClosedTotal = int64(r.count)
 		f.stats.TruncatedBefore = r.count
 		if r.flushed {
@@ -114,12 +114,6 @@ func (s *Server) recover() error {
 	s.recoveredFeeds = len(names)
 	s.sink = sink
 	return nil
-}
-
-// RecoveryInfo reports what New replayed from an existing convoy log:
-// the number of feeds restored and log records read.
-func (s *Server) RecoveryInfo() (feeds, records int) {
-	return s.recoveredFeeds, s.recoveredRecs
 }
 
 // logPattern maps a feed's pattern family to its convoy-log tag.

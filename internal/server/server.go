@@ -114,20 +114,9 @@ type Config struct {
 	// eviction drops the idle feed's state outright.
 	// Eviction also drops the feed's dedup keys, so data re-ingested after
 	// an eviction can append duplicate records to the log — compaction
-	// (storage.CompactConvoyLog) removes them offline. 0 disables
-	// eviction.
+	// (storage.CompactConvoyLog) removes them offline. The sweep runs
+	// every FeedTTL/4, at least every 10ms. 0 disables eviction.
 	FeedTTL time.Duration
-	// EvictEvery is the eviction sweep interval (default FeedTTL/4,
-	// at least 10ms).
-	EvictEvery time.Duration
-	// KeepHistory disables truncation of persisted history. By default,
-	// once a feed's closed convoys have been persisted to the sink they
-	// are dropped from memory and the feed's live cursor domain becomes
-	// [truncatedBefore, head); queries with a cursor below truncatedBefore
-	// answer 410 Gone and must restart from truncatedBefore (or replay the
-	// log). With KeepHistory (or without a sink) the full history stays
-	// resident and every cursor remains valid.
-	KeepHistory bool
 	// ArchiveDir, when non-empty, enables the historical query archive
 	// (GET /v1/query/*): every convoy persisted to the sink is also
 	// indexed — in place, the log stays the one copy — by LSM indexes
@@ -138,20 +127,13 @@ type Config struct {
 	// ArchiveCache is the combined in-memory write-buffer budget of the
 	// archive's three secondary indexes, in bytes (default 12 MiB).
 	ArchiveCache int
-	// QueryBudget caps the index entries one /v1/query page may examine
-	// before returning a resume cursor (default archive.DefaultBudget).
-	// It bounds the cost of a page whose filter rejects almost every
-	// entry.
-	QueryBudget int
 	// IngestRate, when positive, rate-limits each feed's ingest to this
-	// many snapshots per second via a token bucket; excess is shed with
-	// 429 rate_limited + Retry-After before it reaches the shard queue.
-	// 0 disables per-feed rate limiting.
+	// many snapshots per second via a token bucket holding 2×IngestRate
+	// snapshots (at least 1), the largest burst one feed may push at once
+	// after idling; excess is shed with 429 rate_limited + Retry-After
+	// before it reaches the shard queue. 0 disables per-feed rate
+	// limiting.
 	IngestRate float64
-	// IngestBurst is the token bucket's capacity in snapshots (default
-	// 2×IngestRate, at least 1): the largest burst one feed may push at
-	// once after idling.
-	IngestBurst int
 	// Retention, when positive, bounds the archive's history: at every
 	// archive flush tick, convoys whose End tick has fallen more than
 	// Retention ticks behind the newest archived End are expired
@@ -182,12 +164,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxFeeds <= 0 {
 		c.MaxFeeds = 65536
-	}
-	if c.FeedTTL > 0 && c.EvictEvery <= 0 {
-		c.EvictEvery = max(c.FeedTTL/4, 10*time.Millisecond)
-	}
-	if c.IngestRate > 0 && c.IngestBurst <= 0 {
-		c.IngestBurst = max(int(2*c.IngestRate), 1)
 	}
 	return c
 }
@@ -361,7 +337,7 @@ func (s *Server) loop() {
 	defer stopPersist()
 	archFlush, stopArchFlush := every(s.arch != nil, archiveFlushEvery)
 	defer stopArchFlush()
-	evict, stopEvict := every(s.cfg.FeedTTL > 0, s.cfg.EvictEvery)
+	evict, stopEvict := every(s.cfg.FeedTTL > 0, max(s.cfg.FeedTTL/4, 10*time.Millisecond))
 	defer stopEvict()
 	for {
 		select {
@@ -477,7 +453,7 @@ func (s *Server) feedFor(name string, create bool, pat convoy.Pattern) (*feed, e
 		// published stays 410 (truncated) rather than being shadowed by
 		// the new incarnation's counting restarting at 0. Dedup keys are
 		// not resurrected — see Config.FeedTTL.
-		f.start, f.persisted, f.durable = head, head, head
+		f.start, f.durable = head, head
 		f.stats.ClosedTotal = int64(head)
 		f.stats.TruncatedBefore = head
 		delete(s.tombs, name)
@@ -547,7 +523,7 @@ func (s *Server) newBucket(now int64) *tokenBucket {
 	if s.cfg.IngestRate <= 0 {
 		return nil
 	}
-	return newTokenBucket(s.cfg.IngestRate, s.cfg.IngestBurst, now)
+	return newTokenBucket(s.cfg.IngestRate, max(int(2*s.cfg.IngestRate), 1), now)
 }
 
 // touchFeed refreshes a feed's activity clock for TTL purposes and reports
@@ -565,25 +541,26 @@ func (s *Server) touchFeed(f *feed) bool {
 	return true
 }
 
-// persistAll writes every feed's not-yet-persisted closed convoys to the
-// sink, in discovery order, syncs, then indexes them in the archive.
-// Persistence is at-most-once: the persisted marker advances before the
-// write, and the first write error disables the sink for the rest of the
-// server's life. Retrying into an append-only buffered log would
-// duplicate the records already in its buffer (and possibly follow a
-// partially flushed record), corrupting the log — a broken disk ends the
-// log at its last good Sync instead. Each feed's durable watermark
-// advances only after the Sync that covers its records succeeds, and it
-// is durable — not persisted — that licenses discarding in-memory state
-// (truncation here, whole feeds in lifecycle.go), so a sync failure can
-// never lose convoys from both memory and the log at once.
+// persistAll writes every feed's closed convoys past its durable watermark
+// to the sink, in discovery order, syncs, then indexes them in the
+// archive. Persistence is at-most-once: the first append or sync error
+// disables the sink for the rest of the server's life. Retrying into an
+// append-only buffered log would duplicate the records already in its
+// buffer (and possibly follow a partially flushed record), corrupting the
+// log — a broken disk ends the log at its last good Sync instead. Each
+// feed's durable watermark advances only after the Sync that covers its
+// records succeeds, so every round starts from it: an earlier round either
+// synced everything it appended or broke the sink. durable is also what
+// licenses discarding in-memory state (truncation here, whole feeds in
+// lifecycle.go), so a sync failure can never lose convoys from both
+// memory and the log at once.
 //
-// Truncation (unless Config.KeepHistory) deliberately lags durability by
-// one round: this round truncates up to the durable watermark as of the
-// round's start. A long-poller woken by a publish therefore always has a
-// full PersistEvery to collect the convoys it was woken for before they
-// can leave memory, and resident history stays bounded by about two
-// persistence intervals' worth of convoys per feed.
+// Truncation deliberately lags durability by one round: this round
+// truncates up to the durable watermark as of the round's start. A
+// long-poller woken by a publish therefore always has a full PersistEvery
+// to collect the convoys it was woken for before they can leave memory,
+// and resident history stays bounded by about two persistence intervals'
+// worth of convoys per feed.
 func (s *Server) persistAll() {
 	if s.sinkBroken.Load() {
 		return
@@ -604,7 +581,7 @@ func (s *Server) persistAll() {
 	for i, f := range feeds {
 		f.mu.Lock()
 		truncUpTo[i] = f.durable
-		fresh := f.closed[f.persisted-f.start:]
+		fresh := f.closed[f.durable-f.start:]
 		if len(fresh) == 0 {
 			f.mu.Unlock()
 			continue
@@ -613,8 +590,7 @@ func (s *Server) persistAll() {
 		// stall the actor's publish path.
 		batch := make([]convoy.PatternResult, len(fresh))
 		copy(batch, fresh)
-		f.persisted = f.head()
-		newPersisted := f.persisted
+		synced := f.head()
 		f.mu.Unlock()
 		tag := logPattern(f.pattern)
 		for _, c := range batch {
@@ -627,7 +603,7 @@ func (s *Server) persistAll() {
 				return
 			}
 		}
-		wrote = append(wrote, written{f: f, synced: newPersisted})
+		wrote = append(wrote, written{f: f, synced: synced})
 	}
 	if len(wrote) > 0 {
 		if err := s.sink.Sync(); err != nil {
@@ -636,9 +612,7 @@ func (s *Server) persistAll() {
 		}
 		for _, w := range wrote {
 			w.f.mu.Lock()
-			if w.synced > w.f.durable {
-				w.f.durable = w.synced
-			}
+			w.f.durable = w.synced
 			w.f.mu.Unlock()
 		}
 		if s.arch != nil && !s.archBroken.Load() {
@@ -680,9 +654,6 @@ func (s *Server) persistAll() {
 			f.flushLogged = true
 			f.mu.Unlock()
 		}
-	}
-	if s.cfg.KeepHistory {
-		return
 	}
 	for i, f := range feeds {
 		s.truncatedTotal.Add(int64(f.truncateTo(truncUpTo[i])))

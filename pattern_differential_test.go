@@ -81,7 +81,7 @@ func TestDifferentialFlockStreamVsBatch(t *testing.T) {
 			ds := g.gen(seed, nObj, nTicks)
 
 			got := resultConvoys(streamPattern(t, PatternFlock, pp, ds))
-			want, err := MineFlocks(NewMemStore(ds), FlockParams{M: pp.M, K: pp.K, R: pp.R}, true)
+			want, err := MineFlocks(NewMemStore(ds), pp, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestDifferentialMovingClusterStreamVsBatch(t *testing.T) {
 			ds := g.gen(seed, nObj, nTicks)
 
 			got := streamPattern(t, PatternMC, pp, ds)
-			want, err := MineMovingClusters(NewMemStore(ds), MovingClusterParams{M: pp.M, Eps: pp.Eps, Theta: pp.Theta, K: pp.K})
+			want, err := MineMovingClusters(NewMemStore(ds), pp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +173,7 @@ func TestDifferentialPatternGapEqualsEmptyTicks(t *testing.T) {
 			}
 		}
 
-		wantF, err := MineFlocks(NewMemStore(gapped), FlockParams{M: pp.M, K: pp.K, R: pp.R}, true)
+		wantF, err := MineFlocks(NewMemStore(gapped), pp, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestDifferentialPatternGapEqualsEmptyTicks(t *testing.T) {
 			t.Fatalf("flock seed %d: %s", seed, d)
 		}
 
-		wantM, err := MineMovingClusters(NewMemStore(gapped), MovingClusterParams{M: pp.M, Eps: pp.Eps, Theta: pp.Theta, K: pp.K})
+		wantM, err := MineMovingClusters(NewMemStore(gapped), pp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,6 @@
 package convoy
 
 import (
-	"errors"
-
 	"repro/internal/flock"
 	"repro/internal/movingcluster"
 )
@@ -12,35 +10,30 @@ import (
 // mining algorithms such as moving clusters and flock patterns"):
 // flock mining accelerated by the k/2-hop pipeline, and the classical
 // moving-cluster miner (whose identity churn is outside the k/2-hop
-// technique's reach — see package movingcluster for why).
+// technique's reach — see package movingcluster for why). Both take the
+// PatternParams a streaming PatternMiner takes, defaulted and validated by
+// the same rule.
 
 // Flock is a mined flock: ≥ m objects within one disk of radius r for ≥ k
 // consecutive timestamps. Structurally identical to Convoy.
 type Flock = flock.Flock
 
-// FlockParams are the flock parameters (R is the disk radius). Workers
-// bounds the k/2-hop pipeline's parallelism like Options.Workers does
-// (0 = one worker per core, 1 = sequential; results are identical either
-// way) — pin it to 1 when timing the algorithms against each other.
-type FlockParams struct {
-	M       int
-	K       int
-	R       float64
-	Workers int
-}
-
-// MineFlocks mines maximal flocks with the k/2-hop pipeline (benchmark
-// points, candidate intersection, hop-window verification, extension). Set
-// sweep to use the classical timestamp-sweep baseline instead (always
-// sequential).
-func MineFlocks(store Store, p FlockParams, sweep bool) ([]Flock, error) {
-	if p.Workers < 0 {
-		return nil, errors.New("convoy: Workers must be ≥ 0")
+// MineFlocks mines maximal flocks of at least pp.M objects within one disk
+// of radius pp.R for at least pp.K timestamps, with the k/2-hop pipeline
+// (benchmark points, candidate intersection, hop-window verification,
+// extension) on one worker per core. Set sweep to use the classical
+// timestamp-sweep baseline instead (always sequential). k/2-hop needs
+// K ≥ 2, so at K = 1 both run the sweep.
+func MineFlocks(store Store, pp PatternParams, sweep bool) ([]Flock, error) {
+	pp = pp.withDefaults()
+	if err := pp.validate(); err != nil {
+		return nil, err
 	}
-	if sweep {
-		return flock.Sweep(store, flock.Config{M: p.M, K: p.K, R: p.R})
+	cfg := flock.Config{M: pp.M, K: pp.K, R: pp.R}
+	if sweep || pp.K == 1 {
+		return flock.Sweep(store, cfg)
 	}
-	out, _, err := flock.MineK2Hop(store, flock.Config{M: p.M, K: p.K, R: p.R, Workers: p.Workers})
+	out, _, err := flock.MineK2Hop(store, cfg)
 	return out, err
 }
 
@@ -48,19 +41,16 @@ func MineFlocks(store Store, p FlockParams, sweep bool) ([]Flock, error) {
 // bounded membership churn.
 type MovingCluster = movingcluster.MovingCluster
 
-// MovingClusterParams are the moving-cluster parameters: DBSCAN (M, Eps)
-// per snapshot, minimum consecutive Jaccard overlap Theta, minimum
-// lifetime K.
-type MovingClusterParams struct {
-	M     int
-	Eps   float64
-	Theta float64
-	K     int
-}
-
-// MineMovingClusters mines moving clusters with the classical sweep.
-func MineMovingClusters(store Store, p MovingClusterParams) ([]MovingCluster, error) {
+// MineMovingClusters mines moving clusters with the classical sweep:
+// DBSCAN (pp.M, pp.Eps) per snapshot, consecutive clusters chained while
+// their Jaccard overlap is at least pp.Theta, kept when they live at least
+// pp.K timestamps.
+func MineMovingClusters(store Store, pp PatternParams) ([]MovingCluster, error) {
+	pp = pp.withDefaults()
+	if err := pp.validate(); err != nil {
+		return nil, err
+	}
 	return movingcluster.Mine(store, movingcluster.Config{
-		M: p.M, Eps: p.Eps, Theta: p.Theta, K: p.K,
+		M: pp.M, Eps: pp.Eps, Theta: pp.Theta, K: pp.K,
 	})
 }

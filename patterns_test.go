@@ -44,7 +44,7 @@ func TestPatternSemanticsDiffer(t *testing.T) {
 	}
 
 	// Flock with r=1.2: the chain's diameter is 3.6, so no 4-flock exists.
-	flocks, err := MineFlocks(NewMemStore(ds), FlockParams{M: 4, K: 12, R: 1.2}, false)
+	flocks, err := MineFlocks(NewMemStore(ds), PatternParams{Params: Params{M: 4, K: 12}, R: 1.2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestPatternSemanticsDiffer(t *testing.T) {
 		t.Fatalf("no radius-1.2 flock of 4 should exist: %v", flocks)
 	}
 	// But sub-pairs do fit a disk.
-	flocks, err = MineFlocks(NewMemStore(ds), FlockParams{M: 2, K: 12, R: 1.2}, false)
+	flocks, err = MineFlocks(NewMemStore(ds), PatternParams{Params: Params{M: 2, K: 12}, R: 1.2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +61,8 @@ func TestPatternSemanticsDiffer(t *testing.T) {
 	}
 
 	// Moving cluster: the churning group survives the member rotation.
-	mcs, err := MineMovingClusters(NewMemStore(ds), MovingClusterParams{
-		M: 3, Eps: minetest.Eps, Theta: 0.4, K: 12,
+	mcs, err := MineMovingClusters(NewMemStore(ds), PatternParams{
+		Params: Params{M: 3, K: 12, Eps: minetest.Eps}, Theta: 0.4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,19 +88,60 @@ func TestPatternSemanticsDiffer(t *testing.T) {
 	}
 }
 
+// TestMineFlocksSweepMatchesK2Hop: at K = 1, which k/2-hop cannot hop,
+// MineFlocks runs the sweep, the way Mine runs VCoDA* there.
 func TestMineFlocksSweepMatchesK2Hop(t *testing.T) {
 	ds := patternScenario()
-	p := FlockParams{M: 2, K: 6, R: 1.5}
-	fast, err := MineFlocks(NewMemStore(ds), p, false)
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range []int{6, 1} {
+		p := PatternParams{Params: Params{M: 2, K: k}, R: 1.5}
+		fast, err := MineFlocks(NewMemStore(ds), p, false)
+		if err != nil {
+			t.Fatalf("K=%d: %v", k, err)
+		}
+		base, err := MineFlocks(NewMemStore(ds), p, true)
+		if err != nil {
+			t.Fatalf("K=%d: %v", k, err)
+		}
+		if len(base) == 0 || !model.ConvoysEqual(fast, base) {
+			t.Fatalf("K=%d: k2hop flocks %v != sweep flocks %v", k, fast, base)
+		}
 	}
-	base, err := MineFlocks(NewMemStore(ds), p, true)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestBatchMinersShareParamsRule: the batch miners reject exactly what a
+// streaming PatternMiner rejects, with the same error, because both apply
+// PatternParams' one default-and-validate rule.
+func TestBatchMinersShareParamsRule(t *testing.T) {
+	ds := patternScenario()
+	valid := PatternParams{Params: Params{M: 2, K: 3, Eps: 1.5}, R: 1.5, Theta: 0.5}
+	cases := []struct {
+		name string
+		edit func(*PatternParams)
+	}{
+		{"R=-1", func(pp *PatternParams) { pp.R = -1 }},
+		{"M=0", func(pp *PatternParams) { pp.M = 0 }},
+		{"K=0", func(pp *PatternParams) { pp.K = 0 }},
+		{"Eps=-1", func(pp *PatternParams) { pp.Eps = -1 }},
+		{"Theta=2", func(pp *PatternParams) { pp.Theta = 2 }},
+		{"Theta=-0.5", func(pp *PatternParams) { pp.Theta = -0.5 }},
 	}
-	if !model.ConvoysEqual(fast, base) {
-		t.Fatalf("k2hop flocks %v != sweep flocks %v", fast, base)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			pp := valid
+			c.edit(&pp)
+			_, want := NewPatternMiner(PatternFlock, pp)
+			if want == nil {
+				t.Fatalf("NewPatternMiner accepted %+v", pp)
+			}
+			for _, sweep := range []bool{false, true} {
+				if _, err := MineFlocks(NewMemStore(ds), pp, sweep); err == nil || err.Error() != want.Error() {
+					t.Errorf("MineFlocks(sweep=%v) = %v, want %v", sweep, err, want)
+				}
+			}
+			if _, err := MineMovingClusters(NewMemStore(ds), pp); err == nil || err.Error() != want.Error() {
+				t.Errorf("MineMovingClusters = %v, want %v", err, want)
+			}
+		})
 	}
 }
 

@@ -382,7 +382,7 @@ func FuzzPatternMiner(f *testing.F) {
 		pp := in.pp
 		switch in.pat {
 		case PatternMC:
-			want, err := MineMovingClusters(store, MovingClusterParams{M: pp.M, Eps: pp.Eps, Theta: pp.Theta, K: pp.K})
+			want, err := MineMovingClusters(store, pp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -392,7 +392,7 @@ func FuzzPatternMiner(f *testing.F) {
 		default:
 			var want []Convoy
 			if in.pat == PatternFlock {
-				want, err = MineFlocks(store, FlockParams{M: pp.M, K: pp.K, R: pp.Eps}, true)
+				want, err = MineFlocks(store, pp, true)
 			} else {
 				var res *Result
 				if res, err = Mine(store, pp.Params, &Options{Algorithm: PCCD}); err == nil {

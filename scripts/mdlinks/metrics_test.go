@@ -10,6 +10,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -189,6 +190,101 @@ func TestDocsNameExistingTests(t *testing.T) {
 		}
 		for _, name := range unknownTestNames(string(text), declared) {
 			t.Errorf("%s names `%s`, which no _test.go file declares", filepath.Base(doc), name)
+		}
+	}
+}
+
+// flagRe is a command-line flag as the docs quote it: `-persist-every`,
+// `-window W`, `-ingest-rate=50`.
+var flagRe = regexp.MustCompile(`^-[a-zA-Z][a-zA-Z0-9-]*$`)
+
+// toolFlags are the go and curl flags the docs quote beside the
+// repository's own commands.
+var toolFlags = map[string]bool{"-race": true, "-benchtime": true, "-fuzz": true, "-d": true}
+
+// unknownFlags returns the flag tokens of text's code spans that defined
+// does not hold and toolFlags does not allow.
+func unknownFlags(text string, defined map[string]bool) []string {
+	var bad []string
+	for _, m := range codeSpanRe.FindAllStringSubmatch(fenceRe.ReplaceAllString(text, ""), -1) {
+		for _, word := range strings.Fields(m[1]) {
+			name, _, _ := strings.Cut(word, "=")
+			if flagRe.MatchString(name) && !defined[name] && !toolFlags[name] {
+				bad = append(bad, name)
+			}
+		}
+	}
+	return bad
+}
+
+func TestUnknownFlags(t *testing.T) {
+	defined := map[string]bool{"-persist": true, "-persist-every": true, "-window": true}
+	text := "`-persist` `-persist-every 100ms -gone 3` `-window=2` `go test -race ./...` " +
+		"`-1` `--workload` `-stale`\n```\n`-fenced`\n```\n"
+	got := strings.Join(unknownFlags(text, defined), " ")
+	if want := "-gone -stale"; got != want {
+		t.Fatalf("unknown flags %q, want %q", got, want)
+	}
+}
+
+// flagFuncs are the flag package's defining functions and FlagSet methods;
+// the flag name is the first string literal among their arguments.
+var flagFuncs = map[string]bool{
+	"Bool": true, "BoolVar": true, "BoolFunc": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "IntVar": true,
+	"Int64": true, "Int64Var": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "Var": true,
+}
+
+// TestDocsNameExistingFlags fails when README.md or docs/*.md quotes, in
+// backticks, a -flag that no cmd/*/main.go defines — a flag deleted or
+// renamed without the prose that mentions it. README's flag tables have
+// their own two-way checks; this one covers every other mention.
+func TestDocsNameExistingFlags(t *testing.T) {
+	mains, err := filepath.Glob(filepath.Join(repoRoot, "cmd", "*", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, main := range mains {
+		f, err := parser.ParseFile(fset, main, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || !flagFuncs[sel.Sel.Name] {
+				return true
+			}
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if name, err := strconv.Unquote(lit.Value); err == nil {
+						defined["-"+name] = true
+					}
+					break
+				}
+			}
+			return true
+		})
+	}
+	if !defined["-persist-every"] {
+		t.Fatalf("found no -persist-every among the flags of %d cmd/*/main.go files; did the layout change?", len(mains))
+	}
+	docs, err := filepath.Glob(filepath.Join(repoRoot, "docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range append([]string{filepath.Join(repoRoot, "README.md")}, docs...) {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range unknownFlags(string(text), defined) {
+			t.Errorf("%s names `%s`, which no cmd/*/main.go defines", filepath.Base(doc), name)
 		}
 	}
 }
