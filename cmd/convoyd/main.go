@@ -18,8 +18,11 @@
 //	        -feed-ttl 10m
 //
 // With -persist, the server is restartable: an existing log is replayed at
-// startup (recovering per-feed cursor positions and dedup state), a torn
-// tail record from a crash is truncated away, and SIGINT/SIGTERM shut down
+// startup (recovering per-feed cursor positions and each feed's resume
+// point, the end tick E of its last logged convoy: a recovered feed drops
+// what it closes that ends before E, and the logged convoys ending at E,
+// so a client re-sending its stream duplicates no record), a torn tail
+// record from a crash is truncated away, and SIGINT/SIGTERM shut down
 // gracefully with a final persist of every closed convoy. Memory stays
 // bounded by -feed-ttl (idle-feed eviction) and by history truncation:
 // convoys already in the log are dropped from memory and queries below the

@@ -124,8 +124,6 @@ type Options struct {
 	// scheduling latency and their inputs/outputs are serialised (default 1
 	// node, in-process).
 	Nodes int
-	// Lambda is the partition/piece length for DCM and CuTS (0 = default).
-	Lambda int
 }
 
 // Result carries the mined convoys and run metadata.
@@ -164,7 +162,6 @@ func Mine(store Store, p Params, opts *Options) (*Result, error) {
 		if opts.Nodes > 0 {
 			o.Nodes = opts.Nodes
 		}
-		o.Lambda = opts.Lambda
 	}
 	res := &Result{Algorithm: o.Algorithm}
 	before := store.Stats().Snapshot().PointsRead
@@ -197,10 +194,10 @@ func Mine(store Store, p Params, opts *Options) (*Result, error) {
 	case PCCD:
 		res.Convoys, err = cmc.Mine(store, p.M, p.K, p.Eps)
 	case CuTS:
-		res.Convoys, err = cuts.Mine(store, cuts.Config{M: p.M, K: p.K, Eps: p.Eps, Lambda: o.Lambda})
+		res.Convoys, err = cuts.Mine(store, cuts.Config{M: p.M, K: p.K, Eps: p.Eps})
 	case DCM:
 		res.Convoys, err = dcm.Mine(store, dcm.Config{
-			M: p.M, K: p.K, Eps: p.Eps, Lambda: o.Lambda, Cluster: clusterFor(o),
+			M: p.M, K: p.K, Eps: p.Eps, Cluster: clusterFor(o),
 		})
 	case SPARE:
 		res.Convoys, err = spare.Mine(store, spare.Config{

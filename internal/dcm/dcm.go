@@ -67,9 +67,6 @@ func mineParts(store storage.Store, cfg Config) ([][]model.Convoy, error) {
 	if cfg.Lambda < cfg.K {
 		cfg.Lambda = cfg.K
 	}
-	if cfg.Cluster.Workers() == 0 {
-		cfg.Cluster = mapreduce.Local(1)
-	}
 	ts, te := store.TimeRange()
 	if te < ts {
 		return nil, nil

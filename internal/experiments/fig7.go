@@ -12,7 +12,7 @@ func init() {
 	register("fig7c", fig7c)
 	register("fig7d", func(s Scale) (Table, error) { return gainOverSPARE("fig7d", "single machine", s, spareLocal) })
 	register("fig7e", func(s Scale) (Table, error) { return gainOverSPARE("fig7e", "YARN cluster (simulated)", s, spareYarn) })
-	register("fig7f", func(s Scale) (Table, error) { return gainOverSPARE("fig7f", "NUMA machine (simulated)", s, spareNuma) })
+	register("fig7f", func(s Scale) (Table, error) { return gainOverSPARE("fig7f", "local, NUMA core counts", s, spareNuma) })
 	register("fig7g", fig7g)
 	register("fig7h", func(s Scale) (Table, error) { return effectOfK(TrucksSpec(), "fig7h", s, true) })
 }
@@ -84,6 +84,7 @@ type spareRun struct {
 	label string
 	cores []int
 	opts  func(cores int) *convoy.Options
+	note  string // appended to the table's notes
 }
 
 var spareLocal = spareRun{
@@ -106,12 +107,15 @@ var spareYarn = spareRun{
 	},
 }
 
+// spareNuma runs the single-machine setup at the core counts of the
+// paper's NUMA machine: nothing models NUMA memory effects.
 var spareNuma = spareRun{
 	label: "cores",
 	cores: []int{8, 16, 24, 32},
 	opts: func(c int) *convoy.Options {
 		return &convoy.Options{Algorithm: convoy.SPARE, Workers: c}
 	},
+	note: "; SPARE runs the single-machine setup with this many workers (no NUMA effects are modelled)",
 }
 
 // gainOverSPARE reproduces Figs 7d/e/f: sequential k/2-hop (one core, in
@@ -121,7 +125,7 @@ func gainOverSPARE(id, setup string, s Scale, run spareRun) (Table, error) {
 		ID:      id,
 		Title:   "k/2-hop gain over SPARE — " + setup,
 		Columns: []string{run.label, "Trucks", "T-Drive", "Brinkhoff"},
-		Notes:   "gain = SPARE time / k2-hop(single core) time; paper: up to 43000x",
+		Notes:   "gain = SPARE time / k2-hop(single core) time; paper: up to 43000x" + run.note,
 	}
 	type base struct {
 		spec DatasetSpec

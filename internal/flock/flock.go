@@ -1,3 +1,19 @@
+// Package flock implements flock pattern mining — the paper's §7 names
+// flocks as the first pattern the k/2-hop technique should transfer to, and
+// this package carries that out.
+//
+// A (m,r,k)-flock (Gudmundsson & van Kreveld, GIS'06) is a set of ≥ m
+// objects that stay within one disk of radius r for ≥ k consecutive
+// timestamps. Unlike a convoy's density connection, the disk bounds the
+// group's diameter; like a convoy, the *same* objects must stay together
+// for the whole lifetime — which is exactly the property k/2-hop's
+// benchmark-point pruning needs (any flock of length ≥ k covers two
+// consecutive benchmark points, and its members must share a disk at both).
+//
+// Two miners are provided: Sweep (the classical timestamp sweep over
+// candidate disks, the baseline) and MineK2Hop (benchmark-point pruning +
+// hop-window verification + extension, mirroring the convoy pipeline).
+// They produce identical results; the tests cross-check them.
 package flock
 
 import (
@@ -17,15 +33,11 @@ import (
 type Flock = model.Convoy
 
 // Config carries the flock parameters: ≥ M objects within one disk of
-// radius R for ≥ K consecutive timestamps. Workers bounds MineK2Hop's
-// parallel phases like core.Config.Workers does (≤ 0 = one worker per
-// core, 1 = the sequential path; output is identical either way); Sweep
-// is inherently sequential and ignores it.
+// radius R for ≥ K consecutive timestamps.
 type Config struct {
-	M       int
-	K       int
-	R       float64
-	Workers int
+	M int
+	K int
+	R float64
 }
 
 // Sweep mines maximal flocks with the classical timestamp sweep
@@ -90,7 +102,7 @@ func (m *Miner) Finish() []Flock { return m.mn.Finish() }
 // This implements the paper's §7 ("the k/2-hop technique can be applied to
 // numerous movement patterns such as ... flock patterns").
 func MineK2Hop(store storage.Store, cfg Config) ([]Flock, *core.Report, error) {
-	ccfg := core.Config{M: cfg.M, K: cfg.K, Eps: cfg.R, Workers: cfg.Workers}
+	ccfg := core.Config{M: cfg.M, K: cfg.K, Eps: cfg.R}
 	grouper := func(rows []model.ObjPos) []model.ObjSet { return DiskGroups(rows, cfg.R, cfg.M) }
 	out, rep, err := core.MineCandidates(store, ccfg, grouper)
 	if err != nil {

@@ -58,9 +58,12 @@ func decodeFlock(data []byte) (*model.Dataset, Config) {
 	return model.NewDataset(pts), cfg
 }
 
-// FuzzFlockK2Hop holds MineK2Hop to Sweep. Flock candidates are final —
-// no validation runs after the pipeline — so this is the check that one
-// extension pass each way finds every maximal flock.
+// FuzzFlockK2Hop holds MineK2Hop to Sweep, and every flock it mines to the
+// definition: its members, fetched at every tick of its lifespan, fit one
+// disk of radius R (FitsDisk, independent of the DiskGroups cover both
+// miners group with). Flock candidates are final — no validation runs
+// after the pipeline — so this is the check that one extension pass each
+// way finds every maximal flock and admits nothing else.
 func FuzzFlockK2Hop(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ds, cfg := decodeFlock(data)
@@ -75,6 +78,18 @@ func FuzzFlockK2Hop(f *testing.F) {
 		}
 		if !model.ConvoysEqual(got, want) {
 			t.Fatalf("cfg %+v:\n got %v\nwant %v", cfg, got, want)
+		}
+		for _, fl := range got {
+			for tt := fl.Start; tt <= fl.End; tt++ {
+				pts, err := ms.Fetch(tt, fl.Objs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(pts) != len(fl.Objs) || !FitsDisk(pts, cfg.R) {
+					t.Fatalf("cfg %+v: flock %v at t=%d: fetched %d of %d members %v, want all in one disk of radius %g",
+						cfg, fl, tt, len(pts), len(fl.Objs), pts, cfg.R)
+				}
+			}
 		}
 	})
 }

@@ -1,24 +1,10 @@
-// Package flock implements flock pattern mining — the paper's §7 names
-// flocks as the first pattern the k/2-hop technique should transfer to, and
-// this package carries that out.
-//
-// A (m,r,k)-flock (Gudmundsson & van Kreveld, GIS'06) is a set of ≥ m
-// objects that stay within one disk of radius r for ≥ k consecutive
-// timestamps. Unlike a convoy's density connection, the disk bounds the
-// group's diameter; like a convoy, the *same* objects must stay together
-// for the whole lifetime — which is exactly the property k/2-hop's
-// benchmark-point pruning needs (any flock of length ≥ k covers two
-// consecutive benchmark points, and its members must share a disk at both).
-//
-// Two miners are provided: Sweep (the classical timestamp sweep over
-// candidate disks, the baseline) and MineK2Hop (benchmark-point pruning +
-// hop-window verification + extension, mirroring the convoy pipeline).
-// They produce identical results; the tests cross-check them.
-//
-// This file: the smallest-enclosing-circle primitive (Welzl's algorithm) —
-// a set of points fits in a radius-r disk exactly when its minimum
-// enclosing circle has radius ≤ r.
 package flock
+
+// The smallest-enclosing-circle primitive (Welzl's algorithm), the flock
+// tests' validity oracle: a set of points fits in a radius-r disk exactly
+// when its minimum enclosing circle has radius ≤ r. The miners never call
+// it — DiskGroups builds its groups from candidate disks — so it checks
+// them independently.
 
 import (
 	"math"
@@ -85,14 +71,13 @@ func secWithOne(pts []model.ObjPos, q model.ObjPos) Circle {
 // boundary.
 func secWithTwo(pts []model.ObjPos, q1, q2 model.ObjPos) Circle {
 	c := circleFrom2(q1, q2)
-	for i, p := range pts {
+	for _, p := range pts {
 		if c.Contains(p.X, p.Y) {
 			continue
 		}
-		c = circleFrom3(q1, q2, p)
 		// Degenerate (collinear) triples return an enclosing fallback; keep
 		// scanning — later points may still force a recompute.
-		_ = i
+		c = circleFrom3(q1, q2, p)
 	}
 	return c
 }

@@ -1,6 +1,7 @@
 // Package mapreduce is a miniature in-process map-reduce runtime standing
-// in for the Hadoop/YARN and Spark clusters of the paper's setups B and C.
-// It reproduces the costs that matter when comparing a distributed miner
+// in for the paper's parallel setups: Local for one machine (the NUMA
+// machine of setup C runs as Local at its core counts) and Yarn for the
+// Hadoop/YARN cluster of setup B. It reproduces the costs that matter when comparing a distributed miner
 // against sequential k/2-hop:
 //
 //   - bounded parallelism: a worker pool of Cores goroutines per simulated
@@ -43,12 +44,6 @@ func Local(cores int) Cluster { return Cluster{Nodes: 1, Cores: cores} }
 // serialised shuffles, mirroring the paper's setup B.
 func Yarn(nodes, coresPerNode int) Cluster {
 	return Cluster{Nodes: nodes, Cores: coresPerNode, TaskLatency: 2 * time.Millisecond, Serialize: true}
-}
-
-// Numa returns a large shared-memory machine (paper setup C): many cores,
-// no serialisation, small scheduling latency (Spark standalone).
-func Numa(cores int) Cluster {
-	return Cluster{Nodes: 1, Cores: cores, TaskLatency: 500 * time.Microsecond}
 }
 
 // Workers returns the total worker count of the cluster.

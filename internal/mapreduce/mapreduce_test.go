@@ -81,9 +81,6 @@ func TestWorkersFloor(t *testing.T) {
 	if Yarn(4, 2).Workers() != 8 {
 		t.Fatalf("yarn workers wrong")
 	}
-	if Numa(32).Workers() != 32 {
-		t.Fatalf("numa workers wrong")
-	}
 }
 
 func TestTaskLatencyCharged(t *testing.T) {

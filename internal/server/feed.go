@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -8,9 +9,9 @@ import (
 )
 
 // feed is one trajectory feed (a dataset/region key). Its mining state —
-// the PatternMiner, the reordering buffer, and the digests recovered from
-// the convoy log — is owned exclusively by the shard actor the feed was
-// placed on; no lock protects it and none is needed.
+// the PatternMiner, the reordering buffer, and the resume point recovered
+// from the convoy log — is owned exclusively by the shard actor the feed
+// was placed on; no lock protects it and none is needed.
 //
 // The published state below mu is the read side: HTTP handlers serve
 // long-polls and stats from it, and the persistence tick drains it.
@@ -31,13 +32,12 @@ type feed struct {
 	// --- owned by the shard actor goroutine, unguarded -------------------
 	miner *convoy.PatternMiner
 	buf   *reorder
-	// pubSeen holds the digests of the patterns recovered from the convoy
-	// log, so a client re-sending after a restart does not publish them
-	// again. It never grows: the miner reports each pattern once, so what
-	// the feed closes itself needs no dedup. Nil for a feed that recovered
-	// nothing.
-	pubSeen map[convoy.PatternDigest]struct{}
-	done    bool // feed was flushed; further ingest is dropped
+	// resume is where a recovered feed's log ends (see recover.go), so a
+	// client re-sending after a restart does not publish what the log
+	// already holds. Nil for a feed that recovered nothing, and cleared
+	// once the feed publishes a pattern ending after it: the miner reports
+	// each pattern once, so what the feed closes itself needs no dedup.
+	resume *resumePoint
 
 	// --- lifecycle coordination (see lifecycle.go) -----------------------
 	// pending counts shard messages enqueued but not yet fully processed;
@@ -67,14 +67,18 @@ type feed struct {
 	// anything that discards in-memory state (eviction, truncation).
 	// Invariant: start ≤ durable ≤ head.
 	durable int
+	// flushed is set once, by the owning shard actor's flush (or by
+	// recovery, before the actors start); further ingest is dropped. Its
+	// only writer reads it without the lock.
 	flushed bool
 	// flushLogged records that the flush sentinel reached the log, making
-	// the flushed state restart-durable (written by persistAll once the
-	// whole history is durable).
+	// the flushed state restart-durable (written by persistAll in the
+	// round that makes the whole history durable).
 	flushLogged bool
-	final       []convoy.PatternResult // full maximal set, valid once flushed
-	notify      chan struct{}          // closed and replaced on every publish/flush/evict
-	stats       FeedStats
+	notify      chan struct{} // closed and replaced on every publish/flush/evict
+	// stats holds the actor's counters; snapshotStats derives the cursor
+	// domain's from start and closed.
+	stats FeedStats
 }
 
 // FeedStats are the per-feed counters exposed by /v1/stats.
@@ -112,39 +116,57 @@ func (f *feed) head() int { return f.start + len(f.closed) }
 // touch records activity for TTL eviction.
 func (f *feed) touch(nowNanos int64) { f.lastActive.Store(nowNanos) }
 
-// publish appends newly closed patterns to the published list, minus any
-// that recovery already loaded from the log, and wakes all long-pollers.
-// Called only from the owning shard actor.
+// resumePoint is where a recovered feed resumes: the End tick of the
+// feed's last logged record and the trailing records that end there.
+type resumePoint struct {
+	end  int32
+	tail []convoy.PatternResult
+}
+
+// covers reports whether publish drops c as already logged: c ends before
+// end, or ends at end and equals a tail record. For a replay of the feed's
+// stream that is exactly what the log holds — both sweeps close patterns
+// in non-decreasing End, and the log holds a prefix of that emission
+// sequence. A replay that resumes later also drops what it closes before
+// end.
+func (w *resumePoint) covers(c convoy.PatternResult) bool {
+	if c.End != w.end {
+		return c.End < w.end
+	}
+	return slices.ContainsFunc(w.tail, func(r convoy.PatternResult) bool {
+		return r.Start == c.Start && slices.Equal(r.Objs, c.Objs) &&
+			slices.EqualFunc(r.Clusters, c.Clusters, slices.Equal)
+	})
+}
+
+// publish appends newly closed patterns (cs, the miner's fresh drain, in
+// emission order) to the published list, minus any the feed's log already
+// holds, and wakes all long-pollers. Called only from the owning shard
+// actor.
 func (f *feed) publish(cs []convoy.PatternResult) {
-	fresh := cs
-	if len(f.pubSeen) > 0 {
-		fresh = cs[:0:0]
-		for _, c := range cs {
-			if _, dup := f.pubSeen[c.Digest()]; !dup {
-				fresh = append(fresh, c)
-			}
+	if w := f.resume; w != nil && len(cs) > 0 {
+		if cs[len(cs)-1].End > w.end {
+			f.resume = nil // nothing the miner closes from here on is logged
 		}
+		cs = slices.DeleteFunc(cs, w.covers)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.stats.PendingTicks = f.buf.pendingTicks()
-	if len(fresh) == 0 {
+	if len(cs) == 0 {
 		return
 	}
-	f.closed = append(f.closed, fresh...)
-	f.stats.ClosedTotal = int64(f.head())
-	f.stats.ClosedInMemory = len(f.closed)
+	f.closed = append(f.closed, cs...)
 	close(f.notify)
 	f.notify = make(chan struct{})
 }
 
-// markFlushed records the final result set and wakes all long-pollers.
+// markFlushed records the terminal state and wakes all long-pollers.
 // Called only from the owning shard actor.
-func (f *feed) markFlushed(final []convoy.PatternResult) {
+func (f *feed) markFlushed() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.flushed = true
-	f.final = final
 	f.stats.PendingTicks = 0
 	close(f.notify)
 	f.notify = make(chan struct{})
@@ -177,8 +199,6 @@ func (f *feed) truncateTo(upTo int) int {
 	copy(rest, f.closed[drop:])
 	f.closed = rest
 	f.start = upTo
-	f.stats.TruncatedBefore = f.start
-	f.stats.ClosedInMemory = len(f.closed)
 	return drop
 }
 
@@ -186,5 +206,9 @@ func (f *feed) truncateTo(upTo int) int {
 func (f *feed) snapshotStats() (FeedStats, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.stats, f.flushed
+	st := f.stats
+	st.ClosedTotal = int64(f.head())
+	st.TruncatedBefore = f.start
+	st.ClosedInMemory = len(f.closed)
+	return st, f.flushed
 }

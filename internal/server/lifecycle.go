@@ -29,11 +29,12 @@ import "time"
 //     fully processed, so pending == 0 also means no in-queue work can
 //     outlive the feed.
 //
-// An evicted feed's miner, reorder buffer, history, and dedup keys are all
-// dropped. Ingest under the same name later starts a fresh feed lifecycle:
-// convoys already persisted by the evicted incarnation can then be appended
-// again if the same data is re-sent (the dedup keys died with the feed) —
-// storage.CompactConvoyLog removes such duplicates offline.
+// An evicted feed's miner, reorder buffer, history, and resume point are
+// all dropped. Ingest under the same name later starts a fresh feed
+// lifecycle: convoys already persisted by the evicted incarnation can then
+// be appended again if the same data is re-sent (the resume point died
+// with the feed) — storage.CompactConvoyLog removes such duplicates
+// offline.
 
 // sweep collects the idle candidates under the read lock, then evicts each
 // one under the write lock (re-validating per feed, since activity may have

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -535,6 +536,60 @@ func TestRestartRecoveryFlushedState(t *testing.T) {
 	}
 	if took := time.Since(begin); took > 5*time.Second {
 		t.Fatalf("flushed poll blocked %v instead of short-circuiting", took)
+	}
+}
+
+// TestPersistRoundLogsFlushSentinel: one persist round appends a flushed
+// feed's last records and then its flush sentinel, under one Sync; a feed
+// flushed with nothing fresh gets its sentinel alone in the next round.
+func TestPersistRoundLogsFlushSentinel(t *testing.T) {
+	path := t.TempDir() + "/closed.k2cl"
+	srv, ts := newTestServer(t, Config{Params: gapParams, Shards: 1, PersistPath: path, PersistEvery: time.Hour})
+	logged := func() []string {
+		var out []string
+		for _, r := range readConvoyLog(t, path) {
+			if storage.IsFlushMarker(r.Convoy) {
+				out = append(out, r.Feed+"|flushed")
+			} else {
+				out = append(out, r.Feed+"|"+r.Convoy.Key())
+			}
+		}
+		return out
+	}
+
+	// Feed a closes two convoys and is flushed before any round runs.
+	postJSON(t, ts.URL+"/v1/feeds/a/ingest", ingestRequest{Snapshots: gapSnapshots(1, 2)})
+	flushFeed(t, ts.URL, "a")
+	// Feed b's convoys reach the log before its flush.
+	postJSON(t, ts.URL+"/v1/feeds/b/ingest", ingestRequest{Snapshots: gapSnapshots(3, 4)})
+	var resp convoysResponse
+	if code := getJSON(t, ts.URL+"/v1/feeds/b/convoys?cursor=0&wait=5s", &resp); code != http.StatusOK || len(resp.Convoys) != 2 {
+		t.Fatalf("feed b: status %d, %d convoys, want 2", code, len(resp.Convoys))
+	}
+	srv.persistAll()
+	first := logged()
+	if i := slices.Index(first, "a|flushed"); i < 1 || first[i-1] != "a|100:104:1,2" {
+		t.Fatalf("feed a's sentinel does not follow its last record: %q", first)
+	}
+	got := slices.Sorted(slices.Values(first))
+	want := []string{"a|0:4:1,2", "a|100:104:1,2", "a|flushed", "b|0:4:3,4", "b|100:104:3,4"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("first round logged %q, want %q", got, want)
+	}
+
+	flushFeed(t, ts.URL, "b")
+	srv.persistAll()
+	if got := logged(); len(got) != 6 || got[5] != "b|flushed" {
+		t.Fatalf("second round logged %q, want feed b's sentinel appended alone", got)
+	}
+	for _, name := range []string{"a", "b"} {
+		f := srv.feeds[name]
+		f.mu.Lock()
+		done := f.flushLogged && f.durable == f.head()
+		f.mu.Unlock()
+		if !done {
+			t.Fatalf("feed %s: flush sentinel or history not marked durable", name)
+		}
 	}
 }
 

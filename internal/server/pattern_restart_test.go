@@ -8,17 +8,19 @@ package server
 // convoy-closing gap, the server is killed mid-second-pass, restarted, and
 // the client replays the full history — the flush must equal the batch
 // oracle over the doubled dataset, the feed's family must survive recovery,
-// and dedup must leave every persisted result in the log exactly once.
+// and the resume point must leave every persisted result in the log
+// exactly once.
 //
-// The dedup set is pinned on both sides of the seam: the fresh feed keeps
-// it empty however much it publishes, and the recovered feed holds exactly
-// the logged patterns' digests after publishing the new ones.
+// The resume point is pinned on both sides of the seam: the fresh feed
+// holds none however much it publishes, the recovered feed holds its log's
+// last End and the records ending there, and it drops the point once it
+// publishes a pattern ending after that End.
 
 import (
 	"encoding/json"
-	"maps"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -47,22 +49,29 @@ func patternLogMultiset(t *testing.T, path, feed string) map[string]int {
 	return out
 }
 
-// logDigests is the dedup set recovery builds from the log at path.
-func logDigests(t *testing.T, path string) map[convoy.PatternDigest]struct{} {
+// logResume is the resume point recovery builds from the log at path: the
+// End of its last record and the records ending there. Nil for a log
+// without records.
+func logResume(t *testing.T, path string) *resumePoint {
 	t.Helper()
-	out := map[convoy.PatternDigest]struct{}{}
+	var w *resumePoint
 	for _, r := range readConvoyLog(t, path) {
-		if !storage.IsFlushMarker(r.Convoy) {
-			out[loggedResult(r).Digest()] = struct{}{}
+		if storage.IsFlushMarker(r.Convoy) {
+			continue
 		}
+		if w == nil || w.end != r.Convoy.End {
+			w = &resumePoint{end: r.Convoy.End}
+		}
+		w.tail = append(w.tail, convoy.PatternResult{Convoy: r.Convoy, Clusters: r.Clusters})
 	}
-	return out
+	return w
 }
 
 // patternRestartSeed runs one seed's kill/restart round-trip. It returns
-// how many patterns the fresh feed published before the kill, and how many
-// new ones the recovered feed published on top of a non-empty log.
-func patternRestartSeed(t *testing.T, pat convoy.Pattern, seed int64) (published, republished int) {
+// how many patterns the fresh feed published before the kill, how many new
+// ones the recovered feed published on top of a non-empty log, and whether
+// that feed published past its resume point.
+func patternRestartSeed(t *testing.T, pat convoy.Pattern, seed int64) (published, republished int, resumed bool) {
 	path := t.TempDir() + "/closed.k2cl"
 	cfg := Config{Params: patternSoakParams, Shards: 1, PersistPath: path, PersistEvery: 5 * time.Millisecond}
 	ds := minetest.RandomChurn(seed, 8+int(seed%5), 10+int(seed%7))
@@ -92,26 +101,31 @@ func patternRestartSeed(t *testing.T, pat convoy.Pattern, seed int64) (published
 		t.Fatal(err)
 	}
 	// The miner reports each pattern once, so a feed that recovered nothing
-	// dedups nothing and its set stays empty.
+	// drops nothing and holds no resume point.
 	fresh := srv1.feeds["churn"]
 	published = fresh.head()
-	if len(fresh.pubSeen) != 0 {
-		t.Fatalf("seed %d (%s): fresh feed published %d patterns and holds %d digests, want 0", seed, pat, published, len(fresh.pubSeen))
+	if fresh.resume != nil {
+		t.Fatalf("seed %d (%s): fresh feed published %d patterns and holds resume point %+v, want none", seed, pat, published, fresh.resume)
 	}
 	before := patternLogMultiset(t, path, "churn")
-	logged := logDigests(t, path)
+	logged := logResume(t, path)
 
 	srv2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(srv2.Handler())
+	recovered := srv2.Stats().Memory.RecoveredConvoys
 	if len(before) > 0 {
 		if f := srv2.Stats().Memory.RecoveredFeeds; f != 1 {
 			t.Fatalf("seed %d: recovered %d feeds, want 1", seed, f)
 		}
 		if got := srv2.Stats().Feeds["churn"].Pattern; got != string(pat) {
 			t.Fatalf("seed %d: recovered feed reports pattern %q, want %q", seed, got, pat)
+		}
+		// No message has reached the feed's actor yet.
+		if rp := srv2.feeds["churn"].resume; !reflect.DeepEqual(rp, logged) {
+			t.Fatalf("seed %d (%s): recovered feed resumes at %+v, the log ends at %+v", seed, pat, rp, logged)
 		}
 	}
 	if code, body := postJSON(t, ts2.URL+"/v1/feeds/churn/ingest?pattern="+string(pat),
@@ -141,17 +155,19 @@ func patternRestartSeed(t *testing.T, pat convoy.Pattern, seed int64) (published
 	if err := srv2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Publishing what the log lacked added nothing to the recovered set.
+	// The recovered feed dropped its resume point exactly when it published
+	// a pattern ending after the point's End.
 	rf := srv2.feeds["churn"]
-	if !maps.Equal(rf.pubSeen, logged) {
-		t.Fatalf("seed %d (%s): recovered feed holds %d digests, the log %d", seed, pat, len(rf.pubSeen), len(logged))
-	}
-	if len(logged) > 0 {
-		republished = rf.head() - len(logged)
+	if logged != nil {
+		republished = rf.head() - recovered
+		resumed = logResume(t, path).end > logged.end
+		if resumed != (rf.resume == nil) {
+			t.Fatalf("seed %d (%s): log's last End went %d → %d, yet the feed's resume point is %+v", seed, pat, logged.end, logResume(t, path).end, rf.resume)
+		}
 	}
 
-	// Durability: the log converges to exactly the oracle (dedup kept each
-	// pre-crash record single across the replay), nothing lost.
+	// Durability: the log converges to exactly the oracle (the resume point
+	// kept each pre-crash record single across the replay), nothing lost.
 	after := patternLogMultiset(t, path, "churn")
 	if d := multisetDiff(want, after); d != "" {
 		t.Fatalf("seed %d (%s): log after replay differs from the batch oracle:\n%s", seed, pat, d)
@@ -161,7 +177,7 @@ func patternRestartSeed(t *testing.T, pat convoy.Pattern, seed int64) (published
 			t.Fatalf("seed %d: record %q appears %d times after replay", seed, k, after[k])
 		}
 	}
-	return published, republished
+	return published, republished, resumed
 }
 
 // TestPatternRestartDifferential runs the kill/restart round-trip over the
@@ -174,13 +190,16 @@ func TestPatternRestartDifferential(t *testing.T) {
 	for _, pat := range []convoy.Pattern{convoy.PatternConvoy, convoy.PatternFlock, convoy.PatternMC} {
 		t.Run(string(pat), func(t *testing.T) {
 			t.Parallel()
-			published, republished := 0, 0
+			published, republished, resumed := 0, 0, 0
 			for seed := int64(0); seed < seeds; seed++ {
-				p, r := patternRestartSeed(t, pat, seed)
+				p, r, past := patternRestartSeed(t, pat, seed)
 				published, republished = published+p, republished+r
+				if past {
+					resumed++
+				}
 			}
-			if published == 0 || republished == 0 {
-				t.Fatalf("fresh feeds published %d patterns, recovered feeds %d new ones: the dedup-set checks need both > 0", published, republished)
+			if published == 0 || republished == 0 || resumed == 0 {
+				t.Fatalf("fresh feeds published %d patterns, recovered feeds %d new ones, %d of them past their resume point: the resume-point checks need all three > 0", published, republished, resumed)
 			}
 		})
 	}

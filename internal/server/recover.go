@@ -11,15 +11,17 @@ import (
 
 // recover opens (or creates) the convoy log, replaying any existing
 // records: each feed found in the log is recreated with its cursor at the
-// end of its logged history and the logged convoy keys preloaded for
-// dedup. The feeds map is populated before the shard actors start, so no
-// locking is needed. Recovered feeds restart with a fresh miner — in-flight
-// (unclosed) mining state is not logged, so clients re-send from their last
-// snapshot and already-persisted convoys are deduplicated rather than
-// re-appended.
+// end of its logged history and its resume point — the End tick of its
+// last logged record and the trailing records that end there. The feeds
+// map is populated before the shard actors start, so no locking is needed.
+// Recovered feeds restart with a fresh miner — in-flight (unclosed) mining
+// state is not logged, so clients re-send from their last snapshot and the
+// resume point drops what the log already holds (see resumePoint.covers).
+// What recovery keeps per feed is one tick's records, so startup memory
+// does not grow with the log.
 func (s *Server) recover() error {
 	type recovered struct {
-		keys    map[convoy.PatternDigest]struct{}
+		resume  resumePoint // reused: one tick's records at a time
 		pattern convoy.Pattern
 		count   int
 		lastIdx int // index of the feed's newest log record (recency proxy)
@@ -30,7 +32,7 @@ func (s *Server) recover() error {
 	sink, err := storage.OpenConvoyLogFrom(s.cfg.PersistPath, 0, func(_ int64, lc storage.LoggedConvoy) error {
 		r := rec[lc.Feed]
 		if r == nil {
-			r = &recovered{keys: map[convoy.PatternDigest]struct{}{}, pattern: convoy.DefaultPattern}
+			r = &recovered{pattern: convoy.DefaultPattern}
 			rec[lc.Feed] = r
 		}
 		// Every record carries the feed's pattern tag (including the flush
@@ -38,11 +40,16 @@ func (s *Server) recover() error {
 		r.pattern = patternFromLog(lc.Pattern)
 		if storage.IsFlushMarker(lc.Convoy) {
 			// Terminal-state sentinel, not a convoy: restores the flushed
-			// bit without entering the cursor domain or the dedup keys.
+			// bit without entering the cursor domain or the resume point.
 			r.flushed = true
 			return nil
 		}
-		r.keys[loggedResult(lc).Digest()] = struct{}{}
+		w := &r.resume
+		if len(w.tail) == 0 || w.end != lc.Convoy.End {
+			clear(w.tail)
+			w.end, w.tail = lc.Convoy.End, w.tail[:0]
+		}
+		w.tail = append(w.tail, convoy.PatternResult{Convoy: lc.Convoy, Clusters: lc.Clusters})
 		r.count++
 		r.lastIdx = idx
 		idx++
@@ -56,7 +63,7 @@ func (s *Server) recover() error {
 	// from memory, never records from the log), so an old log can name far
 	// more feeds than the server should hold resident. Cap resurrection at
 	// MaxFeeds, keeping the most recently appended-to feeds; the rest lose
-	// their dedup state exactly as if they had been TTL-evicted (their
+	// their resume point exactly as if they had been TTL-evicted (their
 	// records stay in the log, and compaction removes any duplicates a
 	// later replay appends).
 	names := make([]string, 0, len(rec))
@@ -93,20 +100,19 @@ func (s *Server) recover() error {
 			return fmt.Errorf("server: recover feed %q: %w", name, err)
 		}
 		f.bucket = s.newBucket(now)
-		f.pubSeen = r.keys
+		if len(r.resume.tail) > 0 {
+			f.resume = &r.resume
+		}
 		f.start, f.durable = r.count, r.count
-		f.stats.ClosedTotal = int64(r.count)
-		f.stats.TruncatedBefore = r.count
 		if r.flushed {
 			// The flush sentinel restores the terminal state: ingest stays
 			// 409 and polls short-circuit with Flushed:true across the
 			// restart. The final maximal set itself lives in the log, not
-			// in memory (f.final stays empty — /flush replies with the
-			// cursor position, and the history is replayable from the
-			// log).
+			// in memory (the fresh miner's Flush is empty — /flush replies
+			// with the cursor position, and the history is replayable from
+			// the log).
 			f.flushed = true
 			f.flushLogged = true
-			f.done = true
 		}
 		f.touch(now)
 		s.place(f)
@@ -140,11 +146,4 @@ func patternFromLog(tag uint8) convoy.Pattern {
 	default:
 		return convoy.PatternConvoy
 	}
-}
-
-// loggedResult reconstructs the published PatternResult a log record
-// persisted, so recovery builds the digests publish checks re-sent
-// patterns against.
-func loggedResult(lc storage.LoggedConvoy) convoy.PatternResult {
-	return convoy.PatternResult{Convoy: lc.Convoy, Clusters: lc.Clusters}
 }

@@ -22,11 +22,12 @@
 // Long-lived serving is memory-bounded by the feed lifecycle (see
 // lifecycle.go): idle feeds are evicted after FeedTTL, persisted history is
 // truncated from memory, and a restart replays the convoy log to restore
-// cursor positions and, for dedup, the digests of the logged patterns —
-// the only digests a feed holds. One per-feed structure still grows with
-// every closed pattern until eviction: the miner's result list, which
-// /flush answers from (about 55 bytes per closed convoy on the city feed;
-// see docs/ARCHITECTURE.md "Memory limits").
+// cursor positions and each feed's resume point — the End tick of its last
+// logged record and that tick's records — so startup memory does not grow
+// with the log. One per-feed structure still grows with every closed
+// pattern until eviction: the miner's result list, which /flush answers
+// from (about 55 bytes per closed convoy on the city feed; see
+// docs/ARCHITECTURE.md "Memory limits").
 package server
 
 import (
@@ -94,8 +95,12 @@ type Config struct {
 	// convoy is appended to this log by a periodic background tick. If the
 	// log already exists, New replays it first — recovered feeds start with
 	// their cursor domain fully truncated (everything is in the log) and
-	// with the logged convoy keys preloaded for dedup, so re-ingesting
-	// already-persisted data does not duplicate log records.
+	// resume at the End tick E of their last logged record: a recovered
+	// feed drops every pattern it closes that ends before E or equals a
+	// logged record ending at E, until it closes one ending after E. So
+	// re-ingesting already-persisted data does not duplicate log records,
+	// and a replay that resumes mid-stream does not log the sub-patterns
+	// it closes before E.
 	PersistPath string
 	// PersistEvery is the persistence interval (default 2s).
 	PersistEvery time.Duration
@@ -112,8 +117,8 @@ type Config struct {
 	// breaks, feeds with unsynced history are simply never evicted (data
 	// wins over the memory bound; restart to recover). Without a sink,
 	// eviction drops the idle feed's state outright.
-	// Eviction also drops the feed's dedup keys, so data re-ingested after
-	// an eviction can append duplicate records to the log — compaction
+	// Eviction also drops the feed's resume point, so data re-ingested
+	// after an eviction can append duplicate records to the log — compaction
 	// (storage.CompactConvoyLog) removes them offline. The sweep runs
 	// every FeedTTL/4, at least every 10ms. 0 disables eviction.
 	FeedTTL time.Duration
@@ -451,11 +456,9 @@ func (s *Server) feedFor(name string, create bool, pat convoy.Pattern) (*feed, e
 	if head, ok := s.tombs[name]; ok {
 		// Continue the evicted predecessor's cursor domain: everything it
 		// published stays 410 (truncated) rather than being shadowed by
-		// the new incarnation's counting restarting at 0. Dedup keys are
-		// not resurrected — see Config.FeedTTL.
+		// the new incarnation's counting restarting at 0. The resume point
+		// is not resurrected — see Config.FeedTTL.
 		f.start, f.durable = head, head
-		f.stats.ClosedTotal = int64(head)
-		f.stats.TruncatedBefore = head
 		delete(s.tombs, name)
 	}
 	f.touch(time.Now().UnixNano())
@@ -542,8 +545,11 @@ func (s *Server) touchFeed(f *feed) bool {
 }
 
 // persistAll writes every feed's closed convoys past its durable watermark
-// to the sink, in discovery order, syncs, then indexes them in the
-// archive. Persistence is at-most-once: the first append or sync error
+// to the sink, in discovery order, followed — for a flushed feed whose
+// flush sentinel is not logged yet — by that sentinel, syncs once, then
+// indexes the convoys in the archive. A torn tail keeps a prefix of the
+// log, so the sentinel is never durable without the records before it.
+// Persistence is at-most-once: the first append or sync error
 // disables the sink for the rest of the server's life. Retrying into an
 // append-only buffered log would duplicate the records already in its
 // buffer (and possibly follow a partially flushed record), corrupting the
@@ -573,25 +579,24 @@ func (s *Server) persistAll() {
 	s.mu.RUnlock()
 	type written struct {
 		f      *feed
-		synced int // durable watermark once this round's Sync succeeds
+		synced int  // durable watermark once this round's Sync succeeds
+		marked bool // the round appended the feed's flush sentinel
 	}
 	var wrote []written
 	var archRecs []archive.Located       // this round's appends, in log order
 	truncUpTo := make([]int, len(feeds)) // durable as of the round's start
 	for i, f := range feeds {
+		// Copy under the lock; write outside it so a slow disk does not
+		// stall the actor's publish path. A flushed feed has published its
+		// last pattern, so its sentinel follows this batch.
 		f.mu.Lock()
 		truncUpTo[i] = f.durable
-		fresh := f.closed[f.durable-f.start:]
-		if len(fresh) == 0 {
-			f.mu.Unlock()
+		batch := slices.Clone(f.closed[f.durable-f.start:])
+		w := written{f: f, synced: f.head(), marked: f.flushed && !f.flushLogged}
+		f.mu.Unlock()
+		if len(batch) == 0 && !w.marked {
 			continue
 		}
-		// Copy under the lock; write outside it so a slow disk does not
-		// stall the actor's publish path.
-		batch := make([]convoy.PatternResult, len(fresh))
-		copy(batch, fresh)
-		synced := f.head()
-		f.mu.Unlock()
 		tag := logPattern(f.pattern)
 		for _, c := range batch {
 			rec := storage.LoggedConvoy{Feed: f.name, Convoy: c.Convoy, Pattern: tag, Clusters: c.Clusters}
@@ -603,7 +608,17 @@ func (s *Server) persistAll() {
 				return
 			}
 		}
-		wrote = append(wrote, written{f: f, synced: synced})
+		if w.marked {
+			// The sentinel carries the feed's pattern tag too, so a flushed
+			// feed that never closed a single pattern still recovers its
+			// mode.
+			rec := storage.LoggedConvoy{Feed: f.name, Convoy: storage.FlushMarker(), Pattern: tag}
+			if err := s.sink.AppendRecord(rec); err != nil {
+				s.sinkBroken.Store(true)
+				return
+			}
+		}
+		wrote = append(wrote, w)
 	}
 	if len(wrote) > 0 {
 		if err := s.sink.Sync(); err != nil {
@@ -613,6 +628,7 @@ func (s *Server) persistAll() {
 		for _, w := range wrote {
 			w.f.mu.Lock()
 			w.f.durable = w.synced
+			w.f.flushLogged = w.f.flushLogged || w.marked
 			w.f.mu.Unlock()
 		}
 		if s.arch != nil && !s.archBroken.Load() {
@@ -621,38 +637,6 @@ func (s *Server) persistAll() {
 			if err := s.arch.Index(archRecs, s.sink.Offset()); err != nil {
 				s.archBroken.Store(true)
 			}
-		}
-	}
-	// Second pass: once a flushed feed's whole history is durable, append
-	// the flush sentinel so the terminal state survives a restart. The
-	// window where a crash loses only the sentinel (feed reopens, clients
-	// re-flush) is bounded by one persistence interval.
-	var marked []*feed
-	for _, f := range feeds {
-		f.mu.Lock()
-		mark := f.flushed && !f.flushLogged && f.durable == f.head()
-		f.mu.Unlock()
-		if !mark {
-			continue
-		}
-		// The sentinel carries the feed's pattern tag too, so a flushed feed
-		// that never closed a single pattern still recovers its mode.
-		rec := storage.LoggedConvoy{Feed: f.name, Convoy: storage.FlushMarker(), Pattern: logPattern(f.pattern)}
-		if err := s.sink.AppendRecord(rec); err != nil {
-			s.sinkBroken.Store(true)
-			return
-		}
-		marked = append(marked, f)
-	}
-	if len(marked) > 0 {
-		if err := s.sink.Sync(); err != nil {
-			s.sinkBroken.Store(true)
-			return
-		}
-		for _, f := range marked {
-			f.mu.Lock()
-			f.flushLogged = true
-			f.mu.Unlock()
 		}
 	}
 	for i, f := range feeds {

@@ -45,7 +45,7 @@ func (sh *shard) run() {
 
 // ingest runs one batch through the feed's reordering buffer and miner.
 func (sh *shard) ingest(f *feed, snaps []tick) {
-	if f.done {
+	if f.flushed {
 		// The feed was flushed while this batch sat in the queue. This is a
 		// different failure mode than watermark lateness, so it gets its own
 		// counter — late_dropped stays meaningful for -window tuning.
@@ -74,22 +74,23 @@ func (sh *shard) ingest(f *feed, snaps []tick) {
 }
 
 // flush drains the reordering buffer, ends the stream, publishes what the
-// flush closed and replies with the full maximal result set.
+// flush closed and replies with the full maximal result set. A repeated
+// flush replies with the same set: Flush closes nothing more once the
+// stream has ended, and a recovered flushed feed's fresh miner holds
+// nothing (its history is in the log).
 func (sh *shard) flush(f *feed, reply chan []convoy.PatternResult) {
-	if !f.done {
-		rest := f.buf.drain()
-		f.mu.Lock()
-		f.stats.TicksMined += int64(len(rest))
-		f.mu.Unlock()
-		sh.observe(f, rest)
-		final := f.miner.Flush()
-		f.done = true
-		f.publish(f.miner.Closed())
-		f.markFlushed(final)
+	if f.flushed {
+		reply <- f.miner.Flush()
+		return
 	}
+	rest := f.buf.drain()
 	f.mu.Lock()
-	final := f.final
+	f.stats.TicksMined += int64(len(rest))
 	f.mu.Unlock()
+	sh.observe(f, rest)
+	final := f.miner.Flush()
+	f.publish(f.miner.Closed())
+	f.markFlushed()
 	reply <- final
 }
 

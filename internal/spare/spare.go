@@ -47,9 +47,6 @@ type Config struct {
 // Mine runs SPARE against a store and returns the maximal convoys
 // (partially connected, like the original framework).
 func Mine(store storage.Store, cfg Config) ([]model.Convoy, error) {
-	if cfg.Cluster.Workers() == 0 {
-		cfg.Cluster = mapreduce.Local(1)
-	}
 	ts, te := store.TimeRange()
 	if te < ts {
 		return nil, nil

@@ -240,14 +240,18 @@ func readLogHeader(r *bufio.Reader) error {
 // log ends inside the record — the truncated tail a crash mid-append leaves
 // behind.
 func readLogRecord(r *bufio.Reader) (LoggedConvoy, int64, error) {
-	var lenBuf [2]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return LoggedConvoy{}, 0, err // io.EOF here is the clean end
-	}
-	feedLen := int(binary.LittleEndian.Uint16(lenBuf[:]))
-	rec := make([]byte, feedLen+12)
-	if _, err := io.ReadFull(r, rec); err != nil {
+	lenBuf, err := r.Peek(2)
+	if len(lenBuf) < 2 {
+		if len(lenBuf) == 0 {
+			return LoggedConvoy{}, 0, err // io.EOF here is the clean end
+		}
 		return LoggedConvoy{}, 0, truncated(err)
+	}
+	feedLen := int(binary.LittleEndian.Uint16(lenBuf))
+	r.Discard(2)
+	rec, err := readN(r, feedLen+12)
+	if err != nil {
+		return LoggedConvoy{}, 0, err
 	}
 	feed := string(rec[:feedLen])
 	start := int32(binary.LittleEndian.Uint32(rec[feedLen : feedLen+4]))
@@ -266,13 +270,9 @@ func readLogRecord(r *bufio.Reader) (LoggedConvoy, int64, error) {
 	if n > maxLoggedConvoySize {
 		return LoggedConvoy{}, 0, fmt.Errorf("convoylog: implausible object count %d", n)
 	}
-	oidBuf := make([]byte, 4*int(n))
-	if _, err := io.ReadFull(r, oidBuf); err != nil {
-		return LoggedConvoy{}, 0, truncated(err)
-	}
-	objs := make(model.ObjSet, n)
-	for i := range objs {
-		objs[i] = int32(binary.LittleEndian.Uint32(oidBuf[4*i : 4*i+4]))
+	objs, err := readOIDs(r, int(n))
+	if err != nil {
+		return LoggedConvoy{}, 0, err
 	}
 	size := int64(2 + feedLen + 12 + 4*int(n))
 	out := LoggedConvoy{
@@ -281,37 +281,61 @@ func readLogRecord(r *bufio.Reader) (LoggedConvoy, int64, error) {
 		Pattern: pattern,
 	}
 	if pattern == LogPatternMC {
-		var cntBuf [4]byte
-		if _, err := io.ReadFull(r, cntBuf[:]); err != nil {
-			return LoggedConvoy{}, 0, truncated(err)
+		cnt, err := readN(r, 4)
+		if err != nil {
+			return LoggedConvoy{}, 0, err
 		}
-		nClusters := binary.LittleEndian.Uint32(cntBuf[:])
+		nClusters := binary.LittleEndian.Uint32(cnt)
 		if nClusters > maxLoggedConvoySize {
 			return LoggedConvoy{}, 0, fmt.Errorf("convoylog: implausible cluster count %d", nClusters)
 		}
 		size += 4
 		out.Clusters = make([]model.ObjSet, nClusters)
 		for i := range out.Clusters {
-			if _, err := io.ReadFull(r, cntBuf[:]); err != nil {
-				return LoggedConvoy{}, 0, truncated(err)
+			if cnt, err = readN(r, 4); err != nil {
+				return LoggedConvoy{}, 0, err
 			}
-			m := binary.LittleEndian.Uint32(cntBuf[:])
+			m := binary.LittleEndian.Uint32(cnt)
 			if m > maxLoggedConvoySize {
 				return LoggedConvoy{}, 0, fmt.Errorf("convoylog: implausible cluster size %d", m)
 			}
-			clBuf := make([]byte, 4*int(m))
-			if _, err := io.ReadFull(r, clBuf); err != nil {
-				return LoggedConvoy{}, 0, truncated(err)
+			if out.Clusters[i], err = readOIDs(r, int(m)); err != nil {
+				return LoggedConvoy{}, 0, err
 			}
-			cl := make(model.ObjSet, m)
-			for j := range cl {
-				cl[j] = int32(binary.LittleEndian.Uint32(clBuf[4*j : 4*j+4]))
-			}
-			out.Clusters[i] = cl
 			size += 4 + 4*int64(m)
 		}
 	}
 	return out, size, nil
+}
+
+// readN returns the next n bytes of r: a view into r's buffer, valid until
+// the next read, or a copy when n outgrows the buffer. A log ending inside
+// them is io.ErrUnexpectedEOF.
+func readN(r *bufio.Reader, n int) ([]byte, error) {
+	if n > r.Size() {
+		b := make([]byte, n)
+		_, err := io.ReadFull(r, b)
+		return b, truncated(err)
+	}
+	b, err := r.Peek(n)
+	if len(b) < n {
+		return nil, truncated(err)
+	}
+	r.Discard(n)
+	return b, nil
+}
+
+// readOIDs decodes the next n little-endian int32 object ids of r.
+func readOIDs(r *bufio.Reader, n int) (model.ObjSet, error) {
+	b, err := readN(r, 4*n)
+	if err != nil {
+		return nil, err
+	}
+	ids := make(model.ObjSet, n)
+	for i := range ids {
+		ids[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return ids, nil
 }
 
 // truncated normalises a mid-record io.EOF (ReadFull reports it only when

@@ -107,7 +107,10 @@ func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
 			os.Remove(path)
 		}
 	}()
-	w := bufio.NewWriterSize(f, 1<<20)
+	// Every flush and compaction allocates its own buffer, and an archive
+	// backfill writes dozens of tables, so the buffer stays small: the
+	// writes are sequential either way.
+	w := bufio.NewWriterSize(f, 1<<16)
 	var (
 		idx     []blockMeta
 		inBlock uint32

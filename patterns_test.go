@@ -144,40 +144,3 @@ func TestBatchMinersShareParamsRule(t *testing.T) {
 		})
 	}
 }
-
-// TestPatternDigestIdentity: the dedup identity separates everything that
-// makes two closed patterns different — members, lifespan, and for moving
-// clusters the chain itself, since two chains can share a footprint and a
-// lifespan — and nothing else (a result rebuilt from the log has fresh
-// slices and the same digest). Length prefixes keep member lists from
-// running into each other.
-func TestPatternDigestIdentity(t *testing.T) {
-	base := PatternResult{Convoy: Convoy{Objs: NewObjSet(1, 2, 3), Start: 4, End: 9}}
-	distinct := []PatternResult{
-		base,
-		{Convoy: Convoy{Objs: NewObjSet(1, 2, 3), Start: 4, End: 10}},
-		{Convoy: Convoy{Objs: NewObjSet(1, 2, 3), Start: 3, End: 9}},
-		{Convoy: Convoy{Objs: NewObjSet(1, 2, 4), Start: 4, End: 9}},
-		{Convoy: Convoy{Objs: NewObjSet(1, 2, 3, 4), Start: 4, End: 9}},
-		{Convoy: base.Convoy, Clusters: []ObjSet{NewObjSet(1, 2), NewObjSet(2, 3)}},
-		{Convoy: base.Convoy, Clusters: []ObjSet{NewObjSet(1, 2), NewObjSet(1, 3)}},
-		{Convoy: base.Convoy, Clusters: []ObjSet{NewObjSet(1), NewObjSet(2, 3)}},
-		{Convoy: base.Convoy, Clusters: []ObjSet{NewObjSet(1, 2), NewObjSet(3)}},
-		{Convoy: base.Convoy, Clusters: []ObjSet{NewObjSet(1, 2, 3)}},
-	}
-	seen := map[PatternDigest]int{}
-	for i, r := range distinct {
-		if j, dup := seen[r.Digest()]; dup {
-			t.Fatalf("patterns %d and %d share a digest", j, i)
-		}
-		seen[r.Digest()] = i
-	}
-	rebuilt := PatternResult{Convoy: Convoy{Objs: ObjSet{1, 2, 3}, Start: 4, End: 9}}
-	if rebuilt.Digest() != base.Digest() {
-		t.Fatal("equal patterns have different digests")
-	}
-	big := PatternResult{Convoy: Convoy{Objs: make(ObjSet, 500), Start: 0, End: 1}}
-	if big.Digest() == (PatternDigest{}) { // outgrows the stack buffer
-		t.Fatal("zero digest")
-	}
-}

@@ -1,8 +1,6 @@
 package convoy
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -96,36 +94,6 @@ func (pp PatternParams) validate() error {
 type PatternResult struct {
 	Convoy
 	Clusters []ObjSet
-}
-
-// PatternDigest is the fixed-size identity of a closed pattern that
-// publish/persist dedup runs on.
-type PatternDigest [16]byte
-
-// Digest returns the first 128 bits of SHA-256 over the pattern's canonical
-// bytes: Start, End and the length-prefixed member ids as little-endian
-// int32s, followed — for moving clusters — by every per-tick cluster in the
-// same form, because two distinct chains can share a footprint and
-// lifespan. A feed's dedup set holds one digest per pattern recovered from
-// its convoy log, 16 bytes each rather than a formatted string.
-func (r PatternResult) Digest() PatternDigest {
-	var stack [256]byte // enough for a 60-member convoy without touching the heap
-	buf := binary.LittleEndian.AppendUint32(stack[:0], uint32(r.Start))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.End))
-	buf = appendObjSet(buf, r.Objs)
-	for _, cl := range r.Clusters {
-		buf = appendObjSet(buf, cl)
-	}
-	sum := sha256.Sum256(buf)
-	return PatternDigest(sum[:16])
-}
-
-func appendObjSet(buf []byte, s ObjSet) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-	for _, id := range s {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-	}
-	return buf
 }
 
 // PatternMiner mines one pattern family incrementally from a live feed of

@@ -1,6 +1,7 @@
 package convoy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -407,12 +408,15 @@ func FuzzPatternMiner(f *testing.F) {
 			}
 		}
 
-		seen := map[PatternDigest]int{}
+		// A pattern's identity: its footprint and, for moving clusters, the
+		// chain itself, since two chains can share a footprint.
+		id := func(r PatternResult) string { return fmt.Sprint(r.Key(), r.Clusters) }
+		seen := map[string]int{}
 		for _, r := range closed {
-			seen[r.Digest()]++
+			seen[id(r)]++
 		}
 		for _, r := range final {
-			if n := seen[r.Digest()]; n != 1 {
+			if n := seen[id(r)]; n != 1 {
 				t.Fatalf("Closed reported %v %d times, want once", r.Convoy, n)
 			}
 		}
