@@ -18,13 +18,14 @@
 //	        -feed-ttl 10m
 //
 // With -persist, the server is restartable: an existing log is replayed at
-// startup (recovering per-feed cursor positions and each feed's resume
-// point, the end tick E of its last logged convoy: a recovered feed drops
-// what it closes that ends before E, and the logged convoys ending at E,
-// so a client re-sending its stream duplicates no record), a torn tail
-// record from a crash is truncated away, and SIGINT/SIGTERM shut down
-// gracefully with a final persist of every closed convoy. Memory stays
-// bounded by -feed-ttl (idle-feed eviction) and by history truncation:
+// startup (recovering the feeds resident at shutdown, their cursor
+// positions and each one's resume point, the end tick E of its last logged
+// convoy: a recovered feed drops what it closes that ends before E, and the
+// logged convoys ending at E, so a client re-sending its stream duplicates
+// no record), a torn tail record from a crash is truncated away, and
+// SIGINT/SIGTERM shut down gracefully with a final persist of every closed
+// convoy. Memory stays bounded by -feed-ttl (idle-feed eviction, which logs
+// a marker ending the feed's incarnation) and by history truncation:
 // convoys already in the log are dropped from memory and queries below the
 // truncation point answer 410 Gone (see docs/ARCHITECTURE.md "Memory
 // limits").
@@ -61,15 +62,13 @@ import (
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/storage"
 )
 
 // config is convoyd's command line: the server's configuration plus the
 // settings that belong to the process.
 type config struct {
-	addr       string
-	compactLog bool
-	srv        server.Config
+	addr string
+	srv  server.Config
 }
 
 // parseFlags defines convoyd's flags on fs, parses args and checks the
@@ -91,7 +90,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	fs.StringVar(&sc.PersistPath, "persist", "", "closed-convoy sink path (empty = no persistence); an existing log is replayed at startup")
 	fs.DurationVar(&sc.PersistEvery, "persist-every", 2*time.Second, "persistence interval")
 	fs.DurationVar(&sc.FeedTTL, "feed-ttl", 0, "evict feeds idle for this long (0 = never); persisted history survives in the log")
-	fs.BoolVar(&cfg.compactLog, "compact-log", false, "compact the persist log before serving (drops duplicate records left by post-eviction replays)")
 	fs.StringVar(&sc.ArchiveDir, "archive-dir", "", "historical query archive directory (empty = /v1/query disabled); requires -persist, backfilled from the log at startup")
 	fs.IntVar(&sc.ArchiveCache, "archive-cache", 0, "archive index write-buffer budget in bytes (0 = default 12 MiB)")
 	fs.IntVar(&retention, "retention", 0, "expire archived convoys whose End tick lags the newest archived End by this many ticks or more (0 = keep everything); requires -archive-dir")
@@ -116,8 +114,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 		return cfg, errors.New("-enqueue-wait, -persist-every and -feed-ttl must be >= 0")
 	case sc.IngestRate < 0:
 		return cfg, errors.New("-ingest-rate must be >= 0")
-	case cfg.compactLog && sc.PersistPath == "":
-		return cfg, errors.New("-compact-log requires -persist")
 	}
 	sc.Window, sc.Retention = int32(window), int32(retention)
 	return cfg, nil
@@ -130,23 +126,6 @@ func main() {
 		os.Exit(1)
 	}
 	persist, archiveDir := cfg.srv.PersistPath, cfg.srv.ArchiveDir
-
-	if cfg.compactLog {
-		switch _, err := os.Stat(persist); {
-		case os.IsNotExist(err):
-			log.Printf("convoyd: -compact-log: no log at %s yet, nothing to compact", persist)
-		case err != nil:
-			fmt.Fprintln(os.Stderr, "convoyd: compact:", err)
-			os.Exit(1)
-		default:
-			kept, dropped, err := storage.CompactConvoyLog(persist)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "convoyd: compact:", err)
-				os.Exit(1)
-			}
-			log.Printf("convoyd: compacted %s: kept %d records, dropped %d duplicates", persist, kept, dropped)
-		}
-	}
 
 	srv, err := server.New(cfg.srv)
 	if err != nil {

@@ -33,7 +33,6 @@ func TestParseFlagsRejects(t *testing.T) {
 		{[]string{"-feed-ttl", "-1m"}, "-enqueue-wait, -persist-every"},
 		{[]string{"-enqueue-wait", "-1s"}, "-enqueue-wait, -persist-every"},
 		{[]string{"-ingest-rate", "-1"}, "must be >= 0"},
-		{[]string{"-compact-log"}, "-compact-log requires -persist"},
 	} {
 		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("parseFlags(%q) = %v, want an error containing %q", tc.args, err, tc.want)

@@ -19,21 +19,16 @@ import (
 )
 
 // The archive holds no copy of the convoys: these tests restart convoyd
-// over its one convoy log — after a kill, after an offline compaction — and
+// over its one convoy log — after a kill, after the log was replaced — and
 // require every historical query, paged to exhaustion over HTTP, to equal a
 // brute-force filter over storage.ScanConvoyLog of that log.
 
 // histRecords generates a seeded batch of closed-convoy records the way an
-// old log holds them; with dupEvery > 0 some are exact duplicates (what an
-// eviction followed by a re-ingest leaves behind).
-func histRecords(seed int64, n, dupEvery int) []storage.LoggedConvoy {
+// old log holds them.
+func histRecords(seed int64, n int) []storage.LoggedConvoy {
 	rng := rand.New(rand.NewSource(seed))
 	recs := make([]storage.LoggedConvoy, 0, n)
 	for i := 0; i < n; i++ {
-		if dupEvery > 0 && i > 0 && i%dupEvery == 0 {
-			recs = append(recs, recs[rng.Intn(len(recs))])
-			continue
-		}
 		ids := make([]int32, 3+rng.Intn(6))
 		for j := range ids {
 			ids[j] = int32(rng.Intn(40))
@@ -93,7 +88,7 @@ func assertQueriesMatchLog(t *testing.T, base, logPath string) {
 	t.Helper()
 	var logged []storage.LoggedConvoy
 	if _, err := storage.ScanConvoyLog(logPath, func(r storage.LoggedConvoy) error {
-		if !storage.IsFlushMarker(r.Convoy) {
+		if !storage.IsMarker(r.Convoy) {
 			logged = append(logged, r)
 		}
 		return nil
@@ -229,7 +224,7 @@ func TestArchiveKillHelper(t *testing.T) {
 func TestArchiveKillRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := restartConfig(dir)
-	hist := histRecords(5, 300, 0)
+	hist := histRecords(5, 300)
 	writeConvoyLog(t, cfg.PersistPath, hist)
 
 	cmd := exec.Command(os.Args[0], "-test.run=^TestArchiveKillHelper$")
@@ -243,7 +238,7 @@ func TestArchiveKillRestart(t *testing.T) {
 	srv, ts := newTestServer(t, cfg)
 	var logged int64
 	if _, err := storage.ScanConvoyLog(cfg.PersistPath, func(r storage.LoggedConvoy) error {
-		if !storage.IsFlushMarker(r.Convoy) {
+		if !storage.IsMarker(r.Convoy) {
 			logged++
 		}
 		return nil
@@ -259,13 +254,14 @@ func TestArchiveKillRestart(t *testing.T) {
 	assertArchiveDirIsDerived(t, cfg.ArchiveDir)
 }
 
-// TestArchiveCompactRestart: an offline CompactConvoyLog rewrites the log
-// under the indexes. The checkpoint's prefix checksum must notice at the
-// next start, and the rebuilt indexes must serve exactly the compacted log.
-func TestArchiveCompactRestart(t *testing.T) {
+// TestArchiveReplacedLogRestart: the log is replaced under the indexes by
+// one holding the same records minus a prefix. The checkpoint's prefix
+// checksum must notice at the next start, and the rebuilt indexes must
+// serve exactly the replacement.
+func TestArchiveReplacedLogRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := restartConfig(dir)
-	writeConvoyLog(t, cfg.PersistPath, histRecords(6, 300, 5))
+	writeConvoyLog(t, cfg.PersistPath, histRecords(6, 300))
 
 	srv, err := New(cfg)
 	if err != nil {
@@ -277,17 +273,17 @@ func TestArchiveCompactRestart(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	kept, dropped, err := storage.CompactConvoyLog(cfg.PersistPath)
-	if err != nil {
-		t.Fatal(err)
+	recs := readConvoyLog(t, cfg.PersistPath)
+	const dropped = 20
+	if len(recs) <= dropped {
+		t.Fatalf("log holds %d records; scenario broken", len(recs))
 	}
-	if dropped == 0 {
-		t.Fatal("compaction dropped nothing; generator broken")
-	}
+	kept := len(recs) - dropped
+	writeConvoyLog(t, cfg.PersistPath, recs[dropped:])
 
 	srv, ts := newTestServer(t, cfg)
 	if a := srv.Stats().Archive; !a.Rebuilt || a.Backfilled != int64(kept) {
-		t.Fatalf("start on the compacted log indexed %d records (rebuilt=%v), want a rebuild of %d", a.Backfilled, a.Rebuilt, kept)
+		t.Fatalf("start on the replaced log indexed %d records (rebuilt=%v), want a rebuild of %d", a.Backfilled, a.Rebuilt, kept)
 	}
 	assertQueriesMatchLog(t, ts.URL, cfg.PersistPath)
 	assertArchiveDirIsDerived(t, cfg.ArchiveDir)

@@ -1,6 +1,12 @@
 package server
 
-import "time"
+import (
+	"slices"
+	"time"
+
+	convoy "repro"
+	"repro/internal/storage"
+)
 
 // Feed lifecycle: TTL eviction of idle feeds.
 //
@@ -8,7 +14,7 @@ import "time"
 // feeds nobody talks to, or its memory grows with the lifetime of the
 // process (ROADMAP: "convoyd feed retention"). The sweep below evicts any
 // feed — flushed or not — whose last ingest, query, or flush activity is
-// older than Config.FeedTTL, with one safety rail: while a healthy sink is
+// older than Config.FeedTTL, with one safety rail: while a sink is
 // configured, a feed is only evicted once its entire published history is
 // durably in the log (fsynced, not merely handed to the sink's buffer), so
 // eviction never loses a closed convoy that could still reach the log.
@@ -30,15 +36,15 @@ import "time"
 //     outlive the feed.
 //
 // An evicted feed's miner, reorder buffer, history, and resume point are
-// all dropped. Ingest under the same name later starts a fresh feed
-// lifecycle: convoys already persisted by the evicted incarnation can then
-// be appended again if the same data is re-sent (the resume point died
-// with the feed) — storage.CompactConvoyLog removes such duplicates
-// offline.
+// all dropped, and with a sink its incarnation's end is logged and synced
+// (storage.EvictMarker) before the feed is dropped. Ingest under the same
+// name later starts a new incarnation, whose records reach the log only
+// through persistAll on the same background loop — after the marker — so
+// recovery folds each incarnation on its own (see recover).
 
-// sweep collects the idle candidates under the read lock, then evicts each
-// one under the write lock (re-validating per feed, since activity may have
-// resumed in between).
+// sweep collects the idle candidates under the read lock, then, under the
+// write lock, re-validates each (activity may have resumed in between),
+// logs the eviction of those still idle, and drops them.
 func (s *Server) sweep(now time.Time) {
 	cutoff := now.Add(-s.cfg.FeedTTL).UnixNano()
 	s.mu.RLock()
@@ -53,57 +59,90 @@ func (s *Server) sweep(now time.Time) {
 		}
 	}
 	s.mu.RUnlock()
-	for _, f := range idle {
-		s.evict(f, cutoff)
+	if len(idle) == 0 {
+		return
 	}
-}
-
-// evict removes one idle feed if it is still safe to do so; otherwise it
-// leaves the feed for a later sweep. See the package comment above for the
-// enqueue/evict exclusion argument.
-func (s *Server) evict(f *feed, cutoff int64) {
 	s.mu.Lock()
-	if s.closed || s.feeds[f.name] != f {
+	if s.closed {
 		s.mu.Unlock()
 		return
 	}
-	if f.lastActive.Load() > cutoff || f.pending.Load() != 0 || f.waiters.Load() != 0 {
-		s.mu.Unlock()
-		return
-	}
-	if s.sink != nil {
-		// Only a successful Sync advances durable, so records handed to the
-		// sink's buffer but not yet synced keep the feed resident; only a
-		// fully durable feed may be dropped.
-		// This deliberately also applies when the sink is broken: durable
-		// is frozen then, so feeds holding convoys that never reached the
-		// log stay resident forever — the server degrades toward keeping
-		// data over keeping its memory bound, and /v1/stats flags
-		// sink_broken so the operator knows to restart.
-		f.mu.Lock()
-		undurable := f.head() != f.durable
-		f.mu.Unlock()
-		if undurable {
+	idle = slices.DeleteFunc(idle, func(f *feed) bool { return !s.evictable(f, cutoff) })
+	if s.sink != nil && len(idle) > 0 {
+		// A broken sink cannot log the markers, so it evicts nothing: data
+		// wins over the memory bound, and /v1/stats flags sink_broken.
+		markers := make([]storage.LoggedConvoy, len(idle))
+		for i, f := range idle {
+			markers[i] = evictMarker(f.name, f.pattern)
+		}
+		if s.sinkBroken.Load() || logEvictions(s.sink, markers) != nil {
+			s.sinkBroken.Store(true)
 			s.mu.Unlock()
 			return
 		}
 	}
-	f.evicted.Store(true)
-	delete(s.feeds, f.name)
-	s.resident[f.shard]--
-	f.mu.Lock()
-	head := f.head()
-	f.mu.Unlock()
-	if head > 0 {
-		// Tombstone the cursor head so a future incarnation under this
-		// name continues the domain (see Server.tombs). Wholesale clear
-		// keeps an adversarial feed namespace from growing this forever.
-		if len(s.tombs) >= 4*s.cfg.MaxFeeds {
-			clear(s.tombs)
+	for _, f := range idle {
+		f.evicted.Store(true)
+		delete(s.feeds, f.name)
+		s.resident[f.shard]--
+		f.mu.Lock()
+		head := f.head()
+		f.mu.Unlock()
+		if head > 0 {
+			// Tombstone the cursor head so a future incarnation under this
+			// name continues the domain (see Server.tombs). Wholesale clear
+			// keeps an adversarial feed namespace from growing this forever.
+			if len(s.tombs) >= 4*s.cfg.MaxFeeds {
+				clear(s.tombs)
+			}
+			s.tombs[f.name] = head
 		}
-		s.tombs[f.name] = head
 	}
 	s.mu.Unlock()
-	s.evictedTotal.Add(1)
-	f.wake() // long-pollers observe f.evicted and answer 410
+	if s.arch != nil && len(idle) > 0 && !s.archBroken.Load() {
+		// Markers take no index entry, but a clean Close must still leave
+		// the archive's checkpoint at the log's end.
+		if err := s.arch.Index(nil, s.sink.Offset()); err != nil {
+			s.archBroken.Store(true)
+		}
+	}
+	s.evictedTotal.Add(int64(len(idle)))
+	for _, f := range idle {
+		f.wake() // long-pollers observe f.evicted and answer 410
+	}
+}
+
+// evictable reports whether f may be evicted now. See the package comment
+// above for the enqueue/evict exclusion argument. Caller holds mu for
+// writing.
+func (s *Server) evictable(f *feed, cutoff int64) bool {
+	if s.feeds[f.name] != f || f.lastActive.Load() > cutoff ||
+		f.pending.Load() != 0 || f.waiters.Load() != 0 {
+		return false
+	}
+	// Only a successful Sync advances durable, so records handed to the
+	// sink's buffer but not yet synced keep the feed resident.
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return s.sink == nil || f.head() == f.durable
+}
+
+// evictMarker is the log record that ends the incarnation of the feed name
+// mining pat.
+func evictMarker(name string, pat convoy.Pattern) storage.LoggedConvoy {
+	return storage.LoggedConvoy{Feed: name, Convoy: storage.EvictMarker(), Pattern: logPattern(pat)}
+}
+
+// logEvictions appends markers and syncs them, so each incarnation's end is
+// durable before its name can start a new one.
+func logEvictions(sink *storage.ConvoyLog, markers []storage.LoggedConvoy) error {
+	if len(markers) == 0 {
+		return nil
+	}
+	for _, m := range markers {
+		if err := sink.AppendRecord(m); err != nil {
+			return err
+		}
+	}
+	return sink.Sync()
 }

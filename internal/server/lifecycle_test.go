@@ -405,7 +405,7 @@ func logMultiset(t *testing.T, path string) map[string]int {
 	recs := readConvoyLog(t, path)
 	out := map[string]int{}
 	for _, r := range recs {
-		if storage.IsFlushMarker(r.Convoy) {
+		if storage.IsMarker(r.Convoy) {
 			continue // terminal-state sentinel, not a persisted convoy
 		}
 		out[r.Feed+"|"+r.Convoy.Key()]++
@@ -548,7 +548,7 @@ func TestPersistRoundLogsFlushSentinel(t *testing.T) {
 	logged := func() []string {
 		var out []string
 		for _, r := range readConvoyLog(t, path) {
-			if storage.IsFlushMarker(r.Convoy) {
+			if storage.IsMarker(r.Convoy) {
 				out = append(out, r.Feed+"|flushed")
 			} else {
 				out = append(out, r.Feed+"|"+r.Convoy.Key())
@@ -781,20 +781,27 @@ func TestSoakLifecycle(t *testing.T) {
 		}
 	}
 
-	// Kill/restart round-trip: recovery restores dedup state, so replaying
-	// one feed's full data adds nothing to the log. (FeedTTL off on the
-	// second incarnation so the replay cannot race an eviction.)
+	// Kill/restart round-trip: every feed was evicted before the shutdown,
+	// so the restart restores none of them and tombstones each at its 2
+	// logged convoys. Replaying one feed's full data starts a new
+	// incarnation that continues the cursor domain, and its records are
+	// its own: the log gains that feed's two convoys once more, after its
+	// eviction marker. (FeedTTL off on the second incarnation so the
+	// replay cannot race an eviction.)
 	cfg.FeedTTL = 0
 	srv2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(srv2.Handler())
-	if m := srv2.Stats().Memory; m.RecoveredFeeds != feeds || m.RecoveredConvoys != 2*feeds {
-		t.Fatalf("recovered %d feeds / %d records, want %d / %d", m.RecoveredFeeds, m.RecoveredConvoys, feeds, 2*feeds)
+	if m := srv2.Stats().Memory; m.RecoveredFeeds != 0 || m.RecoveredConvoys != 2*feeds {
+		t.Fatalf("recovered %d feeds / %d records, want 0 / %d", m.RecoveredFeeds, m.RecoveredConvoys, 2*feeds)
 	}
 	postJSON(t, ts2.URL+"/v1/feeds/soak-1/ingest", ingestRequest{Snapshots: gapSnapshots(3, 4)})
 	flushFeed(t, ts2.URL, "soak-1")
+	if fs := srv2.Stats().Feeds["soak-1"]; fs.ClosedTotal != 4 {
+		t.Fatalf("recreated soak-1: closed_total %d, want 4", fs.ClosedTotal)
+	}
 	checkResidentCounts(t, srv2)
 	ts2.Close()
 	if err := srv2.Close(); err != nil {
@@ -804,9 +811,12 @@ func TestSoakLifecycle(t *testing.T) {
 	if len(after) != len(before) {
 		t.Fatalf("log changed across restart+replay: %d unique records, want %d", len(after), len(before))
 	}
-	for k, n := range after {
-		if n != 1 {
-			t.Fatalf("record %q appears %d times after replay (duplicated)", k, n)
+	for k, n := range before {
+		if strings.HasPrefix(k, "soak-1|") {
+			n *= 2
+		}
+		if after[k] != n {
+			t.Fatalf("record %q appears %d times after the replay, want %d", k, after[k], n)
 		}
 	}
 }

@@ -11,6 +11,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -170,9 +171,11 @@ func assertPatternStats(t *testing.T, srv *Server, cases []patternFeedCase, perP
 
 // assertPatternLog checks the persisted log: every record is tagged with its
 // feed's family, clusters ride only on moving-cluster records, each feed's
-// record multiset equals its batch oracle exactly, and (once flushed) each
-// feed has exactly one flush sentinel carrying the family tag.
-func assertPatternLog(t *testing.T, path string, cases []patternFeedCase, wantSentinels bool) {
+// record multiset equals copies of its batch oracle exactly — one per
+// incarnation that mined the feed's stream — each feed was evicted once,
+// and (once flushed) each feed has exactly one flush sentinel carrying the
+// family tag.
+func assertPatternLog(t *testing.T, path string, cases []patternFeedCase, copies int, wantSentinels bool) {
 	t.Helper()
 	recs := readConvoyLog(t, path)
 	byName := map[string]patternFeedCase{}
@@ -180,7 +183,7 @@ func assertPatternLog(t *testing.T, path string, cases []patternFeedCase, wantSe
 		byName[fc.name] = fc
 	}
 	got := map[string]map[string]int{}
-	sentinels := map[string]int{}
+	sentinels, evictions := map[string]int{}, map[string]int{}
 	for _, r := range recs {
 		fc, ok := byName[r.Feed]
 		if !ok {
@@ -189,8 +192,12 @@ func assertPatternLog(t *testing.T, path string, cases []patternFeedCase, wantSe
 		if r.Pattern != patternTag(fc.pat) {
 			t.Fatalf("feed %s: logged pattern tag %d, want %d (mode bleed in the log)", r.Feed, r.Pattern, patternTag(fc.pat))
 		}
-		if storage.IsFlushMarker(r.Convoy) {
-			sentinels[r.Feed]++
+		if storage.IsMarker(r.Convoy) {
+			if r.Convoy.End == storage.EvictMarker().End {
+				evictions[r.Feed]++
+			} else {
+				sentinels[r.Feed]++
+			}
 			continue
 		}
 		if fc.pat == convoy.PatternMC {
@@ -208,10 +215,16 @@ func assertPatternLog(t *testing.T, path string, cases []patternFeedCase, wantSe
 		m[loggedKey(r)]++
 	}
 	for _, fc := range cases {
-		if d := multisetDiff(fc.want, got[fc.name]); d != "" {
-			t.Fatalf("feed %s (%s): log differs from the batch oracle:\n%s", fc.name, fc.pat, d)
+		want := maps.Clone(fc.want)
+		for k := range want {
+			want[k] *= copies
+		}
+		if d := multisetDiff(want, got[fc.name]); d != "" {
+			t.Fatalf("feed %s (%s): log differs from %d copies of the batch oracle:\n%s", fc.name, fc.pat, copies, d)
 		}
 		switch {
+		case evictions[fc.name] != 1:
+			t.Fatalf("feed %s: %d eviction markers, want 1", fc.name, evictions[fc.name])
 		case wantSentinels && sentinels[fc.name] != 1:
 			t.Fatalf("feed %s: %d flush sentinels, want 1", fc.name, sentinels[fc.name])
 		case !wantSentinels && sentinels[fc.name] != 0:
@@ -223,11 +236,12 @@ func assertPatternLog(t *testing.T, path string, cases []patternFeedCase, wantSe
 // TestMultiPatternLifecycleSoak is the acceptance soak for the pattern feed
 // modes: 12 feeds (4 per family) ingest with negotiated patterns, mismatched
 // negotiation answers 409 at every lifecycle stage, TTL eviction drains all
-// resident state after persistence, a kill/restart recovers every feed's
-// family and dedup keys so a full client replay appends nothing, flushes
-// return the batch-oracle final sets in the right family, and a second
-// restart recovers the flushed terminal state — with the log byte-equal to
-// the batch miners (each result exactly once) throughout.
+// resident state after persistence, a kill/restart restores none of the
+// evicted feeds, a full client replay starts a new incarnation of each that
+// negotiates its family again and logs its own results, flushes return the
+// batch-oracle final sets in the right family, and a second restart
+// recovers each feed's family and flushed terminal state — with each
+// incarnation's log records byte-equal to the batch miners throughout.
 func TestMultiPatternLifecycleSoak(t *testing.T) {
 	path := t.TempDir() + "/closed.k2cl"
 	cfg := Config{
@@ -298,12 +312,15 @@ func TestMultiPatternLifecycleSoak(t *testing.T) {
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	assertPatternLog(t, path, cases, false)
+	assertPatternLog(t, path, cases, 1, false)
 
-	// Phase 2: recovery restores every feed's family and dedup keys. A full
-	// client replay (unconstrained on even feeds — absent pattern matches
-	// whatever the feed mines — explicit on odd) appends nothing; flush
-	// returns the batch-oracle final set in the negotiated family.
+	// Phase 2: every feed was evicted, so the restart restores none. A full
+	// client replay starts a new incarnation of each, negotiating its family
+	// with the first half of the stream; the second half is unconstrained
+	// on even feeds — an absent pattern matches whatever the feed mines —
+	// and explicit on odd. The new incarnation's records are its own, so
+	// the log gains each feed's results once more, and flush returns the
+	// batch-oracle final set in the negotiated family.
 	cfg2 := cfg
 	cfg2.FeedTTL = 0
 	srv2, err := New(cfg2)
@@ -311,31 +328,28 @@ func TestMultiPatternLifecycleSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(srv2.Handler())
-	if f := srv2.Stats().Memory.RecoveredFeeds; f != feeds {
-		t.Fatalf("recovered %d feeds, want %d", f, feeds)
+	if f := srv2.Stats().Memory.RecoveredFeeds; f != 0 {
+		t.Fatalf("recovered %d feeds, want none: every feed was evicted", f)
 	}
-	assertPatternStats(t, srv2, cases, feeds/3, "recovered")
-	st2 := srv2.Stats()
-	for _, pat := range pats {
-		if st2.Patterns[string(pat)].ClosedTotal == 0 {
-			t.Fatalf("recovered %s feeds report closed_total 0", pat)
+	for i, fc := range cases {
+		half := len(fc.snaps) / 2
+		url := ts2.URL + "/v1/feeds/" + fc.name + "/ingest"
+		if code, body := postJSON(t, url+"?pattern="+string(fc.pat), ingestRequest{Snapshots: fc.snaps[:half]}); code != http.StatusAccepted {
+			t.Fatalf("replay %s: status %d: %s", fc.name, code, body)
+		}
+		if i%2 == 1 {
+			url += "?pattern=" + string(fc.pat)
+		}
+		if code, body := postJSON(t, url, ingestRequest{Snapshots: fc.snaps[half:]}); code != http.StatusAccepted {
+			t.Fatalf("replay %s: status %d: %s", fc.name, code, body)
 		}
 	}
+	assertPatternStats(t, srv2, cases, feeds/3, "replayed")
 	for i, fc := range cases {
 		wrong := pats[(i+1)%3]
 		code, body := postJSON(t, ts2.URL+"/v1/feeds/"+fc.name+"/ingest?pattern="+string(wrong), probe)
 		if code != http.StatusConflict {
-			t.Fatalf("wrong-pattern ingest on recovered %s: status %d: %s", fc.name, code, body)
-		}
-	}
-	for i, fc := range cases {
-		url := ts2.URL + "/v1/feeds/" + fc.name + "/ingest"
-		if i%2 == 1 {
-			url += "?pattern=" + string(fc.pat)
-		}
-		code, body := postJSON(t, url, ingestRequest{Snapshots: fc.snaps})
-		if code != http.StatusAccepted {
-			t.Fatalf("replay %s: status %d: %s", fc.name, code, body)
+			t.Fatalf("wrong-pattern ingest on replayed %s: status %d: %s", fc.name, code, body)
 		}
 	}
 	for _, fc := range cases {
@@ -366,10 +380,11 @@ func TestMultiPatternLifecycleSoak(t *testing.T) {
 	if err := srv2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	assertPatternLog(t, path, cases, true)
+	assertPatternLog(t, path, cases, 2, true)
 
-	// Phase 3: a second restart recovers the flushed terminal state per
-	// family — stats still bleed-free, ingest answers 409 feed_flushed.
+	// Phase 3: a second restart recovers every feed's family and flushed
+	// terminal state — stats still bleed-free and counting what the log
+	// holds, ingest answers 409 for the wrong family and for the right one.
 	srv3, err := New(cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +392,23 @@ func TestMultiPatternLifecycleSoak(t *testing.T) {
 	ts3 := httptest.NewServer(srv3.Handler())
 	defer ts3.Close()
 	defer srv3.Close()
+	if f := srv3.Stats().Memory.RecoveredFeeds; f != feeds {
+		t.Fatalf("recovered %d feeds, want %d", f, feeds)
+	}
 	assertPatternStats(t, srv3, cases, feeds/3, "restarted")
+	st3 := srv3.Stats()
+	for _, pat := range pats {
+		if st3.Patterns[string(pat)].ClosedTotal == 0 {
+			t.Fatalf("recovered %s feeds report closed_total 0", pat)
+		}
+	}
+	for i, fc := range cases {
+		wrong := pats[(i+1)%3]
+		code, body := postJSON(t, ts3.URL+"/v1/feeds/"+fc.name+"/ingest?pattern="+string(wrong), probe)
+		if code != http.StatusConflict || !strings.Contains(string(body), string(codePatternMismatch)) {
+			t.Fatalf("wrong-pattern ingest on recovered %s: status %d: %s", fc.name, code, body)
+		}
+	}
 	for _, fc := range cases[:3] {
 		code, body := postJSON(t, ts3.URL+"/v1/feeds/"+fc.name+"/ingest?pattern="+string(fc.pat), probe)
 		if code != http.StatusConflict || !strings.Contains(string(body), string(codeFeedFlushed)) {

@@ -41,7 +41,7 @@ func patternLogMultiset(t *testing.T, path, feed string) map[string]int {
 		if r.Feed != feed {
 			t.Fatalf("log names unknown feed %q", r.Feed)
 		}
-		if storage.IsFlushMarker(r.Convoy) {
+		if storage.IsMarker(r.Convoy) {
 			continue
 		}
 		out[loggedKey(r)]++
@@ -56,7 +56,7 @@ func logResume(t *testing.T, path string) *resumePoint {
 	t.Helper()
 	var w *resumePoint
 	for _, r := range readConvoyLog(t, path) {
-		if storage.IsFlushMarker(r.Convoy) {
+		if storage.IsMarker(r.Convoy) {
 			continue
 		}
 		if w == nil || w.end != r.Convoy.End {

@@ -169,7 +169,7 @@ func TestPersistRoundIndexesArchive(t *testing.T) {
 
 		var want []string
 		for _, rec := range readConvoyLog(t, logPath) {
-			if !storage.IsFlushMarker(rec.Convoy) {
+			if !storage.IsMarker(rec.Convoy) {
 				want = append(want, canonConvoy(rec.Feed, rec.Convoy))
 			}
 		}
@@ -371,7 +371,7 @@ func TestQuerySoakNeverBlocksIngest(t *testing.T) {
 	}
 	var want []string
 	if _, err := storage.ScanConvoyLog(logPath, func(r storage.LoggedConvoy) error {
-		if !storage.IsFlushMarker(r.Convoy) {
+		if !storage.IsMarker(r.Convoy) {
 			want = append(want, r.Feed+"\x00"+r.Convoy.Key())
 		}
 		return nil

@@ -10,10 +10,13 @@ import (
 )
 
 // recover opens (or creates) the convoy log, replaying any existing
-// records: each feed found in the log is recreated with its cursor at the
-// end of its logged history and its resume point — the End tick of its
-// last logged record and the trailing records that end there. The feeds
-// map is populated before the shard actors start, so no locking is needed.
+// records one incarnation at a time: at an eviction marker (see
+// lifecycle.go) a name's flushed bit and resume point reset and its cursor
+// domain carries on. A name whose last record is an eviction marker comes
+// back as a tomb; every other name is recreated with its cursor at the end
+// of its logged history and its resume point — the End tick of its last
+// logged record and the trailing records that end there. The feeds map is
+// populated before the shard actors start, so no locking is needed.
 // Recovered feeds restart with a fresh miner — in-flight (unclosed) mining
 // state is not logged, so clients re-send from their last snapshot and the
 // resume point drops what the log already holds (see resumePoint.covers).
@@ -26,6 +29,7 @@ func (s *Server) recover() error {
 		count   int
 		lastIdx int // index of the feed's newest log record (recency proxy)
 		flushed bool
+		evicted bool // the name's last record is an eviction marker
 	}
 	rec := map[string]*recovered{}
 	idx := 0
@@ -35,64 +39,77 @@ func (s *Server) recover() error {
 			r = &recovered{pattern: convoy.DefaultPattern}
 			rec[lc.Feed] = r
 		}
-		// Every record carries the feed's pattern tag (including the flush
-		// sentinel), so recovery restores the negotiated pattern mode.
+		// Every record carries the feed's pattern tag (markers included),
+		// so recovery restores the negotiated pattern mode.
 		r.pattern = patternFromLog(lc.Pattern)
-		if storage.IsFlushMarker(lc.Convoy) {
-			// Terminal-state sentinel, not a convoy: restores the flushed
-			// bit without entering the cursor domain or the resume point.
+		r.lastIdx = idx
+		idx++
+		c, w := lc.Convoy, &r.resume
+		r.evicted = storage.IsMarker(c) && c.End == storage.EvictMarker().End
+		switch {
+		case r.evicted:
+			// The next incarnation starts unflushed and resumes nowhere.
+			r.flushed = false
+			clear(w.tail)
+			w.tail = w.tail[:0]
+			return nil
+		case storage.IsMarker(c):
+			// The flush marker enters neither the cursor domain nor the
+			// resume point.
 			r.flushed = true
 			return nil
 		}
-		w := &r.resume
-		if len(w.tail) == 0 || w.end != lc.Convoy.End {
+		if len(w.tail) == 0 || w.end != c.End {
 			clear(w.tail)
-			w.end, w.tail = lc.Convoy.End, w.tail[:0]
+			w.end, w.tail = c.End, w.tail[:0]
 		}
-		w.tail = append(w.tail, convoy.PatternResult{Convoy: lc.Convoy, Clusters: lc.Clusters})
+		w.tail = append(w.tail, convoy.PatternResult{Convoy: c, Clusters: lc.Clusters})
 		r.count++
-		r.lastIdx = idx
-		idx++
 		s.recoveredRecs++
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	// The log accumulates every feed ever served (eviction removes feeds
-	// from memory, never records from the log), so an old log can name far
-	// more feeds than the server should hold resident. Cap resurrection at
-	// MaxFeeds, keeping the most recently appended-to feeds; the rest lose
-	// their resume point exactly as if they had been TTL-evicted (their
-	// records stay in the log, and compaction removes any duplicates a
-	// later replay appends).
+	// An old log can name far more feeds than the server should hold
+	// resident. Cap resurrection at MaxFeeds, keeping the most recently
+	// appended-to feeds, and evict the rest as the sweep does: log their
+	// markers, so the next start restores the same feeds, and tombstone
+	// their cursor heads beside those of names already evicted, so a later
+	// incarnation continues the domain. Tombs keep the sweep's 4×MaxFeeds
+	// bound, most recent first: beyond it, names restart their domain, so
+	// startup memory is configured-bounded rather than log-age-bounded.
 	names := make([]string, 0, len(rec))
 	for name := range rec {
 		names = append(names, name)
 	}
-	// Name order, not map order, from here on: placement depends on the
-	// order feeds become resident (and the trim below on how recency ties
-	// fall), and two starts over one log must agree.
+	// Name order, not map order, breaks recency ties: placement depends on
+	// the order feeds become resident, and two starts over one log must
+	// agree.
 	sort.Strings(names)
-	if len(names) > s.cfg.MaxFeeds {
-		sort.SliceStable(names, func(a, b int) bool { return rec[names[a]].lastIdx > rec[names[b]].lastIdx })
-		for i, name := range names[s.cfg.MaxFeeds:] {
-			// Tombstone the dropped feed's cursor head, exactly as TTL
-			// eviction does: a later incarnation under this name must
-			// continue the domain, not restart it under a returning
-			// client's stale cursor. The same 4×MaxFeeds bound applies —
-			// beyond it (recency order), dropped names simply restart
-			// their domain, keeping startup memory configured-bounded
-			// rather than log-age-bounded.
-			if i < 4*s.cfg.MaxFeeds {
-				s.tombs[name] = rec[name].count
-			}
-		}
-		names = names[:s.cfg.MaxFeeds]
-		sort.Strings(names)
-	}
-	now := time.Now().UnixNano()
+	sort.SliceStable(names, func(a, b int) bool { return rec[names[a]].lastIdx > rec[names[b]].lastIdx })
+	var resident []string
+	var trimmed []storage.LoggedConvoy
 	for _, name := range names {
+		r := rec[name]
+		if !r.evicted && len(resident) < s.cfg.MaxFeeds {
+			resident = append(resident, name)
+			continue
+		}
+		if !r.evicted {
+			trimmed = append(trimmed, evictMarker(name, r.pattern))
+		}
+		if r.count > 0 && len(s.tombs) < 4*s.cfg.MaxFeeds {
+			s.tombs[name] = r.count
+		}
+	}
+	if err := logEvictions(sink, trimmed); err != nil {
+		sink.Close()
+		return fmt.Errorf("server: recover: log evictions: %w", err)
+	}
+	sort.Strings(resident)
+	now := time.Now().UnixNano()
+	for _, name := range resident {
 		r := rec[name]
 		f, err := newFeed(name, r.pattern, s.cfg.patternParams(), s.cfg.Window)
 		if err != nil {
@@ -117,7 +134,7 @@ func (s *Server) recover() error {
 		f.touch(now)
 		s.place(f)
 	}
-	s.recoveredFeeds = len(names)
+	s.recoveredFeeds = len(resident)
 	s.sink = sink
 	return nil
 }

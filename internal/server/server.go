@@ -22,12 +22,13 @@
 // Long-lived serving is memory-bounded by the feed lifecycle (see
 // lifecycle.go): idle feeds are evicted after FeedTTL, persisted history is
 // truncated from memory, and a restart replays the convoy log to restore
-// cursor positions and each feed's resume point — the End tick of its last
-// logged record and that tick's records — so startup memory does not grow
-// with the log. One per-feed structure still grows with every closed
-// pattern until eviction: the miner's result list, which /flush answers
-// from (about 55 bytes per closed convoy on the city feed; see
-// docs/ARCHITECTURE.md "Memory limits").
+// the feeds resident at shutdown (eviction logs a marker that ends a
+// feed's incarnation), each with its cursor position and resume point —
+// the End tick of its last logged record and that tick's records — so
+// startup memory does not grow with the log. One per-feed structure still
+// grows with every closed pattern until eviction: the miner's result list,
+// which /flush answers from (about 55 bytes per closed convoy on the city
+// feed; see docs/ARCHITECTURE.md "Memory limits").
 package server
 
 import (
@@ -93,12 +94,13 @@ type Config struct {
 	EnqueueWait time.Duration
 	// PersistPath, when non-empty, is the closed-convoy sink: every closed
 	// convoy is appended to this log by a periodic background tick. If the
-	// log already exists, New replays it first — recovered feeds start with
-	// their cursor domain fully truncated (everything is in the log) and
-	// resume at the End tick E of their last logged record: a recovered
-	// feed drops every pattern it closes that ends before E or equals a
-	// logged record ending at E, until it closes one ending after E. So
-	// re-ingesting already-persisted data does not duplicate log records,
+	// log already exists, New replays it first and restores the feeds
+	// resident at shutdown, with their cursor domain fully truncated
+	// (everything is in the log), resuming at the End tick E of their last
+	// logged record: a recovered feed drops every pattern it closes that
+	// ends before E or equals a logged record ending at E, until it closes
+	// one ending after E. So re-ingesting already-persisted data does not
+	// duplicate log records,
 	// and a replay that resumes mid-stream does not log the sub-patterns
 	// it closes before E.
 	PersistPath string
@@ -115,12 +117,12 @@ type Config struct {
 	// as long as it waits. When a sink is configured a feed is only
 	// evicted once its whole history is durably in the log — if the sink
 	// breaks, feeds with unsynced history are simply never evicted (data
-	// wins over the memory bound; restart to recover). Without a sink,
-	// eviction drops the idle feed's state outright.
-	// Eviction also drops the feed's resume point, so data re-ingested
-	// after an eviction can append duplicate records to the log — compaction
-	// (storage.CompactConvoyLog) removes them offline. The sweep runs
-	// every FeedTTL/4, at least every 10ms. 0 disables eviction.
+	// wins over the memory bound; restart to recover), and eviction logs
+	// the end of the feed's incarnation. Without a sink, eviction drops the
+	// idle feed's state outright. The next ingest under the name starts a
+	// new incarnation — a fresh miner, no resume point, the cursor domain
+	// continued — whose records are its own. The sweep runs every
+	// FeedTTL/4, at least every 10ms. 0 disables eviction.
 	FeedTTL time.Duration
 	// ArchiveDir, when non-empty, enables the historical query archive
 	// (GET /v1/query/*): every convoy persisted to the sink is also
@@ -457,7 +459,7 @@ func (s *Server) feedFor(name string, create bool, pat convoy.Pattern) (*feed, e
 		// Continue the evicted predecessor's cursor domain: everything it
 		// published stays 410 (truncated) rather than being shadowed by
 		// the new incarnation's counting restarting at 0. The resume point
-		// is not resurrected — see Config.FeedTTL.
+		// ended with the predecessor — see Config.FeedTTL.
 		f.start, f.durable = head, head
 		delete(s.tombs, name)
 	}

@@ -378,7 +378,7 @@ func TestPersistSink(t *testing.T) {
 		if r.Feed != "persisted" {
 			t.Fatalf("unexpected feed %q in sink", r.Feed)
 		}
-		if storage.IsFlushMarker(r.Convoy) {
+		if storage.IsMarker(r.Convoy) {
 			continue // terminal-state sentinel, not a convoy
 		}
 		got = append(got, r.Convoy)

@@ -18,7 +18,7 @@
 // mapping to a 16-byte locator (file offset, object count, duration), so a
 // query materialises each hit with one positioned read of the log. A
 // record's sequence number is its ordinal among the log's convoy records
-// (flush markers are not counted); it is the tie-breaker of every key, all
+// (lifecycle markers are not counted); it is the tie-breaker of every key, all
 // through storage.EncodeKey's order-preserving (int32, int32) packing:
 //
 //	time/  (convoy End,   seq) → locator   interval queries: scan keys with
@@ -270,7 +270,7 @@ func open(dir, path string, own bool, opts *Options) (_ *Archive, added int64, r
 
 // describes reports whether the checkpoint is in this build's index format
 // and the log at path still starts with the bytes it was taken over. A
-// compacted, replaced or truncated log does not.
+// replaced or truncated log does not.
 func (m meta) describes(path string) bool {
 	if m.Format != lsm.Format || m.Offset < storage.ConvoyLogHeaderSize {
 		return false
@@ -334,13 +334,13 @@ func (a *Archive) indexOpts() *lsm.Options {
 
 // indexRecord writes the index entries (one per secondary key, plus one per
 // member object) of the log record at offset off, which must be the log's
-// next record: its sequence number is its ordinal. Flush markers are feed
-// lifecycle state, not convoys — they take no sequence number. A record
-// below the retention watermark takes its number and nothing else, exactly
-// as if an Expire had already removed it.
+// next record: its sequence number is its ordinal. Flush and eviction
+// markers are feed lifecycle state, not convoys — they take no sequence
+// number. A record below the retention watermark takes its number and
+// nothing else, exactly as if an Expire had already removed it.
 func (a *Archive) indexRecord(off int64, rec storage.LoggedConvoy) error {
 	c := rec.Convoy
-	if storage.IsFlushMarker(c) {
+	if storage.IsMarker(c) {
 		return nil
 	}
 	if a.next > maxSeq {
@@ -393,7 +393,7 @@ func (a *Archive) indexLocked(recs []Located, end int64) error {
 }
 
 // AddBatch appends a batch of records to a standalone archive's own log,
-// fsyncs it, and indexes them. Flush markers are skipped.
+// fsyncs it, and indexes them. Lifecycle markers are skipped.
 func (a *Archive) AddBatch(recs []storage.LoggedConvoy) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -405,7 +405,7 @@ func (a *Archive) AddBatch(recs []storage.LoggedConvoy) error {
 	}
 	batch := make([]Located, 0, len(recs))
 	for _, rec := range recs {
-		if storage.IsFlushMarker(rec.Convoy) {
+		if storage.IsMarker(rec.Convoy) {
 			continue
 		}
 		batch = append(batch, Located{Off: a.own.Offset(), Rec: rec})

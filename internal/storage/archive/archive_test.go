@@ -40,7 +40,7 @@ func genRecords(seed int64, n, dupEvery int) []storage.LoggedConvoy {
 	return recs
 }
 
-// writeLog writes records (plus interleaved flush markers) to a fresh
+// writeLog writes records (plus interleaved lifecycle markers) to a fresh
 // convoy log; the non-marker records are what the archive must serve.
 func writeLog(t testing.TB, path string, recs []storage.LoggedConvoy) {
 	t.Helper()
@@ -52,8 +52,12 @@ func writeLog(t testing.TB, path string, recs []storage.LoggedConvoy) {
 		if err := l.AppendRecord(r); err != nil {
 			t.Fatal(err)
 		}
-		if i%7 == 3 { // flush markers ride along in real logs; archive skips them
-			if err := l.AppendRecord(storage.LoggedConvoy{Feed: r.Feed, Convoy: storage.FlushMarker()}); err != nil {
+		if i%7 == 3 { // lifecycle markers ride along in real logs; archive skips them
+			marker := storage.FlushMarker()
+			if i%14 == 10 {
+				marker = storage.EvictMarker()
+			}
+			if err := l.AppendRecord(storage.LoggedConvoy{Feed: r.Feed, Convoy: marker}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -160,12 +164,15 @@ func TestArchiveAddAndQuery(t *testing.T) {
 		t.Fatalf("count %d, want %d", a.Count(), len(recs))
 	}
 
-	// Flush markers handed to AddBatch are skipped, not archived.
-	if err := a.AddBatch([]storage.LoggedConvoy{{Feed: "tokyo", Convoy: storage.FlushMarker()}}); err != nil {
+	// Lifecycle markers handed to AddBatch are skipped, not archived.
+	if err := a.AddBatch([]storage.LoggedConvoy{
+		{Feed: "tokyo", Convoy: storage.FlushMarker()},
+		{Feed: "tokyo", Convoy: storage.EvictMarker()},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if a.Count() != int64(len(recs)) {
-		t.Fatalf("flush marker was archived: count %d", a.Count())
+		t.Fatalf("a lifecycle marker was archived: count %d", a.Count())
 	}
 
 	iv := model.Interval{Start: 10, End: 40}

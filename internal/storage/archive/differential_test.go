@@ -44,7 +44,7 @@ func TestArchiveDifferential(t *testing.T) {
 			// exactly what the acceptance criterion prescribes.
 			var scanned []storage.LoggedConvoy
 			if _, err := storage.ScanConvoyLog(logPath, func(r storage.LoggedConvoy) error {
-				if !storage.IsFlushMarker(r.Convoy) {
+				if !storage.IsMarker(r.Convoy) {
 					scanned = append(scanned, r)
 				}
 				return nil
@@ -115,7 +115,7 @@ func TestArchiveBackfillTornLog(t *testing.T) {
 		}
 		var want []storage.LoggedConvoy
 		if _, err := storage.ScanConvoyLog(torn, func(r storage.LoggedConvoy) error {
-			if !storage.IsFlushMarker(r.Convoy) {
+			if !storage.IsMarker(r.Convoy) {
 				want = append(want, r)
 			}
 			return nil
@@ -131,11 +131,11 @@ func TestArchiveBackfillTornLog(t *testing.T) {
 	}
 }
 
-// TestArchiveBackfillCompactedLog: after an offline CompactConvoyLog the
-// log no longer starts with the bytes META's checksum covers.
-// OpenAndBackfill must notice, discard the indexes and rebuild them to
-// match the compacted log exactly.
-func TestArchiveBackfillCompactedLog(t *testing.T) {
+// TestArchiveBackfillReplacedLog: after the log is replaced by one holding
+// the same records minus a prefix, it no longer starts with the bytes
+// META's checksum covers. OpenAndBackfill must notice, discard the indexes
+// and rebuild them to match the replacement exactly.
+func TestArchiveBackfillReplacedLog(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "closed.k2cl")
 	recs := genRecords(21, 150, 5) // every 5th record a duplicate
@@ -153,18 +153,15 @@ func TestArchiveBackfillCompactedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, dropped, err := storage.CompactConvoyLog(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dropped := replaceLogWithoutPrefix(t, logPath, 10)
 	if dropped == 0 {
-		t.Fatal("test log had no duplicates to drop; generator broken")
+		t.Fatal("the replacement dropped nothing; scenario broken")
 	}
-	// The archive holds the compacted log's non-marker records (compaction
-	// also keeps one flush marker per flushed feed, which archives skip).
+	// The archive holds the replacement's non-marker records (the log also
+	// holds lifecycle markers, which archives skip).
 	var want []storage.LoggedConvoy
 	if _, err := storage.ScanConvoyLog(logPath, func(r storage.LoggedConvoy) error {
-		if !storage.IsFlushMarker(r.Convoy) {
+		if !storage.IsMarker(r.Convoy) {
 			want = append(want, r)
 		}
 		return nil
@@ -172,7 +169,7 @@ func TestArchiveBackfillCompactedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// OpenAndBackfill must rebuild to match the compacted log — deleting
+	// OpenAndBackfill must rebuild to match the replacement — deleting
 	// only archive-owned files, never an operator's unrelated ones in the
 	// same directory.
 	bystander := filepath.Join(archDir, "operator-notes.txt")
@@ -195,6 +192,34 @@ func TestArchiveBackfillCompactedLog(t *testing.T) {
 	}
 	got := collect(t, func(q Query) (Result, error) { return a.QueryConvoys(q) }, Query{Limit: 33})
 	sameSet(t, "after rebuild", got, want)
+}
+
+// replaceLogWithoutPrefix rewrites the log at path with its records minus
+// the first n, through CreateConvoyLog and AppendRecord, and returns how
+// many records it dropped.
+func replaceLogWithoutPrefix(t *testing.T, path string, n int) int {
+	t.Helper()
+	var recs []storage.LoggedConvoy
+	if _, err := storage.ScanConvoyLog(path, func(r storage.LoggedConvoy) error {
+		recs = append(recs, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	n = min(n, len(recs))
+	l, err := storage.CreateConvoyLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs[n:] {
+		if err := l.AppendRecord(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestArchiveIncrementalBackfill: a second backfill after the log grew

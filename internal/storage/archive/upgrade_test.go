@@ -119,7 +119,7 @@ func TestArchiveUpgradeRebuildsOldFormat(t *testing.T) {
 	}
 	var scanned int
 	if _, err := storage.ScanConvoyLog(filepath.Join(old, "closed.k2cl"), func(r storage.LoggedConvoy) error {
-		if !storage.IsFlushMarker(r.Convoy) {
+		if !storage.IsMarker(r.Convoy) {
 			scanned++
 		}
 		return nil

@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/model"
-	"repro/internal/storage/durable"
 )
 
 // ConvoyLog is the closed-convoy sink of the convoyd server: an append-only
@@ -23,6 +21,10 @@ import (
 //
 //	header:  magic "K2CL" | version u32
 //	records: feedLen u16 | feed | start i32 | end i32 | n u32 | n × oid i32
+//
+// Two records with no objects and End < Start are feed lifecycle markers,
+// not convoys: the flush marker (End −1, see FlushMarker) and the eviction
+// marker (End −2, see EvictMarker).
 //
 // The count field n doubles as a pattern tag: a plain convoy record (the
 // only kind version 1 ever wrote) keeps bit 31 clear, so old logs decode
@@ -91,8 +93,17 @@ func FlushMarker() model.Convoy {
 	return model.Convoy{Start: 0, End: -1}
 }
 
-// IsFlushMarker reports whether a logged convoy is the flush sentinel.
-func IsFlushMarker(c model.Convoy) bool {
+// EvictMarker returns the record convoyd appends, and syncs, when a feed's
+// incarnation ends by eviction, before the name can start a new one. It is
+// shaped like FlushMarker, with End −2, so recovery tells the two apart and
+// the v1 codec carries it unchanged.
+func EvictMarker() model.Convoy {
+	return model.Convoy{Start: 0, End: -2}
+}
+
+// IsMarker reports whether a logged convoy is a lifecycle marker (flush or
+// eviction) rather than a convoy.
+func IsMarker(c model.Convoy) bool {
 	return len(c.Objs) == 0 && c.End < c.Start
 }
 
@@ -113,12 +124,12 @@ func CreateConvoyLog(path string) (*ConvoyLog, error) {
 	return l, nil
 }
 
-// EncodeLoggedRecord serialises one record in the log's wire format. It is
-// exported so the archive can checksum a log prefix without re-reading raw
-// bytes: the codec is canonical (decode∘encode is the identity), so
-// re-encoding a decoded record reproduces the on-disk bytes. Canonicality
-// is enforced: a cluster block is carried by moving-cluster records and by
-// no others.
+// EncodeLoggedRecord serialises one record in the log's wire format, as
+// AppendRecord writes it; it is exported for callers that time encoding
+// apart from the append (bench's convoylog layer). The codec is canonical
+// (decode∘encode is the identity), so re-encoding a decoded record
+// reproduces the on-disk bytes. Canonicality is enforced: a cluster block
+// is carried by moving-cluster records and by no others.
 func EncodeLoggedRecord(rec LoggedConvoy) ([]byte, error) {
 	if len(rec.Feed) > int(^uint16(0)) {
 		return nil, fmt.Errorf("convoylog: feed name too long (%d bytes)", len(rec.Feed))
@@ -178,8 +189,9 @@ func (l *ConvoyLog) AppendRecord(rec LoggedConvoy) error {
 	return l.AppendEncoded(enc)
 }
 
-// AppendEncoded writes one record already serialised by EncodeLoggedRecord,
-// for callers that need the wire bytes anyway (compaction dedups on them).
+// AppendEncoded writes one record already serialised by EncodeLoggedRecord:
+// AppendRecord's second half, and what bench's convoylog layer times on
+// its own.
 func (l *ConvoyLog) AppendEncoded(rec []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -463,56 +475,4 @@ func OpenConvoyLogFrom(path string, from int64, fn func(off int64, rec LoggedCon
 		return nil, fmt.Errorf("convoylog: seek: %w", err)
 	}
 	return &ConvoyLog{f: f, w: bufio.NewWriterSize(f, 1<<16), off: off}, nil
-}
-
-// CompactConvoyLog rewrites the log at path keeping only the first
-// occurrence of each (feed, convoy) record, dropping exact duplicates and
-// any partial tail, then atomically and durably replaces the original.
-// Duplicates enter a log when a feed is evicted and the same data is
-// re-ingested later (the in-memory dedup state dies with the feed);
-// compaction restores the exactly-once property offline. Returns the kept
-// and dropped record counts.
-func CompactConvoyLog(path string) (kept, dropped int, err error) {
-	tmp := path + ".compact"
-	out, err := CreateConvoyLog(tmp)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer os.Remove(tmp) // no-op after the rename succeeds
-	seen := map[string]bool{}
-	_, err = ScanConvoyLog(path, func(rec LoggedConvoy) error {
-		// The encoded bytes are the exact record identity (the codec is
-		// canonical), pattern tag and cluster block included.
-		enc, err := EncodeLoggedRecord(rec)
-		if err != nil {
-			return err
-		}
-		if seen[string(enc)] {
-			dropped++
-			return nil
-		}
-		seen[string(enc)] = true
-		kept++
-		return out.AppendEncoded(enc)
-	})
-	if err != nil {
-		out.Close()
-		return 0, 0, err
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return 0, 0, fmt.Errorf("convoylog: compact sync: %w", err)
-	}
-	if err := out.Close(); err != nil {
-		return 0, 0, fmt.Errorf("convoylog: compact close: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return 0, 0, fmt.Errorf("convoylog: compact rename: %w", err)
-	}
-	// The rename is durable only once the directory entry is: without this
-	// a power loss can bring the uncompacted log back.
-	if err := durable.SyncDir(filepath.Dir(path)); err != nil {
-		return 0, 0, fmt.Errorf("convoylog: compact sync dir: %w", err)
-	}
-	return kept, dropped, nil
 }

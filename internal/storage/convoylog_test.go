@@ -227,42 +227,6 @@ func TestOpenConvoyLogShortFile(t *testing.T) {
 	}
 }
 
-// TestCompactConvoyLog: duplicates and the torn tail are dropped, order and
-// first occurrences survive.
-func TestCompactConvoyLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "compact.k2cl")
-	recs := []LoggedConvoy{
-		tailTestRecords[0],
-		tailTestRecords[1],
-		tailTestRecords[0], // duplicate of record 0
-		tailTestRecords[2],
-		tailTestRecords[1], // duplicate of record 1
-	}
-	data := writeTestLog(t, path, recs)
-	if err := os.WriteFile(path, append(data, 0x07), 0o644); err != nil { // torn tail byte
-		t.Fatal(err)
-	}
-	kept, dropped, err := CompactConvoyLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kept != 3 || dropped != 2 {
-		t.Fatalf("kept %d dropped %d, want 3 and 2", kept, dropped)
-	}
-	got, err := ReadConvoyLog(path) // strict: compaction output is clean
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("compacted log has %d records, want 3", len(got))
-	}
-	for i, want := range tailTestRecords {
-		if got[i].Feed != want.Feed || !got[i].Convoy.Equal(want.Convoy) {
-			t.Fatalf("record %d: %+v, want %+v", i, got[i], want)
-		}
-	}
-}
-
 // BenchmarkConvoyLogAppend measures the persistence hot path: serialising
 // and buffering one 8-object convoy record (no fsync).
 func BenchmarkConvoyLogAppend(b *testing.B) {
@@ -467,6 +431,7 @@ func TestConvoyLogPatternRecords(t *testing.T) {
 				model.NewObjSet(3, 9),
 			}},
 		{Feed: "osaka", Convoy: FlushMarker()},
+		{Feed: "tokyo", Convoy: EvictMarker(), Pattern: LogPatternFlock},
 	}
 	for _, r := range want {
 		if err := l.AppendRecord(r); err != nil {
@@ -491,6 +456,9 @@ func TestConvoyLogPatternRecords(t *testing.T) {
 		if g.Feed != w.Feed || !g.Convoy.Equal(w.Convoy) || g.Pattern != w.Pattern {
 			t.Fatalf("record %d: %+v, want %+v", i, g, w)
 		}
+		if IsMarker(g.Convoy) != (i >= 3) {
+			t.Fatalf("record %d: IsMarker = %v", i, !(i >= 3))
+		}
 		if len(g.Clusters) != len(w.Clusters) {
 			t.Fatalf("record %d: %d clusters, want %d", i, len(g.Clusters), len(w.Clusters))
 		}
@@ -502,8 +470,7 @@ func TestConvoyLogPatternRecords(t *testing.T) {
 	}
 
 	// The codec stays canonical over tagged records: re-encoding every
-	// decoded record reproduces the on-disk byte stream (the archive's CRC
-	// contract).
+	// decoded record reproduces the on-disk byte stream.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
