@@ -83,9 +83,9 @@ type Options struct {
 	// indexes: each gets a quarter as its write buffer (larger values mean
 	// fewer, bigger SSTable flushes) and a twelfth as its block cache for
 	// the read path (3×1/4 + 3×1/12 = the whole budget). Default 12 MiB.
-	// The write buffers are sized in accounted bytes (lsm memtable.bytes);
-	// an index entry occupies about 1.3× its accounted 56 B (74 B), so
-	// three full write buffers hold up to ≈ 12 MiB of heap under the default.
+	// A write buffer charges each buffered index write 64 B, at least the
+	// heap the write holds (lsm Options.MemtableBytes), so the budget
+	// bounds the archive's heap.
 	CacheBytes int
 }
 
@@ -159,10 +159,6 @@ type Archive struct {
 	expiredBefore int32
 	maxEnd        int32
 	expiredTotal  int64
-
-	// readers counts query pages in flight; Expire drains it so a page sees
-	// the index either before or after an expiry, never part of one.
-	readers sync.WaitGroup
 
 	// Query-side counters, exposed via Stats. liveReaders gauges query
 	// pages currently holding a read view (see beginRead).

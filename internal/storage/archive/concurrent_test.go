@@ -6,8 +6,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/model"
+	"repro/internal/storage"
+	"repro/internal/storage/lsm"
 )
 
 // Concurrent-reader soak: N readers page all three query shapes while a
@@ -164,5 +167,77 @@ func TestArchiveQueriesRaceExpire(t *testing.T) {
 	wg.Wait()
 	if st := a.Stats(); st.LiveReaders != 0 || st.LiveSnapshots != 0 {
 		t.Fatalf("gauges not drained: live_readers=%d live_snapshots=%d", st.LiveReaders, st.LiveSnapshots)
+	}
+}
+
+// TestExpireDoesNotWaitForPages: Expire returns while query pages hold
+// their views, and each view still lists every entry its index held before
+// the expiry — the tombstones, and the flushes and compactions that carry
+// them, land after the view was taken and do not reach it.
+func TestExpireDoesNotWaitForPages(t *testing.T) {
+	a, err := Open(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	recs := genRecords(3, 300, 0)
+	if err := a.AddBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	members := 0
+	for _, r := range recs {
+		members += len(r.Convoy.Objs)
+	}
+	pages := []struct {
+		idx  *lsm.DB
+		want int
+	}{{a.timeIdx, len(recs)}, {a.objIdx, members}}
+	snaps := make([]*lsm.Snapshot, len(pages))
+	for i, p := range pages {
+		if snaps[i], err = a.beginRead(p.idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	endReads := sync.OnceFunc(func() {
+		for _, s := range snaps {
+			a.endRead(s)
+		}
+	})
+	defer endReads()
+	done := make(chan error, 1)
+	var expired int64
+	go func() {
+		var err error
+		expired, err = a.Expire(60)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		endReads()
+		<-done
+		t.Fatal("Expire waited for the pages in flight")
+	}
+	if expired == 0 {
+		t.Fatal("test is vacuous: nothing expired")
+	}
+	for i, s := range snaps {
+		n := 0
+		if err := s.Scan(storage.EncodeKey(math.MinInt32, math.MinInt32), func(_, _ []byte) bool {
+			n++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n != pages[i].want {
+			t.Fatalf("page %d lists %d entries after the expiry, want the %d it began with", i, n, pages[i].want)
+		}
+	}
+	endReads()
+	if got := collectAll(t, a, MaxLimit); len(got) != len(keepAfter(recs, 60)) {
+		t.Fatalf("a page begun after the expiry lists %d records, want %d", len(got), len(keepAfter(recs, 60)))
 	}
 }

@@ -173,11 +173,11 @@ type locator struct {
 // beginRead pins the index view one query page reads: an LSM snapshot,
 // captured under a brief a.mu read-lock acquisition. The page itself then
 // runs with NO archive lock held, so a slow (cold-cache, big-budget) page
-// cannot stall the archiver's writes or other queries; only Expire waits
-// for it. The log needs no pin: it is append-only, so every offset the
-// snapshot holds stays valid. Records indexed after capture may or may not
-// appear, exactly the cursor contract's wording for concurrent appends. The
-// caller must endRead.
+// cannot stall the archiver's writes, an expiry or other queries: the
+// snapshot is the index as it was at capture, so records indexed or
+// expired after it do not change the page. The log needs no pin: it is
+// append-only, so every offset the snapshot holds stays valid. The caller
+// must endRead.
 func (a *Archive) beginRead(idx *lsm.DB) (*lsm.Snapshot, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
@@ -188,7 +188,6 @@ func (a *Archive) beginRead(idx *lsm.DB) (*lsm.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.readers.Add(1)
 	a.liveReaders.Add(1)
 	return snap, nil
 }
@@ -196,7 +195,6 @@ func (a *Archive) beginRead(idx *lsm.DB) (*lsm.Snapshot, error) {
 func (a *Archive) endRead(snap *lsm.Snapshot) {
 	snap.Release()
 	a.liveReaders.Add(-1)
-	a.readers.Done()
 }
 
 // scan is the shared paging engine: walk idx from the later of start and

@@ -39,7 +39,9 @@ import (
 // Expire removes every archived convoy whose End tick precedes before.
 // The watermark is durable and monotonic: a before at or below a previous
 // call's is a no-op, and records arriving later with End below the
-// watermark are not indexed (see indexRecord). Returns the number of
+// watermark are not indexed (see indexRecord). Query pages in flight are
+// not waited for: each reads a snapshot taken before the expiry, which
+// keeps listing the victims until the page ends. Returns the number of
 // convoys removed.
 func (a *Archive) Expire(before int32) (int64, error) {
 	a.mu.Lock()
@@ -50,10 +52,6 @@ func (a *Archive) Expire(before int32) (int64, error) {
 	if before <= a.expiredBefore {
 		return 0, nil
 	}
-	// New pages wait on a.mu; let the ones in flight finish on the
-	// pre-expiry index (a snapshot shares the live memtable, so it would
-	// see the tombstones land one by one).
-	a.readers.Wait()
 	victims, err := a.expired(before)
 	if err != nil {
 		return 0, err

@@ -4,7 +4,8 @@
 //
 // A dataset is written once, by WriteDataset, as one immutable SSTable:
 // sorted data blocks plus a block index (sstable.go). Live writes (PutKV) go to
-// a skiplist memtable; when the memtable exceeds its budget it is flushed
+// the memtable, a sorted run that readers share plus the writer's unsorted
+// tail (memtable.go); when the memtable exceeds its budget it is flushed
 // to an SSTable. A background size-tiered compactor folds tables together
 // when too many runs accumulate, off the write path. Deletions are
 // tombstone records that shadow older runs until compaction reaches the
@@ -30,7 +31,7 @@
 //
 // A record has one shape from memtable to disk: an 8-byte key, a 16-byte
 // value and a tombstone flag. The key travels as its big-endian uint64
-// reading (keyWord), which every layer — skiplist, merge, writer, block
+// reading (keyWord), which every layer — memtable, merge, writer, block
 // index, block search — compares; bytes appear only in the sstable
 // encoding and the exported PutKV/DeleteKV/Scan.
 //
@@ -62,9 +63,9 @@ import (
 
 // Options tunes the engine.
 type Options struct {
-	// MemtableBytes is the flush threshold (default 4 MiB), compared with
-	// the memtable's accounted size; its heap footprint is about 1.3× that
-	// (see memtable.bytes).
+	// MemtableBytes is the flush threshold (default 4 MiB): every buffered
+	// write, overwrites and tombstones included, is charged 64 B, which
+	// bounds the memtable's heap (see writeCharge).
 	MemtableBytes int
 	// MaxTables is the run count above which the background compactor
 	// merges runs (default 6). The floor is 1: "always compact back to a
@@ -93,21 +94,23 @@ func (o *Options) withDefaults() Options {
 // DB is the LSM-tree database. It implements storage.Store.
 //
 // Locking: mu is a read/write lock, but reads hold it only for snapshot
-// acquisition — a pointer copy of the COW table list plus a refcount bump
-// per table (snapshot.go). All read I/O (block reads, merge scans) happens
+// acquisition — a pointer copy of the COW table list and the memtable's
+// run plus a refcount bump per table, and, when writes are buffered, the
+// seal that folds them into a fresh run under the write lock
+// (snapshot.go). All read I/O (block reads, merge scans) happens
 // outside the lock, so a slow query page no longer stalls ingest, other
 // queries, or the compactor's swap. Writers (PutKV, flush, compaction
 // swap, Close) take the write lock and publish new state by replacing
-// db.tables/db.mem, never mutating the slices a snapshot may hold.
+// db.tables and the memtable's run, never mutating the slices a snapshot
+// may hold.
 type DB struct {
 	mu     sync.RWMutex
 	dir    string
 	opts   Options
-	mem    *memtable
+	mem    memtable
 	tables []*sstable // oldest first; later tables shadow earlier ones; COW
 	seq    int
 	ts, te int32
-	count  uint64
 	stats  storage.IOStats
 	closed bool
 
@@ -131,7 +134,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lsm: mkdir: %w", err)
 	}
-	db := &DB{dir: dir, opts: opts.withDefaults(), mem: newMemtable(1), ts: 0, te: -1}
+	db := &DB{dir: dir, opts: opts.withDefaults(), ts: 0, te: -1}
 	db.cache = newBlockCache(db.opts.BlockCacheBytes)
 	db.env = readEnv{cache: db.cache, io: &db.stats}
 	if err := db.load(); err != nil {
@@ -148,15 +151,14 @@ func Open(dir string, opts *Options) (*DB, error) {
 	return db, nil
 }
 
-// load opens the manifest's tables and recomputes the point count and the
-// time bounds from them. On error the tables opened so far are left in
-// db.tables for Open to close.
+// load opens the manifest's tables and recomputes the time bounds from
+// them. On error the tables opened so far are left in db.tables for Open
+// to close.
 func (db *DB) load() error {
 	if err := db.loadManifest(); err != nil {
 		return err
 	}
 	for _, t := range db.tables {
-		db.count += t.count - t.tombs
 		if len(t.index) > 0 {
 			db.noteT(wordTime(t.index[0].firstKey))
 			// Last key requires reading the last block; cheap and done once.
@@ -198,7 +200,6 @@ func (db *DB) PutKV(key [storage.KeySize]byte, val [storage.ValueSize]byte) erro
 	k := binary.BigEndian.Uint64(key[:])
 	db.mem.put(k, val, false)
 	db.noteT(wordTime(k))
-	db.count++
 	if db.mem.bytes() >= db.opts.MemtableBytes {
 		return db.flushLocked()
 	}
@@ -231,20 +232,21 @@ func (db *DB) Flush() error {
 	return db.flushLocked()
 }
 
-// flushLocked turns the memtable into a run: write the (fsynced) sstable,
-// commit the manifest that names it, swap in a fresh memtable. A crash
+// flushLocked turns the memtable into a run: seal it, write the (fsynced)
+// sstable, commit the manifest that names it, empty the memtable. A crash
 // before the commit leaves the old manifest and an orphan sstable that the
 // next Open sweeps; a crash after it leaves the new run live.
 func (db *DB) flushLocked() error {
 	if db.closed {
 		return errClosed
 	}
-	if db.mem.len() == 0 {
+	run := db.mem.sealed()
+	if len(run) == 0 {
 		return nil
 	}
 	path := filepath.Join(db.dir, tableName(db.seq))
 	db.seq++
-	if err := writeSSTable(path, db.mem.iterator(0), len(db.tables) == 0); err != nil {
+	if err := writeSSTable(path, run.iterator(0), len(db.tables) == 0); err != nil {
 		return err
 	}
 	t, err := openSSTable(path)
@@ -268,7 +270,7 @@ func (db *DB) flushLocked() error {
 		}
 		durable.Crash("flush.manifest-committed")
 	}
-	db.mem = newMemtable(int64(db.seq))
+	db.mem = memtable{}
 	if len(db.tables) > db.opts.MaxTables {
 		db.kickCompact()
 	}
@@ -293,14 +295,6 @@ func (db *DB) TimeRange() (int32, int32) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.ts, db.te
-}
-
-// Count returns the number of inserted points (before dedup by key, net of
-// tombstones already folded into runs).
-func (db *DB) Count() uint64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.count
 }
 
 // Stats implements storage.Store.

@@ -78,12 +78,12 @@ func (it *faultyIter) next() {
 }
 func (it *faultyIter) srcErr() error { return it.e }
 
-func memWith(seed int64, vals map[int32]float64) *memtable {
-	m := newMemtable(seed)
+func memWith(vals map[int32]float64) memRun {
+	var m memtable
 	for oid, x := range vals {
 		m.put(keyWord(1, oid), storage.EncodeValue(x, 0), false)
 	}
-	return m
+	return m.sealed()
 }
 
 func TestMergeIterDuplicateKeyAcrossManySources(t *testing.T) {
@@ -91,7 +91,7 @@ func TestMergeIterDuplicateKeyAcrossManySources(t *testing.T) {
 	// index must win, and the key must be yielded exactly once.
 	srcs := make([]kvIterator, 4)
 	for i := range srcs {
-		srcs[i] = memWith(int64(i+1), map[int32]float64{7: float64(i), int32(10 + i): 1}).iterator(0)
+		srcs[i] = memWith(map[int32]float64{7: float64(i), int32(10 + i): 1}).iterator(0)
 	}
 	m := newMergeIter(srcs)
 	seen := map[int32]float64{}
@@ -120,7 +120,7 @@ func TestMergeIterSourceErrorSurfaces(t *testing.T) {
 		keys = append(keys, keyWord(1, oid))
 	}
 	faulty := &faultyIter{keys: keys, failAt: 3}
-	healthy := memWith(1, map[int32]float64{100: 1, 101: 2}).iterator(0)
+	healthy := memWith(map[int32]float64{100: 1, 101: 2}).iterator(0)
 	m := newMergeIter([]kvIterator{faulty, healthy})
 	n := 0
 	for ; m.valid(); m.next() {
@@ -177,8 +177,8 @@ func TestMergeIterAllEmptySources(t *testing.T) {
 	for _, srcs := range [][]kvIterator{
 		nil,
 		{},
-		{newMemtable(1).iterator(0)},
-		{newMemtable(1).iterator(0), newMemtable(2).iterator(0), nil},
+		{memRun(nil).iterator(0)},
+		{memRun(nil).iterator(0), memRun(nil).iterator(0), nil},
 	} {
 		m := newMergeIter(srcs)
 		if m.valid() {

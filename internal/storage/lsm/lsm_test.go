@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"maps"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -30,6 +32,20 @@ func get(db *DB, t, oid int32) ([]byte, error) {
 	}
 	defer s.Release()
 	return snapGet(s, t, oid)
+}
+
+// liveKeys counts the keys a full Scan yields: the records db holds, each
+// key once and deleted keys not at all.
+func liveKeys(t *testing.T, db *DB) int {
+	t.Helper()
+	n := 0
+	if err := db.Scan(storage.EncodeKey(math.MinInt32, math.MinInt32), func(_, _ []byte) bool {
+		n++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // snapGet is get against snapshot s: the first live record a Scan from the
@@ -154,7 +170,7 @@ func TestCloseFlushes(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		stop  func(*DB) error
-		count uint64
+		count int
 		rows  int // of (t=1, oid=1)
 	}{
 		{"close", (*DB).Close, 3, 1},
@@ -179,8 +195,8 @@ func TestCloseFlushes(t *testing.T) {
 				t.Fatalf("reopen: %v", err)
 			}
 			defer db2.Close()
-			if got := db2.Count(); got != tc.count {
-				t.Fatalf("reopened Count = %d, want %d", got, tc.count)
+			if got := liveKeys(t, db2); got != tc.count {
+				t.Fatalf("reopened DB holds %d keys, want %d", got, tc.count)
 			}
 			rows, err := db2.Fetch(1, model.NewObjSet(1))
 			if err != nil || len(rows) != tc.rows || (tc.rows == 1 && rows[0].X != 3) {
@@ -272,8 +288,8 @@ func TestFlushAfterCloseIsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if got := db.Count(); got != 101 {
-		t.Fatalf("reopened Count = %d, want 101", got)
+	if got := liveKeys(t, db); got != 101 {
+		t.Fatalf("reopened DB holds %d keys, want 101", got)
 	}
 	if rows, err := db.Snapshot(1); err != nil || len(rows) != 100 {
 		t.Fatalf("reopened Snapshot(1) = %d rows, %v; want 100", len(rows), err)
@@ -324,7 +340,9 @@ func TestFailedOpenClosesTables(t *testing.T) {
 }
 
 // Property: the whole DB behaves like a map under random puts with
-// overwrites, random flushes and compactions.
+// overwrites, deletes, random flushes and compactions, read between writes,
+// and a snapshot held across writes answers as the map did when the
+// snapshot was acquired.
 func TestDBMatchesMapModel(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, &Options{MemtableBytes: 4096, MaxTables: 4})
@@ -335,12 +353,64 @@ func TestDBMatchesMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	type key struct{ t, oid int32 }
 	modelMap := map[key][2]float64{}
+	scanAll := func(s *Snapshot) map[key][2]float64 {
+		t.Helper()
+		got := map[key][2]float64{}
+		if err := s.Scan(storage.EncodeKey(math.MinInt32, math.MinInt32), func(k, v []byte) bool {
+			tt, oid := storage.DecodeKey(k)
+			x, y := storage.DecodeValue(v)
+			got[key{tt, oid}] = [2]float64{x, y}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	var (
+		held     *Snapshot
+		heldWant map[key][2]float64
+	)
+	defer func() { held.Release() }()
 	for i := 0; i < 3000; i++ {
 		k := key{t: int32(rng.Intn(40)), oid: int32(rng.Intn(40))}
-		v := [2]float64{rng.Float64(), rng.Float64()}
-		modelMap[k] = v
-		if err := put(db, model.Point{OID: k.oid, T: k.t, X: v[0], Y: v[1]}); err != nil {
-			t.Fatal(err)
+		if rng.Intn(5) == 0 {
+			delete(modelMap, k)
+			if err := db.DeleteKV(storage.EncodeKey(k.t, k.oid)); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			v := [2]float64{rng.Float64(), rng.Float64()}
+			modelMap[k] = v
+			if err := put(db, model.Point{OID: k.oid, T: k.t, X: v[0], Y: v[1]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%7 == 6 {
+			r := key{t: int32(rng.Intn(40)), oid: int32(rng.Intn(40))}
+			got, err := get(db, r.t, r.oid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, ok := modelMap[r]
+			if ok != (got != nil) {
+				t.Fatalf("op %d: get(%v) = %v, model holds it: %v", i, r, got, ok)
+			}
+			if ok {
+				if x, y := storage.DecodeValue(got); x != want[0] || y != want[1] {
+					t.Fatalf("op %d: get(%v) = (%v, %v), want %v", i, r, x, y, want)
+				}
+			}
+		}
+		switch i {
+		case 1000:
+			if held, err = db.AcquireSnapshot(); err != nil {
+				t.Fatal(err)
+			}
+			heldWant = maps.Clone(modelMap)
+		case 2000, 2999:
+			if got := scanAll(held); !maps.Equal(got, heldWant) {
+				t.Fatalf("op %d: the snapshot held since op 1000 holds %d keys, the model then %d, or values differ", i, len(got), len(heldWant))
+			}
 		}
 		if i%701 == 700 {
 			if err := db.Flush(); err != nil {
@@ -361,6 +431,14 @@ func TestDBMatchesMapModel(t *testing.T) {
 		if len(rows) != 1 || rows[0].X != v[0] || rows[0].Y != v[1] {
 			t.Fatalf("Fetch(%v) = %v, want %v", k, rows, v)
 		}
+	}
+	fresh, err := db.AcquireSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Release()
+	if got := scanAll(fresh); !maps.Equal(got, modelMap) {
+		t.Fatalf("a full scan holds %d keys, the model %d, or values differ", len(got), len(modelMap))
 	}
 	// Snapshot per timestamp equals the model's row set.
 	for tt := int32(0); tt < 40; tt++ {
@@ -386,33 +464,38 @@ func TestDBMatchesMapModel(t *testing.T) {
 }
 
 func TestMemtableOrderedIteration(t *testing.T) {
-	m := newMemtable(1)
+	var m memtable
 	rng := rand.New(rand.NewSource(9))
-	n := 500
-	for i := 0; i < n; i++ {
+	distinct := map[uint64]bool{}
+	for i := 0; i < 500; i++ {
 		k := keyWord(int32(rng.Intn(100)), int32(rng.Intn(100)))
+		distinct[k] = true
 		m.put(k, storage.EncodeValue(float64(i), 0), false)
+		if i%200 == 199 {
+			m.sealed() // later writes merge into a sealed run
+		}
 	}
+	run := m.sealed()
 	var prev uint64
 	count := 0
-	for it := m.iterator(0); it.valid(); it.next() {
+	for it := run.iterator(0); it.valid(); it.next() {
 		if count > 0 && prev >= it.key() {
 			t.Fatalf("memtable iteration out of order")
 		}
 		prev = it.key()
 		count++
 	}
-	if count != m.len() {
-		t.Fatalf("iterated %d, len %d", count, m.len())
+	if count != len(distinct) {
+		t.Fatalf("iterated %d keys, wrote %d distinct ones", count, len(distinct))
 	}
 }
 
 func TestMemtableSeek(t *testing.T) {
-	m := newMemtable(2)
+	var m memtable
 	for _, tt := range []int32{10, 20, 30} {
 		m.put(keyWord(tt, 0), storage.EncodeValue(0, 0), false)
 	}
-	it := m.iterator(keyWord(15, 0))
+	it := m.sealed().iterator(keyWord(15, 0))
 	if !it.valid() {
 		t.Fatalf("seek should find 20")
 	}
@@ -441,14 +524,13 @@ func TestSSTableGarbageRejected(t *testing.T) {
 }
 
 func TestMergeIterNewestWins(t *testing.T) {
-	old := newMemtable(1)
-	newer := newMemtable(2)
+	var old, newer memtable
 	k := keyWord(1, 1)
 	old.put(k, storage.EncodeValue(1, 0), false)
 	newer.put(k, storage.EncodeValue(2, 0), false)
 	old.put(keyWord(0, 5), storage.EncodeValue(9, 0), false)
 
-	m := newMergeIter([]kvIterator{old.iterator(0), newer.iterator(0)})
+	m := newMergeIter([]kvIterator{old.sealed().iterator(0), newer.sealed().iterator(0)})
 	var got []float64
 	for ; m.valid(); m.next() {
 		x, _ := storage.DecodeValue(m.value())

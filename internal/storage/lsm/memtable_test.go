@@ -1,177 +1,100 @@
 package lsm
 
 import (
-	"encoding/binary"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/storage"
 )
 
-// TestMemtableBytesPerEntry measures what a memtable entry occupies on the
-// heap against what bytes() accounts for it, on the shape the archive
-// indexes write: an 8-byte key and a 16-byte locator, accounted at 56 B.
-// One 64-byte node holding the key word and the first write, plus a tower
-// of the node's own height, measure ≈ 74 B; the bound is 1.5× the
-// accounted size plus the tower. The archive sizes its three index write
-// buffers from CacheBytes in accounted bytes, so an entry that outgrew its
-// accounting would let them outgrow that budget.
-func TestMemtableBytesPerEntry(t *testing.T) {
+// TestMemtableSeal pins the two things a seal must keep. The heap a
+// memtable holds per buffered write stays within writeCharge — in the
+// tail, in a run adopted from the tail, and in a run merged from a run and
+// a tail — on the shape the archive indexes write: scattered 8-byte keys
+// and 16-byte locators. The archive sizes its three write buffers from
+// CacheBytes in charged bytes, so a write that outgrew its charge would let
+// them outgrow that budget. And the newest write of a key wins, within one
+// tail and across seals, while a run sealed earlier keeps what it held.
+func TestMemtableSeal(t *testing.T) {
 	const n = 100_000
-	var before, after runtime.MemStats
+	var m memtable
+	var val [storage.ValueSize]byte
+	heapPerWrite := func(stage string, base uint64) {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		perWrite := float64(ms.HeapAlloc-base) / float64(m.writes)
+		t.Logf("%s: %.1f B of heap per write, charged %d", stage, perWrite, writeCharge)
+		if perWrite > float64(writeCharge) {
+			t.Fatalf("%s: a buffered write holds %.1f B of heap, more than its %d B charge", stage, perWrite, writeCharge)
+		}
+	}
 	runtime.GC()
+	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
-	m := newMemtable(1)
-	var val [16]byte
-	for i := 0; i < n; i++ {
-		m.put(uint64(i)*0x9e3779b97f4a7c15, val, false) // scattered, as oids are
+	for i := uint64(0); i < n; i++ {
+		m.put(i*0x9e3779b97f4a7c15, val, false) // scattered, as oids are
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	heap := float64(after.HeapAlloc-before.HeapAlloc) / n
-	accounted := float64(m.bytes()) / n
-	const tower = 8 * 4.0 / 3 // a pointer per level; levels are geometric with p = 1/4
-	t.Logf("heap %.1f B/entry, accounted %.1f B/entry", heap, accounted)
-	if limit := 1.5 * (accounted + tower); heap > limit {
-		t.Fatalf("a memtable entry holds %.1f B of heap, more than %.1f B", heap, limit)
+	heapPerWrite("tail", before.HeapAlloc)
+	m.sealed()
+	heapPerWrite("adopted run", before.HeapAlloc)
+	for i := uint64(0); i < n/2; i++ {
+		m.put((2*i)*0x9e3779b97f4a7c15+uint64(i%2), val, false) // half overwrites, half new keys
 	}
-	runtime.KeepAlive(m)
+	m.sealed()
+	heapPerWrite("merged run", before.HeapAlloc)
+	runtime.KeepAlive(&m)
+
+	// Newest write wins: k ends as a value, j as a tombstone, both written
+	// out of key order among other keys in one tail.
+	m = memtable{}
+	k, j := keyWord(5, 5), keyWord(5, 6)
+	for i, w := range []struct {
+		key  uint64
+		tomb bool
+	}{{k, false}, {j, false}, {keyWord(9, 0), false}, {k, true}, {j, true}, {keyWord(1, 0), false}, {k, false}} {
+		m.put(w.key, storage.EncodeValue(float64(i), 0), w.tomb)
+	}
+	first := m.sealed()
+	if len(first) != 4 {
+		t.Fatalf("sealed run holds %d records for 4 keys", len(first))
+	}
+	if v, tomb := first.get(k); tomb || v == nil {
+		t.Fatalf("k after value, tombstone, value: tomb=%v val=%v", tomb, v)
+	} else if x, _ := storage.DecodeValue(v); x != 6 {
+		t.Fatalf("k reads write %v, want the newest (6)", x)
+	}
+	if _, tomb := first.get(j); !tomb {
+		t.Fatal("j after value, tombstone: the tombstone lost to the older value")
+	}
+	// Across seals the tail wins, and the earlier run is not touched.
+	m.put(k, val, true)
+	m.put(j, storage.EncodeValue(7, 0), false)
+	second := m.sealed()
+	if _, tomb := second.get(k); !tomb {
+		t.Fatal("a later tombstone for k lost to the sealed value")
+	}
+	if v, tomb := second.get(j); tomb || v == nil {
+		t.Fatal("a later value for j lost to the sealed tombstone")
+	}
+	if _, tomb := first.get(k); tomb {
+		t.Fatal("sealing again changed a run sealed earlier")
+	}
 }
 
-// TestMemtablePutAllocs pins the node layout: a fresh key allocates the
-// node and its tower, nothing else; an overwrite allocates only the entry
-// it swaps in.
-func TestMemtablePutAllocs(t *testing.T) {
-	m := newMemtable(1)
-	var val [storage.ValueSize]byte
-	next := uint64(0)
-	if got := testing.AllocsPerRun(1000, func() {
-		next += 0x9e3779b97f4a7c15
-		m.put(next, val, false)
-	}); got != 2 {
-		t.Errorf("a fresh-key put allocates %v times, want 2 (node, tower)", got)
-	}
-	if got := testing.AllocsPerRun(1000, func() { m.put(next, val, false) }); got != 1 {
-		t.Errorf("an overwrite allocates %v times, want 1 (the entry)", got)
-	}
-}
-
-// TestMemtableOverwriteAccounting: an overwrite replaces the entry's
-// accounted size, it does not add a second entry.
+// TestMemtableOverwriteAccounting: an overwrite is charged like any write —
+// it holds a record of its own in the tail until a seal folds it — and the
+// seal keeps one record per key.
 func TestMemtableOverwriteAccounting(t *testing.T) {
-	m := newMemtable(1)
+	var m memtable
 	k := keyWord(3, 4)
-	for i, step := range []struct {
-		tomb  bool
-		bytes int
-	}{{false, 56}, {true, 40}, {false, 56}} {
-		m.put(k, storage.EncodeValue(float64(i), 0), step.tomb)
-		if m.bytes() != step.bytes || m.len() != 1 {
-			t.Fatalf("step %d (tomb=%v): bytes %d len %d, want %d and 1", i, step.tomb, m.bytes(), m.len(), step.bytes)
+	for i, tomb := range []bool{false, true, false} {
+		m.put(k, storage.EncodeValue(float64(i), 0), tomb)
+		if m.bytes() != (i+1)*writeCharge {
+			t.Fatalf("after %d writes (tomb=%v): %d bytes charged, want %d", i+1, tomb, m.bytes(), (i+1)*writeCharge)
 		}
 	}
-}
-
-// TestMemtableConcurrentOverwrite: one writer toggles a key between
-// distinct values and a tombstone while readers get and iterate it. Every
-// entry a reader sees must be one the writer wrote whole: a tombstone with
-// a zero value, or a value whose two halves agree.
-func TestMemtableConcurrentOverwrite(t *testing.T) {
-	const writes = 20000
-	m := newMemtable(1)
-	k := keyWord(7, 7)
-	valueOf := func(i uint64) (v [storage.ValueSize]byte) {
-		binary.LittleEndian.PutUint64(v[:8], i)
-		binary.LittleEndian.PutUint64(v[8:], ^i)
-		return v
-	}
-	check := func(val []byte, tomb bool) string {
-		lo, hi := binary.LittleEndian.Uint64(val[:8]), binary.LittleEndian.Uint64(val[8:])
-		switch {
-		case tomb && (lo != 0 || hi != 0):
-			return "tombstone paired with a value"
-		case !tomb && (hi != ^lo || lo == 0 || lo > writes):
-			return "value the writer never wrote"
-		}
-		return ""
-	}
-	m.put(k, valueOf(1), false)
-	var done atomic.Bool
-	var wg sync.WaitGroup
-	errs := make(chan string, 4)
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(iterate bool) {
-			defer wg.Done()
-			for !done.Load() {
-				var msg string
-				if iterate {
-					it := m.iterator(0)
-					if !it.valid() || it.key() != k {
-						msg = "iterator lost the key"
-					} else {
-						msg = check(it.value(), it.tomb())
-					}
-				} else if val, tomb := m.get(k); val == nil {
-					msg = "get lost the key"
-				} else {
-					msg = check(val, tomb)
-				}
-				if msg != "" {
-					errs <- msg
-					return
-				}
-			}
-		}(r%2 == 0)
-	}
-	for i := uint64(2); i <= writes; i++ {
-		m.put(k, valueOf(i), i%3 == 0)
-	}
-	done.Store(true)
-	wg.Wait()
-	close(errs)
-	for msg := range errs {
-		t.Fatal(msg)
-	}
-	if m.len() != 1 {
-		t.Fatalf("len %d after overwrites of one key, want 1", m.len())
-	}
-}
-
-// TestMemtableReadsRaceAppends: a reader positioning at a key while the
-// writer links keys below it must not land on one of those. seek stops at
-// the last node below the key; a node the writer links right after that
-// node is also below the key, and an iterator that started there yielded a
-// key under its start (a Scan from k returned a smaller key), while get
-// missed the key it was asked for.
-func TestMemtableReadsRaceAppends(t *testing.T) {
-	const keys = 1 << 14
-	var val [storage.ValueSize]byte
-	for round := 0; round < 8; round++ {
-		m := newMemtable(int64(round))
-		target := uint64(keys / 2)
-		m.put(target, val, false)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := uint64(0); k < keys; k++ {
-				if k != target {
-					m.put(k, val, false)
-				}
-			}
-		}()
-		for i := 0; i < 20000; i++ {
-			start := target - uint64(i%3) // at or just under target
-			if it := m.iterator(start); !it.valid() || it.key() < start {
-				t.Fatalf("iterator(%d) started below its start", start)
-			}
-			if v, _ := m.get(target); v == nil {
-				t.Fatalf("get(%d) missed a key the memtable holds", target)
-			}
-		}
-		wg.Wait()
+	if run := m.sealed(); len(run) != 1 {
+		t.Fatalf("three writes of one key sealed into %d records, want 1", len(run))
 	}
 }

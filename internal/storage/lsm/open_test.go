@@ -16,12 +16,12 @@ import (
 // (i/50, i%50), every seventh a tombstone.
 func tableBytes(tb testing.TB, n int) []byte {
 	tb.Helper()
-	mem := newMemtable(1)
+	var mem memtable
 	for i := 0; i < n; i++ {
 		mem.put(keyWord(int32(i/50), int32(i%50)), storage.EncodeValue(float64(i), 1), i%7 == 3)
 	}
 	path := filepath.Join(tb.TempDir(), "t.sst")
-	if err := writeSSTable(path, mem.iterator(0), false); err != nil {
+	if err := writeSSTable(path, mem.sealed().iterator(0), false); err != nil {
 		tb.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

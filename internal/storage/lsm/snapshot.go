@@ -8,30 +8,21 @@ import (
 	"repro/internal/storage"
 )
 
-// Snapshot is an immutable read view of the database, acquired in O(tables)
-// under a brief read lock and then used entirely lock-free: the table list
-// is copy-on-write (writers publish a new slice, never mutate a shared
-// one), each referenced sstable is pinned by a refcount so compaction and
-// Close cannot unlink or close it mid-read, and the memtable skiplist is
-// safe for concurrent readers against its single writer.
-//
-// Consistency contract (read committed): the on-disk state — table list and
-// time bounds — is frozen exactly as of acquisition. The memtable reference
-// is to the live write buffer, so records committed after acquisition MAY
-// become visible until the next flush rotates the buffer; after rotation
-// the captured skiplist is frozen forever. No record visible at acquisition
-// time is ever lost from the view, and no key is ever yielded twice: a
-// flush moves records into a table this snapshot does not reference, but
-// the captured skiplist still holds them. This matches the archive's
-// cursor contract, where records archived after a page began may or may not
-// appear on that page.
+// Snapshot is the database as it was when the snapshot was taken. It is
+// acquired in O(tables) under a brief lock and then read entirely
+// lock-free: the table list is copy-on-write (writers publish a new slice,
+// never mutate a shared one), each referenced sstable is pinned by a
+// refcount so compaction and Close cannot unlink or close it mid-read, and
+// the memtable's run is never modified once published. Writes made after
+// acquisition — puts, deletes, flushes, compactions — are invisible to it
+// (snapshot isolation).
 //
 // Snapshots are cheap but pin disk space: tables retired while referenced
 // are unlinked only when the last snapshot releases. Always Release — it is
 // idempotent and nil-safe.
 type Snapshot struct {
 	db       *DB
-	mem      *memtable
+	mem      memRun
 	tables   []*sstable // oldest first, as in DB.tables
 	ts, te   int32
 	released atomic.Bool
@@ -40,18 +31,31 @@ type Snapshot struct {
 var errClosed = errors.New("lsm: db closed")
 
 // AcquireSnapshot pins the current read view. The caller must Release it.
+// Writes buffered since the last snapshot are sealed into the memtable's
+// run first, under the write lock; with none, a read lock suffices.
 func (db *DB) AcquireSnapshot() (*Snapshot, error) {
 	db.mu.RLock()
+	if len(db.mem.tail) == 0 {
+		defer db.mu.RUnlock()
+		return db.snapshotLocked()
+	}
+	db.mu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.mem.sealed()
+	return db.snapshotLocked()
+}
+
+// snapshotLocked captures the view; db.mu is held and the tail is sealed.
+func (db *DB) snapshotLocked() (*Snapshot, error) {
 	if db.closed {
-		db.mu.RUnlock()
 		return nil, errClosed
 	}
-	s := &Snapshot{db: db, mem: db.mem, tables: db.tables, ts: db.ts, te: db.te}
+	s := &Snapshot{db: db, mem: db.mem.run, tables: db.tables, ts: db.ts, te: db.te}
 	for _, t := range s.tables {
 		t.ref()
 	}
 	db.liveSnapshots.Add(1)
-	db.mu.RUnlock()
 	return s, nil
 }
 

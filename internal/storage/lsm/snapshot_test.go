@@ -3,6 +3,7 @@ package lsm
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -80,6 +81,63 @@ func TestSnapshotPinsTablesAcrossCompaction(t *testing.T) {
 	}
 	if got := db.ReadStats().LiveSnapshots; got != 0 {
 		t.Fatalf("LiveSnapshots = %d after release, want 0", got)
+	}
+}
+
+// TestSnapshotFrozen: a snapshot is the DB as it was when it was taken. A
+// put and a delete made after acquisition — buffered, then flushed — are
+// invisible to it, while a fresh snapshot sees both.
+func TestSnapshotFrozen(t *testing.T) {
+	db, err := Open(t.TempDir(), &Options{MaxTables: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, oid := range []int32{1, 2} {
+		if err := put(db, model.Point{T: 1, OID: oid, X: float64(oid)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := db.AcquireSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	if err := put(db, model.Point{T: 1, OID: 3, X: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DeleteKV(storage.EncodeKey(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	keys := func(s *Snapshot) (oids []int32) {
+		t.Helper()
+		if err := s.Scan(storage.EncodeKey(1, -1<<31), func(k, _ []byte) bool {
+			_, oid := storage.DecodeKey(k)
+			oids = append(oids, oid)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return oids
+	}
+	for _, stage := range []string{"buffered", "flushed"} {
+		if got := keys(snap); !slices.Equal(got, []int32{1, 2}) {
+			t.Fatalf("%s: the snapshot lists oids %v, want [1 2] as at acquisition", stage, got)
+		}
+		if v, err := snapGet(snap, 1, 1); err != nil || v == nil {
+			t.Fatalf("%s: a key deleted after acquisition is gone from the snapshot (err %v)", stage, err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh, err := db.AcquireSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Release()
+	if got := keys(fresh); !slices.Equal(got, []int32{2, 3}) {
+		t.Fatalf("a fresh snapshot lists oids %v, want [2 3]", got)
 	}
 }
 

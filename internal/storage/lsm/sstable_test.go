@@ -21,12 +21,13 @@ import (
 // and its footer fields). 1 000 entries span several data blocks; every
 // seventh is a tombstone, kept in one table and dropped in the other.
 func TestSSTableBytesUnchanged(t *testing.T) {
-	mem := newMemtable(1)
+	var mem memtable
 	for i := 0; i < 1000; i++ {
 		var v [storage.ValueSize]byte
 		binary.LittleEndian.PutUint64(v[:], uint64(i))
 		mem.put(uint64(i)*2654435761, v, i%7 == 0)
 	}
+	run := mem.sealed()
 	for _, c := range []struct {
 		dropTombs bool
 		want      string
@@ -35,7 +36,7 @@ func TestSSTableBytesUnchanged(t *testing.T) {
 		{true, "ad1ca68c1cacf6629405e2345c865d28f4bfc96a6a50c56cd72d001d6a671c82"},
 	} {
 		path := filepath.Join(t.TempDir(), "t.sst")
-		if err := writeSSTable(path, mem.iterator(0), c.dropTombs); err != nil {
+		if err := writeSSTable(path, run.iterator(0), c.dropTombs); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(path)
