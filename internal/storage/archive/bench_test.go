@@ -1,7 +1,9 @@
 package archive
 
 import (
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/storage"
@@ -79,16 +81,25 @@ func BenchmarkArchiveQueryObject(b *testing.B) {
 	}
 }
 
-// BenchmarkArchiveBackfill measures startup backfill of a 5k-record log
-// into a fresh archive.
+// BenchmarkArchiveBackfill measures startup backfill of a log into a fresh
+// archive. 5k records fit in the indexes' write budgets, so nothing is
+// flushed before the backfill ends; 50k records flush each index several
+// times mid-backfill, as a restart on a long log does. gcs/op is the number
+// of garbage collections per backfill.
 func BenchmarkArchiveBackfill(b *testing.B) {
+	for _, n := range []int{5000, 50000} {
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) { benchBackfill(b, n) })
+	}
+}
+
+func benchBackfill(b *testing.B, n int) {
 	dir := b.TempDir()
 	logPath := filepath.Join(dir, "closed.k2cl")
 	l, err := storage.CreateConvoyLog(logPath)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, r := range genRecords(13, 5000, 0) {
+	for _, r := range genRecords(13, n, 0) {
 		if err := l.AppendRecord(r); err != nil {
 			b.Fatal(err)
 		}
@@ -96,6 +107,8 @@ func BenchmarkArchiveBackfill(b *testing.B) {
 	if err := l.Close(); err != nil {
 		b.Fatal(err)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -106,11 +119,14 @@ func BenchmarkArchiveBackfill(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if added != 5000 {
+		if added != int64(n) {
 			b.Fatalf("backfilled %d", added)
 		}
 		b.StopTimer()
 		a.Close()
 		b.StartTimer()
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gcs/op")
 }

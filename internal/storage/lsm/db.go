@@ -65,7 +65,8 @@ import (
 type Options struct {
 	// MemtableBytes is the flush threshold (default 4 MiB): every buffered
 	// write, overwrites and tombstones included, is charged 64 B, which
-	// bounds the memtable's heap (see writeCharge).
+	// bounds the memtable's heap, the seal's sort scratch included (see
+	// writeCharge).
 	MemtableBytes int
 	// MaxTables is the run count above which the background compactor
 	// merges runs (default 6). The floor is 1: "always compact back to a
@@ -270,7 +271,7 @@ func (db *DB) flushLocked() error {
 		}
 		durable.Crash("flush.manifest-committed")
 	}
-	db.mem = memtable{}
+	db.mem = memtable{next: db.mem.next} // the next tail keeps this one's size
 	if len(db.tables) > db.opts.MaxTables {
 		db.kickCompact()
 	}

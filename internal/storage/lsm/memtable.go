@@ -22,23 +22,26 @@ type memtable struct {
 	// writes counts the writes buffered since the memtable was last emptied,
 	// overwrites included.
 	writes int
+	// next is the length of the last tail sealed: the next tail is allocated
+	// at it on its first write, so a burst like the last one never regrows.
+	next int
 }
 
 // memRec is one buffered write: a value, or a tombstone with a zero value.
-// seq is its index in the tail, so a sort on (key, seq) puts the newest
-// write of a key first without a stable sort.
 type memRec struct {
 	key  uint64
 	val  [storage.ValueSize]byte
-	seq  uint32
 	tomb bool
 }
 
 // writeCharge is what one buffered write counts against
-// Options.MemtableBytes: twice a record. A write occupies one record in the
-// tail and, once sealed, at most one in the run; append and the seal that
-// adopts a tail as the run leave each slice at most twice its length. So
-// the charge bounds the memtable's heap, overwrites included.
+// Options.MemtableBytes: two records. A write occupies one record in the
+// tail and, once sealed, at most one in the run; while a seal sorts the
+// tail, it occupies a second record, in the sort's scratch. A tail is
+// allocated at the length of the last tail sealed, and the flush threshold
+// keeps that at most MemtableBytes/writeCharge records, so a memtable flushed
+// at its budget holds about half of it at rest and the whole of it while
+// the flush sorts.
 const writeCharge = 2 * int(unsafe.Sizeof(memRec{}))
 
 // put appends key → val to the tail. A tombstone (tomb true) records a
@@ -47,7 +50,10 @@ func (m *memtable) put(key uint64, val [storage.ValueSize]byte, tomb bool) {
 	if tomb {
 		val = [storage.ValueSize]byte{}
 	}
-	m.tail = append(m.tail, memRec{key: key, val: val, seq: uint32(len(m.tail)), tomb: tomb})
+	if m.tail == nil {
+		m.tail = make([]memRec, 0, m.next)
+	}
+	m.tail = append(m.tail, memRec{key: key, val: val, tomb: tomb})
 	m.writes++
 }
 
@@ -55,23 +61,25 @@ func (m *memtable) put(key uint64, val [storage.ValueSize]byte, tomb bool) {
 func (m *memtable) bytes() int { return m.writes * writeCharge }
 
 // sealed folds the tail into the run and returns the run. The tail is
-// sorted on (key, newest first) and reduced to each key's newest write; it
-// becomes the run as it is when the run is empty, and is merged with the
-// run into a fresh slice otherwise, the tail winning ties. A run published
-// earlier is never written again. Writer only.
+// sorted by key, stably, and reduced to each key's newest write — the last
+// of its equal-key run; it becomes the run as it is when the run is empty,
+// and is merged with the run into a fresh slice otherwise, the tail winning
+// ties. A run published earlier is never written again. Writer only.
 func (m *memtable) sealed() memRun {
 	if len(m.tail) == 0 {
 		return m.run
 	}
-	tail := m.tail
-	m.tail = nil
-	slices.SortFunc(tail, func(a, b memRec) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
+	tail := radixSort(m.tail)
+	m.next, m.tail = len(m.tail), nil
+	w := 0
+	for i := range tail {
+		if i+1 < len(tail) && tail[i+1].key == tail[i].key {
+			continue
 		}
-		return cmp.Compare(b.seq, a.seq)
-	})
-	tail = slices.CompactFunc(tail, func(a, b memRec) bool { return a.key == b.key })
+		tail[w] = tail[i]
+		w++
+	}
+	tail = tail[:w]
 	if len(m.run) == 0 {
 		m.run = tail
 		return m.run
@@ -90,6 +98,43 @@ func (m *memtable) sealed() memRun {
 	}
 	m.run = append(append(out, old...), tail...)
 	return m.run
+}
+
+// radixSort sorts recs by key with a stable least-significant-byte-first
+// radix sort and returns the sorted records: recs itself, or a scratch
+// slice as long as recs, whichever the last pass wrote. One counting pass
+// fills all eight byte histograms; a byte every key shares needs no pass,
+// and keys that share all eight need no scratch.
+func radixSort(recs []memRec) []memRec {
+	var counts [8][256]int
+	for i := range recs {
+		k := recs[i].key
+		for b := range counts {
+			counts[b][byte(k>>(8*b))]++
+		}
+	}
+	src, dst := recs, []memRec(nil)
+	for b := range counts {
+		c := &counts[b]
+		if c[byte(src[0].key>>(8*b))] == len(src) {
+			continue
+		}
+		if dst == nil {
+			dst = make([]memRec, len(src))
+		}
+		off := 0
+		for d, n := range c {
+			c[d] = off
+			off += n
+		}
+		for i := range src {
+			d := byte(src[i].key >> (8 * b))
+			dst[c[d]] = src[i]
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // memRun is a sealed run: sorted by key, one write per key, immutable.

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/storage"
@@ -97,4 +98,79 @@ func TestMemtableOverwriteAccounting(t *testing.T) {
 	if run := m.sealed(); len(run) != 1 {
 		t.Fatalf("three writes of one key sealed into %d records, want 1", len(run))
 	}
+}
+
+// FuzzMemtableSeal runs fuzz-chosen puts and tombstones through one or two
+// seals — the first before op split, when there is one, and the last after
+// every op — and holds each sealed run to a map model in which a key's
+// newest write wins: the run is sorted, holds each key once and equals the
+// model, and a run sealed earlier is unchanged by the next seal. Each op is
+// three bytes: the first picks tombstone or value and the key's shape, the
+// other two the key. The shapes are the cases the radix sort's byte
+// skipping must get right: keys differing only in the low byte, keys
+// differing only in the high byte, one key written again and again, and
+// keys differing in every byte.
+func FuzzMemtableSeal(f *testing.F) {
+	f.Add(byte(0), []byte{})                          // n = 0
+	f.Add(byte(0), []byte{0, 7, 0})                   // n = 1, after an empty seal
+	f.Add(byte(9), []byte{4, 7, 0, 5, 7, 0})          // n = 2: one key, value then tombstone
+	f.Add(byte(1), []byte{0, 9, 0, 2, 9, 0})          // one key in each shape, then a merge
+	f.Add(byte(1), []byte{6, 1, 2, 6, 2, 1, 7, 1, 2}) // all bytes vary, tombstone across seals
+	for shape := byte(0); shape < 4; shape++ {
+		ops := make([]byte, 0, 3*300)
+		for i := 0; i < 300; i++ {
+			ops = append(ops, shape<<1|byte(i%5/4), byte(i*37), byte(i*11))
+		}
+		f.Add(byte(200), ops)
+	}
+	f.Fuzz(func(t *testing.T, split byte, ops []byte) {
+		var m memtable
+		model := map[uint64]memRec{}
+		check := func(run memRun) {
+			t.Helper()
+			if len(run) != len(model) {
+				t.Fatalf("run holds %d records for %d keys", len(run), len(model))
+			}
+			for i, r := range run {
+				if i > 0 && run[i-1].key >= r.key {
+					t.Fatalf("run[%d].key %#x follows %#x: not sorted and unique", i, r.key, run[i-1].key)
+				}
+				if want := model[r.key]; r != want {
+					t.Fatalf("key %#x: run holds %+v, the newest write is %+v", r.key, r, want)
+				}
+			}
+		}
+		var first, firstCopy memRun
+		n := len(ops) / 3
+		for i := 0; i < n; i++ {
+			if i == int(split) {
+				first = m.sealed()
+				check(first)
+				firstCopy = slices.Clone(first)
+			}
+			op := ops[3*i : 3*i+3]
+			var key uint64
+			switch op[0] >> 1 & 3 {
+			case 0:
+				key = 0x0123456789abcd00 | uint64(op[1])
+			case 1:
+				key = uint64(op[1])<<56 | 0x00cdef0123456789
+			case 2:
+				key = 0x5555555555555555
+			case 3:
+				key = (uint64(op[1])<<8 | uint64(op[2])) * 0x9e3779b97f4a7c15
+			}
+			r := memRec{key: key, tomb: op[0]&1 == 1}
+			val := storage.EncodeValue(float64(i), 0)
+			if !r.tomb {
+				r.val = val
+			}
+			m.put(key, val, r.tomb)
+			model[key] = r
+		}
+		check(m.sealed())
+		if !slices.Equal(first, firstCopy) {
+			t.Fatal("the last seal changed a run sealed earlier")
+		}
+	})
 }

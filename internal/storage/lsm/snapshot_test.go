@@ -339,7 +339,9 @@ func TestReadStatsCounters(t *testing.T) {
 
 // BenchmarkScanUnderWrites measures merged range-scan throughput while a
 // background writer keeps appending (the archive's query-during-ingest
-// shape), sweeping the scanner count.
+// shape), sweeping the scanner count. Each scan seals what the writer
+// wrote since the previous one, so a faster writer makes scans slower:
+// writes/op reports how much the writer got done per scan.
 func BenchmarkScanUnderWrites(b *testing.B) {
 	for _, g := range []int{1, 4} {
 		b.Run(fmt.Sprintf("scanners=%d", g), func(b *testing.B) {
@@ -358,6 +360,7 @@ func BenchmarkScanUnderWrites(b *testing.B) {
 				b.Fatal(err)
 			}
 			stop := make(chan struct{})
+			var writes atomic.Int64
 			var writerDone sync.WaitGroup
 			writerDone.Add(1)
 			go func() {
@@ -369,6 +372,7 @@ func BenchmarkScanUnderWrites(b *testing.B) {
 					default:
 					}
 					_ = put(db, model.Point{T: int32(i % 512), OID: int32(i & 0x7f), X: float64(i)})
+					writes.Add(1)
 				}
 			}()
 			var wg sync.WaitGroup
@@ -376,6 +380,7 @@ func BenchmarkScanUnderWrites(b *testing.B) {
 			if per == 0 {
 				per = 1
 			}
+			w0 := writes.Load()
 			b.ResetTimer()
 			for w := 0; w < g; w++ {
 				wg.Add(1)
@@ -396,6 +401,7 @@ func BenchmarkScanUnderWrites(b *testing.B) {
 			}
 			wg.Wait()
 			b.StopTimer()
+			b.ReportMetric(float64(writes.Load()-w0)/float64(b.N), "writes/op")
 			close(stop)
 			writerDone.Wait()
 		})
