@@ -91,7 +91,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	fs.DurationVar(&sc.PersistEvery, "persist-every", 2*time.Second, "persistence interval")
 	fs.DurationVar(&sc.FeedTTL, "feed-ttl", 0, "evict feeds idle for this long (0 = never); persisted history survives in the log")
 	fs.StringVar(&sc.ArchiveDir, "archive-dir", "", "historical query archive directory (empty = /v1/query disabled); requires -persist, backfilled from the log at startup")
-	fs.IntVar(&sc.ArchiveCache, "archive-cache", 0, "archive index write-buffer budget in bytes (0 = default 12 MiB)")
 	fs.IntVar(&retention, "retention", 0, "expire archived convoys whose End tick lags the newest archived End by this many ticks or more (0 = keep everything); requires -archive-dir")
 	fs.IntVar(&sc.MaxFeeds, "max-feeds", 0, "cap on live feeds; creating more answers 429 (0 = default 65536)")
 	fs.Float64Var(&sc.IngestRate, "ingest-rate", 0, "per-feed ingest rate limit in snapshots/sec; excess answers 429 rate_limited (0 = unlimited)")
@@ -108,8 +107,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 		return cfg, fmt.Errorf("-retention %d out of range [0, %d]", retention, math.MaxInt32)
 	case retention > 0 && sc.ArchiveDir == "":
 		return cfg, errors.New("-retention requires -archive-dir (retention expires archived convoys)")
-	case sc.Shards < 0 || sc.QueueLen < 0 || sc.MaxFeeds < 0 || sc.ArchiveCache < 0:
-		return cfg, errors.New("-shards, -queue, -max-feeds and -archive-cache must be >= 0")
+	case sc.Shards < 0 || sc.QueueLen < 0 || sc.MaxFeeds < 0:
+		return cfg, errors.New("-shards, -queue and -max-feeds must be >= 0")
 	case sc.EnqueueWait < 0 || sc.PersistEvery < 0 || sc.FeedTTL < 0:
 		return cfg, errors.New("-enqueue-wait, -persist-every and -feed-ttl must be >= 0")
 	case sc.IngestRate < 0:

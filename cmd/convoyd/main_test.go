@@ -28,7 +28,6 @@ func TestParseFlagsRejects(t *testing.T) {
 		{[]string{"-shards", "-3"}, "-shards, -queue"},
 		{[]string{"-queue", "-1"}, "-shards, -queue"},
 		{[]string{"-max-feeds", "-1"}, "-shards, -queue"},
-		{[]string{"-archive-cache", "-1"}, "-shards, -queue"},
 		{[]string{"-persist-every", "-1s"}, "-enqueue-wait, -persist-every"},
 		{[]string{"-feed-ttl", "-1m"}, "-enqueue-wait, -persist-every"},
 		{[]string{"-enqueue-wait", "-1s"}, "-enqueue-wait, -persist-every"},
@@ -50,7 +49,7 @@ func TestParseFlagsAccepts(t *testing.T) {
 		t.Fatalf("parsed %+v", cfg.srv)
 	}
 	// 0 keeps its documented meaning (a default, or "off") everywhere.
-	if _, err := parse("-shards", "0", "-queue", "0", "-max-feeds", "0", "-archive-cache", "0",
+	if _, err := parse("-shards", "0", "-queue", "0", "-max-feeds", "0",
 		"-persist-every", "0", "-feed-ttl", "0", "-enqueue-wait", "0"); err != nil {
 		t.Fatal(err)
 	}

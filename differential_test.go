@@ -9,6 +9,7 @@ package convoy
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen/brinkhoff"
@@ -18,38 +19,90 @@ import (
 	"repro/internal/model"
 )
 
-// TestDifferentialStreamVsBatch mines ≥100 seeded random datasets both
-// incrementally (Observe/Flush) and in batch (PCCD over a store) and
-// requires byte-identical canonical results.
+// TestDifferentialStreamVsBatch holds each family's streaming miner
+// (Observe, then Flush) to its batch counterpart — convoys to PCCD, flocks
+// to MineFlocks' sweep, moving clusters to MineMovingClusters — over seeded
+// datasets of four generators: Random, RandomChurn (objects join and leave
+// mid-stream), RandomClique and small Brinkhoff road networks (objects
+// spawn every tick and vanish on arrival). Every stream runs twice: with
+// each tick's positions in OID order, as a Dataset holds them, and shuffled
+// by the seed, which Observe must put back in canonical order. The
+// canonical renderings must be byte-identical — for moving clusters in
+// emission order, which is part of the contract. A failure names the
+// generator, the miner, the order and the seed.
 func TestDifferentialStreamVsBatch(t *testing.T) {
-	const trials = 120
-	for seed := int64(0); seed < trials; seed++ {
-		nObj := 8 + int(seed%5)
-		nTicks := 12 + int(seed%9)
-		ds := minetest.Random(seed, nObj, nTicks)
-		p := Params{M: 3, K: 4, Eps: minetest.Eps}
-
-		sm, err := NewPatternMiner(PatternConvoy, PatternParams{Params: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts, te := ds.TimeRange()
-		for tt := ts; tt <= te; tt++ {
-			if err := sm.Observe(tt, ds.Snapshot(tt)); err != nil {
-				t.Fatalf("seed %d: observe t=%d: %v", seed, tt, err)
+	sized := func(gen func(int64, int, int) *model.Dataset) func(int64) *model.Dataset {
+		return func(seed int64) *model.Dataset { return gen(seed, 8+int(seed%5), 12+int(seed%9)) }
+	}
+	brinkhoffGen := func(seed int64) *model.Dataset {
+		return brinkhoff.Generate(brinkhoff.Params{
+			Seed: seed, GridW: 8, GridH: 8, SpaceW: 2000, SpaceH: 2000,
+			MaxTime: 60, ObjBegin: 40, ObjPerTick: 3, Classes: 3,
+			PlatoonFraction: 0.4, PlatoonSize: 4, PlatoonSpread: 20, Jitter: 10,
+		})
+	}
+	gens := []struct {
+		name    string
+		seeds   int64
+		eps, r  float64 // DBSCAN radius; flock disk radius
+		convoyK int     // flocks and moving clusters run at K = 3
+		gen     func(seed int64) *model.Dataset
+	}{
+		// Random seed 157 (10 objects × 16 ticks) shuffled is a moving-
+		// cluster case whose emission order depends on the tick's order.
+		{"Random", 160, minetest.Eps, 2, 4, sized(minetest.Random)},
+		{"RandomChurn", 120, minetest.Eps, 2, 4, sized(minetest.RandomChurn)},
+		{"RandomClique", 120, minetest.Eps, 2, 4, sized(minetest.RandomClique)},
+		{"Brinkhoff", 6, 40, 20, 3, brinkhoffGen},
+	}
+	miners := []struct {
+		pat    Pattern
+		stream func([]PatternResult) string
+		batch  func(*model.Dataset, PatternParams) (string, error)
+	}{
+		{PatternConvoy, canonResults, func(ds *model.Dataset, pp PatternParams) (string, error) {
+			res, err := MineDataset(ds, pp.Params, &Options{Algorithm: PCCD})
+			if err != nil {
+				return "", err
 			}
-		}
-		got := resultConvoys(sm.Flush())
-
-		want, err := MineDataset(ds, p, &Options{Algorithm: PCCD})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := minetest.DiffConvoys("stream", got, "batch", want.Convoys); d != "" {
-			t.Fatalf("seed %d (%d objs × %d ticks): %s", seed, nObj, nTicks, d)
-		}
-		if sg, sb := minetest.Canonical(got), minetest.Canonical(want.Convoys); sg != sb {
-			t.Fatalf("seed %d: canonical renderings differ:\nstream:\n%s\nbatch:\n%s", seed, sg, sb)
+			return minetest.Canonical(res.Convoys), nil
+		}},
+		{PatternFlock, canonResults, func(ds *model.Dataset, pp PatternParams) (string, error) {
+			fs, err := MineFlocks(NewMemStore(ds), pp, true)
+			return minetest.Canonical(fs), err
+		}},
+		{PatternMC, canonMCResults, func(ds *model.Dataset, pp PatternParams) (string, error) {
+			mcs, err := MineMovingClusters(NewMemStore(ds), pp)
+			return canonMCs(mcs), err
+		}},
+	}
+	for _, g := range gens {
+		for _, m := range miners {
+			pp := PatternParams{Params: Params{M: 3, K: 3, Eps: g.eps}, R: g.r, Theta: 0.5}
+			if m.pat == PatternConvoy {
+				pp.K = g.convoyK
+			}
+			for _, shuffled := range []bool{false, true} {
+				order := map[bool]string{false: "sorted", true: "shuffled"}[shuffled]
+				t.Run(g.name+"/"+string(m.pat)+"/"+order, func(t *testing.T) {
+					found := 0
+					for seed := int64(0); seed < g.seeds; seed++ {
+						ds := g.gen(seed)
+						want, err := m.batch(ds, pp)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := m.stream(streamPattern(t, m.pat, pp, ds, shuffled, seed))
+						if got != want {
+							t.Fatalf("seed %d: stream and batch differ:\nstream:\n%s\nbatch:\n%s", seed, got, want)
+						}
+						found += strings.Count(want, "\n")
+					}
+					if found == 0 {
+						t.Fatal("no seed mined a pattern; the differential compares nothing")
+					}
+				})
+			}
 		}
 	}
 }
@@ -243,80 +296,6 @@ func TestDifferentialSweepVsSortedReference(t *testing.T) {
 					t.Fatalf("seed %d %s: drained %v is not in the final result", seed, in.name, c)
 				}
 			}
-		}
-	}
-}
-
-// TestDifferentialStreamVsBatchChurn is TestDifferentialStreamVsBatch over
-// the high-churn generator: objects join and leave the feed mid-stream, so
-// the sweep's candidates gain and lose members on nearly every tick, and
-// the streaming output must still be byte-identical to the batch oracle.
-func TestDifferentialStreamVsBatchChurn(t *testing.T) {
-	const trials = 120
-	for seed := int64(0); seed < trials; seed++ {
-		nObj := 8 + int(seed%5)
-		nTicks := 12 + int(seed%9)
-		ds := minetest.RandomChurn(seed, nObj, nTicks)
-		p := Params{M: 3, K: 4, Eps: minetest.Eps}
-
-		sm, err := NewPatternMiner(PatternConvoy, PatternParams{Params: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts, te := ds.TimeRange()
-		for tt := ts; tt <= te; tt++ {
-			if err := sm.Observe(tt, ds.Snapshot(tt)); err != nil {
-				t.Fatalf("seed %d: observe t=%d: %v", seed, tt, err)
-			}
-		}
-		got := resultConvoys(sm.Flush())
-
-		want, err := MineDataset(ds, p, &Options{Algorithm: PCCD})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := minetest.DiffConvoys("stream", got, "batch", want.Convoys); d != "" {
-			t.Fatalf("seed %d (%d objs × %d ticks): %s", seed, nObj, nTicks, d)
-		}
-		if sg, sb := minetest.Canonical(got), minetest.Canonical(want.Convoys); sg != sb {
-			t.Fatalf("seed %d: canonical renderings differ:\nstream:\n%s\nbatch:\n%s", seed, sg, sb)
-		}
-	}
-}
-
-// TestDifferentialStreamVsBatchBrinkhoff runs the stream-vs-batch
-// differential over small road-network datasets: Brinkhoff traffic has
-// structural churn (objects spawn every tick and disappear on arrival at
-// their destination), which is the production-shaped counterpart to
-// RandomChurn's uniform coin flips.
-func TestDifferentialStreamVsBatchBrinkhoff(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		bp := brinkhoff.Params{
-			Seed: seed, GridW: 8, GridH: 8, SpaceW: 2000, SpaceH: 2000,
-			MaxTime: 60, ObjBegin: 40, ObjPerTick: 3, Classes: 3,
-			PlatoonFraction: 0.4, PlatoonSize: 4, PlatoonSpread: 20, Jitter: 10,
-		}
-		ds := brinkhoff.Generate(bp)
-		p := Params{M: 3, K: 3, Eps: 40}
-
-		sm, err := NewPatternMiner(PatternConvoy, PatternParams{Params: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts, te := ds.TimeRange()
-		for tt := ts; tt <= te; tt++ {
-			if err := sm.Observe(tt, ds.Snapshot(tt)); err != nil {
-				t.Fatalf("seed %d: observe t=%d: %v", seed, tt, err)
-			}
-		}
-		got := resultConvoys(sm.Flush())
-
-		want, err := MineDataset(ds, p, &Options{Algorithm: PCCD})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := minetest.DiffConvoys("stream", got, "batch", want.Convoys); d != "" {
-			t.Fatalf("seed %d: %s", seed, d)
 		}
 	}
 }

@@ -60,15 +60,15 @@ func writeConvoyLog(t *testing.T, path string, recs []storage.LoggedConvoy) {
 
 func canonConvoy(feed string, c model.Convoy) string { return feed + "\x00" + c.Key() }
 
-// pageAll pages a /v1/query URL to exhaustion and returns the sorted
-// canonical forms of everything it served.
-func pageAll(t *testing.T, url string) []string {
+// pageAll pages a /v1/query URL to exhaustion, limit convoys a page, and
+// returns the sorted canonical forms of everything it served.
+func pageAll(t *testing.T, url string, limit int) []string {
 	t.Helper()
 	var out []string
 	cursor := ""
 	for page := 0; ; page++ {
 		var resp queryResponse
-		if code := getJSON(t, url+"&limit=7"+cursor, &resp); code != http.StatusOK {
+		if code := getJSON(t, fmt.Sprintf("%s&limit=%d%s", url, limit, cursor), &resp); code != http.StatusOK {
 			t.Fatalf("GET %s page %d: status %d", url, page, code)
 		}
 		for _, c := range resp.Convoys {
@@ -110,7 +110,7 @@ func assertQueriesMatchLog(t *testing.T, base, logPath string) {
 	}
 	check := func(url string, keep func(storage.LoggedConvoy) bool) {
 		t.Helper()
-		if got, want := pageAll(t, base+url), brute(keep); !slices.Equal(got, want) {
+		if got, want := pageAll(t, base+url, 7), brute(keep); !slices.Equal(got, want) {
 			t.Fatalf("GET %s: served %d convoys, brute force over the log finds %d", url, len(got), len(want))
 		}
 	}
@@ -316,7 +316,7 @@ func TestCleanRestartIndexesNothing(t *testing.T) {
 	answers := func(base string) [][]string {
 		var out [][]string
 		for _, q := range queries {
-			out = append(out, pageAll(t, base+q))
+			out = append(out, pageAll(t, base+q, 7))
 		}
 		return out
 	}

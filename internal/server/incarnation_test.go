@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -324,289 +323,4 @@ func TestIncarnationTrimLogsEvictions(t *testing.T) {
 	if want := []string{"old-0", "old-1", "old-2"}; !slices.Equal(slices.Sorted(slices.Values(markers)), want) {
 		t.Fatalf("the trim logged markers for %v, want %v", markers, want)
 	}
-}
-
-// TestIncarnationLifecycleSeeded drives seeded random step sequences over
-// three feed names — ingest (which recreates an evicted name), flush,
-// evict, persist and close/reopen — against a model of each name: its
-// flushed bit, its cursor head, whether it is resident or a tomb, and the
-// convoy records its log must hold, which are each incarnation's batch
-// PCCD over its accepted ticks (minus those still open, for an incarnation
-// never flushed), concatenated. A reopen re-sends every resident unflushed
-// incarnation's ticks, as a client resuming after a restart does.
-func TestIncarnationLifecycleSeeded(t *testing.T) {
-	var total incarnationSteps
-	for seed := int64(1); seed <= 10; seed++ {
-		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
-			t.Cleanup(func() {
-				if t.Failed() {
-					t.Logf("failed with seed %d", seed)
-				}
-			})
-			n := runIncarnationSeed(t, seed)
-			total.flushedEvicted += n.flushedEvicted
-			total.recreated += n.recreated
-			total.reopenedRecreated += n.reopenedRecreated
-			total.convoys += n.convoys
-		})
-	}
-	t.Logf("over all seeds: %+v", total)
-	// Each seam the model covers must be crossed by some seed.
-	if total.flushedEvicted == 0 || total.recreated == 0 || total.reopenedRecreated == 0 || total.convoys == 0 {
-		t.Fatalf("the seeds never crossed a seam: %+v", total)
-	}
-}
-
-// incarnationSteps counts what one seed's steps did.
-type incarnationSteps struct {
-	flushedEvicted    int // evictions of a flushed incarnation
-	recreated         int // ingests that started a name's second or later incarnation
-	reopenedRecreated int // reopens over a log holding a resident name's eviction marker
-	convoys           int // convoy records the log ends with
-}
-
-// incarnation is the model of one incarnation of a feed name.
-type incarnation struct {
-	ticks   []snapshotJSON // accepted, in order
-	flushed bool
-}
-
-// logged is the sorted convoy keys the incarnation's log records must hold.
-func (inc *incarnation) logged(t *testing.T) []string {
-	if inc == nil || len(inc.ticks) == 0 {
-		return nil
-	}
-	var pts []model.Point
-	for _, sn := range inc.ticks {
-		for _, p := range sn.Positions {
-			pts = append(pts, model.Point{OID: p.OID, T: sn.T, X: p.X, Y: p.Y})
-		}
-	}
-	last := inc.ticks[len(inc.ticks)-1].T
-	var out []string
-	for _, c := range batchPCCD(t, model.NewDataset(pts)) {
-		if inc.flushed || c.End < last { // a convoy alive at the last tick is still open
-			out = append(out, c.Key())
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-// nameModel is the model of one feed name.
-type nameModel struct {
-	cur  *incarnation // nil: not resident
-	base int          // cursor head when cur began
-	done [][]string   // the logged keys of each ended incarnation
-}
-
-func (m *nameModel) head(t *testing.T) int { return m.base + len(m.cur.logged(t)) }
-
-// incarnationTicks generates n ticks from t0 of two 4-object groups that
-// ride together or scatter, with members dropping out and occasional gaps
-// in time, so convoys of sizes 3 and 4 open and close at testParams.
-func incarnationTicks(rng *rand.Rand, t0 int32, n int, together []bool) []snapshotJSON {
-	var out []snapshotJSON
-	tt := t0
-	for i := 0; i < n; i++ {
-		sn := snapshotJSON{T: tt}
-		for g := range together {
-			if rng.Float64() < 0.12 {
-				together[g] = !together[g]
-			}
-			for j := 0; j < 4; j++ {
-				x := float64(1000*g) + 0.5*float64(j)
-				if !together[g] || rng.Float64() < 0.05 {
-					x = float64(1000*g) + 300 + 100*float64(j)
-				}
-				sn.Positions = append(sn.Positions, positionJSON{OID: int32(4*g + j + 1), X: x})
-			}
-		}
-		out = append(out, sn)
-		tt++
-		if rng.Float64() < 0.1 {
-			tt += int32(1 + rng.Intn(3))
-		}
-	}
-	return out
-}
-
-func runIncarnationSeed(t *testing.T, seed int64) (n incarnationSteps) {
-	rng := rand.New(rand.NewSource(seed))
-	path := t.TempDir() + "/closed.k2cl"
-	const ttl = time.Hour // the background loop never sweeps; the test does
-	const steps = 50
-	cfg := Config{Params: testParams, Shards: 2, PersistPath: path, PersistEvery: time.Hour, FeedTTL: ttl}
-	names := []string{"a", "b", "c"}
-	models := map[string]*nameModel{}
-	together := map[string][]bool{}
-	for _, name := range names {
-		models[name] = &nameModel{}
-		together[name] = []bool{true, false}
-	}
-	srv, ts := startServer(t, cfg)
-	defer func() {
-		if srv != nil {
-			stopServer(t, srv, ts)
-		}
-	}()
-
-	ingest := func(name string, snaps []snapshotJSON) int {
-		code, body := postJSON(t, ts.URL+"/v1/feeds/"+name+"/ingest", ingestRequest{Snapshots: snaps})
-		if code != http.StatusAccepted && code != http.StatusConflict {
-			t.Fatalf("ingest %s: status %d: %s", name, code, body)
-		}
-		return code
-	}
-	checkLog := func(step int) {
-		segs := map[string][][]string{}
-		for _, name := range names {
-			segs[name] = [][]string{nil}
-		}
-		for _, r := range readConvoyLog(t, path) {
-			s := segs[r.Feed]
-			switch {
-			case r.Convoy.End == storage.EvictMarker().End && storage.IsMarker(r.Convoy):
-				segs[r.Feed] = append(s, nil)
-			case !storage.IsMarker(r.Convoy):
-				s[len(s)-1] = append(s[len(s)-1], r.Convoy.Key())
-			}
-		}
-		for _, name := range names {
-			m := models[name]
-			want := append(slices.Clone(m.done), m.cur.logged(t))
-			got := segs[name]
-			for _, s := range got {
-				slices.Sort(s)
-			}
-			if !slices.EqualFunc(got, want, slices.Equal) {
-				t.Fatalf("step %d: feed %s logs incarnations %q, want %q", step, name, got, want)
-			}
-		}
-	}
-	checkState := func(step int) {
-		settle(t, srv)
-		st := srv.Stats()
-		for _, name := range names {
-			m := models[name]
-			fs, resident := st.Feeds[name]
-			if resident != (m.cur != nil) {
-				t.Fatalf("step %d: feed %s resident = %v, want %v", step, name, resident, m.cur != nil)
-			}
-			head := m.base
-			if m.cur == nil {
-				srv.mu.RLock()
-				tomb := srv.tombs[name]
-				srv.mu.RUnlock()
-				if tomb != head {
-					t.Fatalf("step %d: evicted feed %s tombstoned at %d, want %d", step, name, tomb, head)
-				}
-				if code := getJSON(t, ts.URL+"/v1/feeds/"+name+"/convoys", nil); code != http.StatusNotFound {
-					t.Fatalf("step %d: GET evicted feed %s: status %d, want 404", step, name, code)
-				}
-				continue
-			}
-			head = m.head(t)
-			if fs.ClosedTotal != int64(head) {
-				t.Fatalf("step %d: feed %s closed_total = %d, want %d", step, name, fs.ClosedTotal, head)
-			}
-			var resp convoysResponse
-			if code := getJSON(t, fmt.Sprintf("%s/v1/feeds/%s/convoys?cursor=%d", ts.URL, name, head), &resp); code != http.StatusOK {
-				t.Fatalf("step %d: GET feed %s at its head: status %d", step, name, code)
-			}
-			if resp.Flushed != m.cur.flushed {
-				t.Fatalf("step %d: feed %s flushed = %v, want %v", step, name, resp.Flushed, m.cur.flushed)
-			}
-		}
-	}
-
-	for step := 0; step < steps; step++ {
-		name := names[rng.Intn(len(names))]
-		m := models[name]
-		switch p := rng.Float64(); {
-		case p < 0.45: // ingest; an evicted name starts a new incarnation, at any clock
-			if m.cur == nil {
-				m.cur = &incarnation{}
-				if len(m.done) > 0 {
-					n.recreated++
-				}
-			}
-			t0 := int32(rng.Intn(20))
-			if n := len(m.cur.ticks); n > 0 {
-				t0 = m.cur.ticks[n-1].T + 1 + int32(rng.Intn(2))
-			}
-			snaps := incarnationTicks(rng, t0, 1+rng.Intn(8), together[name])
-			want := http.StatusAccepted
-			if m.cur.flushed {
-				want = http.StatusConflict
-			}
-			if code := ingest(name, snaps); code != want {
-				t.Fatalf("step %d: ingest %s: status %d, want %d", step, name, code, want)
-			}
-			if !m.cur.flushed {
-				m.cur.ticks = append(m.cur.ticks, snaps...)
-			}
-		case p < 0.6: // flush
-			code, body := postJSON(t, ts.URL+"/v1/feeds/"+name+"/flush", nil)
-			want := http.StatusOK
-			if m.cur == nil {
-				want = http.StatusNotFound
-			}
-			if code != want {
-				t.Fatalf("step %d: flush %s: status %d: %s, want %d", step, name, code, body, want)
-			}
-			if m.cur != nil {
-				m.cur.flushed = true
-			}
-		case p < 0.8: // evict name alone: every other feed is active an hour from now
-			if m.cur == nil {
-				continue
-			}
-			settle(t, srv)
-			srv.persistAll()
-			now := time.Now()
-			srv.mu.RLock()
-			for _, f := range srv.feeds {
-				if f.name == name {
-					f.touch(now.UnixNano())
-				} else {
-					f.touch(now.Add(2 * ttl).UnixNano())
-				}
-			}
-			srv.mu.RUnlock()
-			srv.sweep(now.Add(ttl))
-			if m.cur.flushed {
-				n.flushedEvicted++
-			}
-			logged := m.cur.logged(t)
-			m.done = append(m.done, logged)
-			m.base += len(logged)
-			m.cur = nil
-		case p < 0.9:
-			srv.persistAll()
-		default: // close and reopen, then resume every unflushed incarnation
-			stopServer(t, srv, ts)
-			checkLog(step)
-			srv, ts = startServer(t, cfg)
-			for _, name := range names {
-				m := models[name]
-				if m.cur != nil && len(m.done) > 0 {
-					n.reopenedRecreated++
-				}
-				if m.cur != nil && !m.cur.flushed {
-					ingest(name, m.cur.ticks)
-				}
-			}
-		}
-		checkState(step)
-	}
-	stopServer(t, srv, ts)
-	srv = nil
-	checkLog(steps)
-	for _, m := range models {
-		for _, keys := range append(m.done, m.cur.logged(t)) {
-			n.convoys += len(keys)
-		}
-	}
-	return n
 }

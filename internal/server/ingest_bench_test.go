@@ -14,7 +14,6 @@ import (
 
 	convoy "repro"
 	"repro/internal/minetest"
-	"repro/internal/model"
 	"repro/internal/storage"
 )
 
@@ -61,17 +60,7 @@ func BenchmarkIngestJSON(b *testing.B) {
 }
 
 func BenchmarkIngestBinary(b *testing.B) {
-	var body []byte
-	for _, sn := range benchBatch() {
-		pos := make([]model.ObjPos, len(sn.Positions))
-		for j, p := range sn.Positions {
-			pos[j] = model.ObjPos{OID: p.OID, X: p.X, Y: p.Y}
-		}
-		var err error
-		if body, err = storage.AppendBatchFrame(body, sn.T, pos); err != nil {
-			b.Fatal(err)
-		}
-	}
+	body := encodeSnapshots(b, benchBatch())
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -19,11 +19,21 @@ import (
 // encodeDataset encodes ticks [ts, te] of a dataset as one K2BI frame per
 // tick, concatenated.
 func encodeDataset(t testing.TB, ds *model.Dataset, ts, te int32) []byte {
+	return encodeSnapshots(t, snapshotsOf(ds, ts, te))
+}
+
+// encodeSnapshots encodes wire snapshots as one K2BI frame each,
+// concatenated.
+func encodeSnapshots(t testing.TB, snaps []snapshotJSON) []byte {
 	t.Helper()
 	var buf []byte
-	var err error
-	for tt := ts; tt <= te; tt++ {
-		if buf, err = storage.AppendBatchFrame(buf, tt, ds.Snapshot(tt)); err != nil {
+	for _, sn := range snaps {
+		pos := make([]model.ObjPos, len(sn.Positions))
+		for i, p := range sn.Positions {
+			pos[i] = model.ObjPos{OID: p.OID, X: p.X, Y: p.Y}
+		}
+		var err error
+		if buf, err = storage.AppendBatchFrame(buf, sn.T, pos); err != nil {
 			t.Fatal(err)
 		}
 	}

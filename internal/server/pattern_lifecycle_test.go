@@ -63,12 +63,16 @@ func patternSoakSnapshots(base int32) ([]snapshotJSON, []model.Point) {
 	return snaps, pts
 }
 
-// patternSoakWant mines the oracle dataset with the batch miner of the
-// feed's family and returns the expected result-key multiset.
-func patternSoakWant(t *testing.T, pat convoy.Pattern, pts []model.Point) map[string]int {
+// patternSoakRecords mines the oracle dataset with the batch miner of the
+// feed's family and returns the records the feed's log must hold, in the
+// batch miner's order.
+func patternSoakRecords(t *testing.T, feed string, pat convoy.Pattern, pts []model.Point) []storage.LoggedConvoy {
 	t.Helper()
 	ds := model.NewDataset(pts)
-	want := map[string]int{}
+	var out []storage.LoggedConvoy
+	add := func(c model.Convoy, clusters []model.ObjSet) {
+		out = append(out, storage.LoggedConvoy{Feed: feed, Convoy: c, Pattern: logPattern(pat), Clusters: clusters})
+	}
 	switch pat {
 	case convoy.PatternFlock:
 		fs, err := convoy.MineFlocks(convoy.NewMemStore(ds), convoy.PatternParams{Params: patternSoakParams}, true)
@@ -76,7 +80,7 @@ func patternSoakWant(t *testing.T, pat convoy.Pattern, pts []model.Point) map[st
 			t.Fatal(err)
 		}
 		for _, f := range fs {
-			want[f.Key()]++
+			add(f, nil)
 		}
 	case convoy.PatternMC:
 		ms, err := convoy.MineMovingClusters(convoy.NewMemStore(ds), convoy.PatternParams{Params: patternSoakParams})
@@ -84,7 +88,7 @@ func patternSoakWant(t *testing.T, pat convoy.Pattern, pts []model.Point) map[st
 			t.Fatal(err)
 		}
 		for _, mc := range ms {
-			want[mc.Key()]++
+			add(model.Convoy{Objs: mc.Members(), Start: mc.Start, End: mc.End()}, mc.Clusters)
 		}
 	default:
 		res, err := convoy.MineDataset(ds, patternSoakParams, &convoy.Options{Algorithm: convoy.PCCD})
@@ -92,21 +96,20 @@ func patternSoakWant(t *testing.T, pat convoy.Pattern, pts []model.Point) map[st
 			t.Fatal(err)
 		}
 		for _, c := range res.Convoys {
-			want[c.Key()]++
+			add(c, nil)
 		}
 	}
-	return want
+	return out
 }
 
-// patternTag maps a pattern family to its log-record tag.
-func patternTag(p convoy.Pattern) uint8 {
-	switch p {
-	case convoy.PatternFlock:
-		return storage.LogPatternFlock
-	case convoy.PatternMC:
-		return storage.LogPatternMC
+// patternSoakWant is patternSoakRecords as a key multiset.
+func patternSoakWant(t *testing.T, pat convoy.Pattern, pts []model.Point) map[string]int {
+	t.Helper()
+	want := map[string]int{}
+	for _, r := range patternSoakRecords(t, "", pat, pts) {
+		want[loggedKey(r)]++
 	}
-	return storage.LogPatternConvoy
+	return want
 }
 
 // loggedKey renders one log record with its family's canonical key — moving
@@ -189,8 +192,8 @@ func assertPatternLog(t *testing.T, path string, cases []patternFeedCase, copies
 		if !ok {
 			t.Fatalf("log names unknown feed %q", r.Feed)
 		}
-		if r.Pattern != patternTag(fc.pat) {
-			t.Fatalf("feed %s: logged pattern tag %d, want %d (mode bleed in the log)", r.Feed, r.Pattern, patternTag(fc.pat))
+		if r.Pattern != logPattern(fc.pat) {
+			t.Fatalf("feed %s: logged pattern tag %d, want %d (mode bleed in the log)", r.Feed, r.Pattern, logPattern(fc.pat))
 		}
 		if storage.IsMarker(r.Convoy) {
 			if r.Convoy.End == storage.EvictMarker().End {

@@ -177,7 +177,7 @@ func TestPersistRoundIndexesArchive(t *testing.T) {
 			t.Fatalf("round %d: archive holds %d convoys after the persist round, the log %d", round, n, len(want))
 		}
 		slices.Sort(want)
-		got := pageAll(t, base+"/v1/query/convoys?min_size=1")
+		got := pageAll(t, base+"/v1/query/convoys?min_size=1", 7)
 		if !slices.Equal(got, want) {
 			t.Fatalf("round %d: query after the persist round served\n%q\nwant\n%q", round, got, want)
 		}

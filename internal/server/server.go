@@ -131,9 +131,6 @@ type Config struct {
 	// log fsync that makes each round durable, and caught up with the
 	// existing log at startup. Requires PersistPath.
 	ArchiveDir string
-	// ArchiveCache is the combined in-memory write-buffer budget of the
-	// archive's three secondary indexes, in bytes (default 12 MiB).
-	ArchiveCache int
 	// IngestRate, when positive, rate-limits each feed's ingest to this
 	// many snapshots per second via a token bucket holding 2×IngestRate
 	// snapshots (at least 1), the largest burst one feed may push at once
@@ -276,8 +273,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ArchiveDir != "" {
 		// Backfill before the shard actors start: the background loop
 		// cannot append to the log while the indexes catch up with it.
-		arch, added, rebuilt, err := archive.OpenAndBackfill(cfg.ArchiveDir, cfg.PersistPath,
-			&archive.Options{CacheBytes: cfg.ArchiveCache})
+		arch, added, rebuilt, err := archive.OpenAndBackfill(cfg.ArchiveDir, cfg.PersistPath, nil)
 		if err != nil {
 			s.sink.Close()
 			return nil, fmt.Errorf("server: archive: %w", err)

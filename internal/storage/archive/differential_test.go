@@ -2,7 +2,6 @@ package archive
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -11,72 +10,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/storage"
 )
-
-// TestArchiveDifferential is the correctness anchor of the whole archive:
-// over many seeded convoy logs, every query shape with randomised
-// predicates, paged to exhaustion with a randomised page size, must return
-// exactly the records a brute-force ScanConvoyLog over the same log
-// selects — compared byte-identically in canonical form.
-func TestArchiveDifferential(t *testing.T) {
-	const seeds = 60
-	for seed := int64(0); seed < seeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-			dir := t.TempDir()
-			logPath := filepath.Join(dir, "closed.k2cl")
-			recs := genRecords(seed, 120+rng.Intn(200), 9)
-			writeLog(t, logPath, recs)
-
-			// The archive is always built the way convoyd builds it: by
-			// backfilling from the log.
-			a, added, rebuilt, err := OpenAndBackfill(filepath.Join(dir, "archive"), logPath, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer a.Close()
-			if rebuilt || added != int64(len(recs)) {
-				t.Fatalf("backfill added %d (rebuilt=%v), want %d", added, rebuilt, len(recs))
-			}
-
-			// Brute-force reference: a fresh lenient scan of the same log,
-			// exactly what the acceptance criterion prescribes.
-			var scanned []storage.LoggedConvoy
-			if _, err := storage.ScanConvoyLog(logPath, func(r storage.LoggedConvoy) error {
-				if !storage.IsMarker(r.Convoy) {
-					scanned = append(scanned, r)
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-
-			pageSize := 1 + rng.Intn(40)
-			feeds := []string{"", "tokyo", "osaka"}
-			for trial := 0; trial < 4; trial++ {
-				q := Query{
-					MinSize: rng.Intn(10),
-					MinDur:  rng.Intn(25),
-					Feed:    feeds[rng.Intn(len(feeds))],
-					Limit:   pageSize,
-				}
-				from := int32(rng.Intn(160)) - 30
-				to := from + int32(rng.Intn(60))
-				iv := model.Interval{Start: from, End: to}
-				got := collect(t, func(q Query) (Result, error) { return a.QueryTime(from, to, q) }, q)
-				sameSet(t, fmt.Sprintf("time[%d,%d] %+v", from, to, q), got, brute(scanned, q, &iv, nil))
-
-				oid := int32(rng.Intn(80)) - 10
-				got = collect(t, func(q Query) (Result, error) { return a.QueryObject(oid, q) }, q)
-				sameSet(t, fmt.Sprintf("object %d %+v", oid, q), got, brute(scanned, q, nil, &oid))
-
-				got = collect(t, func(q Query) (Result, error) { return a.QueryConvoys(q) }, q)
-				sameSet(t, fmt.Sprintf("convoys %+v", q), got, brute(scanned, q, nil, nil))
-			}
-		})
-	}
-}
 
 // TestArchiveBackfillTornLog cuts a convoy log at every byte offset inside
 // its final record — the PR 3 torn-tail harness — and checks backfill

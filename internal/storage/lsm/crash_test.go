@@ -1,10 +1,10 @@
 package lsm
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -183,8 +183,10 @@ func TestCompactionCrashPoints(t *testing.T) {
 }
 
 // TestOrphanSweep: files no committed manifest references — sstables from
-// uncommitted flushes/compactions, MANIFEST.tmp, a write-ahead log left by
-// an earlier build — are removed on Open; foreign files are left alone.
+// uncommitted flushes/compactions and MANIFEST.tmp — are removed on Open;
+// foreign files are left alone. A manifest line that names no sstable,
+// such as the "wal" line of a format whose tables Open refuses anyway,
+// fails Open with the line quoted, and deletes nothing.
 func TestOrphanSweep(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, nil)
@@ -196,7 +198,7 @@ func TestOrphanSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Plant orphans.
-	for _, name := range []string{"sst-009999.sst", "wal-009999.log", manifestName + ".tmp"} {
+	for _, name := range []string{"sst-009999.sst", manifestName + ".tmp"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("orphan"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -204,25 +206,21 @@ func TestOrphanSweep(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "keep.txt"), []byte("user file"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// A directory as the parent format left it: the manifest ends in a
-	// "wal" line naming a log that holds one intact record (crc, key
-	// length 8, value length 16, key (0, 7), zero value). The line is
-	// tolerated, the file swept, and the record is not replayed.
 	manifest, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest = append(manifest, "wal wal-000042.log\n"...)
-	if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
+	legacy := append(slices.Clone(manifest), "wal wal-000042.log\n"...)
+	if err := os.WriteFile(filepath.Join(dir, manifestName), legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	key := storage.EncodeKey(0, 7)
-	rec := binary.LittleEndian.AppendUint16(nil, storage.KeySize)
-	rec = binary.LittleEndian.AppendUint16(rec, storage.ValueSize)
-	rec = append(rec, key[:]...)
-	rec = append(rec, make([]byte, storage.ValueSize)...)
-	rec = append(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(rec)), rec...)
-	if err := os.WriteFile(filepath.Join(dir, "wal-000042.log"), rec, 0o644); err != nil {
+	if _, err := Open(dir, nil); err == nil || !strings.Contains(err.Error(), `"wal wal-000042.log"`) {
+		t.Fatalf("Open over a manifest with a wal line: %v, want an error quoting the line", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "sst-009999.sst")); err != nil {
+		t.Fatalf("a refused Open swept an orphan: %v", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -230,16 +228,13 @@ func TestOrphanSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"sst-009999.sst", "wal-009999.log", "wal-000042.log", manifestName + ".tmp"} {
+	for _, name := range []string{"sst-009999.sst", manifestName + ".tmp"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 			t.Errorf("orphan %s not swept (err=%v)", name, err)
 		}
 	}
 	if _, err := os.Stat(filepath.Join(dir, "keep.txt")); err != nil {
 		t.Errorf("non-lsm file touched by sweep: %v", err)
-	}
-	if rows, err := db.Fetch(0, model.NewObjSet(7)); err != nil || len(rows) != 0 {
-		t.Errorf("legacy log record replayed: %v, %v", rows, err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)

@@ -30,23 +30,20 @@ func (db *DB) loadManifest() error {
 		return fmt.Errorf("lsm: read manifest: %w", err)
 	}
 	for _, line := range strings.Split(string(data), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 2 && fields[0] == "wal" {
-			// Legacy: earlier builds named a write-ahead log here. Nothing
-			// reads it back; sweepOrphans removes the file.
+		if line == "" {
 			continue
 		}
-		for _, name := range fields {
-			t, err := openSSTable(filepath.Join(db.dir, name))
-			if err != nil {
-				return err
-			}
-			db.tables = append(db.tables, t)
-			var n int
-			fmt.Sscanf(name, "sst-%d.sst", &n)
-			if n >= db.seq {
-				db.seq = n + 1
-			}
+		var n int
+		if _, err := fmt.Sscanf(line, "sst-%d.sst", &n); err != nil || line != tableName(n) {
+			return fmt.Errorf("lsm: manifest line %q names no sstable", line)
+		}
+		t, err := openSSTable(filepath.Join(db.dir, line))
+		if err != nil {
+			return err
+		}
+		db.tables = append(db.tables, t)
+		if n >= db.seq {
+			db.seq = n + 1
 		}
 	}
 	return nil
@@ -80,9 +77,9 @@ func tableName(seq int) string { return fmt.Sprintf("sst-%06d.sst", seq) }
 
 // sweepOrphans removes lsm-owned files in dir that the committed manifest,
 // which names the live tables, does not reference: sstables from flushes,
-// compactions or bulk writes that never committed or were replaced, a
-// leftover MANIFEST.tmp, and the wal-*.log an earlier build kept (there is
-// no log now). Only names matching the engine's own patterns are touched.
+// compactions or bulk writes that never committed or were replaced, and a
+// leftover MANIFEST.tmp. Only names matching the engine's own patterns are
+// touched.
 func sweepOrphans(dir string, live []string) {
 	keep := make(map[string]bool, len(live))
 	for _, name := range live {
@@ -99,8 +96,7 @@ func sweepOrphans(dir string, live []string) {
 			if !keep[name] {
 				os.Remove(filepath.Join(dir, name))
 			}
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"),
-			name == manifestName+".tmp":
+		case name == manifestName+".tmp":
 			os.Remove(filepath.Join(dir, name))
 		}
 	}

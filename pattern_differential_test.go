@@ -1,13 +1,13 @@
 package convoy
 
-// Differential walls for the flock and moving-cluster streaming feed modes,
-// mirroring differential_test.go's convoy wall: the PatternMiner the convoyd
-// shard actors run must be byte-identical to the batch miners (MineFlocks
-// sweep, MineMovingClusters) over 120 seeded random datasets per generator,
-// and a streaming timestamp gap must equal batch-mining with those ticks
-// empty.
+// Helpers of the stream-vs-batch table (TestDifferentialStreamVsBatch in
+// differential_test.go), and the gap contract of the flock and
+// moving-cluster feed modes: a streaming timestamp gap must equal
+// batch-mining with those ticks empty.
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,17 +36,27 @@ func canonMCResults(rs []PatternResult) string {
 	return canonMCs(mcs)
 }
 
+// canonResults renders a convoy or flock result set canonically.
+func canonResults(rs []PatternResult) string { return minetest.Canonical(resultConvoys(rs)) }
+
 // streamPattern runs a fresh PatternMiner over every snapshot of ds and
-// returns the flushed result set.
-func streamPattern(t *testing.T, pat Pattern, pp PatternParams, ds *model.Dataset) []PatternResult {
+// returns the flushed result set. With shuffled set, each tick's positions
+// are shuffled first by a generator seeded with seed.
+func streamPattern(t *testing.T, pat Pattern, pp PatternParams, ds *model.Dataset, shuffled bool, seed int64) []PatternResult {
 	t.Helper()
 	pm, err := NewPatternMiner(pat, pp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(seed))
 	ts, te := ds.TimeRange()
 	for tt := ts; tt <= te; tt++ {
-		if err := pm.Observe(tt, ds.Snapshot(tt)); err != nil {
+		snap := ds.Snapshot(tt)
+		if shuffled {
+			snap = slices.Clone(snap)
+			rng.Shuffle(len(snap), func(i, j int) { snap[i], snap[j] = snap[j], snap[i] })
+		}
+		if err := pm.Observe(tt, snap); err != nil {
 			t.Fatalf("observe t=%d: %v", tt, err)
 		}
 	}
@@ -60,71 +70,6 @@ func resultConvoys(rs []PatternResult) []Convoy {
 		out[i] = r.Convoy
 	}
 	return out
-}
-
-// TestDifferentialFlockStreamVsBatch mines 120 seeded datasets per generator
-// both through the streaming flock feed mode and the batch sweep, requiring
-// byte-identical canonical results.
-func TestDifferentialFlockStreamVsBatch(t *testing.T) {
-	gens := []struct {
-		name string
-		gen  func(seed int64, nObj, nTicks int) *model.Dataset
-	}{
-		{"churn", minetest.RandomChurn},
-		{"clique", minetest.RandomClique},
-	}
-	pp := PatternParams{Params: Params{M: 3, K: 3, Eps: minetest.Eps}, R: 2.0}
-	for _, g := range gens {
-		for seed := int64(0); seed < 120; seed++ {
-			nObj := 8 + int(seed%5)
-			nTicks := 12 + int(seed%9)
-			ds := g.gen(seed, nObj, nTicks)
-
-			got := resultConvoys(streamPattern(t, PatternFlock, pp, ds))
-			want, err := MineFlocks(NewMemStore(ds), pp, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := minetest.DiffConvoys("stream-flock", got, "batch-sweep", want); d != "" {
-				t.Fatalf("%s seed %d (%d objs × %d ticks): %s", g.name, seed, nObj, nTicks, d)
-			}
-			if sg, sb := minetest.Canonical(got), minetest.Canonical(want); sg != sb {
-				t.Fatalf("%s seed %d: canonical renderings differ:\nstream:\n%s\nbatch:\n%s", g.name, seed, sg, sb)
-			}
-		}
-	}
-}
-
-// TestDifferentialMovingClusterStreamVsBatch is the same wall for the
-// moving-cluster feed mode: the streaming Jaccard chaining must reproduce
-// MineMovingClusters exactly — same chains, same per-tick cluster sequences,
-// same emission order.
-func TestDifferentialMovingClusterStreamVsBatch(t *testing.T) {
-	gens := []struct {
-		name string
-		gen  func(seed int64, nObj, nTicks int) *model.Dataset
-	}{
-		{"churn", minetest.RandomChurn},
-		{"clique", minetest.RandomClique},
-	}
-	pp := PatternParams{Params: Params{M: 3, K: 3, Eps: minetest.Eps}, Theta: 0.5}
-	for _, g := range gens {
-		for seed := int64(0); seed < 120; seed++ {
-			nObj := 8 + int(seed%5)
-			nTicks := 12 + int(seed%9)
-			ds := g.gen(seed, nObj, nTicks)
-
-			got := streamPattern(t, PatternMC, pp, ds)
-			want, err := MineMovingClusters(NewMemStore(ds), pp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sg, sb := canonMCResults(got), canonMCs(want); sg != sb {
-				t.Fatalf("%s seed %d (%d objs × %d ticks): moving clusters differ:\nstream:\n%s\nbatch:\n%s",
-					g.name, seed, nObj, nTicks, sg, sb)
-			}
-		}
-	}
 }
 
 // TestDifferentialPatternGapEqualsEmptyTicks checks the gap contract every

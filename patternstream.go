@@ -121,7 +121,6 @@ type PatternMiner struct {
 	group  func([]ObjPos) []ObjSet // a tick's groups
 	sweep  *cmc.Miner              // convoys and flocks; nil for moving clusters
 	chains *movingcluster.Miner    // moving clusters; nil otherwise
-	dupChk map[int32]struct{}      // reused per Observe for duplicate-OID detection
 }
 
 // NewPatternMiner creates the streaming miner for one pattern family.
@@ -131,8 +130,7 @@ func NewPatternMiner(pat Pattern, pp PatternParams) (*PatternMiner, error) {
 		return nil, err
 	}
 	pm := &PatternMiner{
-		group:  func(snap []ObjPos) []ObjSet { return dbscan.Cluster(snap, pp.Eps, pp.M) },
-		dupChk: map[int32]struct{}{},
+		group: func(snap []ObjPos) []ObjSet { return dbscan.Cluster(snap, pp.Eps, pp.M) },
 	}
 	switch pat {
 	case PatternConvoy:
@@ -157,18 +155,24 @@ type ObjPos = model.ObjPos
 // gaps: a gap closes every open pattern (objects cannot be "together" at a
 // missing tick), so mining restarts fresh at t.
 //
-// A snapshot containing the same OID more than once is canonicalized
-// exactly as model.NewDataset canonicalizes a tick — stable-sorted by OID,
-// keeping the last occurrence of each duplicate — so streaming a feed with
-// duplicate fixes yields byte-identical patterns to batch-mining the same
-// records. Duplicate-free snapshots pass through untouched, in their given
-// order. The input slice is never modified.
+// A snapshot is canonicalized exactly as model.NewDataset canonicalizes a
+// tick — stable-sorted by OID, keeping the last occurrence of each
+// duplicate — so streaming a feed in any per-tick order, duplicate fixes
+// included, yields byte-identical patterns to batch-mining the same
+// records: the order of a tick's positions decides the order of its
+// groups, and with it the order moving clusters are emitted in. The input
+// slice is never modified.
 func (pm *PatternMiner) Observe(t int32, positions []ObjPos) error {
 	last, ok := pm.sweepLast()
 	if ok && t <= last {
 		return fmt.Errorf("convoy: non-monotonic stream: observed t=%d after t=%d", t, last)
 	}
-	groups := pm.group(canonPositions(pm.dupChk, positions))
+	// Every tick convoyd's reorder buffer releases, and every Dataset
+	// snapshot, is canonical already: one linear pass, no copy.
+	if !model.IsCanonSnapshot(positions) {
+		positions = model.CanonSnapshot(slices.Clone(positions))
+	}
+	groups := pm.group(positions)
 	if pm.chains != nil {
 		pm.chains.StepClusters(t, groups)
 	} else {
@@ -184,27 +188,6 @@ func (pm *PatternMiner) sweepLast() (t int32, ok bool) {
 		return pm.chains.Last()
 	}
 	return pm.sweep.Last()
-}
-
-// canonPositions applies the duplicate-OID rule of Observe: duplicate OIDs
-// are canonicalized by model.CanonSnapshot, exactly as model.NewDataset
-// canonicalizes a tick. A snapshot whose OIDs already ascend — every tick
-// convoyd's reorder buffer releases — is recognised in one linear pass; any
-// other duplicate-free snapshot costs one pass over dupChk, a caller-owned
-// scratch map cleared here. Neither allocates, and the input is never
-// modified.
-func canonPositions(dupChk map[int32]struct{}, positions []ObjPos) []ObjPos {
-	if model.IsCanonSnapshot(positions) {
-		return positions
-	}
-	clear(dupChk)
-	for _, p := range positions {
-		if _, ok := dupChk[p.OID]; ok {
-			return model.CanonSnapshot(slices.Clone(positions))
-		}
-		dupChk[p.OID] = struct{}{}
-	}
-	return positions
 }
 
 // Closed drains the patterns that have closed since the last call, in the

@@ -6,10 +6,12 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -145,12 +147,12 @@ func TestUnknownTestNames(t *testing.T) {
 	}
 }
 
-// TestDocsNameExistingTests fails when README.md or docs/*.md names, in
-// backticks, a Test, Fuzz, Benchmark or Example function that no _test.go
-// file of the repository declares — a test renamed or deleted without its
-// docs.
-func TestDocsNameExistingTests(t *testing.T) {
-	declared := map[string]bool{}
+// declaredTests lists, per directory relative to the repository root ("."
+// for the root itself), the functions its _test.go files declare outside a
+// method: every Test, Fuzz, Benchmark and Example, helpers included.
+func declaredTests(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	declared := map[string]map[string]bool{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(repoRoot, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -166,9 +168,13 @@ func TestDocsNameExistingTests(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		dir, _ := filepath.Rel(repoRoot, filepath.Dir(path))
+		if dir = filepath.ToSlash(dir); declared[dir] == nil {
+			declared[dir] = map[string]bool{}
+		}
 		for _, decl := range f.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
-				declared[fn.Name.Name] = true
+				declared[dir][fn.Name.Name] = true
 			}
 		}
 		return nil
@@ -176,14 +182,27 @@ func TestDocsNameExistingTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !declared["TestDocsNameExistingTests"] {
+	if !declared["scripts/mdlinks"]["TestDocsNameExistingTests"] {
 		t.Fatalf("walked the _test.go files from %s without finding this test; did the layout change?", repoRoot)
+	}
+	return declared
+}
+
+// TestDocsNameExistingTests fails when README.md, docs/*.md or the verify
+// skill names, in backticks, a Test, Fuzz, Benchmark or Example function
+// that no _test.go file of the repository declares — a test renamed or
+// deleted without its docs.
+func TestDocsNameExistingTests(t *testing.T) {
+	declared := map[string]bool{}
+	for _, names := range declaredTests(t) {
+		maps.Copy(declared, names)
 	}
 	docs, err := filepath.Glob(filepath.Join(repoRoot, "docs", "*.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, doc := range append([]string{filepath.Join(repoRoot, "README.md")}, docs...) {
+	docs = append(docs, filepath.Join(repoRoot, "README.md"), filepath.Join(repoRoot, ".claude", "skills", "verify", "SKILL.md"))
+	for _, doc := range docs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -191,6 +210,86 @@ func TestDocsNameExistingTests(t *testing.T) {
 		for _, name := range unknownTestNames(string(text), declared) {
 			t.Errorf("%s names `%s`, which no _test.go file declares", filepath.Base(doc), name)
 		}
+	}
+}
+
+// A go test command on one line of a CI step: its -run pattern, its -fuzz
+// target and the packages it names.
+var (
+	ciRunRe  = regexp.MustCompile(`\bgo test .*-run[= ]'?([^' ]*)`)
+	ciFuzzRe = regexp.MustCompile(`\bgo test .*-fuzz=(\w+)`)
+	ciPkgRe  = regexp.MustCompile(` (\.(?:/[\w./]*)?)`)
+)
+
+// unknownCITests returns, as -run=ALT or -fuzz=TARGET, each -run
+// alternative and -fuzz target of ci's go test commands that selects no
+// Test, Example or Fuzz function (no Fuzz function, for -fuzz) of the
+// packages the command names: `go test -fuzz=Gone` and a -run that
+// selects nothing both pass, running nothing. Comment lines are skipped,
+// -run '^$' is the deliberate "no tests", and ./... names every package.
+func unknownCITests(ci string, declared map[string]map[string]bool) []string {
+	var bad []string
+	for _, line := range strings.Split(ci, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "#") || !strings.Contains(line, "go test ") {
+			continue
+		}
+		var names []string
+		for _, pkg := range ciPkgRe.FindAllStringSubmatch(line, -1) {
+			for dir, fns := range declared {
+				if pkg[1] == "./..." || dir == path.Clean(pkg[1]) {
+					names = slices.AppendSeq(names, maps.Keys(fns))
+				}
+			}
+		}
+		selects := func(expr string, prefixes ...string) bool {
+			re, err := regexp.Compile(expr)
+			return err == nil && slices.ContainsFunc(names, func(name string) bool {
+				return re.MatchString(name) && slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(name, p) })
+			})
+		}
+		// Only the top level of a -run names functions; subtests follow a /.
+		if m := ciRunRe.FindStringSubmatch(line); m != nil && m[1] != "^$" {
+			run, _, _ := strings.Cut(m[1], "/")
+			for _, alt := range strings.Split(run, "|") {
+				if !selects(alt, "Test", "Example", "Fuzz") {
+					bad = append(bad, "-run="+alt)
+				}
+			}
+		}
+		if m := ciFuzzRe.FindStringSubmatch(line); m != nil && !selects(m[1], "Fuzz") {
+			bad = append(bad, "-fuzz="+m[1])
+		}
+	}
+	return bad
+}
+
+func TestUnknownCITests(t *testing.T) {
+	declared := map[string]map[string]bool{
+		".":          {"FuzzRoot": true, "TestRoot": true},
+		"internal/a": {"TestKeptA": true, "FuzzA": true, "helper": true},
+	}
+	ci := "run: go test -run 'Kept|Gone' ./internal/a\n" +
+		"  go test -run='^$' -fuzz=FuzzGone -fuzztime=20s ./internal/a\n" +
+		"  go test -run='^$' -fuzz=FuzzRoot .\n" +
+		"  go test -run 'Root/sub' ./internal/a\n" +
+		"  # go test -run Commented ./...\n" +
+		"  cd sub && go test -run 'helper|KeptA|Root' ./...\n"
+	got := strings.Join(unknownCITests(ci, declared), " ")
+	if want := "-run=Gone -fuzz=FuzzGone -run=Root -run=helper"; got != want {
+		t.Fatalf("unknown CI tests %q, want %q", got, want)
+	}
+}
+
+// TestCINamesExistingTests fails when a go test command in the CI workflow
+// runs a -run alternative or a -fuzz target that selects no test of the
+// packages it names — a test retired without its CI step.
+func TestCINamesExistingTests(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join(repoRoot, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range unknownCITests(string(ci), declaredTests(t)) {
+		t.Errorf("ci.yml runs go test %s, which selects no test of the packages it names", bad)
 	}
 }
 
