@@ -61,13 +61,12 @@ type Miner struct {
 	keep func(model.Convoy) bool
 	// alive candidates; invariant: no candidate dominates another.
 	alive []candidate
-	// closed holds every convoy closed so far, in emission order. It needs
-	// no maximality filter; see Finish.
-	closed []model.Convoy
-	// fresh queues the convoys closed since the last Drain, in emission
-	// order. This lets streaming consumers poll for novelty in O(new)
-	// instead of re-deriving it from the full result set.
-	fresh   []model.Convoy
+	// out holds every convoy closed so far, in emission order; it needs no
+	// maximality filter (see Finish). out[drained:] are the ones closed
+	// since the last Drain, so streaming consumers poll for novelty in
+	// O(new) instead of re-deriving it from the full result set.
+	out     []model.Convoy
+	drained int
 	lastT   int32
 	started bool
 
@@ -224,8 +223,7 @@ func (mn *Miner) dominated(i int, c candidate) bool {
 
 func (mn *Miner) emit(c model.Convoy) {
 	if mn.keep(c) {
-		mn.closed = append(mn.closed, c)
-		mn.fresh = append(mn.fresh, c)
+		mn.out = append(mn.out, c)
 	}
 }
 
@@ -241,7 +239,7 @@ func (mn *Miner) flushAll(endT int32) {
 // Finish flushes candidates still alive at the final timestamp and returns
 // all mined maximal convoys in canonical order.
 //
-// The closed list needs no maximality filter when every cluster fed to
+// The result list needs no maximality filter when every cluster fed to
 // Step holds at least m objects (DBSCAN's and flock.DiskGroups' do). Say
 // closed convoys (O', s', e') ⊆ (O, s, e). With e' = e both were alive at
 // e, which is domination-free. With e' < e, O ⊇ O' sat in one cluster at
@@ -249,7 +247,7 @@ func (mn *Miner) flushAll(endT int32) {
 // See docs/ARCHITECTURE.md, "Why the sweeps' result sets need no filter".
 func (mn *Miner) Finish() []model.Convoy {
 	mn.flushAll(mn.lastT)
-	out := slices.Clone(mn.closed)
+	out := slices.Clone(mn.out)
 	model.SortConvoys(out)
 	return out
 }
@@ -261,8 +259,8 @@ func (mn *Miner) Finish() []model.Convoy {
 // Cost is O(drained), independent of the accumulated result-set size —
 // the property the convoyd ingest hot path relies on.
 func (mn *Miner) Drain() []model.Convoy {
-	out := mn.fresh
-	mn.fresh = nil
+	out := mn.out[mn.drained:len(mn.out):len(mn.out)]
+	mn.drained = len(mn.out)
 	return out
 }
 
@@ -276,9 +274,8 @@ func (mn *Miner) Last() (t int32, ok bool) { return mn.lastT, mn.started }
 func (mn *Miner) Reset() {
 	clear(mn.alive)
 	mn.alive = mn.alive[:0]
-	clear(mn.closed)
-	mn.closed = mn.closed[:0]
-	mn.fresh = nil
+	// Drained slices share out's array, so it is dropped, not cleared.
+	mn.out, mn.drained = nil, 0
 	mn.lastT = 0
 	mn.started = false
 }

@@ -212,7 +212,7 @@ func TestEmptyDataset(t *testing.T) {
 	}
 }
 
-// TestClosedListRetainedBytes measures what Miner.closed — the result list
+// TestClosedListRetainedBytes measures what Miner.out — the result list
 // Finish needs, which grows with every convoy a stream closes — keeps per
 // convoy on the moving city feed (≈ 1 600 objects per tick), the figure
 // docs/ARCHITECTURE.md quotes for a long-lived convoyd feed. It is the heap
@@ -225,17 +225,17 @@ func TestClosedListRetainedBytes(t *testing.T) {
 		mn.Step(int32(tt), dbscan.Cluster(snap, minetest.CityEps, minetest.CityM))
 		mn.Drain()
 	}
-	n, members := len(mn.closed), 0
+	n, members := len(mn.out), 0
 	if n == 0 {
 		t.Fatal("the city feed closed no convoy")
 	}
-	for _, c := range mn.closed {
+	for _, c := range mn.out {
 		members += len(c.Objs)
 	}
 	var with, without runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&with)
-	mn.closed = nil
+	mn.out = nil
 	runtime.GC()
 	runtime.ReadMemStats(&without)
 	runtime.KeepAlive(mn)

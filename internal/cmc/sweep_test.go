@@ -138,8 +138,8 @@ func TestStepCostDoesNotGrowWithClosedConvoys(t *testing.T) {
 		cost[tick] = mn.work - before
 		mn.Drain()
 	}
-	if len(mn.closed) < 19_000 {
-		t.Fatalf("feed closed only %d convoys; the test needs a growing closed set", len(mn.closed))
+	if len(mn.out) < 19_000 {
+		t.Fatalf("feed closed only %d convoys; the test needs a growing closed set", len(mn.out))
 	}
 	if cost[200] == 0 || float64(cost[2000]) > 1.5*float64(cost[200]) {
 		t.Fatalf("Step cost %d at tick 2000 against %d at tick 200", cost[2000], cost[200])
@@ -149,4 +149,56 @@ func TestStepCostDoesNotGrowWithClosedConvoys(t *testing.T) {
 	if limit := 8 * 4 * nGroups; cost[2000] > limit {
 		t.Fatalf("Step cost %d at tick 2000, more than %d for %d objects", cost[2000], limit, 4*nGroups)
 	}
+}
+
+// TestDrainedSliceStable: Drain hands out a window of the miner's one
+// result list, so nothing the miner does later — Steps that close more
+// convoys, Finish, Reset and a new stream on the reset miner — may change
+// a slice it returned.
+func TestDrainedSliceStable(t *testing.T) {
+	mn := NewMiner(3, 8)
+	var drained [][]model.Convoy
+	var want [][]string
+	keys := func(cs []model.Convoy) []string {
+		out := make([]string, len(cs))
+		for i, c := range cs {
+			out[i] = c.Key()
+		}
+		return out
+	}
+	check := func(stage string) {
+		t.Helper()
+		for i, d := range drained {
+			if got := keys(d); !slices.Equal(got, want[i]) {
+				t.Fatalf("%s: drained slice %d reads %v, was %v", stage, i, got, want[i])
+			}
+		}
+	}
+	for tick := int32(0); tick <= 100; tick++ {
+		// A long-lived group beside the steady ones closes after convoys
+		// that started later, so emission order is not canonical order.
+		groups := steadyFeed(tick, 10, 20)
+		if tick != 60 {
+			groups = append(groups, model.ObjSet{200, 201, 202, 203})
+		}
+		mn.Step(tick, groups)
+		if d := mn.Drain(); len(d) > 0 {
+			drained, want = append(drained, d), append(want, keys(d))
+		}
+	}
+	if len(drained) < 3 {
+		t.Fatalf("the feed drained %d non-empty batches; the test needs several", len(drained))
+	}
+	mn.Step(101, steadyFeed(101, 10, 20))
+	check("after a Step")
+	mn.Finish()
+	check("after Finish")
+	mn.Reset()
+	check("after Reset")
+	for tick := int32(0); tick <= 100; tick++ {
+		mn.Step(tick, steadyFeed(tick+5, 12, 13))
+		mn.Drain()
+	}
+	mn.Finish()
+	check("after a new stream on the reset miner")
 }

@@ -30,8 +30,8 @@ type Stats struct {
 type ArchiveStats struct {
 	archive.Stats
 	// Backfilled is the number of records replayed from the convoy log at
-	// startup; Rebuilt reports that the log had diverged (e.g. offline
-	// compaction) and the archive was rebuilt from scratch.
+	// startup; Rebuilt reports that the log had diverged (it was replaced)
+	// and the archive was rebuilt from scratch.
 	Backfilled int64 `json:"backfilled_records"`
 	Rebuilt    bool  `json:"rebuilt_on_start,omitempty"`
 	// Broken reports that an archive write error disabled archiving for

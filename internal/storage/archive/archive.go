@@ -15,11 +15,12 @@
 // The indexed file is convoyd's own convoy log when the archive is opened
 // with OpenAndBackfill, and dir/records.k2cl — appended to by AddBatch —
 // when it is opened standalone with Open. Index entries are 8-byte LSM keys
-// mapping to a 16-byte locator (file offset, object count, duration), so a
-// query materialises each hit with one positioned read of the log. A
-// record's sequence number is its ordinal among the log's convoy records
-// (lifecycle markers are not counted); it is the tie-breaker of every key, all
-// through storage.EncodeKey's order-preserving (int32, int32) packing:
+// mapping to a 16-byte locator (file offset, object count, duration, End
+// tick), so a query materialises each hit with one positioned read of the
+// log. A record's sequence number is its ordinal among the log's convoy
+// records (lifecycle markers are not counted); it is the tie-breaker of
+// every key, all through storage.EncodeKey's order-preserving (int32,
+// int32) packing:
 //
 //	time/  (convoy End,   seq) → locator   interval queries: scan keys with
 //	                                       End ≥ from, filter Start ≤ to —
@@ -41,22 +42,20 @@
 // are idempotent (same key, same locator).
 //
 // META also carries a checksum of the log bytes below the watermark. A log
-// that was compacted or replaced no longer matches it; the indexes are then
-// discarded and rebuilt from the log, which is always the source of truth.
-// So are indexes in another on-disk format: META names the lsm.Format its
-// indexes were written in, and an archive from a build whose SSTables
-// carried a bloom filter names none.
+// that was replaced no longer matches it; the indexes are then discarded
+// and rebuilt from the log, which is always the source of truth. So are
+// indexes in another on-disk format: META names the lsm.Format its indexes
+// were written in, and an archive from a build whose SSTables carried a
+// bloom filter names none.
 //
 // # Retention
 //
-// Expire(before) removes every convoy whose End tick precedes before from
-// all three indexes (see retention.go for the crash protocol); the log is
-// not touched. The expiry watermark is durable in META: records below it
-// are never indexed again, so re-indexing a log tail does not resurrect
-// expired history. Sequence numbers are positions in the log and never
-// change, so query cursors stay valid across an expiry. The one degraded
-// case: a rebuild starts from an empty META, so the watermark is lost and
-// expired records reappear — the next retention cycle re-expires them.
+// Expire(before) raises the expiry watermark META keeps, and that is all
+// it writes (see retention.go): the log is not touched, no index entry is
+// written or deleted, and every convoy whose End tick precedes the
+// watermark is expired at once. The one degraded case: a rebuild starts
+// from an empty META, so the watermark is lost and expired records
+// reappear — the next retention cycle re-expires them.
 package archive
 
 import (
@@ -83,7 +82,7 @@ type Options struct {
 	// indexes: each gets a quarter as its write buffer (larger values mean
 	// fewer, bigger SSTable flushes) and a twelfth as its block cache for
 	// the read path (3×1/4 + 3×1/12 = the whole budget). Default 12 MiB.
-	// A write buffer charges each buffered index write 64 B, at least the
+	// A write buffer charges each buffered index write 48 B, at least the
 	// heap the write holds (lsm Options.MemtableBytes), so the budget
 	// bounds the archive's heap.
 	CacheBytes int
@@ -93,8 +92,11 @@ const (
 	recordsName = "records.k2cl"
 	metaName    = "META"
 	// maxSeq bounds the archive to what the int32 sequence component of
-	// the index keys can address.
-	maxSeq = math.MaxInt32
+	// the index keys can address. A locator holds log offsets up to maxOff
+	// and object counts up to maxSize, one below the log codec's cap.
+	maxSeq  = math.MaxInt32
+	maxOff  = 1<<40 - 1
+	maxSize = maxConvoySize - 1
 )
 
 // meta is the durable checkpoint: the log's first Offset bytes hold Records
@@ -106,15 +108,17 @@ const (
 type meta struct {
 	// Format is the lsm.Format the indexes were written in. META under
 	// another format (or none, as before SSTables lost their bloom filter)
-	// does not describe indexes this build can read: they are rebuilt.
+	// does not describe indexes this build can read: they are rebuilt. The
+	// locator gained its End tick with format K2S4, so the format names
+	// the locator layout too.
 	Format  string `json:"format"`
 	Records int64  `json:"records"`
 	Live    int64  `json:"live"`
 	Offset  int64  `json:"offset"`
 	CRC     uint32 `json:"crc"`
 	// ExpiredBefore is the retention watermark: every record with
-	// End < ExpiredBefore has been (or is being) expired. MinInt32 means
-	// nothing was ever expired.
+	// End < ExpiredBefore is expired. MinInt32 means nothing was ever
+	// expired.
 	ExpiredBefore int32 `json:"expired_before"`
 	// MaxEnd is the largest End tick ever indexed, kept durable so
 	// relative retention ("keep the last N ticks") survives an expiry of
@@ -152,11 +156,13 @@ type Archive struct {
 	sizeIdx *lsm.DB
 	closed  bool
 
-	// Retention state (see retention.go). expiredBefore is the durable
-	// watermark: records with End below it are expired and later arrivals
-	// below it are not indexed. maxEnd is the largest End ever indexed;
-	// expiredTotal counts records expired by this process.
-	expiredBefore int32
+	// Retention state (see retention.go). expiredBefore is the watermark
+	// META holds: records with End below it are expired, and it is raised
+	// only after META holds the new value. Writers read it under mu; query
+	// pages and the indexes' Drop (on the compactors' goroutines) read it
+	// without. maxEnd is the largest End ever indexed; expiredTotal counts
+	// records expired by this process.
+	expiredBefore atomic.Int32
 	maxEnd        int32
 	expiredTotal  int64
 
@@ -180,8 +186,8 @@ func Open(dir string, opts *Options) (*Archive, error) {
 // OpenAndBackfill opens the archive in dir over the convoy log at logPath,
 // which the caller keeps appending to (see Index): nothing is copied, the
 // log's records past the META watermark are indexed in place. When the log
-// no longer matches the checkpoint (offline compaction, replaced log) the
-// indexes are discarded and rebuilt from it. Returns the opened archive,
+// no longer matches the checkpoint (it was replaced) the indexes are
+// discarded and rebuilt from it. Returns the opened archive,
 // the number of records indexed, and whether a rebuild happened.
 func OpenAndBackfill(dir, logPath string, opts *Options) (*Archive, int64, bool, error) {
 	return open(dir, logPath, false, opts)
@@ -222,7 +228,8 @@ func open(dir, path string, own bool, opts *Options) (_ *Archive, added int64, r
 	}
 	a.next, a.live, a.flushed = m.Records, m.Live, m.Live
 	a.end, a.crc, a.crcEnd = m.Offset, m.CRC, m.Offset
-	a.expiredBefore, a.maxEnd = m.ExpiredBefore, m.MaxEnd
+	a.expiredBefore.Store(m.ExpiredBefore)
+	a.maxEnd = m.MaxEnd
 	if err := a.openIndexes(); err != nil {
 		return nil, 0, false, err
 	}
@@ -250,14 +257,8 @@ func open(dir, path string, own bool, opts *Options) (_ *Archive, added int64, r
 			return nil, 0, false, err
 		}
 	}
-	// A watermark above the oldest index entry means a crash interrupted an
-	// Expire after it committed the watermark. Finish the job now;
-	// applyExpireLocked is a cheap no-op when nothing is pending.
-	if err := a.applyExpireLocked(); err != nil {
-		return nil, 0, false, fmt.Errorf("archive: complete interrupted expiry: %w", err)
-	}
 	if added = a.live - m.Live; added > 0 || rebuilt {
-		if err := a.flushLocked(); err != nil {
+		if err := a.flushLocked(a.expiredBefore.Load()); err != nil {
 			return nil, 0, false, err
 		}
 	}
@@ -325,6 +326,7 @@ func (a *Archive) indexOpts() *lsm.Options {
 	return &lsm.Options{
 		MemtableBytes:   a.opts.CacheBytes / 4,
 		BlockCacheBytes: a.opts.CacheBytes / 12,
+		Drop:            a.expired,
 	}
 }
 
@@ -333,7 +335,7 @@ func (a *Archive) indexOpts() *lsm.Options {
 // next record: its sequence number is its ordinal. Flush and eviction
 // markers are feed lifecycle state, not convoys — they take no sequence
 // number. A record below the retention watermark takes its number and
-// nothing else, exactly as if an Expire had already removed it.
+// nothing else: it is expired already.
 func (a *Archive) indexRecord(off int64, rec storage.LoggedConvoy) error {
 	c := rec.Convoy
 	if storage.IsMarker(c) {
@@ -342,12 +344,15 @@ func (a *Archive) indexRecord(off int64, rec storage.LoggedConvoy) error {
 	if a.next > maxSeq {
 		return fmt.Errorf("archive: full (%d records)", a.next)
 	}
+	if off > maxOff || len(c.Objs) > maxSize {
+		return fmt.Errorf("archive: the record at log offset %d (%d objects) does not fit a locator", off, len(c.Objs))
+	}
 	seq := int32(a.next)
 	a.next++
-	if c.End < a.expiredBefore {
+	if c.End < a.expiredBefore.Load() {
 		return nil
 	}
-	loc := encodeLocator(off, int32(len(c.Objs)), c.End-c.Start+1)
+	loc := encodeLocator(locator{off: off, size: int32(len(c.Objs)), dur: c.End - c.Start + 1, end: c.End})
 	if err := a.timeIdx.PutKV(storage.EncodeKey(c.End, seq), loc); err != nil {
 		return err
 	}
@@ -428,10 +433,12 @@ func (a *Archive) Flush() error {
 	if !a.closed && a.end == a.crcEnd && a.live == a.flushed {
 		return nil
 	}
-	return a.flushLocked()
+	return a.flushLocked(a.expiredBefore.Load())
 }
 
-func (a *Archive) flushLocked() error {
+// flushLocked flushes the indexes and then writes META with expiredBefore
+// as its watermark.
+func (a *Archive) flushLocked(expiredBefore int32) error {
 	if a.closed {
 		return errors.New("archive: closed")
 	}
@@ -446,7 +453,7 @@ func (a *Archive) flushLocked() error {
 	}
 	data, err := json.Marshal(meta{
 		Format: lsm.Format, Records: a.next, Live: a.live, Offset: a.end, CRC: crc,
-		ExpiredBefore: a.expiredBefore, MaxEnd: a.maxEnd,
+		ExpiredBefore: expiredBefore, MaxEnd: a.maxEnd,
 	})
 	if err != nil {
 		return err
@@ -465,7 +472,7 @@ func (a *Archive) Close() error {
 	if a.closed {
 		return nil
 	}
-	firstErr := a.flushLocked()
+	firstErr := a.flushLocked(a.expiredBefore.Load())
 	a.closed = true
 	for _, db := range []*lsm.DB{a.timeIdx, a.objIdx, a.sizeIdx} {
 		if err := db.Close(); err != nil && firstErr == nil {
@@ -536,7 +543,7 @@ type Stats struct {
 	// a read view right now. Both drain to zero at idle.
 	LiveSnapshots int64 `json:"live_snapshots"`
 	LiveReaders   int64 `json:"live_readers"`
-	// ExpiredTotal counts records removed by retention since this process
+	// ExpiredTotal counts records expired by retention since this process
 	// opened the archive; ExpiredBefore is the durable watermark (absent
 	// until the first expiry — convoys with End below it are gone).
 	ExpiredTotal  int64  `json:"expired_total"`
@@ -563,8 +570,7 @@ func (a *Archive) Stats() Stats {
 		st.BlockCacheMisses += rs.BlockCacheMisses
 		st.LiveSnapshots += rs.LiveSnapshots
 	}
-	if a.expiredBefore != math.MinInt32 {
-		w := a.expiredBefore
+	if w := a.expiredBefore.Load(); w != math.MinInt32 {
 		st.ExpiredBefore = &w
 	}
 	return st
@@ -572,21 +578,26 @@ func (a *Archive) Stats() Stats {
 
 // --- locator codec ------------------------------------------------------
 
-// encodeLocator packs an index value: log offset, object count, and
-// duration in ticks. Size and duration ride along so min-size and
+// encodeLocator packs an index value: the log offset (40 bits) and the
+// object count (24 bits) in one little-endian word, then the duration in
+// ticks and the End tick. Size and duration ride along so min-size and
 // min-duration predicates (and the Start = End−dur+1 derivation time
-// queries need) are answered from the index entry alone.
-func encodeLocator(off int64, size, dur int32) [storage.ValueSize]byte {
+// queries need) are answered from the index entry alone, and End so that
+// an expired entry of any index is skipped, and reclaimed, the same way.
+func encodeLocator(l locator) [storage.ValueSize]byte {
 	var v [storage.ValueSize]byte
-	binary.LittleEndian.PutUint64(v[0:8], uint64(off))
-	binary.LittleEndian.PutUint32(v[8:12], uint32(size))
-	binary.LittleEndian.PutUint32(v[12:16], uint32(dur))
+	binary.LittleEndian.PutUint64(v[0:8], uint64(l.off)|uint64(l.size)<<40)
+	binary.LittleEndian.PutUint32(v[8:12], uint32(l.dur))
+	binary.LittleEndian.PutUint32(v[12:16], uint32(l.end))
 	return v
 }
 
-func decodeLocator(v []byte) (off int64, size, dur int32) {
-	off = int64(binary.LittleEndian.Uint64(v[0:8]))
-	size = int32(binary.LittleEndian.Uint32(v[8:12]))
-	dur = int32(binary.LittleEndian.Uint32(v[12:16]))
-	return off, size, dur
+func decodeLocator(v []byte) locator {
+	w := binary.LittleEndian.Uint64(v[0:8])
+	return locator{
+		off:  int64(w & maxOff),
+		size: int32(w >> 40),
+		dur:  int32(binary.LittleEndian.Uint32(v[8:12])),
+		end:  int32(binary.LittleEndian.Uint32(v[12:16])),
+	}
 }

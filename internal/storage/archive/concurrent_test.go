@@ -172,8 +172,8 @@ func TestArchiveQueriesRaceExpire(t *testing.T) {
 
 // TestExpireDoesNotWaitForPages: Expire returns while query pages hold
 // their views, and each view still lists every entry its index held before
-// the expiry — the tombstones, and the flushes and compactions that carry
-// them, land after the view was taken and do not reach it.
+// the expiry — the flushes and compactions that reclaim expired entries
+// land after the view was taken and do not reach it.
 func TestExpireDoesNotWaitForPages(t *testing.T) {
 	a, err := Open(t.TempDir(), nil)
 	if err != nil {

@@ -168,14 +168,16 @@ type locator struct {
 	off  int64
 	size int32
 	dur  int32
+	end  int32
 }
 
 // beginRead pins the index view one query page reads: an LSM snapshot,
 // captured under a brief a.mu read-lock acquisition. The page itself then
 // runs with NO archive lock held, so a slow (cold-cache, big-budget) page
 // cannot stall the archiver's writes, an expiry or other queries: the
-// snapshot is the index as it was at capture, so records indexed or
-// expired after it do not change the page. The log needs no pin: it is
+// snapshot is the index as it was at capture, so records indexed after it
+// do not change the page, and neither do flushes or compactions that
+// reclaim expired entries. The log needs no pin: it is
 // append-only, so every offset the snapshot holds stays valid. The caller
 // must endRead.
 func (a *Archive) beginRead(idx *lsm.DB) (*lsm.Snapshot, error) {
@@ -223,6 +225,11 @@ func (a *Archive) scan(idx *lsm.DB, start [storage.KeySize]byte,
 		return Result{}, err
 	}
 	defer a.endRead(snap)
+	// The watermark is read after the snapshot is taken: Drop reclaims
+	// only entries below a watermark published earlier, so the snapshot
+	// holds every entry at or past this one, and the page is the archive
+	// at a single watermark.
+	expiredBefore := a.expiredBefore.Load()
 	if q.Cursor.set && bytes.Compare(q.Cursor.key[:], start[:]) > 0 {
 		start = q.Cursor.key
 	}
@@ -246,6 +253,10 @@ func (a *Archive) scan(idx *lsm.DB, start [storage.KeySize]byte,
 		if keep != nil && !keep(hi) {
 			return false // past the key range: query exhausted
 		}
+		loc := decodeLocator(v)
+		if loc.end < expiredBefore {
+			return true // expired: not there, so neither examined nor a resume point
+		}
 		if len(cands) >= limit || res.Scanned >= budget {
 			// Page full before examining this entry: resume exactly here.
 			copy(res.Next.key[:], k)
@@ -254,9 +265,7 @@ func (a *Archive) scan(idx *lsm.DB, start [storage.KeySize]byte,
 			return false
 		}
 		res.Scanned++
-		off, size, dur := decodeLocator(v)
-		loc := locator{off: off, size: size, dur: dur}
-		if int(size) < q.MinSize || int(dur) < q.MinDur {
+		if int(loc.size) < q.MinSize || int(loc.dur) < q.MinDur {
 			return true
 		}
 		if extra != nil && !extra(hi, loc) {

@@ -6,11 +6,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/storage"
 	"repro/internal/storage/durable"
+	"repro/internal/storage/lsm"
 )
 
 // keepAfter filters the brute-force reference by the retention watermark:
@@ -186,161 +188,123 @@ func TestExpireCursorStability(t *testing.T) {
 	sameSet(t, "paged across expiry", got, keepAfter(recs, before))
 }
 
-// --- crash simulation ----------------------------------------------------
-
-// expireCrashPoints are the protocol's crash windows, in order.
-var expireCrashPoints = []string{
-	"expire.watermark-committed",
-	"expire.indexes-updated",
-}
-
-// armCrash installs a one-shot crash at the nth occurrence of the named
-// point and returns a fired() probe. Cleanup disarms it.
-func armCrash(t *testing.T, name string, nth int) func() bool {
-	t.Helper()
-	seen, fired := 0, false
-	durable.CrashPoint = func(p string) {
-		if p != name {
-			return
-		}
-		if seen++; seen > nth {
-			fired = true
-			panic(durable.ErrSimulatedCrash)
-		}
-	}
-	t.Cleanup(func() { durable.CrashPoint = nil })
-	return func() bool { return fired }
-}
-
-// expectCrash runs fn absorbing the simulated-crash panic.
-func expectCrash(t *testing.T, fn func()) {
-	t.Helper()
-	defer func() {
-		if r := recover(); r != nil && r != durable.ErrSimulatedCrash {
-			panic(r)
-		}
-	}()
-	fn()
-}
-
-func TestExpireCrashPoints(t *testing.T) {
-	const before = int32(60)
-	recs := genRecords(23, 250, 7)
-	for _, point := range expireCrashPoints {
-		t.Run(point, func(t *testing.T) {
-			dir := t.TempDir()
-			logPath := filepath.Join(t.TempDir(), "log.k2cl")
-			writeLog(t, logPath, recs)
-			a, _, _, err := OpenAndBackfill(dir, logPath, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fired := armCrash(t, point, 0)
-			expectCrash(t, func() {
-				if _, err := a.Expire(before); err != nil {
-					t.Errorf("Expire failed instead of crashing: %v", err)
-				}
-			})
-			if !fired() {
-				t.Fatalf("crash point %s never fired", point)
-			}
-			durable.CrashPoint = nil
-			a.abandon()
-
-			// Reopen: recovery must complete the expiry (the watermark was
-			// the first thing committed) and serve exactly the survivors.
-			a, added, rebuilt, err := OpenAndBackfill(dir, logPath, nil)
-			if err != nil {
-				t.Fatalf("reopen after crash at %s: %v", point, err)
-			}
-			if added != 0 || rebuilt {
-				t.Fatalf("reopen after crash at %s: indexed %d, rebuilt=%v", point, added, rebuilt)
-			}
-			if st := a.Stats(); st.ExpiredBefore == nil || *st.ExpiredBefore != before {
-				t.Fatalf("watermark lost across crash at %s: %+v", point, st.ExpiredBefore)
-			}
-			want := keepAfter(recs, before)
-			if got := a.Count(); got != int64(len(want)) {
-				t.Fatalf("Count() = %d after crash at %s, want %d", got, point, len(want))
-			}
-			sameSet(t, "after crash+reopen", collectAll(t, a, 61), want)
-			sameSet(t, "size query after crash", collect(t, a.QueryConvoys, Query{}), want)
-			oid := int32(3)
-			sameSet(t, "object query after crash",
-				collect(t, func(q Query) (Result, error) { return a.QueryObject(oid, q) }, Query{}),
-				brute(want, Query{}, nil, &oid))
-
-			// The repaired archive must remain fully usable: records the log
-			// gains afterwards are indexed on top of it.
-			if err := a.Close(); err != nil {
-				t.Fatal(err)
-			}
-			fresh := storage.LoggedConvoy{Feed: "post", Convoy: model.NewConvoy(model.NewObjSet(9, 10, 11), 70, 90)}
-			appendLog(t, logPath, fresh)
-			if a, _, _, err = OpenAndBackfill(dir, logPath, nil); err != nil {
-				t.Fatal(err)
-			}
-			defer a.Close()
-			sameSet(t, "write after crash", collectAll(t, a, 100), append(want, fresh))
-		})
-	}
-}
-
-// TestOpenCrashDuringExpiryRecovery crashes the recovery itself: Open is
-// finishing an interrupted expiry when the process dies again. The next
-// Open must still converge.
-func TestOpenCrashDuringExpiryRecovery(t *testing.T) {
-	const before = int32(55)
-	recs := genRecords(31, 200, 0)
+// TestExpireReadsNoRecordWritesNoEntry: Expire commits a watermark and
+// nothing else. With every index flushed and the log renamed away, it
+// still succeeds, counts its victims from the time index alone, and no
+// index gains a run; the survivors are served once the log is back.
+func TestExpireReadsNoRecordWritesNoEntry(t *testing.T) {
 	dir := t.TempDir()
 	a, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer a.Close()
+	recs := genRecords(5, 200, 0)
 	if err := a.AddBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-	fired := armCrash(t, "expire.watermark-committed", 0)
-	expectCrash(t, func() { a.Expire(before) })
-	if !fired() {
-		t.Fatal("first crash never fired")
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	a.abandon()
-
-	// Second crash: mid-recovery, with the tombstones written but not yet
-	// flushed.
-	fired = armCrash(t, "expire.indexes-updated", 0)
-	crashed := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if r != durable.ErrSimulatedCrash {
-					panic(r)
-				}
-				crashed = true
-			}
-		}()
-		if a, err = Open(dir, nil); err != nil {
-			t.Fatalf("recovery Open errored instead of crashing: %v", err)
+	indexes := []*lsm.DB{a.timeIdx, a.objIdx, a.sizeIdx}
+	tables := make([]int, len(indexes))
+	for i, idx := range indexes {
+		tables[i] = idx.NumTables()
+	}
+	logPath, away := filepath.Join(dir, recordsName), filepath.Join(dir, "away.k2cl")
+	if err := os.Rename(logPath, away); err != nil {
+		t.Fatal(err)
+	}
+	const before = int32(50)
+	want := keepAfter(recs, before)
+	n, err := a.Expire(before)
+	if err != nil {
+		t.Fatalf("Expire with the log gone: %v", err)
+	}
+	if n != int64(len(recs)-len(want)) || n == 0 {
+		t.Fatalf("Expire expired %d records, want %d (and more than 0)", n, len(recs)-len(want))
+	}
+	for i, idx := range indexes {
+		if got := idx.NumTables(); got != tables[i] {
+			t.Fatalf("index %d went from %d runs to %d: Expire wrote entries", i, tables[i], got)
 		}
-	}()
-	if !crashed || !fired() {
-		t.Fatal("recovery crash never fired")
 	}
-	durable.CrashPoint = nil
+	if err := os.Rename(away, logPath); err != nil {
+		t.Fatal(err)
+	}
+	sameSet(t, "after expiry", collectAll(t, a, 100), want)
+}
 
+// TestExpireGCWaitsForMeta: garbage collection never runs ahead of META.
+// An Expire whose META write fails leaves the watermark where it was,
+// in memory and on disk, so a full compaction of every index keeps each
+// record, and an archive reopened after a kill serves all of them.
+func TestExpireGCWaitsForMeta(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := genRecords(13, 200, 0)
+	if err := a.AddBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// A directory at the temp path makes META's atomic replace fail.
+	if err := os.Mkdir(filepath.Join(dir, metaName+".tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := a.Expire(50); err == nil {
+		t.Fatalf("Expire succeeded (expired %d) with META unwritable", n)
+	}
+	if len(keepAfter(recs, 50)) == len(recs) {
+		t.Fatal("test is vacuous: watermark 50 expires nothing")
+	}
+	if got := a.Count(); got != int64(len(recs)) {
+		t.Fatalf("Count() = %d after a failed Expire, want %d", got, len(recs))
+	}
+	for _, idx := range []*lsm.DB{a.timeIdx, a.objIdx, a.sizeIdx} {
+		if err := idx.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameSet(t, "after the failed expiry", collectAll(t, a, 100), recs)
+	a.abandon()
+	if err := os.Remove(filepath.Join(dir, metaName+".tmp")); err != nil {
+		t.Fatal(err)
+	}
 	a, err = Open(dir, nil)
 	if err != nil {
-		t.Fatalf("final reopen: %v", err)
+		t.Fatal(err)
 	}
 	defer a.Close()
-	sameSet(t, "after double crash", collectAll(t, a, 100), keepAfter(recs, before))
+	if st := a.Stats(); st.ExpiredBefore != nil {
+		t.Fatalf("reopened watermark %d, want none", *st.ExpiredBefore)
+	}
+	sameSet(t, "reopened", collectAll(t, a, 100), recs)
+	oid := int32(3)
+	sameSet(t, "reopened object query",
+		collect(t, func(q Query) (Result, error) { return a.QueryObject(oid, q) }, Query{}),
+		brute(recs, Query{}, nil, &oid))
+	sameSet(t, "reopened size query", collect(t, a.QueryConvoys, Query{}), recs)
+}
+
+// archiveCrashPoints are the crash points on an archive's write path: its
+// indexes' flushes and compactions. Expire writes nothing but META.
+var archiveCrashPoints = []string{
+	"flush.sstable-written", "flush.manifest-committed",
+	"compact.output-written", "compact.manifest-committed",
 }
 
 // FuzzArchiveCrash drives a random add/flush/expire workload, kills the
-// process at a fuzz-chosen point of the expiry protocol, reopens, and
-// asserts the archive serves exactly the accepted records at or past the
-// reopened watermark — the brute-force model of retention.
+// process at a fuzz-chosen crash point of an index flush or compaction,
+// reopens, and asserts the archive serves exactly the accepted records at
+// or past the reopened watermark — the brute-force model of retention. A
+// kill in a compaction stops only that index's compactor, which runs on
+// its own goroutine; the workload goes on until the final abandon, as a
+// process whose compactor died before it was killed.
 func FuzzArchiveCrash(f *testing.F) {
 	f.Add([]byte{0, 0, 10, 40, 90, 200, 130, 5, 61, 33})
 	f.Add([]byte{2, 1, 7, 7, 7, 47, 255, 12, 89, 61, 200, 44, 18})
@@ -350,7 +314,7 @@ func FuzzArchiveCrash(f *testing.F) {
 			t.Skip()
 		}
 		dir := t.TempDir()
-		point := expireCrashPoints[int(data[0])%len(expireCrashPoints)]
+		point := archiveCrashPoints[int(data[0])%len(archiveCrashPoints)]
 		nth := int(data[1]) % 3
 		ops := data[2:]
 
@@ -360,8 +324,11 @@ func FuzzArchiveCrash(f *testing.F) {
 			t.Fatal(err)
 		}
 		var submitted []storage.LoggedConvoy
+		var mu sync.Mutex // the three compactors call the hook too
 		seen := 0
 		durable.CrashPoint = func(p string) {
+			mu.Lock()
+			defer mu.Unlock()
 			if p == point {
 				if seen++; seen > nth {
 					panic(durable.ErrSimulatedCrash)
@@ -401,8 +368,9 @@ func FuzzArchiveCrash(f *testing.F) {
 				step(func() error { return a.AddBatch([]storage.LoggedConvoy{rec}) })
 			}
 		}
-		durable.CrashPoint = nil
+		// Stop the compactors before disarming: they read the hook.
 		a.abandon()
+		durable.CrashPoint = nil
 
 		a, err = Open(dir, &Options{CacheBytes: 3 * 4096})
 		if err != nil {
@@ -429,10 +397,9 @@ func FuzzArchiveCrash(f *testing.F) {
 
 // TestRetentionDiskPlateau churns records through a retention window and
 // asserts what retention still promises: the index directories plateau
-// instead of growing with history, giving the space back once their
-// tombstones reach the bottom level. The log is not measured — it is the
-// one copy of the records, retention never shrinks it (offline compaction
-// does).
+// instead of growing with history, giving the space back as compactions
+// into the oldest run drop expired entries. The log is not measured — it
+// is the one copy of the records, and nothing shrinks it.
 func TestRetentionDiskPlateau(t *testing.T) {
 	dir := t.TempDir()
 	a, err := Open(dir, &Options{CacheBytes: 3 * 4096})

@@ -36,17 +36,32 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-// testdata/archive-k2s2 is an archive written by a build whose SSTables
-// carried a bloom filter (table format K2S2) and whose META had no format
-// number: closed.k2cl holds 80 convoy records, archive/ the indexes over
-// all of them. Opening it must discard those indexes and rebuild them from
-// the whole log, and the rebuilt archive must answer every query exactly —
+// Each fixture is an archive an earlier build wrote over the same log:
+// closed.k2cl holds 80 convoy records, archive/ the indexes over all of
+// them. testdata/archive-k2s2 comes from a build whose SSTables carried a
+// bloom filter (table format K2S2) and whose META had no format number;
+// testdata/archive-k2s3 from one whose SSTables carried a tombstone flag
+// per record and whose locators had no End tick, and its META names K2S3.
+// Opening either must discard those indexes and rebuild them from the
+// whole log, and the rebuilt archive must answer every query exactly —
 // same records, same order — as one built fresh over the same log.
 func TestArchiveUpgradeRebuildsOldFormat(t *testing.T) {
+	for _, fixture := range []struct{ dir, metaFormat string }{
+		{"archive-k2s2", ""},
+		{"archive-k2s3", `"format":"K2S3"`},
+	} {
+		t.Run(fixture.dir, func(t *testing.T) { upgradeRebuilds(t, fixture.dir, fixture.metaFormat) })
+	}
+}
+
+// upgradeRebuilds opens the fixture testdata/dir, whose META holds
+// metaFormat (or no format at all, when it is empty), and checks the
+// rebuild against a fresh archive over the same log.
+func upgradeRebuilds(t *testing.T, dir, metaFormat string) {
 	const records = 80
 	old, fresh := t.TempDir(), t.TempDir()
-	copyTree(t, filepath.Join("testdata", "archive-k2s2"), old)
-	copyTree(t, filepath.Join("testdata", "archive-k2s2"), fresh)
+	copyTree(t, filepath.Join("testdata", dir), old)
+	copyTree(t, filepath.Join("testdata", dir), fresh)
 	if err := os.RemoveAll(filepath.Join(fresh, "archive")); err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +69,11 @@ func TestArchiveUpgradeRebuildsOldFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(meta, []byte(`"format"`)) {
+	if metaFormat == "" && bytes.Contains(meta, []byte(`"format"`)) {
 		t.Fatalf("fixture META %s already names a format", meta)
+	}
+	if metaFormat != "" && !bytes.Contains(meta, []byte(metaFormat)) {
+		t.Fatalf("fixture META %s does not hold %s", meta, metaFormat)
 	}
 
 	up, added, rebuilt, err := OpenAndBackfill(filepath.Join(old, "archive"), filepath.Join(old, "closed.k2cl"), nil)

@@ -38,7 +38,7 @@ func writeRun(dir string, pts []model.Point) error {
 		if err != nil {
 			return err
 		}
-		if err := writeSSTable(filepath.Join(dir, name), &pointIter{pts: pts}, true); err != nil {
+		if err := writeSSTable(filepath.Join(dir, name), &pointIter{pts: pts}, nil); err != nil {
 			return err
 		}
 		durable.Crash("bulk.sstable-written")
@@ -84,7 +84,6 @@ func (it *pointIter) value() []byte {
 	it.v = storage.EncodeValue(it.pts[0].X, it.pts[0].Y)
 	return it.v[:]
 }
-func (it *pointIter) tomb() bool { return false }
-func (it *pointIter) next()      { it.pts = it.pts[1:] }
+func (it *pointIter) next() { it.pts = it.pts[1:] }
 
 var _ kvIterator = (*pointIter)(nil)

@@ -20,9 +20,8 @@ import (
 // Policy (size-tiered): merge the cheapest contiguous window of
 // len(tables)-MaxTables+1 adjacent runs, so one compaction restores the
 // invariant. Windows must be contiguous in age order — merging runs around
-// a survivor could resurrect values the survivor shadows. Tombstones are
-// dropped only when the window includes the oldest run (nothing older left
-// to shadow); otherwise they are carried into the output.
+// a survivor could resurrect values the survivor shadows. Options.Drop is
+// applied only when the window includes the oldest run (see DB.dropper).
 
 // compactState carries the goroutine coordination handles.
 type compactState struct {
@@ -86,14 +85,14 @@ func (db *DB) runCompactions() (crashed bool) {
 }
 
 // compactOnce performs one merge. With full set it merges every run into
-// one (the manual Compact path, which also GCs all tombstones); otherwise
+// one (the manual Compact path); otherwise
 // it applies the size-tiered policy and does nothing when the run count is
 // within bounds. It reports whether a merge happened.
 func (db *DB) compactOnce(full bool) (bool, error) {
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
 
-	inputs, dropTombs, path, ok := db.pickCompaction(full)
+	inputs, oldest, path, ok := db.pickCompaction(full)
 	if !ok {
 		return false, nil
 	}
@@ -112,7 +111,7 @@ func (db *DB) compactOnce(full bool) (bool, error) {
 	for i, t := range inputs {
 		its[i] = t.iterator(0, mergeEnv)
 	}
-	if err := writeSSTable(path, newMergeIter(its), dropTombs); err != nil {
+	if err := writeSSTable(path, newMergeIter(its), db.dropper(oldest)); err != nil {
 		release()
 		return false, err
 	}
@@ -137,8 +136,9 @@ func (db *DB) compactOnce(full bool) (bool, error) {
 }
 
 // pickCompaction chooses the input window under db.mu and allocates the
-// output file name. ok is false when there is nothing to do.
-func (db *DB) pickCompaction(full bool) (inputs []*sstable, dropTombs bool, path string, ok bool) {
+// output file name; oldest reports whether the window starts at the oldest
+// run. ok is false when there is nothing to do.
+func (db *DB) pickCompaction(full bool) (inputs []*sstable, oldest bool, path string, ok bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed || len(db.tables) < 2 {
@@ -146,7 +146,7 @@ func (db *DB) pickCompaction(full bool) (inputs []*sstable, dropTombs bool, path
 	}
 	if full {
 		inputs = append(inputs, db.tables...)
-		dropTombs = true
+		oldest = true
 	} else {
 		if len(db.tables) <= db.opts.MaxTables {
 			return nil, false, "", false
@@ -167,7 +167,7 @@ func (db *DB) pickCompaction(full bool) (inputs []*sstable, dropTombs bool, path
 			}
 		}
 		inputs = append(inputs, db.tables[best:best+w]...)
-		dropTombs = best == 0
+		oldest = best == 0
 	}
 	// Pin the inputs for the merge: only a holder of the list reference may
 	// clone references, and we hold db.mu here.
@@ -176,12 +176,12 @@ func (db *DB) pickCompaction(full bool) (inputs []*sstable, dropTombs bool, path
 	}
 	path = filepath.Join(db.dir, tableName(db.seq))
 	db.seq++
-	return inputs, dropTombs, path, true
+	return inputs, oldest, path, true
 }
 
 // swapCompacted replaces the input window with the merged table and commits
 // the new table list to the manifest, all under db.mu. An empty output
-// (every record was a GC'd tombstone) retires the inputs without a
+// (Options.Drop dropped every record) retires the inputs without a
 // replacement.
 func (db *DB) swapCompacted(inputs []*sstable, nt *sstable) error {
 	db.mu.Lock()

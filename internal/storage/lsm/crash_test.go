@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/storage"
 	"repro/internal/storage/durable"
 )
 
@@ -242,7 +241,7 @@ func TestOrphanSweep(t *testing.T) {
 	verifyModel(t, dir, want)
 }
 
-// FuzzLSMCrash drives a put/delete/flush workload with a crash injected at
+// FuzzLSMCrash drives a put/overwrite/flush workload with a crash injected at
 // a fuzzer-chosen occurrence of a fuzzer-chosen crash point, then checks
 // the reopened DB against an exact map model. Flush — the durability
 // barrier — runs after every operation, so the reopened state must equal
@@ -277,7 +276,7 @@ func FuzzLSMCrash(f *testing.F) {
 		touched := map[[2]int32]bool{}
 		var pendingKey [2]int32
 		var pendingVal float64
-		pendingDel, pendingPut := false, false
+		pending := false
 		hits := 0
 		durable.CrashPoint = func(p string) {
 			if p == point {
@@ -297,24 +296,13 @@ func FuzzLSMCrash(f *testing.F) {
 			for i, b := range data[2:] {
 				k := [2]int32{int32(b % 8), int32(i % 32)}
 				touched[k] = true
-				pendingKey, pendingVal = k, float64(i)
-				pendingDel, pendingPut = false, false
-				if b%5 == 4 {
-					pendingDel = true
-					if err := db.DeleteKV(storage.EncodeKey(k[0], k[1])); err != nil {
-						t.Fatal(err)
-					}
-					barrier()
-					delete(want, k)
-				} else {
-					pendingPut = true
-					if err := put(db, model.Point{T: k[0], OID: k[1], X: float64(i)}); err != nil {
-						t.Fatal(err)
-					}
-					barrier()
-					want[k] = float64(i)
+				pendingKey, pendingVal, pending = k, float64(i), true
+				if err := put(db, model.Point{T: k[0], OID: k[1], X: float64(i)}); err != nil {
+					t.Fatal(err)
 				}
-				pendingDel, pendingPut = false, false
+				barrier()
+				want[k] = float64(i)
+				pending = false
 				if b%11 == 10 {
 					if err := db.Flush(); err != nil {
 						t.Fatal(err)
@@ -342,8 +330,7 @@ func FuzzLSMCrash(f *testing.F) {
 			if !ok && k == pendingKey {
 				// The op in flight at the crash was in the memtable the
 				// flush wrote out; its effect may legitimately show.
-				ok = (pendingDel && len(rows) == 0) ||
-					(pendingPut && len(rows) == 1 && rows[0].X == pendingVal)
+				ok = pending && len(rows) == 1 && rows[0].X == pendingVal
 			}
 			if !ok {
 				t.Fatalf("crash at %s: key %v = %v, want %v (present=%v)",

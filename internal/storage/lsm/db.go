@@ -7,37 +7,39 @@
 // the memtable, a sorted run that readers share plus the writer's unsorted
 // tail (memtable.go); when the memtable exceeds its budget it is flushed
 // to an SSTable. A background size-tiered compactor folds tables together
-// when too many runs accumulate, off the write path. Deletions are
-// tombstone records that shadow older runs until compaction reaches the
-// bottom level and garbage-collects them. Benchmark-point reads are range
-// scans (all keys of one timestamp are co-located, one positioning per
-// run); HWMT reads are one Fetch per (tick, sorted object set), a forward
-// walk that loads each block it needs once. Those are the only two reads:
+// when too many runs accumulate, off the write path. Nothing is deleted,
+// as in the paper's store: a record leaves only when a flush or compaction
+// that writes the oldest run drops it at its caller's request
+// (Options.Drop). Benchmark-point reads are range scans (all keys of one
+// timestamp are co-located, one positioning per run); HWMT reads are one
+// Fetch per (tick, sorted object set), a forward walk that loads each
+// block it needs once. Those are the only two reads:
 // there is no point get, and so no bloom filter. A directory written by an
-// earlier build holds tables of the older format K2S2, which Open refuses
-// with an error naming it; rewrite such a dataset with WriteDataset.
+// earlier build holds tables of an older format (K2S2, K2S3), which Open
+// refuses with an error naming it; rewrite such a dataset with
+// WriteDataset.
 //
 // Crash model: what the MANIFEST names is the database. It lists the live
 // tables and is the sole commit point, written via fsynced tmp file + rename
 // + directory fsync after the fsynced sstable it adds. There is no
 // write-ahead log: Flush is the one durability barrier. A write is durable
 // once a Flush that covers it — an explicit one, the memtable-full flush
-// inside PutKV/DeleteKV, or Close's — has returned; a kill loses exactly
-// the memtable. Both consumers below can afford that: the miners' stores
+// inside PutKV, or Close's — has returned; a kill loses exactly the
+// memtable. Both consumers below can afford that: the miners' stores
 // never touch the memtable — WriteDataset (build.go) writes a dataset as
 // one bottom-level run committed by one manifest write — and the archive
 // re-derives every index entry past its last flush from the fsynced convoy
 // log. Files the manifest does not reference are swept on Open.
 //
-// A record has one shape from memtable to disk: an 8-byte key, a 16-byte
-// value and a tombstone flag. The key travels as its big-endian uint64
-// reading (keyWord), which every layer — memtable, merge, writer, block
-// index, block search — compares; bytes appear only in the sstable
-// encoding and the exported PutKV/DeleteKV/Scan.
+// A record has one shape from memtable to disk: an 8-byte key and a
+// 16-byte value. The key travels as its big-endian uint64 reading
+// (keyWord), which every layer — memtable, merge, writer, block index,
+// block search — compares; bytes appear only in the sstable encoding and
+// the exported PutKV/Scan/Options.Drop.
 //
 // The engine serves two consumers. As a storage.Store (WriteDataset, then
 // Snapshot/Fetch) it holds trajectory points for the miners, exactly the
-// paper's role. As a raw ordered key/value store (PutKV/DeleteKV/Scan) it
+// paper's role. As a raw ordered key/value store (PutKV/Scan) it
 // backs the secondary indexes of the historical convoy archive
 // (internal/storage/archive): any
 // fixed-width 8-byte key whose lexicographic order matches the caller's
@@ -64,9 +66,8 @@ import (
 // Options tunes the engine.
 type Options struct {
 	// MemtableBytes is the flush threshold (default 4 MiB): every buffered
-	// write, overwrites and tombstones included, is charged 64 B, which
-	// bounds the memtable's heap, the seal's sort scratch included (see
-	// writeCharge).
+	// write, overwrites included, is charged 48 B, which bounds the
+	// memtable's heap, the seal's sort scratch included (see writeCharge).
 	MemtableBytes int
 	// MaxTables is the run count above which the background compactor
 	// merges runs (default 6). The floor is 1: "always compact back to a
@@ -74,11 +75,20 @@ type Options struct {
 	MaxTables int
 	// BlockCacheBytes bounds the shared data-block cache (default 4 MiB).
 	BlockCacheBytes int
+	// Drop, when set, is asked about every record a flush or compaction
+	// writes into the oldest run, and the records it reports true for are
+	// left out: it is how a caller reclaims records it no longer serves.
+	// No other write asks it, since a record left out above an older run
+	// would uncover that run's version of its key (see dropper). It runs on
+	// the compactor's goroutine as well as the writer's; key and val are
+	// valid only during the call.
+	Drop func(key, val []byte) bool
 }
 
 func (o *Options) withDefaults() Options {
 	out := Options{MemtableBytes: 4 << 20, MaxTables: 6, BlockCacheBytes: 4 << 20}
 	if o != nil {
+		out.Drop = o.Drop
 		if o.MemtableBytes > 0 {
 			out.MemtableBytes = o.MemtableBytes
 		}
@@ -199,25 +209,8 @@ func (db *DB) PutKV(key [storage.KeySize]byte, val [storage.ValueSize]byte) erro
 		return errClosed
 	}
 	k := binary.BigEndian.Uint64(key[:])
-	db.mem.put(k, val, false)
+	db.mem.put(k, val)
 	db.noteT(wordTime(k))
-	if db.mem.bytes() >= db.opts.MemtableBytes {
-		return db.flushLocked()
-	}
-	return nil
-}
-
-// DeleteKV records a tombstone for key: the key disappears from reads
-// immediately and the marker shadows every older run until compaction
-// reaches the bottom level and garbage-collects it. Deleting an absent key
-// is a no-op that still writes a tombstone.
-func (db *DB) DeleteKV(key [storage.KeySize]byte) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return errClosed
-	}
-	db.mem.put(binary.BigEndian.Uint64(key[:]), [storage.ValueSize]byte{}, true)
 	if db.mem.bytes() >= db.opts.MemtableBytes {
 		return db.flushLocked()
 	}
@@ -247,7 +240,7 @@ func (db *DB) flushLocked() error {
 	}
 	path := filepath.Join(db.dir, tableName(db.seq))
 	db.seq++
-	if err := writeSSTable(path, run.iterator(0), len(db.tables) == 0); err != nil {
+	if err := writeSSTable(path, run.iterator(0), db.dropper(len(db.tables) == 0)); err != nil {
 		return err
 	}
 	t, err := openSSTable(path)
@@ -257,8 +250,8 @@ func (db *DB) flushLocked() error {
 	}
 	durable.Crash("flush.sstable-written")
 	if t.count == 0 {
-		// Every record was a tombstone dropped at the bottom level: the
-		// table list, and so the manifest, does not change.
+		// Options.Drop dropped every record: the table list, and so the
+		// manifest, does not change.
 		t.close()
 		os.Remove(path)
 	} else {
@@ -278,8 +271,19 @@ func (db *DB) flushLocked() error {
 	return nil
 }
 
-// Compact synchronously merges all runs into one, garbage-collecting every
-// tombstone (the serving path compacts in background).
+// dropper returns the Options.Drop a write applies: the caller's predicate
+// when the write's output is the oldest run, with nothing older beneath
+// it, and nil otherwise. A record left out of any other output would
+// uncover the version of its key an older run holds.
+func (db *DB) dropper(oldest bool) func(key, val []byte) bool {
+	if !oldest {
+		return nil
+	}
+	return db.opts.Drop
+}
+
+// Compact synchronously merges all runs into one, applying Options.Drop
+// (the serving path compacts in background).
 func (db *DB) Compact() error {
 	db.mu.RLock()
 	closed := db.closed
@@ -328,10 +332,9 @@ func (db *DB) Snapshot(t int32) ([]model.ObjPos, error) {
 	return out, nil
 }
 
-// Scan calls fn for every live record with key ≥ start, in ascending key
-// order, merged across the memtable and every on-disk run (newest version
-// of a key wins; keys whose newest version is a tombstone are skipped),
-// until fn returns false or the keyspace is exhausted. The key and value
+// Scan calls fn for every record with key ≥ start, in ascending key order,
+// merged across the memtable and every on-disk run (newest version of a
+// key wins), until fn returns false or the keyspace is exhausted. The key and value
 // slices passed to fn are only valid during the call. The scan runs against
 // a snapshot with no lock held, so fn may block or call back into the DB;
 // callers still bound the walk (the archive's query budget). Callers that
@@ -350,8 +353,8 @@ func (db *DB) Scan(start [storage.KeySize]byte, fn func(key, val []byte) bool) e
 // contiguous, so each run keeps a walkCursor on the block it last loaded
 // and answers the next key from it; it loads a block only when the walk
 // leaves the held one. Per key the memtable is asked first, then the runs
-// newest → oldest, and the first that holds any version — value or
-// tombstone — decides: the shadowing rule Scan's merge applies. Coordinates
+// newest → oldest, and the first that holds the key decides: the shadowing
+// rule Scan's merge applies. Coordinates
 // are decoded straight from the shared block, not copied.
 func (db *DB) Fetch(t int32, oids model.ObjSet) ([]model.ObjPos, error) {
 	if len(oids) == 0 {
@@ -370,17 +373,17 @@ func (db *DB) Fetch(t int32, oids model.ObjSet) ([]model.ObjPos, error) {
 	out := make([]model.ObjPos, 0, len(oids))
 	for _, oid := range oids {
 		key := keyWord(t, oid)
-		val, tomb := s.mem.get(key)
+		val := s.mem.get(key)
 		for i := 0; val == nil && i < len(curs); i++ {
 			rec, err := curs[i].find(key, &db.env)
 			if err != nil {
 				return nil, err
 			}
 			if rec != nil {
-				val, tomb = rec[storage.KeySize:storage.RecordSize], rec[storage.RecordSize]&tombFlag != 0
+				val = rec[storage.KeySize:]
 			}
 		}
-		if val == nil || tomb {
+		if val == nil {
 			continue
 		}
 		x, y := storage.DecodeValue(val)
@@ -457,8 +460,7 @@ func (db *DB) NumTables() int {
 
 // mergeIter merges several sorted iterators; on duplicate keys the source
 // with the LARGEST slice index wins (callers order sources oldest→newest,
-// memtable last). Tombstones participate like any record — the caller
-// checks tomb() on each winner.
+// memtable last).
 type mergeIter struct {
 	srcs []kvIterator
 	cur  int // index of current winning source, -1 when exhausted
@@ -503,7 +505,6 @@ func (m *mergeIter) advance() {
 func (m *mergeIter) valid() bool   { return m.cur >= 0 }
 func (m *mergeIter) key() uint64   { return m.srcs[m.cur].key() }
 func (m *mergeIter) value() []byte { return m.srcs[m.cur].value() }
-func (m *mergeIter) tomb() bool    { return m.srcs[m.cur].tomb() }
 func (m *mergeIter) next() {
 	m.srcs[m.cur].next()
 	m.advance()

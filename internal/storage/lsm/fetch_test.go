@@ -15,10 +15,10 @@ const (
 )
 
 // buildFetchDB writes a seeded DB of three runs plus an unflushed memtable
-// overlay: run 1 holds most (tick, oid) keys, run 2 overwrites some and
-// tombstones others (shadowing run 1's values), run 3 overwrites again and
-// resurrects some deleted keys, and the memtable both overwrites and
-// deletes. A tiny block cache keeps the walk loading and evicting blocks.
+// overlay: run 1 holds most (tick, oid) keys, and runs 2 and 3 and the
+// memtable each overwrite some (shadowing the older runs' values) and add
+// keys the older runs lack. A tiny block cache keeps the walk loading and
+// evicting blocks.
 func buildFetchDB(t *testing.T, seed int64) *DB {
 	t.Helper()
 	db, err := Open(t.TempDir(), &Options{MaxTables: 100, BlockCacheBytes: 1})
@@ -31,11 +31,6 @@ func buildFetchDB(t *testing.T, seed int64) *DB {
 			t.Fatal(err)
 		}
 	}
-	del := func(tick, oid int32) {
-		if err := db.DeleteKV(storage.EncodeKey(tick, oid)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for run := 0; run < 4; run++ {
 		for tick := int32(0); tick < fetchTicks; tick++ {
 			for oid := int32(0); oid < fetchObjects; oid++ {
@@ -45,8 +40,6 @@ func buildFetchDB(t *testing.T, seed int64) *DB {
 					put(tick, oid)
 				case run > 0 && r < 0.1:
 					put(tick, oid)
-				case run > 0 && r < 0.2:
-					del(tick, oid)
 				}
 			}
 		}
@@ -118,8 +111,7 @@ func checkFetch(t *testing.T, db *DB, rng *rand.Rand) {
 }
 
 // Fetch's forward walk must return exactly what a merged Scan does,
-// shadowing included: memtable over runs, newer runs over older, and a
-// tombstone in a middle run over the oldest run's value.
+// shadowing included: memtable over runs, newer runs over older.
 func TestFetchMatchesScan(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		db := buildFetchDB(t, seed)

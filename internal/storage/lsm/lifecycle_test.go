@@ -2,6 +2,8 @@ package lsm
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -27,9 +29,17 @@ func TestOptionsWithDefaults(t *testing.T) {
 		{"explicit", &Options{MemtableBytes: 512, MaxTables: 9, BlockCacheBytes: 1 << 20}, Options{MemtableBytes: 512, MaxTables: 9, BlockCacheBytes: 1 << 20}},
 	}
 	for _, tc := range cases {
-		if got := tc.in.withDefaults(); got != tc.want {
+		got := tc.in.withDefaults()
+		if got.MemtableBytes != tc.want.MemtableBytes || got.MaxTables != tc.want.MaxTables ||
+			got.BlockCacheBytes != tc.want.BlockCacheBytes || got.Drop != nil {
 			t.Errorf("%s: withDefaults() = %+v, want %+v", tc.name, got, tc.want)
 		}
+	}
+	// Drop is the caller's, and carried through as it is.
+	called := false
+	(&Options{Drop: func(_, _ []byte) bool { called = true; return false }}).withDefaults().Drop(nil, nil)
+	if !called {
+		t.Error("withDefaults() lost Options.Drop")
 	}
 }
 
@@ -69,7 +79,6 @@ var errInjectedScan = errors.New("injected scan failure")
 func (it *faultyIter) valid() bool   { return it.e == nil && it.i < len(it.keys) }
 func (it *faultyIter) key() uint64   { return it.keys[it.i] }
 func (it *faultyIter) value() []byte { return make([]byte, storage.ValueSize) }
-func (it *faultyIter) tomb() bool    { return false }
 func (it *faultyIter) next() {
 	it.i++
 	if it.i >= it.failAt {
@@ -81,7 +90,7 @@ func (it *faultyIter) srcErr() error { return it.e }
 func memWith(vals map[int32]float64) memRun {
 	var m memtable
 	for oid, x := range vals {
-		m.put(keyWord(1, oid), storage.EncodeValue(x, 0), false)
+		m.put(keyWord(1, oid), storage.EncodeValue(x, 0))
 	}
 	return m.sealed()
 }
@@ -190,182 +199,100 @@ func TestMergeIterAllEmptySources(t *testing.T) {
 	}
 }
 
-// --- Tombstones ---------------------------------------------------------
+// --- Drop -----------------------------------------------------------
 
-func TestDeleteKVBasic(t *testing.T) {
-	db, err := Open(t.TempDir(), &Options{MaxTables: 100})
+// TestDropOnlyIntoOldestRun: Options.Drop is asked only by a write whose
+// output is the oldest run — the flush into an empty table list, a window
+// merge that starts at the oldest run, a full Compact — and never by a
+// flush above older runs or a window merge above the oldest run, where a
+// dropped record would uncover an older version of its key.
+func TestDropOnlyIntoOldestRun(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		asked []string // the tables Drop was asked about, by first key's tick
+		drop  bool     // whether Drop reports true (for oid 42 only)
+	)
+	db, err := Open(t.TempDir(), &Options{MemtableBytes: 1 << 20, MaxTables: 100,
+		Drop: func(key, _ []byte) bool {
+			mu.Lock()
+			defer mu.Unlock()
+			tick, oid := storage.DecodeKey(key)
+			if len(asked) == 0 || asked[len(asked)-1] != fmt.Sprint(tick) {
+				asked = append(asked, fmt.Sprint(tick))
+			}
+			return drop && oid == 42
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	key := storage.EncodeKey(1, 1)
-	val := storage.EncodeValue(1, 2)
-	if err := db.PutKV(key, val); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.DeleteKV(key); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := get(db, 1, 1); err != nil || v != nil {
-		t.Fatalf("deleted key visible: %v, %v", v, err)
-	}
-	// Deleting an absent key is fine.
-	if err := db.DeleteKV(storage.EncodeKey(9, 9)); err != nil {
-		t.Fatal(err)
-	}
-	// Re-put after delete resurrects the key.
-	val2 := storage.EncodeValue(3, 4)
-	if err := db.PutKV(key, val2); err != nil {
-		t.Fatal(err)
-	}
-	v, err := get(db, 1, 1)
-	if err != nil || v == nil {
-		t.Fatalf("re-put key invisible: %v, %v", v, err)
-	}
-	if x, _ := storage.DecodeValue(v); x != 3 {
-		t.Fatalf("re-put value = %v", x)
-	}
-}
-
-func TestTombstoneShadowsAcrossRuns(t *testing.T) {
-	db, err := Open(t.TempDir(), &Options{MaxTables: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	for oid := int32(0); oid < 10; oid++ {
-		if err := put(db, model.Point{T: 1, OID: oid, X: float64(oid)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Delete the evens in a newer run.
-	for oid := int32(0); oid < 10; oid += 2 {
-		if err := db.DeleteKV(storage.EncodeKey(1, oid)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	check := func(stage string) {
+	flushed := func(tick int32, n int) {
 		t.Helper()
-		snap, err := db.Snapshot(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(snap) != 5 {
-			t.Fatalf("%s: snapshot has %d rows, want 5: %v", stage, len(snap), snap)
-		}
-		for _, r := range snap {
-			if r.OID%2 == 0 {
-				t.Fatalf("%s: deleted oid %d visible", stage, r.OID)
+		for i := 0; i < n; i++ {
+			if err := put(db, model.Point{T: tick, OID: int32(i), X: float64(tick)}); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if v, err := get(db, 1, 4); err != nil || v != nil {
-			t.Fatalf("%s: get of deleted key = %v, %v", stage, v, err)
-		}
-		n := 0
-		if err := db.Scan(storage.EncodeKey(-1<<31, -1<<31), func(k, v []byte) bool {
-			n++
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if n != 5 {
-			t.Fatalf("%s: scan saw %d live keys, want 5", stage, n)
-		}
-	}
-	check("tombstones in newer run")
-
-	// Survive reopen (tombstones replay from the recovered run).
-	dirDB := db.dir
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db, err = Open(dirDB, &Options{MaxTables: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("after reopen")
-
-	// Full compaction GCs the tombstones: physically gone, still deleted.
-	if err := db.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if n := db.NumTables(); n != 1 {
-		t.Fatalf("compaction left %d tables", n)
-	}
-	if db.tables[0].tombs != 0 {
-		t.Fatalf("bottom-level compaction kept %d tombstones", db.tables[0].tombs)
-	}
-	if db.tables[0].count != 5 {
-		t.Fatalf("compacted run has %d records, want 5", db.tables[0].count)
-	}
-	check("after bottom-level GC")
-}
-
-func TestTombstoneKeptAboveBottomLevel(t *testing.T) {
-	// Three runs: a big oldest run holding the key, a tombstone run, and a
-	// small unrelated run. A window merge that excludes the oldest run must
-	// CARRY the tombstone (dropping it would resurrect the old value).
-	db, err := Open(t.TempDir(), &Options{MemtableBytes: 1 << 20, MaxTables: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	// Oldest run: expensive (many records) so the policy avoids it.
-	for i := 0; i < 2000; i++ {
-		if err := put(db, model.Point{T: 1, OID: int32(i), X: 1}); err != nil {
+		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
+	takeAsked := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		out := asked
+		asked = nil
+		return out
 	}
-	// Middle run: tombstone for oid 42.
-	if err := db.DeleteKV(storage.EncodeKey(1, 42)); err != nil {
-		t.Fatal(err)
+	// The first flush writes the oldest run: Drop is asked about it.
+	flushed(1, 2000)
+	if got := takeAsked(); !slices.Equal(got, []string{"1"}) {
+		t.Fatalf("flush into an empty table list asked Drop about ticks %v, want [1]", got)
 	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
+	// Flushes above it are not asked, even when Drop would say yes.
+	mu.Lock()
+	drop = true
+	mu.Unlock()
+	flushed(2, 100)
+	flushed(3, 100)
+	if got := takeAsked(); len(got) != 0 {
+		t.Fatalf("flushes above the oldest run asked Drop about ticks %v", got)
 	}
-	// Newest run: one unrelated record.
-	if err := put(db, model.Point{T: 2, OID: 1, X: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Force one size-tiered merge with MaxTables=2 semantics: window of 2,
-	// cheapest is [middle, newest] — not the bottom level.
+	// A window merge of the two newest runs (the oldest is the expensive
+	// one) is not asked either, and keeps tick 2's oid 42.
 	db.mu.Lock()
 	db.opts.MaxTables = 2
 	db.mu.Unlock()
-	progressed, err := db.compactOnce(false)
-	if err != nil || !progressed {
+	if progressed, err := db.compactOnce(false); err != nil || !progressed {
 		t.Fatalf("compactOnce = %v, %v", progressed, err)
 	}
 	if n := db.NumTables(); n != 2 {
 		t.Fatalf("window merge left %d tables, want 2", n)
 	}
-	if got := db.tables[1].tombs; got != 1 {
-		t.Fatalf("non-bottom merge kept %d tombstones, want 1", got)
+	if got := takeAsked(); len(got) != 0 {
+		t.Fatalf("a window merge above the oldest run asked Drop about ticks %v", got)
 	}
-	if v, err := get(db, 1, 42); err != nil || v != nil {
-		t.Fatalf("deleted key resurrected after window merge: %v, %v", v, err)
+	if v, err := get(db, 2, 42); err != nil || v == nil {
+		t.Fatalf("a window merge above the oldest run dropped (2, 42): %v, %v", v, err)
 	}
-	// Now a full compaction reaches the bottom: tombstone GC'd.
+	// A full compaction writes the oldest run: every record is asked about,
+	// and oid 42 leaves every tick.
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.tables[0].tombs; got != 0 {
-		t.Fatalf("bottom merge kept %d tombstones", got)
+	if got := takeAsked(); !slices.Equal(got, []string{"1", "2", "3"}) {
+		t.Fatalf("a full compaction asked Drop about ticks %v, want [1 2 3]", got)
 	}
-	if v, _ := get(db, 1, 42); v != nil {
-		t.Fatalf("deleted key visible after GC")
+	for tick := int32(1); tick <= 3; tick++ {
+		if v, err := get(db, tick, 42); err != nil || v != nil {
+			t.Fatalf("(%d, 42) survived the compaction into the oldest run: %v, %v", tick, v, err)
+		}
+		if v, err := get(db, tick, 41); err != nil || v == nil {
+			t.Fatalf("(%d, 41) was dropped: %v, %v", tick, v, err)
+		}
+	}
+	if db.tables[0].count != 2000+100+100-3 {
+		t.Fatalf("the compacted run holds %d records, want %d", db.tables[0].count, 2000+100+100-3)
 	}
 }
 

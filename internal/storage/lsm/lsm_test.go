@@ -23,8 +23,8 @@ func put(db *DB, p model.Point) error {
 	return db.PutKV(storage.EncodeKey(p.T, p.OID), storage.EncodeValue(p.X, p.Y))
 }
 
-// get returns the value bytes stored for (t, oid), or nil if absent or
-// deleted, read by a Scan from the key under a fresh snapshot.
+// get returns the value bytes stored for (t, oid), or nil if absent, read
+// by a Scan from the key under a fresh snapshot.
 func get(db *DB, t, oid int32) ([]byte, error) {
 	s, err := db.AcquireSnapshot()
 	if err != nil {
@@ -35,7 +35,7 @@ func get(db *DB, t, oid int32) ([]byte, error) {
 }
 
 // liveKeys counts the keys a full Scan yields: the records db holds, each
-// key once and deleted keys not at all.
+// key once.
 func liveKeys(t *testing.T, db *DB) int {
 	t.Helper()
 	n := 0
@@ -48,8 +48,8 @@ func liveKeys(t *testing.T, db *DB) int {
 	return n
 }
 
-// snapGet is get against snapshot s: the first live record a Scan from the
-// key yields, when it is that key.
+// snapGet is get against snapshot s: the first record a Scan from the key
+// yields, when it is that key.
 func snapGet(s *Snapshot, t, oid int32) ([]byte, error) {
 	key := storage.EncodeKey(t, oid)
 	var v []byte
@@ -340,7 +340,7 @@ func TestFailedOpenClosesTables(t *testing.T) {
 }
 
 // Property: the whole DB behaves like a map under random puts with
-// overwrites, deletes, random flushes and compactions, read between writes,
+// overwrites, random flushes and compactions, read between writes,
 // and a snapshot held across writes answers as the map did when the
 // snapshot was acquired.
 func TestDBMatchesMapModel(t *testing.T) {
@@ -373,17 +373,10 @@ func TestDBMatchesMapModel(t *testing.T) {
 	defer func() { held.Release() }()
 	for i := 0; i < 3000; i++ {
 		k := key{t: int32(rng.Intn(40)), oid: int32(rng.Intn(40))}
-		if rng.Intn(5) == 0 {
-			delete(modelMap, k)
-			if err := db.DeleteKV(storage.EncodeKey(k.t, k.oid)); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			v := [2]float64{rng.Float64(), rng.Float64()}
-			modelMap[k] = v
-			if err := put(db, model.Point{OID: k.oid, T: k.t, X: v[0], Y: v[1]}); err != nil {
-				t.Fatal(err)
-			}
+		v := [2]float64{rng.Float64(), rng.Float64()}
+		modelMap[k] = v
+		if err := put(db, model.Point{OID: k.oid, T: k.t, X: v[0], Y: v[1]}); err != nil {
+			t.Fatal(err)
 		}
 		if i%7 == 6 {
 			r := key{t: int32(rng.Intn(40)), oid: int32(rng.Intn(40))}
@@ -470,7 +463,7 @@ func TestMemtableOrderedIteration(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		k := keyWord(int32(rng.Intn(100)), int32(rng.Intn(100)))
 		distinct[k] = true
-		m.put(k, storage.EncodeValue(float64(i), 0), false)
+		m.put(k, storage.EncodeValue(float64(i), 0))
 		if i%200 == 199 {
 			m.sealed() // later writes merge into a sealed run
 		}
@@ -493,7 +486,7 @@ func TestMemtableOrderedIteration(t *testing.T) {
 func TestMemtableSeek(t *testing.T) {
 	var m memtable
 	for _, tt := range []int32{10, 20, 30} {
-		m.put(keyWord(tt, 0), storage.EncodeValue(0, 0), false)
+		m.put(keyWord(tt, 0), storage.EncodeValue(0, 0))
 	}
 	it := m.sealed().iterator(keyWord(15, 0))
 	if !it.valid() {
@@ -526,9 +519,9 @@ func TestSSTableGarbageRejected(t *testing.T) {
 func TestMergeIterNewestWins(t *testing.T) {
 	var old, newer memtable
 	k := keyWord(1, 1)
-	old.put(k, storage.EncodeValue(1, 0), false)
-	newer.put(k, storage.EncodeValue(2, 0), false)
-	old.put(keyWord(0, 5), storage.EncodeValue(9, 0), false)
+	old.put(k, storage.EncodeValue(1, 0))
+	newer.put(k, storage.EncodeValue(2, 0))
+	old.put(keyWord(0, 5), storage.EncodeValue(9, 0))
 
 	m := newMergeIter([]kvIterator{old.sealed().iterator(0), newer.sealed().iterator(0)})
 	var got []float64

@@ -13,9 +13,7 @@ import (
 // captures the slice and reads it with no lock. tail holds the writes made
 // since the last seal, in write order; only the writer appends to it, under
 // the DB's write lock, and no reader sees it. seal folds the tail into a
-// fresh run. An entry may be a tombstone — a deletion marker that shadows
-// any older on-disk version of the key until compaction garbage-collects
-// both.
+// fresh run.
 type memtable struct {
 	run  memRun
 	tail []memRec
@@ -27,11 +25,10 @@ type memtable struct {
 	next int
 }
 
-// memRec is one buffered write: a value, or a tombstone with a zero value.
+// memRec is one buffered write.
 type memRec struct {
-	key  uint64
-	val  [storage.ValueSize]byte
-	tomb bool
+	key uint64
+	val [storage.ValueSize]byte
 }
 
 // writeCharge is what one buffered write counts against
@@ -44,16 +41,12 @@ type memRec struct {
 // the flush sorts.
 const writeCharge = 2 * int(unsafe.Sizeof(memRec{}))
 
-// put appends key → val to the tail. A tombstone (tomb true) records a
-// deletion and stores a zero value whatever val holds. Writer only.
-func (m *memtable) put(key uint64, val [storage.ValueSize]byte, tomb bool) {
-	if tomb {
-		val = [storage.ValueSize]byte{}
-	}
+// put appends key → val to the tail. Writer only.
+func (m *memtable) put(key uint64, val [storage.ValueSize]byte) {
 	if m.tail == nil {
 		m.tail = make([]memRec, 0, m.next)
 	}
-	m.tail = append(m.tail, memRec{key: key, val: val, tomb: tomb})
+	m.tail = append(m.tail, memRec{key: key, val: val})
 	m.writes++
 }
 
@@ -146,23 +139,21 @@ func (r memRun) find(key uint64) int {
 	return i
 }
 
-// get returns the run's write of key: val is nil when the run holds none,
-// and tomb is set (with a zero val) when it is a deletion marker.
-func (r memRun) get(key uint64) (val []byte, tomb bool) {
+// get returns the run's value of key, or nil when the run does not hold it.
+func (r memRun) get(key uint64) []byte {
 	if i := r.find(key); i < len(r) && r[i].key == key {
-		return r[i].val[:], r[i].tomb
+		return r[i].val[:]
 	}
-	return nil, false
+	return nil
 }
 
 // iterator returns a memIter positioned at the first key ≥ start.
 func (r memRun) iterator(start uint64) *memIter { return &memIter{recs: r[r.find(start):]} }
 
-// memIter walks a run in key order, tombstones included.
+// memIter walks a run in key order.
 type memIter struct{ recs memRun }
 
 func (it *memIter) valid() bool   { return len(it.recs) > 0 }
 func (it *memIter) key() uint64   { return it.recs[0].key }
 func (it *memIter) value() []byte { return it.recs[0].val[:] }
-func (it *memIter) tomb() bool    { return it.recs[0].tomb }
 func (it *memIter) next()         { it.recs = it.recs[1:] }

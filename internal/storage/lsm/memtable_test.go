@@ -34,51 +34,54 @@ func TestMemtableSeal(t *testing.T) {
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := uint64(0); i < n; i++ {
-		m.put(i*0x9e3779b97f4a7c15, val, false) // scattered, as oids are
+		m.put(i*0x9e3779b97f4a7c15, val) // scattered, as oids are
 	}
 	heapPerWrite("tail", before.HeapAlloc)
 	m.sealed()
 	heapPerWrite("adopted run", before.HeapAlloc)
 	for i := uint64(0); i < n/2; i++ {
-		m.put((2*i)*0x9e3779b97f4a7c15+uint64(i%2), val, false) // half overwrites, half new keys
+		m.put((2*i)*0x9e3779b97f4a7c15+uint64(i%2), val) // half overwrites, half new keys
 	}
 	m.sealed()
 	heapPerWrite("merged run", before.HeapAlloc)
 	runtime.KeepAlive(&m)
 
-	// Newest write wins: k ends as a value, j as a tombstone, both written
-	// out of key order among other keys in one tail.
+	// Newest write wins: k is written three times and j twice, out of key
+	// order among other keys in one tail.
 	m = memtable{}
 	k, j := keyWord(5, 5), keyWord(5, 6)
-	for i, w := range []struct {
-		key  uint64
-		tomb bool
-	}{{k, false}, {j, false}, {keyWord(9, 0), false}, {k, true}, {j, true}, {keyWord(1, 0), false}, {k, false}} {
-		m.put(w.key, storage.EncodeValue(float64(i), 0), w.tomb)
+	for i, key := range []uint64{k, j, keyWord(9, 0), k, j, keyWord(1, 0), k} {
+		m.put(key, storage.EncodeValue(float64(i), 0))
 	}
 	first := m.sealed()
 	if len(first) != 4 {
 		t.Fatalf("sealed run holds %d records for 4 keys", len(first))
 	}
-	if v, tomb := first.get(k); tomb || v == nil {
-		t.Fatalf("k after value, tombstone, value: tomb=%v val=%v", tomb, v)
-	} else if x, _ := storage.DecodeValue(v); x != 6 {
+	reads := func(run memRun, key uint64) float64 {
+		t.Helper()
+		v := run.get(key)
+		if v == nil {
+			t.Fatalf("key %#x is missing from the run", key)
+		}
+		x, _ := storage.DecodeValue(v)
+		return x
+	}
+	if x := reads(first, k); x != 6 {
 		t.Fatalf("k reads write %v, want the newest (6)", x)
 	}
-	if _, tomb := first.get(j); !tomb {
-		t.Fatal("j after value, tombstone: the tombstone lost to the older value")
+	if x := reads(first, j); x != 4 {
+		t.Fatalf("j reads write %v, want the newest (4)", x)
 	}
 	// Across seals the tail wins, and the earlier run is not touched.
-	m.put(k, val, true)
-	m.put(j, storage.EncodeValue(7, 0), false)
+	m.put(k, storage.EncodeValue(7, 0))
 	second := m.sealed()
-	if _, tomb := second.get(k); !tomb {
-		t.Fatal("a later tombstone for k lost to the sealed value")
+	if x := reads(second, k); x != 7 {
+		t.Fatalf("a later write of k lost to the sealed value: reads %v, want 7", x)
 	}
-	if v, tomb := second.get(j); tomb || v == nil {
-		t.Fatal("a later value for j lost to the sealed tombstone")
+	if x := reads(second, j); x != 4 {
+		t.Fatalf("j, not written again, reads %v after the second seal, want 4", x)
 	}
-	if _, tomb := first.get(k); tomb {
+	if x := reads(first, k); x != 6 {
 		t.Fatal("sealing again changed a run sealed earlier")
 	}
 }
@@ -89,10 +92,10 @@ func TestMemtableSeal(t *testing.T) {
 func TestMemtableOverwriteAccounting(t *testing.T) {
 	var m memtable
 	k := keyWord(3, 4)
-	for i, tomb := range []bool{false, true, false} {
-		m.put(k, storage.EncodeValue(float64(i), 0), tomb)
+	for i := range 3 {
+		m.put(k, storage.EncodeValue(float64(i), 0))
 		if m.bytes() != (i+1)*writeCharge {
-			t.Fatalf("after %d writes (tomb=%v): %d bytes charged, want %d", i+1, tomb, m.bytes(), (i+1)*writeCharge)
+			t.Fatalf("after %d writes: %d bytes charged, want %d", i+1, m.bytes(), (i+1)*writeCharge)
 		}
 	}
 	if run := m.sealed(); len(run) != 1 {
@@ -100,22 +103,21 @@ func TestMemtableOverwriteAccounting(t *testing.T) {
 	}
 }
 
-// FuzzMemtableSeal runs fuzz-chosen puts and tombstones through one or two
-// seals — the first before op split, when there is one, and the last after
-// every op — and holds each sealed run to a map model in which a key's
-// newest write wins: the run is sorted, holds each key once and equals the
-// model, and a run sealed earlier is unchanged by the next seal. Each op is
-// three bytes: the first picks tombstone or value and the key's shape, the
-// other two the key. The shapes are the cases the radix sort's byte
+// FuzzMemtableSeal runs fuzz-chosen puts through one or two seals — the
+// first before op split, when there is one, and the last after every op —
+// and holds each sealed run to a map model in which a key's newest write
+// wins: the run is sorted, holds each key once and equals the model, and a
+// run sealed earlier is unchanged by the next seal. Each op is three bytes:
+// bits 1–2 of the first pick the key's shape, the other two the key. The shapes are the cases the radix sort's byte
 // skipping must get right: keys differing only in the low byte, keys
 // differing only in the high byte, one key written again and again, and
 // keys differing in every byte.
 func FuzzMemtableSeal(f *testing.F) {
 	f.Add(byte(0), []byte{})                          // n = 0
 	f.Add(byte(0), []byte{0, 7, 0})                   // n = 1, after an empty seal
-	f.Add(byte(9), []byte{4, 7, 0, 5, 7, 0})          // n = 2: one key, value then tombstone
+	f.Add(byte(9), []byte{4, 7, 0, 5, 7, 0})          // n = 2: one key written twice
 	f.Add(byte(1), []byte{0, 9, 0, 2, 9, 0})          // one key in each shape, then a merge
-	f.Add(byte(1), []byte{6, 1, 2, 6, 2, 1, 7, 1, 2}) // all bytes vary, tombstone across seals
+	f.Add(byte(1), []byte{6, 1, 2, 6, 2, 1, 7, 1, 2}) // all bytes vary, an overwrite across seals
 	for shape := byte(0); shape < 4; shape++ {
 		ops := make([]byte, 0, 3*300)
 		for i := 0; i < 300; i++ {
@@ -160,12 +162,8 @@ func FuzzMemtableSeal(f *testing.F) {
 			case 3:
 				key = (uint64(op[1])<<8 | uint64(op[2])) * 0x9e3779b97f4a7c15
 			}
-			r := memRec{key: key, tomb: op[0]&1 == 1}
-			val := storage.EncodeValue(float64(i), 0)
-			if !r.tomb {
-				r.val = val
-			}
-			m.put(key, val, r.tomb)
+			r := memRec{key: key, val: storage.EncodeValue(float64(i), 0)}
+			m.put(key, r.val)
 			model[key] = r
 		}
 		check(m.sealed())

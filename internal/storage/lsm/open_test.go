@@ -13,15 +13,15 @@ import (
 )
 
 // tableBytes returns the file writeSSTable makes of n records with keys
-// (i/50, i%50), every seventh a tombstone.
+// (i/50, i%50).
 func tableBytes(tb testing.TB, n int) []byte {
 	tb.Helper()
 	var mem memtable
 	for i := 0; i < n; i++ {
-		mem.put(keyWord(int32(i/50), int32(i%50)), storage.EncodeValue(float64(i), 1), i%7 == 3)
+		mem.put(keyWord(int32(i/50), int32(i%50)), storage.EncodeValue(float64(i), 1))
 	}
 	path := filepath.Join(tb.TempDir(), "t.sst")
-	if err := writeSSTable(path, mem.sealed().iterator(0), false); err != nil {
+	if err := writeSSTable(path, mem.sealed().iterator(0), nil); err != nil {
 		tb.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -73,7 +73,6 @@ func TestSSTableCorruptFooterRejected(t *testing.T) {
 		{"descending first keys", func(b []byte) { setFirstKey(b, 2, firstKey(b, 1)-1) }},
 		{"first keys out of order", func(b []byte) { setFirstKey(b, 4, firstKey(b, 0)) }},
 		{"record count off", func(b []byte) { u64(b, ft+12, func(n uint64) uint64 { return n + 1 }) }},
-		{"more tombstones than records", func(b []byte) { u64(b, ft+20, func(uint64) uint64 { return 1001 }) }},
 		{"huge block total", func(b []byte) { u32(b, ft+8, func(uint32) uint32 { return 0xFFFFFFF0 }) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -103,46 +102,52 @@ func TestSSTableCorruptFooterRejected(t *testing.T) {
 	tab.close()
 }
 
-// A table of the format earlier builds wrote (magic K2S2, with a bloom
-// filter) is refused with an error that names the format. The bare footer
-// here claims 0xFFFFFFF0 blocks: the format is checked before the footer
-// is believed. testdata/lsm-k2s2 is a whole database such a build wrote
-// with WriteDataset; Open refuses it the same way.
+// Tables of the formats earlier builds wrote — K2S2, with a bloom filter,
+// and K2S3, with a tombstone flag per record — are refused with an error
+// that names the format. Each bare footer here claims 0xFFFFFFF0 blocks:
+// the format is checked before the footer is believed. testdata/lsm-k2s2
+// and testdata/lsm-k2s3 are whole databases such builds wrote with
+// WriteDataset; Open refuses them the same way.
 func TestSSTableOldFormatRejected(t *testing.T) {
-	footer := make([]byte, 44)
-	binary.LittleEndian.PutUint32(footer[8:], 0xFFFFFFF0)
-	copy(footer[40:], "K2S2")
-	path := filepath.Join(t.TempDir(), "old.sst")
-	if err := os.WriteFile(path, footer, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if tab, err := openSSTable(path); err == nil || !strings.Contains(err.Error(), "K2S2") {
-		if tab != nil {
-			tab.close()
+	for _, old := range []struct {
+		format     string
+		footerSize int
+	}{{"K2S2", 44}, {"K2S3", 32}} {
+		footer := make([]byte, old.footerSize)
+		binary.LittleEndian.PutUint32(footer[8:], 0xFFFFFFF0)
+		copy(footer[old.footerSize-4:], old.format)
+		path := filepath.Join(t.TempDir(), "old.sst")
+		if err := os.WriteFile(path, footer, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("openSSTable of a K2S2 footer = %v, want an error naming K2S2", err)
-	}
+		if tab, err := openSSTable(path); err == nil || !strings.Contains(err.Error(), old.format) {
+			if tab != nil {
+				tab.close()
+			}
+			t.Fatalf("openSSTable of a %s footer = %v, want an error naming %s", old.format, err, old.format)
+		}
 
-	dir := t.TempDir()
-	for _, name := range []string{"MANIFEST", "sst-000000.sst"} {
-		data, err := os.ReadFile(filepath.Join("testdata", "lsm-k2s2", name))
-		if err != nil {
-			t.Fatal(err)
+		dir := t.TempDir()
+		for _, name := range []string{"MANIFEST", "sst-000000.sst"} {
+			data, err := os.ReadFile(filepath.Join("testdata", "lsm-"+strings.ToLower(old.format), name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
+		db, err := Open(dir, nil)
+		if err == nil {
+			db.Close()
+			t.Fatalf("Open of a %s database succeeded", old.format)
 		}
-	}
-	db, err := Open(dir, nil)
-	if err == nil {
-		db.Close()
-		t.Fatal("Open of a K2S2 database succeeded")
-	}
-	if !strings.Contains(err.Error(), "K2S2") {
-		t.Fatalf("Open of a K2S2 database = %v, want an error naming K2S2", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "sst-000000.sst")); err != nil {
-		t.Fatalf("the refused table is gone: %v", err)
+		if !strings.Contains(err.Error(), old.format) {
+			t.Fatalf("Open of a %s database = %v, want an error naming %s", old.format, err, old.format)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "sst-000000.sst")); err != nil {
+			t.Fatalf("the refused %s table is gone: %v", old.format, err)
+		}
 	}
 }
 

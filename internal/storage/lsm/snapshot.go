@@ -14,7 +14,7 @@ import (
 // never mutate a shared one), each referenced sstable is pinned by a
 // refcount so compaction and Close cannot unlink or close it mid-read, and
 // the memtable's run is never modified once published. Writes made after
-// acquisition — puts, deletes, flushes, compactions — are invisible to it
+// acquisition — puts, flushes, compactions — are invisible to it
 // (snapshot isolation).
 //
 // Snapshots are cheap but pin disk space: tables retired while referenced
@@ -70,10 +70,9 @@ func (s *Snapshot) Release() {
 	s.db.liveSnapshots.Add(-1)
 }
 
-// Scan calls fn for every live record with key ≥ start, in ascending key
-// order, merged across the captured memtable and runs (newest version of a
-// key wins; keys whose newest version is a tombstone are skipped), until fn
-// returns false or the keyspace is exhausted. The key and value slices
+// Scan calls fn for every record with key ≥ start, in ascending key order,
+// merged across the captured memtable and runs (newest version of a key
+// wins), until fn returns false or the keyspace is exhausted. The key and value slices
 // passed to fn are only valid during the call. No lock is held: fn may
 // block, do I/O, or call back into the DB freely.
 func (s *Snapshot) Scan(start [storage.KeySize]byte, fn func(key, val []byte) bool) error {
@@ -94,9 +93,6 @@ func (s *Snapshot) scan(start uint64, fn func(key uint64, val []byte) bool) erro
 	merged := newMergeIter(its)
 	for ; merged.valid(); merged.next() {
 		s.db.stats.AddScanned(1)
-		if merged.tomb() {
-			continue
-		}
 		if !fn(merged.key(), merged.value()) {
 			break
 		}

@@ -85,8 +85,8 @@ func TestSnapshotPinsTablesAcrossCompaction(t *testing.T) {
 }
 
 // TestSnapshotFrozen: a snapshot is the DB as it was when it was taken. A
-// put and a delete made after acquisition — buffered, then flushed — are
-// invisible to it, while a fresh snapshot sees both.
+// new key and an overwrite made after acquisition — buffered, then flushed
+// — are invisible to it, while a fresh snapshot sees both.
 func TestSnapshotFrozen(t *testing.T) {
 	db, err := Open(t.TempDir(), &Options{MaxTables: 100})
 	if err != nil {
@@ -106,7 +106,7 @@ func TestSnapshotFrozen(t *testing.T) {
 	if err := put(db, model.Point{T: 1, OID: 3, X: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.DeleteKV(storage.EncodeKey(1, 1)); err != nil {
+	if err := put(db, model.Point{T: 1, OID: 1, X: 10}); err != nil {
 		t.Fatal(err)
 	}
 	keys := func(s *Snapshot) (oids []int32) {
@@ -125,7 +125,9 @@ func TestSnapshotFrozen(t *testing.T) {
 			t.Fatalf("%s: the snapshot lists oids %v, want [1 2] as at acquisition", stage, got)
 		}
 		if v, err := snapGet(snap, 1, 1); err != nil || v == nil {
-			t.Fatalf("%s: a key deleted after acquisition is gone from the snapshot (err %v)", stage, err)
+			t.Fatalf("%s: a key overwritten after acquisition is gone from the snapshot (err %v)", stage, err)
+		} else if x, _ := storage.DecodeValue(v); x != 1 {
+			t.Fatalf("%s: the snapshot reads a key overwritten after acquisition as %v, want 1 as at acquisition", stage, x)
 		}
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
@@ -136,8 +138,13 @@ func TestSnapshotFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Release()
-	if got := keys(fresh); !slices.Equal(got, []int32{2, 3}) {
-		t.Fatalf("a fresh snapshot lists oids %v, want [2 3]", got)
+	if got := keys(fresh); !slices.Equal(got, []int32{1, 2, 3}) {
+		t.Fatalf("a fresh snapshot lists oids %v, want [1 2 3]", got)
+	}
+	if v, err := snapGet(fresh, 1, 1); err != nil || v == nil {
+		t.Fatalf("a fresh snapshot lost oid 1 (err %v)", err)
+	} else if x, _ := storage.DecodeValue(v); x != 10 {
+		t.Fatalf("a fresh snapshot reads oid 1 as %v, want the overwrite 10", x)
 	}
 }
 

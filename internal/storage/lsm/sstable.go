@@ -16,11 +16,9 @@ import (
 
 // SSTable layout (all integers little-endian):
 //
-//	data blocks : blockRecs × (key[8] | value[16] | meta[1]) each (last may
-//	              be short); meta bit 0 marks a tombstone (value zeroed)
+//	data blocks : blockRecs × (key[8] | value[16]) each (last may be short)
 //	index block : numBlocks × (firstKey[8] | u64 offset | u32 count)
-//	footer      : u64 indexOff | u32 numBlocks | u64 recordCount
-//	              u64 tombCount | magic "K2S3"
+//	footer      : u64 indexOff | u32 numBlocks | u64 recordCount | magic "K2S4"
 //
 // Records within and across blocks are sorted ascending by key and unique.
 // The blocks are contiguous from offset 0 and the index follows the last
@@ -29,17 +27,17 @@ import (
 const (
 	blockRecs  = 170 // ≈4KB data blocks
 	indexEntry = storage.KeySize + 8 + 4
-	footerSize = 8 + 4 + 8 + 8 + 4
+	footerSize = 8 + 4 + 8 + 4
 
-	recSize  = storage.RecordSize + 1 // key | value | meta byte
-	tombFlag = 1                      // meta bit 0
+	recSize = storage.RecordSize // key | value
 )
 
 // Format is the magic that ends every SSTable this build writes, and the
 // only one it opens. It changes whenever the layout above does (K2S2 had a
-// bloom filter between the index and the footer), so a store that persists
-// SSTables can record it and tell indexes it cannot read.
-const Format = "K2S3"
+// bloom filter between the index and the footer; K2S3 a tombstone flag
+// byte after every record and a tombstone count in the footer), so a store
+// that persists SSTables can record it and tell indexes it cannot read.
+const Format = "K2S4"
 
 type blockMeta struct {
 	firstKey uint64
@@ -68,8 +66,7 @@ type sstable struct {
 	f     *os.File
 	path  string
 	index []blockMeta
-	count uint64 // all records, tombstones included
-	tombs uint64 // tombstone records
+	count uint64
 	// id is unique across every table opened by this process; it keys the
 	// shared block cache so a retired table's blocks can never alias a
 	// successor's.
@@ -91,12 +88,9 @@ type sstable struct {
 // nextTableID issues process-unique sstable ids for block-cache keying.
 var nextTableID atomic.Uint64
 
-// writeSSTable streams sorted (key, val, tomb) records from it into a new
-// table file at path.
-// When dropTombs is set, tombstone records are filtered out instead of
-// written — only valid when the merge window includes the oldest run, i.e.
-// there is no older version left for the tombstone to shadow.
-func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
+// writeSSTable streams sorted (key, val) records from it into a new table
+// file at path, leaving out every record drop (when set) reports true for.
+func writeSSTable(path string, it kvIterator, drop func(key, val []byte) bool) (retErr error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("lsm: create sstable: %w", err)
@@ -116,7 +110,6 @@ func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
 		inBlock uint32
 		off     uint64
 		cur     blockMeta
-		tombs   uint64
 		rec     [recSize]byte
 		count   uint64
 	)
@@ -134,20 +127,14 @@ func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
 			return fmt.Errorf("lsm: sstable writer got key %016x after %016x: out of order", k, prev)
 		}
 		first, prev = false, k
-		tomb := it.tomb()
-		if tomb && dropTombs {
+		binary.BigEndian.PutUint64(rec[:storage.KeySize], k)
+		copy(rec[storage.KeySize:], it.value())
+		if drop != nil && drop(rec[:storage.KeySize], rec[storage.KeySize:]) {
 			continue
 		}
 		if inBlock == 0 {
 			cur.firstKey = k
 			cur.off = off
-		}
-		binary.BigEndian.PutUint64(rec[:storage.KeySize], k)
-		copy(rec[storage.KeySize:storage.RecordSize], it.value())
-		rec[storage.RecordSize] = 0
-		if tomb {
-			rec[storage.RecordSize] = tombFlag
-			tombs++
 		}
 		if _, err := w.Write(rec[:]); err != nil {
 			return err
@@ -174,8 +161,7 @@ func writeSSTable(path string, it kvIterator, dropTombs bool) (retErr error) {
 	binary.LittleEndian.PutUint64(footer[0:8], indexOff)
 	binary.LittleEndian.PutUint32(footer[8:12], uint32(len(idx)))
 	binary.LittleEndian.PutUint64(footer[12:20], count)
-	binary.LittleEndian.PutUint64(footer[20:28], tombs)
-	copy(footer[28:32], Format)
+	copy(footer[20:24], Format)
 	if _, err := w.Write(footer[:]); err != nil {
 		return err
 	}
@@ -231,7 +217,6 @@ func (t *sstable) load() error {
 	indexOff := binary.LittleEndian.Uint64(footer[0:8])
 	numBlocks := uint64(binary.LittleEndian.Uint32(footer[8:12]))
 	t.count = binary.LittleEndian.Uint64(footer[12:20])
-	t.tombs = binary.LittleEndian.Uint64(footer[20:28])
 	if numBlocks*indexEntry > body || indexOff != body-numBlocks*indexEntry {
 		return fmt.Errorf("an index of %d blocks at offset %d does not end at the footer (offset %d)", numBlocks, indexOff, body)
 	}
@@ -263,8 +248,8 @@ func (t *sstable) load() error {
 	if end != indexOff {
 		return fmt.Errorf("the blocks end at offset %d, the index starts at %d", end, indexOff)
 	}
-	if records != t.count || t.tombs > t.count {
-		return fmt.Errorf("the footer counts %d records (%d tombstones), the index %d", t.count, t.tombs, records)
+	if records != t.count {
+		return fmt.Errorf("the footer counts %d records, the index %d", t.count, records)
 	}
 	return nil
 }
@@ -291,7 +276,7 @@ func (t *sstable) unref() {
 // retire drops the table-list reference, the one reference holders can
 // clone. Caller must be the list owner (DB write lock held when delisting).
 // With remove set the file is unlinked once the last snapshot drains —
-// compaction inputs and retention victims; without it the file merely
+// compaction inputs; without it the file merely
 // closes and stays on disk for the next Open — DB shutdown.
 func (t *sstable) retire(remove bool) {
 	t.removeOnRelease = remove
@@ -348,8 +333,8 @@ type walkCursor struct {
 	pos   int
 }
 
-// find returns key's record (key | value | meta) in the table, or nil when
-// the table holds no version of it. The record aliases the block: the
+// find returns key's record (key | value) in the table, or nil when the
+// table does not hold it. The record aliases the block: the
 // caller reads it and must not keep or modify it. Keys passed to
 // successive calls must not descend. env must carry a cache and an IOStats.
 func (c *walkCursor) find(k uint64, env *readEnv) ([]byte, error) {
@@ -414,7 +399,7 @@ func (t *sstable) iterator(start uint64, env *readEnv) *sstIter {
 	return it
 }
 
-// sstIter iterates one sstable in key order, tombstones included. When its
+// sstIter iterates one sstable in key order. When its
 // env carries a cache the current block may be shared with other readers —
 // the iterator only ever reads it. Without a cache it owns a private buffer
 // reused across blocks.
@@ -479,9 +464,6 @@ func (it *sstIter) value() []byte {
 	off := it.i*recSize + storage.KeySize
 	return it.block[off : off+storage.ValueSize]
 }
-func (it *sstIter) tomb() bool {
-	return it.block[it.i*recSize+storage.RecordSize]&tombFlag != 0
-}
 func (it *sstIter) next() {
 	it.i++
 	it.skipExhausted()
@@ -491,14 +473,11 @@ func (it *sstIter) next() {
 func (it *sstIter) srcErr() error { return it.err }
 
 // kvIterator is the common iterator shape shared by memtable, sstable and
-// merge iterators: key is the record's key word, value its 16 bytes (zero
-// for a tombstone), and tomb reports whether the record is a deletion
-// marker.
+// merge iterators: key is the record's key word and value its 16 bytes.
 type kvIterator interface {
 	valid() bool
 	key() uint64
 	value() []byte
-	tomb() bool
 	next()
 }
 

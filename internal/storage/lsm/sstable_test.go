@@ -17,36 +17,28 @@ import (
 
 // TestSSTableBytesUnchanged pins the table file format: the same input
 // iterator must produce the same file, byte for byte, as the writer did when
-// the golden hash was recorded (when format K2S3 dropped the bloom filter
-// and its footer fields). 1 000 entries span several data blocks; every
-// seventh is a tombstone, kept in one table and dropped in the other.
+// the golden hash was recorded (when format K2S4 dropped the tombstone
+// flag byte and the footer's tombstone count). 1 000 entries span several
+// data blocks.
 func TestSSTableBytesUnchanged(t *testing.T) {
+	const want = "61181a24a9a91ed9b8194f5331582873483a2371c369005e0e0ef2f2b6e59648"
 	var mem memtable
 	for i := 0; i < 1000; i++ {
 		var v [storage.ValueSize]byte
 		binary.LittleEndian.PutUint64(v[:], uint64(i))
-		mem.put(uint64(i)*2654435761, v, i%7 == 0)
+		mem.put(uint64(i)*2654435761, v)
 	}
-	run := mem.sealed()
-	for _, c := range []struct {
-		dropTombs bool
-		want      string
-	}{
-		{false, "9cf4263a9e2ffcb54bf50756a2fed3f31d8ee2225b003458dbb7db16cce33749"},
-		{true, "ad1ca68c1cacf6629405e2345c865d28f4bfc96a6a50c56cd72d001d6a671c82"},
-	} {
-		path := filepath.Join(t.TempDir(), "t.sst")
-		if err := writeSSTable(path, run.iterator(0), c.dropTombs); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(data)
-		if got := hex.EncodeToString(sum[:]); got != c.want {
-			t.Errorf("dropTombs=%v: table of %d bytes hashes to %s, want %s", c.dropTombs, len(data), got, c.want)
-		}
+	path := filepath.Join(t.TempDir(), "t.sst")
+	if err := writeSSTable(path, mem.sealed().iterator(0), nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("table of %d bytes hashes to %s, want %s", len(data), got, want)
 	}
 }
 

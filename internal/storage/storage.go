@@ -14,9 +14,11 @@
 //     the records, built bottom-up once and opened read-only;
 //   - storage/lsm: a log-structured merge-tree keyed by (t, oid); a dataset
 //     is written as one bottom-level run — an SSTable of sorted data blocks
-//     plus a block index — committed by one manifest write. Tables written
-//     by builds before format K2S3 (which carried a bloom filter) do not
-//     open; such a dataset must be rewritten with lsm.WriteDataset.
+//     plus a block index — committed by one manifest write. A record is
+//     its 8-byte key and 16-byte value, 24 bytes. Tables written by builds
+//     before format K2S4 (K2S2 carried a bloom filter, K2S3 a tombstone
+//     flag per record) do not open; such a dataset must be rewritten with
+//     lsm.WriteDataset.
 //
 // Both indexed engines answer Fetch(t, oids) as one forward walk rather
 // than one probe per object: oids is sorted and a tick's keys are
